@@ -272,6 +272,17 @@ def split_components(vp: ValidatedPresentation) -> list[ValidatedPresentation]:
     return out
 
 
+def equal_length_parts(vp: ValidatedPresentation) -> list[ValidatedPresentation]:
+    """The pieces an equal-length build reduces one by one: every abstract
+    component on its own when the declared split count k equals their
+    number, else the whole presentation.  A smaller k means some components
+    are linked through each other, so the finer per-component stick count
+    does not apply."""
+    n_comp = len(vp.vgraph.components)
+    k = vp.params.k if vp.params is not None else 1
+    return split_components(vp) if n_comp > 1 and k == n_comp else [vp]
+
+
 # ---------------------------------------------------------------------------
 # catalog
 

@@ -17,6 +17,7 @@ from .arc_presentation import (
     PresentationError,
     catalog,
     catalog_names,
+    equal_length_parts,
     validate_presentation,
 )
 from .circular_diagram import to_circular
@@ -31,7 +32,7 @@ from .documents import (
     presentation_to_doc,
     to_obj,
 )
-from .equilateral_builder import EquilateralError, build_component, build_equilateral
+from .equilateral_builder import EquilateralError, build_parts
 from .graph_core import GraphError
 from .randgen import PROFILES, GenerationExhausted, random_presentation
 from .stick_builder import BuildError, build
@@ -95,13 +96,7 @@ def _cmd_build_stick(args) -> int:
 
 def _cmd_build_eq(args) -> int:
     vps = [validate_presentation(_load_presentation(p)) for p in args.presentation]
-    if len(vps) == 1:
-        emb = build_equilateral(vps[0], M=args.M)
-    else:
-        from .equilateral_builder import assemble_split
-        M = args.M if args.M is not None else 4.0 * max(vp.m for vp in vps)
-        parts = [build_component(vp, M, component=i) for i, vp in enumerate(vps)]
-        emb = assemble_split(parts)
+    emb = build_parts([part for vp in vps for part in equal_length_parts(vp)], M=args.M)
     print(f"sticks: {len(emb.sticks)}  M: {emb.M}  components: {len(emb.components)}")
     if emb.tolerance is not None:
         t = emb.tolerance
@@ -149,14 +144,17 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.embedding) as fh:
         doc = json.load(fh)
+    vp = validate_presentation(_load_presentation(args.presentation))
     mode = doc.get("mode")
     if mode == "exact":
-        se = embedding_from_doc(doc)
-        vp = validate_presentation(_load_presentation(args.presentation))
-        report = verify_stick_embedding(se, to_circular(vp))
+        report = verify_stick_embedding(embedding_from_doc(doc), to_circular(vp))
     elif mode == "decimal":
         emb = equilateral_from_doc(doc)
+        want = [part.n for part in equal_length_parts(vp)]
+        have = [c.n_arcs for c in emb.components]
         report = check_equilateral(emb)
+        report.add("equilateral.presentation", have == want,
+                   f"document components have {have} arcs, the presentation's parts {want}")
         segs = [(s.a, s.b) for s in emb.sticks]
         report.merge(check_simplicity(segs, scale=emb.M))
     else:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .arc_presentation import ValidatedPresentation
+from .arc_presentation import ValidatedPresentation, equal_length_parts
 
 V3 = tuple[float, float, float]
 
@@ -49,10 +49,6 @@ class MTooSmall(EquilateralError):
 
 class NoRotationSolution(EquilateralError):
     """Bisection bracket failed; M is too small relative to the axis spread."""
-
-
-class ClearanceViolation(EquilateralError):
-    """Final sticks come closer than the certification clearance."""
 
 
 class CertificateFailure(EquilateralError):
@@ -95,9 +91,13 @@ class ComponentInfo:
 
 @dataclass
 class CertificateReport:
+    """Sweep verdict; `tolerance` is the final-clearance pass the certificate
+    ran, handed on to the builder and not written into documents."""
+
     passed: bool
     moves: list[tuple[str, float]] = field(default_factory=list)
     detail: str = ""
+    tolerance: ToleranceReport | None = None
 
 
 @dataclass
@@ -417,7 +417,7 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
             report.detail = f"{tag} moved without a recorded sweep"
             return report
 
-    tol = tolerance_report(after)
+    tol = report.tolerance = tolerance_report(after)
     if tol.min_clearance < floor:
         report.passed = False
         report.detail = f"final clearance {tol.min_clearance:.3e} below floor {floor:.3e}"
@@ -432,26 +432,37 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
 
 def build_component(vp: ValidatedPresentation, M: float | None = None,
                     retries: int = MAX_RETRIES, component: int = 0) -> EquilateralEmbedding:
-    """Tents, reduction and certificate with doubling-M retries."""
-    M0 = float(M) if M is not None else DEFAULT_M_FACTOR * vp.m
+    """Tents, reduction and certificate for one component at stick length M.
+    With retries left, or no M given, this is build_parts on [vp]."""
+    if retries or M is None:
+        return build_parts([vp], M, retries, first=component)
+    tents = build_tents(vp, M, component=component)
+    red = reduce_top(tents)
+    cert = isotopy_certificate(tents, red)
+    if not cert.passed:
+        raise CertificateFailure(cert.detail)
+    red.tolerance = cert.tolerance
+    red.certificate = cert
+    return red
+
+
+def build_parts(vps: list[ValidatedPresentation], M: float | None = None,
+                retries: int = MAX_RETRIES, first: int = 0) -> EquilateralEmbedding:
+    """Build each presentation as component first + i, all at one shared
+    stick length, doubling it for every part together until all of them
+    certify.  One part comes back as built, several through assemble_split.
+    The default M is DEFAULT_M_FACTOR times the largest axis point count."""
+    M0 = float(M) if M is not None else DEFAULT_M_FACTOR * max(p.m for p in vps)
     last: Exception | None = None
     for attempt in range(retries + 1):
         m_try = M0 * (2.0 ** attempt)
         try:
-            tents = build_tents(vp, m_try, component=component)
-            red = reduce_top(tents)
-            cert = isotopy_certificate(tents, red)
-            if not cert.passed:
-                raise CertificateFailure(cert.detail)
-            tol = tolerance_report(red)
-            if tol.min_clearance < CERT_CLEARANCE_REL * m_try:
-                raise ClearanceViolation(
-                    f"clearance {tol.min_clearance:.3e} below {CERT_CLEARANCE_REL * m_try:.3e}")
-            red.tolerance = tol
-            red.certificate = cert
-            return red
-        except (MTooSmall, NoRotationSolution, ClearanceViolation, CertificateFailure) as err:
+            parts = [build_component(p, m_try, retries=0, component=first + i)
+                     for i, p in enumerate(vps)]
+        except (MTooSmall, NoRotationSolution, CertificateFailure) as err:
             last = err
+            continue
+        return parts[0] if len(parts) == 1 else assemble_split(parts)
     assert last is not None
     raise last
 
@@ -496,33 +507,6 @@ def assemble_split(parts: list[EquilateralEmbedding]) -> EquilateralEmbedding:
 
 def build_equilateral(vp: ValidatedPresentation, M: float | None = None,
                       retries: int = MAX_RETRIES) -> EquilateralEmbedding:
-    """Build one presentation, splitting into boxed components when the
-    declared split count matches the abstract component count.
-
-    A declared k below the abstract count means some components are linked
-    through each other, so the whole presentation goes up as one piece and
-    the finer per-component stick count does not apply.
-    """
-    from .arc_presentation import split_components
-
-    n_comp = len(vp.vgraph.components)
-    k = vp.params.k if vp.params is not None else 1
-    if n_comp > 1 and k == n_comp:
-        vps = split_components(vp)
-    else:
-        vps = [vp]
-    if len(vps) == 1:
-        return build_component(vps[0], M, retries=retries)
-
-    M0 = float(M) if M is not None else DEFAULT_M_FACTOR * max(p.m for p in vps)
-    last: Exception | None = None
-    for attempt in range(retries + 1):
-        m_try = M0 * (2.0 ** attempt)
-        try:
-            parts = [build_component(p, m_try, retries=0, component=i) for i, p in enumerate(vps)]
-        except (MTooSmall, NoRotationSolution, ClearanceViolation, CertificateFailure) as err:
-            last = err
-            continue
-        return assemble_split(parts)
-    assert last is not None
-    raise last
+    """Build one presentation, each piece of equal_length_parts(vp) as its
+    own boxed component at one shared stick length."""
+    return build_parts(equal_length_parts(vp), M, retries)

@@ -63,10 +63,32 @@ def test_build_eq_and_verify(tmp_path, capsys):
 
 
 def test_build_eq_several_presentations_assemble(capsys):
-    code, out, _ = run(capsys, "build-eq", "catalog:unknot", "catalog:unknot")
+    cases = [
+        (("catalog:unknot", "catalog:unknot"), ("sticks: 6", "components: 2")),
+        # unknot needs M > 1/2 and trefoil M > 2: both retry together to one M
+        (("catalog:unknot", "catalog:trefoil", "-M", "0.51"), ("M: 2.04", "components: 2")),
+    ]
+    for argv, expect in cases:
+        code, out, _ = run(capsys, "build-eq", *argv)
+        assert code == 0, argv
+        for text in expect:
+            assert text in out, argv
+
+
+@pytest.mark.parametrize("built, against, code_want", [
+    ("trefoil", "trefoil", 0),
+    ("unlink(2)", "unlink(2)", 0),
+    ("trefoil", "unknot", 1),
+    ("trefoil", "hopf", 1),
+])
+def test_verify_decimal_checks_presentation(tmp_path, capsys, built, against, code_want):
+    emb = tmp_path / "eq.json"
+    code, _, _ = run(capsys, "build-eq", f"catalog:{built}", "-o", str(emb))
     assert code == 0
-    assert "sticks: 6" in out
-    assert "components: 2" in out
+    code, out, _ = run(capsys, "verify", str(emb), f"catalog:{against}")
+    assert code == code_want
+    if code_want:
+        assert "equilateral.presentation: FAIL" in out
 
 
 def test_bounds_text_report(capsys):

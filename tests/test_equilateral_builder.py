@@ -5,6 +5,7 @@ import math
 import pytest
 
 import oracles
+from stickforge import equilateral_builder
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.equilateral_builder import (
     CERT_CLEARANCE_REL,
@@ -112,6 +113,19 @@ def test_trefoil_nine_equal_sticks():
     assert tol.max_length_dev_rel <= 1e-9
     assert tol.min_clearance >= CERT_CLEARANCE_REL * emb.M
     assert emb.certificate is not None and emb.certificate.passed
+
+
+def test_component_runs_one_tolerance_pass(monkeypatch):
+    calls = []
+
+    def counted(emb):
+        calls.append(emb)
+        return tolerance_report(emb)
+
+    monkeypatch.setattr(equilateral_builder, "tolerance_report", counted)
+    emb = build_component(vp_of("trefoil"))
+    assert len(calls) == 1
+    assert emb.tolerance == tolerance_report(emb)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
