@@ -16,9 +16,11 @@ stick at length M, giving 2n - 1 sticks per component.
 Rotations are certified by sampled sweeps (engineering surrogate for the
 continuous isotopy): the moving stick, and the stretching joiner with it,
 must clear every parked stick at each sampled angle.  Any certificate or
-bracketing failure doubles M and retries; clearances here have a fixed
-absolute floor from the unit axis spacing, so growth in M eventually hurts
-rather than helps and the retry count is capped.
+bracketing failure doubles M and retries, at most MAX_RETRIES times.  That
+cures a bracket M is too short for, but not a pinch: e_1's hug passes the
+next axis point about AXIS_HUG_FRACTION * sin(page gap) away at every M
+(the axis spacing is 1), while the certificate floor CERT_CLEARANCE_REL * M
+doubles with M.  So the hug fraction must clear that floor at the first M.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .arc_presentation import ValidatedPresentation, equal_length_parts
 V3 = tuple[float, float, float]
 
 DEFAULT_M_FACTOR = 4.0
-AXIS_HUG_FRACTION = 1e-3      # e_1 free end ends up this * M from the axis
+AXIS_HUG_FRACTION = 1e-2      # e_1 free end ends up this * M from the axis
 BISECT_REL_TOL = 1e-12
 SWEEP_STEP_RAD = 1e-2
 CERT_CLEARANCE_REL = 1e-6

@@ -10,13 +10,15 @@ midpoint, tied into the existing junctions at both ends.  Oblique and bent
 lifts take the smallest integer height whose closed lift-to-horizontal
 triangle region (minus the shared junction corners) misses all earlier
 sticks, which forces every crossing to come out lower-page-under and keeps
-the union embedded.  All coordinates are rational, so every predicate here
-is exact.
+the union embedded.  That height has a closed form: all earlier sticks lie
+at or below the level of the previous page, and whether an earlier point
+blocks a level is linear in the point, so each obstacle bounds the height
+from below by one exact threshold.  All coordinates are rational, so every
+predicate here is exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,59 +87,9 @@ class _ChordFrame:
         return _dot2(_sub2((p[0], p[1]), self.a2), self.d)
 
 
-def _segment_hits_triangle(p, q, tri, exempt) -> bool:
-    """Exact: does segment pq meet the closed triangle anywhere besides the
-    exempt corner points?  Integer coordinates in, pure integer arithmetic
-    throughout; the parameter window is kept as positive-denominator pairs."""
-    orient = ((tri[1][0] - tri[0][0]) * (tri[2][1] - tri[0][1])
-              - (tri[1][1] - tri[0][1]) * (tri[2][0] - tri[0][0]))
-    if orient == 0:
-        raise BuildError("degenerate clearance triangle")
-    sgn = 1 if orient > 0 else -1
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    lo_n, lo_d = 0, 1
-    hi_n, hi_d = 1, 1
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        g0 = sgn * (ex * (p[1] - a[1]) - ey * (p[0] - a[0]))
-        g1 = sgn * (ex * (q[1] - a[1]) - ey * (q[0] - a[0]))
-        delta = g1 - g0
-        if delta == 0:
-            if g0 < 0:
-                return False
-            continue
-        tn, td = -g0, delta
-        if td < 0:
-            tn, td = -tn, -td
-        if delta > 0:
-            if tn * lo_d > lo_n * td:
-                lo_n, lo_d = tn, td
-        else:
-            if tn * hi_d < hi_n * td:
-                hi_n, hi_d = tn, td
-        if lo_n * hi_d > hi_n * lo_d:
-            return False
-    cmp = lo_n * hi_d - hi_n * lo_d
-    if cmp > 0:
-        return False
-    if cmp < 0:
-        return True  # positive-length overlap cannot be all exempt points
-    hx, hy = p[0] * lo_d + lo_n * dx, p[1] * lo_d + lo_n * dy
-    return all(hx != e[0] * lo_d or hy != e[1] * lo_d for e in exempt)
-
-
-def _point_in_triangle_hits(q, tri, sgn, exempt) -> bool:
-    for i in range(3):
-        a, b = tri[i], tri[(i + 1) % 3]
-        if sgn * ((b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])) < 0:
-            return False
-    return q not in exempt
-
-
 def _project_earlier(frame: _ChordFrame, earlier: tuple[Stick, ...]):
     """In-plane view of the placed sticks: segments lying over the chord and
-    punch-through points of transversal ones.  Independent of the probe
+    punch-through points of transversal ones.  Independent of the lift
     height, so computed once per chord."""
     segs, pts = [], []
     for stick in earlier:
@@ -157,76 +109,43 @@ def _project_earlier(frame: _ChordFrame, earlier: tuple[Stick, ...]):
 def _min_clear_height(frame: _ChordFrame, lows, z_prev: int, earlier: tuple[Stick, ...]) -> int:
     """Smallest integer z > z_prev whose lift triangles are clear.
 
-    Raising z only steepens the lift above every fixed earlier point, so the
-    predicate is monotone over z > z_prev; gallop out then bisect back to
-    the same minimal value a unit scan would find.
-
-    Everything is scaled to integers by the common denominator of each
-    coordinate axis before probing; signs and parameter ratios are invariant
-    under per-axis scaling, so the integer tests decide exactly the same
-    predicate as the rational ones.
+    Two facts give it in one pass.  Every earlier stick lies at or below
+    z_prev < z, so a point at relative position u = (s - s_lo)/(s_hi - s_lo)
+    in (0, 1] of an anchor's triangle blocks exactly the levels
+    z <= z_lo + (z_pt - z_lo)/u, and nothing when z_pt <= z_lo.  That test
+    is linear in the point, so a segment blocks what the ends of its part
+    over u in [0, 1] block: its own ends and its crossing of s = s_lo (a
+    crossing of s = s_hi has threshold z_pt <= z_prev and never binds).
+    The floors are taken in integers by cross-multiplication.
     """
-    segs_f, pts_f = _project_earlier(frame, earlier)
-
-    Ls = Lz = 1
-    for x in [c[0] for seg in segs_f for c in seg] + [p[0] for p in pts_f] \
-            + [anchor[0] for anchor, _ in lows] + [s_hi for _, s_hi in lows]:
-        d = Fraction(x).denominator
-        Ls = Ls * d // math.gcd(Ls, d)
-    for x in [c[1] for seg in segs_f for c in seg] + [p[1] for p in pts_f] \
-            + [anchor[1] for anchor, _ in lows]:
-        d = Fraction(x).denominator
-        Lz = Lz * d // math.gcd(Lz, d)
-
-    def si(x) -> int:
-        v = Fraction(x) * Ls
-        return v.numerator
-
-    def zi(x) -> int:
-        v = Fraction(x) * Lz
-        return v.numerator
-
-    segs = [((si(p[0]), zi(p[1])), (si(q[0]), zi(q[1]))) for p, q in segs_f]
-    pts = [(si(p[0]), zi(p[1])) for p in pts_f]
-    anchors = [((si(s_lo), zi(z_lo)), si(s_hi)) for (s_lo, z_lo), s_hi in lows]
-
-    def ok(z: int) -> bool:
-        zs = z * Lz
-        for (s_lo, z_lo), s_hi in anchors:
-            tri = ((s_lo, z_lo), (s_hi, zs), (s_lo, zs))
-            exempt = ((s_lo, z_lo),)
-            orient = ((tri[1][0] - tri[0][0]) * (tri[2][1] - tri[0][1])
-                      - (tri[1][1] - tri[0][1]) * (tri[2][0] - tri[0][0]))
-            if orient == 0:
-                raise BuildError("degenerate clearance triangle")
-            sgn = 1 if orient > 0 else -1
-            for p, q in segs:
-                if _segment_hits_triangle(p, q, tri, exempt):
-                    return False
-            for pt in pts:
-                if _point_in_triangle_hits(pt, tri, sgn, exempt):
-                    return False
-        return True
-
+    segs, pts = _project_earlier(frame, earlier)
     z = z_prev + 1
-    if ok(z):
-        return z
-    step = 1
-    lo_bad = z
-    while True:
-        step *= 2
-        cand = z_prev + step
-        if ok(cand):
-            hi_good = cand
-            break
-        lo_bad = cand
-    while hi_good - lo_bad > 1:
-        mid = (hi_good + lo_bad) // 2
-        if ok(mid):
-            hi_good = mid
-        else:
-            lo_bad = mid
-    return hi_good
+    for (s_lo, z_lo), s_hi in lows:
+        span = s_hi - s_lo
+        if span == 0:
+            raise BuildError("degenerate clearance triangle")
+        cands = list(pts)
+        for p, q in segs:
+            cands += (p, q)
+            if (p[0] - s_lo) * (q[0] - s_lo) < 0:
+                cands.append((s_lo, p[1] + (s_lo - p[0]) * (q[1] - p[1]) / (q[0] - p[0])))
+        sgn = 1 if span > 0 else -1
+        dn, dd = sgn * span.numerator, span.denominator
+        ln, ld = s_lo.numerator, s_lo.denominator
+        zn, zd = z_lo.numerator, z_lo.denominator
+        for s, zp in cands:
+            wn, wd = zp.numerator * zd - zn * zp.denominator, zp.denominator * zd
+            if wn <= 0:
+                continue
+            an, ad = sgn * (s.numerator * ld - ln * s.denominator), s.denominator * ld
+            if an == 0:
+                raise BuildError("earlier stick over the anchor blocks every height")
+            if an < 0 or an * dd > dn * ad:
+                continue
+            # z_lo + (wn/wd) * (dn/dd) / (an/ad), floored, plus one
+            num, den = wn * dn * ad, wd * dd * an
+            z = max(z, (zn * den + num * zd) // (zd * den) + 1)
+    return z
 
 
 def clearance_height(cd: CircularDiagram, k: int, partial: StickEmbedding) -> int:

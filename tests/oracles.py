@@ -4,7 +4,8 @@ Everything here is written straight from definitions and shares no code
 with the package: interleaving by walking the circle once, segment
 intersection by solving the parametric equations with Cramer's rule, knot
 invariants (Fox 3-colorings, linking number) read off a generic exact shear
-projection of the finished 3D sticks.  Known invariant values (trefoil 9
+projection of the finished 3D sticks, lift clearance by brute-force
+triangle tests at a given level.  Known invariant values (trefoil 9
 colorings, hopf |lk| = 1) then pin down the whole pipeline from outside.
 
 All arithmetic is over Fraction; float inputs are dyadic rationals and
@@ -105,6 +106,58 @@ def embedding_is_simple(segments) -> tuple[bool, str]:
             if kind not in ("none", "endpoint"):
                 return False, f"pair ({i}, {j}): {kind}"
     return True, ""
+
+
+# ---------------------------------------------------------------------------
+# lift clearance in a chord's vertical plane, by triangle tests
+
+
+def _orient2(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _segment_hits_triangle(p, q, tri, exempt) -> bool:
+    """Closed segment pq meets the closed triangle somewhere besides the
+    exempt points: clip the parameter window [0, 1] to each edge's inner
+    half-plane."""
+    sgn = 1 if _orient2(*tri) > 0 else -1
+    lo, hi = Fraction(0), Fraction(1)
+    for i in range(3):
+        a, b = tri[i], tri[(i + 1) % 3]
+        g0, g1 = sgn * _orient2(a, b, p), sgn * _orient2(a, b, q)
+        if g0 == g1:
+            if g0 < 0:
+                return False
+            continue
+        t = Fraction(-g0) / (g1 - g0)
+        if g1 > g0:
+            lo = max(lo, t)
+        else:
+            hi = min(hi, t)
+    if lo != hi:
+        return lo < hi  # a positive-length overlap cannot be all exempt points
+    return (p[0] + lo * (q[0] - p[0]), p[1] + lo * (q[1] - p[1])) not in exempt
+
+
+def _point_in_triangle(q, tri, exempt) -> bool:
+    sgn = 1 if _orient2(*tri) > 0 else -1
+    return (all(sgn * _orient2(tri[i], tri[(i + 1) % 3], q) >= 0 for i in range(3))
+            and q not in exempt)
+
+
+def lift_clear(segs, pts, lows, z) -> bool:
+    """Is level z clear for a chord lift?  In the chord's (s, z) plane each
+    anchor ((s_lo, z_lo), s_hi) sweeps the closed triangle (s_lo, z_lo),
+    (s_hi, z), (s_lo, z); less its anchor corner, it must meet no earlier
+    in-plane segment and no punch-through point."""
+    for (s_lo, z_lo), s_hi in lows:
+        tri = ((s_lo, z_lo), (s_hi, z), (s_lo, z))
+        exempt = ((s_lo, z_lo),)
+        if any(_segment_hits_triangle(p, q, tri, exempt) for p, q in segs):
+            return False
+        if any(_point_in_triangle(q, tri, exempt) for q in pts):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from stickforge import equilateral_builder
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.equilateral_builder import (
     CERT_CLEARANCE_REL,
+    DEFAULT_M_FACTOR,
     MTooSmall,
     NoRotationSolution,
     build_component,
@@ -18,6 +19,7 @@ from stickforge.equilateral_builder import (
     reduce_top,
     tolerance_report,
 )
+from stickforge.randgen import random_presentation
 
 
 def vp_of(name: str):
@@ -126,6 +128,16 @@ def test_component_runs_one_tolerance_pass(monkeypatch):
     emb = build_component(vp_of("trefoil"))
     assert len(calls) == 1
     assert emb.tolerance == tolerance_report(emb)
+
+
+def test_large_theta_certifies_at_first_M():
+    # e_1's hug used to pinch the next axis point below the certificate
+    # floor here, at every M
+    vp = validate_presentation(random_presentation(21, "theta", 150))
+    emb = build_equilateral(vp, retries=0)
+    assert emb.M == DEFAULT_M_FACTOR * vp.m
+    assert emb.certificate.passed
+    assert emb.tolerance.min_clearance >= CERT_CLEARANCE_REL * emb.M
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])

@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from stickforge import stick_builder
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.circular_diagram import to_circular
-from stickforge.randgen import random_presentation
-from stickforge.stick_builder import Stick, StickEmbedding, build, clearance_height, count_sticks
+from stickforge.randgen import PROFILES, random_presentation
+from stickforge.stick_builder import (BuildError, Stick, StickEmbedding, build, clearance_height,
+                                      count_sticks)
 from stickforge.verifier import verify_stick_embedding
 
 
@@ -127,6 +129,70 @@ def test_random_builds_verify(profile):
         assert len(se.sticks) == vp.n + cd.counts[2]
         report = verify_stick_embedding(se, cd)
         assert report.ok, f"{profile}/{seed}: {report.summary()}"
+
+
+def test_min_heights_against_brute_force(monkeypatch):
+    # every non-bi lift is clear at its height and blocked one level lower
+    seen = []
+    real = stick_builder._min_clear_height
+
+    def spy(frame, lows, z_prev, earlier):
+        z = real(frame, lows, z_prev, earlier)
+        seen.append((stick_builder._project_earlier(frame, earlier), lows, z_prev, z))
+        return z
+
+    monkeypatch.setattr(stick_builder, "_min_clear_height", spy)
+    presentations = [catalog(name) for name in catalog_names()]
+    presentations += [catalog(f"theta_trivial({n})") for n in range(2, 17)]
+    presentations += [random_presentation(s, p, 30) for p in PROFILES for s in range(10)]
+    presentations.append(random_presentation(0, "bouquet", 150))  # 118 arcs
+    for ap in presentations:
+        build(to_circular(validate_presentation(ap)))
+    binding = 0
+    for (segs, pts), lows, z_prev, z in seen:
+        assert oracles.lift_clear(segs, pts, lows, z)
+        if z - 1 > z_prev:
+            binding += 1
+            assert not oracles.lift_clear(segs, pts, lows, z - 1)
+    assert binding > 100
+
+
+def _frame_and_lows(s_hi):
+    # chord (0, 0) -> (1, 0), so s = x; one anchor at s = 0, z_lo = 1
+    frame = stick_builder._ChordFrame((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
+    return frame, (((Fraction(0), Fraction(1)), Fraction(s_hi)),)
+
+
+def _stick(a, b):
+    return Stick(tuple(map(Fraction, a)), tuple(map(Fraction, b)), 1, "l", "whole")
+
+
+@pytest.mark.parametrize("a, b, z_prev, z", [
+    # its end at u = 1/2 blocks up to 1 + (3 - 1) / (1/2) = 5
+    ((Fraction(1, 2), 0, 3), (2, 0, 3), 3, 6),
+    # passes through the exempt anchor corner, then its end blocks up to 3
+    ((Fraction(-1, 2), 0, 0), (Fraction(1, 2), 0, 2), 2, 4),
+], ids=["end-inside", "through-corner"])
+def test_min_clear_height_in_plane_stick(a, b, z_prev, z):
+    frame, lows = _frame_and_lows(1)
+    earlier = (_stick(a, b),)
+    assert stick_builder._min_clear_height(frame, lows, z_prev, earlier) == z
+    segs, pts = stick_builder._project_earlier(frame, earlier)
+    assert segs and oracles.lift_clear(segs, pts, lows, z)
+    assert not oracles.lift_clear(segs, pts, lows, z - 1)
+
+
+@pytest.mark.parametrize("a, b, s_hi, match", [
+    # punch-through at z = 2 straight over the anchor: no height clears it
+    ((0, -1, 2), (0, 1, 2), 1, "blocks every height"),
+    # an in-plane stick crossing the anchor's vertical side above z_lo
+    ((-1, 0, 2), (1, 0, 2), 1, "blocks every height"),
+    ((0, -1, 2), (0, 1, 2), 0, "degenerate"),
+], ids=["point-over-anchor", "segment-across-anchor-side", "degenerate-triangle"])
+def test_min_clear_height_rejects_unclearable(a, b, s_hi, match):
+    frame, lows = _frame_and_lows(s_hi)
+    with pytest.raises(BuildError, match=match):
+        stick_builder._min_clear_height(frame, lows, 2, (_stick(a, b),))
 
 
 def test_forced_low_heights_break_verification():
