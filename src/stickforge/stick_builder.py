@@ -13,8 +13,12 @@ sticks, which forces every crossing to come out lower-page-under and keeps
 the union embedded.  That height has a closed form: all earlier sticks lie
 at or below the level of the previous page, and whether an earlier point
 blocks a level is linear in the point, so each obstacle bounds the height
-from below by one exact threshold.  All coordinates are rational, so every
-predicate here is exact.
+from below by one exact threshold.  Only the sticks of earlier chords that
+cross chord k or share an end with it are obstacles: any other chord's
+closed segment misses chord k's (its ends do not interleave with chord k's
+on the circle), so its sticks pass the plane over chord k outside the
+chord, at relative position u outside (0, 1] of every anchor, and never
+bind.  All coordinates are rational, so every predicate here is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circular_diagram import CircularDiagram
+from .circular_diagram import CircularDiagram, chords_cross
 
 R3 = tuple[Fraction, Fraction, Fraction]
 P2 = tuple[Fraction, Fraction]
@@ -156,7 +160,10 @@ def clearance_height(cd: CircularDiagram, k: int, partial: StickEmbedding) -> in
     z_prev = max(partial.heights.values(), default=0)
     if cls.kind == "bi":
         return z_prev + 1
-    earlier = tuple(s for s in partial.sticks if s.page < k)
+    ends = set(chord.ends)
+    near = {c.page for c in cd.chords[:k - 1]
+            if ends & set(c.ends) or chords_cross(c.ends, chord.ends)}
+    earlier = tuple(s for s in partial.sticks if s.page in near)
     if cls.kind == "uni":
         other = chord.ends[1] if chord.ends[0] == cls.initiating_end else chord.ends[0]
         frame = _ChordFrame(cd.boundary[other], cd.boundary[cls.initiating_end])

@@ -10,6 +10,15 @@ A passing simplicity + projection + crossing-order report certifies that
 the embedded union of sticks projects to a diagram identical to the given
 circular one (same crossings, same over/under, same incidences), which
 pins down the spatial graph type.
+
+The exact simplicity check tests only some pairs, and loses nothing by it.
+A common point of two segments lies in both closed bounding boxes, so a
+sweep over exact boxes that drops a stick only once the sweep is strictly
+past it, and compares y and z with <=, skips no pair that meets.  Two
+segments with a common endpoint p lie on lines through p; unless the lines
+are parallel they meet only at p, and when they are, the segments overlap
+exactly when their directions from p agree.  A zero-length stick fails
+against the stick after it, wherever that lies.
 """
 
 from __future__ import annotations
@@ -120,6 +129,62 @@ def _seg_meet_exact(p, q, r, s):
     return ("overlap", None)
 
 
+def _exact_pair_failure(segs, i: int, j: int) -> str:
+    """Witness that sticks i < j meet other than at one shared endpoint, or ''."""
+    (p, q), (r, s) = segs[i], segs[j]
+    for x in (p, q):
+        if x == r or x == s:
+            # lines through x meet only at x unless they are parallel
+            u = _sub(q if x == p else p, x)
+            v = _sub(s if x == r else r, x)
+            if _cross(u, v) != (0, 0, 0) or (any(u) and _dot(u, v) <= 0):
+                return ""
+            kind, pt = "overlap", None
+            break
+    else:
+        kind, pt = _seg_meet_exact(p, q, r, s)
+    if kind == "none":
+        return ""
+    if kind == "overlap":
+        return f"sticks {i} and {j} overlap along a segment"
+    return (f"sticks {i} and {j} meet at {tuple(str(x) for x in pt)}"
+            " away from a shared endpoint")
+
+
+def _first_exact_failure(segs) -> str:
+    """Witness of the lexicographically first failing pair, or ''.
+
+    Sweep and prune on closed bounding boxes: sticks enter in order of their
+    least x and leave once the sweep has passed their greatest x; only pairs
+    whose boxes meet in y and z as well are tested.
+    """
+    lo = [tuple(map(min, p, q)) for p, q in segs]
+    hi = [tuple(map(max, p, q)) for p, q in segs]
+    best, witness = None, ""
+    # _seg_meet_exact calls a zero-length stick an overlap with every later one
+    for i, (p, q) in enumerate(segs[:-1]):
+        if p == q:
+            best, witness = (i, i + 1), _exact_pair_failure(segs, i, i + 1)
+            break
+    active: list[int] = []
+    for j in sorted(range(len(segs)), key=lambda n: lo[n][0]):
+        (lx, ly, lz), (_, hy, hz) = lo[j], hi[j]
+        kept = []
+        for i in active:
+            if hi[i][0] < lx:
+                continue
+            kept.append(i)
+            if lo[i][1] <= hy and ly <= hi[i][1] and lo[i][2] <= hz and lz <= hi[i][2]:
+                pair = (i, j) if i < j else (j, i)
+                if best is None or pair < best:
+                    found = _exact_pair_failure(segs, *pair)
+                    if found:
+                        best, witness = pair, found
+        kept.append(j)
+        active = kept
+    return witness
+
+
 # float distance between closed segments (for decimal embeddings)
 
 
@@ -176,27 +241,9 @@ def check_simplicity(segments, scale: float | None = None,
     segs = [(tuple(a), tuple(b)) for a, b in segments]
     report = VerificationReport()
     if _is_exact(segs):
-        bad = 0
-        witness = ""
-        for i in range(len(segs)):
-            for j in range(i + 1, len(segs)):
-                (p, q), (r, s) = segs[i], segs[j]
-                kind, pt = _seg_meet_exact(p, q, r, s)
-                if kind == "none":
-                    continue
-                if kind == "overlap":
-                    bad += 1
-                    witness = witness or f"sticks {i} and {j} overlap along a segment"
-                    continue
-                shared = pt in (p, q) and pt in (r, s)
-                if not shared:
-                    bad += 1
-                    witness = witness or (
-                        f"sticks {i} and {j} meet at {tuple(str(x) for x in pt)}"
-                        " away from a shared endpoint"
-                    )
-        report.add("simplicity", bad == 0,
-                   witness if bad else f"{len(segs)} sticks pairwise disjoint away from junctions")
+        witness = _first_exact_failure(segs)
+        report.add("simplicity", not witness,
+                   witness or f"{len(segs)} sticks pairwise disjoint away from junctions")
         return report
 
     if scale is None:
@@ -232,18 +279,17 @@ def check_simplicity(segments, scale: float | None = None,
     return report
 
 
-def _chord_pieces(se, cd, k: int):
-    """Sticks of page k as parameter intervals along the chord, or a failure
-    string.  Verifies on-line projection and in-segment parameters."""
+def _chord_pieces(cd, k: int, sticks):
+    """The given sticks of page k as parameter intervals along the chord,
+    each with its ends in parameter order, or a failure string.  Verifies
+    on-line projection and in-segment parameters."""
     chord = cd.chords[k - 1]
     a2 = cd.boundary[chord.ends[0]]
     b2 = cd.boundary[chord.ends[1]]
     d = (b2[0] - a2[0], b2[1] - a2[1])
     L2 = d[0] * d[0] + d[1] * d[1]
     pieces = []
-    for idx, s in enumerate(se.sticks):
-        if s.page != k:
-            continue
+    for s in sticks:
         entry = []
         for pt in (s.a, s.b):
             off = d[0] * (pt[1] - a2[1]) - d[1] * (pt[0] - a2[0])
@@ -253,10 +299,27 @@ def _chord_pieces(se, cd, k: int):
             if not 0 <= t <= 1:
                 return None, f"page {k} stick endpoint projects outside the chord"
             entry.append((t, pt))
-        pieces.append(tuple(entry))
+        pieces.append(tuple(sorted(entry)))
     if not pieces:
         return None, f"page {k} has no sticks"
     return pieces, ""
+
+
+class _PageIndex:
+    """The sticks of each page, grouped in one pass; a page's pieces along
+    its chord are computed on first use."""
+
+    def __init__(self, se, cd):
+        self.cd = cd
+        self.sticks: dict = {}
+        for s in se.sticks:
+            self.sticks.setdefault(s.page, []).append(s)
+        self._pieces: dict = {}
+
+    def pieces(self, k: int):
+        if k not in self._pieces:
+            self._pieces[k] = _chord_pieces(self.cd, k, self.sticks.get(k, ()))
+        return self._pieces[k]
 
 
 def check_projection(se, cd) -> VerificationReport:
@@ -275,16 +338,16 @@ def check_projection(se, cd) -> VerificationReport:
             problems.append(f"no junction recorded over point {b}")
     report.add("projection.junctions", not problems, "; ".join(problems[:3]))
 
+    index = _PageIndex(se, cd)
     tile_problems: list[str] = []
     chain_problems: list[str] = []
     for chord in cd.chords:
         k = chord.page
-        pieces, err = _chord_pieces(se, cd, k)
+        pieces, err = index.pieces(k)
         if pieces is None:
             tile_problems.append(err)
             continue
-        pieces = [tuple(sorted(p)) for p in pieces]
-        pieces.sort(key=lambda e: (e[0][0], e[1][0]))
+        pieces = sorted(pieces, key=lambda e: (e[0][0], e[1][0]))
         if pieces[0][0][0] != 0 or pieces[-1][1][0] != 1:
             tile_problems.append(f"page {k} shadow does not span its chord")
             continue
@@ -318,18 +381,17 @@ def check_projection(se, cd) -> VerificationReport:
         if z <= prev:
             height_problems.append(f"page {k} height {z} not above page {k - 1}")
         prev = z
-        tops = [max(s.a[2], s.b[2]) for s in se.sticks if s.page == k]
+        tops = [max(s.a[2], s.b[2]) for s in index.sticks.get(k, ())]
         if tops and max(tops) != z:
             height_problems.append(f"page {k} geometry tops out at {max(tops)}, table says {z}")
     report.add("projection.heights", not height_problems, "; ".join(height_problems[:3]))
     return report
 
 
-def _height_on_chord(se, cd, k: int, t: Fraction):
-    pieces, err = _chord_pieces(se, cd, k)
+def _height_on_chord(pieces, t: Fraction):
     if pieces is None:
         return None
-    for (t0, p0), (t1, p1) in (tuple(sorted(p)) for p in pieces):
+    for (t0, p0), (t1, p1) in pieces:
         if t0 <= t <= t1:
             if t0 == t1:
                 return p0[2]
@@ -341,6 +403,7 @@ def check_crossing_order(se, cd) -> VerificationReport:
     """At every diagram crossing the earlier page passes strictly under."""
     report = VerificationReport()
     problems: list[str] = []
+    index = _PageIndex(se, cd)
     for (i, j) in cd.crossings:
         ci, cj = cd.chords[i - 1], cd.chords[j - 1]
         a, b = cd.boundary[ci.ends[0]], cd.boundary[ci.ends[1]]
@@ -354,8 +417,8 @@ def check_crossing_order(se, cd) -> VerificationReport:
         w = (c[0] - a[0], c[1] - a[1])
         ti = (w[0] * dj[1] - w[1] * dj[0]) / den
         tj = (w[0] * di[1] - w[1] * di[0]) / den
-        zi = _height_on_chord(se, cd, i, ti)
-        zj = _height_on_chord(se, cd, j, tj)
+        zi = _height_on_chord(index.pieces(i)[0], ti)
+        zj = _height_on_chord(index.pieces(j)[0], tj)
         if zi is None or zj is None:
             problems.append(f"crossing ({i},{j}): geometry missing over the crossing")
         elif not zi < zj:

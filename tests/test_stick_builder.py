@@ -131,16 +131,35 @@ def test_random_builds_verify(profile):
         assert report.ok, f"{profile}/{seed}: {report.summary()}"
 
 
+def _shared_end_obstacle():
+    # theta_trivial(3) up to page 2, whose bent lift is replaced by one stick
+    # in the plane over the common chord, above page 3's anchors: no valid
+    # build has such a stick, but it is an obstacle the lift must clear
+    cd = to_circular(validate_presentation(catalog("theta_trivial(3)")))
+    se = build(cd)
+    half = Fraction(1, 2)
+    sticks = (se.sticks[0], Stick((Fraction(0), half, Fraction(2)), (Fraction(0), -half, Fraction(2)),
+                                  2, "e2", "whole"))
+    return cd, 3, StickEmbedding(sticks, se.junctions, {1: 1, 2: 2})
+
+
 def test_min_heights_against_brute_force(monkeypatch):
-    # every non-bi lift is clear at its height and blocked one level lower
+    # every non-bi lift is clear at its height and blocked one level lower,
+    # judged against every earlier stick, not only those the builder keeps
     seen = []
-    real = stick_builder._min_clear_height
+    real_height, real_min = stick_builder.clearance_height, stick_builder._min_clear_height
+    placed = []
+
+    def height_spy(cd, k, partial):
+        placed[:] = [s for s in partial.sticks if s.page < k]
+        return real_height(cd, k, partial)
 
     def spy(frame, lows, z_prev, earlier):
-        z = real(frame, lows, z_prev, earlier)
-        seen.append((stick_builder._project_earlier(frame, earlier), lows, z_prev, z))
+        z = real_min(frame, lows, z_prev, earlier)
+        seen.append((stick_builder._project_earlier(frame, tuple(placed)), lows, z_prev, z))
         return z
 
+    monkeypatch.setattr(stick_builder, "clearance_height", height_spy)
     monkeypatch.setattr(stick_builder, "_min_clear_height", spy)
     presentations = [catalog(name) for name in catalog_names()]
     presentations += [catalog(f"theta_trivial({n})") for n in range(2, 17)]
@@ -148,6 +167,7 @@ def test_min_heights_against_brute_force(monkeypatch):
     presentations.append(random_presentation(0, "bouquet", 150))  # 118 arcs
     for ap in presentations:
         build(to_circular(validate_presentation(ap)))
+    stick_builder.clearance_height(*_shared_end_obstacle())
     binding = 0
     for (segs, pts), lows, z_prev, z in seen:
         assert oracles.lift_clear(segs, pts, lows, z)

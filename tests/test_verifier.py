@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import random
+import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from stickforge.arc_presentation import catalog, validate_presentation
+import oracles
+from stickforge import verifier
+from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.circular_diagram import to_circular
 from stickforge.equilateral_builder import EStick, build_component, build_tents
+from stickforge.randgen import PROFILES, random_presentation
 from stickforge.stick_builder import build
 from stickforge.verifier import (
     Tolerances,
@@ -139,6 +144,118 @@ def test_exact_fault_injection_sweep():
             assert report.failures()[0].witness
             caught += 1
     assert caught == trials
+
+
+def _oracle_agrees(segs):
+    """Same verdict as the all-pairs oracle, and the same first failing pair."""
+    report = check_simplicity(segs)
+    ok, witness = oracles.embedding_is_simple(segs)
+    assert report.ok == ok, (report.summary(), witness)
+    if not ok:
+        mine = re.match(r"sticks (\d+) and (\d+) ", report.entries[0].witness).groups()
+        assert mine == re.match(r"pair \((\d+), (\d+)\)", witness).groups()
+    return report.ok
+
+
+def test_exact_simplicity_agrees_with_oracle():
+    presentations = [catalog(name) for name in catalog_names()]
+    presentations += [catalog(f"theta_trivial({n})") for n in range(2, 17)]
+    presentations += [random_presentation(s, p, 30) for p in PROFILES for s in range(10)]
+    rng = random.Random(20261018)
+    verdicts = Counter()
+    for ap in presentations:
+        segs = [(s.a, s.b) for s in build(to_circular(validate_presentation(ap))).sticks]
+        verdicts[_oracle_agrees(segs)] += 1
+        # C8-style: one coordinate of one endpoint moves
+        i, end, axis = rng.randrange(len(segs)), rng.randrange(2), rng.randrange(3)
+        pt = list(segs[i][end])
+        pt[axis] += Fraction(rng.choice([-1, 1]), rng.randrange(2, 1 << 20))
+        moved = list(segs)
+        moved[i] = (tuple(pt), segs[i][1]) if end == 0 else (segs[i][0], tuple(pt))
+        verdicts[_oracle_agrees(moved)] += 1
+        # an endpoint dropped onto the middle of another stick
+        i, j = rng.sample(range(len(segs)), 2)
+        mid = tuple((x + y) / 2 for x, y in zip(*segs[j]))
+        moved = list(segs)
+        moved[i] = (mid, segs[i][1])
+        verdicts[_oracle_agrees(moved)] += 1
+    assert verdicts[True] > len(presentations) and verdicts[False] >= len(presentations)
+
+
+def _segs(*pairs):
+    return [(tuple(map(F, a)), tuple(map(F, b))) for a, b in pairs]
+
+
+@pytest.mark.parametrize("segs, ok", [
+    # axis-parallel sticks crossing at one interior point: flat boxes
+    (_segs(((-1, 0, 0), (1, 0, 0)), ((0, -1, 0), (0, 1, 0))), False),
+    # boxes touching only on a face, with a stick end on the other stick
+    (_segs(((0, 0, 0), (1, 0, 0)), ((1, -1, 0), (1, 1, 0))), False),
+    (_segs(((0, 0, 0), (0, 1, 0)), ((-1, 1, 0), (1, 1, 0))), False),
+    (_segs(((0, 0, 0), (0, 0, 1)), ((-1, 0, 1), (1, 0, 1))), False),
+    # a zero-length last stick, at a shared end or inside another stick
+    (_segs(((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 0, 0))), True),
+    (_segs(((0, 0, 0), (2, 0, 0)), ((1, 0, 0), (1, 0, 0))), False),
+    # folding back through a shared endpoint, at either end
+    (_segs(((0, 0, 0), (2, 0, 0)), ((0, 0, 0), (1, 0, 0))), False),
+    (_segs(((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (F(1) / 2, 0, 0))), False),
+    # collinear sticks pointing opposite ways from a shared endpoint
+    (_segs(((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (2, 0, 0))), True),
+    (_segs(((0, 0, 0), (1, 0, 0)), ((0, 0, 0), (-1, 0, 0))), True),
+    # the sweep meets pair (1, 3) first; the witness names (0, 2)
+    (_segs(((10, -1, 0), (10, 1, 0)), ((0, -1, 0), (0, 1, 0)),
+           ((9, 0, 0), (11, 0, 0)), ((-1, 0, 0), (1, 0, 0))), False),
+], ids=["flat-cross", "face-x", "face-y", "face-z", "zero-at-end", "zero-inside",
+        "fold-back", "fold-back-far-end", "straight-through", "opposite-from-start",
+        "first-pair"])
+def test_exact_simplicity_degenerate_cases(segs, ok):
+    assert _oracle_agrees(segs) == ok
+
+
+def test_zero_length_stick_fails_against_the_next():
+    # the oracle cannot judge a zero-length stick that is not last; the
+    # verifier reports it against the next stick, wherever that lies
+    segs = _segs(((5, 5, 5), (5, 5, 5)), ((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 1, 0)))
+    report = check_simplicity(segs)
+    assert report.failures()[0].witness == "sticks 0 and 1 overlap along a segment"
+
+
+def _large_bouquet():
+    cd = to_circular(validate_presentation(random_presentation(0, "bouquet", 150)))
+    return build(cd), cd
+
+
+def test_exact_simplicity_prunes_pairs(monkeypatch):
+    se, _ = _large_bouquet()
+    calls = []
+    real = verifier._seg_meet_exact
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verifier, "_seg_meet_exact", spy)
+    assert check_simplicity([(s.a, s.b) for s in se.sticks]).ok
+    n = len(se.sticks)
+    assert len(calls) < n * (n - 1) // 2 // 5
+
+
+def test_crossing_order_computes_each_page_once(monkeypatch):
+    pages = []
+    real = verifier._chord_pieces
+
+    def spy(cd, k, sticks):
+        pages.append(k)
+        return real(cd, k, sticks)
+
+    monkeypatch.setattr(verifier, "_chord_pieces", spy)
+    se, cd = _large_bouquet()
+    assert check_crossing_order(se, cd).ok
+    assert pages and max(Counter(pages).values()) == 1
+    pages.clear()
+    cd = to_circular(validate_presentation(catalog("theta_trivial(8)")))
+    assert check_crossing_order(build(cd), cd).ok
+    assert pages == []
 
 
 # ---------------------------------------------------------------------------
