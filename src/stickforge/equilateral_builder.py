@@ -21,11 +21,33 @@ cures a bracket M is too short for, but not a pinch: e_1's hug passes the
 next axis point about AXIS_HUG_FRACTION * sin(page gap) away at every M
 (the axis spacing is 1), while the certificate floor CERT_CLEARANCE_REL * M
 doubles with M.  So the hug fraction must clear that floor at the first M.
+
+The sweep does not test every parked stick at every sample; it skips the
+samples a bound proves clear.  Each mover has a fixed end F: the pivot for
+the swinging stick, the hub for the stretching joiner.  For x on a ray from
+F and y at angle g from that ray, |x - y| >= max(|x - F|, |y - F|) sin g
+when g <= pi/2, and |x - y| >= max(|x - F|, |y - F|) beyond.  Take
+R = max(rho, r), where rho is where the mover starts after _clearance's
+trim (1 % of its least length when F is a junction the parked stick
+shares, else 0) and r is the distance from F to the parked stick, trimmed
+the same way.  Let G be the least angle at F between the mover at sample s
+and the parked stick, and T the mover's turning summed over the samples
+from s to s'.  Then the pair is at least R sin(min(G - T, pi/2)) apart at
+every later sample s'.  So a pair evaluated at s is due again only at the
+first sample where that bound could fall to the running minimum plus snap;
+the minimum only falls, so every skipped sample lies above the final
+minimum, and the sweep's minimum, verdict and detail are those of testing
+every pair at every sample, float for float (snap absorbs the rounding of
+the bound).  When the parked stick's line passes through F without sharing
+it, its directions from F collapse to one point, or to two opposite points
+when F lies on it; G is then bounded by the triangle inequality, which
+gives 0 in the second case, and the pair is evaluated at the next sample.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from .arc_presentation import ValidatedPresentation, equal_length_parts
@@ -143,6 +165,24 @@ def _norm(a: V3) -> float:
 
 def _dist(a: V3, b: V3) -> float:
     return _norm(_vsub(a, b))
+
+
+def _dot(a: V3, b: V3) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: V3, b: V3) -> V3:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _unit(a: V3) -> V3:
+    n = _norm(a)
+    return (a[0] / n, a[1] / n, a[2] / n)
+
+
+def _angle(u: V3, v: V3) -> float:
+    """Angle between unit vectors, accurate near 0 and pi."""
+    return math.atan2(_norm(_cross(u, v)), _dot(u, v))
 
 
 def _seg_distance(p: V3, q: V3, r: V3, s: V3) -> float:
@@ -348,10 +388,90 @@ def _same_seg(u, v, snap: float) -> bool:
             or max(_dist(ua, vb), _dist(ub, va)) <= snap)
 
 
+def _horizon(F: V3, least: float, pa: V3, pb: V3, snap: float):
+    """(R, arc) for a mover with fixed end F, never shorter than `least`,
+    against the parked stick pa pb.  When F shares an end of the stick,
+    both are trimmed there as _clearance trims them; otherwise any trim
+    _clearance makes only shortens them.  For x on the trimmed mover and y
+    on the trimmed stick, max(|x - F|, |y - F|) >= R.  arc holds the
+    directions from F to the stick: (a, b, unit normal of their plane or
+    None when that plane is too thin to trust, angle from a to b), or None
+    when the stick reaches F."""
+    y = next((y for y in (pa, pb) if _dist(F, y) <= snap), None)
+    if y is None:
+        ra, rb, rho = pa, pb, 0.0
+    else:
+        (ra, rb), rho = _trimmed(pa, pb, y), 0.01 * least   # _trimmed's 1 % cut at F
+    R = max(rho, _seg_distance(F, F, ra, rb))
+    va, vb = _vsub(ra, F), _vsub(rb, F)
+    if _norm(va) == 0.0 or _norm(vb) == 0.0:
+        return R, None
+    a, b = _unit(va), _unit(vb)
+    n = _cross(a, b)
+    thin = _norm(n) < 1e-3    # near a pole the normal carries rounding error
+    return R, (a, b, None if thin else _unit(n), _angle(a, b))
+
+
+def _least_angle(u: V3, arc) -> float:
+    """A lower bound on the angle between the unit direction u and the
+    directions of the arc; exact when the arc's plane is trusted."""
+    if arc is None:
+        return 0.0
+    a, b, n, ab = arc
+    if n is None:
+        # every direction of the arc lies within ab of a and of b
+        return max(_angle(u, a), _angle(u, b)) - ab
+    if _dot(_cross(a, u), n) >= 0.0 and _dot(_cross(u, b), n) >= 0.0:
+        return math.asin(min(1.0, abs(_dot(u, n))))   # u projects into the arc
+    return min(_angle(u, a), _angle(u, b))
+
+
+def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
+                   snap: float) -> float:
+    """Least _clearance between the moving sticks and the parked ones over
+    the sampled sweep.  A (mover, parked) pair is evaluated again only at
+    the first sample where its horizon bound could fall to the running
+    minimum plus snap (see the module docstring); the minimum is the one
+    every pair at every sample gives."""
+    diri = (math.cos(move.page_angle), math.sin(move.page_angle))
+    steps = max(2, int(math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD)) + 1)
+    ends = [_free_end(move.pivot, diri, M, move.phi_start + (move.phi_end - move.phi_start) * step / steps)
+            for step in range(steps + 1)]
+    fixed = [move.pivot] if move.hub is None else [move.pivot, move.hub]
+    rays = []    # per mover: unit directions and their summed turning by sample
+    due: list[list] = [[] for _ in range(steps + 1)]
+    for k, F in enumerate(fixed):
+        units = [_unit(_vsub(e, F)) for e in ends]
+        turned = [0.0]
+        for u, v in zip(units, units[1:]):
+            turned.append(turned[-1] + _angle(u, v))
+        rays.append((units, turned))
+        least = min(_dist(e, F) for e in ends)
+        due[0].extend((k, pa, pb, *_horizon(F, least, pa, pb, snap))
+                      for tag, (pa, pb) in state.items() if tag != move.tag)
+    min_seen = math.inf
+    for step, pairs in enumerate(due):
+        for k, pa, pb, _, _ in pairs:
+            min_seen = min(min_seen, _clearance(fixed[k], ends[step], pa, pb, snap))
+        target = min_seen + snap
+        for pair in pairs:
+            k, _, _, R, arc = pair
+            nxt = step + 1
+            if R > target:
+                units, turned = rays[k]
+                slack = _least_angle(units[step], arc) - math.asin(target / R)
+                if slack > 0.0:
+                    nxt = bisect_left(turned, turned[step] + slack, step + 1)
+            if nxt <= steps:
+                due[nxt].append(pair)
+    return min_seen
+
+
 def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbedding,
                         layout: OpenBookLayout | None = None) -> CertificateReport:
     """Replay the recorded sweeps against the parked sticks, sampled at
-    SWEEP_STEP_RAD, then check final clearances.  Contacts at the pivot and
+    SWEEP_STEP_RAD (skipping only samples proved clear, see the module
+    docstring), then check final clearances.  Contacts at the pivot and
     hub junctions are trimmed out; everything else must keep a positive
     margin of CERT_CLEARANCE_REL * M.  Each sweep must also end exactly where
     the claimed embedding puts its stick, and sticks without a recorded sweep
@@ -373,26 +493,13 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
 
     report = CertificateReport(passed=True)
     for move in comp.moves:
-        diri = (math.cos(move.page_angle), math.sin(move.page_angle))
-        steps = max(2, int(math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD)) + 1)
-        min_seen = math.inf
-        for step in range(steps + 1):
-            phi = move.phi_start + (move.phi_end - move.phi_start) * step / steps
-            free = _free_end(move.pivot, diri, M, phi)
-            movers = [(move.pivot, free)]
-            if move.hub is not None:
-                movers.append((move.hub, free))
-            for tag, (pa, pb) in state.items():
-                if tag == move.tag:
-                    continue
-                for (qa, qb) in movers:
-                    dist = _clearance(qa, qb, pa, pb, snap)
-                    min_seen = min(min_seen, dist)
+        min_seen = _sweep_minimum(move, state, M, snap)
         report.moves.append((move.tag, min_seen))
         if min_seen <= floor:
             report.passed = False
             report.detail = f"sweep of {move.tag} pinched to {min_seen:.3e} (floor {floor:.3e})"
             return report
+        diri = (math.cos(move.page_angle), math.sin(move.page_angle))
         end_free = _free_end(move.pivot, diri, M, move.phi_end)
         claimed = final.get(move.tag)
         if claimed is None or not _same_seg(claimed, (move.pivot, end_free), snap):

@@ -18,7 +18,7 @@ past it, and compares y and z with <=, skips no pair that meets.  Two
 segments with a common endpoint p lie on lines through p; unless the lines
 are parallel they meet only at p, and when they are, the segments overlap
 exactly when their directions from p agree.  A zero-length stick fails
-against the stick after it, wherever that lies.
+wherever it lies: against every other stick, and alone as well.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def _is_exact(segments) -> bool:
 
 
 def _seg_meet_exact(p, q, r, s):
-    """('none', None) | ('point', pt) | ('overlap', None) for closed segments."""
+    """('none', None) | ('point', pt) | ('overlap', None) for closed segments
+    of positive length."""
     d1, d2, w = _sub(q, p), _sub(s, r), _sub(r, p)
     c = _cross(d1, d2)
     if c != (0, 0, 0):
@@ -116,8 +117,6 @@ def _seg_meet_exact(p, q, r, s):
     if _cross(w, d1) != (0, 0, 0):
         return ("none", None)
     length2 = _dot(d1, d1)
-    if length2 == 0:
-        return ("overlap", None)  # degenerate stick; flag loudly
     t0 = _dot(_sub(r, p), d1) / length2
     t1 = _dot(_sub(s, p), d1) / length2
     lo, hi = min(t0, t1), max(t0, t1)
@@ -132,12 +131,14 @@ def _seg_meet_exact(p, q, r, s):
 def _exact_pair_failure(segs, i: int, j: int) -> str:
     """Witness that sticks i < j meet other than at one shared endpoint, or ''."""
     (p, q), (r, s) = segs[i], segs[j]
+    if p == q or r == s:
+        return f"sticks {i} and {j} overlap along a segment"   # one has zero length
     for x in (p, q):
         if x == r or x == s:
             # lines through x meet only at x unless they are parallel
             u = _sub(q if x == p else p, x)
             v = _sub(s if x == r else r, x)
-            if _cross(u, v) != (0, 0, 0) or (any(u) and _dot(u, v) <= 0):
+            if _cross(u, v) != (0, 0, 0) or _dot(u, v) <= 0:
                 return ""
             kind, pt = "overlap", None
             break
@@ -161,11 +162,14 @@ def _first_exact_failure(segs) -> str:
     lo = [tuple(map(min, p, q)) for p, q in segs]
     hi = [tuple(map(max, p, q)) for p, q in segs]
     best, witness = None, ""
-    # _seg_meet_exact calls a zero-length stick an overlap with every later one
-    for i, (p, q) in enumerate(segs[:-1]):
-        if p == q:
-            best, witness = (i, i + 1), _exact_pair_failure(segs, i, i + 1)
-            break
+    # a zero-length stick fails against every other one, so the least pair
+    # holding one is (0, k), or (0, 1) when k = 0
+    k = next((k for k, (p, q) in enumerate(segs) if p == q), None)
+    if k is not None:
+        if len(segs) == 1:
+            return "stick 0 has zero length"
+        best = (0, k or 1)
+        witness = _exact_pair_failure(segs, *best)
     active: list[int] = []
     for j in sorted(range(len(segs)), key=lambda n: lo[n][0]):
         (lx, ly, lz), (_, hy, hz) = lo[j], hi[j]

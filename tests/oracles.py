@@ -9,12 +9,19 @@ triangle tests at a given level.  Known invariant values (trefoil 9
 colorings, hopf |lk| = 1) then pin down the whole pipeline from outside.
 
 All arithmetic is over Fraction; float inputs are dyadic rationals and
-convert exactly, so the same predicates certify both builders.
+convert exactly, so the same predicates certify both builders.  The one
+exception is sampled_certificate, the equal-length builder's motion
+certificate with every parked stick tested at every sample: it calls the
+builder's own float distance kernel, so that the scheduled certificate must
+match its minima float for float.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from stickforge import equilateral_builder as eb
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +70,11 @@ def _fr3(p):
 
 def segments_meet(p, q, r, s) -> str:
     """Exact closed-segment test: "none", "endpoint" (one shared declared
-    endpoint), "point" (interior contact), or "overlap"."""
+    endpoint), "point" (interior contact), "overlap", or "degenerate" (a
+    segment of zero length, which no simple embedding has)."""
     p, q, r, s = _fr3(p), _fr3(q), _fr3(r), _fr3(s)
+    if p == q or r == s:
+        return "degenerate"
     d1, d2, w = _sub(q, p), _sub(s, r), _sub(r, p)
     n = _cross(d1, d2)
     if n != (0, 0, 0):
@@ -98,8 +108,11 @@ def segments_meet(p, q, r, s) -> str:
 
 
 def embedding_is_simple(segments) -> tuple[bool, str]:
-    """All-pairs check: only single shared endpoints allowed."""
+    """All-pairs check: only single shared endpoints allowed, and no stick
+    of zero length, even a lone one."""
     segs = list(segments)
+    if len(segs) == 1 and _fr3(segs[0][0]) == _fr3(segs[0][1]):
+        return False, "stick 0: degenerate"
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
             kind = segments_meet(*segs[i], *segs[j])
@@ -415,3 +428,76 @@ def linking_number_abs(segments) -> Fraction:
         if c.under[0] != c.over[0]:
             total += c.sign
     return abs(Fraction(total, 2))
+
+
+# ---------------------------------------------------------------------------
+# the equal-length motion certificate, every pair at every sample
+
+
+def sampled_certificate(before, after, layout=None):
+    """isotopy_certificate's verdict with _clearance evaluated for every
+    (mover, parked) pair at every SWEEP_STEP_RAD sample."""
+    layout = layout or after.layout
+    if layout is None:
+        raise eb.EquilateralError("no layout to certify against")
+    M = after.M
+    snap = eb.SNAP_REL * M
+    floor = eb.CERT_CLEARANCE_REL * M
+    comp = after.components[0]
+    state = {s.tag: (s.a, s.b) for s in before.sticks if s.tag not in comp.deleted_tags}
+    final = {s.tag: (s.a, s.b) for s in after.sticks}
+
+    report = eb.CertificateReport(passed=True)
+    for move in comp.moves:
+        diri = (math.cos(move.page_angle), math.sin(move.page_angle))
+        steps = max(2, int(math.ceil(abs(move.phi_end - move.phi_start) / eb.SWEEP_STEP_RAD)) + 1)
+        min_seen = math.inf
+        for step in range(steps + 1):
+            phi = move.phi_start + (move.phi_end - move.phi_start) * step / steps
+            free = eb._free_end(move.pivot, diri, M, phi)
+            movers = [(move.pivot, free)]
+            if move.hub is not None:
+                movers.append((move.hub, free))
+            for tag, (pa, pb) in state.items():
+                if tag == move.tag:
+                    continue
+                for (qa, qb) in movers:
+                    min_seen = min(min_seen, eb._clearance(qa, qb, pa, pb, snap))
+        report.moves.append((move.tag, min_seen))
+        if min_seen <= floor:
+            report.passed = False
+            report.detail = f"sweep of {move.tag} pinched to {min_seen:.3e} (floor {floor:.3e})"
+            return report
+        end_free = eb._free_end(move.pivot, diri, M, move.phi_end)
+        claimed = final.get(move.tag)
+        if claimed is None or not eb._same_seg(claimed, (move.pivot, end_free), snap):
+            report.passed = False
+            report.detail = f"{move.tag} does not end where its sweep stops"
+            return report
+        state[move.tag] = claimed
+        if move.hub is not None:
+            page = move.tag[3:].split(".")[0]
+            joiner = final.get(f"join{page}")
+            if joiner is None or not eb._same_seg(joiner, (move.hub, end_free), snap):
+                report.passed = False
+                report.detail = f"join{page} does not glue the hub to the swept end"
+                return report
+            state[f"join{page}"] = joiner
+
+    if set(state) != set(final):
+        report.passed = False
+        report.detail = "stick tags differ from the swept state"
+        return report
+    for tag, seg in state.items():
+        if not eb._same_seg(seg, final[tag], snap):
+            report.passed = False
+            report.detail = f"{tag} moved without a recorded sweep"
+            return report
+
+    tol = report.tolerance = eb.tolerance_report(after)
+    if tol.min_clearance < floor:
+        report.passed = False
+        report.detail = f"final clearance {tol.min_clearance:.3e} below floor {floor:.3e}"
+    else:
+        report.detail = f"{len(comp.moves)} sweeps clean; final clearance {tol.min_clearance:.3e}"
+    return report

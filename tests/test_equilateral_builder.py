@@ -6,12 +6,17 @@ import pytest
 
 import oracles
 from stickforge import equilateral_builder
-from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
+from stickforge.arc_presentation import catalog, catalog_names, equal_length_parts, validate_presentation
 from stickforge.equilateral_builder import (
     CERT_CLEARANCE_REL,
     DEFAULT_M_FACTOR,
+    SNAP_REL,
+    SWEEP_STEP_RAD,
+    EquilateralEmbedding,
+    EStick,
     MTooSmall,
     NoRotationSolution,
+    SweepMove,
     build_component,
     build_equilateral,
     build_tents,
@@ -19,7 +24,7 @@ from stickforge.equilateral_builder import (
     reduce_top,
     tolerance_report,
 )
-from stickforge.randgen import random_presentation
+from stickforge.randgen import PROFILES, random_presentation
 
 
 def vp_of(name: str):
@@ -245,3 +250,162 @@ def test_certificate_replay_rejects_tampered_moves():
         bad.sticks[0].ja, bad.sticks[0].jb)
     cert2 = isotopy_certificate(tents, bad)
     assert not cert2.passed
+
+
+# ---------------------------------------------------------------------------
+# the scheduled sweep against the all-pairs reference
+
+
+def _verdict(cert):
+    return cert.passed, cert.moves, cert.detail
+
+
+def _reduced_parts(ap):
+    """(tents, reduced) for every equal-length part, at the default M and 2M."""
+    parts = equal_length_parts(validate_presentation(ap))
+    M = DEFAULT_M_FACTOR * max(p.m for p in parts)
+    for m in (M, 2.0 * M):
+        for p in parts:
+            tents = build_tents(p, m)
+            yield tents, reduce_top(tents)
+
+
+def test_certificate_matches_sampled_reference():
+    presentations = [catalog(name) for name in catalog_names()]
+    presentations += [catalog(f"theta_trivial({n})") for n in range(2, 25)]
+    presentations += [random_presentation(s, p, 30) for p in PROFILES for s in range(10)]
+    checked = 0
+    for ap in presentations:
+        for tents, red in _reduced_parts(ap):
+            assert _verdict(isotopy_certificate(tents, red)) == \
+                _verdict(oracles.sampled_certificate(tents, red)), ap
+            checked += 1
+    assert checked >= 2 * len(presentations)
+    # a failing certificate: the tampered replay below
+    vp = vp_of("trefoil")
+    tents = build_tents(vp, 20.0)
+    bad = _tampered(reduce_top(tents))
+    cert = isotopy_certificate(tents, bad)
+    assert not cert.passed
+    assert _verdict(cert) == _verdict(oracles.sampled_certificate(tents, bad))
+
+
+def _tampered(emb):
+    s = emb.sticks[0]
+    emb.sticks[0] = EStick((s.a[0], s.a[1], s.a[2] + 0.25), s.b, s.component, s.tag, s.ja, s.jb)
+    return emb
+
+
+def _with_parked(tents, a, b):
+    """The tents plus one extra parked stick that no move touches."""
+    extra = EStick(a, b, 0, "probe", "probe.a", "probe.b")
+    return EquilateralEmbedding(sticks=[*tents.sticks, extra], M=tents.M,
+                                components=tents.components, layout=tents.layout)
+
+
+def _mid_sweep_probe(move, M, offset, hub_side):
+    """A stick parallel to the mover halfway through its sweep and `offset`
+    away from it, out of the page: far at the first sample, close at the
+    middle one."""
+    steps = max(2, math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD) + 1)
+    phi = move.phi_start + (move.phi_end - move.phi_start) * (steps // 2) / steps
+    dx, dy = math.cos(move.page_angle), math.sin(move.page_angle)
+    free = (M * math.cos(phi) * dx, M * math.cos(phi) * dy, move.pivot[2] + M * math.sin(phi))
+    F = move.hub if hub_side else move.pivot
+    normal = (-dy, dx, 0.0)
+    if hub_side:    # out of the plane of the joiner and the axis
+        v = [f - h for f, h in zip(free, F)]
+        normal = (v[1], -v[0], 0.0)
+        n = math.hypot(*normal)
+        normal = (normal[0] / n, normal[1] / n, 0.0)
+
+    def at(t):
+        return tuple(F[i] + t * (free[i] - F[i]) + offset * normal[i] for i in range(3))
+    return at(0.4), at(0.6)
+
+
+@pytest.mark.parametrize("hub_side", [False, True], ids=["swing", "joiner"])
+def test_certificate_catches_mid_sweep_pinch(hub_side):
+    vp = vp_of("theta_trivial(5)")
+    M = 8.0
+    tents = build_tents(vp, M)
+    red = reduce_top(tents)
+    move = red.components[0].moves[1]
+    a, b = _mid_sweep_probe(move, M, 0.5 * CERT_CLEARANCE_REL * M, hub_side)
+    before = _with_parked(tents, a, b)
+    first = equilateral_builder._clearance(move.hub if hub_side else move.pivot,
+                                           (M * math.cos(move.phi_start) * math.cos(move.page_angle),
+                                            M * math.cos(move.phi_start) * math.sin(move.page_angle),
+                                            move.pivot[2] + M * math.sin(move.phi_start)),
+                                           a, b, SNAP_REL * M)
+    assert first > 0.01 * M    # far at the first sample
+    cert = isotopy_certificate(before, red)
+    ref = oracles.sampled_certificate(before, red)
+    assert not cert.passed and cert.detail.startswith(f"sweep of {move.tag} pinched")
+    assert _verdict(cert) == _verdict(ref)
+    assert cert.moves[-1][1] <= 0.5 * CERT_CLEARANCE_REL * M * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-3, 2e-3), (-1e-3, 1e-3)], ids=["beyond", "through"])
+def test_certificate_parked_line_through_pivot(lo, hi):
+    # a stick on the axis near e_1's pivot that does not share it: its line
+    # passes through the pivot, beyond it or through it
+    vp = vp_of("trefoil")
+    M = 20.0
+    tents = build_tents(vp, M)
+    red = reduce_top(tents)
+    pivot = red.components[0].moves[0].pivot
+    before = _with_parked(tents, (0.0, 0.0, pivot[2] + lo * M), (0.0, 0.0, pivot[2] + hi * M))
+    cert = isotopy_certificate(before, red)
+    assert _verdict(cert) == _verdict(oracles.sampled_certificate(before, red))
+    assert cert.moves[0][1] < 1e-3 * M
+
+
+def test_certificate_evaluates_within_margin(monkeypatch):
+    # one parked stick holds the running minimum m from the first sample;
+    # a radial one at distance r sin(psi - phi) is due at the first sample
+    # where that reaches m + snap, not where it reaches m
+    M, m = 1.0, 0.1
+    snap = SNAP_REL * M
+    move = SweepMove("arc0.lower", (0.0, 0.0, 0.0), 0.0, 0.0, 0.5, None)
+    steps = max(2, math.ceil(0.5 / SWEEP_STEP_RAD) + 1)
+    phis = [0.5 * s / steps for s in range(steps + 1)]
+    due = 40
+    r = 0.5
+    psi = phis[due] + math.asin((m + snap / 2) / r)
+    assert r * math.sin(psi - phis[due - 1]) > m + snap
+    state = {
+        "holder": ((0.5, -0.01, -m), (0.5, 0.01, -m)),
+        "radial": ((r * math.cos(psi), 0.0, r * math.sin(psi)),
+                   (1.5 * r * math.cos(psi), 0.0, 1.5 * r * math.sin(psi))),
+    }
+    seen = []
+    real = equilateral_builder._clearance
+
+    def spy(p, q, a, b, s):
+        if (a, b) == state["radial"]:
+            seen.append(q)
+        return real(p, q, a, b, s)
+
+    ends = [(M * math.cos(phi), 0.0, M * math.sin(phi)) for phi in phis]
+    every = min(real(move.pivot, q, a, b, snap) for q in ends for a, b in state.values())
+    monkeypatch.setattr(equilateral_builder, "_clearance", spy)
+    assert equilateral_builder._sweep_minimum(move, state, M, snap) == every
+    assert seen[:2] == [ends[0], ends[due]]
+
+
+def test_certificate_skips_most_pairs(monkeypatch):
+    calls = [0]
+    real = equilateral_builder._clearance
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(equilateral_builder, "_clearance", counted)
+    tents = build_tents(vp_of("theta_trivial(32)"), 8.0)
+    red = reduce_top(tents)
+    assert isotopy_certificate(tents, red).passed
+    scheduled, calls[0] = calls[0], 0
+    oracles.sampled_certificate(tents, red)
+    assert scheduled < calls[0] / 10

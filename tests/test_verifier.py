@@ -193,9 +193,12 @@ def _segs(*pairs):
     (_segs(((0, 0, 0), (1, 0, 0)), ((1, -1, 0), (1, 1, 0))), False),
     (_segs(((0, 0, 0), (0, 1, 0)), ((-1, 1, 0), (1, 1, 0))), False),
     (_segs(((0, 0, 0), (0, 0, 1)), ((-1, 0, 1), (1, 0, 1))), False),
-    # a zero-length last stick, at a shared end or inside another stick
-    (_segs(((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 0, 0))), True),
+    # a zero-length last stick, at a shared end, inside another stick or
+    # away from everything; a zero-length stick between two others
+    (_segs(((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 0, 0))), False),
     (_segs(((0, 0, 0), (2, 0, 0)), ((1, 0, 0), (1, 0, 0))), False),
+    (_segs(((0, 0, 0), (1, 0, 0)), ((5, 5, 5), (5, 5, 5))), False),
+    (_segs(((0, 0, 0), (1, 0, 0)), ((5, 5, 5), (5, 5, 5)), ((1, 0, 0), (1, 1, 0))), False),
     # folding back through a shared endpoint, at either end
     (_segs(((0, 0, 0), (2, 0, 0)), ((0, 0, 0), (1, 0, 0))), False),
     (_segs(((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (F(1) / 2, 0, 0))), False),
@@ -206,6 +209,7 @@ def _segs(*pairs):
     (_segs(((10, -1, 0), (10, 1, 0)), ((0, -1, 0), (0, 1, 0)),
            ((9, 0, 0), (11, 0, 0)), ((-1, 0, 0), (1, 0, 0))), False),
 ], ids=["flat-cross", "face-x", "face-y", "face-z", "zero-at-end", "zero-inside",
+        "zero-alone-at-end", "zero-between",
         "fold-back", "fold-back-far-end", "straight-through", "opposite-from-start",
         "first-pair"])
 def test_exact_simplicity_degenerate_cases(segs, ok):
@@ -213,11 +217,15 @@ def test_exact_simplicity_degenerate_cases(segs, ok):
 
 
 def test_zero_length_stick_fails_against_the_next():
-    # the oracle cannot judge a zero-length stick that is not last; the
-    # verifier reports it against the next stick, wherever that lies
+    # a zero-length first stick is reported against the next stick,
+    # wherever that lies; a lone zero-length stick fails on its own
     segs = _segs(((5, 5, 5), (5, 5, 5)), ((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (1, 1, 0)))
     report = check_simplicity(segs)
     assert report.failures()[0].witness == "sticks 0 and 1 overlap along a segment"
+    assert not _oracle_agrees(segs)
+    lone = _segs(((5, 5, 5), (5, 5, 5)))
+    assert check_simplicity(lone).failures()[0].witness == "stick 0 has zero length"
+    assert oracles.embedding_is_simple(lone)[0] is False
 
 
 def _large_bouquet():
