@@ -30,18 +30,19 @@ when g <= pi/2, and |x - y| >= max(|x - F|, |y - F|) beyond.  Take
 R = max(rho, r), where rho is where the mover starts after _clearance's
 trim (1 % of its least length when F is a junction the parked stick
 shares, else 0) and r is the distance from F to the parked stick, trimmed
-the same way.  Let G be the least angle at F between the mover at sample s
-and the parked stick, and T the mover's turning summed over the samples
-from s to s'.  Then the pair is at least R sin(min(G - T, pi/2)) apart at
-every later sample s'.  So a pair evaluated at s is due again only at the
-first sample where that bound could fall to the running minimum plus snap;
-the minimum only falls, so every skipped sample lies above the final
-minimum, and the sweep's minimum, verdict and detail are those of testing
-every pair at every sample, float for float (snap absorbs the rounding of
-the bound).  When the parked stick's line passes through F without sharing
-it, its directions from F collapse to one point, or to two opposite points
-when F lies on it; G is then bounded by the triangle inequality, which
-gives 0 in the second case, and the pair is evaluated at the next sample.
+at F in the shared case (any other trim only shortens it).  Let G be the
+least angle at F between the mover at sample s and the parked stick, and T
+the mover's turning summed over the samples from s to s'.  Then the pair
+is at least R sin(min(G - T, pi/2)) apart at every later sample s'.  So a
+pair evaluated at s is due again only at the first sample where that bound
+could fall to the running minimum plus snap; the minimum only falls, so
+every skipped sample lies above the final minimum, and the sweep's
+minimum, verdict and detail are those of testing every pair at every
+sample, float for float (snap absorbs the rounding of the bound).  When
+the parked stick's line passes through F without sharing it, its
+directions from F collapse to one point, or to two opposite points when F
+lies on it; G is then bounded by the triangle inequality, which gives 0 in
+the second case, and the pair is evaluated at the next sample.
 """
 
 from __future__ import annotations

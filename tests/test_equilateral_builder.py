@@ -243,13 +243,15 @@ def test_certificate_replay_rejects_tampered_moves():
     emb = reduce_top(tents)
     cert = isotopy_certificate(tents, emb)
     assert cert.passed
-    bad = reduce_top(build_tents(vp, 20.0))
-    bad.sticks[0] = type(bad.sticks[0])(
-        (bad.sticks[0].a[0], bad.sticks[0].a[1], bad.sticks[0].a[2] + 0.25),
-        bad.sticks[0].b, bad.sticks[0].component, bad.sticks[0].tag,
-        bad.sticks[0].ja, bad.sticks[0].jb)
-    cert2 = isotopy_certificate(tents, bad)
+    cert2 = isotopy_certificate(tents, _tampered(reduce_top(build_tents(vp, 20.0))))
     assert not cert2.passed
+
+
+def _tampered(emb):
+    """The reduced embedding with its first stick's end a lifted by 0.25."""
+    s = emb.sticks[0]
+    emb.sticks[0] = EStick((s.a[0], s.a[1], s.a[2] + 0.25), s.b, s.component, s.tag, s.ja, s.jb)
+    return emb
 
 
 # ---------------------------------------------------------------------------
@@ -281,19 +283,13 @@ def test_certificate_matches_sampled_reference():
                 _verdict(oracles.sampled_certificate(tents, red)), ap
             checked += 1
     assert checked >= 2 * len(presentations)
-    # a failing certificate: the tampered replay below
+    # a failing certificate: the tampered replay above
     vp = vp_of("trefoil")
     tents = build_tents(vp, 20.0)
     bad = _tampered(reduce_top(tents))
     cert = isotopy_certificate(tents, bad)
     assert not cert.passed
     assert _verdict(cert) == _verdict(oracles.sampled_certificate(tents, bad))
-
-
-def _tampered(emb):
-    s = emb.sticks[0]
-    emb.sticks[0] = EStick((s.a[0], s.a[1], s.a[2] + 0.25), s.b, s.component, s.tag, s.ja, s.jb)
-    return emb
 
 
 def _with_parked(tents, a, b):
@@ -303,47 +299,34 @@ def _with_parked(tents, a, b):
                                 components=tents.components, layout=tents.layout)
 
 
-def _mid_sweep_probe(move, M, offset, hub_side):
-    """A stick parallel to the mover halfway through its sweep and `offset`
-    away from it, out of the page: far at the first sample, close at the
-    middle one."""
-    steps = max(2, math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD) + 1)
-    phi = move.phi_start + (move.phi_end - move.phi_start) * (steps // 2) / steps
-    dx, dy = math.cos(move.page_angle), math.sin(move.page_angle)
-    free = (M * math.cos(phi) * dx, M * math.cos(phi) * dy, move.pivot[2] + M * math.sin(phi))
-    F = move.hub if hub_side else move.pivot
-    normal = (-dy, dx, 0.0)
-    if hub_side:    # out of the plane of the joiner and the axis
-        v = [f - h for f, h in zip(free, F)]
-        normal = (v[1], -v[0], 0.0)
-        n = math.hypot(*normal)
-        normal = (normal[0] / n, normal[1] / n, 0.0)
-
-    def at(t):
-        return tuple(F[i] + t * (free[i] - F[i]) + offset * normal[i] for i in range(3))
-    return at(0.4), at(0.6)
+def _sweep_end(move, M, phi):
+    page = (math.cos(move.page_angle), math.sin(move.page_angle))
+    return equilateral_builder._free_end(move.pivot, page, M, phi)
 
 
 @pytest.mark.parametrize("hub_side", [False, True], ids=["swing", "joiner"])
 def test_certificate_catches_mid_sweep_pinch(hub_side):
-    vp = vp_of("theta_trivial(5)")
+    # a parked stick parallel to the swinging stick, or to its joiner, at
+    # the middle sample of the sweep and half the floor away from it, out
+    # of the plane of the mover and the axis: far at the first sample
     M = 8.0
-    tents = build_tents(vp, M)
+    tents = build_tents(vp_of("theta_trivial(5)"), M)
     red = reduce_top(tents)
     move = red.components[0].moves[1]
-    a, b = _mid_sweep_probe(move, M, 0.5 * CERT_CLEARANCE_REL * M, hub_side)
+    F = move.hub if hub_side else move.pivot
+    steps = max(2, math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD) + 1)
+    free = _sweep_end(move, M, move.phi_start + (move.phi_end - move.phi_start) * (steps // 2) / steps)
+    v = [f - c for f, c in zip(free, F)]
+    normal = (v[1] / math.hypot(v[0], v[1]), -v[0] / math.hypot(v[0], v[1]), 0.0)
+    offset = 0.5 * CERT_CLEARANCE_REL * M
+    a, b = (tuple(F[i] + t * v[i] + offset * normal[i] for i in range(3)) for t in (0.4, 0.6))
+    start = _sweep_end(move, M, move.phi_start)
+    assert equilateral_builder._clearance(F, start, a, b, SNAP_REL * M) > 0.01 * M
     before = _with_parked(tents, a, b)
-    first = equilateral_builder._clearance(move.hub if hub_side else move.pivot,
-                                           (M * math.cos(move.phi_start) * math.cos(move.page_angle),
-                                            M * math.cos(move.phi_start) * math.sin(move.page_angle),
-                                            move.pivot[2] + M * math.sin(move.phi_start)),
-                                           a, b, SNAP_REL * M)
-    assert first > 0.01 * M    # far at the first sample
     cert = isotopy_certificate(before, red)
-    ref = oracles.sampled_certificate(before, red)
     assert not cert.passed and cert.detail.startswith(f"sweep of {move.tag} pinched")
-    assert _verdict(cert) == _verdict(ref)
-    assert cert.moves[-1][1] <= 0.5 * CERT_CLEARANCE_REL * M * (1 + 1e-6)
+    assert _verdict(cert) == _verdict(oracles.sampled_certificate(before, red))
+    assert cert.moves[-1][1] <= offset * (1 + 1e-6)
 
 
 @pytest.mark.parametrize("lo, hi", [(1e-3, 2e-3), (-1e-3, 1e-3)], ids=["beyond", "through"])
