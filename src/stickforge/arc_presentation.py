@@ -209,7 +209,7 @@ def validate_presentation(ap: ArcPresentation) -> ValidatedPresentation:
         if len(used) != len(positions) or path[-1] != pw:
             raise BrokenEdgePath(f"arcs of edge {eid!r} do not chain into one path")
         interior_expected = len(positions) - 1
-        interior_seen = len(path) - 2 if u != w else len(path) - 2
+        interior_seen = len(path) - 2
         if interior_seen != interior_expected or len(set(path[1:-1])) != interior_expected:
             raise BrokenEdgePath(f"arcs of edge {eid!r} revisit a point")
         edge_paths[eid] = tuple(path)
@@ -397,7 +397,7 @@ def catalog(name: str) -> ArcPresentation:
         return _trefoil()
     if name == "hopf":
         return _hopf()
-    if name == "theta51" and _THETA51_CHORDS:
+    if name == "theta51":
         return _theta51()
     match = _PARAM_RE.match(name)
     if match:
@@ -408,7 +408,5 @@ def catalog(name: str) -> ArcPresentation:
 
 def catalog_names() -> tuple[str, ...]:
     """Representative concrete entries, useful for sweeps."""
-    names = ["unknot", "trefoil", "hopf", "theta_trivial(3)", "theta_trivial(5)", "unlink(2)", "unlink(3)"]
-    if _THETA51_CHORDS:
-        names.append("theta51")
-    return tuple(names)
+    return ("unknot", "trefoil", "hopf", "theta_trivial(3)", "theta_trivial(5)", "unlink(2)",
+            "unlink(3)", "theta51")

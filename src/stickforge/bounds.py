@@ -164,13 +164,10 @@ class BoundsReport:
 
 def bounds_report(c: int, e: int, v: int, b: int, k: int = 1,
                   alpha: int | None = None, n0: int | None = None,
-                  heuristic: bool = False,
                   two_bridge: bool = False, torus: tuple[int, int] | None = None,
                   split_ns: list[int] | None = None) -> BoundsReport:
     """Evaluate every formula the inputs support."""
     inputs = {"c": c, "e": e, "v": v, "b": b, "k": k, "alpha": alpha, "n0": n0}
-    if heuristic:
-        inputs["heuristic"] = True
     report = BoundsReport(inputs=inputs)
 
     a_up = arc_index_upper(c, e, b)

@@ -16,11 +16,12 @@ stick at length M, giving 2n - 1 sticks per component.
 Rotations are certified by sampled sweeps (engineering surrogate for the
 continuous isotopy): the moving stick, and the stretching joiner with it,
 must clear every parked stick at each sampled angle.  Any certificate or
-bracketing failure doubles M and retries, at most MAX_RETRIES times.  That
-cures a bracket M is too short for, but not a pinch: e_1's hug passes the
-next axis point about AXIS_HUG_FRACTION * sin(page gap) away at every M
-(the axis spacing is 1), while the certificate floor CERT_CLEARANCE_REL * M
-doubles with M.  So the hug fraction must clear that floor at the first M.
+bracketing failure makes build_parts double M and retry, at most MAX_RETRIES
+times.  That cures a bracket M is too short for, but not a pinch: e_1's hug
+passes the next axis point about AXIS_HUG_FRACTION * sin(page gap) away at
+every M (the axis spacing is 1), while the certificate floor
+CERT_CLEARANCE_REL * M doubles with M.  So the hug fraction must clear that
+floor at the first M.
 
 The sweep does not test every parked stick at every sample; it skips the
 samples a bound proves clear.  Each mover has a fixed end F: the pivot for
@@ -28,15 +29,15 @@ the swinging stick, the hub for the stretching joiner.  For x on a ray from
 F and y at angle g from that ray, |x - y| >= max(|x - F|, |y - F|) sin g
 when g <= pi/2, and |x - y| >= max(|x - F|, |y - F|) beyond.  Take
 R = max(rho, r), where rho is where the mover starts after _clearance's
-trim (1 % of its least length when F is a junction the parked stick
-shares, else 0) and r is the distance from F to the parked stick, trimmed
-at F in the shared case (any other trim only shortens it).  Let G be the
-least angle at F between the mover at sample s and the parked stick, and T
-the mover's turning summed over the samples from s to s'.  Then the pair
-is at least R sin(min(G - T, pi/2)) apart at every later sample s'.  So a
-pair evaluated at s is due again only at the first sample where that bound
-could fall to the running minimum plus snap; the minimum only falls, so
-every skipped sample lies above the final minimum, and the sweep's
+trim (TRIM_FRACTION of its least length when F is a junction the parked
+stick shares, else 0) and r is the distance from F to the parked stick,
+trimmed at F in the shared case (any other trim only shortens it).  Let G
+be the least angle at F between the mover at sample s and the parked stick,
+and T the mover's turning summed over the samples from s to s'.  Then the
+pair is at least R sin(min(G - T, pi/2)) apart at every later sample s'.
+So a pair evaluated at s is due again only at the first sample where that
+bound could fall to the running minimum plus snap; the minimum only falls,
+so every skipped sample lies above the final minimum, and the sweep's
 minimum, verdict and detail are those of testing every pair at every
 sample, float for float (snap absorbs the rounding of the bound).  When
 the parked stick's line passes through F without sharing it, its
@@ -61,6 +62,7 @@ BISECT_REL_TOL = 1e-12
 SWEEP_STEP_RAD = 1e-2
 CERT_CLEARANCE_REL = 1e-6
 SNAP_REL = 1e-9
+TRIM_FRACTION = 0.01          # clearances ignore this much of a stick at a shared junction
 MAX_RETRIES = 8
 
 
@@ -136,7 +138,6 @@ class ToleranceReport:
 class OpenBookLayout:
     n_pages: int
     n_points: int
-    M: float
 
     def page_dir(self, page: int) -> tuple[float, float]:
         ang = 2.0 * math.pi * page / self.n_pages
@@ -210,11 +211,12 @@ def _seg_distance(p: V3, q: V3, r: V3, s: V3) -> float:
     return _dist(cp1, cp2)
 
 
-def _trimmed(a: V3, b: V3, cut: V3, frac: float = 0.01):
-    """Segment ab with a short piece near endpoint cut removed."""
+def _trimmed(a: V3, b: V3, cut: V3):
+    """Segment ab with TRIM_FRACTION of it cut away at the endpoint near cut."""
+    f = TRIM_FRACTION
     if _dist(a, cut) <= _dist(b, cut):
-        return ((a[0] + frac * (b[0] - a[0]), a[1] + frac * (b[1] - a[1]), a[2] + frac * (b[2] - a[2])), b)
-    return (a, (b[0] + frac * (a[0] - b[0]), b[1] + frac * (a[1] - b[1]), b[2] + frac * (a[2] - b[2])))
+        return ((a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]), a[2] + f * (b[2] - a[2])), b)
+    return (a, (b[0] + f * (a[0] - b[0]), b[1] + f * (a[1] - b[1]), b[2] + f * (a[2] - b[2])))
 
 
 def _clearance(p: V3, q: V3, r: V3, s: V3, snap: float) -> float:
@@ -235,7 +237,7 @@ def _clearance(p: V3, q: V3, r: V3, s: V3, snap: float) -> float:
 def build_tents(vp: ValidatedPresentation, M: float, component: int = 0) -> EquilateralEmbedding:
     """Two sticks of length M per arc, apex in the arc's own page."""
     n, m = vp.n, vp.m
-    layout = OpenBookLayout(n_pages=n, n_points=m, M=float(M))
+    layout = OpenBookLayout(n_pages=n, n_points=m)
     if not M > (m - 1) / 2.0:
         raise MTooSmall(f"M={M} cannot span {m} axis points; need M > {(m - 1) / 2}")
     sticks: list[EStick] = []
@@ -257,6 +259,11 @@ def build_tents(vp: ValidatedPresentation, M: float, component: int = 0) -> Equi
 # top point reduction
 
 
+def _page(tag: str) -> int:
+    """Page p of a tent stick tagged "arc<p>.lower" or "arc<p>.upper"."""
+    return int(tag[3:].split(".")[0])
+
+
 def _free_end(pivot: V3, page_dir, M: float, phi: float) -> V3:
     r = M * math.cos(phi)
     return (r * page_dir[0], r * page_dir[1], pivot[2] + M * math.sin(phi))
@@ -270,22 +277,21 @@ def reduce_top(emb: EquilateralEmbedding) -> EquilateralEmbedding:
     M = emb.M
     top = layout.n_points - 1
     top_label = f"bp{top}"
-    doomed = [s for s in emb.sticks if top_label in (s.ja, s.jb)]
+    doomed = sorted((s for s in emb.sticks if top_label in (s.ja, s.jb)),
+                    key=lambda s: _page(s.tag))
     if len(doomed) < 2:
         raise EquilateralError("top binding point has fewer than 2 sticks; nothing to trade")
-    doomed.sort(key=lambda s: int(s.tag[3:].split(".")[0]))
 
-    kept = [s for s in emb.sticks if s not in doomed]
-    sticks: list[EStick] = [replace(s) for s in kept]
+    sticks = [replace(s) for s in emb.sticks if top_label not in (s.ja, s.jb)]
+    at = {s.tag: i for i, s in enumerate(sticks)}   # one component, so tags are unique
     moves: list[SweepMove] = []
 
     # partner stick of each deleted one: same arc, other role
     partners = []
     for d in doomed:
-        page = int(d.tag[3:].split(".")[0])
+        page = _page(d.tag)
         mate_tag = f"arc{page}.lower" if d.tag.endswith(".upper") else f"arc{page}.upper"
-        mate = next(s for s in sticks if s.tag == mate_tag and s.component == d.component)
-        partners.append((page, mate))
+        partners.append((page, sticks[at[mate_tag]]))
 
     def pivot_and_phi(stick: EStick):
         # pivot is the axis endpoint; phi measured in its page from horizontal
@@ -306,7 +312,7 @@ def reduce_top(emb: EquilateralEmbedding) -> EquilateralEmbedding:
         raise NoRotationSolution(f"arc {page1} stick already steeper than the axis hug angle")
     hub = _free_end(pivot1, dir1, M, phi1_end)
     moves.append(SweepMove(e1.tag, pivot1, layout.page_angle(page1), phi1_start, phi1_end, None))
-    _set_stick(sticks, e1.tag, e1.component, pivot1, hub, pivot_label=_axis_label(e1), free_label="hub")
+    sticks[at[e1.tag]] = EStick(pivot1, hub, e1.component, e1.tag, _axis_label(e1), "hub")
 
     # remaining partners rotate until their free end is at distance M from hub
     for page, ei in partners[1:]:
@@ -321,9 +327,8 @@ def reduce_top(emb: EquilateralEmbedding) -> EquilateralEmbedding:
             raise NoRotationSolution(
                 f"arc {page}: no rotation bracket (gap {g_lo:.3e} .. {g_hi:.3e}); M too small")
         lo, hi = phi_lo, math.pi / 2.0
-        while abs(gap((lo + hi) / 2.0)) > BISECT_REL_TOL * M:
-            mid = (lo + hi) / 2.0
-            if gap(mid) > 0.0:
+        while abs(g := gap(mid := (lo + hi) / 2.0)) > BISECT_REL_TOL * M:
+            if g > 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -332,7 +337,7 @@ def reduce_top(emb: EquilateralEmbedding) -> EquilateralEmbedding:
         phi_end = (lo + hi) / 2.0
         fi = _free_end(pivot, diri, M, phi_end)
         moves.append(SweepMove(ei.tag, pivot, layout.page_angle(page), phi_lo, phi_end, hub))
-        _set_stick(sticks, ei.tag, ei.component, pivot, fi, pivot_label=_axis_label(ei), free_label=f"end{page}")
+        sticks[at[ei.tag]] = EStick(pivot, fi, ei.component, ei.tag, _axis_label(ei), f"end{page}")
         sticks.append(EStick(hub, fi, ei.component, f"join{page}", "hub", f"end{page}"))
 
     comp = emb.components[0]
@@ -349,15 +354,6 @@ def _axis_label(stick: EStick) -> str:
     return stick.ja if stick.ja.startswith("bp") else stick.jb
 
 
-def _set_stick(sticks: list[EStick], tag: str, component: int, pivot: V3, free: V3,
-               pivot_label: str, free_label: str) -> None:
-    for i, s in enumerate(sticks):
-        if s.tag == tag and s.component == component:
-            sticks[i] = EStick(pivot, free, component, tag, pivot_label, free_label)
-            return
-    raise EquilateralError(f"stick {tag} vanished mid-reduction")
-
-
 # ---------------------------------------------------------------------------
 # certification
 
@@ -370,13 +366,12 @@ def tolerance_report(emb: EquilateralEmbedding) -> ToleranceReport:
         max_dev = max(max_dev, abs(_dist(s.a, s.b) - M) / M)
     min_clear = math.inf
     ss = emb.sticks
+    keys = [{(s.component, s.ja), (s.component, s.jb)} for s in ss]
     for i in range(len(ss)):
         for j in range(i + 1, len(ss)):
-            si, sj = ss[i], ss[j]
-            keys_i = {(si.component, si.ja), (si.component, si.jb)}
-            keys_j = {(sj.component, sj.ja), (sj.component, sj.jb)}
-            if keys_i & keys_j:
+            if not keys[i].isdisjoint(keys[j]):
                 continue
+            si, sj = ss[i], ss[j]
             min_clear = min(min_clear, _seg_distance(si.a, si.b, sj.a, sj.b))
     if min_clear is math.inf:
         min_clear = M
@@ -402,7 +397,7 @@ def _horizon(F: V3, least: float, pa: V3, pb: V3, snap: float):
     if y is None:
         ra, rb, rho = pa, pb, 0.0
     else:
-        (ra, rb), rho = _trimmed(pa, pb, y), 0.01 * least   # _trimmed's 1 % cut at F
+        (ra, rb), rho = _trimmed(pa, pb, y), TRIM_FRACTION * least   # _trimmed's cut at F
     R = max(rho, _seg_distance(F, F, ra, rb))
     va, vb = _vsub(ra, F), _vsub(rb, F)
     if _norm(va) == 0.0 or _norm(vb) == 0.0:
@@ -509,7 +504,7 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
             return report
         state[move.tag] = claimed
         if move.hub is not None:
-            page = move.tag[3:].split(".")[0]
+            page = _page(move.tag)
             joiner = final.get(f"join{page}")
             if joiner is None or not _same_seg(joiner, (move.hub, end_free), snap):
                 report.passed = False
@@ -540,12 +535,10 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
 # drivers
 
 
-def build_component(vp: ValidatedPresentation, M: float | None = None,
-                    retries: int = MAX_RETRIES, component: int = 0) -> EquilateralEmbedding:
-    """Tents, reduction and certificate for one component at stick length M.
-    With retries left, or no M given, this is build_parts on [vp]."""
-    if retries or M is None:
-        return build_parts([vp], M, retries, first=component)
+def build_component(vp: ValidatedPresentation, M: float,
+                    component: int = 0) -> EquilateralEmbedding:
+    """One attempt: tents, reduction and certificate for one component at
+    stick length M.  Raises the attempt's failure; build_parts retries."""
     tents = build_tents(vp, M, component=component)
     red = reduce_top(tents)
     cert = isotopy_certificate(tents, red)
@@ -556,25 +549,22 @@ def build_component(vp: ValidatedPresentation, M: float | None = None,
     return red
 
 
-def build_parts(vps: list[ValidatedPresentation], M: float | None = None,
-                retries: int = MAX_RETRIES, first: int = 0) -> EquilateralEmbedding:
-    """Build each presentation as component first + i, all at one shared
-    stick length, doubling it for every part together until all of them
-    certify.  One part comes back as built, several through assemble_split.
-    The default M is DEFAULT_M_FACTOR times the largest axis point count."""
+def build_parts(vps: list[ValidatedPresentation], M: float | None = None) -> EquilateralEmbedding:
+    """Build each presentation as component i, all at one shared stick
+    length, doubling it for every part together until all of them certify;
+    after MAX_RETRIES doublings the last attempt's failure propagates.  One
+    part comes back as built, several through assemble_split.  The default M
+    is DEFAULT_M_FACTOR times the largest axis point count."""
     M0 = float(M) if M is not None else DEFAULT_M_FACTOR * max(p.m for p in vps)
-    last: Exception | None = None
-    for attempt in range(retries + 1):
-        m_try = M0 * (2.0 ** attempt)
+    for attempt in range(MAX_RETRIES + 1):
         try:
-            parts = [build_component(p, m_try, retries=0, component=first + i)
+            parts = [build_component(p, M0 * 2.0 ** attempt, component=i)
                      for i, p in enumerate(vps)]
-        except (MTooSmall, NoRotationSolution, CertificateFailure) as err:
-            last = err
+        except (MTooSmall, NoRotationSolution, CertificateFailure):
+            if attempt == MAX_RETRIES:
+                raise
             continue
         return parts[0] if len(parts) == 1 else assemble_split(parts)
-    assert last is not None
-    raise last
 
 
 def assemble_split(parts: list[EquilateralEmbedding]) -> EquilateralEmbedding:
@@ -615,8 +605,7 @@ def assemble_split(parts: list[EquilateralEmbedding]) -> EquilateralEmbedding:
     return out
 
 
-def build_equilateral(vp: ValidatedPresentation, M: float | None = None,
-                      retries: int = MAX_RETRIES) -> EquilateralEmbedding:
+def build_equilateral(vp: ValidatedPresentation, M: float | None = None) -> EquilateralEmbedding:
     """Build one presentation, each piece of equal_length_parts(vp) as its
-    own boxed component at one shared stick length."""
-    return build_parts(equal_length_parts(vp), M, retries)
+    own boxed component at one shared stick length (see build_parts)."""
+    return build_parts(equal_length_parts(vp), M)

@@ -28,8 +28,7 @@ class GenerationExhausted(RuntimeError):
     """No valid sample within the rejection budget."""
 
 
-def _closed_walk_arcs(rng: random.Random, n: int, point_of: list[int],
-                      pages: list[int], edge: str) -> list[Arc]:
+def _closed_walk_arcs(n: int, point_of: list[int], pages: list[int], edge: str) -> list[Arc]:
     """Arcs of one closed n-gon visiting the given n binding points."""
     return [
         Arc(page=pages[i], ends=(point_of[i], point_of[(i + 1) % n]), edge=edge)
@@ -48,7 +47,7 @@ def _sample_knot(rng: random.Random, max_arcs: int):
     rng.shuffle(pages)
     points = [BindingPoint("interior", "l")] * n
     points[order[0]] = BindingPoint("vertex", "v")
-    arcs = _closed_walk_arcs(rng, n, order, pages, "l")
+    arcs = _closed_walk_arcs(n, order, pages, "l")
     return ArcPresentation(graph=graph, binding_points=tuple(points), arcs=tuple(arcs))
 
 
@@ -145,7 +144,7 @@ def _sample_multi(rng: random.Random, max_arcs: int):
         block = [BindingPoint("interior", ename)] * n
         block[order[0] - point_base] = BindingPoint("vertex", vname)
         points.extend(block)
-        arcs.extend(_closed_walk_arcs(rng, n, order, pages, ename))
+        arcs.extend(_closed_walk_arcs(n, order, pages, ename))
         page_base += n
         point_base += n
     graph = AbstractGraph.make(vertices, edges)

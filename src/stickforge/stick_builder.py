@@ -185,9 +185,8 @@ def clearance_height(cd: CircularDiagram, k: int, partial: StickEmbedding) -> in
     return _min_clear_height(frame, lows, z_prev, earlier)
 
 
-def build(cd: CircularDiagram, _height_overrides: dict[int, int] | None = None) -> StickEmbedding:
-    """Lift every chord in page order.  _height_overrides pins chosen levels
-    for diagnostics (the result may then fail verification, by design)."""
+def build(cd: CircularDiagram) -> StickEmbedding:
+    """Lift every chord in page order."""
     sticks: list[Stick] = []
     junctions: dict[int, R3] = {}
     heights: dict[int, int] = {}
@@ -196,8 +195,6 @@ def build(cd: CircularDiagram, _height_overrides: dict[int, int] | None = None) 
         k = chord.page
         partial = StickEmbedding(tuple(sticks), junctions, heights)
         z = clearance_height(cd, k, partial)
-        if _height_overrides and k in _height_overrides:
-            z = _height_overrides[k]
         zf = Fraction(z)
         if cls.kind == "bi":
             pa = (*cd.boundary[chord.ends[0]], zf)

@@ -9,7 +9,8 @@ tolerances below, all relative to the stick length scale.
 A passing simplicity + projection + crossing-order report certifies that
 the embedded union of sticks projects to a diagram identical to the given
 circular one (same crossings, same over/under, same incidences), which
-pins down the spatial graph type.
+pins down the spatial graph type.  Projection fails any stick on a page
+the diagram lacks, so no stick escapes that comparison.
 
 The exact simplicity check tests only some pairs, and loses nothing by it.
 A common point of two segments lies in both closed bounding boxes, so a
@@ -24,6 +25,7 @@ wherever it lies: against every other stick, and alone as well.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -234,8 +236,7 @@ def seg_distance(p, q, r, s) -> float:
 # checks
 
 
-def check_simplicity(segments, scale: float | None = None,
-                     tol: Tolerances = TOLERANCES) -> VerificationReport:
+def check_simplicity(segments, scale: float | None = None) -> VerificationReport:
     """Pairwise disjointness, except single shared endpoints.
 
     segments: iterable of (a, b) point pairs.  Rational coordinates get the
@@ -252,8 +253,8 @@ def check_simplicity(segments, scale: float | None = None,
 
     if scale is None:
         scale = max(max(abs(c) for c in a + b) for a, b in segs) or 1.0
-    snap = tol.junction_rel * scale
-    clearance_min = tol.clearance_rel * scale
+    snap = TOLERANCES.junction_rel * scale
+    clearance_min = TOLERANCES.clearance_rel * scale
     bad = 0
     witness = ""
     min_clear = math.inf
@@ -328,9 +329,10 @@ class _PageIndex:
 
 def check_projection(se, cd) -> VerificationReport:
     """Projection fidelity: every chord is tiled exactly by its sticks'
-    shadows, chains are 3D-continuous between its junction endpoints, the
-    junction table projects onto the boundary points, and the heights table
-    matches the geometry (integral, strictly increasing in page order)."""
+    shadows and every stick lies on a chord's page, chains are 3D-continuous
+    between its junction endpoints, the junction table projects onto the
+    boundary points, and the heights table matches the geometry (integral,
+    strictly increasing in page order)."""
     report = VerificationReport()
     problems: list[str] = []
 
@@ -371,6 +373,9 @@ def check_projection(se, cd) -> VerificationReport:
         expect = {se.junctions.get(chord.ends[0]), se.junctions.get(chord.ends[1])}
         if {lo_pt, hi_pt} != expect:
             chain_problems.append(f"page {k} does not end at its junctions")
+    pages = {chord.page for chord in cd.chords}
+    tile_problems.extend(f"page {k} has sticks but no chord in the diagram"
+                         for k in index.sticks if k not in pages)
     report.add("projection.tiling", not tile_problems, "; ".join(tile_problems[:3]))
     report.add("projection.chains", not chain_problems, "; ".join(chain_problems[:3]))
 
@@ -440,16 +445,17 @@ def verify_stick_embedding(se, cd) -> VerificationReport:
     return report
 
 
-def check_equilateral(emb, M: float | None = None,
-                      tol: Tolerances = TOLERANCES) -> VerificationReport:
+def check_equilateral(emb) -> VerificationReport:
     """Equal lengths, per-component counts, junction coincidence, clearance.
 
     emb needs: sticks (each with a, b, component, ja, jb), M, components
     (each with index, n_arcs, reduced).  Counts accept 2n for embeddings
-    flagged unreduced and 2n - 1 after reduction.
+    flagged unreduced and 2n - 1 after reduction; a stick of a component
+    not listed fails them.
     """
     report = VerificationReport()
-    M = float(M if M is not None else emb.M)
+    tol = TOLERANCES
+    M = float(emb.M)
     sticks = list(emb.sticks)
 
     worst = 0.0
@@ -459,13 +465,18 @@ def check_equilateral(emb, M: float | None = None,
                f"max relative length deviation {worst:.3e} vs {tol.length_rel:.0e}")
 
     count_problems = []
+    per_component = Counter(s.component for s in sticks)
     for comp in emb.components:
-        have = sum(1 for s in sticks if s.component == comp.index)
+        have = per_component[comp.index]
         want = 2 * comp.n_arcs - 1 if comp.reduced else 2 * comp.n_arcs
         note = "" if comp.reduced else " (pre-reduction)"
         if have != want:
             count_problems.append(
                 f"component {comp.index}: {have} sticks, expected {want}{note}")
+    listed = {c.index for c in emb.components}
+    for index, have in per_component.items():
+        if index not in listed:
+            count_problems.append(f"component {index}: {have} sticks, not a listed component")
     unreduced = [c.index for c in emb.components if not c.reduced]
     detail = "; ".join(count_problems[:3]) if count_problems else (
         f"pre-reduction components: {unreduced}" if unreduced else "all components reduced")
@@ -487,13 +498,12 @@ def check_equilateral(emb, M: float | None = None,
 
     clearance_min = math.inf
     clearance_problems = []
+    keys = [{(s.component, s.ja), (s.component, s.jb)} for s in sticks]
     for i in range(len(sticks)):
         for j in range(i + 1, len(sticks)):
-            si, sj = sticks[i], sticks[j]
-            pi = {(si.component, si.ja), (si.component, si.jb)}
-            pj = {(sj.component, sj.ja), (sj.component, sj.jb)}
-            if pi & pj:
+            if not keys[i].isdisjoint(keys[j]):
                 continue
+            si, sj = sticks[i], sticks[j]
             dist = seg_distance(si.a, si.b, sj.a, sj.b)
             clearance_min = min(clearance_min, dist)
             if dist < tol.clearance_rel * M:

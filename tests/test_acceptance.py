@@ -26,7 +26,7 @@ from stickforge.bounds import (
 )
 from stickforge.circular_diagram import to_circular
 from stickforge.cli import main
-from stickforge.equilateral_builder import EStick, build_component, build_equilateral
+from stickforge.equilateral_builder import EStick, build_equilateral
 from stickforge.randgen import PROFILES, random_presentation
 from stickforge.stick_builder import build
 from stickforge.verifier import check_crossing_order, check_equilateral, verify_stick_embedding
@@ -121,7 +121,7 @@ def test_c4_unlink_tightness():
 @criterion("C5", "equal-length trefoil: 9 sticks within pinned tolerances; theta_trivial to n=20")
 def test_c5_equilateral_builds():
     t0 = time.perf_counter()
-    emb = build_component(validate_presentation(catalog("trefoil")))
+    emb = build_equilateral(validate_presentation(catalog("trefoil")))
     assert len(emb.sticks) == 9 == equilateral_upper_main(3, 1, 1, 1)
     assert emb.tolerance is not None
     assert emb.tolerance.max_length_dev_rel <= LENGTH_REL
@@ -131,7 +131,7 @@ def test_c5_equilateral_builds():
 
     for n in range(2, 21):
         t0 = time.perf_counter()
-        emb = build_component(validate_presentation(catalog(f"theta_trivial({n})")))
+        emb = build_equilateral(validate_presentation(catalog(f"theta_trivial({n})")))
         assert len(emb.sticks) == 2 * n - 1
         assert emb.tolerance.max_length_dev_rel <= LENGTH_REL
         assert emb.tolerance.min_clearance >= CLEARANCE_REL * emb.M
@@ -191,7 +191,7 @@ def test_c8_fault_injection():
         assert all(f.witness for f in report.failures())
 
     for _ in range(100):
-        emb = build_component(vp)
+        emb = build_equilateral(vp)
         i = rng.randrange(len(emb.sticks))
         which = rng.choice(["a", "b"])
         axis = rng.randrange(3)

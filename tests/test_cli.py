@@ -145,6 +145,29 @@ def test_verify_flags_tampering(tmp_path, capsys):
     assert "fail" in out.lower()
 
 
+@pytest.mark.parametrize("command, stray, failing", [
+    ("build-stick",
+     lambda doc: {"a": ["10", "0", "0"], "b": ["11", "0", "0"], "page": 99, "edge": "l",
+                  "piece": "whole"},
+     "projection.tiling: FAIL  [page 99 has sticks but no chord in the diagram]"),
+    ("build-eq",
+     lambda doc: {"a": [1000.0, 0.0, 0.0], "b": [1000.0 + doc["M"], 0.0, 0.0], "component": 7,
+                  "tag": "stray", "ja": "x", "jb": "y"},
+     "equilateral.counts: FAIL  [component 7: 1 sticks, not a listed component]"),
+], ids=["exact", "decimal"])
+def test_verify_rejects_stray_stick(tmp_path, capsys, command, stray, failing):
+    # a far-away stick outside every page or component breaks no other check
+    path = tmp_path / "e.json"
+    code, _, _ = run(capsys, command, "catalog:trefoil", "-o", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc["sticks"].append(stray(doc))
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path), "catalog:trefoil")
+    assert code == 1
+    assert [ln for ln in out.splitlines() if "FAIL" in ln] == [failing]
+
+
 def test_missing_file_is_a_clean_error(capsys):
     code, _, err = run(capsys, "validate", "no-such-file.json")
     assert code == 1

@@ -96,16 +96,44 @@ def test_reduce_no_bracket_raises():
 
 
 def test_component_retries_double_until_success():
-    emb = build_component(vp_of("unknot"), M=0.51)
+    emb = build_equilateral(vp_of("unknot"), M=0.51)
     assert len(emb.sticks) == 3
     assert emb.M > 0.51  # at least one doubling happened
     ratio = emb.M / 0.51
     assert abs(ratio - round(math.log2(ratio)) ** 0 * 2 ** round(math.log2(ratio))) < 1e-9
 
 
-def test_component_exhausted_retries_reraise():
+def test_build_parts_calls_one_attempt_per_part_per_M(monkeypatch):
+    # the benchmark's tracer reads attempts off these calls
+    calls, tents = [], []
+
+    def counted(vp, M, component=0):
+        calls.append((M, component))
+        return build_component(vp, M, component=component)
+
+    def tents_seen(*args, **kwargs):
+        tents.append((args[1], kwargs["component"]))
+        return build_tents(*args, **kwargs)
+
+    monkeypatch.setattr(equilateral_builder, "build_component", counted)
+    monkeypatch.setattr(equilateral_builder, "build_tents", tents_seen)
+    M0 = DEFAULT_M_FACTOR * max(p.m for p in equal_length_parts(vp_of("unlink(2)")))
+    build_equilateral(vp_of("unlink(2)"))
+    assert calls == tents == [(M0, 0), (M0, 1)]
+
+    calls.clear()
+    emb = build_equilateral(vp_of("unknot"), M=0.51)
+    assert len(calls) > 1
+    assert calls == [(0.51 * 2.0 ** i, 0) for i in range(len(calls))]
+    assert emb.M == calls[-1][0]
     with pytest.raises(NoRotationSolution):
-        build_component(vp_of("unknot"), M=0.51, retries=0)
+        build_component(vp_of("unknot"), 0.51)   # one attempt, no retry
+
+
+def test_component_exhausted_retries_reraise(monkeypatch):
+    monkeypatch.setattr(equilateral_builder, "MAX_RETRIES", 0)
+    with pytest.raises(NoRotationSolution):
+        build_equilateral(vp_of("unknot"), M=0.51)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +141,7 @@ def test_component_exhausted_retries_reraise():
 
 
 def test_trefoil_nine_equal_sticks():
-    emb = build_component(vp_of("trefoil"))
+    emb = build_equilateral(vp_of("trefoil"))
     assert len(emb.sticks) == 9
     tol = emb.tolerance
     assert tol is not None
@@ -130,7 +158,7 @@ def test_component_runs_one_tolerance_pass(monkeypatch):
         return tolerance_report(emb)
 
     monkeypatch.setattr(equilateral_builder, "tolerance_report", counted)
-    emb = build_component(vp_of("trefoil"))
+    emb = build_equilateral(vp_of("trefoil"))
     assert len(calls) == 1
     assert emb.tolerance == tolerance_report(emb)
 
@@ -139,7 +167,7 @@ def test_large_theta_certifies_at_first_M():
     # e_1's hug used to pinch the next axis point below the certificate
     # floor here, at every M
     vp = validate_presentation(random_presentation(21, "theta", 150))
-    emb = build_equilateral(vp, retries=0)
+    emb = build_equilateral(vp)
     assert emb.M == DEFAULT_M_FACTOR * vp.m
     assert emb.certificate.passed
     assert emb.tolerance.min_clearance >= CERT_CLEARANCE_REL * emb.M
@@ -147,7 +175,7 @@ def test_large_theta_certifies_at_first_M():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 12])
 def test_theta_trivial_counts(n):
-    emb = build_component(validate_presentation(catalog(f"theta_trivial({n})")))
+    emb = build_equilateral(validate_presentation(catalog(f"theta_trivial({n})")))
     assert len(emb.sticks) == 2 * n - 1
 
 
@@ -156,7 +184,7 @@ def test_every_single_component_catalog_entry_attains_bound():
         vp = vp_of(name)
         if len(vp.vgraph.components) > 1:
             continue
-        emb = build_component(vp)
+        emb = build_equilateral(vp)
         assert len(emb.sticks) == 2 * vp.n - 1, name
 
 
@@ -199,12 +227,12 @@ def test_assembled_parts_share_stick_length():
 
 
 def test_equilateral_trefoil_is_knotted():
-    emb = build_component(vp_of("trefoil"))
+    emb = build_equilateral(vp_of("trefoil"))
     assert oracles.tricolor_count([(s.a, s.b) for s in emb.sticks]) == 9
 
 
 def test_equilateral_unknot_is_trivial():
-    emb = build_component(vp_of("unknot"))
+    emb = build_equilateral(vp_of("unknot"))
     assert oracles.tricolor_count([(s.a, s.b) for s in emb.sticks]) == 3
 
 
@@ -225,7 +253,7 @@ def test_equilateral_unlink_is_unlinked():
 
 def test_certificate_sweeps_cover_all_deleted_arcs():
     vp = vp_of("theta51")
-    emb = build_component(vp)
+    emb = build_equilateral(vp)
     cert = emb.certificate
     assert cert is not None and cert.passed
     comp = emb.components[0]

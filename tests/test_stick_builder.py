@@ -215,10 +215,13 @@ def test_min_clear_height_rejects_unclearable(a, b, s_hi, match):
         stick_builder._min_clear_height(frame, lows, 2, (_stick(a, b),))
 
 
-def test_forced_low_heights_break_verification():
+def test_forced_low_heights_break_verification(monkeypatch):
     # pushing l_3 down to the naive z=3 must collide with the crossing order
     cd = to_circular(validate_presentation(catalog("trefoil")))
-    se = build(cd, _height_overrides={3: 3})
+    real = stick_builder.clearance_height
+    monkeypatch.setattr(stick_builder, "clearance_height",
+                        lambda cd, k, partial: 3 if k == 3 else real(cd, k, partial))
+    se = build(cd)
     report = verify_stick_embedding(se, cd)
     assert not report.ok
     assert report.failures()

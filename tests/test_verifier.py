@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 import oracles
-from stickforge import verifier
+from stickforge import stick_builder, verifier
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.circular_diagram import to_circular
-from stickforge.equilateral_builder import EStick, build_component, build_tents
+from stickforge.equilateral_builder import EStick, build_equilateral, build_tents
 from stickforge.randgen import PROFILES, random_presentation
 from stickforge.stick_builder import build
 from stickforge.verifier import (
@@ -94,10 +94,14 @@ def test_apex_off_chord_line_caught():
     assert not report.ok
 
 
-def test_swapped_crossing_heights_caught_with_id():
+def test_swapped_crossing_heights_caught_with_id(monkeypatch):
     cd = to_circular(validate_presentation(catalog("trefoil")))
     # force l_1 above l_2 by rebuilding with inverted height targets
-    se = build(cd, _height_overrides={1: 3, 2: 1})
+    forced = {1: 3, 2: 1}
+    real = stick_builder.clearance_height
+    monkeypatch.setattr(stick_builder, "clearance_height",
+                        lambda cd, k, partial: forced[k] if k in forced else real(cd, k, partial))
+    se = build(cd)
     report = check_crossing_order(se, cd)
     assert not report.ok
     assert "(1,2)" in report.failures()[0].witness
@@ -305,7 +309,7 @@ def test_seg_distance_basic():
 
 def test_equilateral_checks_pass_trefoil():
     vp = validate_presentation(catalog("trefoil"))
-    emb = build_component(vp)
+    emb = build_equilateral(vp)
     report = check_equilateral(emb)
     assert report.ok
     assert len(emb.sticks) == 9
@@ -323,7 +327,7 @@ def test_tents_flagged_pre_reduction():
 
 def test_shortened_stick_caught():
     vp = validate_presentation(catalog("trefoil"))
-    emb = build_component(vp)
+    emb = build_equilateral(vp)
     s = emb.sticks[4]
     d = [(bc - ac) for ac, bc in zip(s.a, s.b)]
     shrink = 1e-6
@@ -340,7 +344,7 @@ def test_equilateral_fault_injection_sweep():
     rng = random.Random(77)
     trials = 25
     for _ in range(trials):
-        emb = build_component(vp)
+        emb = build_equilateral(vp)
         i = rng.randrange(len(emb.sticks))
         which = rng.choice(["a", "b"])
         axis = rng.randrange(3)
