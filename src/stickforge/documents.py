@@ -179,8 +179,8 @@ def equilateral_to_doc(emb: EquilateralEmbedding) -> dict:
 def equilateral_from_doc(doc: dict) -> EquilateralEmbedding:
     _expect_embedding(doc, "decimal")
     sticks = [
-        EStick(a=tuple(s["a"]), b=tuple(s["b"]), component=s["component"],
-               tag=s["tag"], ja=s["ja"], jb=s["jb"])
+        EStick(a=tuple(map(float, s["a"])), b=tuple(map(float, s["b"])),
+               component=s["component"], tag=s["tag"], ja=s["ja"], jb=s["jb"])
         for s in doc["sticks"]
     ]
     components = [

@@ -18,11 +18,21 @@ cross chord k or share an end with it are obstacles: any other chord's
 closed segment misses chord k's (its ends do not interleave with chord k's
 on the circle), so its sticks pass the plane over chord k outside the
 chord, at relative position u outside (0, 1] of every anchor, and never
-bind.  All coordinates are rational, so every predicate here is exact.
+bind.
+
+All coordinates are rational, and every predicate runs on integers.  Each
+point becomes homogeneous integers (X, Y, Z, W) with W > 0 the lcm of its
+denominators, once per placed stick and chord end.  A difference b - a
+taken as b_i W_a - a_i W_b is the true vector times W_a W_b > 0, and every
+in-plane quantity below is the true one times a known positive factor, so
+each sign and zero test, each cross-multiplied comparison and each floor is
+exactly the rational one.  Fractions are made only for the stored
+coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,60 +67,98 @@ class StickEmbedding:
     heights: dict[int, int]   # page -> top integer level of its lift
 
 
-def _sub2(a: P2, b: P2) -> P2:
-    return (a[0] - b[0], a[1] - b[1])
+class _Lift:
+    """build()'s partial embedding as it grows, read like a StickEmbedding;
+    ends maps each placed page to its sticks' homogeneous ends."""
+
+    def __init__(self) -> None:
+        self.sticks: list[Stick] = []
+        self.junctions: dict[int, R3] = {}
+        self.heights: dict[int, int] = {}
+        self.ends: dict[int, list] = {}
 
 
-def _cross2(a: P2, b: P2) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
+def _hom(p) -> tuple[int, ...]:
+    """p as integers (X, ..., W): W > 0 is the lcm of the denominators and
+    p = (X, ...) / W.  Canonical, so equal points give equal tuples."""
+    ratios = [c.as_integer_ratio() for c in p]
+    w = math.lcm(*(d for _, d in ratios))
+    return tuple(n * (w // d) for n, d in ratios) + (w,)
 
 
-def _dot2(a: P2, b: P2) -> Fraction:
-    return a[0] * b[0] + a[1] * b[1]
+def _placed_ends(partial: StickEmbedding | _Lift) -> dict[int, list]:
+    """Page -> homogeneous ends of its placed sticks: build()'s own index,
+    or one pass over the sticks of any other partial embedding."""
+    if isinstance(partial, _Lift):
+        return partial.ends
+    ends: dict[int, list] = {}
+    for s in partial.sticks:
+        ends.setdefault(s.page, []).append((_hom(s.a), _hom(s.b)))
+    return ends
 
 
 class _ChordFrame:
-    """Vertical plane over one chord, with exact in-plane coordinates.
+    """Vertical plane over one chord, with in-plane integer coordinates.
 
-    s is the unnormalized parameter along the chord direction (0 at the
-    first endpoint, s_max at the second); z stays the height.
+    With the chord ends over one denominator w, a = A / w and d = D / w.
+    A homogeneous point (X, Y, Z, W) lies at side
+    w cross(D, (X, Y)) - W cross(D, A) of the chord line, scaled by w^2 W,
+    and maps to the homogeneous in-plane point (S, Z, W) with
+    S = 2 (w dot(D, (X, Y)) - W dot(D, A)): its parameter s along the chord
+    direction (0 at a, s_max at b) is S / W, scaled by 2 w^2.  Both
+    functionals are linear in (X, Y, Z, W).
     """
 
     def __init__(self, a2: P2, b2: P2):
-        self.a2 = a2
-        self.d = _sub2(b2, a2)
-        self.s_max = _dot2(self.d, self.d)
+        a, b = _hom(a2), _hom(b2)
+        w = math.lcm(a[2], b[2])
+        A = (a[0] * (w // a[2]), a[1] * (w // a[2]))
+        D = (b[0] * (w // b[2]) - A[0], b[1] * (w // b[2]) - A[1])
+        self.w, self.D = w, D
+        self.side0 = D[0] * A[1] - D[1] * A[0]
+        self.param0 = D[0] * A[0] + D[1] * A[1]
+        self.s_max = 2 * (D[0] * D[0] + D[1] * D[1])
         if self.s_max == 0:
             raise BuildError("degenerate chord")
 
-    def side(self, p: R3) -> Fraction:
-        # signed offset of the xy-projection from the chord line
-        return _cross2(self.d, _sub2((p[0], p[1]), self.a2))
+    def side(self, p) -> int:
+        return self.w * (self.D[0] * p[1] - self.D[1] * p[0]) - p[3] * self.side0
 
-    def param(self, p: R3) -> Fraction:
-        return _dot2(_sub2((p[0], p[1]), self.a2), self.d)
+    def point(self, p) -> tuple[int, int, int]:
+        s = 2 * (self.w * (self.D[0] * p[0] + self.D[1] * p[1]) - p[3] * self.param0)
+        return (s, p[2], p[3])
 
 
-def _project_earlier(frame: _ChordFrame, earlier: tuple[Stick, ...]):
-    """In-plane view of the placed sticks: segments lying over the chord and
-    punch-through points of transversal ones.  Independent of the lift
-    height, so computed once per chord."""
+def _anchor(s_lo: int, s_hi: int, z) -> tuple[int, int, int, int]:
+    """An anchor at (s_lo, z) whose triangle's top side ends over s_hi, as
+    (s_lo, s_hi, z) over z's denominator."""
+    n, w = z.as_integer_ratio()
+    return (s_lo * w, s_hi * w, n, w)
+
+
+def _project_earlier(frame: _ChordFrame, earlier):
+    """In-plane view of the placed sticks, given by homogeneous ends:
+    segments lying over the chord and punch-through points of transversal
+    ones.  Independent of the lift height, so computed once per chord.
+
+    The side functional is linear, so fa b - fb a is a homogeneous point of
+    the line ab at side zero; its W is positive when fa > fb.
+    """
     segs, pts = [], []
-    for stick in earlier:
-        fa, fb = frame.side(stick.a), frame.side(stick.b)
+    for a, b in earlier:
+        fa, fb = frame.side(a), frame.side(b)
         if fa == 0 and fb == 0:
-            segs.append(((frame.param(stick.a), Fraction(stick.a[2])),
-                         (frame.param(stick.b), Fraction(stick.b[2]))))
+            segs.append((frame.point(a), frame.point(b)))
         elif (fa > 0 and fb > 0) or (fa < 0 and fb < 0):
             continue
         else:
-            t = fa / (fa - fb)
-            hit3 = tuple(stick.a[i] + t * (stick.b[i] - stick.a[i]) for i in range(3))
-            pts.append((frame.param(hit3), Fraction(hit3[2])))
+            if fa < fb:
+                fa, fb, a, b = fb, fa, b, a
+            pts.append(frame.point(tuple(fa * y - fb * x for x, y in zip(a, b))))
     return segs, pts
 
 
-def _min_clear_height(frame: _ChordFrame, lows, z_prev: int, earlier: tuple[Stick, ...]) -> int:
+def _min_clear_height(frame: _ChordFrame, lows, z_prev: int, earlier) -> int:
     """Smallest integer z > z_prev whose lift triangles are clear.
 
     Two facts give it in one pass.  Every earlier stick lies at or below
@@ -120,39 +168,41 @@ def _min_clear_height(frame: _ChordFrame, lows, z_prev: int, earlier: tuple[Stic
     is linear in the point, so a segment blocks what the ends of its part
     over u in [0, 1] block: its own ends and its crossing of s = s_lo (a
     crossing of s = s_hi has threshold z_pt <= z_prev and never binds).
-    The floors are taken in integers by cross-multiplication.
+    Points are homogeneous, anchors (s_lo, s_hi, z_lo) over one w, and the
+    floors are taken in integers by cross-multiplication.
     """
     segs, pts = _project_earlier(frame, earlier)
     z = z_prev + 1
-    for (s_lo, z_lo), s_hi in lows:
+    for s_lo, s_hi, z_lo, w in lows:
         span = s_hi - s_lo
         if span == 0:
             raise BuildError("degenerate clearance triangle")
+        sgn = 1 if span > 0 else -1
         cands = list(pts)
         for p, q in segs:
             cands += (p, q)
-            if (p[0] - s_lo) * (q[0] - s_lo) < 0:
-                cands.append((s_lo, p[1] + (s_lo - p[0]) * (q[1] - p[1]) / (q[0] - p[0])))
-        sgn = 1 if span > 0 else -1
-        dn, dd = sgn * span.numerator, span.denominator
-        ln, ld = s_lo.numerator, s_lo.denominator
-        zn, zd = z_lo.numerator, z_lo.denominator
-        for s, zp in cands:
-            wn, wd = zp.numerator * zd - zn * zp.denominator, zp.denominator * zd
+            ap, aq = p[0] * w - s_lo * p[2], q[0] * w - s_lo * q[2]
+            if ap * aq < 0:
+                # the point of pq at s = s_lo
+                if ap < 0:
+                    ap, aq, p, q = aq, ap, q, p
+                cands.append(tuple(ap * y - aq * x for x, y in zip(p, q)))
+        for s, zp, wp in cands:
+            # (z_pt - z_lo) and sgn (s - s_lo), both times wp w
+            wn = zp * w - z_lo * wp
             if wn <= 0:
                 continue
-            an, ad = sgn * (s.numerator * ld - ln * s.denominator), s.denominator * ld
+            an = sgn * (s * w - s_lo * wp)
             if an == 0:
                 raise BuildError("earlier stick over the anchor blocks every height")
-            if an < 0 or an * dd > dn * ad:
+            if an < 0 or an > sgn * span * wp:
                 continue
-            # z_lo + (wn/wd) * (dn/dd) / (an/ad), floored, plus one
-            num, den = wn * dn * ad, wd * dd * an
-            z = max(z, (zn * den + num * zd) // (zd * den) + 1)
+            # z_lo + (z_pt - z_lo) / u with u = an / (wp sgn span), floored, plus one
+            z = max(z, (z_lo * an + wn * sgn * span) // (w * an) + 1)
     return z
 
 
-def clearance_height(cd: CircularDiagram, k: int, partial: StickEmbedding) -> int:
+def clearance_height(cd: CircularDiagram, k: int, partial: StickEmbedding | _Lift) -> int:
     """Minimal admissible top level for chord of page k given the sticks
     already placed (pages below k)."""
     chord = cd.chords[k - 1]
@@ -163,37 +213,33 @@ def clearance_height(cd: CircularDiagram, k: int, partial: StickEmbedding) -> in
     ends = set(chord.ends)
     near = {c.page for c in cd.chords[:k - 1]
             if ends & set(c.ends) or chords_cross(c.ends, chord.ends)}
-    earlier = tuple(s for s in partial.sticks if s.page in near)
+    placed = _placed_ends(partial)
+    earlier = [e for page in near for e in placed.get(page, ())]
     if cls.kind == "uni":
         other = chord.ends[1] if chord.ends[0] == cls.initiating_end else chord.ends[0]
         frame = _ChordFrame(cd.boundary[other], cd.boundary[cls.initiating_end])
         base = partial.junctions.get(other)
         if base is None:
             raise MissingJunction(f"no junction over point {other} for page {k}")
-        lows = (((Fraction(0), base[2]), frame.s_max),)
+        lows = (_anchor(0, frame.s_max, base[2]),)
         return _min_clear_height(frame, lows, z_prev, earlier)
     e0, e1 = chord.ends
     frame = _ChordFrame(cd.boundary[e0], cd.boundary[e1])
     j0, j1 = partial.junctions.get(e0), partial.junctions.get(e1)
     if j0 is None or j1 is None:
         raise MissingJunction(f"missing junction for page {k}")
-    mid = frame.s_max / 2
-    lows = (
-        ((Fraction(0), j0[2]), mid),
-        ((frame.s_max, j1[2]), mid),
-    )
+    mid = frame.s_max // 2
+    lows = (_anchor(0, mid, j0[2]), _anchor(frame.s_max, mid, j1[2]))
     return _min_clear_height(frame, lows, z_prev, earlier)
 
 
 def build(cd: CircularDiagram) -> StickEmbedding:
     """Lift every chord in page order."""
-    sticks: list[Stick] = []
-    junctions: dict[int, R3] = {}
-    heights: dict[int, int] = {}
-    partial = StickEmbedding((), junctions, heights)
+    partial = _Lift()
+    sticks, junctions, heights = partial.sticks, partial.junctions, partial.heights
     for chord, cls in zip(cd.chords, cd.classes):
         k = chord.page
-        partial = StickEmbedding(tuple(sticks), junctions, heights)
+        placed = len(sticks)
         z = clearance_height(cd, k, partial)
         zf = Fraction(z)
         if cls.kind == "bi":
@@ -213,15 +259,18 @@ def build(cd: CircularDiagram) -> StickEmbedding:
             apex = ((p0[0] + p1[0]) / 2, (p0[1] + p1[1]) / 2, zf)
             sticks.append(Stick(junctions[e0], apex, k, chord.edge, "left"))
             sticks.append(Stick(apex, junctions[e1], k, chord.edge, "right"))
+        partial.ends[k] = [(_hom(s.a), _hom(s.b)) for s in sticks[placed:]]
         heights[k] = z
     return StickEmbedding(tuple(sticks), junctions, heights)
 
 
-def _sub3(a: R3, b: R3) -> R3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+def _diff(a, b) -> tuple[int, int, int]:
+    """(b - a) W_a W_b for homogeneous 3D points a, b."""
+    wa, wb = a[3], b[3]
+    return (b[0] * wa - a[0] * wb, b[1] * wa - a[1] * wb, b[2] * wa - a[2] * wb)
 
 
-def _cross3(a: R3, b: R3) -> R3:
+def _cross3(a, b) -> tuple[int, int, int]:
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -231,11 +280,14 @@ def _cross3(a: R3, b: R3) -> R3:
 
 def count_sticks(se: StickEmbedding) -> int:
     """Number of maximal straight segments: collinear segments that continue
-    through a shared endpoint merge into one stick."""
-    ends: dict[R3, list[int]] = {}
+    through a shared endpoint merge into one stick.  Ends are compared as
+    homogeneous integers, and directions from a shared end carry positive
+    scales, which keep both the parallel and the opposite tests."""
+    ends: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for i, s in enumerate(se.sticks):
-        ends.setdefault(s.a, []).append(i)
-        ends.setdefault(s.b, []).append(i)
+        a, b = _hom(s.a), _hom(s.b)
+        ends.setdefault(a, []).append((i, b))
+        ends.setdefault(b, []).append((i, a))
 
     parent = list(range(len(se.sticks)))
 
@@ -248,14 +300,13 @@ def count_sticks(se: StickEmbedding) -> int:
     for point, members in ends.items():
         for ai in range(len(members)):
             for bi in range(ai + 1, len(members)):
-                sa, sb = se.sticks[members[ai]], se.sticks[members[bi]]
-                va = _sub3(sa.b if sa.a == point else sa.a, point)
-                vb = _sub3(sb.b if sb.a == point else sb.a, point)
+                (ia, far_a), (ib, far_b) = members[ai], members[bi]
+                va, vb = _diff(point, far_a), _diff(point, far_b)
                 straight_through = _cross3(va, vb) == (0, 0, 0) and (
                     va[0] * vb[0] + va[1] * vb[1] + va[2] * vb[2] < 0
                 )
                 if straight_through:
-                    ra, rb = find(members[ai]), find(members[bi])
+                    ra, rb = find(ia), find(ib)
                     if ra != rb:
                         parent[rb] = ra
     return len({find(i) for i in range(len(se.sticks))})

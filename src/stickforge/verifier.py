@@ -4,7 +4,17 @@ Every check here recomputes its facts from the embedding coordinates and
 the circular diagram alone; nothing is trusted from the builders, and this
 module imports none of their code.  Exact checks run on rational inputs
 with zero tolerance.  Floating-point embeddings are judged against the
-tolerances below, all relative to the stick length scale.
+tolerances below, all relative to the stick length scale.  A simplicity
+check whose input mixes rational and float coordinates fails.
+
+Exact checks compute in integers.  Each rational point becomes homogeneous
+integers (X, Y, Z, W) with W > 0 the lcm of its denominators, once per
+point per check; for reduced Fractions that form is canonical, so point
+equality is tuple equality.  A difference b - a taken as b_i W_a - a_i W_b
+is the true vector times W_a W_b > 0, so every zero or sign test on cross
+and dot products is unchanged, and a parameter test such as 0 <= t <= 1
+becomes an integer comparison with the positive scales put back.  A
+Fraction is built only to print a witness.
 
 A passing simplicity + projection + crossing-order report certifies that
 the embedded union of sticks projects to a diagram identical to the given
@@ -15,7 +25,9 @@ the diagram lacks, so no stick escapes that comparison.
 The exact simplicity check tests only some pairs, and loses nothing by it.
 A common point of two segments lies in both closed bounding boxes, so a
 sweep over exact boxes that drops a stick only once the sweep is strictly
-past it, and compares y and z with <=, skips no pair that meets.  Two
+past it, and compares y and z with <=, skips no pair that meets.  The boxes
+may be rounded to nearest floats: rounding is monotone, so x <= y gives
+fl(x) <= fl(y), and fl(x) < fl(y) gives x < y.  Two
 segments with a common endpoint p lie on lines through p; unless the lines
 are parallel they meet only at p, and when they are, the segments overlap
 exactly when their directions from p agree.  A zero-length stick fails
@@ -77,15 +89,25 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# exact vector helpers (rational)
+# exact kernel: homogeneous integer points
 
 
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+def _hom(p):
+    """p as integers (X, ..., W): W > 0 is the lcm of the denominators and
+    p = (X, ...) / W.  Canonical, so equal points give equal tuples."""
+    ratios = [c.as_integer_ratio() for c in p]
+    w = math.lcm(*(d for _, d in ratios))
+    return tuple(n * (w // d) for n, d in ratios) + (w,)
+
+
+def _diff(a, b):
+    """(b - a) W_a W_b for homogeneous 3D points a, b."""
+    wa, wb = a[3], b[3]
+    return (b[0] * wa - a[0] * wb, b[1] * wa - a[1] * wb, b[2] * wa - a[2] * wb)
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _cross(a, b):
@@ -96,37 +118,57 @@ def _cross(a, b):
     )
 
 
-def _is_exact(segments) -> bool:
-    for a, b in segments:
-        return isinstance(a[0], (Fraction, int))
-    return True
+def _point_on(p, q, t):
+    """p + t (q - p) as Fractions, for homogeneous p, q and t = n/d, d > 0."""
+    n, d = t
+    wp, wq = p[3], q[3]
+    return tuple(Fraction(p[i] * wq * d + n * (q[i] * wp - p[i] * wq), wp * wq * d)
+                 for i in range(3))
+
+
+def _mixed_witness(rational) -> str:
+    """Name stick 0 and the first stick whose coordinates differ from its
+    first one in kind, given one rational flag per coordinate."""
+    k = rational.index(not rational[0]) // 6
+    if k == 0:
+        return "stick 0 mixes rational and float coordinates"
+    return f"sticks 0 and {k} mix rational and float coordinates"
 
 
 def _seg_meet_exact(p, q, r, s):
     """('none', None) | ('point', pt) | ('overlap', None) for closed segments
-    of positive length."""
-    d1, d2, w = _sub(q, p), _sub(s, r), _sub(r, p)
+    of positive length with homogeneous ends; pt is in Fractions.
+
+    The differences carry positive scales: d1 = (q - p) Wp Wq,
+    d2 = (s - r) Wr Ws, w = (r - p) Wp Wr.  Zero tests are unchanged, and
+    the parameters t on pq and u on rs come out scaled by Wr/Wq and Wp/Ws.
+    """
+    d1, d2, w = _diff(p, q), _diff(r, s), _diff(p, r)
     c = _cross(d1, d2)
     if c != (0, 0, 0):
         if _dot(w, c) != 0:
             return ("none", None)
         cc = _dot(c, c)
-        t = _dot(_cross(w, d2), c) / cc
-        u = _dot(_cross(w, d1), c) / cc
-        if 0 <= t <= 1 and 0 <= u <= 1:
-            return ("point", tuple(p[i] + t * d1[i] for i in range(3)))
+        tn, td = _dot(_cross(w, d2), c) * q[3], cc * r[3]
+        un, ud = _dot(_cross(w, d1), c) * s[3], cc * p[3]
+        if 0 <= tn <= td and 0 <= un <= ud:
+            return ("point", _point_on(p, q, (tn, td)))
         return ("none", None)
     if _cross(w, d1) != (0, 0, 0):
         return ("none", None)
     length2 = _dot(d1, d1)
-    t0 = _dot(_sub(r, p), d1) / length2
-    t1 = _dot(_sub(s, p), d1) / length2
-    lo, hi = min(t0, t1), max(t0, t1)
-    olo, ohi = max(lo, Fraction(0)), min(hi, Fraction(1))
-    if olo > ohi:
+    t0 = (_dot(w, d1) * q[3], length2 * r[3])
+    t1 = (_dot(_diff(p, s), d1) * q[3], length2 * s[3])
+    lo, hi = (t0, t1) if t0[0] * t1[1] <= t1[0] * t0[1] else (t1, t0)
+    if lo[0] < 0:
+        lo = (0, 1)
+    if hi[0] > hi[1]:
+        hi = (1, 1)
+    gap = lo[0] * hi[1] - hi[0] * lo[1]
+    if gap > 0:
         return ("none", None)
-    if olo == ohi:
-        return ("point", tuple(p[i] + olo * d1[i] for i in range(3)))
+    if gap == 0:
+        return ("point", _point_on(p, q, lo))
     return ("overlap", None)
 
 
@@ -138,8 +180,8 @@ def _exact_pair_failure(segs, i: int, j: int) -> str:
     for x in (p, q):
         if x == r or x == s:
             # lines through x meet only at x unless they are parallel
-            u = _sub(q if x == p else p, x)
-            v = _sub(s if x == r else r, x)
+            u = _diff(x, q if x == p else p)
+            v = _diff(x, s if x == r else r)
             if _cross(u, v) != (0, 0, 0) or _dot(u, v) <= 0:
                 return ""
             kind, pt = "overlap", None
@@ -154,15 +196,28 @@ def _exact_pair_failure(segs, i: int, j: int) -> str:
             " away from a shared endpoint")
 
 
+def _to_float(n: int, w: int) -> float:
+    """n / w rounded to nearest, or an infinity past the float range."""
+    try:
+        return n / w
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
 def _first_exact_failure(segs) -> str:
     """Witness of the lexicographically first failing pair, or ''.
 
-    Sweep and prune on closed bounding boxes: sticks enter in order of their
-    least x and leave once the sweep has passed their greatest x; only pairs
-    whose boxes meet in y and z as well are tested.
+    segs holds homogeneous ends.  Sweep and prune on closed bounding boxes
+    of the coordinates rounded to floats: sticks enter in order of their
+    least x and leave once the sweep has passed their greatest x; only
+    pairs whose boxes meet in y and z as well are tested, exactly.
     """
-    lo = [tuple(map(min, p, q)) for p, q in segs]
-    hi = [tuple(map(max, p, q)) for p, q in segs]
+    lo, hi = [], []
+    for p, q in segs:
+        fp = [_to_float(p[i], p[3]) for i in range(3)]
+        fq = [_to_float(q[i], q[3]) for i in range(3)]
+        lo.append(tuple(map(min, fp, fq)))
+        hi.append(tuple(map(max, fp, fq)))
     best, witness = None, ""
     # a zero-length stick fails against every other one, so the least pair
     # holding one is (0, k), or (0, 1) when k = 0
@@ -242,13 +297,18 @@ def check_simplicity(segments, scale: float | None = None) -> VerificationReport
     segments: iterable of (a, b) point pairs.  Rational coordinates get the
     exact test; floats get clearance >= clearance_rel * scale for pairs not
     sharing an endpoint, and a non-overlap direction test for pairs that do.
+    A list that mixes the two fails.
     """
     segs = [(tuple(a), tuple(b)) for a, b in segments]
     report = VerificationReport()
-    if _is_exact(segs):
-        witness = _first_exact_failure(segs)
+    rational = [isinstance(c, (Fraction, int)) for a, b in segs for c in a + b]
+    if all(rational):
+        witness = _first_exact_failure([(_hom(a), _hom(b)) for a, b in segs])
         report.add("simplicity", not witness,
                    witness or f"{len(segs)} sticks pairwise disjoint away from junctions")
+        return report
+    if any(rational):
+        report.add("simplicity", False, _mixed_witness(rational))
         return report
 
     if scale is None:
@@ -286,28 +346,40 @@ def check_simplicity(segments, scale: float | None = None) -> VerificationReport
 
 def _chord_pieces(cd, k: int, sticks):
     """The given sticks of page k as parameter intervals along the chord,
-    each with its ends in parameter order, or a failure string.  Verifies
-    on-line projection and in-segment parameters."""
+    each with its ends in parameter order, and the parameter of the far
+    chord end; or a failure string.  Verifies on-line projection and
+    in-segment parameters.
+
+    Ends are homogeneous points, and parameters integers on one scale per
+    page: with d = (b - a) Wa Wb, a point's parameter along the chord is
+    dot((p - a) Wa W, d) Wb / (W |d|^2), and the page's scale multiplies
+    every parameter by the lcm of its ends' W times |d|^2.
+    """
     chord = cd.chords[k - 1]
-    a2 = cd.boundary[chord.ends[0]]
-    b2 = cd.boundary[chord.ends[1]]
-    d = (b2[0] - a2[0], b2[1] - a2[1])
-    L2 = d[0] * d[0] + d[1] * d[1]
+    a = _hom(cd.boundary[chord.ends[0]])
+    b = _hom(cd.boundary[chord.ends[1]])
+    d = (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2])
+    ends = [(_hom(s.a), _hom(s.b)) for s in sticks]
+    if not ends:
+        return None, 0, f"page {k} has no sticks"
+    scale = math.lcm(*(pt[3] for pair in ends for pt in pair))
+    one = scale * (d[0] * d[0] + d[1] * d[1])
     pieces = []
-    for s in sticks:
+    for pair in ends:
         entry = []
-        for pt in (s.a, s.b):
-            off = d[0] * (pt[1] - a2[1]) - d[1] * (pt[0] - a2[0])
-            if off != 0:
-                return None, f"page {k} stick endpoint projects off the chord line"
-            t = ((pt[0] - a2[0]) * d[0] + (pt[1] - a2[1]) * d[1]) / L2
-            if not 0 <= t <= 1:
-                return None, f"page {k} stick endpoint projects outside the chord"
+        for pt in pair:
+            w = (pt[0] * a[2] - a[0] * pt[3], pt[1] * a[2] - a[1] * pt[3])
+            if d[0] * w[1] - d[1] * w[0] != 0:
+                return None, 0, f"page {k} stick endpoint projects off the chord line"
+            t = (w[0] * d[0] + w[1] * d[1]) * b[2] * (scale // pt[3])
+            if not 0 <= t <= one:
+                return None, 0, f"page {k} stick endpoint projects outside the chord"
             entry.append((t, pt))
-        pieces.append(tuple(sorted(entry)))
-    if not pieces:
-        return None, f"page {k} has no sticks"
-    return pieces, ""
+        (t0, p0), (t1, p1) = entry
+        if t0 > t1 or (t0 == t1 and p0[2] * p1[3] > p1[2] * p0[3]):
+            entry.reverse()
+        pieces.append(tuple(entry))
+    return pieces, one, ""
 
 
 class _PageIndex:
@@ -349,12 +421,12 @@ def check_projection(se, cd) -> VerificationReport:
     chain_problems: list[str] = []
     for chord in cd.chords:
         k = chord.page
-        pieces, err = index.pieces(k)
+        pieces, one, err = index.pieces(k)
         if pieces is None:
             tile_problems.append(err)
             continue
         pieces = sorted(pieces, key=lambda e: (e[0][0], e[1][0]))
-        if pieces[0][0][0] != 0 or pieces[-1][1][0] != 1:
+        if pieces[0][0][0] != 0 or pieces[-1][1][0] != one:
             tile_problems.append(f"page {k} shadow does not span its chord")
             continue
         ok = True
@@ -370,7 +442,8 @@ def check_projection(se, cd) -> VerificationReport:
         if not ok:
             continue
         lo_pt, hi_pt = pieces[0][0][1], pieces[-1][1][1]
-        expect = {se.junctions.get(chord.ends[0]), se.junctions.get(chord.ends[1])}
+        expect = {None if pt is None else _hom(pt)
+                  for pt in (se.junctions.get(e) for e in chord.ends)}
         if {lo_pt, hi_pt} != expect:
             chain_problems.append(f"page {k} does not end at its junctions")
     pages = {chord.page for chord in cd.chords}
@@ -397,41 +470,57 @@ def check_projection(se, cd) -> VerificationReport:
     return report
 
 
-def _height_on_chord(pieces, t: Fraction):
+def _height_on_chord(found, t):
+    """The height (zn, zd), zd > 0, of a page's pieces over chord parameter
+    t = n/d, d > 0, or None."""
+    pieces, one, _ = found
     if pieces is None:
         return None
+    n, d = t
+    nt = n * one
     for (t0, p0), (t1, p1) in pieces:
-        if t0 <= t <= t1:
+        if t0 * d <= nt <= t1 * d:
             if t0 == t1:
-                return p0[2]
-            return p0[2] + (p1[2] - p0[2]) * (t - t0) / (t1 - t0)
+                return p0[2], p0[3]
+            ln, ld = nt - t0 * d, (t1 - t0) * d
+            z0, w0, z1, w1 = p0[2], p0[3], p1[2], p1[3]
+            return z0 * w1 * ld + ln * (z1 * w0 - z0 * w1), w0 * w1 * ld
     return None
 
 
 def check_crossing_order(se, cd) -> VerificationReport:
-    """At every diagram crossing the earlier page passes strictly under."""
+    """At every diagram crossing the earlier page passes strictly under.
+
+    With homogeneous boundary points, the chords' directions and offset
+    carry the positive scales Wa Wb, Wc Wd and Wa Wc, so the crossing's
+    parameters come out as ti = cross(w, dj) Wb / (den Wc) and
+    tj = cross(w, di) Wd / (den Wa).
+    """
     report = VerificationReport()
     problems: list[str] = []
     index = _PageIndex(se, cd)
+    boundary = [_hom(p) for p in cd.boundary] if cd.crossings else []
     for (i, j) in cd.crossings:
         ci, cj = cd.chords[i - 1], cd.chords[j - 1]
-        a, b = cd.boundary[ci.ends[0]], cd.boundary[ci.ends[1]]
-        c, d = cd.boundary[cj.ends[0]], cd.boundary[cj.ends[1]]
-        di = (b[0] - a[0], b[1] - a[1])
-        dj = (d[0] - c[0], d[1] - c[1])
+        a, b = boundary[ci.ends[0]], boundary[ci.ends[1]]
+        c, d = boundary[cj.ends[0]], boundary[cj.ends[1]]
+        di = (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2])
+        dj = (d[0] * c[2] - c[0] * d[2], d[1] * c[2] - c[1] * d[2])
         den = di[0] * dj[1] - di[1] * dj[0]
         if den == 0:
             problems.append(f"crossing ({i},{j}): chords parallel")
             continue
-        w = (c[0] - a[0], c[1] - a[1])
-        ti = (w[0] * dj[1] - w[1] * dj[0]) / den
-        tj = (w[0] * di[1] - w[1] * di[0]) / den
-        zi = _height_on_chord(index.pieces(i)[0], ti)
-        zj = _height_on_chord(index.pieces(j)[0], tj)
+        w = (c[0] * a[2] - a[0] * c[2], c[1] * a[2] - a[1] * c[2])
+        sign = 1 if den > 0 else -1
+        ti = (sign * (w[0] * dj[1] - w[1] * dj[0]) * b[2], sign * den * c[2])
+        tj = (sign * (w[0] * di[1] - w[1] * di[0]) * d[2], sign * den * a[2])
+        zi = _height_on_chord(index.pieces(i), ti)
+        zj = _height_on_chord(index.pieces(j), tj)
         if zi is None or zj is None:
             problems.append(f"crossing ({i},{j}): geometry missing over the crossing")
-        elif not zi < zj:
-            problems.append(f"crossing ({i},{j}): page {i} at height {zi} not under page {j} at {zj}")
+        elif not zi[0] * zj[1] < zj[0] * zi[1]:
+            problems.append(f"crossing ({i},{j}): page {i} at height {Fraction(*zi)}"
+                            f" not under page {j} at {Fraction(*zj)}")
     report.add("crossing-order", not problems,
                "; ".join(problems[:3]) if problems else f"{len(cd.crossings)} crossings ordered")
     return report

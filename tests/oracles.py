@@ -7,6 +7,9 @@ invariants (Fox 3-colorings, linking number) read off a generic exact shear
 projection of the finished 3D sticks, lift clearance by brute-force
 triangle tests at a given level.  Known invariant values (trefoil 9
 colorings, hopf |lk| = 1) then pin down the whole pipeline from outside.
+The exact verifier's witness strings are rebuilt here in Fraction
+arithmetic, every pair and every crossing, as the reference its integer
+kernel must match word for word.
 
 All arithmetic is over Fraction; float inputs are dyadic rationals and
 convert exactly, so the same predicates certify both builders.  The one
@@ -428,6 +431,132 @@ def linking_number_abs(segments) -> Fraction:
         if c.under[0] != c.over[0]:
             total += c.sign
     return abs(Fraction(total, 2))
+
+
+# ---------------------------------------------------------------------------
+# the exact verifier's witnesses, every pair and every crossing in Fractions
+
+
+def _pair_meet(p, q, r, s):
+    """("none" | "point" | "overlap", point) for closed segments of positive
+    length, the meeting point when it is one."""
+    d1, d2, w = _sub(q, p), _sub(s, r), _sub(r, p)
+    c = _cross(d1, d2)
+    if c != (0, 0, 0):
+        if _dot(w, c) != 0:
+            return "none", None
+        cc = _dot(c, c)
+        t = Fraction(_dot(_cross(w, d2), c), cc)
+        u = Fraction(_dot(_cross(w, d1), c), cc)
+        if 0 <= t <= 1 and 0 <= u <= 1:
+            return "point", _lerp(p, d1, t)
+        return "none", None
+    if _cross(w, d1) != (0, 0, 0):
+        return "none", None
+    dd = _dot(d1, d1)
+    t0 = Fraction(_dot(_sub(r, p), d1), dd)
+    t1 = Fraction(_dot(_sub(s, p), d1), dd)
+    lo, hi = max(min(t0, t1), Fraction(0)), min(max(t0, t1), Fraction(1))
+    if lo > hi:
+        return "none", None
+    if lo == hi:
+        return "point", _lerp(p, d1, lo)
+    return "overlap", None
+
+
+def _pair_witness(segs, i: int, j: int) -> str:
+    (p, q), (r, s) = segs[i], segs[j]
+    if p == q or r == s:
+        return f"sticks {i} and {j} overlap along a segment"
+    for x in (p, q):
+        if x == r or x == s:
+            u = _sub(q if x == p else p, x)
+            v = _sub(s if x == r else r, x)
+            if _cross(u, v) != (0, 0, 0) or _dot(u, v) <= 0:
+                return ""
+            return f"sticks {i} and {j} overlap along a segment"
+    kind, pt = _pair_meet(p, q, r, s)
+    if kind == "none":
+        return ""
+    if kind == "overlap":
+        return f"sticks {i} and {j} overlap along a segment"
+    return (f"sticks {i} and {j} meet at {tuple(str(x) for x in pt)}"
+            " away from a shared endpoint")
+
+
+def simplicity_witness(segments) -> str:
+    """The exact check_simplicity witness, or '' for a simple embedding:
+    every pair in lexicographic order, the first failing one named."""
+    segs = [(_fr3(a), _fr3(b)) for a, b in segments]
+    if len(segs) == 1 and segs[0][0] == segs[0][1]:
+        return "stick 0 has zero length"
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            witness = _pair_witness(segs, i, j)
+            if witness:
+                return witness
+    return ""
+
+
+def _page_pieces(boundary, ends, sticks):
+    """Per stick of one page, its ends as (t, point) in parameter order
+    along the chord from boundary[ends[0]]; None when an end leaves the
+    chord or the page has no sticks."""
+    a, b = boundary[ends[0]], boundary[ends[1]]
+    d = (b[0] - a[0], b[1] - a[1])
+    dd = d[0] * d[0] + d[1] * d[1]
+    pieces = []
+    for s in sticks:
+        entry = []
+        for pt in map(_fr3, (s.a, s.b)):
+            if d[0] * (pt[1] - a[1]) - d[1] * (pt[0] - a[0]) != 0:
+                return None
+            t = ((pt[0] - a[0]) * d[0] + (pt[1] - a[1]) * d[1]) / dd
+            if not 0 <= t <= 1:
+                return None
+            entry.append((t, pt))
+        pieces.append(sorted(entry))
+    return pieces or None
+
+
+def _height_at(pieces, t):
+    for (t0, p0), (t1, p1) in pieces or ():
+        if t0 <= t <= t1:
+            if t0 == t1:
+                return p0[2]
+            return p0[2] + (p1[2] - p0[2]) * (t - t0) / (t1 - t0)
+    return None
+
+
+def crossing_order_witness(se, cd) -> tuple[bool, str]:
+    """check_crossing_order's verdict and detail, straight from the
+    definition: the chords' meeting parameters by a 2x2 solve, and the
+    heights over them by interpolation along each page's sticks."""
+    problems = []
+    by_page: dict = {}
+    for s in se.sticks:
+        by_page.setdefault(s.page, []).append(s)
+    pieces = {ch.page: _page_pieces(cd.boundary, ch.ends, by_page.get(ch.page, []))
+              for ch in cd.chords}
+    for i, j in cd.crossings:
+        ci, cj = cd.chords[i - 1], cd.chords[j - 1]
+        a, b = cd.boundary[ci.ends[0]], cd.boundary[ci.ends[1]]
+        c, d = cd.boundary[cj.ends[0]], cd.boundary[cj.ends[1]]
+        di, dj = (b[0] - a[0], b[1] - a[1]), (d[0] - c[0], d[1] - c[1])
+        den = di[0] * dj[1] - di[1] * dj[0]
+        if den == 0:
+            problems.append(f"crossing ({i},{j}): chords parallel")
+            continue
+        w = (c[0] - a[0], c[1] - a[1])
+        ti = Fraction(w[0] * dj[1] - w[1] * dj[0]) / den
+        tj = Fraction(w[0] * di[1] - w[1] * di[0]) / den
+        zi, zj = _height_at(pieces[i], ti), _height_at(pieces[j], tj)
+        if zi is None or zj is None:
+            problems.append(f"crossing ({i},{j}): geometry missing over the crossing")
+        elif not zi < zj:
+            problems.append(f"crossing ({i},{j}): page {i} at height {zi} not under page {j} at {zj}")
+    return (not problems,
+            "; ".join(problems[:3]) if problems else f"{len(cd.crossings)} crossings ordered")
 
 
 # ---------------------------------------------------------------------------

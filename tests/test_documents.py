@@ -20,6 +20,7 @@ from stickforge.documents import (
 )
 from stickforge.equilateral_builder import build_equilateral
 from stickforge.stick_builder import build
+from stickforge.verifier import check_simplicity
 
 
 def roundtrip(doc: dict) -> dict:
@@ -109,6 +110,19 @@ def test_decimal_floats_lossless():
     emb2 = equilateral_from_doc(roundtrip(equilateral_to_doc(emb)))
     for s, t in zip(emb.sticks, emb2.sticks):
         assert s.a == t.a and s.b == t.b  # bit-for-bit float equality
+
+
+def test_decimal_integer_literals_read_as_floats():
+    # a decimal document may spell 0.0 as 0; its sticks must still be all
+    # floats, or simplicity fails them as mixing rational and float
+    emb = build_equilateral(validate_presentation(catalog("trefoil")))
+    doc = roundtrip(equilateral_to_doc(emb))
+    for s in doc["sticks"]:
+        s["a"] = [int(c) if c == int(c) else c for c in s["a"]]
+    emb2 = equilateral_from_doc(doc)
+    assert emb2.sticks == emb.sticks
+    assert all(type(c) is float for s in emb2.sticks for c in s.a + s.b)
+    assert check_simplicity([(s.a, s.b) for s in emb2.sticks], scale=emb2.M).ok
 
 
 def test_decimal_reports_travel_along():

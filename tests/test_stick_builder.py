@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import oracles
 from stickforge import stick_builder
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.circular_diagram import to_circular
+from stickforge.documents import dumps_document, embedding_to_doc
 from stickforge.randgen import PROFILES, random_presentation
 from stickforge.stick_builder import (BuildError, Stick, StickEmbedding, build, clearance_height,
                                       count_sticks)
@@ -63,6 +65,20 @@ def test_theta_trivial_4_is_7_sticks():
     cd = to_circular(validate_presentation(catalog("theta_trivial(4)")))
     assert cd.counts == (1, 0, 3)
     assert count_sticks(build(cd)) == 7
+
+
+def test_exact_documents_pinned():
+    # the bytes of 63 exact documents, concatenated: any change to the lift's
+    # heights, junctions or coordinates shows here
+    presentations = [catalog(name) for name in catalog_names()]
+    presentations += [catalog(f"theta_trivial({n})") for n in range(2, 17)]
+    presentations += [random_presentation(s, p, 30) for p in PROFILES for s in range(10)]
+    digest = hashlib.sha256()
+    for ap in presentations:
+        se = build(to_circular(validate_presentation(ap)))
+        digest.update(dumps_document(embedding_to_doc(se)).encode())
+    assert len(presentations) == 63
+    assert digest.hexdigest() == "0950516132638c2a0b608f95f4ec9fbda9cee83bab7c7e97489f8f4bd3deba83"
 
 
 def test_bi_chords_rise_one_level():
@@ -156,7 +172,8 @@ def test_min_heights_against_brute_force(monkeypatch):
 
     def spy(frame, lows, z_prev, earlier):
         z = real_min(frame, lows, z_prev, earlier)
-        seen.append((stick_builder._project_earlier(frame, tuple(placed)), lows, z_prev, z))
+        ends = [_ends(s.a, s.b) for s in placed]
+        seen.append((_as_fractions(*stick_builder._project_earlier(frame, ends), lows), z_prev, z))
         return z
 
     monkeypatch.setattr(stick_builder, "clearance_height", height_spy)
@@ -169,7 +186,7 @@ def test_min_heights_against_brute_force(monkeypatch):
         build(to_circular(validate_presentation(ap)))
     stick_builder.clearance_height(*_shared_end_obstacle())
     binding = 0
-    for (segs, pts), lows, z_prev, z in seen:
+    for (segs, pts, lows), z_prev, z in seen:
         assert oracles.lift_clear(segs, pts, lows, z)
         if z - 1 > z_prev:
             binding += 1
@@ -177,14 +194,25 @@ def test_min_heights_against_brute_force(monkeypatch):
     assert binding > 100
 
 
+def _as_fractions(segs, pts, lows):
+    """The builder's homogeneous in-plane view as the (s, z) points and
+    ((s_lo, z_lo), s_hi) anchors, in Fractions, that oracles.lift_clear reads."""
+    def point(p):
+        return (Fraction(p[0], p[2]), Fraction(p[1], p[2]))
+
+    return ([(point(p), point(q)) for p, q in segs], [point(p) for p in pts],
+            [((Fraction(s_lo, w), Fraction(z_lo, w)), Fraction(s_hi, w))
+             for s_lo, s_hi, z_lo, w in lows])
+
+
 def _frame_and_lows(s_hi):
-    # chord (0, 0) -> (1, 0), so s = x; one anchor at s = 0, z_lo = 1
+    # chord (0, 0) -> (1, 0), so s = x in units of s_max; one anchor at s = 0, z_lo = 1
     frame = stick_builder._ChordFrame((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
-    return frame, (((Fraction(0), Fraction(1)), Fraction(s_hi)),)
+    return frame, ((0, s_hi * frame.s_max, 1, 1),)
 
 
-def _stick(a, b):
-    return Stick(tuple(map(Fraction, a)), tuple(map(Fraction, b)), 1, "l", "whole")
+def _ends(a, b):
+    return tuple(stick_builder._hom(tuple(map(Fraction, p))) for p in (a, b))
 
 
 @pytest.mark.parametrize("a, b, z_prev, z", [
@@ -195,9 +223,9 @@ def _stick(a, b):
 ], ids=["end-inside", "through-corner"])
 def test_min_clear_height_in_plane_stick(a, b, z_prev, z):
     frame, lows = _frame_and_lows(1)
-    earlier = (_stick(a, b),)
+    earlier = (_ends(a, b),)
     assert stick_builder._min_clear_height(frame, lows, z_prev, earlier) == z
-    segs, pts = stick_builder._project_earlier(frame, earlier)
+    segs, pts, lows = _as_fractions(*stick_builder._project_earlier(frame, earlier), lows)
     assert segs and oracles.lift_clear(segs, pts, lows, z)
     assert not oracles.lift_clear(segs, pts, lows, z - 1)
 
@@ -212,7 +240,7 @@ def test_min_clear_height_in_plane_stick(a, b, z_prev, z):
 def test_min_clear_height_rejects_unclearable(a, b, s_hi, match):
     frame, lows = _frame_and_lows(s_hi)
     with pytest.raises(BuildError, match=match):
-        stick_builder._min_clear_height(frame, lows, 2, (_stick(a, b),))
+        stick_builder._min_clear_height(frame, lows, 2, (_ends(a, b),))
 
 
 def test_forced_low_heights_break_verification(monkeypatch):

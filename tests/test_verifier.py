@@ -212,10 +212,13 @@ def _segs(*pairs):
     # the sweep meets pair (1, 3) first; the witness names (0, 2)
     (_segs(((10, -1, 0), (10, 1, 0)), ((0, -1, 0), (0, 1, 0)),
            ((9, 0, 0), (11, 0, 0)), ((-1, 0, 0), (1, 0, 0))), False),
+    # ends past the float range, where the sweep's boxes become infinite
+    (_segs(((-10 ** 400, 0, 0), (10 ** 400, 0, 0)), ((1, -1, 0), (1, 1, 0))), False),
+    (_segs(((-10 ** 400, 0, 0), (0, 0, 0)), ((1, -1, 0), (1, 1, 10 ** 400))), True),
 ], ids=["flat-cross", "face-x", "face-y", "face-z", "zero-at-end", "zero-inside",
         "zero-alone-at-end", "zero-between",
         "fold-back", "fold-back-far-end", "straight-through", "opposite-from-start",
-        "first-pair"])
+        "first-pair", "beyond-float-range-cross", "beyond-float-range-apart"])
 def test_exact_simplicity_degenerate_cases(segs, ok):
     assert _oracle_agrees(segs) == ok
 
@@ -230,6 +233,89 @@ def test_zero_length_stick_fails_against_the_next():
     lone = _segs(((5, 5, 5), (5, 5, 5)))
     assert check_simplicity(lone).failures()[0].witness == "stick 0 has zero length"
     assert oracles.embedding_is_simple(lone)[0] is False
+
+
+def test_mixed_rational_and_float_sticks_fail_simplicity():
+    # a float stick 1e-9 above a rational one must not take the exact path
+    segs = [((F(0), F(0), F(0)), (F(1), F(0), F(0))), ((0.5, -1.0, 1e-9), (0.5, 1.0, 1e-9))]
+    report = check_simplicity(segs)
+    assert not report.ok
+    assert report.failures()[0].witness == "sticks 0 and 1 mix rational and float coordinates"
+    report = check_simplicity([((F(0), 0.0, F(0)), (F(1), F(0), F(0)))])
+    assert report.failures()[0].witness == "stick 0 mixes rational and float coordinates"
+    report = check_simplicity([((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), ((0.0, 1.0, 0.0), (1.0, 1.0, 0))])
+    assert report.failures()[0].witness == "sticks 0 and 1 mix rational and float coordinates"
+
+
+def _faulted(segs, fault, rng):
+    """One fault of the given kind injected into a copy of segs."""
+    segs = list(segs)
+    i = rng.randrange(len(segs))
+    if fault == "swap":
+        # an end shared with a neighbour moves to that neighbour's far end
+        end = rng.randrange(2)
+        x = segs[i][end]
+        j = next((j for j in range(len(segs)) if j != i and x in segs[j]), None)
+        if j is not None:
+            far = segs[j][1] if segs[j][0] == x else segs[j][0]
+            segs[i] = (far, segs[i][1]) if end == 0 else (segs[i][0], far)
+    elif fault == "copy":
+        j = rng.randrange(len(segs))
+        segs[i] = segs[j] if rng.randrange(2) else segs[j][::-1]
+    elif fault == "midpoint":
+        j = rng.randrange(len(segs))
+        mid = tuple((x + y) / 2 for x, y in zip(*segs[j]))
+        segs[i] = (mid, segs[i][1]) if rng.randrange(2) else (segs[i][0], mid)
+    else:
+        segs[i] = (segs[i][0], segs[i][0])
+    return segs
+
+
+def test_exact_simplicity_witnesses_match_fraction_reference():
+    rng = random.Random(20261018)
+    kinds = Counter()
+    for p in PROFILES:
+        for s in range(20):
+            se = build(to_circular(validate_presentation(random_presentation(s, p, 20))))
+            segs = [(st.a, st.b) for st in se.sticks]
+            for fault in ("swap", "copy", "midpoint", "zero"):
+                moved = _faulted(segs, fault, rng)
+                report = check_simplicity(moved)
+                expected = oracles.simplicity_witness(moved)
+                assert report.ok == (not expected)
+                if expected:
+                    assert report.entries[0].witness == expected
+                kinds["meet" if " meet at " in expected else "overlap" if expected else "pass"] += 1
+    assert sum(kinds.values()) >= 300 and min(kinds.values()) >= 20, kinds
+
+
+def test_crossing_order_matches_fraction_reference():
+    rng = random.Random(20261019)
+    failed = 0
+    documents = 0
+    for p in PROFILES:
+        for s in range(20):
+            cd = to_circular(validate_presentation(random_presentation(s, p, 20)))
+            se = build(cd)
+            assert (True, check_crossing_order(se, cd).entries[0].witness) == \
+                oracles.crossing_order_witness(se, cd)
+            pages = sorted(se.heights)
+            for _ in range(4):
+                i, j = rng.sample(pages, 2) if len(pages) > 1 else (pages[0], pages[0])
+                # two pages' levels swap, in the sticks and the junctions alike
+                swap = {se.heights[i]: se.heights[j], se.heights[j]: se.heights[i]}
+
+                def lift(pt):
+                    return (pt[0], pt[1], swap.get(pt[2], pt[2]))
+
+                moved = replace(se, sticks=tuple(replace(st, a=lift(st.a), b=lift(st.b))
+                                                 for st in se.sticks),
+                                junctions={b: lift(pt) for b, pt in se.junctions.items()})
+                entry = check_crossing_order(moved, cd).entries[0]
+                assert (entry.passed, entry.witness) == oracles.crossing_order_witness(moved, cd)
+                failed += not entry.passed
+                documents += 1
+    assert documents >= 300 and failed >= 100
 
 
 def _large_bouquet():
