@@ -130,9 +130,3 @@ def to_circular(vp: ValidatedPresentation) -> CircularDiagram:
 def initiating_pages(cd: CircularDiagram) -> tuple[int, ...]:
     """Recompute p(b) for every axis index from the chord set."""
     return _initiating(cd.chords, cd.m)
-
-
-def classify_chords(cd: CircularDiagram):
-    """Recompute per-chord classes and the counts (n2, n1, n0)."""
-    classes, n2, n1, n0 = _classify(cd.chords, initiating_pages(cd))
-    return classes, (n2, n1, n0)

@@ -44,6 +44,39 @@ the parked stick's line passes through F without sharing it, its
 directions from F collapse to one point, or to two opposite points when F
 lies on it; G is then bounded by the triangle inequality, which gives 0 in
 the second case, and the pair is evaluated at the next sample.
+
+tolerance_report measures only the stick pairs that could hold the least
+clearance (_near_pairs), and its minimum is that of every pair, float for
+float.  Let m be the least distance measured so far, C the largest
+coordinate magnitude, and pad = m + SNAP_REL (C + m).  Each stick is cut at
+fixed fractions into pieces, each piece gets the closed box of its computed
+ends, and a sweep in z measures a pair of sticks only when some box of one
+lies within pad of some box of the other in x, y and z.  Write u = 2^-53
+and assume no overflow or underflow.
+- A computed cut point a + t (b - a) lies within 6uC of the true point in
+  every coordinate, so every point of a stick lies within 6uC of one of
+  its boxes.
+- A box test fails only when a computed bound such as lo - pad lies past
+  the other box's bound, and the rounding of that sum is below
+  2u (C + pad).  So the two sticks lie more than pad - 2u (C + pad) - 12uC
+  apart, and pad itself is computed to within 3u (C + m).
+- _seg_distance returns the computed length of cp1 - cp2, where
+  cp1 = p + sc (q - p) and cp2 = r + tc (s - r) with sc, tc clamped to
+  [0, 1]: each lies within 6uC of a point of its stick in every
+  coordinate, and the length is off by under 5u of itself, so the result
+  is at least the true distance less 40uC.
+All of it is below 100u (C + m), and the margin SNAP_REL (C + m) is 10^7
+times more, so a skipped pair measures more than m.  m only falls, so a
+piece the sweep drops once is past every later box as well, and the least
+distance is measured.  Each pair is measured once, lower index first,
+because _seg_distance is not symmetric to the last bit.  The first bound m
+comes from the pairs of whole sticks whose boxes meet and are adjacent in
+z.  The input then decides whether to sweep: when every pair of whole
+sticks' boxes already lies within pad, no box test could skip a pair
+(theta-fan, where every stick reaches the axis or the hub), so the pairs
+go in plain order; otherwise the sweep runs over the pieces cut at _CUTS
+(random-large).  assemble_split places parts at least M apart in x, so
+once m is below M the sweep measures no pair across parts.
 """
 
 from __future__ import annotations
@@ -64,6 +97,8 @@ CERT_CLEARANCE_REL = 1e-6
 SNAP_REL = 1e-9
 TRIM_FRACTION = 0.01          # clearances ignore this much of a stick at a shared junction
 MAX_RETRIES = 8
+# where tolerance_report cuts each stick into pieces (see the module docstring)
+_CUTS = (0.125, 0.25, 0.5, 0.75, 0.875)
 
 
 class EquilateralError(ValueError):
@@ -358,21 +393,87 @@ def _axis_label(stick: EStick) -> str:
 # certification
 
 
+def _boxes(segs, cuts):
+    """The closed box (zlo, zhi, xlo, xhi, ylo, yhi, i) of every piece of
+    every stick i, cut at the fractions cuts, sorted by zlo."""
+    boxes = []
+    for i, (a, b) in enumerate(segs):
+        d = _vsub(b, a)
+        ends = [a, *((a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2]) for t in cuts), b]
+        for p, q in zip(ends, ends[1:]):
+            boxes.append((min(p[2], q[2]), max(p[2], q[2]), min(p[0], q[0]), max(p[0], q[0]),
+                          min(p[1], q[1]), max(p[1], q[1]), i))
+    boxes.sort()
+    return boxes
+
+
+def _near_pairs(segs, visit) -> float:
+    """Call visit(i, j), i < j, at most once per pair, on every pair of
+    segs that could lie within m of each other, and return m: the least
+    value visit returned, or inf.  visit returns the pair's distance, or
+    inf when it measures none.  The module docstring proves that no skipped
+    pair comes that close."""
+    n = len(segs)
+    seen = set()
+    least = math.inf
+    if n < 2:
+        return least
+    whole = _boxes(segs, ())
+    for u, v in zip(whole, whole[1:]):
+        if (v[0] <= u[1] and u[2] <= v[3] and v[2] <= u[3]
+                and u[4] <= v[5] and v[4] <= u[5]):
+            i, k = sorted((u[6], v[6]))
+            seen.add(i * n + k)
+            d = visit(i, k)
+            if d < least:
+                least = d
+    size = max(abs(c) for a, b in segs for c in a + b)
+    m = least
+    pad = m + SNAP_REL * (size + m)
+    if all(max(w[c] for w in whole) - min(w[c + 1] for w in whole) <= pad for c in (0, 2, 4)):
+        # every pair of whole sticks' boxes meets within pad, so no box
+        # test could skip a pair (theta-fan): take them in plain order
+        for i in range(n):
+            for k in range(i + 1, n):
+                if i * n + k not in seen:
+                    d = visit(i, k)
+                    if d < least:
+                        least = d
+        return least
+    active: list[tuple] = []
+    for box in _boxes(segs, _CUTS):
+        zlo, _, xlo, xhi, ylo, yhi, j = box
+        cut = zlo - pad
+        active = [o for o in active if o[1] >= cut]
+        xl, xh, yl, yh = xlo - pad, xhi + pad, ylo - pad, yhi + pad
+        for o in [o for o in active if o[2] <= xh and xl <= o[3] and o[4] <= yh and yl <= o[5]]:
+            i, k = (o[6], j) if o[6] < j else (j, o[6])
+            if i != k and i * n + k not in seen:
+                seen.add(i * n + k)
+                d = visit(i, k)
+                if d < least:
+                    least = d
+        if least < m:
+            m = least
+            pad = m + SNAP_REL * (size + m)
+        active.append(box)
+    return least
+
+
 def tolerance_report(emb: EquilateralEmbedding) -> ToleranceReport:
     M = emb.M
-    snap = SNAP_REL * M
     max_dev = 0.0
     for s in emb.sticks:
         max_dev = max(max_dev, abs(_dist(s.a, s.b) - M) / M)
-    min_clear = math.inf
-    ss = emb.sticks
-    keys = [{(s.component, s.ja), (s.component, s.jb)} for s in ss]
-    for i in range(len(ss)):
-        for j in range(i + 1, len(ss)):
-            if not keys[i].isdisjoint(keys[j]):
-                continue
-            si, sj = ss[i], ss[j]
-            min_clear = min(min_clear, _seg_distance(si.a, si.b, sj.a, sj.b))
+    segs = [(s.a, s.b) for s in emb.sticks]
+    keys = [{(s.component, s.ja), (s.component, s.jb)} for s in emb.sticks]
+
+    def visit(i: int, j: int) -> float:
+        if not keys[i].isdisjoint(keys[j]):
+            return math.inf
+        return _seg_distance(*segs[i], *segs[j])
+
+    min_clear = _near_pairs(segs, visit)
     if min_clear is math.inf:
         min_clear = M
     return ToleranceReport(max_dev, min_clear, min_clear / M)

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circular_diagram import CircularDiagram, chords_cross
+from .circular_diagram import CircularDiagram
 
 R3 = tuple[Fraction, Fraction, Fraction]
 P2 = tuple[Fraction, Fraction]
@@ -69,13 +69,34 @@ class StickEmbedding:
 
 class _Lift:
     """build()'s partial embedding as it grows, read like a StickEmbedding;
-    ends maps each placed page to its sticks' homogeneous ends."""
+    ends maps each placed page to its sticks' homogeneous ends, and near is
+    the diagram's near-page index (_near_pages), built once."""
 
-    def __init__(self) -> None:
+    def __init__(self, cd: CircularDiagram) -> None:
         self.sticks: list[Stick] = []
         self.junctions: dict[int, R3] = {}
         self.heights: dict[int, int] = {}
         self.ends: dict[int, list] = {}
+        self.near = _near_pages(cd)
+
+
+def _near_pages(cd: CircularDiagram) -> list[set[int]]:
+    """Per page k (index 0 unused), the pages whose chords cross chord k,
+    read off cd.crossings, or share an end with it."""
+    near: list[set[int]] = [set() for _ in range(len(cd.chords) + 1)]
+    for i, j in cd.crossings:
+        near[i].add(j)
+        near[j].add(i)
+    at_end: dict[int, list[int]] = {}
+    for chord in cd.chords:
+        for end in set(chord.ends):
+            at_end.setdefault(end, []).append(chord.page)
+    for pages in at_end.values():
+        for k in pages:
+            near[k].update(pages)
+    for k, pages in enumerate(near):
+        pages.discard(k)
+    return near
 
 
 def _hom(p) -> tuple[int, ...]:
@@ -210,11 +231,9 @@ def clearance_height(cd: CircularDiagram, k: int, partial: StickEmbedding | _Lif
     z_prev = max(partial.heights.values(), default=0)
     if cls.kind == "bi":
         return z_prev + 1
-    ends = set(chord.ends)
-    near = {c.page for c in cd.chords[:k - 1]
-            if ends & set(c.ends) or chords_cross(c.ends, chord.ends)}
+    near = partial.near if isinstance(partial, _Lift) else _near_pages(cd)
     placed = _placed_ends(partial)
-    earlier = [e for page in near for e in placed.get(page, ())]
+    earlier = [e for page in near[k] if page < k for e in placed.get(page, ())]
     if cls.kind == "uni":
         other = chord.ends[1] if chord.ends[0] == cls.initiating_end else chord.ends[0]
         frame = _ChordFrame(cd.boundary[other], cd.boundary[cls.initiating_end])
@@ -235,7 +254,7 @@ def clearance_height(cd: CircularDiagram, k: int, partial: StickEmbedding | _Lif
 
 def build(cd: CircularDiagram) -> StickEmbedding:
     """Lift every chord in page order."""
-    partial = _Lift()
+    partial = _Lift(cd)
     sticks, junctions, heights = partial.sticks, partial.junctions, partial.heights
     for chord, cls in zip(cd.chords, cd.classes):
         k = chord.page

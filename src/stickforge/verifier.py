@@ -32,6 +32,43 @@ segments with a common endpoint p lie on lines through p; unless the lines
 are parallel they meet only at p, and when they are, the segments overlap
 exactly when their directions from p agree.  A zero-length stick fails
 wherever it lies: against every other stick, and alone as well.
+
+The float checks fail any coordinate or scale that is not finite, and a
+length scale that is not positive, before they measure anything.  Then
+they cull their pairs (_near_pairs), and lose nothing by it either.  Let
+m be the larger of the least distance measured so far and the check's
+floor clearance_min, C the largest coordinate magnitude, and
+pad = m + junction_rel (C + m).  Each stick is cut at fixed fractions into
+pieces, each piece gets the closed box of its computed ends, and a sweep
+in z measures a pair of sticks only when some box of one lies within pad
+of some box of the other in x, y and z.  Write u = 2^-53 and assume no
+overflow or underflow.
+- A computed cut point a + t (b - a) lies within 6uC of the true point in
+  every coordinate, so every point of a stick lies within 6uC of one of
+  its boxes.
+- A box test fails only when a computed bound such as lo - pad lies past
+  the other box's bound, and the rounding of that sum is below
+  2u (C + pad).  So the two sticks lie more than pad - 2u (C + pad) - 12uC
+  apart, and pad itself is computed to within 3u (C + m).
+- seg_distance returns the computed length of cp1 - cp2, where
+  cp1 = p + sc (q - p) and cp2 = r + tc (s - r) with sc, tc clamped to
+  [0, 1]: each lies within 6uC of a point of its stick in every
+  coordinate, and the length is off by under 5u of itself, so the result
+  is at least the true distance less 40uC.
+All of it is below 100u (C + m), and the margin junction_rel (C + m) is
+10^7 times more, so a skipped pair measures more than m.  m only falls,
+so a piece the sweep drops once is past every later box as well.  Hence
+every pair at the least distance is measured, and so is every pair below
+clearance_min.  Since clearance_rel exceeds junction_rel, so is every pair
+with ends within the snap, which gets the fold-back test instead.  A
+minimum does not depend on the order it is taken in, and failing pairs are
+sorted back into lexicographic order, so minima, verdicts and witnesses
+are those of testing every pair.  The first bound comes from the pairs of
+whole sticks whose boxes meet and are adjacent in z.  The input then
+decides whether to sweep: when every pair of whole sticks' boxes already
+lies within pad, no box test could skip a pair (theta-fan, where every
+stick reaches the axis or the hub), so the pairs go in plain order;
+otherwise the sweep runs over the pieces cut at _CUTS (random-large).
 """
 
 from __future__ import annotations
@@ -52,6 +89,9 @@ class Tolerances:
 
 
 TOLERANCES = Tolerances()
+
+# where the float checks cut each stick into pieces (see the module docstring)
+_CUTS = (0.125, 0.25, 0.5, 0.75, 0.875)
 
 
 @dataclass
@@ -287,6 +327,84 @@ def seg_distance(p, q, r, s) -> float:
     return _norm(_vsub(cp1, cp2))
 
 
+def _boxes(segs, cuts):
+    """The closed box (zlo, zhi, xlo, xhi, ylo, yhi, i) of every piece of
+    every stick i, cut at the fractions cuts, sorted by zlo."""
+    boxes = []
+    for i, (a, b) in enumerate(segs):
+        d = _vsub(b, a)
+        ends = [a, *((a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2]) for t in cuts), b]
+        for p, q in zip(ends, ends[1:]):
+            boxes.append((min(p[2], q[2]), max(p[2], q[2]), min(p[0], q[0]), max(p[0], q[0]),
+                          min(p[1], q[1]), max(p[1], q[1]), i))
+    boxes.sort()
+    return boxes
+
+
+def _near_pairs(segs, floor: float, visit) -> float:
+    """Call visit(i, j), i < j, at most once per pair, on every pair of
+    segs that could lie within max(m, floor) of each other, and return m:
+    the least value visit returned, or inf.  visit returns the pair's
+    distance, or inf when it measures none.  The module docstring proves
+    that no skipped pair comes that close."""
+    n = len(segs)
+    seen = set()
+    least = math.inf
+    if n < 2:
+        return least
+    whole = _boxes(segs, ())
+    for u, v in zip(whole, whole[1:]):
+        if (v[0] <= u[1] and u[2] <= v[3] and v[2] <= u[3]
+                and u[4] <= v[5] and v[4] <= u[5]):
+            i, k = sorted((u[6], v[6]))
+            seen.add(i * n + k)
+            d = visit(i, k)
+            if d < least:
+                least = d
+    size = max(abs(c) for a, b in segs for c in a + b)
+    rel = TOLERANCES.junction_rel
+    m = max(least, floor)
+    pad = m + rel * (size + m)
+    if all(max(w[c] for w in whole) - min(w[c + 1] for w in whole) <= pad for c in (0, 2, 4)):
+        # every pair of whole sticks' boxes meets within pad, so no box
+        # test could skip a pair (theta-fan): take them in plain order
+        for i in range(n):
+            for k in range(i + 1, n):
+                if i * n + k not in seen:
+                    d = visit(i, k)
+                    if d < least:
+                        least = d
+        return least
+    active: list[tuple] = []
+    for box in _boxes(segs, _CUTS):
+        zlo, _, xlo, xhi, ylo, yhi, j = box
+        cut = zlo - pad
+        active = [o for o in active if o[1] >= cut]
+        xl, xh, yl, yh = xlo - pad, xhi + pad, ylo - pad, yhi + pad
+        for o in [o for o in active if o[2] <= xh and xl <= o[3] and o[4] <= yh and yl <= o[5]]:
+            i, k = (o[6], j) if o[6] < j else (j, o[6])
+            if i != k and i * n + k not in seen:
+                seen.add(i * n + k)
+                d = visit(i, k)
+                if d < least:
+                    least = d
+        if max(least, floor) < m:
+            m = max(least, floor)
+            pad = m + rel * (size + m)
+        active.append(box)
+    return least
+
+
+def _non_finite(segs) -> str:
+    """Witness naming the first coordinate that is not finite, or ''."""
+    for k, (a, b) in enumerate(segs):
+        for end, pt in (("a", a), ("b", b)):
+            for c in pt:
+                if not math.isfinite(c):
+                    return f"stick {k} end {end} has coordinate {c}"
+    return ""
+
+
 # ---------------------------------------------------------------------------
 # checks
 
@@ -297,7 +415,8 @@ def check_simplicity(segments, scale: float | None = None) -> VerificationReport
     segments: iterable of (a, b) point pairs.  Rational coordinates get the
     exact test; floats get clearance >= clearance_rel * scale for pairs not
     sharing an endpoint, and a non-overlap direction test for pairs that do.
-    A list that mixes the two fails.
+    A list that mixes the two fails, and so does a float coordinate or scale
+    that is not finite, or a scale that is not positive.
     """
     segs = [(tuple(a), tuple(b)) for a, b in segments]
     report = VerificationReport()
@@ -311,36 +430,40 @@ def check_simplicity(segments, scale: float | None = None) -> VerificationReport
         report.add("simplicity", False, _mixed_witness(rational))
         return report
 
+    witness = _non_finite(segs)
+    if not witness and scale is not None and not (math.isfinite(scale) and scale > 0):
+        witness = f"scale {scale} is not a finite positive length"
+    if witness:
+        report.add("simplicity", False, witness)
+        return report
     if scale is None:
         scale = max(max(abs(c) for c in a + b) for a, b in segs) or 1.0
     snap = TOLERANCES.junction_rel * scale
     clearance_min = TOLERANCES.clearance_rel * scale
-    bad = 0
-    witness = ""
-    min_clear = math.inf
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            (p, q), (r, s) = segs[i], segs[j]
-            shared = None
-            for x in (p, q):
-                for y in (r, s):
-                    if _norm(_vsub(x, y)) <= snap:
-                        shared = x
-            if shared is not None:
-                u = _vsub(q if shared == p else p, shared)
-                v = _vsub(s if _norm(_vsub(shared, r)) <= snap else r, shared)
-                nu, nv = _norm(u), _norm(v)
-                if nu > 0 and nv > 0 and _vdot(u, v) / (nu * nv) > 1.0 - 1e-12:
-                    bad += 1
-                    witness = witness or f"sticks {i} and {j} fold back along each other"
-                continue
-            dist = seg_distance(p, q, r, s)
-            min_clear = min(min_clear, dist)
-            if dist < clearance_min:
-                bad += 1
-                witness = witness or f"sticks {i} and {j} at distance {dist:.3e} < {clearance_min:.3e}"
-    detail = witness if bad else f"min non-adjacent clearance {min_clear:.3e}"
-    report.add("simplicity", bad == 0, detail)
+    failing = []
+
+    def visit(i: int, j: int) -> float:
+        (p, q), (r, s) = segs[i], segs[j]
+        shared = None
+        for x in (p, q):
+            for y in (r, s):
+                if _norm(_vsub(x, y)) <= snap:
+                    shared = x
+        if shared is not None:
+            u = _vsub(q if shared == p else p, shared)
+            v = _vsub(s if _norm(_vsub(shared, r)) <= snap else r, shared)
+            nu, nv = _norm(u), _norm(v)
+            if nu > 0 and nv > 0 and _vdot(u, v) / (nu * nv) > 1.0 - 1e-12:
+                failing.append((i, j, f"sticks {i} and {j} fold back along each other"))
+            return math.inf
+        dist = seg_distance(p, q, r, s)
+        if dist < clearance_min:
+            failing.append((i, j, f"sticks {i} and {j} at distance {dist:.3e} < {clearance_min:.3e}"))
+        return dist
+
+    min_clear = _near_pairs(segs, clearance_min, visit)
+    detail = min(failing)[2] if failing else f"min non-adjacent clearance {min_clear:.3e}"
+    report.add("simplicity", not failing, detail)
     return report
 
 
@@ -540,12 +663,21 @@ def check_equilateral(emb) -> VerificationReport:
     emb needs: sticks (each with a, b, component, ja, jb), M, components
     (each with index, n_arcs, reduced).  Counts accept 2n for embeddings
     flagged unreduced and 2n - 1 after reduction; a stick of a component
-    not listed fails them.
+    not listed fails them.  An M that is not finite and positive, or a
+    coordinate that is not finite, fails equilateral.input and nothing
+    else is checked.
     """
     report = VerificationReport()
     tol = TOLERANCES
     M = float(emb.M)
     sticks = list(emb.sticks)
+    segs = [(s.a, s.b) for s in sticks]
+    witness = _non_finite(segs)
+    if not (math.isfinite(M) and M > 0):
+        witness = f"M = {M} is not a finite positive length"
+    if witness:
+        report.add("equilateral.input", False, witness)
+        return report
 
     worst = 0.0
     for s in sticks:
@@ -585,19 +717,21 @@ def check_equilateral(emb) -> VerificationReport:
                 break
     report.add("equilateral.junctions", not junction_problems, "; ".join(junction_problems[:3]))
 
-    clearance_min = math.inf
-    clearance_problems = []
+    floor = tol.clearance_rel * M
+    failing = []
     keys = [{(s.component, s.ja), (s.component, s.jb)} for s in sticks]
-    for i in range(len(sticks)):
-        for j in range(i + 1, len(sticks)):
-            if not keys[i].isdisjoint(keys[j]):
-                continue
-            si, sj = sticks[i], sticks[j]
-            dist = seg_distance(si.a, si.b, sj.a, sj.b)
-            clearance_min = min(clearance_min, dist)
-            if dist < tol.clearance_rel * M:
-                clearance_problems.append(f"sticks {i}/{j} at {dist:.3e}")
-    report.add("equilateral.clearance", not clearance_problems,
-               "; ".join(clearance_problems[:3]) if clearance_problems
-               else f"min non-adjacent clearance {clearance_min:.3e} (>= {tol.clearance_rel * M:.3e})")
+
+    def visit(i: int, j: int) -> float:
+        if not keys[i].isdisjoint(keys[j]):
+            return math.inf
+        dist = seg_distance(*segs[i], *segs[j])
+        if dist < floor:
+            failing.append((i, j, dist))
+        return dist
+
+    clearance_min = _near_pairs(segs, floor, visit)
+    problems = [f"sticks {i}/{j} at {dist:.3e}" for i, j, dist in sorted(failing)[:3]]
+    report.add("equilateral.clearance", not problems,
+               "; ".join(problems) if problems
+               else f"min non-adjacent clearance {clearance_min:.3e} (>= {floor:.3e})")
     return report

@@ -12,11 +12,14 @@ arithmetic, every pair and every crossing, as the reference its integer
 kernel must match word for word.
 
 All arithmetic is over Fraction; float inputs are dyadic rationals and
-convert exactly, so the same predicates certify both builders.  The one
-exception is sampled_certificate, the equal-length builder's motion
-certificate with every parked stick tested at every sample: it calls the
-builder's own float distance kernel, so that the scheduled certificate must
-match its minima float for float.
+convert exactly, so the same predicates certify both builders.  The
+exceptions are the float references, each of which tests everything its
+culled counterpart may skip: sampled_certificate, the equal-length
+builder's motion certificate with every parked stick tested at every
+sample, and the all-pairs loops of tolerance_report, check_equilateral's
+clearance and float check_simplicity.  They call the package's own float
+distance kernels, so that the culled passes must match their minima,
+verdicts and details float for float.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 from fractions import Fraction
 
 from stickforge import equilateral_builder as eb
+from stickforge import verifier as vf
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +627,93 @@ def sampled_certificate(before, after, layout=None):
             report.detail = f"{tag} moved without a recorded sweep"
             return report
 
-    tol = report.tolerance = eb.tolerance_report(after)
+    tol = report.tolerance = all_pairs_tolerance(after)
     if tol.min_clearance < floor:
         report.passed = False
         report.detail = f"final clearance {tol.min_clearance:.3e} below floor {floor:.3e}"
     else:
         report.detail = f"{len(comp.moves)} sweeps clean; final clearance {tol.min_clearance:.3e}"
     return report
+
+
+# ---------------------------------------------------------------------------
+# the float clearance passes, every pair in lexicographic order
+
+
+def all_pairs_tolerance(emb):
+    """tolerance_report with _seg_distance evaluated for every pair of
+    sticks that share no junction, lower index first."""
+    M = emb.M
+    max_dev = 0.0
+    for s in emb.sticks:
+        max_dev = max(max_dev, abs(eb._dist(s.a, s.b) - M) / M)
+    min_clear = math.inf
+    ss = emb.sticks
+    keys = [{(s.component, s.ja), (s.component, s.jb)} for s in ss]
+    for i in range(len(ss)):
+        for j in range(i + 1, len(ss)):
+            if not keys[i].isdisjoint(keys[j]):
+                continue
+            si, sj = ss[i], ss[j]
+            min_clear = min(min_clear, eb._seg_distance(si.a, si.b, sj.a, sj.b))
+    if min_clear is math.inf:
+        min_clear = M
+    return eb.ToleranceReport(max_dev, min_clear, min_clear / M)
+
+
+def all_pairs_clearance(emb) -> tuple[bool, str]:
+    """check_equilateral's equilateral.clearance verdict and detail, with
+    seg_distance evaluated for every pair sharing no junction."""
+    M = float(emb.M)
+    sticks = list(emb.sticks)
+    clearance_min = math.inf
+    problems = []
+    keys = [{(s.component, s.ja), (s.component, s.jb)} for s in sticks]
+    for i in range(len(sticks)):
+        for j in range(i + 1, len(sticks)):
+            if not keys[i].isdisjoint(keys[j]):
+                continue
+            si, sj = sticks[i], sticks[j]
+            dist = vf.seg_distance(si.a, si.b, sj.a, sj.b)
+            clearance_min = min(clearance_min, dist)
+            if dist < vf.TOLERANCES.clearance_rel * M:
+                problems.append(f"sticks {i}/{j} at {dist:.3e}")
+    return (not problems,
+            "; ".join(problems[:3]) if problems
+            else f"min non-adjacent clearance {clearance_min:.3e}"
+                 f" (>= {vf.TOLERANCES.clearance_rel * M:.3e})")
+
+
+def all_pairs_float_simplicity(segments, scale=None) -> tuple[bool, str]:
+    """The float branch of check_simplicity, verdict and detail, with every
+    pair tested in lexicographic order."""
+    segs = [(tuple(a), tuple(b)) for a, b in segments]
+    if scale is None:
+        scale = max(max(abs(c) for c in a + b) for a, b in segs) or 1.0
+    snap = vf.TOLERANCES.junction_rel * scale
+    clearance_min = vf.TOLERANCES.clearance_rel * scale
+    bad = 0
+    witness = ""
+    min_clear = math.inf
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            (p, q), (r, s) = segs[i], segs[j]
+            shared = None
+            for x in (p, q):
+                for y in (r, s):
+                    if vf._norm(vf._vsub(x, y)) <= snap:
+                        shared = x
+            if shared is not None:
+                u = vf._vsub(q if shared == p else p, shared)
+                v = vf._vsub(s if vf._norm(vf._vsub(shared, r)) <= snap else r, shared)
+                nu, nv = vf._norm(u), vf._norm(v)
+                if nu > 0 and nv > 0 and vf._vdot(u, v) / (nu * nv) > 1.0 - 1e-12:
+                    bad += 1
+                    witness = witness or f"sticks {i} and {j} fold back along each other"
+                continue
+            dist = vf.seg_distance(p, q, r, s)
+            min_clear = min(min_clear, dist)
+            if dist < clearance_min:
+                bad += 1
+                witness = witness or f"sticks {i} and {j} at distance {dist:.3e} < {clearance_min:.3e}"
+    return bad == 0, witness if bad else f"min non-adjacent clearance {min_clear:.3e}"

@@ -9,7 +9,6 @@ from stickforge.arc_presentation import catalog, catalog_names, validate_present
 from stickforge.circular_diagram import (
     boundary_points,
     chords_cross,
-    classify_chords,
     initiating_pages,
     to_circular,
 )
@@ -62,9 +61,6 @@ def test_trefoil_classes_frozen():
     kinds = [c.kind for c in cd.classes]
     assert kinds == ["bi", "bi", "uni", "non", "non"]
     assert cd.counts == (2, 1, 2)
-    classes, counts = classify_chords(cd)
-    assert [c.kind for c in classes] == kinds
-    assert counts == cd.counts
 
 
 def test_theta_trivial_classes():

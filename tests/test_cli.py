@@ -207,3 +207,23 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "(n_2,n_1,n_0)=(2,3,3)" in proc.stdout
+
+
+@pytest.mark.parametrize("edit, failing", [
+    (lambda doc: doc["sticks"][0]["a"].__setitem__(1, float("nan")),
+     "equilateral.input: FAIL  [stick 0 end a has coordinate nan]"),
+    (lambda doc: doc.__setitem__("M", float("nan")),
+     "equilateral.input: FAIL  [M = nan is not a finite positive length]"),
+    (lambda doc: doc.__setitem__("M", 0),
+     "equilateral.input: FAIL  [M = 0.0 is not a finite positive length]"),
+], ids=["nan-coordinate", "nan-M", "zero-M"])
+def test_verify_rejects_non_finite_or_zero_input(tmp_path, capsys, edit, failing):
+    path = tmp_path / "t.json"
+    code, _, _ = run(capsys, "build-eq", "catalog:trefoil", "-o", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path), "catalog:trefoil")
+    assert code == 1
+    assert failing in out.splitlines()

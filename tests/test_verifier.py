@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 from collections import Counter
@@ -451,3 +452,42 @@ def test_tolerances_frozen_defaults():
     assert tol.length_rel == 1e-9
     assert tol.clearance_rel == 1e-6
     assert tol.junction_rel == 1e-9
+
+
+# ---------------------------------------------------------------------------
+# non-finite and non-positive input
+
+
+def _trefoil_eq():
+    return build_equilateral(validate_presentation(catalog("trefoil")))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinate_fails_both_float_checks(value):
+    emb = _trefoil_eq()
+    s = emb.sticks[4]
+    emb.sticks[4] = replace(s, b=(s.b[0], value, s.b[2]))
+    report = check_equilateral(emb)
+    assert [(e.check, e.passed, e.witness) for e in report.entries] == \
+        [("equilateral.input", False, f"stick 4 end b has coordinate {value}")]
+    simple = check_simplicity([(s.a, s.b) for s in emb.sticks], scale=emb.M)
+    assert [(e.check, e.passed, e.witness) for e in simple.entries] == \
+        [("simplicity", False, f"stick 4 end b has coordinate {value}")]
+
+
+@pytest.mark.parametrize("M", [math.nan, math.inf, 0.0, -8.0])
+def test_non_finite_or_non_positive_M_fails(M):
+    emb = _trefoil_eq()
+    emb.M = M
+    report = check_equilateral(emb)
+    assert [(e.check, e.passed, e.witness) for e in report.entries] == \
+        [("equilateral.input", False, f"M = {M} is not a finite positive length")]
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_scale_fails(scale):
+    crossing = [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), ((0.5, -1.0, 0.0), (0.5, 1.0, 0.0))]
+    report = check_simplicity(crossing, scale=scale)
+    assert not report.ok
+    assert report.failures()[0].witness == f"scale {scale} is not a finite positive length"
+    assert not check_simplicity(crossing, scale=1.0).ok
