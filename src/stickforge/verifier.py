@@ -56,19 +56,23 @@ overflow or underflow.
   coordinate, and the length is off by under 5u of itself, so the result
   is at least the true distance less 40uC.
 All of it is below 100u (C + m), and the margin junction_rel (C + m) is
-10^7 times more, so a skipped pair measures more than m.  m only falls,
-so a piece the sweep drops once is past every later box as well.  Hence
-every pair at the least distance is measured, and so is every pair below
-clearance_min.  Since clearance_rel exceeds junction_rel, so is every pair
-with ends within the snap, which gets the fold-back test instead.  A
-minimum does not depend on the order it is taken in, and failing pairs are
-sorted back into lexicographic order, so minima, verdicts and witnesses
-are those of testing every pair.  The first bound comes from the pairs of
-whole sticks whose boxes meet and are adjacent in z.  The input then
-decides whether to sweep: when every pair of whole sticks' boxes already
-lies within pad, no box test could skip a pair (theta-fan, where every
-stick reaches the axis or the hub), so the pairs go in plain order;
-otherwise the sweep runs over the pieces cut at _CUTS (random-large).
+over 10^4 times more, so a skipped pair measures more than m.  m only
+falls, so a piece the sweep drops once is past every later box as well.
+Hence every pair at the least distance is measured, and so is every pair
+below clearance_min.  Since clearance_rel exceeds junction_rel, so is
+every pair with ends within the snap, which gets the fold-back test
+instead.  A minimum does not depend on the order it is taken in, and
+failing pairs are sorted back into lexicographic order, so minima,
+verdicts and witnesses are those of testing every pair.  Each pair is
+measured once, lower index first, as the all-pairs loop measured it.
+
+Which pairs go through is chosen from the input.  When the boxes of the
+whole sticks all lie within _SHORTEST times the longest stick of each
+other (the length of its shortest piece), the sticks crowd one spot and
+pieces cannot prune them (theta-fan, where every stick reaches the axis or
+the hub): every pair goes, in plain order.  Otherwise (random-large) the
+sticks adjacent in z order whose boxes meet are measured first, for a
+first m, and the sweep takes the rest.
 """
 
 from __future__ import annotations
@@ -92,6 +96,7 @@ TOLERANCES = Tolerances()
 
 # where the float checks cut each stick into pieces (see the module docstring)
 _CUTS = (0.125, 0.25, 0.5, 0.75, 0.875)
+_SHORTEST = min(b - a for a, b in zip((0.0, *_CUTS), (*_CUTS, 1.0)))
 
 
 @dataclass
@@ -327,13 +332,13 @@ def seg_distance(p, q, r, s) -> float:
     return _norm(_vsub(cp1, cp2))
 
 
-def _boxes(segs, cuts):
+def _boxes(segs):
     """The closed box (zlo, zhi, xlo, xhi, ylo, yhi, i) of every piece of
-    every stick i, cut at the fractions cuts, sorted by zlo."""
+    every stick i, cut at _CUTS, sorted by zlo."""
     boxes = []
     for i, (a, b) in enumerate(segs):
         d = _vsub(b, a)
-        ends = [a, *((a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2]) for t in cuts), b]
+        ends = [a, *((a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2]) for t in _CUTS), b]
         for p, q in zip(ends, ends[1:]):
             boxes.append((min(p[2], q[2]), max(p[2], q[2]), min(p[0], q[0]), max(p[0], q[0]),
                           min(p[1], q[1]), max(p[1], q[1]), i))
@@ -342,41 +347,41 @@ def _boxes(segs, cuts):
 
 
 def _near_pairs(segs, floor: float, visit) -> float:
-    """Call visit(i, j), i < j, at most once per pair, on every pair of
-    segs that could lie within max(m, floor) of each other, and return m:
-    the least value visit returned, or inf.  visit returns the pair's
-    distance, or inf when it measures none.  The module docstring proves
-    that no skipped pair comes that close."""
+    """Call visit(i, ks) for rows of pairs (i, k), k in ks, each k > i, that
+    hold every pair of segs that could lie within max(m, floor) of each
+    other, each pair once, and return m: the least value visit returned, or
+    inf.  visit returns the least distance it measures over its row, or
+    inf.  The module docstring proves that no skipped pair comes that
+    close."""
     n = len(segs)
-    seen = set()
     least = math.inf
     if n < 2:
         return least
-    whole = _boxes(segs, ())
-    for u, v in zip(whole, whole[1:]):
-        if (v[0] <= u[1] and u[2] <= v[3] and v[2] <= u[3]
-                and u[4] <= v[5] and v[4] <= u[5]):
-            i, k = sorted((u[6], v[6]))
+    lo = [tuple(map(min, a, b)) for a, b in segs]
+    hi = [tuple(map(max, a, b)) for a, b in segs]
+    spread = max(max(p[c] for p in lo) - min(q[c] for q in hi) for c in range(3))
+    if spread <= _SHORTEST * max(_norm(_vsub(b, a)) for a, b in segs):
+        # the sticks crowd one spot, so pieces cannot prune (theta-fan)
+        for i in range(n - 1):
+            d = visit(i, range(i + 1, n))
+            if d < least:
+                least = d
+        return least
+    seen = set()
+    # a first bound: sticks adjacent in z order whose boxes meet
+    order = sorted(range(n), key=lambda i: lo[i][2])
+    for u, v in zip(order, order[1:]):
+        if all(lo[v][c] <= hi[u][c] and lo[u][c] <= hi[v][c] for c in range(3)):
+            i, k = (u, v) if u < v else (v, u)
             seen.add(i * n + k)
-            d = visit(i, k)
+            d = visit(i, (k,))
             if d < least:
                 least = d
     size = max(abs(c) for a, b in segs for c in a + b)
-    rel = TOLERANCES.junction_rel
     m = max(least, floor)
-    pad = m + rel * (size + m)
-    if all(max(w[c] for w in whole) - min(w[c + 1] for w in whole) <= pad for c in (0, 2, 4)):
-        # every pair of whole sticks' boxes meets within pad, so no box
-        # test could skip a pair (theta-fan): take them in plain order
-        for i in range(n):
-            for k in range(i + 1, n):
-                if i * n + k not in seen:
-                    d = visit(i, k)
-                    if d < least:
-                        least = d
-        return least
+    pad = m + TOLERANCES.junction_rel * (size + m)
     active: list[tuple] = []
-    for box in _boxes(segs, _CUTS):
+    for box in _boxes(segs):
         zlo, _, xlo, xhi, ylo, yhi, j = box
         cut = zlo - pad
         active = [o for o in active if o[1] >= cut]
@@ -385,12 +390,12 @@ def _near_pairs(segs, floor: float, visit) -> float:
             i, k = (o[6], j) if o[6] < j else (j, o[6])
             if i != k and i * n + k not in seen:
                 seen.add(i * n + k)
-                d = visit(i, k)
+                d = visit(i, (k,))
                 if d < least:
                     least = d
         if max(least, floor) < m:
             m = max(least, floor)
-            pad = m + rel * (size + m)
+            pad = m + TOLERANCES.junction_rel * (size + m)
         active.append(box)
     return least
 
@@ -442,24 +447,29 @@ def check_simplicity(segments, scale: float | None = None) -> VerificationReport
     clearance_min = TOLERANCES.clearance_rel * scale
     failing = []
 
-    def visit(i: int, j: int) -> float:
-        (p, q), (r, s) = segs[i], segs[j]
-        shared = None
-        for x in (p, q):
-            for y in (r, s):
-                if _norm(_vsub(x, y)) <= snap:
-                    shared = x
-        if shared is not None:
-            u = _vsub(q if shared == p else p, shared)
-            v = _vsub(s if _norm(_vsub(shared, r)) <= snap else r, shared)
-            nu, nv = _norm(u), _norm(v)
-            if nu > 0 and nv > 0 and _vdot(u, v) / (nu * nv) > 1.0 - 1e-12:
-                failing.append((i, j, f"sticks {i} and {j} fold back along each other"))
-            return math.inf
-        dist = seg_distance(p, q, r, s)
-        if dist < clearance_min:
-            failing.append((i, j, f"sticks {i} and {j} at distance {dist:.3e} < {clearance_min:.3e}"))
-        return dist
+    def visit(i: int, ks) -> float:
+        p, q = segs[i]
+        least = math.inf
+        for j in ks:
+            r, s = segs[j]
+            shared = None
+            for x in (p, q):
+                for y in (r, s):
+                    if _norm(_vsub(x, y)) <= snap:
+                        shared = x
+            if shared is not None:
+                u = _vsub(q if shared == p else p, shared)
+                v = _vsub(s if _norm(_vsub(shared, r)) <= snap else r, shared)
+                nu, nv = _norm(u), _norm(v)
+                if nu > 0 and nv > 0 and _vdot(u, v) / (nu * nv) > 1.0 - 1e-12:
+                    failing.append((i, j, f"sticks {i} and {j} fold back along each other"))
+                continue
+            dist = seg_distance(p, q, r, s)
+            if dist < clearance_min:
+                failing.append((i, j, f"sticks {i} and {j} at distance {dist:.3e} < {clearance_min:.3e}"))
+            if dist < least:
+                least = dist
+        return least
 
     min_clear = _near_pairs(segs, clearance_min, visit)
     detail = min(failing)[2] if failing else f"min non-adjacent clearance {min_clear:.3e}"
@@ -721,13 +731,18 @@ def check_equilateral(emb) -> VerificationReport:
     failing = []
     keys = [{(s.component, s.ja), (s.component, s.jb)} for s in sticks]
 
-    def visit(i: int, j: int) -> float:
-        if not keys[i].isdisjoint(keys[j]):
-            return math.inf
-        dist = seg_distance(*segs[i], *segs[j])
-        if dist < floor:
-            failing.append((i, j, dist))
-        return dist
+    def visit(i: int, ks) -> float:
+        (p, q), key = segs[i], keys[i]
+        least = math.inf
+        for k in ks:
+            if key.isdisjoint(keys[k]):
+                r, s = segs[k]
+                dist = seg_distance(p, q, r, s)
+                if dist < floor:
+                    failing.append((i, k, dist))
+                if dist < least:
+                    least = dist
+        return least
 
     clearance_min = _near_pairs(segs, floor, visit)
     problems = [f"sticks {i}/{j} at {dist:.3e}" for i, j, dist in sorted(failing)[:3]]

@@ -86,15 +86,22 @@ def _assert_matches_reference(emb):
         oracles.all_pairs_float_simplicity(segs, scale=emb.M)
 
 
-def test_culled_passes_match_all_pairs(builds):
+def test_culled_passes_match_all_pairs(builds, monkeypatch):
+    swept = []
+    for module in (equilateral_builder, verifier):
+        monkeypatch.setattr(module, "_boxes", lambda segs, real=module._boxes: (
+            swept.append(len(segs)), real(segs))[1])
     rng = random.Random(11)
-    verdicts = set()
+    verdicts, paths = set(), set()
     for emb in builds:
         for case in [emb, *_mutants(emb, rng)]:
+            swept.clear()
             _assert_matches_reference(case)
+            paths.add(len(swept))
             segs = [(s.a, s.b) for s in case.sticks]
             verdicts.add(check_simplicity(segs, scale=case.M).ok)
     assert verdicts == {True, False}
+    assert paths == {0, 3}    # both the plain order and the sweep ran
 
 
 def test_culled_passes_match_all_pairs_on_fold_back():
@@ -131,7 +138,7 @@ def test_culled_passes_find_every_failing_pair():
 
 def _visits(monkeypatch, *modules):
     """Record, per call of each module's _near_pairs, its segments and the
-    (i, j) pairs it visits."""
+    (i, k) pairs it visits."""
     calls = []
 
     def spy(real):
@@ -140,9 +147,10 @@ def _visits(monkeypatch, *modules):
             pairs = []
             calls.append((segs, pairs))
 
-            def counted(i, j):
-                pairs.append((i, j))
-                return visit(i, j)
+            def counted(i, ks):
+                ks = list(ks)
+                pairs.extend((i, k) for k in ks)
+                return visit(i, ks)
             return real(segs, *rest, counted)
         return near_pairs
 
@@ -162,18 +170,23 @@ def test_culled_passes_skip_most_pairs(monkeypatch):
         run()
         ((_, pairs),) = calls
         assert len(pairs) == len(set(pairs))
+        assert all(i < k for i, k in pairs)
         assert len(pairs) < n * (n - 1) // 2 / 10
 
 
-def test_culled_passes_measure_lower_index_first(monkeypatch):
+def test_seg_distance_is_not_symmetric_to_the_last_bit():
     emb = _build(catalog("trefoil"))
     s2, s4 = emb.sticks[2], emb.sticks[4]
-    # the least clearance, and its two argument orders differ in the last bit
     least = equilateral_builder._seg_distance(s2.a, s2.b, s4.a, s4.b)
+    assert tolerance_report(emb).min_clearance == least
     assert least != equilateral_builder._seg_distance(s4.a, s4.b, s2.a, s2.b)
     assert verifier.seg_distance(s2.a, s2.b, s4.a, s4.b) != \
         verifier.seg_distance(s4.a, s4.b, s2.a, s2.b)
-    assert tolerance_report(emb).min_clearance == least
+
+
+@pytest.mark.parametrize("name", ["trefoil", "theta_trivial(8)"], ids=["swept", "plain"])
+def test_culled_passes_measure_lower_index_first(monkeypatch, name):
+    emb = _build(catalog(name))
     index = {(s.a, s.b): i for i, s in enumerate(emb.sticks)}
     order = []
 
@@ -188,8 +201,7 @@ def test_culled_passes_measure_lower_index_first(monkeypatch):
     tolerance_report(emb)
     check_equilateral(emb)
     check_simplicity([(s.a, s.b) for s in emb.sticks], scale=emb.M)
-    assert (2, 4) in order
-    assert all(i < j for i, j in order)
+    assert order and all(i < j for i, j in order)
 
 
 @pytest.mark.parametrize("ap", [catalog("unlink(3)"), random_presentation(3, "multi", 40)],
