@@ -84,9 +84,6 @@ class ValidatedPresentation:
     e: int
     v: int
     m: int
-    arcs_per_edge: dict[str, int]
-    vertex_point: dict[str, int]   # vertex id -> axis index
-    edge_paths: dict[str, tuple[int, ...]]  # edge id -> axis point sequence
 
     @property
     def graph(self) -> AbstractGraph:
@@ -160,10 +157,6 @@ def validate_presentation(ap: ArcPresentation) -> ValidatedPresentation:
             )
 
     # each edge's arcs form one simple path (cycle for a loop)
-    arcs_per_edge: dict[str, int] = {eid: 0 for eid in edge_ids}
-    for arc in arcs:
-        arcs_per_edge[arc.edge] += 1
-    edge_paths: dict[str, tuple[int, ...]] = {}
     for eid, (u, w) in edge_ends.items():
         positions = [pos for pos, arc in enumerate(arcs) if arc.edge == eid]
         if not positions:
@@ -212,7 +205,6 @@ def validate_presentation(ap: ArcPresentation) -> ValidatedPresentation:
         interior_seen = len(path) - 2
         if interior_seen != interior_expected or len(set(path[1:-1])) != interior_expected:
             raise BrokenEdgePath(f"arcs of edge {eid!r} revisit a point")
-        edge_paths[eid] = tuple(path)
 
     for vid in ap.graph.vertices:
         want = vg.degree(vid)
@@ -226,17 +218,7 @@ def validate_presentation(ap: ArcPresentation) -> ValidatedPresentation:
     if ap.params is not None:
         ensure_params_consistent(ap.params, vg)
 
-    return ValidatedPresentation(
-        presentation=ap,
-        vgraph=vg,
-        n=n,
-        e=vg.e,
-        v=vg.v,
-        m=m,
-        arcs_per_edge=arcs_per_edge,
-        vertex_point=vertex_point,
-        edge_paths=edge_paths,
-    )
+    return ValidatedPresentation(presentation=ap, vgraph=vg, n=n, e=vg.e, v=vg.v, m=m)
 
 
 def split_components(vp: ValidatedPresentation) -> list[ValidatedPresentation]:

@@ -125,8 +125,3 @@ def to_circular(vp: ValidatedPresentation) -> CircularDiagram:
         classes=classes,
         counts=(n2, n1, n0),
     )
-
-
-def initiating_pages(cd: CircularDiagram) -> tuple[int, ...]:
-    """Recompute p(b) for every axis index from the chord set."""
-    return _initiating(cd.chords, cd.m)

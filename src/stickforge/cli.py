@@ -145,7 +145,7 @@ def _cmd_verify(args) -> int:
     with open(args.embedding) as fh:
         doc = json.load(fh)
     vp = validate_presentation(_load_presentation(args.presentation))
-    mode = doc.get("mode")
+    mode = doc.get("mode") if isinstance(doc, dict) else None
     if mode == "exact":
         report = verify_stick_embedding(embedding_from_doc(doc), to_circular(vp))
     elif mode == "decimal":

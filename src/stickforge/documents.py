@@ -4,12 +4,20 @@ One JSON dialect covers everything.  Exact coordinates travel as "p/q"
 strings so round-trips are lossless; decimal coordinates rely on Python's
 shortest-repr floats, which preserve all 17 significant digits.  Output is
 freshly sorted and indented so identical inputs give byte-identical files.
+
+Reading checks the kind of every value an embedding's checks use: exact
+coordinates must be "p/q" strings or integers, heights, pages and counts
+integers, tags strings, and decimal coordinates, angles and M JSON numbers
+(an integer literal reads as a float).  A missing field or a value of the
+wrong kind raises DocumentError, which names the field.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from functools import wraps
 from typing import Any
 
 from .arc_presentation import Arc, ArcPresentation, BindingPoint
@@ -41,8 +49,62 @@ def _frac_str(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def _parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
+def _rational(x, name: str) -> Fraction:
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
+        p, _, q = x.partition("/")
+        return Fraction(int(p), int(q or 1))
+    raise DocumentError(f'{name} must be a "p/q" string or an integer, found {x!r}')
+
+
+def _typed(x, types: tuple, name: str, what: str):
+    """x, when its type is one of types (a boolean is not an int here)."""
+    if type(x) in types:
+        return x
+    raise DocumentError(f"{name} must be {what}, found {x!r}")
+
+
+def _number(x, name: str) -> float:
+    return float(_typed(x, (int, float), name, "a JSON number"))
+
+
+def _integer(x, name: str) -> int:
+    return _typed(x, (int,), name, "an integer")
+
+
+def _text(x, name: str) -> str:
+    return _typed(x, (str,), name, "a string")
+
+
+def _point(p, parse, name: str) -> tuple:
+    if not isinstance(p, list) or len(p) != 3:
+        raise DocumentError(f"{name} must be a list of three coordinates, found {p!r}")
+    return tuple(parse(c, f"{name}[{i}]") for i, c in enumerate(p))
+
+
+def _index(k: str, name: str) -> int:
+    if k.isascii() and k.isdigit():
+        return int(k)
+    raise DocumentError(f"{name} must be a non-negative integer key, found {k!r}")
+
+
+def _reading(parse):
+    """parse, raising a missing field or a malformed container as DocumentError."""
+    @wraps(parse)
+    def read(doc: dict):
+        try:
+            return parse(doc)
+        except DocumentError:
+            raise
+        except KeyError as err:
+            raise DocumentError(f"missing field {err.args[0]!r}") from None
+        except (TypeError, ValueError, AttributeError) as err:
+            raise DocumentError(f"malformed document: {err}") from None
+    return read
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +169,23 @@ def embedding_to_doc(se: StickEmbedding) -> dict:
     }
 
 
+@_reading
 def embedding_from_doc(doc: dict) -> StickEmbedding:
     _expect_embedding(doc, "exact")
     sticks = [
         Stick(
-            a=tuple(_parse_frac(c) for c in s["a"]),
-            b=tuple(_parse_frac(c) for c in s["b"]),
-            page=s["page"], edge=s["edge"], piece=s["piece"],
+            a=_point(s["a"], _rational, f"sticks[{i}].a"),
+            b=_point(s["b"], _rational, f"sticks[{i}].b"),
+            page=_integer(s["page"], f"sticks[{i}].page"),
+            edge=_text(s["edge"], f"sticks[{i}].edge"),
+            piece=_text(s["piece"], f"sticks[{i}].piece"),
         )
-        for s in doc["sticks"]
+        for i, s in enumerate(doc["sticks"])
     ]
-    junctions = {int(i): tuple(_parse_frac(c) for c in p)
+    junctions = {_index(i, "junction"): _point(p, _rational, f"junctions[{i}]")
                  for i, p in doc["junctions"].items()}
-    heights = {int(page): int(z) for page, z in doc["heights"].items()}
+    heights = {_index(page, "height page"): _integer(z, f"heights[{page}]")
+               for page, z in doc["heights"].items()}
     return StickEmbedding(sticks=sticks, junctions=junctions, heights=heights)
 
 
@@ -176,29 +242,40 @@ def equilateral_to_doc(emb: EquilateralEmbedding) -> dict:
     return doc
 
 
+def _move(mv: dict, at: str) -> SweepMove:
+    hub = mv["hub"]
+    return SweepMove(tag=_text(mv["tag"], f"{at}.tag"), pivot=_point(mv["pivot"], _number, f"{at}.pivot"),
+                     page_angle=_number(mv["page_angle"], f"{at}.page_angle"),
+                     phi_start=_number(mv["phi_start"], f"{at}.phi_start"),
+                     phi_end=_number(mv["phi_end"], f"{at}.phi_end"),
+                     hub=None if hub is None else _point(hub, _number, f"{at}.hub"))
+
+
+@_reading
 def equilateral_from_doc(doc: dict) -> EquilateralEmbedding:
     _expect_embedding(doc, "decimal")
     sticks = [
-        EStick(a=tuple(map(float, s["a"])), b=tuple(map(float, s["b"])),
-               component=s["component"], tag=s["tag"], ja=s["ja"], jb=s["jb"])
-        for s in doc["sticks"]
+        EStick(a=_point(s["a"], _number, f"sticks[{i}].a"),
+               b=_point(s["b"], _number, f"sticks[{i}].b"),
+               component=_integer(s["component"], f"sticks[{i}].component"),
+               tag=_text(s["tag"], f"sticks[{i}].tag"),
+               ja=_text(s["ja"], f"sticks[{i}].ja"), jb=_text(s["jb"], f"sticks[{i}].jb"))
+        for i, s in enumerate(doc["sticks"])
     ]
     components = [
         ComponentInfo(
-            index=c["index"], n_arcs=c["n_arcs"], n_points=c["n_points"],
-            reduced=c["reduced"], deleted_tags=tuple(c["deleted_tags"]),
-            moves=tuple(
-                SweepMove(tag=mv["tag"], pivot=tuple(mv["pivot"]),
-                          page_angle=mv["page_angle"], phi_start=mv["phi_start"],
-                          phi_end=mv["phi_end"],
-                          hub=tuple(mv["hub"]) if mv["hub"] is not None else None)
-                for mv in c["moves"]
-            ),
-            offset=tuple(c["offset"]),
+            index=_integer(c["index"], f"components[{i}].index"),
+            n_arcs=_integer(c["n_arcs"], f"components[{i}].n_arcs"),
+            n_points=_integer(c["n_points"], f"components[{i}].n_points"),
+            reduced=_typed(c["reduced"], (bool,), f"components[{i}].reduced", "true or false"),
+            deleted_tags=tuple(c["deleted_tags"]),
+            moves=tuple(_move(mv, f"components[{i}].moves[{j}]")
+                        for j, mv in enumerate(c["moves"])),
+            offset=_point(c["offset"], _number, f"components[{i}].offset"),
         )
-        for c in doc["components"]
+        for i, c in enumerate(doc["components"])
     ]
-    emb = EquilateralEmbedding(sticks=sticks, M=doc["M"], components=components)
+    emb = EquilateralEmbedding(sticks=sticks, M=_number(doc["M"], "M"), components=components)
     if doc.get("tolerance") is not None:
         t = doc["tolerance"]
         emb.tolerance = ToleranceReport(

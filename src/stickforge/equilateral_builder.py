@@ -174,24 +174,10 @@ class ToleranceReport:
 
 
 @dataclass
-class OpenBookLayout:
-    n_pages: int
-    n_points: int
-
-    def page_dir(self, page: int) -> tuple[float, float]:
-        ang = 2.0 * math.pi * page / self.n_pages
-        return (math.cos(ang), math.sin(ang))
-
-    def page_angle(self, page: int) -> float:
-        return 2.0 * math.pi * page / self.n_pages
-
-
-@dataclass
 class EquilateralEmbedding:
     sticks: list[EStick]
     M: float
     components: list[ComponentInfo]
-    layout: OpenBookLayout | None = None
     tolerance: ToleranceReport | None = None
     certificate: CertificateReport | None = None
 
@@ -250,6 +236,15 @@ def _seg_distance(p: V3, q: V3, r: V3, s: V3) -> float:
     return _dist(cp1, cp2)
 
 
+def _page_angle(page: int, n_arcs: int) -> float:
+    return 2.0 * math.pi * page / n_arcs
+
+
+def _page_dir(angle: float) -> tuple[float, float]:
+    """Unit direction in the xy plane of the page at this angle."""
+    return (math.cos(angle), math.sin(angle))
+
+
 def _trimmed(a: V3, b: V3, cut: V3):
     """Segment ab with TRIM_FRACTION of it cut away at the endpoint near cut."""
     f = TRIM_FRACTION
@@ -276,7 +271,6 @@ def _clearance(p: V3, q: V3, r: V3, s: V3, snap: float) -> float:
 def build_tents(vp: ValidatedPresentation, M: float, component: int = 0) -> EquilateralEmbedding:
     """Two sticks of length M per arc, apex in the arc's own page."""
     n, m = vp.n, vp.m
-    layout = OpenBookLayout(n_pages=n, n_points=m)
     if not M > (m - 1) / 2.0:
         raise MTooSmall(f"M={M} cannot span {m} axis points; need M > {(m - 1) / 2}")
     sticks: list[EStick] = []
@@ -284,14 +278,14 @@ def build_tents(vp: ValidatedPresentation, M: float, component: int = 0) -> Equi
         lo, hi = sorted(arc.ends)
         half = (hi - lo) / 2.0
         d = math.sqrt(M * M - half * half)
-        ux, uy = layout.page_dir(arc.page)
+        ux, uy = _page_dir(_page_angle(arc.page, n))
         apex = (d * ux, d * uy, (lo + hi) / 2.0)
         plo: V3 = (0.0, 0.0, float(lo))
         phi: V3 = (0.0, 0.0, float(hi))
         sticks.append(EStick(plo, apex, component, f"arc{arc.page}.lower", f"bp{lo}", f"apex{arc.page}"))
         sticks.append(EStick(apex, phi, component, f"arc{arc.page}.upper", f"apex{arc.page}", f"bp{hi}"))
     info = ComponentInfo(index=component, n_arcs=n, n_points=m, reduced=False)
-    return EquilateralEmbedding(sticks=sticks, M=float(M), components=[info], layout=layout)
+    return EquilateralEmbedding(sticks=sticks, M=float(M), components=[info])
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +304,11 @@ def _free_end(pivot: V3, page_dir, M: float, phi: float) -> V3:
 
 def reduce_top(emb: EquilateralEmbedding) -> EquilateralEmbedding:
     """Delete the top point's sticks, rotate partners, glue joiners."""
-    layout = emb.layout
-    if layout is None:
-        raise EquilateralError("embedding carries no layout")
+    if len(emb.components) != 1 or emb.components[0].reduced:
+        raise EquilateralError("reduce_top needs exactly one unreduced component")
+    comp = emb.components[0]
     M = emb.M
-    top = layout.n_points - 1
+    top = comp.n_points - 1
     top_label = f"bp{top}"
     doomed = sorted((s for s in emb.sticks if top_label in (s.ja, s.jb)),
                     key=lambda s: _page(s.tag))
@@ -345,18 +339,20 @@ def reduce_top(emb: EquilateralEmbedding) -> EquilateralEmbedding:
     # first partner rotates up until its free end hugs the axis
     page1, e1 = partners[0]
     pivot1, _, phi1_start = pivot_and_phi(e1)
-    dir1 = layout.page_dir(page1)
+    angle1 = _page_angle(page1, comp.n_arcs)
+    dir1 = _page_dir(angle1)
     phi1_end = math.acos(AXIS_HUG_FRACTION)
     if phi1_end <= phi1_start:
         raise NoRotationSolution(f"arc {page1} stick already steeper than the axis hug angle")
     hub = _free_end(pivot1, dir1, M, phi1_end)
-    moves.append(SweepMove(e1.tag, pivot1, layout.page_angle(page1), phi1_start, phi1_end, None))
+    moves.append(SweepMove(e1.tag, pivot1, angle1, phi1_start, phi1_end, None))
     sticks[at[e1.tag]] = EStick(pivot1, hub, e1.component, e1.tag, _axis_label(e1), "hub")
 
     # remaining partners rotate until their free end is at distance M from hub
     for page, ei in partners[1:]:
         pivot, free0, phi_lo = pivot_and_phi(ei)
-        diri = layout.page_dir(page)
+        angle = _page_angle(page, comp.n_arcs)
+        diri = _page_dir(angle)
 
         def gap(phi: float) -> float:
             return _dist(_free_end(pivot, diri, M, phi), hub) - M
@@ -375,18 +371,13 @@ def reduce_top(emb: EquilateralEmbedding) -> EquilateralEmbedding:
                 break
         phi_end = (lo + hi) / 2.0
         fi = _free_end(pivot, diri, M, phi_end)
-        moves.append(SweepMove(ei.tag, pivot, layout.page_angle(page), phi_lo, phi_end, hub))
+        moves.append(SweepMove(ei.tag, pivot, angle, phi_lo, phi_end, hub))
         sticks[at[ei.tag]] = EStick(pivot, fi, ei.component, ei.tag, _axis_label(ei), f"end{page}")
         sticks.append(EStick(hub, fi, ei.component, f"join{page}", "hub", f"end{page}"))
 
-    comp = emb.components[0]
-    info = replace(
-        comp,
-        reduced=True,
-        deleted_tags=tuple(d.tag for d in doomed),
-        moves=tuple(moves),
-    )
-    return EquilateralEmbedding(sticks=sticks, M=M, components=[info], layout=layout)
+    info = replace(comp, reduced=True, deleted_tags=tuple(d.tag for d in doomed),
+                   moves=tuple(moves))
+    return EquilateralEmbedding(sticks=sticks, M=M, components=[info])
 
 
 def _axis_label(stick: EStick) -> str:
@@ -540,7 +531,7 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
     the first sample where its horizon bound could fall to the running
     minimum plus snap (see the module docstring); the minimum is the one
     every pair at every sample gives."""
-    diri = (math.cos(move.page_angle), math.sin(move.page_angle))
+    diri = _page_dir(move.page_angle)
     steps = max(2, int(math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD)) + 1)
     ends = [_free_end(move.pivot, diri, M, move.phi_start + (move.phi_end - move.phi_start) * step / steps)
             for step in range(steps + 1)]
@@ -575,17 +566,20 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
 
 
 def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbedding,
-                        layout: OpenBookLayout | None = None) -> CertificateReport:
+                        layout=None) -> CertificateReport:
     """Replay the recorded sweeps against the parked sticks, sampled at
     SWEEP_STEP_RAD (skipping only samples proved clear, see the module
     docstring), then check final clearances.  Contacts at the pivot and
     hub junctions are trimmed out; everything else must keep a positive
     margin of CERT_CLEARANCE_REL * M.  Each sweep must also end exactly where
     the claimed embedding puts its stick, and sticks without a recorded sweep
-    must not have moved at all."""
-    layout = layout or after.layout
-    if layout is None:
-        raise EquilateralError("no layout to certify against")
+    must not have moved at all.
+
+    `after` must hold exactly one component; it may be read back from a
+    document.  `layout` is ignored: it is kept only so that callers that
+    pass a third argument positionally still work."""
+    if len(after.components) != 1:
+        raise EquilateralError("the certificate replays exactly one component")
     M = after.M
     snap = SNAP_REL * M
     floor = CERT_CLEARANCE_REL * M
@@ -606,8 +600,7 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
             report.passed = False
             report.detail = f"sweep of {move.tag} pinched to {min_seen:.3e} (floor {floor:.3e})"
             return report
-        diri = (math.cos(move.page_angle), math.sin(move.page_angle))
-        end_free = _free_end(move.pivot, diri, M, move.phi_end)
+        end_free = _free_end(move.pivot, _page_dir(move.page_angle), M, move.phi_end)
         claimed = final.get(move.tag)
         if claimed is None or not _same_seg(claimed, (move.pivot, end_free), snap):
             report.passed = False
@@ -705,7 +698,7 @@ def assemble_split(parts: list[EquilateralEmbedding]) -> EquilateralEmbedding:
         info = replace(part.components[0], index=idx, offset=(shift, 0.0, 0.0))
         components.append(info)
         cursor += (hi - lo) + M
-    out = EquilateralEmbedding(sticks=sticks, M=M, components=components, layout=None)
+    out = EquilateralEmbedding(sticks=sticks, M=M, components=components)
     out.tolerance = tolerance_report(out)
     certs = [p.certificate for p in parts]
     out.certificate = CertificateReport(

@@ -73,18 +73,6 @@ class ValidatedGraph:
     v: int
     components: tuple[frozenset[str], ...]
 
-    def component_of(self, vertex: str) -> int:
-        for i, comp in enumerate(self.components):
-            if vertex in comp:
-                return i
-        raise ComponentOutOfRange(f"vertex {vertex!r} not in any component")
-
-    def component_edges(self, index: int) -> tuple[tuple[str, str, str], ...]:
-        if not 0 <= index < len(self.components):
-            raise ComponentOutOfRange(f"no component {index}")
-        comp = self.components[index]
-        return tuple(t for t in self.graph.edges if t[1] in comp)
-
     def degree(self, vertex: str) -> int:
         # loops count twice
         d = 0

@@ -10,6 +10,7 @@ profile's minimum, e.g. a knot with fewer than 2 arcs).
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .arc_presentation import (
     Arc,
@@ -28,133 +29,80 @@ class GenerationExhausted(RuntimeError):
     """No valid sample within the rejection budget."""
 
 
-def _closed_walk_arcs(n: int, point_of: list[int], pages: list[int], edge: str) -> list[Arc]:
-    """Arcs of one closed n-gon visiting the given n binding points."""
-    return [
-        Arc(page=pages[i], ends=(point_of[i], point_of[(i + 1) % n]), edge=edge)
-        for i in range(n)
-    ]
-
-
-def _sample_knot(rng: random.Random, max_arcs: int):
-    if max_arcs < 2:
+def _sample_loops(rng: random.Random, max_arcs: int, names: list[tuple[str, str]]):
+    """One loop per (vertex, edge) name, each a closed walk on its own block
+    of axis points and pages: the walk visits the block's points in shuffled
+    order, on shuffled pages, starting at the vertex's point."""
+    k = len(names)
+    if max_arcs < 2 * k:
         return None
-    n = rng.randint(2, max_arcs)
-    graph = AbstractGraph.make(["v"], [("l", "v", "v")])
-    order = list(range(n))
-    rng.shuffle(order)        # axis position of the walk's i-th visit
-    pages = list(range(1, n + 1))
-    rng.shuffle(pages)
-    points = [BindingPoint("interior", "l")] * n
-    points[order[0]] = BindingPoint("vertex", "v")
-    arcs = _closed_walk_arcs(n, order, pages, "l")
-    return ArcPresentation(graph=graph, binding_points=tuple(points), arcs=tuple(arcs))
-
-
-def _sample_theta(rng: random.Random, max_arcs: int):
-    n_edges = rng.randint(3, 5)
-    if max_arcs < n_edges:
-        return None
-    budget = rng.randint(n_edges, max_arcs)
-    interiors = [0] * n_edges
-    for _ in range(budget - n_edges):
-        interiors[rng.randrange(n_edges)] += 1
-    m = 2 + sum(interiors)
-    positions = list(range(m))
-    rng.shuffle(positions)
-    u_pos, w_pos = positions[0], positions[1]
-    free = positions[2:]
-    points: list[BindingPoint | None] = [None] * m
-    points[u_pos] = BindingPoint("vertex", "u")
-    points[w_pos] = BindingPoint("vertex", "w")
-    edges = [(f"e{i + 1}", "u", "w") for i in range(n_edges)]
-    graph = AbstractGraph.make(["u", "w"], edges)
-    pages = list(range(1, budget + 1))
-    rng.shuffle(pages)
+    points: list[BindingPoint] = []
     arcs: list[Arc] = []
-    cursor = 0
-    for i, r in enumerate(interiors):
-        name = f"e{i + 1}"
-        mine = free[cursor:cursor + r]
-        cursor += r
-        for p in mine:
-            points[p] = BindingPoint("interior", name)
-        path = [u_pos] + mine + [w_pos]
-        for a, bpt in zip(path, path[1:]):
-            arcs.append(Arc(page=pages[len(arcs)], ends=(a, bpt), edge=name))
-    return ArcPresentation(graph=graph, binding_points=tuple(points), arcs=tuple(arcs))
-
-
-def _sample_bouquet(rng: random.Random, max_arcs: int):
-    n_loops = rng.randint(2, 4)
-    if max_arcs < 2 * n_loops:
-        return None
-    budget = rng.randint(2 * n_loops, max_arcs)
-    # each loop needs >= 1 interior point so its arcs have distinct ends
-    interiors = [1] * n_loops
-    for _ in range(budget - 2 * n_loops):
-        interiors[rng.randrange(n_loops)] += 1
-    m = 1 + sum(interiors)
-    positions = list(range(m))
-    rng.shuffle(positions)
-    v_pos = positions[0]
-    free = positions[1:]
-    points: list[BindingPoint | None] = [None] * m
-    points[v_pos] = BindingPoint("vertex", "v")
-    edges = [(f"l{i + 1}", "v", "v") for i in range(n_loops)]
-    graph = AbstractGraph.make(["v"], edges)
-    pages = list(range(1, budget + 1))
-    rng.shuffle(pages)
-    arcs: list[Arc] = []
-    cursor = 0
-    for i, r in enumerate(interiors):
-        name = f"l{i + 1}"
-        mine = free[cursor:cursor + r]
-        cursor += r
-        for p in mine:
-            points[p] = BindingPoint("interior", name)
-        path = [v_pos] + mine + [v_pos]
-        for a, bpt in zip(path, path[1:]):
-            arcs.append(Arc(page=pages[len(arcs)], ends=(a, bpt), edge=name))
+    budget = max_arcs
+    for j, (vname, ename) in enumerate(names):
+        hi = budget - 2 * (k - 1 - j)
+        n = rng.randint(2, max(2, min(hi, max_arcs // k)))
+        budget -= n
+        order = list(range(n))
+        rng.shuffle(order)        # axis position of the walk's i-th visit
+        pages = list(range(1, n + 1))
+        rng.shuffle(pages)
+        base = len(points)        # the block's first axis point and page
+        block = [BindingPoint("interior", ename)] * n
+        block[order[0]] = BindingPoint("vertex", vname)
+        points.extend(block)
+        arcs.extend(Arc(page=base + pages[i], ends=(base + order[i], base + order[(i + 1) % n]),
+                        edge=ename) for i in range(n))
+    graph = AbstractGraph.make([v for v, _ in names], [(e, v, v) for v, e in names])
     return ArcPresentation(graph=graph, binding_points=tuple(points), arcs=tuple(arcs))
 
 
 def _sample_multi(rng: random.Random, max_arcs: int):
     n_comp = rng.randint(2, 3)
-    if max_arcs < 2 * n_comp:
+    return _sample_loops(rng, max_arcs, [(f"v{j + 1}", f"l{j + 1}") for j in range(n_comp)])
+
+
+def _sample_hub(rng: random.Random, max_arcs: int, hubs: tuple[str, ...], prefix: str,
+                edge_range: tuple[int, int], min_interior: int):
+    """Parallel edges from hubs[0] to hubs[-1], each a path through at least
+    min_interior interior points (a loop needs one, so that its arcs have
+    distinct ends); the arc budget is spread over the edges at random."""
+    n_edges = rng.randint(*edge_range)
+    least = n_edges * (1 + min_interior)
+    if max_arcs < least:
         return None
-    vertices: list[str] = []
-    edges: list[tuple[str, str, str]] = []
-    points: list[BindingPoint] = []
+    budget = rng.randint(least, max_arcs)
+    interiors = [min_interior] * n_edges
+    for _ in range(budget - least):
+        interiors[rng.randrange(n_edges)] += 1
+    positions = list(range(len(hubs) + sum(interiors)))
+    rng.shuffle(positions)
+    points: list[BindingPoint | None] = [None] * len(positions)
+    for v, pos in zip(hubs, positions):
+        points[pos] = BindingPoint("vertex", v)
+    start, stop = positions[0], positions[len(hubs) - 1]
+    free = positions[len(hubs):]
+    edges = [(f"{prefix}{i + 1}", hubs[0], hubs[-1]) for i in range(n_edges)]
+    graph = AbstractGraph.make(hubs, edges)
+    pages = list(range(1, budget + 1))
+    rng.shuffle(pages)
     arcs: list[Arc] = []
-    page_base = 0
-    point_base = 0
-    budget = max_arcs
-    for j in range(n_comp):
-        hi = budget - 2 * (n_comp - 1 - j)
-        n = rng.randint(2, max(2, min(hi, max_arcs // n_comp)))
-        budget -= n
-        vname, ename = f"v{j + 1}", f"l{j + 1}"
-        vertices.append(vname)
-        edges.append((ename, vname, vname))
-        order = [point_base + i for i in range(n)]
-        rng.shuffle(order)
-        pages = [page_base + p for p in range(1, n + 1)]
-        rng.shuffle(pages)
-        block = [BindingPoint("interior", ename)] * n
-        block[order[0] - point_base] = BindingPoint("vertex", vname)
-        points.extend(block)
-        arcs.extend(_closed_walk_arcs(n, order, pages, ename))
-        page_base += n
-        point_base += n
-    graph = AbstractGraph.make(vertices, edges)
+    cursor = 0
+    for (name, _, _), r in zip(edges, interiors):
+        mine = free[cursor:cursor + r]
+        cursor += r
+        for p in mine:
+            points[p] = BindingPoint("interior", name)
+        path = [start] + mine + [stop]
+        for a, b in zip(path, path[1:]):
+            arcs.append(Arc(page=pages[len(arcs)], ends=(a, b), edge=name))
     return ArcPresentation(graph=graph, binding_points=tuple(points), arcs=tuple(arcs))
 
 
 _SAMPLERS = {
-    "knot": _sample_knot,
-    "theta": _sample_theta,
-    "bouquet": _sample_bouquet,
+    "knot": partial(_sample_loops, names=[("v", "l")]),
+    "theta": partial(_sample_hub, hubs=("u", "w"), prefix="e", edge_range=(3, 5), min_interior=0),
+    "bouquet": partial(_sample_hub, hubs=("v",), prefix="l", edge_range=(2, 4), min_interior=1),
     "multi": _sample_multi,
 }
 

@@ -567,12 +567,9 @@ def crossing_order_witness(se, cd) -> tuple[bool, str]:
 # the equal-length motion certificate, every pair at every sample
 
 
-def sampled_certificate(before, after, layout=None):
+def sampled_certificate(before, after):
     """isotopy_certificate's verdict with _clearance evaluated for every
     (mover, parked) pair at every SWEEP_STEP_RAD sample."""
-    layout = layout or after.layout
-    if layout is None:
-        raise eb.EquilateralError("no layout to certify against")
     M = after.M
     snap = eb.SNAP_REL * M
     floor = eb.CERT_CLEARANCE_REL * M

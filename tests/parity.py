@@ -1,0 +1,131 @@
+"""Parity hashes: print the sha256 of each fixed output set, so that two
+commits can be compared byte for byte.
+
+    PYTHONPATH=src python tests/parity.py [SET ...]
+
+Run it at both commits; equal lines mean equal outputs.  The sets are:
+
+- eq-docs: the 171 equal-length documents, dumps_document(equilateral_to_doc(
+  build_equilateral(vp))) concatenated, for the catalog, theta_trivial(8),
+  (16) and (24), and random_presentation(s, p, 30) for p in PROFILES and
+  s < 40, in that order.
+- eq-checks: check_equilateral(emb).summary() and the float
+  check_simplicity(segments, scale=M).summary() of each of those builds
+  and of three shifted-end mutants of it: mutant j (j = 0, 1, 2) of build
+  idx moves end a of stick (7 idx + j) mod N by 1e-3 M (j + 1) in every
+  coordinate.  Each build is followed by its mutants.
+- exact-docs: the 240 exact documents, dumps_document(embedding_to_doc(
+  build(cd))) concatenated, for the catalog, theta_trivial(2..64),
+  random_presentation(s, p, 30) for p in PROFILES and s < 40, and
+  random_presentation(s, p, 150) for p in knot, bouquet, theta and s < 3.
+- presentations: dumps_document(presentation_to_doc(random_presentation(
+  s, p, n))) for p in PROFILES, n in GRID_SIZES and s < 60, in that order;
+  a draw that raises contributes the exception's class name instead.
+- workloads: the stickbench workload digests (bench_workloads.digest) at
+  seeds 0 and 1, one line per workload and seed.
+
+Pytest does not collect this file (its name does not start with test_).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from dataclasses import replace
+from functools import cache
+from pathlib import Path
+
+from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
+from stickforge.circular_diagram import to_circular
+from stickforge.documents import (dumps_document, embedding_to_doc, equilateral_to_doc,
+                                  presentation_to_doc)
+from stickforge.equilateral_builder import build_equilateral
+from stickforge.randgen import PROFILES, random_presentation
+from stickforge.stick_builder import build
+from stickforge.verifier import check_equilateral, check_simplicity
+
+GRID_SIZES = (2, 3, 4, 6, 8, 12, 20, 40, 80, 150)
+
+
+def _eq_presentations():
+    aps = [catalog(name) for name in catalog_names()]
+    aps += [catalog(f"theta_trivial({n})") for n in (8, 16, 24)]
+    aps += [random_presentation(s, p, 30) for p in PROFILES for s in range(40)]
+    return aps
+
+
+@cache
+def _eq_builds():
+    return [build_equilateral(validate_presentation(ap)) for ap in _eq_presentations()]
+
+
+def eq_docs() -> str:
+    digest = hashlib.sha256()
+    for emb in _eq_builds():
+        digest.update(dumps_document(equilateral_to_doc(emb)).encode())
+    return digest.hexdigest()
+
+
+def _mutant(emb, idx: int, j: int):
+    sticks = list(emb.sticks)
+    i = (7 * idx + j) % len(sticks)
+    shift = 1e-3 * emb.M * (j + 1)
+    sticks[i] = replace(sticks[i], a=tuple(c + shift for c in sticks[i].a))
+    return replace(emb, sticks=sticks)
+
+
+def eq_checks() -> str:
+    digest = hashlib.sha256()
+    for idx, emb in enumerate(_eq_builds()):
+        for e in (emb, *(_mutant(emb, idx, j) for j in range(3))):
+            segs = [(s.a, s.b) for s in e.sticks]
+            digest.update(check_equilateral(e).summary().encode())
+            digest.update(check_simplicity(segs, scale=e.M).summary().encode())
+    return digest.hexdigest()
+
+
+def exact_docs() -> str:
+    aps = [catalog(name) for name in catalog_names()]
+    aps += [catalog(f"theta_trivial({n})") for n in range(2, 65)]
+    aps += [random_presentation(s, p, 30) for p in PROFILES for s in range(40)]
+    aps += [random_presentation(s, p, 150) for p in ("knot", "bouquet", "theta") for s in range(3)]
+    digest = hashlib.sha256()
+    for ap in aps:
+        se = build(to_circular(validate_presentation(ap)))
+        digest.update(dumps_document(embedding_to_doc(se)).encode())
+    return digest.hexdigest()
+
+
+def presentations() -> str:
+    digest = hashlib.sha256()
+    for p in PROFILES:
+        for n in GRID_SIZES:
+            for s in range(60):
+                try:
+                    text = dumps_document(presentation_to_doc(random_presentation(s, p, n)))
+                except Exception as err:   # the failure itself is part of the draw
+                    text = type(err).__name__
+                digest.update(text.encode())
+    return digest.hexdigest()
+
+
+def workloads() -> str:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "stickbench"))
+    import bench_workloads as bw
+    return "".join(f"\n  {w}@{seed} {bw.digest(bw.make(w, seed))}"
+                   for seed in (0, 1) for w in bw.WORKLOADS)
+
+
+SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "exact-docs": exact_docs,
+        "presentations": presentations, "workloads": workloads}
+
+
+def main(names) -> None:
+    for name in names or SETS:
+        if name not in SETS:
+            raise SystemExit(f"unknown set {name!r}; pick from {', '.join(SETS)}")
+        print(name, SETS[name]())
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

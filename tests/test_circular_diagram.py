@@ -9,7 +9,6 @@ from stickforge.arc_presentation import catalog, catalog_names, validate_present
 from stickforge.circular_diagram import (
     boundary_points,
     chords_cross,
-    initiating_pages,
     to_circular,
 )
 from stickforge.randgen import random_presentation
@@ -53,7 +52,6 @@ def test_trefoil_initiating_frozen():
     cd = diagram("trefoil")
     # point 1 touches pages {1, 4} -> 1; point 0 touches {3, 5} -> 3
     assert cd.initiating == (3, 1, 2, 1, 2)
-    assert initiating_pages(cd) == cd.initiating
 
 
 def test_trefoil_classes_frozen():

@@ -227,3 +227,37 @@ def test_verify_rejects_non_finite_or_zero_input(tmp_path, capsys, edit, failing
     code, out, _ = run(capsys, "verify", str(path), "catalog:trefoil")
     assert code == 1
     assert failing in out.splitlines()
+
+
+def _set_coordinate(doc, value):
+    doc["sticks"][0]["a"][1] = value
+
+
+@pytest.mark.parametrize("build, edit, field", [
+    ("build-eq", lambda doc: doc.__setitem__("M", "8"), "M"),
+    ("build-eq", lambda doc: doc.__setitem__("M", None), "M"),
+    ("build-eq", lambda doc: doc.__setitem__("M", True), "M"),
+    ("build-eq", lambda doc: _set_coordinate(doc, "abc"), "sticks[0].a[1]"),
+    ("build-eq", lambda doc: _set_coordinate(doc, "1.5"), "sticks[0].a[1]"),
+    ("build-eq", lambda doc: doc.pop("sticks"), "'sticks'"),
+    ("build-eq", lambda doc: doc["components"][0].__setitem__("n_arcs", "5"),
+     "components[0].n_arcs"),
+    ("build-stick", lambda doc: _set_coordinate(doc, "abc"), "sticks[0].a[1]"),
+    ("build-stick", lambda doc: _set_coordinate(doc, 1.5), "sticks[0].a[1]"),
+    ("build-stick", lambda doc: doc["heights"].__setitem__("1", "x"), "heights[1]"),
+    ("build-stick", lambda doc: doc["sticks"][0].__setitem__("page", "1"), "sticks[0].page"),
+], ids=["string-M", "null-M", "boolean-M", "decimal-abc", "decimal-string-number",
+        "no-sticks", "string-count", "exact-abc", "exact-float", "string-height", "string-page"])
+def test_verify_malformed_document_is_an_error_line(tmp_path, capsys, build, edit, field):
+    path = tmp_path / "t.json"
+    code, _, _ = run(capsys, build, "catalog:trefoil", "-o", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), "catalog:trefoil")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and field in line

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -7,12 +8,14 @@ import pytest
 import oracles
 from stickforge import equilateral_builder
 from stickforge.arc_presentation import catalog, catalog_names, equal_length_parts, validate_presentation
+from stickforge.documents import dumps_document, equilateral_from_doc, equilateral_to_doc
 from stickforge.equilateral_builder import (
     CERT_CLEARANCE_REL,
     DEFAULT_M_FACTOR,
     SNAP_REL,
     SWEEP_STEP_RAD,
     EquilateralEmbedding,
+    EquilateralError,
     EStick,
     MTooSmall,
     NoRotationSolution,
@@ -275,6 +278,48 @@ def test_certificate_replay_rejects_tampered_moves():
     assert not cert2.passed
 
 
+def _document(vp):
+    return json.loads(dumps_document(equilateral_to_doc(build_equilateral(vp))))
+
+
+@pytest.mark.parametrize("name", ["unknot", "trefoil", "hopf", "theta51", "theta_trivial(8)"])
+def test_certificate_runs_on_a_document(name):
+    # replayed against tents rebuilt at the document's M, an embedding read
+    # back from its document certifies exactly as the build did
+    vp = vp_of(name)
+    doc = _document(vp)
+    cert = isotopy_certificate(build_tents(vp, doc["M"]), equilateral_from_doc(doc))
+    built = doc["certificate"]
+    assert cert.passed and built["passed"]
+    assert cert.moves == [tuple(mv) for mv in built["moves"]]
+    assert cert.detail == built["detail"]
+
+
+def test_certificate_fails_a_document_with_a_shifted_end():
+    vp = vp_of("trefoil")
+    doc = _document(vp)
+    move = doc["components"][0]["moves"][1]
+    move["phi_end"] += 0.5
+    cert = isotopy_certificate(build_tents(vp, doc["M"]), equilateral_from_doc(doc))
+    assert not cert.passed
+    assert cert.detail == f"{move['tag']} does not end where its sweep stops"
+
+
+def test_certificate_refuses_an_assembled_embedding():
+    vp = vp_of("unlink(2)")
+    with pytest.raises(EquilateralError, match="exactly one component"):
+        isotopy_certificate(build_tents(equal_length_parts(vp)[0], 8.0), build_equilateral(vp))
+
+
+def test_reduce_top_needs_one_unreduced_component():
+    tents = build_tents(vp_of("trefoil"), 20.0)
+    read_back = equilateral_from_doc(json.loads(dumps_document(equilateral_to_doc(tents))))
+    assert equilateral_to_doc(reduce_top(read_back)) == equilateral_to_doc(reduce_top(tents))
+    for emb in (reduce_top(tents), build_equilateral(vp_of("unlink(2)"))):
+        with pytest.raises(EquilateralError, match="exactly one unreduced component"):
+            reduce_top(emb)
+
+
 def _tampered(emb):
     """The reduced embedding with its first stick's end a lifted by 0.25."""
     s = emb.sticks[0]
@@ -324,7 +369,7 @@ def _with_parked(tents, a, b):
     """The tents plus one extra parked stick that no move touches."""
     extra = EStick(a, b, 0, "probe", "probe.a", "probe.b")
     return EquilateralEmbedding(sticks=[*tents.sticks, extra], M=tents.M,
-                                components=tents.components, layout=tents.layout)
+                                components=tents.components)
 
 
 def _sweep_end(move, M, phi):

@@ -49,16 +49,6 @@ def test_components_ordered_by_first_appearance():
     g = AbstractGraph.make(["a", "b", "c"], [("e1", "b", "b"), ("e2", "a", "c")])
     vg = validate_graph(g)
     assert vg.components == (frozenset({"a", "c"}), frozenset({"b"}))
-    assert vg.component_of("b") == 1
-    assert vg.component_edges(1) == (("e1", "b", "b"),)
-
-
-def test_component_of_unknown_vertex():
-    vg = validate_graph(knot())
-    with pytest.raises(ComponentOutOfRange):
-        vg.component_of("nope")
-    with pytest.raises(ComponentOutOfRange):
-        vg.component_edges(5)
 
 
 def test_degree_counts_loops_twice():
