@@ -9,7 +9,9 @@ Reading checks the kind of every value an embedding's checks use: exact
 coordinates must be "p/q" strings or integers, heights, pages and counts
 integers, tags strings, and decimal coordinates, angles and M JSON numbers
 (an integer literal reads as a float).  A missing field or a value of the
-wrong kind raises DocumentError, which names the field.
+wrong kind raises DocumentError, which names the field.  A presentation
+document's fields are read the same way; what the presentation's own types
+reject raises their PresentationError or GraphError unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import wraps
 from typing import Any
 
-from .arc_presentation import Arc, ArcPresentation, BindingPoint
+from .arc_presentation import Arc, ArcPresentation, BindingPoint, PresentationError
 from .equilateral_builder import (
     CertificateReport,
     ComponentInfo,
@@ -29,7 +31,7 @@ from .equilateral_builder import (
     SweepMove,
     ToleranceReport,
 )
-from .graph_core import AbstractGraph, SpatialParams
+from .graph_core import AbstractGraph, GraphError, SpatialParams
 from .stick_builder import Stick, StickEmbedding
 
 PRESENTATION_FORMAT = "stickforge/presentation/1"
@@ -93,12 +95,13 @@ def _index(k: str, name: str) -> int:
 
 
 def _reading(parse):
-    """parse, raising a missing field or a malformed container as DocumentError."""
+    """parse, raising a missing field or a malformed container as DocumentError;
+    the errors the parsed types raise themselves pass through."""
     @wraps(parse)
     def read(doc: dict):
         try:
             return parse(doc)
-        except DocumentError:
+        except (DocumentError, PresentationError, GraphError):
             raise
         except KeyError as err:
             raise DocumentError(f"missing field {err.args[0]!r}") from None
@@ -130,6 +133,7 @@ def presentation_to_doc(ap: ArcPresentation) -> dict:
     return doc
 
 
+@_reading
 def presentation_from_doc(doc: dict) -> ArcPresentation:
     if doc.get("format") != PRESENTATION_FORMAT:
         raise DocumentError(f"not a presentation document: {doc.get('format')!r}")

@@ -23,6 +23,10 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   a draw that raises contributes the exception's class name instead.
 - workloads: the stickbench workload digests (bench_workloads.digest) at
   seeds 0 and 1, one line per workload and seed.
+- certificates: repr((passed, moves, detail)) of the certificate of
+  build_equilateral(vp) for every job of the stickbench workloads
+  theta-fan, random-large and random-small at seed 1 (124 builds), in
+  that order; a build that raises contributes the exception's class name.
 
 Pytest does not collect this file (its name does not start with test_).
 """
@@ -109,15 +113,34 @@ def presentations() -> str:
     return digest.hexdigest()
 
 
-def workloads() -> str:
+def _bench_workloads():
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "stickbench"))
-    import bench_workloads as bw
+    import bench_workloads
+    return bench_workloads
+
+
+def workloads() -> str:
+    bw = _bench_workloads()
     return "".join(f"\n  {w}@{seed} {bw.digest(bw.make(w, seed))}"
                    for seed in (0, 1) for w in bw.WORKLOADS)
 
 
+def certificates() -> str:
+    bw = _bench_workloads()
+    digest = hashlib.sha256()
+    for w in ("theta-fan", "random-large", "random-small"):
+        for job in bw.make(w, 1):
+            try:
+                cert = build_equilateral(validate_presentation(job.presentation)).certificate
+                text = repr((cert.passed, cert.moves, cert.detail))
+            except Exception as err:   # a failed build is part of the set
+                text = type(err).__name__
+            digest.update(text.encode())
+    return digest.hexdigest()
+
+
 SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "exact-docs": exact_docs,
-        "presentations": presentations, "workloads": workloads}
+        "presentations": presentations, "workloads": workloads, "certificates": certificates}
 
 
 def main(names) -> None:

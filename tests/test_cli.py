@@ -261,3 +261,18 @@ def test_verify_malformed_document_is_an_error_line(tmp_path, capsys, build, edi
     assert "Traceback" not in err
     [line] = err.splitlines()
     assert line.startswith("error: ") and field in line
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"format": "stickforge/presentation/1", "graph": {"vertices": ["v"]}}, "'edges'"),
+    ([1, 2], "malformed document"),
+], ids=["no-edges", "not-an-object"])
+def test_validate_malformed_presentation_is_an_error_line(tmp_path, capsys, doc, field):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and field in line

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stickforge.arc_presentation import catalog, validate_presentation
+from stickforge.arc_presentation import PresentationError, catalog, validate_presentation
 from stickforge.circular_diagram import to_circular
 from stickforge.documents import (
     DocumentError,
@@ -19,6 +19,7 @@ from stickforge.documents import (
     to_obj,
 )
 from stickforge.equilateral_builder import build_equilateral
+from stickforge.graph_core import GraphError
 from stickforge.stick_builder import build
 from stickforge.verifier import check_simplicity
 
@@ -57,6 +58,19 @@ def test_presentation_format_guard():
         presentation_from_doc({"format": "stickforge/embedding/1"})
     with pytest.raises(DocumentError):
         presentation_from_doc({})
+
+
+def test_presentation_reader_lets_the_types_own_errors_through():
+    # a bad binding point kind or a negative crossing number is the
+    # presentation's own error, not a malformed document
+    doc = roundtrip(presentation_to_doc(catalog("trefoil")))
+    doc["binding_points"][0][0] = "nowhere"
+    with pytest.raises(PresentationError, match="bad binding point kind"):
+        presentation_from_doc(doc)
+    doc = roundtrip(presentation_to_doc(catalog("theta51")))
+    doc["params"]["c"] = -1
+    with pytest.raises(GraphError, match="must be non-negative"):
+        presentation_from_doc(doc)
 
 
 # ---------------------------------------------------------------------------

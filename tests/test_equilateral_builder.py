@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -248,6 +249,22 @@ def test_equilateral_unlink_is_unlinked():
     emb = build_equilateral(vp_of("unlink(2)"))
     assert oracles.linking_number_abs([(s.a, s.b) for s in emb.sticks]) == 0
     assert oracles.tricolor_count([(s.a, s.b) for s in emb.sticks]) == 9
+
+
+def test_equal_length_documents_pinned():
+    # the bytes of 171 equal-length documents, concatenated (the eq-docs set
+    # of tests/parity.py): any change to the tents, the reduction or any
+    # move's certified minimum shows here.  The floats come from libm
+    # (glibc on x86-64 when this hash was taken), so another libm may differ
+    presentations = [catalog(name) for name in catalog_names()]
+    presentations += [catalog(f"theta_trivial({n})") for n in (8, 16, 24)]
+    presentations += [random_presentation(s, p, 30) for p in PROFILES for s in range(40)]
+    digest = hashlib.sha256()
+    for ap in presentations:
+        emb = build_equilateral(validate_presentation(ap))
+        digest.update(dumps_document(equilateral_to_doc(emb)).encode())
+    assert len(presentations) == 171
+    assert digest.hexdigest() == "49a9857185bdf75262150f88f557a8b0a46ff436596811710bf5a4e78f37711d"
 
 
 # ---------------------------------------------------------------------------
