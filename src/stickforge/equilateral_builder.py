@@ -45,6 +45,25 @@ directions from F collapse to one point, or to two opposite points when F
 lies on it; G is then bounded by the triangle inequality, which gives 0 in
 the second case, and the pair is evaluated at the next sample.
 
+At T = 0 the same bound covers sample 0 itself, which conservative
+advancement (Mirtich 1996; Tang, Kim and Manocha, C2A, 2009) exploits:
+every pair's bound B = R sin(min(G, pi/2)) at sample 0 is computed, and
+the pairs are evaluated there in ascending order of B.  Once a pair's B
+exceeds the running minimum plus snap, that pair and every later one lie
+above it at sample 0; they are not evaluated there, and the rule above
+schedules them from sample 1.  The skip argument is unchanged, so the
+minimum is still that of every pair at every sample.
+
+Of what the bound needs, only rho depends on the mover.  r, the directions
+from F to the parked stick and whether F is one of its ends depend on F,
+the stick's two ends and snap alone, so one certificate computes them once
+per key (F, pa, pb) of exact coordinates and forms R when a pair is used.
+A stick that moves enters the state with new coordinates, so no key
+outlives its stick; a parked stick keeps its key from move to move, and on
+theta-fan every move shares its pivot and every joiner its hub.  Keys that
+compare equal give the same values up to the sign of a zero, which no
+comparison in the sweep sees.
+
 tolerance_report measures only the stick pairs that could hold the least
 clearance (_near_pairs), and its minimum is that of every pair, float for
 float.  Let m be the least distance measured so far, C the largest
@@ -486,28 +505,25 @@ def _same_seg(u, v, snap: float) -> bool:
             or max(_dist(ua, vb), _dist(ub, va)) <= snap)
 
 
-def _horizon(F: V3, least: float, pa: V3, pb: V3, snap: float):
-    """(R, arc) for a mover with fixed end F, never shorter than `least`,
-    against the parked stick pa pb.  When F shares an end of the stick,
-    both are trimmed there as _clearance trims them; otherwise any trim
-    _clearance makes only shortens them.  For x on the trimmed mover and y
-    on the trimmed stick, max(|x - F|, |y - F|) >= R.  arc holds the
-    directions from F to the stick: (a, b, unit normal of their plane or
-    None when that plane is too thin to trust, angle from a to b), or None
-    when the stick reaches F."""
+def _horizon(F: V3, pa: V3, pb: V3, snap: float):
+    """(r, shared, arc) for a mover with fixed end F against the parked
+    stick pa pb; none of it depends on the mover.  shared says whether F is
+    an end of the stick, which is then trimmed there as _clearance trims
+    it; otherwise any trim _clearance makes only shortens it.  r is the
+    distance from F to the (trimmed) stick.  arc holds the directions from
+    F to it: (a, b, unit normal of their plane or None when that plane is
+    too thin to trust, angle from a to b), or None when the stick reaches
+    F."""
     y = next((y for y in (pa, pb) if _dist(F, y) <= snap), None)
-    if y is None:
-        ra, rb, rho = pa, pb, 0.0
-    else:
-        (ra, rb), rho = _trimmed(pa, pb, y), TRIM_FRACTION * least   # _trimmed's cut at F
-    R = max(rho, _seg_distance(F, F, ra, rb))
+    ra, rb = (pa, pb) if y is None else _trimmed(pa, pb, y)   # _trimmed's cut at F
+    r = _seg_distance(F, F, ra, rb)
     va, vb = _vsub(ra, F), _vsub(rb, F)
     if _norm(va) == 0.0 or _norm(vb) == 0.0:
-        return R, None
+        return r, y is not None, None
     a, b = _unit(va), _unit(vb)
     n = _cross(a, b)
     thin = _norm(n) < 1e-3    # near a pole the normal carries rounding error
-    return R, (a, b, None if thin else _unit(n), _angle(a, b))
+    return r, y is not None, (a, b, None if thin else _unit(n), _angle(a, b))
 
 
 def _least_angle(u: V3, arc) -> float:
@@ -525,39 +541,57 @@ def _least_angle(u: V3, arc) -> float:
 
 
 def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
-                   snap: float) -> float:
+                   snap: float, horizons: dict) -> float:
     """Least _clearance between the moving sticks and the parked ones over
-    the sampled sweep.  A (mover, parked) pair is evaluated again only at
-    the first sample where its horizon bound could fall to the running
-    minimum plus snap (see the module docstring); the minimum is the one
-    every pair at every sample gives."""
+    the sampled sweep.  A (mover, parked) pair is evaluated at sample 0 only
+    when its bound there could reach the running minimum plus snap, and
+    again only at the first sample where its horizon bound could fall that
+    far (see the module docstring); the minimum is the one every pair at
+    every sample gives.  horizons holds _horizon by (F, pa, pb), shared by
+    the sweeps of one certificate."""
     diri = _page_dir(move.page_angle)
     steps = max(2, int(math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD)) + 1)
     ends = [_free_end(move.pivot, diri, M, move.phi_start + (move.phi_end - move.phi_start) * step / steps)
             for step in range(steps + 1)]
     fixed = [move.pivot] if move.hub is None else [move.pivot, move.hub]
     rays = []    # per mover: unit directions and their summed turning by sample
-    due: list[list] = [[] for _ in range(steps + 1)]
+    first = []   # (bound at sample 0, pair) for every pair
     for k, F in enumerate(fixed):
         units = [_unit(_vsub(e, F)) for e in ends]
         turned = [0.0]
         for u, v in zip(units, units[1:]):
             turned.append(turned[-1] + _angle(u, v))
         rays.append((units, turned))
-        least = min(_dist(e, F) for e in ends)
-        due[0].extend((k, pa, pb, *_horizon(F, least, pa, pb, snap))
-                      for tag, (pa, pb) in state.items() if tag != move.tag)
+        rho = TRIM_FRACTION * min(_dist(e, F) for e in ends)   # where the trimmed mover starts
+        for tag, (pa, pb) in state.items():
+            if tag != move.tag:
+                key = (F, pa, pb)
+                if key not in horizons:
+                    horizons[key] = _horizon(F, pa, pb, snap)
+                r, shared, arc = horizons[key]
+                R = max(rho, r) if shared else r
+                g0 = _least_angle(units[0], arc)
+                first.append((R * math.sin(min(g0, math.pi / 2)), (k, pa, pb, R, arc, g0)))
+    first.sort(key=lambda f: f[0])
     min_seen = math.inf
+    for bound, (k, pa, pb, *_) in first:
+        if bound > min_seen + snap:
+            break    # this pair and every later one clear sample 0
+        min_seen = min(min_seen, _clearance(fixed[k], ends[0], pa, pb, snap))
+    due: list[list] = [[] for _ in range(steps + 1)]
+    due[0] = [pair for _, pair in first]
     for step, pairs in enumerate(due):
-        for k, pa, pb, _, _ in pairs:
-            min_seen = min(min_seen, _clearance(fixed[k], ends[step], pa, pb, snap))
+        if step:
+            for k, pa, pb, *_ in pairs:
+                min_seen = min(min_seen, _clearance(fixed[k], ends[step], pa, pb, snap))
         target = min_seen + snap
         for pair in pairs:
-            k, _, _, R, arc = pair
+            k, _, _, R, arc, g0 = pair
             nxt = step + 1
             if R > target:
                 units, turned = rays[k]
-                slack = _least_angle(units[step], arc) - math.asin(target / R)
+                g = g0 if step == 0 else _least_angle(units[step], arc)
+                slack = g - math.asin(target / R)
                 if slack > 0.0:
                     nxt = bisect_left(turned, turned[step] + slack, step + 1)
             if nxt <= steps:
@@ -593,8 +627,9 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
     final = {s.tag: (s.a, s.b) for s in after.sticks}
 
     report = CertificateReport(passed=True)
+    horizons: dict = {}    # a moved stick has new coordinates, so a new key
     for move in comp.moves:
-        min_seen = _sweep_minimum(move, state, M, snap)
+        min_seen = _sweep_minimum(move, state, M, snap, horizons)
         report.moves.append((move.tag, min_seen))
         if min_seen <= floor:
             report.passed = False

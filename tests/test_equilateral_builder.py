@@ -434,19 +434,18 @@ def test_certificate_parked_line_through_pivot(lo, hi):
     assert cert.moves[0][1] < 1e-3 * M
 
 
-def test_certificate_evaluates_within_margin(monkeypatch):
-    # one parked stick holds the running minimum m from the first sample;
-    # a radial one at distance r sin(psi - phi) is due at the first sample
-    # where that reaches m + snap, not where it reaches m
+def _radial_first_seen(monkeypatch, due):
+    """The sample where the scheduled sweep first evaluates a radial parked
+    stick whose bound r sin(psi - phi) reaches m + snap/2 at sample due,
+    while a holder stick keeps the running minimum at m from sample 0."""
     M, m = 1.0, 0.1
     snap = SNAP_REL * M
     move = SweepMove("arc0.lower", (0.0, 0.0, 0.0), 0.0, 0.0, 0.5, None)
     steps = max(2, math.ceil(0.5 / SWEEP_STEP_RAD) + 1)
     phis = [0.5 * s / steps for s in range(steps + 1)]
-    due = 40
     r = 0.5
     psi = phis[due] + math.asin((m + snap / 2) / r)
-    assert r * math.sin(psi - phis[due - 1]) > m + snap
+    assert due == 0 or r * math.sin(psi - phis[due - 1]) > m + snap
     state = {
         "holder": ((0.5, -0.01, -m), (0.5, 0.01, -m)),
         "radial": ((r * math.cos(psi), 0.0, r * math.sin(psi)),
@@ -463,22 +462,67 @@ def test_certificate_evaluates_within_margin(monkeypatch):
     ends = [(M * math.cos(phi), 0.0, M * math.sin(phi)) for phi in phis]
     every = min(real(move.pivot, q, a, b, snap) for q in ends for a, b in state.values())
     monkeypatch.setattr(equilateral_builder, "_clearance", spy)
-    assert equilateral_builder._sweep_minimum(move, state, M, snap) == every
-    assert seen[:2] == [ends[0], ends[due]]
+    assert equilateral_builder._sweep_minimum(move, state, M, snap, {}) == every
+    return ends.index(seen[0])
 
 
-def test_certificate_skips_most_pairs(monkeypatch):
-    calls = [0]
-    real = equilateral_builder._clearance
+def test_certificate_evaluates_within_margin(monkeypatch):
+    # the radial stick's bound clears the holder's m at sample 0, so that
+    # sample is culled; it is due at the first sample where the bound
+    # reaches m + snap, not where it reaches m
+    assert _radial_first_seen(monkeypatch, 40) == 40
+
+
+def test_certificate_culls_sample_0_within_margin(monkeypatch):
+    # a bound of m + snap/2 at sample 0 lies within the margin, so the
+    # first-sample cull evaluates the pair there (the mover later sweeps
+    # through the radial stick; only the schedule matters here)
+    assert _radial_first_seen(monkeypatch, 0) == 0
+
+
+def test_certificate_culls_the_first_sample(monkeypatch):
+    calls, keys = [0], []
+    clearance, horizon = equilateral_builder._clearance, equilateral_builder._horizon
 
     def counted(*args):
         calls[0] += 1
-        return real(*args)
+        return clearance(*args)
+
+    def keyed(F, pa, pb, snap):
+        keys.append((F, pa, pb))
+        return horizon(F, pa, pb, snap)
 
     monkeypatch.setattr(equilateral_builder, "_clearance", counted)
+    monkeypatch.setattr(equilateral_builder, "_horizon", keyed)
     tents = build_tents(vp_of("theta_trivial(32)"), 8.0)
     red = reduce_top(tents)
     assert isotopy_certificate(tents, red).passed
     scheduled, calls[0] = calls[0], 0
     oracles.sampled_certificate(tents, red)
-    assert scheduled < calls[0] / 10
+    assert scheduled < calls[0] / 40
+    # parked sticks keep their horizons across moves: one kernel run per key
+    assert len(keys) == len(set(keys))
+
+
+def test_certificate_horizons_keep_no_movers_trim():
+    # two joiners hang from one hub H past a short parked stick that shares
+    # H; the first joiner is about three times as long as the second.  The
+    # horizon kept from the first move must not carry its trim into the
+    # second, where the shared stick holds the minimum below a holder's
+    M = 1.0
+    snap = SNAP_REL * M
+    hub = (0.0, 0.0, 3.0)
+    state = {
+        "shared": (hub, (0.0, 0.5, 3.0)),
+        "holder": ((0.5, -0.01, 2.48), (0.5, 0.01, 2.48)),
+    }
+    horizons = {}
+    for z in (0.0, 2.5):
+        move = SweepMove("arc0.lower", (0.0, 0.0, z), 0.0, 0.0, 0.3, hub)
+        steps = max(2, math.ceil(0.3 / SWEEP_STEP_RAD) + 1)
+        ends = [(M * math.cos(0.3 * s / steps), 0.0, z + M * math.sin(0.3 * s / steps))
+                for s in range(steps + 1)]
+        every = min(equilateral_builder._clearance(F, q, a, b, snap)
+                    for q in ends for F in (move.pivot, hub) for a, b in state.values())
+        assert equilateral_builder._sweep_minimum(move, state, M, snap, horizons) == every
+    assert every < 0.02 * (1 - 1e-6)   # the shared stick, not the holder
