@@ -10,8 +10,9 @@ coordinates must be "p/q" strings or integers, heights, pages and counts
 integers, tags strings, and decimal coordinates, angles and M JSON numbers
 (an integer literal reads as a float).  A missing field or a value of the
 wrong kind raises DocumentError, which names the field.  A presentation
-document's fields are read the same way; what the presentation's own types
-reject raises their PresentationError or GraphError unchanged.
+document is read the same way, with pages and arc ends integers; what the
+presentation's own types reject raises their PresentationError or
+GraphError unchanged.
 """
 
 from __future__ import annotations
@@ -133,6 +134,14 @@ def presentation_to_doc(ap: ArcPresentation) -> dict:
     return doc
 
 
+def _arc(a: dict, at: str) -> Arc:
+    ends = a["ends"]
+    if not isinstance(ends, list) or len(ends) != 2:
+        raise DocumentError(f"{at}.ends must be a list of two axis indices, found {ends!r}")
+    return Arc(_integer(a["page"], f"{at}.page"),
+               tuple(_integer(e, f"{at}.ends[{j}]") for j, e in enumerate(ends)), a["edge"])
+
+
 @_reading
 def presentation_from_doc(doc: dict) -> ArcPresentation:
     if doc.get("format") != PRESENTATION_FORMAT:
@@ -142,7 +151,7 @@ def presentation_from_doc(doc: dict) -> ArcPresentation:
         edges=[tuple(e) for e in doc["graph"]["edges"]],
     )
     points = tuple(BindingPoint(kind, ref) for kind, ref in doc["binding_points"])
-    arcs = tuple(Arc(a["page"], tuple(a["ends"]), a["edge"]) for a in doc["arcs"])
+    arcs = tuple(_arc(a, f"arcs[{i}]") for i, a in enumerate(doc["arcs"]))
     params = None
     if doc.get("params") is not None:
         p = doc["params"]

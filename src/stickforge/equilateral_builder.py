@@ -54,10 +54,11 @@ above it at sample 0; they are not evaluated there, and the rule above
 schedules them from sample 1.  The skip argument is unchanged, so the
 minimum is still that of every pair at every sample.
 
-Of what the bound needs, only rho depends on the mover.  r, the directions
-from F to the parked stick and whether F is one of its ends depend on F,
-the stick's two ends and snap alone, so one certificate computes them once
-per key (F, pa, pb) of exact coordinates and forms R when a pair is used.
+Of R and the directions from F to the parked stick, only rho depends on
+the mover.  r, those directions and whether F is one of the stick's ends
+depend on F, the stick's two ends and snap alone, so one certificate
+computes them once per key (F, pa, pb) of exact coordinates and forms R
+when a pair is used.
 A stick that moves enters the state with new coordinates, so no key
 outlives its stick; a parked stick keeps its key from move to move, and on
 theta-fan every move shares its pivot and every joiner its hub.  Keys that
@@ -578,8 +579,7 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
         if bound > min_seen + snap:
             break    # this pair and every later one clear sample 0
         min_seen = min(min_seen, _clearance(fixed[k], ends[0], pa, pb, snap))
-    due: list[list] = [[] for _ in range(steps + 1)]
-    due[0] = [pair for _, pair in first]
+    due = [[pair for _, pair in first]] + [[] for _ in range(steps)]
     for step, pairs in enumerate(due):
         if step:
             for k, pa, pb, *_ in pairs:

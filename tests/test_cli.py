@@ -6,7 +6,9 @@ import subprocess
 
 import pytest
 
+from stickforge.arc_presentation import catalog
 from stickforge.cli import main
+from stickforge.documents import presentation_to_doc
 
 
 def run(capsys, *argv):
@@ -263,10 +265,19 @@ def test_verify_malformed_document_is_an_error_line(tmp_path, capsys, build, edi
     assert line.startswith("error: ") and field in line
 
 
+def _trefoil_arc0(key, value):
+    doc = presentation_to_doc(catalog("trefoil"))
+    doc["arcs"][0][key] = value
+    return doc
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"format": "stickforge/presentation/1", "graph": {"vertices": ["v"]}}, "'edges'"),
     ([1, 2], "malformed document"),
-], ids=["no-edges", "not-an-object"])
+    (_trefoil_arc0("ends", [0, 1.5]), "arcs[0].ends[1]"),
+    (_trefoil_arc0("ends", [0, 1, 2]), "arcs[0].ends"),
+    (_trefoil_arc0("page", True), "arcs[0].page"),
+], ids=["no-edges", "not-an-object", "float-end", "three-ends", "boolean-page"])
 def test_validate_malformed_presentation_is_an_error_line(tmp_path, capsys, doc, field):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(doc))
