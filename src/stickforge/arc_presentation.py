@@ -112,39 +112,40 @@ def validate_presentation(ap: ArcPresentation) -> ValidatedPresentation:
         if arc.page != pos + 1:
             raise PageGap(f"arc at position {pos} carries page {arc.page}, expected {pos + 1}")
 
-    edge_ids = {eid for eid, _, _ in ap.graph.edges}
+    vertices = set(ap.graph.vertices)
     edge_ends = {eid: (a, b) for eid, a, b in ap.graph.edges}
 
     vertex_point: dict[str, int] = {}
+    interior: dict[str, list[int]] = {eid: [] for eid in edge_ends}   # edge -> its points
     for idx, bp in enumerate(bps):
         if bp.kind == "vertex":
-            if bp.ref not in set(ap.graph.vertices):
+            if bp.ref not in vertices:
                 raise PresentationError(f"binding point {idx} names unknown vertex {bp.ref!r}")
             if bp.ref in vertex_point:
                 raise PresentationError(f"vertex {bp.ref!r} appears twice on the axis")
             vertex_point[bp.ref] = idx
         else:
-            if bp.ref not in edge_ids:
+            if bp.ref not in edge_ends:
                 raise PresentationError(f"binding point {idx} names unknown edge {bp.ref!r}")
+            interior[bp.ref].append(idx)
     for vid in ap.graph.vertices:
         if vid not in vertex_point:
             raise PresentationError(f"vertex {vid!r} has no binding point")
 
-    for arc in arcs:
+    incident: list[list[int]] = [[] for _ in range(m)]   # point -> arc positions ending there
+    positions: dict[str, list[int]] = {eid: [] for eid in edge_ends}  # edge -> its arcs
+    for pos, arc in enumerate(arcs):
         a, b = arc.ends
         if a == b:
             raise SharedEndpoints(f"arc page {arc.page} joins point {a} to itself")
         for end in (a, b):
             if not 0 <= end < m:
                 raise PresentationError(f"arc page {arc.page} end {end} out of range 0..{m - 1}")
-        if arc.edge not in edge_ids:
+        if arc.edge not in edge_ends:
             raise PresentationError(f"arc page {arc.page} names unknown edge {arc.edge!r}")
-
-    # incidence: point -> list of (arc position, end slot)
-    incident: list[list[int]] = [[] for _ in range(m)]
-    for pos, arc in enumerate(arcs):
-        for end in arc.ends:
-            incident[end].append(pos)
+        incident[a].append(pos)
+        incident[b].append(pos)
+        positions[arc.edge].append(pos)
 
     # interior points carry exactly two ends, both from their own edge
     for idx, bp in enumerate(bps):
@@ -158,50 +159,37 @@ def validate_presentation(ap: ArcPresentation) -> ValidatedPresentation:
 
     # each edge's arcs form one simple path (cycle for a loop)
     for eid, (u, w) in edge_ends.items():
-        positions = [pos for pos, arc in enumerate(arcs) if arc.edge == eid]
-        if not positions:
+        if not positions[eid]:
             raise BrokenEdgePath(f"edge {eid!r} has no arcs")
-        allowed = {vertex_point[u], vertex_point[w]}
-        for idx, bp in enumerate(bps):
-            if bp.kind == "interior" and bp.ref == eid:
-                allowed.add(idx)
+        pu, pw = vertex_point[u], vertex_point[w]
+        allowed = {pu, pw, *interior[eid]}
         local: dict[int, list[int]] = {}
-        for pos in positions:
+        for pos in positions[eid]:
             for end in arcs[pos].ends:
                 if end not in allowed:
                     raise BrokenEdgePath(
                         f"edge {eid!r} arc touches point {end}, which belongs elsewhere"
                     )
                 local.setdefault(end, []).append(pos)
-        pu, pw = vertex_point[u], vertex_point[w]
         if u == w:
             if len(local.get(pu, [])) != 2:
                 raise BrokenEdgePath(f"loop {eid!r} needs exactly two arc ends at its vertex")
         else:
             if len(local.get(pu, [])) != 1 or len(local.get(pw, [])) != 1:
                 raise BrokenEdgePath(f"edge {eid!r} needs exactly one arc end at each endpoint")
-        # walk from u; every arc must be used once and interior points visited once
+        # walk from u until w (u again for a loop); every arc must be used
+        # once and interior points visited once
         path = [pu]
         used = set()
-        point = pu
-        while True:
-            nxt = [pos for pos in local.get(point, []) if pos not in used]
-            if not nxt:
+        while nxt := [pos for pos in local.get(path[-1], []) if pos not in used]:
+            used.add(nxt[0])
+            a, b = arcs[nxt[0]].ends
+            path.append(b if a == path[-1] else a)
+            if path[-1] == pw:
                 break
-            pos = nxt[0]
-            used.add(pos)
-            a, b = arcs[pos].ends
-            point = b if a == point else a
-            path.append(point)
-            if point == pw and len(used) == len(positions):
-                break
-            if point == pw and u != w:
-                break
-            if u == w and point == pu:
-                break
-        if len(used) != len(positions) or path[-1] != pw:
+        if len(used) != len(positions[eid]) or path[-1] != pw:
             raise BrokenEdgePath(f"arcs of edge {eid!r} do not chain into one path")
-        interior_expected = len(positions) - 1
+        interior_expected = len(positions[eid]) - 1
         interior_seen = len(path) - 2
         if interior_seen != interior_expected or len(set(path[1:-1])) != interior_expected:
             raise BrokenEdgePath(f"arcs of edge {eid!r} revisit a point")

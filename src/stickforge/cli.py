@@ -176,7 +176,12 @@ def _cmd_catalog(args) -> int:
 def _cmd_random(args) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("STICKFORGE_SEED", "0"))
+        text = os.environ.get("STICKFORGE_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            print(f"error: STICKFORGE_SEED must be an integer, got {text!r}", file=sys.stderr)
+            return 2
     ap = random_presentation(seed, profile=args.profile, max_arcs=args.max_arcs)
     _write(args.out, dumps_document(presentation_to_doc(ap)))
     return 0

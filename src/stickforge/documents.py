@@ -7,10 +7,11 @@ freshly sorted and indented so identical inputs give byte-identical files.
 
 Reading checks the kind of every value an embedding's checks use: exact
 coordinates must be "p/q" strings or integers, heights, pages and counts
-integers, tags strings, and decimal coordinates, angles and M JSON numbers
-(an integer literal reads as a float).  A missing field or a value of the
-wrong kind raises DocumentError, which names the field.  A presentation
-document is read the same way, with pages and arc ends integers; what the
+integers, tags strings (deleted_tags a list of them), and decimal
+coordinates, angles and M JSON numbers (an integer literal reads as a
+float).  A missing field or a value of the wrong kind raises
+DocumentError, which names the field.  A presentation document is read
+the same way, with pages and arc ends integers; what the
 presentation's own types reject raises their PresentationError or
 GraphError unchanged.
 """
@@ -81,6 +82,12 @@ def _integer(x, name: str) -> int:
 
 def _text(x, name: str) -> str:
     return _typed(x, (str,), name, "a string")
+
+
+def _texts(x, name: str) -> tuple[str, ...]:
+    if not isinstance(x, list):
+        raise DocumentError(f"{name} must be a list of strings, found {x!r}")
+    return tuple(_text(t, f"{name}[{j}]") for j, t in enumerate(x))
 
 
 def _point(p, parse, name: str) -> tuple:
@@ -281,7 +288,7 @@ def equilateral_from_doc(doc: dict) -> EquilateralEmbedding:
             n_arcs=_integer(c["n_arcs"], f"components[{i}].n_arcs"),
             n_points=_integer(c["n_points"], f"components[{i}].n_points"),
             reduced=_typed(c["reduced"], (bool,), f"components[{i}].reduced", "true or false"),
-            deleted_tags=tuple(c["deleted_tags"]),
+            deleted_tags=_texts(c["deleted_tags"], f"components[{i}].deleted_tags"),
             moves=tuple(_move(mv, f"components[{i}].moves[{j}]")
                         for j, mv in enumerate(c["moves"])),
             offset=_point(c["offset"], _number, f"components[{i}].offset"),

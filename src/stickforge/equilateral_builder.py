@@ -339,61 +339,47 @@ def reduce_top(emb: EquilateralEmbedding) -> EquilateralEmbedding:
     at = {s.tag: i for i, s in enumerate(sticks)}   # one component, so tags are unique
     moves: list[SweepMove] = []
 
-    # partner stick of each deleted one: same arc, other role
-    partners = []
+    hub = None
     for d in doomed:
+        # the partner stick ei: same arc, other role; it moves only here
         page = _page(d.tag)
-        mate_tag = f"arc{page}.lower" if d.tag.endswith(".upper") else f"arc{page}.upper"
-        partners.append((page, sticks[at[mate_tag]]))
-
-    def pivot_and_phi(stick: EStick):
+        ei = sticks[at[f"arc{page}.lower" if d.tag.endswith(".upper") else f"arc{page}.upper"]]
         # pivot is the axis endpoint; phi measured in its page from horizontal
-        if stick.ja.startswith("bp"):
-            pivot, free = stick.a, stick.b
-        else:
-            pivot, free = stick.b, stick.a
-        rad = math.hypot(free[0], free[1])
-        phi = math.atan2(free[2] - pivot[2], rad)
-        return pivot, free, phi
-
-    # first partner rotates up until its free end hugs the axis
-    page1, e1 = partners[0]
-    pivot1, _, phi1_start = pivot_and_phi(e1)
-    angle1 = _page_angle(page1, comp.n_arcs)
-    dir1 = _page_dir(angle1)
-    phi1_end = math.acos(AXIS_HUG_FRACTION)
-    if phi1_end <= phi1_start:
-        raise NoRotationSolution(f"arc {page1} stick already steeper than the axis hug angle")
-    hub = _free_end(pivot1, dir1, M, phi1_end)
-    moves.append(SweepMove(e1.tag, pivot1, angle1, phi1_start, phi1_end, None))
-    sticks[at[e1.tag]] = EStick(pivot1, hub, e1.component, e1.tag, _axis_label(e1), "hub")
-
-    # remaining partners rotate until their free end is at distance M from hub
-    for page, ei in partners[1:]:
-        pivot, free0, phi_lo = pivot_and_phi(ei)
+        pivot, free = (ei.a, ei.b) if ei.ja.startswith("bp") else (ei.b, ei.a)
+        phi_start = math.atan2(free[2] - pivot[2], math.hypot(free[0], free[1]))
         angle = _page_angle(page, comp.n_arcs)
         diri = _page_dir(angle)
+        if hub is None:
+            # the first partner rotates up until its free end hugs the axis
+            phi_end = math.acos(AXIS_HUG_FRACTION)
+            if phi_end <= phi_start:
+                raise NoRotationSolution(f"arc {page} stick already steeper than the axis hug angle")
+        else:
+            # the others rotate until their free end is at distance M from the hub
+            def gap(phi: float) -> float:
+                return _dist(_free_end(pivot, diri, M, phi), hub) - M
 
-        def gap(phi: float) -> float:
-            return _dist(_free_end(pivot, diri, M, phi), hub) - M
-
-        g_lo, g_hi = gap(phi_lo), gap(math.pi / 2.0)
-        if not (g_lo > 0.0 > g_hi):
-            raise NoRotationSolution(
-                f"arc {page}: no rotation bracket (gap {g_lo:.3e} .. {g_hi:.3e}); M too small")
-        lo, hi = phi_lo, math.pi / 2.0
-        while abs(g := gap(mid := (lo + hi) / 2.0)) > BISECT_REL_TOL * M:
-            if g > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-17:
-                break
-        phi_end = (lo + hi) / 2.0
-        fi = _free_end(pivot, diri, M, phi_end)
-        moves.append(SweepMove(ei.tag, pivot, angle, phi_lo, phi_end, hub))
-        sticks[at[ei.tag]] = EStick(pivot, fi, ei.component, ei.tag, _axis_label(ei), f"end{page}")
-        sticks.append(EStick(hub, fi, ei.component, f"join{page}", "hub", f"end{page}"))
+            g_lo, g_hi = gap(phi_start), gap(math.pi / 2.0)
+            if not (g_lo > 0.0 > g_hi):
+                raise NoRotationSolution(
+                    f"arc {page}: no rotation bracket (gap {g_lo:.3e} .. {g_hi:.3e}); M too small")
+            lo, hi = phi_start, math.pi / 2.0
+            while abs(g := gap(mid := (lo + hi) / 2.0)) > BISECT_REL_TOL * M:
+                if g > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo < 1e-17:
+                    break
+            phi_end = (lo + hi) / 2.0
+        free = _free_end(pivot, diri, M, phi_end)
+        moves.append(SweepMove(ei.tag, pivot, angle, phi_start, phi_end, hub))
+        if hub is None:
+            hub, label = free, "hub"
+        else:
+            label = f"end{page}"
+            sticks.append(EStick(hub, free, ei.component, f"join{page}", "hub", label))
+        sticks[at[ei.tag]] = EStick(pivot, free, ei.component, ei.tag, _axis_label(ei), label)
 
     info = replace(comp, reduced=True, deleted_tags=tuple(d.tag for d in doomed),
                    moves=tuple(moves))
@@ -556,7 +542,7 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
             for step in range(steps + 1)]
     fixed = [move.pivot] if move.hub is None else [move.pivot, move.hub]
     rays = []    # per mover: unit directions and their summed turning by sample
-    first = []   # (bound at sample 0, pair) for every pair
+    first = []   # every pair, led by its bound at sample 0
     for k, F in enumerate(fixed):
         units = [_unit(_vsub(e, F)) for e in ends]
         turned = [0.0]
@@ -572,21 +558,18 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                 r, shared, arc = horizons[key]
                 R = max(rho, r) if shared else r
                 g0 = _least_angle(units[0], arc)
-                first.append((R * math.sin(min(g0, math.pi / 2)), (k, pa, pb, R, arc, g0)))
-    first.sort(key=lambda f: f[0])
+                first.append((R * math.sin(min(g0, math.pi / 2)), k, pa, pb, R, arc, g0))
+    first.sort(key=lambda pair: pair[0])
+    due = [first] + [[] for _ in range(steps)]
     min_seen = math.inf
-    for bound, (k, pa, pb, *_) in first:
-        if bound > min_seen + snap:
-            break    # this pair and every later one clear sample 0
-        min_seen = min(min_seen, _clearance(fixed[k], ends[0], pa, pb, snap))
-    due = [[pair for _, pair in first]] + [[] for _ in range(steps)]
     for step, pairs in enumerate(due):
-        if step:
-            for k, pa, pb, *_ in pairs:
-                min_seen = min(min_seen, _clearance(fixed[k], ends[step], pa, pb, snap))
+        for bound, k, pa, pb, *_ in pairs:
+            if not step and bound > min_seen + snap:
+                break    # this pair and every later one clear sample 0
+            min_seen = min(min_seen, _clearance(fixed[k], ends[step], pa, pb, snap))
         target = min_seen + snap
         for pair in pairs:
-            k, _, _, R, arc, g0 = pair
+            _, k, _, _, R, arc, g0 = pair
             nxt = step + 1
             if R > target:
                 units, turned = rays[k]
@@ -605,9 +588,9 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
     SWEEP_STEP_RAD (skipping only samples proved clear, see the module
     docstring), then check final clearances.  Contacts at the pivot and
     hub junctions are trimmed out; everything else must keep a positive
-    margin of CERT_CLEARANCE_REL * M.  Each sweep must also end exactly where
-    the claimed embedding puts its stick, and sticks without a recorded sweep
-    must not have moved at all.
+    margin of CERT_CLEARANCE_REL * M.  Each sweep must also start where its
+    stick is parked and end exactly where the claimed embedding puts it, and
+    sticks without a recorded sweep must not have moved at all.
 
     `after` must hold exactly one component; it may be read back from a
     document.  `layout` is ignored: it is kept only so that callers that
@@ -629,6 +612,12 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
     report = CertificateReport(passed=True)
     horizons: dict = {}    # a moved stick has new coordinates, so a new key
     for move in comp.moves:
+        parked = state.get(move.tag)
+        start_free = _free_end(move.pivot, _page_dir(move.page_angle), M, move.phi_start)
+        if parked is None or not _same_seg(parked, (move.pivot, start_free), snap):
+            report.passed = False
+            report.detail = f"{move.tag} does not start where it is parked"
+            return report
         min_seen = _sweep_minimum(move, state, M, snap, horizons)
         report.moves.append((move.tag, min_seen))
         if min_seen <= floor:
@@ -693,8 +682,11 @@ def build_parts(vps: list[ValidatedPresentation], M: float | None = None) -> Equ
     length, doubling it for every part together until all of them certify;
     after MAX_RETRIES doublings the last attempt's failure propagates.  One
     part comes back as built, several through assemble_split.  The default M
-    is DEFAULT_M_FACTOR times the largest axis point count."""
+    is DEFAULT_M_FACTOR times the largest axis point count; a given M must
+    be finite and positive."""
     M0 = float(M) if M is not None else DEFAULT_M_FACTOR * max(p.m for p in vps)
+    if not 0.0 < M0 < math.inf:
+        raise EquilateralError(f"M={M0} is not a finite positive length")
     for attempt in range(MAX_RETRIES + 1):
         try:
             parts = [build_component(p, M0 * 2.0 ** attempt, component=i)

@@ -84,6 +84,27 @@ class ValidatedGraph:
         return d
 
 
+def equivalence_classes(items, pairs) -> list[list]:
+    """Classes of items under the equivalence the pairs generate, each in
+    item order, in order of first appearance (path-halving union-find)."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    groups: dict = {}
+    for x in items:
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
 def validate_graph(graph: AbstractGraph) -> ValidatedGraph:
     """Check id uniqueness and endpoint existence, compute components."""
     seen_v = set()
@@ -100,28 +121,8 @@ def validate_graph(graph: AbstractGraph) -> ValidatedGraph:
             if end not in seen_v:
                 raise DanglingEndpoint(f"edge {eid!r} endpoint {end!r} is not a vertex")
 
-    # components via repeated expansion; order follows first appearance
-    parent: dict[str, str] = {vid: vid for vid in graph.vertices}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, a, b in graph.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[str, set[str]] = {}
-    order: list[str] = []
-    for vid in graph.vertices:
-        root = find(vid)
-        if root not in groups:
-            groups[root] = set()
-            order.append(root)
-        groups[root].add(vid)
-    components = tuple(frozenset(groups[r]) for r in order)
+    pairs = ((a, b) for _, a, b in graph.edges)
+    components = tuple(frozenset(c) for c in equivalence_classes(graph.vertices, pairs))
     return ValidatedGraph(graph, e=len(graph.edges), v=len(graph.vertices), components=components)
 
 

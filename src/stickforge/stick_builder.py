@@ -35,8 +35,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .circular_diagram import CircularDiagram
+from .graph_core import equivalence_classes
 
 R3 = tuple[Fraction, Fraction, Fraction]
 P2 = tuple[Fraction, Fraction]
@@ -69,8 +71,9 @@ class StickEmbedding:
 
 class _Lift:
     """build()'s partial embedding as it grows, read like a StickEmbedding;
-    ends maps each placed page to its sticks' homogeneous ends, and near is
-    the diagram's near-page index (_near_pages), built once."""
+    ends maps each placed page to its sticks' homogeneous ends (place keeps
+    it in step with sticks), and near is the diagram's near-page index
+    (_near_pages), built once."""
 
     def __init__(self, cd: CircularDiagram) -> None:
         self.sticks: list[Stick] = []
@@ -78,6 +81,10 @@ class _Lift:
         self.heights: dict[int, int] = {}
         self.ends: dict[int, list] = {}
         self.near = _near_pages(cd)
+
+    def place(self, stick: Stick) -> None:
+        self.sticks.append(stick)
+        self.ends.setdefault(stick.page, []).append((_hom(stick.a), _hom(stick.b)))
 
 
 def _near_pages(cd: CircularDiagram) -> list[set[int]]:
@@ -105,17 +112,6 @@ def _hom(p) -> tuple[int, ...]:
     ratios = [c.as_integer_ratio() for c in p]
     w = math.lcm(*(d for _, d in ratios))
     return tuple(n * (w // d) for n, d in ratios) + (w,)
-
-
-def _placed_ends(partial: StickEmbedding | _Lift) -> dict[int, list]:
-    """Page -> homogeneous ends of its placed sticks: build()'s own index,
-    or one pass over the sticks of any other partial embedding."""
-    if isinstance(partial, _Lift):
-        return partial.ends
-    ends: dict[int, list] = {}
-    for s in partial.sticks:
-        ends.setdefault(s.page, []).append((_hom(s.a), _hom(s.b)))
-    return ends
 
 
 class _ChordFrame:
@@ -223,7 +219,7 @@ def _min_clear_height(frame: _ChordFrame, lows, z_prev: int, earlier) -> int:
     return z
 
 
-def clearance_height(cd: CircularDiagram, k: int, partial: StickEmbedding | _Lift) -> int:
+def clearance_height(cd: CircularDiagram, k: int, partial: _Lift) -> int:
     """Minimal admissible top level for chord of page k given the sticks
     already placed (pages below k)."""
     chord = cd.chords[k - 1]
@@ -231,9 +227,7 @@ def clearance_height(cd: CircularDiagram, k: int, partial: StickEmbedding | _Lif
     z_prev = max(partial.heights.values(), default=0)
     if cls.kind == "bi":
         return z_prev + 1
-    near = partial.near if isinstance(partial, _Lift) else _near_pages(cd)
-    placed = _placed_ends(partial)
-    earlier = [e for page in near[k] if page < k for e in placed.get(page, ())]
+    earlier = [e for page in partial.near[k] if page < k for e in partial.ends.get(page, ())]
     if cls.kind == "uni":
         other = chord.ends[1] if chord.ends[0] == cls.initiating_end else chord.ends[0]
         frame = _ChordFrame(cd.boundary[other], cd.boundary[cls.initiating_end])
@@ -255,32 +249,30 @@ def clearance_height(cd: CircularDiagram, k: int, partial: StickEmbedding | _Lif
 def build(cd: CircularDiagram) -> StickEmbedding:
     """Lift every chord in page order."""
     partial = _Lift(cd)
-    sticks, junctions, heights = partial.sticks, partial.junctions, partial.heights
+    place, junctions, heights = partial.place, partial.junctions, partial.heights
     for chord, cls in zip(cd.chords, cd.classes):
         k = chord.page
-        placed = len(sticks)
         z = clearance_height(cd, k, partial)
         zf = Fraction(z)
         if cls.kind == "bi":
             pa = (*cd.boundary[chord.ends[0]], zf)
             pb = (*cd.boundary[chord.ends[1]], zf)
-            sticks.append(Stick(pa, pb, k, chord.edge, "whole"))
+            place(Stick(pa, pb, k, chord.edge, "whole"))
             junctions[chord.ends[0]] = pa
             junctions[chord.ends[1]] = pb
         elif cls.kind == "uni":
             other = chord.ends[1] if chord.ends[0] == cls.initiating_end else chord.ends[0]
             top = (*cd.boundary[cls.initiating_end], zf)
-            sticks.append(Stick(junctions[other], top, k, chord.edge, "whole"))
+            place(Stick(junctions[other], top, k, chord.edge, "whole"))
             junctions[cls.initiating_end] = top
         else:
             e0, e1 = chord.ends
             p0, p1 = cd.boundary[e0], cd.boundary[e1]
             apex = ((p0[0] + p1[0]) / 2, (p0[1] + p1[1]) / 2, zf)
-            sticks.append(Stick(junctions[e0], apex, k, chord.edge, "left"))
-            sticks.append(Stick(apex, junctions[e1], k, chord.edge, "right"))
-        partial.ends[k] = [(_hom(s.a), _hom(s.b)) for s in sticks[placed:]]
+            place(Stick(junctions[e0], apex, k, chord.edge, "left"))
+            place(Stick(apex, junctions[e1], k, chord.edge, "right"))
         heights[k] = z
-    return StickEmbedding(tuple(sticks), junctions, heights)
+    return StickEmbedding(tuple(partial.sticks), junctions, heights)
 
 
 def _diff(a, b) -> tuple[int, int, int]:
@@ -308,24 +300,11 @@ def count_sticks(se: StickEmbedding) -> int:
         ends.setdefault(a, []).append((i, b))
         ends.setdefault(b, []).append((i, a))
 
-    parent = list(range(len(se.sticks)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for point, members in ends.items():
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                (ia, far_a), (ib, far_b) = members[ai], members[bi]
+    def straight_through():
+        for point, members in ends.items():
+            for (ia, far_a), (ib, far_b) in combinations(members, 2):
                 va, vb = _diff(point, far_a), _diff(point, far_b)
-                straight_through = _cross3(va, vb) == (0, 0, 0) and (
-                    va[0] * vb[0] + va[1] * vb[1] + va[2] * vb[2] < 0
-                )
-                if straight_through:
-                    ra, rb = find(ia), find(ib)
-                    if ra != rb:
-                        parent[rb] = ra
-    return len({find(i) for i in range(len(se.sticks))})
+                if _cross3(va, vb) == (0, 0, 0) and va[0] * vb[0] + va[1] * vb[1] + va[2] * vb[2] < 0:
+                    yield ia, ib
+
+    return len(equivalence_classes(range(len(se.sticks)), straight_through()))

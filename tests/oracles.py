@@ -580,6 +580,12 @@ def sampled_certificate(before, after):
     report = eb.CertificateReport(passed=True)
     for move in comp.moves:
         diri = (math.cos(move.page_angle), math.sin(move.page_angle))
+        parked = state.get(move.tag)
+        start_free = eb._free_end(move.pivot, diri, M, move.phi_start)
+        if parked is None or not eb._same_seg(parked, (move.pivot, start_free), snap):
+            report.passed = False
+            report.detail = f"{move.tag} does not start where it is parked"
+            return report
         steps = max(2, int(math.ceil(abs(move.phi_end - move.phi_start) / eb.SWEEP_STEP_RAD)) + 1)
         min_seen = math.inf
         for step in range(steps + 1):

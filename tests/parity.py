@@ -27,6 +27,12 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   build_equilateral(vp) for every job of the stickbench workloads
   theta-fan, random-large and random-small at seed 1 (124 builds), in
   that order; a build that raises contributes the exception's class name.
+- validator: the outcome of validate_presentation on 3,072 mutants, one
+  line each: "ok n e v m", or the exception's "type: message".  The bases
+  are the catalog and random_presentation(s, p, n) for p in PROFILES,
+  n in (4, 8, 20) and s < 10, in that order; each base gets VALIDATOR_DRAWS
+  single, then double, then triple mutations (_mutate) from
+  random.Random(base index).
 
 Pytest does not collect this file (its name does not start with test_).
 """
@@ -34,21 +40,25 @@ Pytest does not collect this file (its name does not start with test_).
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
-from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
+from stickforge.arc_presentation import (BindingPoint, PresentationError, catalog, catalog_names,
+                                         validate_presentation)
 from stickforge.circular_diagram import to_circular
 from stickforge.documents import (dumps_document, embedding_to_doc, equilateral_to_doc,
                                   presentation_to_doc)
 from stickforge.equilateral_builder import build_equilateral
+from stickforge.graph_core import GraphError
 from stickforge.randgen import PROFILES, random_presentation
 from stickforge.stick_builder import build
 from stickforge.verifier import check_equilateral, check_simplicity
 
 GRID_SIZES = (2, 3, 4, 6, 8, 12, 20, 40, 80, 150)
+VALIDATOR_DRAWS = 8   # mutants per base presentation and mutation depth
 
 
 def _eq_presentations():
@@ -139,8 +149,85 @@ def certificates() -> str:
     return digest.hexdigest()
 
 
+def _shifted(arcs, pos: int, by: int):
+    """The arcs with every end at or above pos moved by `by`."""
+    return [replace(a, ends=tuple(e + by if e >= pos else e for e in a.ends)) for a in arcs]
+
+
+def _mutate(rng: random.Random, ap):
+    """ap with one random change to its arcs or binding points.  Arc ends
+    may leave the axis, and refs may name the wrong kind of object."""
+    arcs, bps = list(ap.arcs), list(ap.binding_points)
+    m = len(bps)
+    refs = [*ap.graph.vertices, *(eid for eid, _, _ in ap.graph.edges)]
+    op = rng.randrange(11)
+    if op == 0 and arcs:      # move one arc end, out of range included
+        i, j = rng.randrange(len(arcs)), rng.randrange(2)
+        ends = list(arcs[i].ends)
+        ends[j] = rng.randrange(-1, m + 1)
+        arcs[i] = replace(arcs[i], ends=tuple(ends))
+    elif op == 1 and len(arcs) > 1:   # swap the edges of two arcs
+        i, k = rng.sample(range(len(arcs)), 2)
+        arcs[i], arcs[k] = replace(arcs[i], edge=arcs[k].edge), replace(arcs[k], edge=arcs[i].edge)
+    elif op == 2 and arcs:    # drop an arc and its page
+        del arcs[rng.randrange(len(arcs))]
+    elif op == 3 and arcs:    # drop an arc and renumber the pages
+        del arcs[rng.randrange(len(arcs))]
+        arcs = [replace(a, page=page) for page, a in enumerate(arcs, 1)]
+    elif op == 4 and arcs:    # give an arc another page
+        i = rng.randrange(len(arcs))
+        arcs[i] = replace(arcs[i], page=rng.randrange(len(arcs) + 2))
+    elif op == 5:             # add a binding point
+        pos = rng.randrange(m + 1)
+        bps.insert(pos, BindingPoint(rng.choice(("vertex", "interior")), rng.choice(refs)))
+        arcs = _shifted(arcs, pos, 1)
+    elif op == 6 and bps:     # retype a binding point
+        i = rng.randrange(m)
+        bps[i] = BindingPoint("interior" if bps[i].kind == "vertex" else "vertex", rng.choice(refs))
+    elif op == 7 and bps:     # drop a binding point
+        pos = rng.randrange(m)
+        del bps[pos]
+        arcs = _shifted(arcs, pos + 1, -1)
+    elif op == 8 and m > 1:   # swap two binding points
+        i, k = rng.sample(range(m), 2)
+        bps[i], bps[k] = bps[k], bps[i]
+    elif op == 9 and len(arcs) > 1:   # swap the ends of two arcs
+        i, k = rng.sample(range(len(arcs)), 2)
+        arcs[i], arcs[k] = replace(arcs[i], ends=arcs[k].ends), replace(arcs[k], ends=arcs[i].ends)
+    elif op == 10 and arcs:   # give an arc another edge, or a vertex's name
+        i = rng.randrange(len(arcs))
+        arcs[i] = replace(arcs[i], edge=rng.choice(refs))
+    return replace(ap, binding_points=tuple(bps), arcs=tuple(arcs))
+
+
+def validator_outcomes(draws: int = VALIDATOR_DRAWS):
+    """One line per mutant of the validator set (see the module docstring)."""
+    bases = [catalog(name) for name in catalog_names()]
+    bases += [random_presentation(s, p, n) for p in PROFILES for n in (4, 8, 20) for s in range(10)]
+    for idx, ap in enumerate(bases):
+        rng = random.Random(idx)
+        for depth in (1, 2, 3):
+            for _ in range(draws):
+                mutant = ap
+                for _ in range(depth):
+                    mutant = _mutate(rng, mutant)
+                try:
+                    vp = validate_presentation(mutant)
+                    yield f"ok {vp.n} {vp.e} {vp.v} {vp.m}"
+                except (PresentationError, GraphError) as err:
+                    yield f"{type(err).__name__}: {err}"
+
+
+def validator() -> str:
+    digest = hashlib.sha256()
+    for line in validator_outcomes():
+        digest.update(f"{line}\n".encode())
+    return digest.hexdigest()
+
+
 SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "exact-docs": exact_docs,
-        "presentations": presentations, "workloads": workloads, "certificates": certificates}
+        "presentations": presentations, "workloads": workloads, "certificates": certificates,
+        "validator": validator}
 
 
 def main(names) -> None:

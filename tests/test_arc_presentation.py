@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import parity
 from stickforge.arc_presentation import (
     Arc,
     ArcPresentation,
@@ -147,3 +148,10 @@ def test_split_single_component_is_identity_shape():
     parts = split_components(vp)
     assert len(parts) == 1
     assert parts[0].n == vp.n
+
+
+def test_validator_outcomes_pinned():
+    # the outcomes of the 3,072 mutants of the validator set of
+    # tests/parity.py: any change to which check fires first, or to its
+    # message, shows here
+    assert parity.validator() == "c0c315f5239784332b5c5689f796a9a2bef9594725ef0cbef498dddf9c4ccf87"

@@ -235,6 +235,10 @@ def _set_coordinate(doc, value):
     doc["sticks"][0]["a"][1] = value
 
 
+def _set_deleted_tags(doc, value):
+    doc["components"][0]["deleted_tags"] = value
+
+
 @pytest.mark.parametrize("build, edit, field", [
     ("build-eq", lambda doc: doc.__setitem__("M", "8"), "M"),
     ("build-eq", lambda doc: doc.__setitem__("M", None), "M"),
@@ -248,8 +252,13 @@ def _set_coordinate(doc, value):
     ("build-stick", lambda doc: _set_coordinate(doc, 1.5), "sticks[0].a[1]"),
     ("build-stick", lambda doc: doc["heights"].__setitem__("1", "x"), "heights[1]"),
     ("build-stick", lambda doc: doc["sticks"][0].__setitem__("page", "1"), "sticks[0].page"),
+    ("build-eq", lambda doc: _set_deleted_tags(doc, "arc5.upper"), "components[0].deleted_tags"),
+    ("build-eq", lambda doc: _set_deleted_tags(doc, [1, 2]), "components[0].deleted_tags[0]"),
+    ("build-eq", lambda doc: doc["components"][0]["deleted_tags"].append(None),
+     "components[0].deleted_tags[2]"),
 ], ids=["string-M", "null-M", "boolean-M", "decimal-abc", "decimal-string-number",
-        "no-sticks", "string-count", "exact-abc", "exact-float", "string-height", "string-page"])
+        "no-sticks", "string-count", "exact-abc", "exact-float", "string-height", "string-page",
+        "string-deleted-tags", "number-deleted-tags", "null-deleted-tag"])
 def test_verify_malformed_document_is_an_error_line(tmp_path, capsys, build, edit, field):
     path = tmp_path / "t.json"
     code, _, _ = run(capsys, build, "catalog:trefoil", "-o", str(path))
@@ -287,3 +296,24 @@ def test_validate_malformed_presentation_is_an_error_line(tmp_path, capsys, doc,
     assert "Traceback" not in err
     [line] = err.splitlines()
     assert line.startswith("error: ") and field in line
+
+
+@pytest.mark.parametrize("argv, seed, code_want, line", [
+    (["build-eq", "catalog:trefoil", "-M", "-3"], None, 1,
+     "error: M=-3.0 is not a finite positive length"),
+    (["build-eq", "catalog:trefoil", "-M", "0"], None, 1,
+     "error: M=0.0 is not a finite positive length"),
+    (["build-eq", "catalog:trefoil", "-M", "inf"], None, 1,
+     "error: M=inf is not a finite positive length"),
+    (["build-eq", "catalog:trefoil", "-M", "nan"], None, 1,
+     "error: M=nan is not a finite positive length"),
+    (["random"], "abc", 2, "error: STICKFORGE_SEED must be an integer, got 'abc'"),
+], ids=["negative-M", "zero-M", "inf-M", "nan-M", "seed-abc"])
+def test_outside_number_is_one_error_line(capsys, monkeypatch, argv, seed, code_want, line):
+    # refused as given, not after M doublings or with a traceback
+    if seed is not None:
+        monkeypatch.setenv("STICKFORGE_SEED", seed)
+    code, out, err = run(capsys, *argv)
+    assert code == code_want
+    assert out == ""
+    assert err.splitlines() == [line]

@@ -322,6 +322,26 @@ def test_certificate_fails_a_document_with_a_shifted_end():
     assert cert.detail == f"{move['tag']} does not end where its sweep stops"
 
 
+@pytest.mark.parametrize("name", ["trefoil", "theta_trivial(8)", "theta51"])
+@pytest.mark.parametrize("field, shift", [("phi_start", 0.3), ("pivot", 0.5)])
+def test_certificate_fails_a_document_with_a_shifted_start(name, field, shift):
+    # the first sweep no longer starts on its parked tent stick: the stick
+    # would jump there unchecked before the sweep
+    vp = vp_of(name)
+    doc = _document(vp)
+    move = doc["components"][0]["moves"][0]
+    if field == "pivot":
+        move["pivot"][2] += shift
+    else:
+        move["phi_start"] += shift
+    tents = build_tents(vp, doc["M"])
+    cert = isotopy_certificate(tents, equilateral_from_doc(doc))
+    assert not cert.passed
+    assert cert.detail == f"{move['tag']} does not start where it is parked"
+    assert cert.moves == []
+    assert _verdict(cert) == _verdict(oracles.sampled_certificate(tents, equilateral_from_doc(doc)))
+
+
 def test_certificate_refuses_an_assembled_embedding():
     vp = vp_of("unlink(2)")
     with pytest.raises(EquilateralError, match="exactly one component"):

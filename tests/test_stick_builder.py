@@ -83,8 +83,7 @@ def test_exact_documents_pinned():
 
 def test_bi_chords_rise_one_level():
     _, cd = build_catalog("trefoil")
-    partial = StickEmbedding(sticks=[], junctions={}, heights={})
-    assert clearance_height(cd, 1, partial) == 1
+    assert clearance_height(cd, 1, stick_builder._Lift(cd)) == 1
 
 
 def test_junctions_sit_at_initiating_heights():
@@ -154,9 +153,13 @@ def _shared_end_obstacle():
     cd = to_circular(validate_presentation(catalog("theta_trivial(3)")))
     se = build(cd)
     half = Fraction(1, 2)
-    sticks = (se.sticks[0], Stick((Fraction(0), half, Fraction(2)), (Fraction(0), -half, Fraction(2)),
-                                  2, "e2", "whole"))
-    return cd, 3, StickEmbedding(sticks, se.junctions, {1: 1, 2: 2})
+    partial = stick_builder._Lift(cd)
+    for s in (se.sticks[0], Stick((Fraction(0), half, Fraction(2)), (Fraction(0), -half, Fraction(2)),
+                                  2, "e2", "whole")):
+        partial.place(s)
+    partial.junctions.update(se.junctions)
+    partial.heights.update({1: 1, 2: 2})
+    return cd, 3, partial
 
 
 def test_min_heights_against_brute_force(monkeypatch):
