@@ -45,25 +45,62 @@ directions from F collapse to one point, or to two opposite points when F
 lies on it; G is then bounded by the triangle inequality, which gives 0 in
 the second case, and the pair is evaluated at the next sample.
 
-At T = 0 the same bound covers sample 0 itself, which conservative
-advancement (Mirtich 1996; Tang, Kim and Manocha, C2A, 2009) exploits:
-every pair's bound B = R sin(min(G, pi/2)) at sample 0 is computed, and
-the pairs are evaluated there in ascending order of B.  Once a pair's B
-exceeds the running minimum plus snap, that pair and every later one lie
-above it at sample 0; they are not evaluated there, and the rule above
-schedules them from sample 1.  The skip argument is unchanged, so the
-minimum is still that of every pair at every sample.
+At T = 0 the same bound covers sample 0 itself, and a cone bound covers
+the whole sweep at once, which conservative advancement (Mirtich 1996; Tang,
+Kim and Manocha, C2A, 2009) exploits.  Angles between unit vectors obey the
+triangle inequality.
+- The directions from F to a segment that misses F fill the shorter
+  great-circle arc from a to b, the directions of its ends, and every point
+  of that arc lies within h = ab/2 of its midpoint c = (a + b)/|a + b|.
+  When the segment reaches F, or |a + b| is too short to trust (below), the
+  cone is the whole sphere, h = pi.
+- The mover's direction at sample s lies within |Theta_s - Theta_mid| of
+  its direction c_m at sample mid, where Theta is the summed turning.  mid
+  is the first sample whose turning reaches half the sweep's total
+  Theta_end, so h_m = max(Theta_mid, Theta_end - Theta_mid) covers every
+  sample.
+So at every sample the least angle at F between the pair is at least
+G = angle(c_m, c) - h_m - h, and the pair is at least
+W = R sin(min(max(G, 0), pi/2)) apart.  A sweep draws its pairs in
+ascending order of W, and evaluates sample 0 in ascending order of
+B = R sin(min(G0, pi/2)), G0 the least angle at sample 0.  It computes a
+pair's B only when it draws the pair, and draws the next pair whenever its
+W is no larger than the least B waiting, so every pair not drawn has W
+above the least B waiting.  Sample 0 stops at the first B, or the first W,
+above the running minimum plus snap: the pairs waiting then lie above that
+at sample 0, and the pairs not drawn lie above it, and so above the final
+minimum, at every sample; they are never evaluated.  The drawn pairs are
+scheduled from sample 0 by the rule above, so the minimum is still that of
+every pair at every sample, and B is computed for few pairs.
 
-Of R and the directions from F to the parked stick, only rho depends on
-the mover.  r, those directions and whether F is one of the stick's ends
-depend on F, the stick's two ends and snap alone, so one certificate
-computes them once per key (F, pa, pb) of exact coordinates and forms R
-when a pair is used.
-A stick that moves enters the state with new coordinates, so no key
-outlives its stick; a parked stick keeps its key from move to move, and on
-theta-fan every move shares its pivot and every joiner its hub.  Keys that
-compare equal give the same values up to the sign of a zero, which no
-comparison in the sweep sees.
+Rounding.  Write u = 2^-53.  Every point the certificate sees lies within
+5M of every other: the tents stand within M of the axis points 0 .. m - 1,
+m - 1 < 2M, every swept stick has its pivot on the axis and length M, and
+every joiner hangs from the first sweep's end.  So R < 5M, and an angle
+off by d moves a bound by under 5Md.  Each computed unit vector lies within
+4u of the direction of the computed points it stands for, and angles come
+from atan2 (_angle), which is within 10u of the angle between its computed
+arguments even near 0 and pi.  So h is off by under 10u, c = unit(a + b)
+by under 16u/|a + b|, and Theta by under (18 + Theta_end)u per sample.
+The cone is used only when _horizon trusts the arc's plane (|a x b| >=
+1e-3, so ab <= pi - 1e-3) or a . b >= 0 (ab <= pi/2); either way
+|a + b| = 2 cos(ab/2) is about 1e-3 or more, and c is off by under 2e-12.
+For a sweep of under 10^4 samples turning under 100 rad (a builder's
+sweep has a few hundred samples and turns under pi), G is off by under
+1.4e-10 and W by under 7e-10 M, which snap = 1e-9 M absorbs, as it absorbs
+the rounding of the per-sample bound.
+
+Of R and the cone, only rho depends on the mover.  r, the arc of
+directions, the cone and the parked stick trimmed at F depend on F and the
+stick alone, so one certificate keeps them in one slot list per fixed end
+F, in state order; a slot is refreshed only when its state entry is a
+different object.  A stick that moves enters the state as a new entry, so
+no slot outlives its stick; a parked stick keeps its slot from move to
+move, and on theta-fan every move shares its pivot and every joiner its
+hub.  Fixed ends that compare equal give the same values up to the sign of
+a zero, which no comparison in the sweep sees.  Clearances go through
+_slot_clearance, which reads the slot's trimmed stick and the mover trimmed
+at F (once per sample) and equals _clearance float for float.
 
 tolerance_report measures only the stick pairs that could hold the least
 clearance (_near_pairs), and its minimum is that of every pair, float for
@@ -106,6 +143,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
 
 from .arc_presentation import ValidatedPresentation, equal_length_parts
@@ -493,24 +531,31 @@ def _same_seg(u, v, snap: float) -> bool:
 
 
 def _horizon(F: V3, pa: V3, pb: V3, snap: float):
-    """(r, shared, arc) for a mover with fixed end F against the parked
-    stick pa pb; none of it depends on the mover.  shared says whether F is
-    an end of the stick, which is then trimmed there as _clearance trims
-    it; otherwise any trim _clearance makes only shortens it.  r is the
-    distance from F to the (trimmed) stick.  arc holds the directions from
-    F to it: (a, b, unit normal of their plane or None when that plane is
-    too thin to trust, angle from a to b), or None when the stick reaches
-    F."""
+    """(r, shared, arc, c, h, seg) for a mover with fixed end F against the
+    parked stick pa pb; none of it depends on the mover.  shared says
+    whether F is an end of the stick; seg is then the stick trimmed there as
+    _clearance trims it, else the stick itself (any trim _clearance makes
+    then only shortens it).  r is the distance from F to seg.  arc holds the
+    directions from F to seg: (a, b, unit normal of their plane or None when
+    that plane is too thin to trust, angle from a to b), or None when seg
+    reaches F.  Every direction from F to seg lies within h of the unit c;
+    h = pi, the whole sphere, when seg reaches F or a + b is too short to
+    trust (see the module docstring)."""
     y = next((y for y in (pa, pb) if _dist(F, y) <= snap), None)
-    ra, rb = (pa, pb) if y is None else _trimmed(pa, pb, y)   # _trimmed's cut at F
-    r = _seg_distance(F, F, ra, rb)
-    va, vb = _vsub(ra, F), _vsub(rb, F)
+    shared = y is not None
+    seg = _trimmed(pa, pb, y) if shared else (pa, pb)   # _trimmed's cut at F
+    r = _seg_distance(F, F, *seg)
+    va, vb = _vsub(seg[0], F), _vsub(seg[1], F)
     if _norm(va) == 0.0 or _norm(vb) == 0.0:
-        return r, y is not None, None
+        return r, shared, None, (0.0, 0.0, 1.0), math.pi, seg   # h = pi: any c will do
     a, b = _unit(va), _unit(vb)
     n = _cross(a, b)
     thin = _norm(n) < 1e-3    # near a pole the normal carries rounding error
-    return r, y is not None, (a, b, None if thin else _unit(n), _angle(a, b))
+    ab = _angle(a, b)
+    arc = (a, b, None if thin else _unit(n), ab)
+    if thin and _dot(a, b) < 0.0:
+        return r, shared, arc, a, math.pi, seg
+    return r, shared, arc, _unit((a[0] + b[0], a[1] + b[1], a[2] + b[2])), ab / 2, seg
 
 
 def _least_angle(u: V3, arc) -> float:
@@ -527,53 +572,92 @@ def _least_angle(u: V3, arc) -> float:
     return min(_angle(u, a), _angle(u, b))
 
 
+def _slot_clearance(F: V3, start: V3, end: V3, slot, snap: float) -> float:
+    """_clearance(F, end, pa, pb, snap) float for float, for the parked stick
+    pa pb of slot: start is the mover F end trimmed at F, as _trimmed cuts
+    it, and the slot holds the stick already trimmed when F is its end."""
+    _, _, shared, _, _, _, (pa, pb) = slot
+    if shared:
+        return _seg_distance(start, end, pa, pb)
+    for y in (pa, pb):
+        if _dist(end, y) <= snap:
+            return _seg_distance(*_trimmed(F, end, end), *_trimmed(pa, pb, y))
+    return _seg_distance(F, end, pa, pb)
+
+
 def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                    snap: float, horizons: dict) -> float:
     """Least _clearance between the moving sticks and the parked ones over
-    the sampled sweep.  A (mover, parked) pair is evaluated at sample 0 only
-    when its bound there could reach the running minimum plus snap, and
-    again only at the first sample where its horizon bound could fall that
-    far (see the module docstring); the minimum is the one every pair at
-    every sample gives.  horizons holds _horizon by (F, pa, pb), shared by
-    the sweeps of one certificate."""
+    the sampled sweep.  A (mover, parked) pair is dropped for the whole
+    sweep when its cone bound clears the running minimum plus snap after
+    sample 0, evaluated at sample 0 only when its bound there could reach
+    it, and again only at the first sample where its horizon bound could
+    fall that far (see the module docstring); the minimum is the one every
+    pair at every sample gives.  horizons holds a slot list per fixed end,
+    (state entry, *_horizon) in state order, shared by the sweeps of one
+    certificate."""
     diri = _page_dir(move.page_angle)
     steps = max(2, int(math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD)) + 1)
     ends = [_free_end(move.pivot, diri, M, move.phi_start + (move.phi_end - move.phi_start) * step / steps)
             for step in range(steps + 1)]
     fixed = [move.pivot] if move.hub is None else [move.pivot, move.hub]
-    rays = []    # per mover: unit directions and their summed turning by sample
-    first = []   # every pair, led by its bound at sample 0
+    f, half = TRIM_FRACTION, math.pi / 2
+    rays = []    # per mover: unit directions, their summed turning, trimmed starts
+    pool = []    # every pair, led by its bound over the whole sweep
     for k, F in enumerate(fixed):
-        units = [_unit(_vsub(e, F)) for e in ends]
+        outs = [_vsub(e, F) for e in ends]
+        lengths = [_norm(v) for v in outs]
+        units = [(v[0] / n, v[1] / n, v[2] / n) for v, n in zip(outs, lengths)]   # as _unit
         turned = [0.0]
         for u, v in zip(units, units[1:]):
             turned.append(turned[-1] + _angle(u, v))
-        rays.append((units, turned))
-        rho = TRIM_FRACTION * min(_dist(e, F) for e in ends)   # where the trimmed mover starts
-        for tag, (pa, pb) in state.items():
+        rays.append((units, turned, [(F[0] + f * (e[0] - F[0]), F[1] + f * (e[1] - F[1]),
+                                      F[2] + f * (e[2] - F[2])) for e in ends]))
+        mid = bisect_left(turned, turned[-1] / 2)   # the mover's cone: c_m, h_m
+        (mx, my, mz), hm = units[mid], max(turned[mid], turned[-1] - turned[mid])
+        rho = f * min(lengths)   # where the trimmed mover starts
+        slots = horizons.setdefault(F, [])
+        slots += [(None,)] * (len(state) - len(slots))
+        for i, (tag, entry) in enumerate(state.items()):
             if tag != move.tag:
-                key = (F, pa, pb)
-                if key not in horizons:
-                    horizons[key] = _horizon(F, pa, pb, snap)
-                r, shared, arc = horizons[key]
+                slot = slots[i]
+                if slot[0] is not entry:
+                    slot = slots[i] = (entry, *_horizon(F, *entry, snap))
+                _, r, shared, _, (cx, cy, cz), h, _ = slot
                 R = max(rho, r) if shared else r
-                g0 = _least_angle(units[0], arc)
-                first.append((R * math.sin(min(g0, math.pi / 2)), k, pa, pb, R, arc, g0))
-    first.sort(key=lambda pair: pair[0])
-    due = [first] + [[] for _ in range(steps)]
+                # G, with _angle(c_m, c) written out: this loop sees every pair
+                ux, uy, uz = my * cz - mz * cy, mz * cx - mx * cz, mx * cy - my * cx
+                g = math.atan2(math.sqrt(ux * ux + uy * uy + uz * uz), mx * cx + my * cy + mz * cz) - hm - h
+                pool.append((R * math.sin(min(max(g, 0.0), half)), len(pool), k, slot, R))
+    heapify(pool)
+    waiting = []     # pairs by their bound at sample 0
+    first = []       # the pairs that got one
     min_seen = math.inf
-    for step, pairs in enumerate(due):
-        for bound, k, pa, pb, *_ in pairs:
-            if not step and bound > min_seen + snap:
+    while pool or waiting:
+        if pool and (not waiting or pool[0][0] <= waiting[0][0]):
+            bound, i, k, slot, R = heappop(pool)
+            if bound > min_seen + snap:
+                break    # this pair and every later one clear every sample
+            g0 = _least_angle(rays[k][0][0], slot[3])
+            first.append((k, slot, R, g0))
+            heappush(waiting, (R * math.sin(min(g0, half)), i, first[-1]))
+        else:
+            bound, _, (k, slot, _, _) = heappop(waiting)
+            if bound > min_seen + snap:
                 break    # this pair and every later one clear sample 0
-            min_seen = min(min_seen, _clearance(fixed[k], ends[step], pa, pb, snap))
+            min_seen = min(min_seen, _slot_clearance(fixed[k], rays[k][2][0], ends[0], slot, snap))
+    due = [first] + [[] for _ in range(steps)]
+    for step, pairs in enumerate(due):
+        if step:
+            for k, slot, _, _ in pairs:
+                min_seen = min(min_seen, _slot_clearance(fixed[k], rays[k][2][step], ends[step], slot, snap))
         target = min_seen + snap
         for pair in pairs:
-            _, k, _, _, R, arc, g0 = pair
+            k, slot, R, g0 = pair
             nxt = step + 1
             if R > target:
-                units, turned = rays[k]
-                g = g0 if step == 0 else _least_angle(units[step], arc)
+                units, turned, _ = rays[k]
+                g = g0 if step == 0 else _least_angle(units[step], slot[3])
                 slack = g - math.asin(target / R)
                 if slack > 0.0:
                     nxt = bisect_left(turned, turned[step] + slack, step + 1)
@@ -589,8 +673,10 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
     docstring), then check final clearances.  Contacts at the pivot and
     hub junctions are trimmed out; everything else must keep a positive
     margin of CERT_CLEARANCE_REL * M.  Each sweep must also start where its
-    stick is parked and end exactly where the claimed embedding puts it, and
-    sticks without a recorded sweep must not have moved at all.
+    stick is parked and end exactly where the claimed embedding puts it,
+    every sweep but the first must stretch its joiner from the first
+    sweep's end, and sticks without a recorded sweep must not have moved at
+    all.
 
     `after` must hold exactly one component; it may be read back from a
     document.  `layout` is ignored: it is kept only so that callers that
@@ -610,13 +696,22 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
     final = {s.tag: (s.a, s.b) for s in after.sticks}
 
     report = CertificateReport(passed=True)
-    horizons: dict = {}    # a moved stick has new coordinates, so a new key
+    horizons: dict = {}    # slot lists by fixed end
+    hub = None             # where the first sweep ends
     for move in comp.moves:
         parked = state.get(move.tag)
         start_free = _free_end(move.pivot, _page_dir(move.page_angle), M, move.phi_start)
         if parked is None or not _same_seg(parked, (move.pivot, start_free), snap):
             report.passed = False
             report.detail = f"{move.tag} does not start where it is parked"
+            return report
+        if hub is None:
+            hangs = move.hub is None
+        else:
+            hangs = move.hub is not None and _dist(move.hub, hub) <= snap
+        if not hangs:
+            report.passed = False
+            report.detail = f"{move.tag} does not hang from the first sweep's end"
             return report
         min_seen = _sweep_minimum(move, state, M, snap, horizons)
         report.moves.append((move.tag, min_seen))
@@ -631,7 +726,9 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
             report.detail = f"{move.tag} does not end where its sweep stops"
             return report
         state[move.tag] = claimed
-        if move.hub is not None:
+        if hub is None:
+            hub = end_free
+        else:
             page = _page(move.tag)
             joiner = final.get(f"join{page}")
             if joiner is None or not _same_seg(joiner, (move.hub, end_free), snap):

@@ -578,6 +578,7 @@ def sampled_certificate(before, after):
     final = {s.tag: (s.a, s.b) for s in after.sticks}
 
     report = eb.CertificateReport(passed=True)
+    hub = None   # where the first sweep ends
     for move in comp.moves:
         diri = (math.cos(move.page_angle), math.sin(move.page_angle))
         parked = state.get(move.tag)
@@ -585,6 +586,14 @@ def sampled_certificate(before, after):
         if parked is None or not eb._same_seg(parked, (move.pivot, start_free), snap):
             report.passed = False
             report.detail = f"{move.tag} does not start where it is parked"
+            return report
+        if hub is None:
+            hangs = move.hub is None
+        else:
+            hangs = move.hub is not None and eb._dist(move.hub, hub) <= snap
+        if not hangs:
+            report.passed = False
+            report.detail = f"{move.tag} does not hang from the first sweep's end"
             return report
         steps = max(2, int(math.ceil(abs(move.phi_end - move.phi_start) / eb.SWEEP_STEP_RAD)) + 1)
         min_seen = math.inf
@@ -611,7 +620,9 @@ def sampled_certificate(before, after):
             report.detail = f"{move.tag} does not end where its sweep stops"
             return report
         state[move.tag] = claimed
-        if move.hub is not None:
+        if hub is None:
+            hub = end_free
+        else:
             page = move.tag[3:].split(".")[0]
             joiner = final.get(f"join{page}")
             if joiner is None or not eb._same_seg(joiner, (move.hub, end_free), snap):

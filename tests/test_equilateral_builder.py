@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 
 import pytest
 
@@ -342,6 +343,27 @@ def test_certificate_fails_a_document_with_a_shifted_start(name, field, shift):
     assert _verdict(cert) == _verdict(oracles.sampled_certificate(tents, equilateral_from_doc(doc)))
 
 
+@pytest.mark.parametrize("name", ["trefoil", "theta_trivial(8)"])
+def test_certificate_fails_a_joiner_off_the_first_sweeps_end(name):
+    # the second move's hub and its joiner's hub end both shifted: the
+    # joiner still glues that hub to the swept end, so only tying the hub
+    # to where the first sweep ended catches it
+    vp = vp_of(name)
+    doc = _document(vp)
+    move = doc["components"][0]["moves"][1]
+    joiner = next(s for s in doc["sticks"] if s["tag"] == f"join{move['tag'][3:].split('.')[0]}")
+    assert joiner["a"] == move["hub"]
+    for point in (move["hub"], joiner["a"]):
+        point[0] += 0.05
+        point[2] += 0.05
+    tents = build_tents(vp, doc["M"])
+    cert = isotopy_certificate(tents, equilateral_from_doc(doc))
+    assert not cert.passed
+    assert cert.detail == f"{move['tag']} does not hang from the first sweep's end"
+    assert len(cert.moves) == 1
+    assert _verdict(cert) == _verdict(oracles.sampled_certificate(tents, equilateral_from_doc(doc)))
+
+
 def test_certificate_refuses_an_assembled_embedding():
     vp = vp_of("unlink(2)")
     with pytest.raises(EquilateralError, match="exactly one component"):
@@ -471,19 +493,27 @@ def _radial_first_seen(monkeypatch, due):
         "radial": ((r * math.cos(psi), 0.0, r * math.sin(psi)),
                    (1.5 * r * math.cos(psi), 0.0, 1.5 * r * math.sin(psi))),
     }
-    seen = []
-    real = equilateral_builder._clearance
-
-    def spy(p, q, a, b, s):
-        if (a, b) == state["radial"]:
-            seen.append(q)
-        return real(p, q, a, b, s)
-
     ends = [(M * math.cos(phi), 0.0, M * math.sin(phi)) for phi in phis]
-    every = min(real(move.pivot, q, a, b, snap) for q in ends for a, b in state.values())
-    monkeypatch.setattr(equilateral_builder, "_clearance", spy)
-    assert equilateral_builder._sweep_minimum(move, state, M, snap, {}) == every
+    every = min(equilateral_builder._clearance(move.pivot, q, a, b, snap)
+                for q in ends for a, b in state.values())
+    seen = _evaluated(monkeypatch, move, state, M, every)["radial"]
     return ends.index(seen[0])
+
+
+def _evaluated(monkeypatch, move, state, M, every):
+    """The moving ends at which _sweep_minimum evaluates each parked stick,
+    by tag, checking that its minimum is every (the all-pairs value)."""
+    seen = {tag: [] for tag in state}
+    tags = {id(seg): tag for tag, seg in state.items()}
+    kernel = equilateral_builder._slot_clearance
+
+    def spy(F, start, end, slot, snap):
+        seen[tags[id(slot[0])]].append(end)
+        return kernel(F, start, end, slot, snap)
+
+    monkeypatch.setattr(equilateral_builder, "_slot_clearance", spy)
+    assert equilateral_builder._sweep_minimum(move, state, M, SNAP_REL * M, {}) == every
+    return seen
 
 
 def test_certificate_evaluates_within_margin(monkeypatch):
@@ -502,7 +532,12 @@ def test_certificate_culls_sample_0_within_margin(monkeypatch):
 
 def test_certificate_culls_the_first_sample(monkeypatch):
     calls, keys = [0], []
-    clearance, horizon = equilateral_builder._clearance, equilateral_builder._horizon
+    kernel, clearance = equilateral_builder._slot_clearance, equilateral_builder._clearance
+    horizon = equilateral_builder._horizon
+
+    def counted_kernel(*args):
+        calls[0] += 1
+        return kernel(*args)
 
     def counted(*args):
         calls[0] += 1
@@ -512,6 +547,8 @@ def test_certificate_culls_the_first_sample(monkeypatch):
         keys.append((F, pa, pb))
         return horizon(F, pa, pb, snap)
 
+    # the certificate evaluates through the kernel, the reference through _clearance
+    monkeypatch.setattr(equilateral_builder, "_slot_clearance", counted_kernel)
     monkeypatch.setattr(equilateral_builder, "_clearance", counted)
     monkeypatch.setattr(equilateral_builder, "_horizon", keyed)
     tents = build_tents(vp_of("theta_trivial(32)"), 8.0)
@@ -546,3 +583,80 @@ def test_certificate_horizons_keep_no_movers_trim():
                     for q in ends for F in (move.pivot, hub) for a, b in state.values())
         assert equilateral_builder._sweep_minimum(move, state, M, snap, horizons) == every
     assert every < 0.02 * (1 - 1e-6)   # the shared stick, not the holder
+
+
+@pytest.mark.parametrize("over, evaluated", [(0.5, True), (2.0, False)])
+def test_certificate_culls_the_sweep_within_margin(monkeypatch, over, evaluated):
+    # a radial parked stick just below the swing's start, whose bound over
+    # the whole sweep is m + snap/2 or m + 2 snap, while a holder stick
+    # beside the start keeps the running minimum at m from sample 0: the
+    # first is within the margin and evaluated, the second never is (the
+    # per-sample schedule alone would evaluate it at sample 1)
+    M, m, r = 1.0, 0.1, 0.5
+    snap = SNAP_REL * M
+    move = SweepMove("arc0.lower", (0.0, 0.0, 0.0), 0.0, 0.0, 0.5, None)
+    steps = max(2, math.ceil(0.5 / SWEEP_STEP_RAD) + 1)
+    ends = [(M * math.cos(0.5 * s / steps), 0.0, M * math.sin(0.5 * s / steps)) for s in range(steps + 1)]
+    psi = -math.asin((m + over * snap) / r)
+    state = {
+        "holder": ((0.5, m, -0.01), (0.5, m, 0.01)),
+        "radial": ((r * math.cos(psi), 0.0, r * math.sin(psi)),
+                   (1.5 * r * math.cos(psi), 0.0, 1.5 * r * math.sin(psi))),
+    }
+    every = min(equilateral_builder._clearance(move.pivot, q, a, b, snap)
+                for q in ends for a, b in state.values())
+    seen = _evaluated(monkeypatch, move, state, M, every)
+    assert seen["holder"][0] == ends[0]
+    assert bool(seen["radial"]) == evaluated
+
+
+@pytest.mark.parametrize("case", ["shared-a", "shared-b", "apart", "ends-meet"])
+def test_slot_clearance_equals_clearance(case):
+    # the sweep's kernel, reading the slot's trim, against _clearance on
+    # the same mover F end and parked stick, bit for bit
+    rng = random.Random(case)
+    M = 8.0
+    snap = SNAP_REL * M
+    f = equilateral_builder.TRIM_FRACTION
+    checked = 0
+    for _ in range(200):
+        F, end, p, q = (tuple(rng.uniform(-M, M) for _ in range(3)) for _ in range(4))
+        if case == "shared-a":
+            p = tuple(c + rng.uniform(-0.4, 0.4) * snap for c in F)
+        elif case == "shared-b":
+            q = tuple(c + rng.uniform(-0.4, 0.4) * snap for c in F)
+        elif case == "ends-meet":
+            p = tuple(c + rng.uniform(-0.4, 0.4) * snap for c in end)
+        slot = ((p, q), *equilateral_builder._horizon(F, p, q, snap))
+        assert slot[2] == case.startswith("shared")
+        start = (F[0] + f * (end[0] - F[0]), F[1] + f * (end[1] - F[1]), F[2] + f * (end[2] - F[2]))
+        assert start == equilateral_builder._trimmed(F, end, F)[0]
+        got = equilateral_builder._slot_clearance(F, start, end, slot, snap)
+        assert got.hex() == equilateral_builder._clearance(F, end, p, q, snap).hex()
+        checked += 1
+    assert checked == 200
+
+
+def test_certificate_culls_the_whole_sweep(monkeypatch):
+    # theta_trivial(64) at M = 8: the whole-sweep cull leaves few pairs to
+    # bound at sample 0 (15,157 _least_angle calls before it, 3,562 with it)
+    calls = [0]
+    least_angle = equilateral_builder._least_angle
+
+    def counted(*args):
+        calls[0] += 1
+        return least_angle(*args)
+
+    tents = build_tents(vp_of("theta_trivial(64)"), 8.0)
+    red = reduce_top(tents)
+    monkeypatch.setattr(equilateral_builder, "_least_angle", counted)
+    assert isotopy_certificate(tents, red).passed
+    assert calls[0] <= 5000
+
+
+def test_benchmark_certificates_pinned():
+    # the certificates set of tests/parity.py: (passed, moves, detail) of
+    # the 124 benchmark builds at seed 1, theta-fan (theta_trivial up to 64)
+    # and random-large included, which the document pin above lacks
+    import parity
+    assert parity.certificates() == "2cb9a4a62b8b30637966d720db2b0dd2f2c330457c167b1ee9bb726b4681fc93"
