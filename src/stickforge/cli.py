@@ -42,7 +42,7 @@ from .verifier import check_equilateral, check_simplicity, verify_stick_embeddin
 def _load_presentation(path: str):
     if path.startswith("catalog:"):
         return catalog(path[len("catalog:"):])
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return presentation_from_doc(json.load(fh))
 
 
@@ -142,7 +142,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.embedding) as fh:
+    with open(args.embedding, encoding="utf-8") as fh:
         doc = json.load(fh)
     vp = validate_presentation(_load_presentation(args.presentation))
     mode = doc.get("mode") if isinstance(doc, dict) else None
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GraphError, PresentationError, BuildError, EquilateralError,
             bounds_mod.BoundsError, DocumentError, GenerationExhausted,
-            FileNotFoundError, json.JSONDecodeError) as err:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

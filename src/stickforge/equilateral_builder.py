@@ -99,8 +99,8 @@ no slot outlives its stick; a parked stick keeps its slot from move to
 move, and on theta-fan every move shares its pivot and every joiner its
 hub.  Fixed ends that compare equal give the same values up to the sign of
 a zero, which no comparison in the sweep sees.  Clearances go through
-_slot_clearance, which reads the slot's trimmed stick and the mover trimmed
-at F (once per sample) and equals _clearance float for float.
+_slot_clearance, which reads the slot's trimmed stick, trims the mover at
+F only when the slot shares F, and equals _clearance float for float.
 
 tolerance_report measures only the stick pairs that could hold the least
 clearance (_near_pairs), and its minimum is that of every pair, float for
@@ -128,21 +128,68 @@ a piece the sweep drops once is past every later box as well, and the
 least distance is measured.  Each pair is measured once, lower index
 first, because _seg_distance is not symmetric to the last bit.
 
-Which pairs go through is chosen from the input.  When the boxes of the
+Which pairs go through is chosen from the input.  Unless the boxes of the
 whole sticks all lie within _SHORTEST times the longest stick of each
-other (the length of its shortest piece), the sticks crowd one spot and
-pieces cannot prune them (theta-fan, where every stick reaches the axis or
-the hub): every pair goes, in plain order.  Otherwise (random-large) the
-sticks adjacent in z order whose boxes meet are measured first, for a
-first m, and the sweep takes the rest.  assemble_split places parts at
-least M apart in x, so that first bound takes no pair across parts, and
-once m is below M the sweep measures none either.
+other (the length of its shortest piece), the sticks adjacent in z order
+whose boxes meet are measured first, for a first m, and the sweep takes
+the rest (random-large).  assemble_split places parts at least M apart in
+x, so that first bound takes no pair across parts, and once m is below M
+the sweep measures none either.
+
+When the sticks do crowd one spot, pieces cannot prune them (theta-fan,
+where every stick reaches the axis point bp0 or the hub), and the fan cull
+(_fan_pairs) takes over, with t = m + SNAP_REL (C + m) in place of pad.  A
+center is the point that the most ends of the sticks still left share
+exactly, and at least three must share it.  The sticks with an end at the
+center are its rays; the others stay for the next center, and the pairs
+that no center holds are all measured.  So each pair is decided once, at
+the first center that holds one of its sticks.
+- Two rays meet at the center.  When their ends there carry one key they
+  share a junction, visit would skip them, and they are skipped; the other
+  pairs of rays are measured.
+- A ray and a stick that stays: seen from the center F, the ray's
+  directions are the unit d to its far end (every direction when it has no
+  length), and the stick's lie within h of a unit c (_cone, as _horizon
+  gives them) at distance r or more from F.  By the bound above, the pair
+  is at least B = r sin(min(max(angle(d, c) - h, 0), pi/2)) apart
+  (_ray_bound), and it is measured when B <= t.
+- B is not computed for every such pair.  Let Z be the unit along the sum
+  of the rays' d, and X, Y complete an orthonormal frame.  A unit d has
+  height z = d . Z, distance s = |(d . X, d . Y)| from the axis and azimuth
+  psi.  The rays with s at least half the largest form the band, sorted by
+  psi; the others are bounded against every stick that stays.  For d in the
+  band and c at height zc, distance sc and azimuth gap g from d,
+  |d - c|^2 = (z - zc)^2 + (s - sc)^2 + 4 s sc sin^2(g/2).  With s in
+  [slo, shi] and z in [zlo, zhi] over the band, and ds, dz the distances
+  of sc and zc from those ranges, |d - c| >= chi(g) =
+  sqrt(dz^2 + ds^2 + 4 slo sc sin^2(g/2)), so angle(d, c) =
+  2 asin(|d - c|/2) >= 2 asin(chi(g)/2), and every ray of the band at gap
+  g or more from c, up to pi, has B >= L(g) = r sin(min(max(2 asin(chi(g)/2)
+  - h, 0), pi/2)), which grows with g.  Each stick that stays walks the band
+  from its own azimuth both ways, computing B ray by ray, and stops a way
+  at the first ray past gap pi, or with B > t and L > t there: every ray
+  further that way lies as far.  The two ways share one count of rays, so
+  no ray is taken twice, and a ray past pi one way lies within pi the
+  other.
+m only falls, so a pair dropped against an earlier t lies above the final
+m.  Rounding: every point lies within 2C of F in each coordinate, so
+r < 4C.  Each computed unit lies within 4u of the direction it stands for,
+c within 2e-12 (the cone is used only where _horizon trusts it), h and
+every atan2 angle within 10u, so B is off by under 4C (3e-12).  chi is
+built from dot products and hypot, each within a few u, and from the gap
+g, off by under 12u/s + 12u/sc, which moves 2 sqrt(slo sc) sin(g/2) by
+under q min(1, 8u/slo + 8u/sc), q = 2 sqrt(slo sc); the walk takes that
+allowance and 16u more off chi before asin, so the computed L lies below
+the true one, up to 4C (100u).  SNAP_REL (C + m) is far above both, so a
+dropped pair lies more than m apart.  On theta_trivial(32) the cull
+measures 242 of the 1,953 pairs.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
 
@@ -292,6 +339,15 @@ def _seg_distance(p: V3, q: V3, r: V3, s: V3) -> float:
     cp1 = (p[0] + sc * d1[0], p[1] + sc * d1[1], p[2] + sc * d1[2])
     cp2 = (r[0] + tc * d2[0], r[1] + tc * d2[1], r[2] + tc * d2[2])
     return _dist(cp1, cp2)
+
+
+def _point_distance(F: V3, r: V3, s: V3) -> float:
+    """_seg_distance(F, F, r, s), float for float."""
+    d2, w = _vsub(s, r), _vsub(F, r)
+    c = d2[0] ** 2 + d2[1] ** 2 + d2[2] ** 2
+    e = d2[0] * w[0] + d2[1] * w[1] + d2[2] * w[2]
+    tc = min(max(e / c, 0.0), 1.0) if c > 0 else 0.0
+    return _dist(F, (r[0] + tc * d2[0], r[1] + tc * d2[1], r[2] + tc * d2[2]))
 
 
 def _page_angle(page: int, n_arcs: int) -> float:
@@ -446,12 +502,14 @@ def _boxes(segs):
     return boxes
 
 
-def _near_pairs(segs, visit) -> float:
+def _near_pairs(segs, ends, visit) -> float:
     """Call visit(i, ks) for rows of pairs (i, k), k in ks, each k > i, that
     hold every pair of segs that could lie within m of each other, each
     pair once, and return m: the least value visit returned, or inf.  visit
-    returns the least distance it measures over its row, or inf.  The
-    module docstring proves that no skipped pair comes that close."""
+    returns the least distance it measures over its row, or inf, and skips
+    every pair whose sticks share a key of ends, which holds the keys of
+    each stick's ends a and b.  The module docstring proves that no skipped
+    pair comes that close."""
     n = len(segs)
     least = math.inf
     if n < 2:
@@ -459,13 +517,9 @@ def _near_pairs(segs, visit) -> float:
     lo = [tuple(map(min, a, b)) for a, b in segs]
     hi = [tuple(map(max, a, b)) for a, b in segs]
     spread = max(max(p[c] for p in lo) - min(q[c] for q in hi) for c in range(3))
+    size = max(abs(c) for a, b in segs for c in a + b)
     if spread <= _SHORTEST * max(_dist(a, b) for a, b in segs):
-        # the sticks crowd one spot, so pieces cannot prune (theta-fan)
-        for i in range(n - 1):
-            d = visit(i, range(i + 1, n))
-            if d < least:
-                least = d
-        return least
+        return _fan_pairs(segs, ends, visit, size)   # pieces cannot prune (theta-fan)
     seen = set()
     # a first bound: sticks adjacent in z order whose boxes meet
     order = sorted(range(n), key=lambda i: lo[i][2])
@@ -476,7 +530,6 @@ def _near_pairs(segs, visit) -> float:
             d = visit(i, (k,))
             if d < least:
                 least = d
-    size = max(abs(c) for a, b in segs for c in a + b)
     m = least
     pad = m + SNAP_REL * (size + m)
     active: list[tuple] = []
@@ -499,13 +552,119 @@ def _near_pairs(segs, visit) -> float:
     return least
 
 
+def _ray_bound(d: V3, hd: float, r: float, c: V3, h: float) -> float:
+    """The cone bound between a stick whose directions from a center lie
+    within hd of the unit d and a stick at distance r from it whose
+    directions lie within h of the unit c."""
+    (dx, dy, dz), (cx, cy, cz) = d, c    # _angle(d, c), written out
+    x, y, z = dy * cz - dz * cy, dz * cx - dx * cz, dx * cy - dy * cx
+    g = math.atan2(math.sqrt(x * x + y * y + z * z), dx * cx + dy * cy + dz * cz) - hd - h
+    return r * math.sin(min(g, math.pi / 2)) if g > 0.0 else 0.0
+
+
+def _fan_pairs(segs, ends, visit, size: float) -> float:
+    """_near_pairs by the fan cull of the module docstring; size is the
+    largest coordinate magnitude."""
+    least = t = math.inf
+    u = 2.0 ** -53
+
+    def see(i: int, k: int) -> None:
+        nonlocal least, t
+        d = visit(i, (k,)) if i < k else visit(k, (i,))
+        if d < least:
+            least = d
+            t = d + SNAP_REL * (size + d)
+
+    rest = list(range(len(segs)))
+    while True:
+        count = Counter(p for i in rest for p in {*segs[i]})
+        center, most = max(count.items(), key=lambda e: e[1], default=(None, 0))
+        if most < 3:
+            break
+        rays, queries, groups = [], [], {}
+        for i in rest:
+            a, b = segs[i]
+            if center not in (a, b):
+                queries.append(i)
+                continue
+            x, key = (b, ends[i][0]) if a == center else (a, ends[i][1])
+            v = _vsub(x, center)
+            length = _norm(v)
+            rays.append((i, (v[0] / length, v[1] / length, v[2] / length) if length else None))
+            groups.setdefault(key, []).append(i)
+        # rays with different keys at the center are measured; the others share a junction
+        keyed = list(groups.values())
+        for x, group in enumerate(keyed):
+            for other in keyed[x + 1:]:
+                for i in group:
+                    for k in other:
+                        see(i, k)
+        rest = queries
+        if not queries:
+            continue
+        # the frame: Z along the rays' summed direction, X and Y across it
+        total = tuple(sum(d[c] for _, d in rays if d) for c in range(3))
+        Z = _unit(total) if _norm(total) > 0.0 else (0.0, 0.0, 1.0)
+        e = min(range(3), key=lambda c: abs(Z[c]))
+        X = _unit(_cross(Z, tuple(float(c == e) for c in range(3))))
+        Y = _cross(Z, X)
+        fan, polar = [], []
+        for i, d in rays:
+            if d is None:
+                polar.append((i, Z, math.pi))   # no length: every direction
+            else:
+                dx, dy = _dot(d, X), _dot(d, Y)
+                fan.append((math.atan2(dy, dx), math.hypot(dx, dy), _dot(d, Z), i, d))
+        top = max((f[1] for f in fan), default=0.0)
+        polar += [(i, d, 0.0) for _, s, _, i, d in fan if not s >= top / 2 > 0.0]
+        fan = sorted(f for f in fan if f[1] >= top / 2 > 0.0)
+        psi = [f[0] for f in fan]
+        if fan:
+            slo, shi = min(f[1] for f in fan), max(f[1] for f in fan)
+            zlo, zhi = min(f[2] for f in fan), max(f[2] for f in fan)
+        for k in queries:
+            r, _, c, h = _cone(center, *segs[k])
+            for i, d, hd in polar:
+                if _ray_bound(d, hd, r, c, h) <= t:
+                    see(i, k)
+            if not fan:
+                continue
+            vx, vy, vz = _dot(c, X), _dot(c, Y), _dot(c, Z)
+            sv, pv = math.hypot(vx, vy), math.atan2(vy, vx)
+            near = math.hypot(max(zlo - vz, vz - zhi, 0.0), max(slo - sv, sv - shi, 0.0))
+            q = 2.0 * math.sqrt(slo * sv)
+            slack = q * min(1.0, 8 * u / slo + 8 * u / max(sv, u)) + 16 * u
+            start, taken, nf = bisect_left(psi, pv), 0, len(fan)
+            for step in (1, -1):
+                j = start if step > 0 else start - 1
+                while taken < nf:
+                    g, _, _, i, d = fan[j % nf]
+                    gap = (g - pv) * step + (0.0 if 0 <= j < nf else 2 * math.pi)
+                    if gap > math.pi:
+                        break
+                    if _ray_bound(d, 0.0, r, c, h) <= t:
+                        see(i, k)
+                    elif r * math.sin(min(max(2 * math.asin(min(1.0, max(
+                            math.hypot(near, q * math.sin(gap / 2)) - slack, 0.0) / 2)) - h, 0.0),
+                            math.pi / 2)) > t:
+                        break    # every ray further this way lies as far
+                    taken += 1
+                    j += step
+    for x, i in enumerate(rest[:-1]):
+        d = visit(i, rest[x + 1:])
+        if d < least:
+            least = d
+    return least
+
+
 def tolerance_report(emb: EquilateralEmbedding) -> ToleranceReport:
     M = emb.M
     max_dev = 0.0
     for s in emb.sticks:
         max_dev = max(max_dev, abs(_dist(s.a, s.b) - M) / M)
     segs = [(s.a, s.b) for s in emb.sticks]
-    keys = [{(s.component, s.ja), (s.component, s.jb)} for s in emb.sticks]
+    ends = [((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks]
+    keys = [set(e) for e in ends]
 
     def visit(i: int, ks) -> float:
         (p, q), key = segs[i], keys[i]
@@ -518,7 +677,7 @@ def tolerance_report(emb: EquilateralEmbedding) -> ToleranceReport:
                     least = d
         return least
 
-    min_clear = _near_pairs(segs, visit)
+    min_clear = _near_pairs(segs, ends, visit)
     if min_clear is math.inf:
         min_clear = M
     return ToleranceReport(max_dev, min_clear, min_clear / M)
@@ -544,18 +703,25 @@ def _horizon(F: V3, pa: V3, pb: V3, snap: float):
     y = next((y for y in (pa, pb) if _dist(F, y) <= snap), None)
     shared = y is not None
     seg = _trimmed(pa, pb, y) if shared else (pa, pb)   # _trimmed's cut at F
-    r = _seg_distance(F, F, *seg)
-    va, vb = _vsub(seg[0], F), _vsub(seg[1], F)
+    r, arc, c, h = _cone(F, *seg)
+    return r, shared, arc, c, h, seg
+
+
+def _cone(F: V3, pa: V3, pb: V3):
+    """(r, arc, c, h) of the segment pa pb seen from F, as _horizon
+    describes them."""
+    r = _point_distance(F, pa, pb)
+    va, vb = _vsub(pa, F), _vsub(pb, F)
     if _norm(va) == 0.0 or _norm(vb) == 0.0:
-        return r, shared, None, (0.0, 0.0, 1.0), math.pi, seg   # h = pi: any c will do
+        return r, None, (0.0, 0.0, 1.0), math.pi   # h = pi: any c will do
     a, b = _unit(va), _unit(vb)
     n = _cross(a, b)
     thin = _norm(n) < 1e-3    # near a pole the normal carries rounding error
     ab = _angle(a, b)
     arc = (a, b, None if thin else _unit(n), ab)
     if thin and _dot(a, b) < 0.0:
-        return r, shared, arc, a, math.pi, seg
-    return r, shared, arc, _unit((a[0] + b[0], a[1] + b[1], a[2] + b[2])), ab / 2, seg
+        return r, arc, a, math.pi
+    return r, arc, _unit((a[0] + b[0], a[1] + b[1], a[2] + b[2])), ab / 2
 
 
 def _least_angle(u: V3, arc) -> float:
@@ -572,12 +738,14 @@ def _least_angle(u: V3, arc) -> float:
     return min(_angle(u, a), _angle(u, b))
 
 
-def _slot_clearance(F: V3, start: V3, end: V3, slot, snap: float) -> float:
+def _slot_clearance(F: V3, end: V3, slot, snap: float) -> float:
     """_clearance(F, end, pa, pb, snap) float for float, for the parked stick
-    pa pb of slot: start is the mover F end trimmed at F, as _trimmed cuts
-    it, and the slot holds the stick already trimmed when F is its end."""
+    pa pb of slot: the slot holds the stick already trimmed when F is its
+    end, and the mover F end is then trimmed at F as _trimmed cuts it."""
     _, _, shared, _, _, _, (pa, pb) = slot
     if shared:
+        f = TRIM_FRACTION
+        start = (F[0] + f * (end[0] - F[0]), F[1] + f * (end[1] - F[1]), F[2] + f * (end[2] - F[2]))
         return _seg_distance(start, end, pa, pb)
     for y in (pa, pb):
         if _dist(end, y) <= snap:
@@ -602,7 +770,7 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
             for step in range(steps + 1)]
     fixed = [move.pivot] if move.hub is None else [move.pivot, move.hub]
     f, half = TRIM_FRACTION, math.pi / 2
-    rays = []    # per mover: unit directions, their summed turning, trimmed starts
+    rays = []    # per mover: unit directions and their summed turning
     pool = []    # every pair, led by its bound over the whole sweep
     for k, F in enumerate(fixed):
         outs = [_vsub(e, F) for e in ends]
@@ -611,8 +779,7 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
         turned = [0.0]
         for u, v in zip(units, units[1:]):
             turned.append(turned[-1] + _angle(u, v))
-        rays.append((units, turned, [(F[0] + f * (e[0] - F[0]), F[1] + f * (e[1] - F[1]),
-                                      F[2] + f * (e[2] - F[2])) for e in ends]))
+        rays.append((units, turned))
         mid = bisect_left(turned, turned[-1] / 2)   # the mover's cone: c_m, h_m
         (mx, my, mz), hm = units[mid], max(turned[mid], turned[-1] - turned[mid])
         rho = f * min(lengths)   # where the trimmed mover starts
@@ -645,18 +812,18 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
             bound, _, (k, slot, _, _) = heappop(waiting)
             if bound > min_seen + snap:
                 break    # this pair and every later one clear sample 0
-            min_seen = min(min_seen, _slot_clearance(fixed[k], rays[k][2][0], ends[0], slot, snap))
+            min_seen = min(min_seen, _slot_clearance(fixed[k], ends[0], slot, snap))
     due = [first] + [[] for _ in range(steps)]
     for step, pairs in enumerate(due):
         if step:
             for k, slot, _, _ in pairs:
-                min_seen = min(min_seen, _slot_clearance(fixed[k], rays[k][2][step], ends[step], slot, snap))
+                min_seen = min(min_seen, _slot_clearance(fixed[k], ends[step], slot, snap))
         target = min_seen + snap
         for pair in pairs:
             k, slot, R, g0 = pair
             nxt = step + 1
             if R > target:
-                units, turned, _ = rays[k]
+                units, turned = rays[k]
                 g = g0 if step == 0 else _least_angle(units[step], slot[3])
                 slack = g - math.asin(target / R)
                 if slack > 0.0:

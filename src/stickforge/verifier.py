@@ -66,18 +66,82 @@ failing pairs are sorted back into lexicographic order, so minima,
 verdicts and witnesses are those of testing every pair.  Each pair is
 measured once, lower index first, as the all-pairs loop measured it.
 
-Which pairs go through is chosen from the input.  When the boxes of the
+Which pairs go through is chosen from the input.  Unless the boxes of the
 whole sticks all lie within _SHORTEST times the longest stick of each
-other (the length of its shortest piece), the sticks crowd one spot and
-pieces cannot prune them (theta-fan, where every stick reaches the axis or
-the hub): every pair goes, in plain order.  Otherwise (random-large) the
-sticks adjacent in z order whose boxes meet are measured first, for a
-first m, and the sweep takes the rest.
+other (the length of its shortest piece), the sticks adjacent in z order
+whose boxes meet are measured first, for a first m, and the sweep takes
+the rest (random-large).
+
+When the sticks do crowd one spot, pieces cannot prune them (theta-fan,
+where every stick reaches the axis point or the hub), and the fan cull
+(_fan_pairs) takes over, with t = m + junction_rel (C + m) in place of
+pad.  Each check keys the ends of its sticks: check_equilateral by
+component and junction label, check_simplicity by the coordinates
+themselves, and neither measures a pair that shares a key.  A center is
+the point that the most ends of the sticks still left share exactly, and
+at least three must share it.  The sticks with an end at the center are
+its rays; the others stay for the next center, and the pairs that no
+center holds are all measured.  So each pair is decided once, at the first
+center that holds one of its sticks.
+- Two rays with different keys at the center are measured.  Two with one
+  key there share it and are not measured, but check_simplicity gives
+  them its fold-back test, which fails them only when their directions u,
+  v from the center have cosine above 1 - _FOLD, so |u - v| is under
+  sqrt(2 _FOLD) up to rounding, or when one ray's far end lies within the
+  snap of the other's, so |u - v| <= 2 snap / its length (for vectors a,
+  b, |a/|a| - b/|b|| <= 2 |a - b| / |a|), or of the center itself.  So each
+  ray gets the box of half-width sqrt(_FOLD) + 2 floor / length about its
+  unit (all of space when it has no length), floor = clearance_rel scale
+  exceeds the snap junction_rel scale, 2 sqrt(_FOLD) exceeds
+  sqrt(2 _FOLD), and a sweep in the first coordinate hands over every
+  pair of rays with one key whose boxes meet.
+- A ray and a stick that stays: seen from the center F, the ray's
+  directions are the unit d to its far end, and the stick's lie within h
+  of a unit c (_cone) at distance r or more from F.  For x on a ray from F
+  and y at angle g from that ray, |x - y| >= |y - F| sin g when
+  g <= pi/2, and |x - y| >= |y - F| beyond, so the pair is at least
+  B = r sin(min(max(angle(d, c) - h, 0), pi/2)) apart (_ray_bound), and it
+  is measured when B <= t.  The directions from F to a segment that misses
+  F fill the shorter great-circle arc between those of its ends a and b,
+  within h = ab/2 of c = (a + b)/|a + b|; c is trusted only when a x b is
+  not too short or a . b >= 0, else h = pi, as when the segment reaches F.
+- B is not computed for every such pair.  Let Z be the unit along the sum
+  of the rays' d, and X, Y complete an orthonormal frame.  A unit d has
+  height z = d . Z, distance s = |(d . X, d . Y)| from the axis and azimuth
+  psi.  The rays with s at least half the largest form the band, sorted by
+  psi; the others are bounded against every stick that stays.  For d in the
+  band and c at height zc, distance sc and azimuth gap g from d,
+  |d - c|^2 = (z - zc)^2 + (s - sc)^2 + 4 s sc sin^2(g/2).  With s in
+  [slo, shi] and z in [zlo, zhi] over the band, and ds, dz the distances
+  of sc and zc from those ranges, |d - c| >= chi(g) =
+  sqrt(dz^2 + ds^2 + 4 slo sc sin^2(g/2)), so angle(d, c) =
+  2 asin(|d - c|/2) >= 2 asin(chi(g)/2), and every ray of the band at gap
+  g or more from c, up to pi, has B >= L(g) = r sin(min(max(2 asin(chi(g)/2)
+  - h, 0), pi/2)), which grows with g.  Each stick that stays walks the band
+  from its own azimuth both ways, computing B ray by ray, and stops a way
+  at the first ray past gap pi, or with B > t and L > t there: every ray
+  further that way lies as far.  The two ways share one count of rays, so
+  no ray is taken twice, and a ray past pi one way lies within pi the
+  other.
+m only falls, so a pair dropped against an earlier t lies above the final
+m.  Rounding: every point lies within 2C of F in each coordinate, so
+r < 4C.  Each computed unit lies within 4u of the direction it stands for,
+c within 2e-12 (|a + b| is about 1e-3 or more where c is trusted), h and
+every atan2 angle within 10u, so B is off by under 4C (3e-12).  chi is
+built from dot products and hypot, each within a few u, and from the gap
+g, off by under 12u/s + 12u/sc, which moves 2 sqrt(slo sc) sin(g/2) by
+under q min(1, 8u/slo + 8u/sc), q = 2 sqrt(slo sc); the walk takes that
+allowance and 16u more off chi before asin, so the computed L lies below
+the true one, up to 4C (100u).  A box of the fold sweep is over 10^5 times
+wider than the rounding of the units it holds.  junction_rel (C + m) is
+far above all of it, so a dropped pair lies more than m apart or cannot
+fold back.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,6 +158,8 @@ class Tolerances:
 
 TOLERANCES = Tolerances()
 
+# sticks that share an end fold back when the cosine between them exceeds 1 - _FOLD
+_FOLD = 1e-12
 # where the float checks cut each stick into pieces (see the module docstring)
 _CUTS = (0.125, 0.25, 0.5, 0.75, 0.875)
 _SHORTEST = min(b - a for a, b in zip((0.0, *_CUTS), (*_CUTS, 1.0)))
@@ -307,10 +373,16 @@ def _norm(a):
 
 
 def seg_distance(p, q, r, s) -> float:
-    """Closest-point distance between segments pq and rs."""
-    d1, d2, w = _vsub(q, p), _vsub(s, r), _vsub(p, r)
-    a, b, c = _vdot(d1, d1), _vdot(d1, d2), _vdot(d2, d2)
-    d, e = _vdot(d1, w), _vdot(d2, w)
+    """Closest-point distance between segments pq and rs.  The vector
+    helpers are written out, each in their own order of operations."""
+    d1 = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
+    d2 = (s[0] - r[0], s[1] - r[1], s[2] - r[2])
+    w = (p[0] - r[0], p[1] - r[1], p[2] - r[2])
+    a = d1[0] * d1[0] + d1[1] * d1[1] + d1[2] * d1[2]
+    b = d1[0] * d2[0] + d1[1] * d2[1] + d1[2] * d2[2]
+    c = d2[0] * d2[0] + d2[1] * d2[1] + d2[2] * d2[2]
+    d = d1[0] * w[0] + d1[1] * w[1] + d1[2] * w[2]
+    e = d2[0] * w[0] + d2[1] * w[1] + d2[2] * w[2]
     den = a * c - b * b
     sn, sd = (0.0, 1.0) if den <= 1e-14 * a * c else ((b * e - c * d), den)
     if sn < 0.0:
@@ -327,9 +399,10 @@ def seg_distance(p, q, r, s) -> float:
         sc = min(max((b - d) / a if a > 0 else 0.0, 0.0), 1.0)
     else:
         tc = tn / c if c > 0 else 0.0
-    cp1 = tuple(p[i] + sc * d1[i] for i in range(3))
-    cp2 = tuple(r[i] + tc * d2[i] for i in range(3))
-    return _norm(_vsub(cp1, cp2))
+    x = (p[0] + sc * d1[0]) - (r[0] + tc * d2[0])
+    y = (p[1] + sc * d1[1]) - (r[1] + tc * d2[1])
+    z = (p[2] + sc * d1[2]) - (r[2] + tc * d2[2])
+    return math.sqrt(x * x + y * y + z * z)
 
 
 def _boxes(segs):
@@ -346,13 +419,16 @@ def _boxes(segs):
     return boxes
 
 
-def _near_pairs(segs, floor: float, visit) -> float:
+def _near_pairs(segs, ends, floor: float, visit) -> float:
     """Call visit(i, ks) for rows of pairs (i, k), k in ks, each k > i, that
     hold every pair of segs that could lie within max(m, floor) of each
-    other, each pair once, and return m: the least value visit returned, or
-    inf.  visit returns the least distance it measures over its row, or
-    inf.  The module docstring proves that no skipped pair comes that
-    close."""
+    other, and every pair of sticks with one end at one point and the same
+    key of ends there whose directions from that point could fold back,
+    each pair once, and return m: the least value visit returned, or inf.
+    ends holds the keys of each stick's ends a and b; visit measures no
+    pair that shares a key, and returns the least distance it measures
+    over its row, or inf.  The module docstring proves that no skipped
+    pair comes that close or folds back."""
     n = len(segs)
     least = math.inf
     if n < 2:
@@ -360,13 +436,9 @@ def _near_pairs(segs, floor: float, visit) -> float:
     lo = [tuple(map(min, a, b)) for a, b in segs]
     hi = [tuple(map(max, a, b)) for a, b in segs]
     spread = max(max(p[c] for p in lo) - min(q[c] for q in hi) for c in range(3))
+    size = max(abs(c) for a, b in segs for c in a + b)
     if spread <= _SHORTEST * max(_norm(_vsub(b, a)) for a, b in segs):
-        # the sticks crowd one spot, so pieces cannot prune (theta-fan)
-        for i in range(n - 1):
-            d = visit(i, range(i + 1, n))
-            if d < least:
-                least = d
-        return least
+        return _fan_pairs(segs, ends, floor, visit, size)   # pieces cannot prune (theta-fan)
     seen = set()
     # a first bound: sticks adjacent in z order whose boxes meet
     order = sorted(range(n), key=lambda i: lo[i][2])
@@ -377,7 +449,6 @@ def _near_pairs(segs, floor: float, visit) -> float:
             d = visit(i, (k,))
             if d < least:
                 least = d
-    size = max(abs(c) for a, b in segs for c in a + b)
     m = max(least, floor)
     pad = m + TOLERANCES.junction_rel * (size + m)
     active: list[tuple] = []
@@ -397,6 +468,154 @@ def _near_pairs(segs, floor: float, visit) -> float:
             m = max(least, floor)
             pad = m + TOLERANCES.junction_rel * (size + m)
         active.append(box)
+    return least
+
+
+def _cone(F, pa, pb):
+    """(r, c, h) of the segment pa pb seen from F: r is its distance from
+    F, and every direction from F to it lies within h of the unit c; h = pi,
+    the whole sphere, when it reaches F or a + b is too short to trust (see
+    the module docstring)."""
+    d, va, vb = _vsub(pb, pa), _vsub(pa, F), _vsub(pb, F)
+    dd = _vdot(d, d)
+    t = min(max(-_vdot(d, va) / dd, 0.0), 1.0) if dd > 0.0 else 0.0
+    r = _norm((va[0] + t * d[0], va[1] + t * d[1], va[2] + t * d[2]))
+    na, nb = _norm(va), _norm(vb)
+    if na == 0.0 or nb == 0.0:
+        return r, (0.0, 0.0, 1.0), math.pi
+    a = (va[0] / na, va[1] / na, va[2] / na)
+    b = (vb[0] / nb, vb[1] / nb, vb[2] / nb)
+    n = _norm(_cross(a, b))
+    if n < 1e-3 and _vdot(a, b) < 0.0:    # near a pole the plane of a and b is untrusted
+        return r, a, math.pi
+    c = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+    nc = _norm(c)
+    return r, (c[0] / nc, c[1] / nc, c[2] / nc), math.atan2(n, _vdot(a, b)) / 2
+
+
+def _ray_bound(d, hd: float, r: float, c, h: float) -> float:
+    """The cone bound between a stick whose directions from a center lie
+    within hd of the unit d and a stick at distance r from it whose
+    directions lie within h of the unit c."""
+    (dx, dy, dz), (cx, cy, cz) = d, c
+    x, y, z = dy * cz - dz * cy, dz * cx - dx * cz, dx * cy - dy * cx
+    g = math.atan2(math.sqrt(x * x + y * y + z * z), dx * cx + dy * cy + dz * cz) - hd - h
+    return r * math.sin(min(g, math.pi / 2)) if g > 0.0 else 0.0
+
+
+def _fan_pairs(segs, ends, floor: float, visit, size: float) -> float:
+    """_near_pairs by the fan cull of the module docstring; size is the
+    largest coordinate magnitude."""
+    least = t = math.inf
+    u = 2.0 ** -53
+
+    def see(i: int, k: int) -> None:
+        nonlocal least, t
+        d = visit(i, (k,)) if i < k else visit(k, (i,))
+        if d < least:
+            least = d
+            m = max(d, floor)
+            t = m + TOLERANCES.junction_rel * (size + m)
+
+    rest = list(range(len(segs)))
+    while True:
+        count = Counter(p for i in rest for p in {*segs[i]})
+        center, most = max(count.items(), key=lambda e: e[1], default=(None, 0))
+        if most < 3:
+            break
+        rays, queries, groups = [], [], {}
+        for i in rest:
+            a, b = segs[i]
+            if center not in (a, b):
+                queries.append(i)
+                continue
+            x, key = (b, ends[i][0]) if a == center else (a, ends[i][1])
+            v = _vsub(x, center)
+            length = _norm(v)
+            d = (v[0] / length, v[1] / length, v[2] / length) if length else None
+            rays.append((i, d))
+            groups.setdefault(key, []).append((i, d, length))
+        keyed = list(groups.values())
+        for x, group in enumerate(keyed):
+            # rays with different keys at the center are measured
+            for other in keyed[x + 1:]:
+                for i, _, _ in group:
+                    for k, _, _ in other:
+                        see(i, k)
+            # rays with one key whose directions could fold back: boxes of
+            # half-width sqrt(_FOLD) + 2 floor / length about the directions
+            boxes = []
+            for i, d, length in group:
+                w = math.sqrt(_FOLD) + 2 * floor / length if length else math.inf
+                c = d or (0.0, 0.0, 0.0)
+                boxes.append((c[0] - w, c[0] + w, c, w, i))
+            boxes.sort()
+            active = []
+            for box in boxes:
+                lo, _, c, w, i = box
+                active = [o for o in active if o[1] >= lo]
+                for _, _, oc, ow, k in active:
+                    if abs(oc[1] - c[1]) <= ow + w and abs(oc[2] - c[2]) <= ow + w:
+                        see(i, k)
+                active.append(box)
+        rest = queries
+        if not queries:
+            continue
+        # the frame: Z along the rays' summed direction, X and Y across it
+        total = tuple(sum(d[c] for _, d in rays if d) for c in range(3))
+        nt = _norm(total)
+        Z = (total[0] / nt, total[1] / nt, total[2] / nt) if nt > 0.0 else (0.0, 0.0, 1.0)
+        e = min(range(3), key=lambda c: abs(Z[c]))
+        X = _cross(Z, tuple(float(c == e) for c in range(3)))
+        nx = _norm(X)
+        X = (X[0] / nx, X[1] / nx, X[2] / nx)
+        Y = _cross(Z, X)
+        fan, polar = [], []
+        for i, d in rays:
+            if d is None:
+                polar.append((i, Z, math.pi))   # no length: every direction
+            else:
+                dx, dy = _vdot(d, X), _vdot(d, Y)
+                fan.append((math.atan2(dy, dx), math.hypot(dx, dy), _vdot(d, Z), i, d))
+        top = max((f[1] for f in fan), default=0.0)
+        polar += [(i, d, 0.0) for _, s, _, i, d in fan if not s >= top / 2 > 0.0]
+        fan = sorted(f for f in fan if f[1] >= top / 2 > 0.0)
+        psi = [f[0] for f in fan]
+        if fan:
+            slo, shi = min(f[1] for f in fan), max(f[1] for f in fan)
+            zlo, zhi = min(f[2] for f in fan), max(f[2] for f in fan)
+        for k in queries:
+            r, c, h = _cone(center, *segs[k])
+            for i, d, hd in polar:
+                if _ray_bound(d, hd, r, c, h) <= t:
+                    see(i, k)
+            if not fan:
+                continue
+            vx, vy, vz = _vdot(c, X), _vdot(c, Y), _vdot(c, Z)
+            sv, pv = math.hypot(vx, vy), math.atan2(vy, vx)
+            near = math.hypot(max(zlo - vz, vz - zhi, 0.0), max(slo - sv, sv - shi, 0.0))
+            q = 2.0 * math.sqrt(slo * sv)
+            slack = q * min(1.0, 8 * u / slo + 8 * u / max(sv, u)) + 16 * u
+            start, taken, nf = bisect_left(psi, pv), 0, len(fan)
+            for step in (1, -1):
+                j = start if step > 0 else start - 1
+                while taken < nf:
+                    g, _, _, i, d = fan[j % nf]
+                    gap = (g - pv) * step + (0.0 if 0 <= j < nf else 2 * math.pi)
+                    if gap > math.pi:
+                        break
+                    if _ray_bound(d, 0.0, r, c, h) <= t:
+                        see(i, k)
+                    elif r * math.sin(min(max(2 * math.asin(min(1.0, max(
+                            math.hypot(near, q * math.sin(gap / 2)) - slack, 0.0) / 2)) - h, 0.0),
+                            math.pi / 2)) > t:
+                        break    # every ray further this way lies as far
+                    taken += 1
+                    j += step
+    for x, i in enumerate(rest[:-1]):
+        d = visit(i, rest[x + 1:])
+        if d < least:
+            least = d
     return least
 
 
@@ -455,13 +674,14 @@ def check_simplicity(segments, scale: float | None = None) -> VerificationReport
             shared = None
             for x in (p, q):
                 for y in (r, s):
-                    if _norm(_vsub(x, y)) <= snap:
+                    dx, dy, dz = x[0] - y[0], x[1] - y[1], x[2] - y[2]   # _norm(_vsub(x, y))
+                    if math.sqrt(dx * dx + dy * dy + dz * dz) <= snap:
                         shared = x
             if shared is not None:
                 u = _vsub(q if shared == p else p, shared)
                 v = _vsub(s if _norm(_vsub(shared, r)) <= snap else r, shared)
                 nu, nv = _norm(u), _norm(v)
-                if nu > 0 and nv > 0 and _vdot(u, v) / (nu * nv) > 1.0 - 1e-12:
+                if nu > 0 and nv > 0 and _vdot(u, v) / (nu * nv) > 1.0 - _FOLD:
                     failing.append((i, j, f"sticks {i} and {j} fold back along each other"))
                 continue
             dist = seg_distance(p, q, r, s)
@@ -471,7 +691,7 @@ def check_simplicity(segments, scale: float | None = None) -> VerificationReport
                 least = dist
         return least
 
-    min_clear = _near_pairs(segs, clearance_min, visit)
+    min_clear = _near_pairs(segs, segs, clearance_min, visit)
     detail = min(failing)[2] if failing else f"min non-adjacent clearance {min_clear:.3e}"
     report.add("simplicity", not failing, detail)
     return report
@@ -729,7 +949,8 @@ def check_equilateral(emb) -> VerificationReport:
 
     floor = tol.clearance_rel * M
     failing = []
-    keys = [{(s.component, s.ja), (s.component, s.jb)} for s in sticks]
+    ends = [((s.component, s.ja), (s.component, s.jb)) for s in sticks]
+    keys = [set(e) for e in ends]
 
     def visit(i: int, ks) -> float:
         (p, q), key = segs[i], keys[i]
@@ -744,7 +965,7 @@ def check_equilateral(emb) -> VerificationReport:
                     least = dist
         return least
 
-    clearance_min = _near_pairs(segs, floor, visit)
+    clearance_min = _near_pairs(segs, ends, floor, visit)
     problems = [f"sticks {i}/{j} at {dist:.3e}" for i, j, dist in sorted(failing)[:3]]
     report.add("equilateral.clearance", not problems,
                "; ".join(problems) if problems

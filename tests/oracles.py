@@ -654,6 +654,42 @@ def sampled_certificate(before, after):
 # the float clearance passes, every pair in lexicographic order
 
 
+def _fsub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _fdot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def verifier_seg_distance(p, q, r, s) -> float:
+    """The verifier's float segment distance as first written, through
+    vector helpers and generator expressions; verifier.seg_distance writes
+    the same operations out and must equal it float for float."""
+    d1, d2, w = _fsub(q, p), _fsub(s, r), _fsub(p, r)
+    a, b, c = _fdot(d1, d1), _fdot(d1, d2), _fdot(d2, d2)
+    d, e = _fdot(d1, w), _fdot(d2, w)
+    den = a * c - b * b
+    sn, sd = (0.0, 1.0) if den <= 1e-14 * a * c else ((b * e - c * d), den)
+    if sn < 0.0:
+        sn, sd = 0.0, 1.0
+    elif sn > sd:
+        sn, sd = sd, sd
+    sc = 0.0 if sd == 0.0 else sn / sd
+    tn = e + sc * b
+    if tn < 0.0:
+        tc = 0.0
+        sc = min(max(-d / a if a > 0 else 0.0, 0.0), 1.0)
+    elif tn > c:
+        tc = 1.0
+        sc = min(max((b - d) / a if a > 0 else 0.0, 0.0), 1.0)
+    else:
+        tc = tn / c if c > 0 else 0.0
+    cp1 = tuple(p[i] + sc * d1[i] for i in range(3))
+    cp2 = tuple(r[i] + tc * d2[i] for i in range(3))
+    return math.sqrt(_fdot(_fsub(cp1, cp2), _fsub(cp1, cp2)))
+
+
 def all_pairs_tolerance(emb):
     """tolerance_report with _seg_distance evaluated for every pair of
     sticks that share no junction, lower index first."""

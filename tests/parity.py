@@ -14,6 +14,13 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   and of three shifted-end mutants of it: mutant j (j = 0, 1, 2) of build
   idx moves end a of stick (7 idx + j) mod N by 1e-3 M (j + 1) in every
   coordinate.  Each build is followed by its mutants.
+- fan-checks: repr(tolerance_report(emb)), then (check, passed, witness)
+  of every entry of check_equilateral(emb) and of the float
+  check_simplicity(segments, scale=M), for emb = build_equilateral of
+  theta_trivial(n), n = 8, 16, ..., 128, each followed by its three
+  shifted-end mutants (mutant j of build idx as in eq-checks, idx counting
+  from 0 at n = 8).  The witnesses carry the least clearances, which
+  summary() leaves out of passing entries.
 - exact-docs: the 240 exact documents, dumps_document(embedding_to_doc(
   build(cd))) concatenated, for the catalog, theta_trivial(2..64),
   random_presentation(s, p, 30) for p in PROFILES and s < 40, and
@@ -51,7 +58,7 @@ from stickforge.arc_presentation import (BindingPoint, PresentationError, catalo
 from stickforge.circular_diagram import to_circular
 from stickforge.documents import (dumps_document, embedding_to_doc, equilateral_to_doc,
                                   presentation_to_doc)
-from stickforge.equilateral_builder import build_equilateral
+from stickforge.equilateral_builder import build_equilateral, tolerance_report
 from stickforge.graph_core import GraphError
 from stickforge.randgen import PROFILES, random_presentation
 from stickforge.stick_builder import build
@@ -95,6 +102,18 @@ def eq_checks() -> str:
             segs = [(s.a, s.b) for s in e.sticks]
             digest.update(check_equilateral(e).summary().encode())
             digest.update(check_simplicity(segs, scale=e.M).summary().encode())
+    return digest.hexdigest()
+
+
+def fan_checks() -> str:
+    digest = hashlib.sha256()
+    for idx, n in enumerate(range(8, 129, 8)):
+        emb = build_equilateral(validate_presentation(catalog(f"theta_trivial({n})")))
+        for e in (emb, *(_mutant(emb, idx, j) for j in range(3))):
+            segs = [(s.a, s.b) for s in e.sticks]
+            entries = check_equilateral(e).entries + check_simplicity(segs, scale=e.M).entries
+            text = repr((tolerance_report(e), [(x.check, x.passed, x.witness) for x in entries]))
+            digest.update(text.encode())
     return digest.hexdigest()
 
 
@@ -225,9 +244,9 @@ def validator() -> str:
     return digest.hexdigest()
 
 
-SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "exact-docs": exact_docs,
-        "presentations": presentations, "workloads": workloads, "certificates": certificates,
-        "validator": validator}
+SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "fan-checks": fan_checks,
+        "exact-docs": exact_docs, "presentations": presentations, "workloads": workloads,
+        "certificates": certificates, "validator": validator}
 
 
 def main(names) -> None:

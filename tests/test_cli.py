@@ -317,3 +317,19 @@ def test_outside_number_is_one_error_line(capsys, monkeypatch, argv, seed, code_
     assert code == code_want
     assert out == ""
     assert err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["validate", "{dir}"], "Is a directory"),
+    (["verify", "{dir}", "catalog:trefoil"], "Is a directory"),
+    (["verify", "{latin1}", "catalog:trefoil"], "can't decode byte 0xff"),
+], ids=["validate-directory", "verify-directory", "verify-not-utf8"])
+def test_unreadable_path_is_one_error_line(tmp_path, capsys, argv, line):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"format": "\xff"}'.encode("latin-1"))
+    argv = [a.format(dir=tmp_path, latin1=latin1) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    [got] = err.splitlines()
+    assert got.startswith("error: ") and line in got

@@ -508,9 +508,9 @@ def _evaluated(monkeypatch, move, state, M, every):
     tags = {id(seg): tag for tag, seg in state.items()}
     kernel = equilateral_builder._slot_clearance
 
-    def spy(F, start, end, slot, snap):
+    def spy(F, end, slot, snap):
         seen[tags[id(slot[0])]].append(end)
-        return kernel(F, start, end, slot, snap)
+        return kernel(F, end, slot, snap)
 
     monkeypatch.setattr(equilateral_builder, "_slot_clearance", spy)
     assert equilateral_builder._sweep_minimum(move, state, M, SNAP_REL * M, {}) == every
@@ -618,7 +618,6 @@ def test_slot_clearance_equals_clearance(case):
     rng = random.Random(case)
     M = 8.0
     snap = SNAP_REL * M
-    f = equilateral_builder.TRIM_FRACTION
     for _ in range(200):
         F, end, p, q = (tuple(rng.uniform(-M, M) for _ in range(3)) for _ in range(4))
         if case == "shared-a":
@@ -629,9 +628,7 @@ def test_slot_clearance_equals_clearance(case):
             p = tuple(c + rng.uniform(-0.4, 0.4) * snap for c in end)
         slot = ((p, q), *equilateral_builder._horizon(F, p, q, snap))
         assert slot[2] == case.startswith("shared")
-        start = (F[0] + f * (end[0] - F[0]), F[1] + f * (end[1] - F[1]), F[2] + f * (end[2] - F[2]))
-        assert start == equilateral_builder._trimmed(F, end, F)[0]
-        got = equilateral_builder._slot_clearance(F, start, end, slot, snap)
+        got = equilateral_builder._slot_clearance(F, end, slot, snap)
         assert got.hex() == equilateral_builder._clearance(F, end, p, q, snap).hex()
 
 

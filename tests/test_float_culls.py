@@ -1,9 +1,10 @@
 """The culled float pair passes against their all-pairs references.
 
 tolerance_report (builder) and check_equilateral's clearance and float
-check_simplicity (verifier) measure only the pairs a box sweep cannot rule
-out.  Their minima, verdicts and details must equal those of the loops in
-oracles.py that measure every pair, float for float.
+check_simplicity (verifier) measure only the pairs a box sweep, or on a
+fan a cone bound about its shared junctions, cannot rule out.  Their
+minima, verdicts and details must equal those of the loops in oracles.py
+that measure every pair, float for float.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def test_culled_passes_match_all_pairs(builds, monkeypatch):
             segs = [(s.a, s.b) for s in case.sticks]
             verdicts.add(check_simplicity(segs, scale=case.M).ok)
     assert verdicts == {True, False}
-    assert paths == {0, 3}    # both the plain order and the sweep ran
+    assert paths == {0, 3}    # both the fan cull and the sweep ran
 
 
 def test_culled_passes_match_all_pairs_on_fold_back():
@@ -184,7 +185,7 @@ def test_seg_distance_is_not_symmetric_to_the_last_bit():
         verifier.seg_distance(s4.a, s4.b, s2.a, s2.b)
 
 
-@pytest.mark.parametrize("name", ["trefoil", "theta_trivial(8)"], ids=["swept", "plain"])
+@pytest.mark.parametrize("name", ["trefoil", "theta_trivial(8)"], ids=["swept", "fan"])
 def test_culled_passes_measure_lower_index_first(monkeypatch, name):
     emb = _build(catalog(name))
     index = {(s.a, s.b): i for i, s in enumerate(emb.sticks)}
@@ -227,3 +228,175 @@ def test_assembled_tolerance_measures_no_cross_part_pair(monkeypatch, ap):
         # every in-part pair shares a junction, so the least clearance lies
         # between parts and cross-part pairs must be measured
         assert crossing and out.tolerance.min_clearance > out.M
+
+
+def _kernel_cases():
+    rng = random.Random(16)
+    cases = [tuple(tuple(rng.uniform(-8.0, 8.0) for _ in range(3)) for _ in range(4))
+             for _ in range(20_000)]
+    p, q = (0.0, 0.0, 0.0), (1.0, 2.0, 3.0)
+    cases += [
+        (p, q, (0.5, 1.0, 1.5 + 1e-3), (1.5, 3.0, 4.5 + 1e-3)),   # parallel, apart
+        (p, q, (0.5, 1.0, 1.5), (1.5, 3.0, 4.5)),                 # parallel, overlapping
+        (p, q, (2.0, 4.0, 6.0), (3.0, 6.0, 9.0)),                 # collinear, apart
+        (p, p, (0.5, 1.0, 1.5), (1.5, 3.0, 4.5)),                 # first has no length
+        (p, q, (0.3, 0.1, 0.7), (0.3, 0.1, 0.7)),                 # second has no length
+        (p, p, (0.3, 0.1, 0.7), (0.3, 0.1, 0.7)),                 # both points
+        (p, q, q, (2.0, -1.0, 0.5)),                              # touching at an end
+        (p, q, (0.5, 1.0, 1.5), (0.5, -1.0, 4.0)),                # touching inside
+        (p, q, (1.0, 2.0, 3.0 + 1e-12), (4.0, 1.0, 0.0)),         # nearly touching
+    ]
+    for c in cases[-9:]:
+        cases.append((c[2], c[3], c[0], c[1]))
+    return cases
+
+
+def test_verifier_kernel_equals_the_helper_formula():
+    for p, q, r, s in _kernel_cases():
+        assert verifier.seg_distance(p, q, r, s).hex() == \
+            oracles.verifier_seg_distance(p, q, r, s).hex()
+
+
+@pytest.fixture(scope="module")
+def fan32():
+    return _build(catalog("theta_trivial(32)"))
+
+
+def _index(emb, tag):
+    return next(i for i, s in enumerate(emb.sticks) if s.tag == tag)
+
+
+def _slid(emb, i, j, want):
+    """emb with stick j slid along the line between the midpoints of sticks
+    i and j until those midpoints lie want apart."""
+    si, sj = emb.sticks[i], emb.sticks[j]
+    mi = [(a + b) / 2 for a, b in zip(si.a, si.b)]
+    mj = [(a + b) / 2 for a, b in zip(sj.a, sj.b)]
+    gap = math.dist(mi, mj)
+    shift = [(p - q) * (1 - want / gap) for p, q in zip(mi, mj)]
+    sticks = list(emb.sticks)
+    sticks[j] = replace(sj, a=tuple(c + d for c, d in zip(sj.a, shift)),
+                        b=tuple(c + d for c, d in zip(sj.b, shift)))
+    return replace(emb, sticks=sticks)
+
+
+def _fan_mutants(emb):
+    hub = emb.sticks[_index(emb, "join2")].a
+    j3, j9 = _index(emb, "join3"), _index(emb, "join9")
+    # join9 folded back onto join3 at the hub, nearly as long, so that the
+    # sticks still crowd one spot
+    tip = tuple(h + 0.999 * (e - h) for h, e in zip(hub, emb.sticks[j3].b))
+    folded = _moved(emb, j9, "b", (tip[0], tip[1] + 1e-15, tip[2]))
+    # a lower stick's bp0 end under another label
+    sticks = list(emb.sticks)
+    lower = _index(emb, "arc7.lower")
+    sticks[lower] = replace(sticks[lower], ja="bp0x")
+    relabelled = replace(emb, sticks=sticks)
+    # join12 slid to half the floor of arc17.lower, five pages away
+    slid = _slid(emb, _index(emb, "arc17.lower"), _index(emb, "join12"),
+                 0.5 * TOLERANCES.clearance_rel * emb.M)
+    # a hub end moved by half the snap
+    nudged = _moved(emb, _index(emb, "join20"), "a",
+                    (hub[0] + 0.5 * TOLERANCES.junction_rel * emb.M, hub[1], hub[2]))
+    return {"folded": folded, "relabelled": relabelled, "slid": slid, "nudged": nudged}
+
+
+@pytest.mark.parametrize("name", ["folded", "relabelled", "slid", "nudged"])
+def test_fan_mutants_match_all_pairs(fan32, name):
+    emb = _fan_mutants(fan32)[name]
+    _assert_matches_reference(emb)
+    segs = [(s.a, s.b) for s in emb.sticks]
+    passed, detail = oracles.all_pairs_float_simplicity(segs, scale=emb.M)
+    if name == "folded":
+        j3, j9 = _index(emb, "join3"), _index(emb, "join9")
+        assert not passed and detail == f"sticks {j3} and {j9} fold back along each other"
+    elif name == "relabelled":
+        # the sticks still meet at bp0, but no longer at one junction
+        assert oracles.all_pairs_clearance(emb)[0] is False
+    elif name == "slid":
+        assert not passed and oracles.all_pairs_clearance(emb)[0] is False
+    else:
+        assert passed and oracles.all_pairs_clearance(emb)[0] is True
+
+
+@pytest.mark.parametrize("n, part", [(64, 5), (128, 8)])
+def test_fan_cull_visits_few_pairs(monkeypatch, n, part):
+    emb = _build(catalog(f"theta_trivial({n})"))
+    N = len(emb.sticks)
+    segs = [(s.a, s.b) for s in emb.sticks]
+    calls = _visits(monkeypatch, equilateral_builder, verifier)
+    bounds = []
+    for module in (equilateral_builder, verifier):
+        monkeypatch.setattr(module, "_ray_bound", lambda *args, real=module._ray_bound: (
+            bounds.append(args), real(*args))[1])
+    for run in (lambda: tolerance_report(emb), lambda: check_equilateral(emb),
+                lambda: check_simplicity(segs, scale=emb.M)):
+        calls.clear()
+        bounds.clear()
+        run()
+        ((_, pairs),) = calls
+        assert len(pairs) == len(set(pairs))
+        assert all(i < k for i, k in pairs)
+        assert len(pairs) < N * (N - 1) // 2 / part
+        assert len(bounds) < N * (N - 1) // 2 / part
+
+
+def _random_fan(seed):
+    """Sticks that crowd one spot, a theta fan of random shape: rays from
+    two centers one above the other out to random points of a middle
+    layer, a stick between the centers, for odd seeds a ray nearly folded
+    onto another, and a few sticks across the layer that reach neither
+    center."""
+    rng = random.Random(seed)
+    centers = [(0.0, 0.0, 0.0), (0.01, 0.02, 1.0)]
+
+    def layer():
+        a, rho = rng.uniform(-math.pi, math.pi), rng.uniform(0.4, 0.9)
+        return (rho * math.cos(a), rho * math.sin(a), rng.uniform(0.45, 0.55))
+
+    ends = [(*centers, "c0", "c1")]
+    for c, name in zip(centers, ("c0", "c1")):
+        outs = [layer() for _ in range(rng.randrange(8, 20))]
+        if seed % 2:
+            outs.append(tuple(p + 1e-7 * (q - p) + 1e-9 for p, q in zip(outs[0], c)))
+        ends += [(c, out, name, None) for out in outs]
+    for _ in range(4):
+        a, f = layer(), rng.uniform(0.5, 1.0)
+        ends.append((a, (-f * a[0], -f * a[1], 1.0 - a[2]), None, None))
+    rng.shuffle(ends)
+    sticks = [EStick(a, b, 0, f"s{k}", ja or f"s{k}.a", jb or f"s{k}.b")
+              for k, (a, b, ja, jb) in enumerate(ends)]
+    return EquilateralEmbedding(sticks=sticks, M=1.0, components=[])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fan_cull_matches_all_pairs_on_random_fans(monkeypatch, seed):
+    swept = []
+    for module in (equilateral_builder, verifier):
+        monkeypatch.setattr(module, "_boxes", lambda segs, real=module._boxes: (
+            swept.append(len(segs)), real(segs))[1])
+    _assert_matches_reference(_random_fan(seed))
+    assert swept == []    # the fan cull ran in all three passes
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("least", [0.01, 0.05, 0.2])
+def test_fan_cull_visits_every_pair_within_its_minimum(seed, least):
+    # visit claims the same least distance for every row, so the cull
+    # prunes against it and must hand over every pair that comes that close
+    emb = _random_fan(seed)
+    segs = [(s.a, s.b) for s in emb.sticks]
+    ends = [((0, s.ja), (0, s.jb)) for s in emb.sticks]
+    n = len(segs)
+    want = {(i, k) for i in range(n) for k in range(i + 1, n)
+            if {*ends[i]}.isdisjoint(ends[k])
+            and equilateral_builder._seg_distance(*segs[i], *segs[k]) <= least}
+    for near_pairs in (lambda visit: equilateral_builder._near_pairs(segs, ends, visit),
+                       lambda visit: verifier._near_pairs(segs, ends, 1e-6, visit)):
+        seen = []
+
+        def visit(i, ks):
+            seen.extend((i, k) for k in ks)
+            return least
+        assert near_pairs(visit) == least
+        assert len(seen) == len(set(seen)) and want <= set(seen)
