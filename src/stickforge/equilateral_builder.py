@@ -148,9 +148,10 @@ the first center that holds one of its sticks.
   share a junction, visit would skip them, and they are skipped; the other
   pairs of rays are measured.
 - A ray and a stick that stays: seen from the center F, the ray's
-  directions are the unit d to its far end (every direction when it has no
-  length), and the stick's lie within h of a unit c (_cone, as _horizon
-  gives them) at distance r or more from F.  By the bound above, the pair
+  directions are the unit d to its far end (any direction when it has no
+  length: d = 0 then, at angle 0 to everything), and the stick's lie
+  within h of a unit c (_cone, as _horizon gives them) at distance r or
+  more from F.  By the bound above, the pair
   is at least B = r sin(min(max(angle(d, c) - h, 0), pi/2)) apart
   (_ray_bound), and it is measured when B <= t.
 - B is not computed for every such pair.  Let Z be the unit along the sum
@@ -345,8 +346,7 @@ def _point_distance(F: V3, r: V3, s: V3) -> float:
     """_seg_distance(F, F, r, s), float for float."""
     d2, w = _vsub(s, r), _vsub(F, r)
     c = d2[0] ** 2 + d2[1] ** 2 + d2[2] ** 2
-    e = d2[0] * w[0] + d2[1] * w[1] + d2[2] * w[2]
-    tc = min(max(e / c, 0.0), 1.0) if c > 0 else 0.0
+    tc = min(max(_dot(d2, w) / c, 0.0), 1.0) if c > 0 else 0.0
     return _dist(F, (r[0] + tc * d2[0], r[1] + tc * d2[1], r[2] + tc * d2[2]))
 
 
@@ -552,97 +552,83 @@ def _near_pairs(segs, ends, visit) -> float:
     return least
 
 
-def _ray_bound(d: V3, hd: float, r: float, c: V3, h: float) -> float:
-    """The cone bound between a stick whose directions from a center lie
-    within hd of the unit d and a stick at distance r from it whose
-    directions lie within h of the unit c."""
-    (dx, dy, dz), (cx, cy, cz) = d, c    # _angle(d, c), written out
-    x, y, z = dy * cz - dz * cy, dz * cx - dx * cz, dx * cy - dy * cx
-    g = math.atan2(math.sqrt(x * x + y * y + z * z), dx * cx + dy * cy + dz * cz) - hd - h
+def _ray_bound(d, r, c, h):
+    """r sin(min(max(angle(d, c) - h, 0), pi/2)), the cone bound between a
+    stick whose directions from a center are the unit d (any direction when
+    d = 0) and a stick at distance r from it whose directions lie within h
+    of the unit c."""
+    g = _angle(d, c) - h
     return r * math.sin(min(g, math.pi / 2)) if g > 0.0 else 0.0
 
 
-def _fan_pairs(segs, ends, visit, size: float) -> float:
+def _fan_pairs(segs, ends, visit, size):
     """_near_pairs by the fan cull of the module docstring; size is the
     largest coordinate magnitude."""
     least = t = math.inf
     u = 2.0 ** -53
 
-    def see(i: int, k: int) -> None:
+    def see(i, k):
         nonlocal least, t
-        d = visit(i, (k,)) if i < k else visit(k, (i,))
+        d = visit(min(i, k), (max(i, k),))
         if d < least:
-            least = d
-            t = d + SNAP_REL * (size + d)
+            least, t = d, d + SNAP_REL * (size + d)
 
     rest = list(range(len(segs)))
     while True:
         count = Counter(p for i in rest for p in {*segs[i]})
-        center, most = max(count.items(), key=lambda e: e[1], default=(None, 0))
+        F, most = max(count.items(), key=lambda e: e[1], default=(None, 0))
         if most < 3:
             break
-        rays, queries, groups = [], [], {}
+        groups = {}   # the rays of F by their key at F: (index, unit or 0)
         for i in rest:
             a, b = segs[i]
-            if center not in (a, b):
-                queries.append(i)
-                continue
-            x, key = (b, ends[i][0]) if a == center else (a, ends[i][1])
-            v = _vsub(x, center)
-            length = _norm(v)
-            rays.append((i, (v[0] / length, v[1] / length, v[2] / length) if length else None))
-            groups.setdefault(key, []).append(i)
-        # rays with different keys at the center are measured; the others share a junction
+            if F in (a, b):
+                v = _vsub(b if a == F else a, F)
+                groups.setdefault(ends[i][a != F], []).append((i, _unit(v) if _norm(v) else (0.0, 0.0, 0.0)))
+        rest = [i for i in rest if F not in segs[i]]
         keyed = list(groups.values())
-        for x, group in enumerate(keyed):
+        for x, group in enumerate(keyed):   # rays with different keys at F; the others share a junction
             for other in keyed[x + 1:]:
-                for i in group:
-                    for k in other:
+                for i, _ in group:
+                    for k, _ in other:
                         see(i, k)
-        rest = queries
-        if not queries:
+        if not rest:
             continue
         # the frame: Z along the rays' summed direction, X and Y across it
-        total = tuple(sum(d[c] for _, d in rays if d) for c in range(3))
-        Z = _unit(total) if _norm(total) > 0.0 else (0.0, 0.0, 1.0)
-        e = min(range(3), key=lambda c: abs(Z[c]))
-        X = _unit(_cross(Z, tuple(float(c == e) for c in range(3))))
+        rays = [ray for group in keyed for ray in group]
+        Z = tuple(map(sum, zip(*(d for _, d in rays))))
+        Z = _unit(Z) if _norm(Z) else (0.0, 0.0, 1.0)
+        X = _unit(_cross(Z, (0.0, 0.0, 1.0) if abs(Z[2]) < 0.5 else (1.0, 0.0, 0.0)))
         Y = _cross(Z, X)
-        fan, polar = [], []
-        for i, d in rays:
-            if d is None:
-                polar.append((i, Z, math.pi))   # no length: every direction
-            else:
-                dx, dy = _dot(d, X), _dot(d, Y)
-                fan.append((math.atan2(dy, dx), math.hypot(dx, dy), _dot(d, Z), i, d))
-        top = max((f[1] for f in fan), default=0.0)
-        polar += [(i, d, 0.0) for _, s, _, i, d in fan if not s >= top / 2 > 0.0]
-        fan = sorted(f for f in fan if f[1] >= top / 2 > 0.0)
-        psi = [f[0] for f in fan]
-        if fan:
-            slo, shi = min(f[1] for f in fan), max(f[1] for f in fan)
-            zlo, zhi = min(f[2] for f in fan), max(f[2] for f in fan)
-        for k in queries:
-            r, _, c, h = _cone(center, *segs[k])
-            for i, d, hd in polar:
-                if _ray_bound(d, hd, r, c, h) <= t:
+        ring = [(math.atan2(_dot(d, Y), _dot(d, X)), math.hypot(_dot(d, X), _dot(d, Y)),
+                 _dot(d, Z), i, d) for i, d in rays]
+        top = max(f[1] for f in ring)
+        polar = [f for f in ring if not f[1] >= top / 2 > 0.0]   # near the axis, or no length
+        ring = sorted(f for f in ring if f[1] >= top / 2 > 0.0)
+        if ring:
+            psi, s, z, _, _ = zip(*ring)
+            slo, shi, zlo, zhi = min(s), max(s), min(z), max(z)
+        for k in rest:
+            r, _, c, h = _cone(F, *segs[k])
+            for *_, i, d in polar:
+                if _ray_bound(d, r, c, h) <= t:
                     see(i, k)
-            if not fan:
+            if not ring:
                 continue
-            vx, vy, vz = _dot(c, X), _dot(c, Y), _dot(c, Z)
-            sv, pv = math.hypot(vx, vy), math.atan2(vy, vx)
-            near = math.hypot(max(zlo - vz, vz - zhi, 0.0), max(slo - sv, sv - shi, 0.0))
+            x, y, z = _dot(c, X), _dot(c, Y), _dot(c, Z)
+            sv, pv = math.hypot(x, y), math.atan2(y, x)
+            near = math.hypot(max(zlo - z, z - zhi, 0.0), max(slo - sv, sv - shi, 0.0))
             q = 2.0 * math.sqrt(slo * sv)
             slack = q * min(1.0, 8 * u / slo + 8 * u / max(sv, u)) + 16 * u
-            start, taken, nf = bisect_left(psi, pv), 0, len(fan)
+            start, taken, n = bisect_left(psi, pv), 0, len(ring)
             for step in (1, -1):
-                j = start if step > 0 else start - 1
-                while taken < nf:
-                    g, _, _, i, d = fan[j % nf]
-                    gap = (g - pv) * step + (0.0 if 0 <= j < nf else 2 * math.pi)
+                j = start - (step < 0)
+                while taken < n:
+                    g, _, _, i, d = ring[j % n]
+                    gap = (g - pv) * step + (0.0 if 0 <= j < n else 2 * math.pi)
                     if gap > math.pi:
                         break
-                    if _ray_bound(d, 0.0, r, c, h) <= t:
+                    if _ray_bound(d, r, c, h) <= t:
                         see(i, k)
                     elif r * math.sin(min(max(2 * math.asin(min(1.0, max(
                             math.hypot(near, q * math.sin(gap / 2)) - slack, 0.0) / 2)) - h, 0.0),
@@ -650,11 +636,7 @@ def _fan_pairs(segs, ends, visit, size: float) -> float:
                         break    # every ray further this way lies as far
                     taken += 1
                     j += step
-    for x, i in enumerate(rest[:-1]):
-        d = visit(i, rest[x + 1:])
-        if d < least:
-            least = d
-    return least
+    return min([least, *(visit(i, rest[x + 1:]) for x, i in enumerate(rest[:-1]))])
 
 
 def tolerance_report(emb: EquilateralEmbedding) -> ToleranceReport:

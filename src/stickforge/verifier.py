@@ -90,16 +90,17 @@ center that holds one of its sticks.
   sqrt(2 _FOLD) up to rounding, or when one ray's far end lies within the
   snap of the other's, so |u - v| <= 2 snap / its length (for vectors a,
   b, |a/|a| - b/|b|| <= 2 |a - b| / |a|), or of the center itself.  So each
-  ray gets the box of half-width sqrt(_FOLD) + 2 floor / length about its
-  unit (all of space when it has no length), floor = clearance_rel scale
-  exceeds the snap junction_rel scale, 2 sqrt(_FOLD) exceeds
-  sqrt(2 _FOLD), and a sweep in the first coordinate hands over every
-  pair of rays with one key whose boxes meet.
+  ray gets the width w = sqrt(_FOLD) + 2 floor / length (infinite when it
+  has no length), and a sweep over the first coordinate of the units hands
+  over every pair of rays with one key whose units lie within the sum of
+  their widths: floor = clearance_rel scale exceeds the snap
+  junction_rel scale, and 2 sqrt(_FOLD) exceeds sqrt(2 _FOLD).
 - A ray and a stick that stays: seen from the center F, the ray's
-  directions are the unit d to its far end, and the stick's lie within h
-  of a unit c (_cone) at distance r or more from F.  For x on a ray from F
-  and y at angle g from that ray, |x - y| >= |y - F| sin g when
-  g <= pi/2, and |x - y| >= |y - F| beyond, so the pair is at least
+  directions are the unit d to its far end (any direction when it has no
+  length: d = 0 then, at angle 0 to everything), and the stick's lie
+  within h of a unit c (_cone) at distance r or more from F.  For x on a
+  ray from F and y at angle g from that ray, |x - y| >= |y - F| sin g
+  when g <= pi/2, and |x - y| >= |y - F| beyond, so the pair is at least
   B = r sin(min(max(angle(d, c) - h, 0), pi/2)) apart (_ray_bound), and it
   is measured when B <= t.  The directions from F to a segment that misses
   F fill the shorter great-circle arc between those of its ends a and b,
@@ -132,8 +133,8 @@ built from dot products and hypot, each within a few u, and from the gap
 g, off by under 12u/s + 12u/sc, which moves 2 sqrt(slo sc) sin(g/2) by
 under q min(1, 8u/slo + 8u/sc), q = 2 sqrt(slo sc); the walk takes that
 allowance and 16u more off chi before asin, so the computed L lies below
-the true one, up to 4C (100u).  A box of the fold sweep is over 10^5 times
-wider than the rounding of the units it holds.  junction_rel (C + m) is
+the true one, up to 4C (100u).  A width of the fold sweep is over 10^5
+times the rounding of the units it compares.  junction_rel (C + m) is
 far above all of it, so a dropped pair lies more than m apart or cannot
 fold back.
 """
@@ -364,25 +365,19 @@ def _vsub(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def _vdot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def _norm(a):
-    return math.sqrt(_vdot(a, a))
+    return math.sqrt(_dot(a, a))
 
 
 def seg_distance(p, q, r, s) -> float:
     """Closest-point distance between segments pq and rs.  The vector
-    helpers are written out, each in their own order of operations."""
-    d1 = (q[0] - p[0], q[1] - p[1], q[2] - p[2])
-    d2 = (s[0] - r[0], s[1] - r[1], s[2] - r[2])
-    w = (p[0] - r[0], p[1] - r[1], p[2] - r[2])
-    a = d1[0] * d1[0] + d1[1] * d1[1] + d1[2] * d1[2]
-    b = d1[0] * d2[0] + d1[1] * d2[1] + d1[2] * d2[2]
-    c = d2[0] * d2[0] + d2[1] * d2[1] + d2[2] * d2[2]
-    d = d1[0] * w[0] + d1[1] * w[1] + d1[2] * w[2]
-    e = d2[0] * w[0] + d2[1] * w[1] + d2[2] * w[2]
+    arithmetic is written out, in the order of the vector helpers."""
+    (px, py, pz), (rx, ry, rz) = p, r
+    ux, uy, uz = q[0] - px, q[1] - py, q[2] - pz
+    vx, vy, vz = s[0] - rx, s[1] - ry, s[2] - rz
+    wx, wy, wz = px - rx, py - ry, pz - rz
+    a, b, c = ux * ux + uy * uy + uz * uz, ux * vx + uy * vy + uz * vz, vx * vx + vy * vy + vz * vz
+    d, e = ux * wx + uy * wy + uz * wz, vx * wx + vy * wy + vz * wz
     den = a * c - b * b
     sn, sd = (0.0, 1.0) if den <= 1e-14 * a * c else ((b * e - c * d), den)
     if sn < 0.0:
@@ -399,9 +394,8 @@ def seg_distance(p, q, r, s) -> float:
         sc = min(max((b - d) / a if a > 0 else 0.0, 0.0), 1.0)
     else:
         tc = tn / c if c > 0 else 0.0
-    x = (p[0] + sc * d1[0]) - (r[0] + tc * d2[0])
-    y = (p[1] + sc * d1[1]) - (r[1] + tc * d2[1])
-    z = (p[2] + sc * d1[2]) - (r[2] + tc * d2[2])
+    x, y = (px + sc * ux) - (rx + tc * vx), (py + sc * uy) - (ry + tc * vy)
+    z = (pz + sc * uz) - (rz + tc * vz)
     return math.sqrt(x * x + y * y + z * z)
 
 
@@ -471,140 +465,116 @@ def _near_pairs(segs, ends, floor: float, visit) -> float:
     return least
 
 
+def _unit(v):
+    """v / |v|, or 0.0 when v is zero."""
+    n = _norm(v)
+    return n and (v[0] / n, v[1] / n, v[2] / n)
+
+
 def _cone(F, pa, pb):
     """(r, c, h) of the segment pa pb seen from F: r is its distance from
     F, and every direction from F to it lies within h of the unit c; h = pi,
     the whole sphere, when it reaches F or a + b is too short to trust (see
     the module docstring)."""
-    d, va, vb = _vsub(pb, pa), _vsub(pa, F), _vsub(pb, F)
-    dd = _vdot(d, d)
-    t = min(max(-_vdot(d, va) / dd, 0.0), 1.0) if dd > 0.0 else 0.0
+    va, vb = _vsub(pa, F), _vsub(pb, F)
+    d = _vsub(vb, va)
+    dd = _dot(d, d)
+    t = min(max(-_dot(d, va) / dd, 0.0), 1.0) if dd > 0.0 else 0.0
     r = _norm((va[0] + t * d[0], va[1] + t * d[1], va[2] + t * d[2]))
-    na, nb = _norm(va), _norm(vb)
-    if na == 0.0 or nb == 0.0:
-        return r, (0.0, 0.0, 1.0), math.pi
-    a = (va[0] / na, va[1] / na, va[2] / na)
-    b = (vb[0] / nb, vb[1] / nb, vb[2] / nb)
-    n = _norm(_cross(a, b))
-    if n < 1e-3 and _vdot(a, b) < 0.0:    # near a pole the plane of a and b is untrusted
-        return r, a, math.pi
-    c = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-    nc = _norm(c)
-    return r, (c[0] / nc, c[1] / nc, c[2] / nc), math.atan2(n, _vdot(a, b)) / 2
+    a, b = _unit(va), _unit(vb)
+    if not (a and b) or _norm(_cross(a, b)) < 1e-3 and _dot(a, b) < 0.0:
+        return r, (1.0, 0.0, 0.0), math.pi    # reaches F, or an untrusted plane near a pole
+    c = _unit((a[0] + b[0], a[1] + b[1], a[2] + b[2]))
+    return r, c, math.atan2(_norm(_cross(a, b)), _dot(a, b)) / 2
 
 
-def _ray_bound(d, hd: float, r: float, c, h: float) -> float:
-    """The cone bound between a stick whose directions from a center lie
-    within hd of the unit d and a stick at distance r from it whose
-    directions lie within h of the unit c."""
-    (dx, dy, dz), (cx, cy, cz) = d, c
-    x, y, z = dy * cz - dz * cy, dz * cx - dx * cz, dx * cy - dy * cx
-    g = math.atan2(math.sqrt(x * x + y * y + z * z), dx * cx + dy * cy + dz * cz) - hd - h
+def _ray_bound(d, r, c, h):
+    """r sin(min(max(angle(d, c) - h, 0), pi/2)), the cone bound between a
+    stick whose directions from a center are the unit d (any direction when
+    d = 0) and a stick at distance r from it whose directions lie within h
+    of the unit c."""
+    g = math.atan2(_norm(_cross(d, c)), _dot(d, c)) - h
     return r * math.sin(min(g, math.pi / 2)) if g > 0.0 else 0.0
 
 
-def _fan_pairs(segs, ends, floor: float, visit, size: float) -> float:
+def _fan_pairs(segs, ends, floor, visit, size):
     """_near_pairs by the fan cull of the module docstring; size is the
     largest coordinate magnitude."""
     least = t = math.inf
     u = 2.0 ** -53
 
-    def see(i: int, k: int) -> None:
+    def see(i, k):
         nonlocal least, t
-        d = visit(i, (k,)) if i < k else visit(k, (i,))
+        d = visit(min(i, k), (max(i, k),))
         if d < least:
-            least = d
-            m = max(d, floor)
+            least, m = d, max(d, floor)
             t = m + TOLERANCES.junction_rel * (size + m)
 
     rest = list(range(len(segs)))
     while True:
         count = Counter(p for i in rest for p in {*segs[i]})
-        center, most = max(count.items(), key=lambda e: e[1], default=(None, 0))
+        F, most = max(count.items(), key=lambda e: e[1], default=(None, 0))
         if most < 3:
             break
-        rays, queries, groups = [], [], {}
+        groups = {}   # the rays of F by their key at F: (fold box's low end, index, half-width, unit)
         for i in rest:
             a, b = segs[i]
-            if center not in (a, b):
-                queries.append(i)
-                continue
-            x, key = (b, ends[i][0]) if a == center else (a, ends[i][1])
-            v = _vsub(x, center)
-            length = _norm(v)
-            d = (v[0] / length, v[1] / length, v[2] / length) if length else None
-            rays.append((i, d))
-            groups.setdefault(key, []).append((i, d, length))
+            if F in (a, b):
+                v = _vsub(b if a == F else a, F)
+                w = math.sqrt(_FOLD) + 2 * floor / _norm(v) if _norm(v) else math.inf
+                d = _unit(v) or (0.0, 0.0, 0.0)
+                groups.setdefault(ends[i][a != F], []).append((d[0] - w, i, w, d))
+        rest = [i for i in rest if F not in segs[i]]
         keyed = list(groups.values())
         for x, group in enumerate(keyed):
-            # rays with different keys at the center are measured
-            for other in keyed[x + 1:]:
-                for i, _, _ in group:
-                    for k, _, _ in other:
+            for other in keyed[x + 1:]:   # rays with different keys at F
+                for _, i, _, _ in group:
+                    for _, k, _, _ in other:
                         see(i, k)
-            # rays with one key whose directions could fold back: boxes of
-            # half-width sqrt(_FOLD) + 2 floor / length about the directions
-            boxes = []
-            for i, d, length in group:
-                w = math.sqrt(_FOLD) + 2 * floor / length if length else math.inf
-                c = d or (0.0, 0.0, 0.0)
-                boxes.append((c[0] - w, c[0] + w, c, w, i))
-            boxes.sort()
-            active = []
-            for box in boxes:
-                lo, _, c, w, i = box
-                active = [o for o in active if o[1] >= lo]
-                for _, _, oc, ow, k in active:
-                    if abs(oc[1] - c[1]) <= ow + w and abs(oc[2] - c[2]) <= ow + w:
+            active = []   # rays with one key whose units lie close could fold back
+            for box in sorted(group):
+                lo, i, w, d = box
+                active = [o for o in active if o[3][0] + o[2] >= lo]
+                for _, k, ow, od in active:
+                    if _norm(_vsub(od, d)) <= ow + w:
                         see(i, k)
                 active.append(box)
-        rest = queries
-        if not queries:
+        if not rest:
             continue
         # the frame: Z along the rays' summed direction, X and Y across it
-        total = tuple(sum(d[c] for _, d in rays if d) for c in range(3))
-        nt = _norm(total)
-        Z = (total[0] / nt, total[1] / nt, total[2] / nt) if nt > 0.0 else (0.0, 0.0, 1.0)
-        e = min(range(3), key=lambda c: abs(Z[c]))
-        X = _cross(Z, tuple(float(c == e) for c in range(3)))
-        nx = _norm(X)
-        X = (X[0] / nx, X[1] / nx, X[2] / nx)
+        rays = [box[1:] for group in keyed for box in group]
+        Z = _unit(tuple(map(sum, zip(*(d for *_, d in rays))))) or (0.0, 0.0, 1.0)
+        X = _unit(_cross(Z, (0.0, 0.0, 1.0) if abs(Z[2]) < 0.5 else (1.0, 0.0, 0.0)))
         Y = _cross(Z, X)
-        fan, polar = [], []
-        for i, d in rays:
-            if d is None:
-                polar.append((i, Z, math.pi))   # no length: every direction
-            else:
-                dx, dy = _vdot(d, X), _vdot(d, Y)
-                fan.append((math.atan2(dy, dx), math.hypot(dx, dy), _vdot(d, Z), i, d))
-        top = max((f[1] for f in fan), default=0.0)
-        polar += [(i, d, 0.0) for _, s, _, i, d in fan if not s >= top / 2 > 0.0]
-        fan = sorted(f for f in fan if f[1] >= top / 2 > 0.0)
-        psi = [f[0] for f in fan]
-        if fan:
-            slo, shi = min(f[1] for f in fan), max(f[1] for f in fan)
-            zlo, zhi = min(f[2] for f in fan), max(f[2] for f in fan)
-        for k in queries:
-            r, c, h = _cone(center, *segs[k])
-            for i, d, hd in polar:
-                if _ray_bound(d, hd, r, c, h) <= t:
+        ring = [(math.atan2(_dot(d, Y), _dot(d, X)), math.hypot(_dot(d, X), _dot(d, Y)),
+                 _dot(d, Z), i, d) for i, _, d in rays]
+        top = max(f[1] for f in ring)
+        polar = [f for f in ring if not f[1] >= top / 2 > 0.0]   # near the axis, or no length
+        ring = sorted(f for f in ring if f[1] >= top / 2 > 0.0)
+        if ring:
+            psi, s, z, _, _ = zip(*ring)
+            slo, shi, zlo, zhi = min(s), max(s), min(z), max(z)
+        for k in rest:
+            r, c, h = _cone(F, *segs[k])
+            for *_, i, d in polar:
+                if _ray_bound(d, r, c, h) <= t:
                     see(i, k)
-            if not fan:
+            if not ring:
                 continue
-            vx, vy, vz = _vdot(c, X), _vdot(c, Y), _vdot(c, Z)
-            sv, pv = math.hypot(vx, vy), math.atan2(vy, vx)
-            near = math.hypot(max(zlo - vz, vz - zhi, 0.0), max(slo - sv, sv - shi, 0.0))
+            x, y, z = _dot(c, X), _dot(c, Y), _dot(c, Z)
+            sv, pv = math.hypot(x, y), math.atan2(y, x)
+            near = math.hypot(max(zlo - z, z - zhi, 0.0), max(slo - sv, sv - shi, 0.0))
             q = 2.0 * math.sqrt(slo * sv)
             slack = q * min(1.0, 8 * u / slo + 8 * u / max(sv, u)) + 16 * u
-            start, taken, nf = bisect_left(psi, pv), 0, len(fan)
+            start, taken, n = bisect_left(psi, pv), 0, len(ring)
             for step in (1, -1):
-                j = start if step > 0 else start - 1
-                while taken < nf:
-                    g, _, _, i, d = fan[j % nf]
-                    gap = (g - pv) * step + (0.0 if 0 <= j < nf else 2 * math.pi)
+                j = start - (step < 0)
+                while taken < n:
+                    g, _, _, i, d = ring[j % n]
+                    gap = (g - pv) * step + (0.0 if 0 <= j < n else 2 * math.pi)
                     if gap > math.pi:
                         break
-                    if _ray_bound(d, 0.0, r, c, h) <= t:
+                    if _ray_bound(d, r, c, h) <= t:
                         see(i, k)
                     elif r * math.sin(min(max(2 * math.asin(min(1.0, max(
                             math.hypot(near, q * math.sin(gap / 2)) - slack, 0.0) / 2)) - h, 0.0),
@@ -612,11 +582,7 @@ def _fan_pairs(segs, ends, floor: float, visit, size: float) -> float:
                         break    # every ray further this way lies as far
                     taken += 1
                     j += step
-    for x, i in enumerate(rest[:-1]):
-        d = visit(i, rest[x + 1:])
-        if d < least:
-            least = d
-    return least
+    return min([least, *(visit(i, rest[x + 1:]) for x, i in enumerate(rest[:-1]))])
 
 
 def _non_finite(segs) -> str:
@@ -681,7 +647,7 @@ def check_simplicity(segments, scale: float | None = None) -> VerificationReport
                 u = _vsub(q if shared == p else p, shared)
                 v = _vsub(s if _norm(_vsub(shared, r)) <= snap else r, shared)
                 nu, nv = _norm(u), _norm(v)
-                if nu > 0 and nv > 0 and _vdot(u, v) / (nu * nv) > 1.0 - _FOLD:
+                if nu > 0 and nv > 0 and _dot(u, v) / (nu * nv) > 1.0 - _FOLD:
                     failing.append((i, j, f"sticks {i} and {j} fold back along each other"))
                 continue
             dist = seg_distance(p, q, r, s)

@@ -757,7 +757,7 @@ def all_pairs_float_simplicity(segments, scale=None) -> tuple[bool, str]:
                 u = vf._vsub(q if shared == p else p, shared)
                 v = vf._vsub(s if vf._norm(vf._vsub(shared, r)) <= snap else r, shared)
                 nu, nv = vf._norm(u), vf._norm(v)
-                if nu > 0 and nv > 0 and vf._vdot(u, v) / (nu * nv) > 1.0 - 1e-12:
+                if nu > 0 and nv > 0 and vf._dot(u, v) / (nu * nv) > 1.0 - 1e-12:
                     bad += 1
                     witness = witness or f"sticks {i} and {j} fold back along each other"
                 continue
