@@ -466,9 +466,9 @@ def _near_pairs(segs, ends, floor: float, visit) -> float:
 
 
 def _unit(v):
-    """v / |v|, or 0.0 when v is zero."""
+    """v / |v|, or 0.0 when |v| is zero or overflows."""
     n = _norm(v)
-    return n and (v[0] / n, v[1] / n, v[2] / n)
+    return (v[0] / n, v[1] / n, v[2] / n) if 0.0 < n < math.inf else 0.0
 
 
 def _cone(F, pa, pb):

@@ -400,3 +400,20 @@ def test_fan_cull_visits_every_pair_within_its_minimum(seed, least):
             return least
         assert near_pairs(visit) == least
         assert len(seen) == len(set(seen)) and want <= set(seen)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
+def test_verifier_fan_cull_survives_extreme_scales(fan32, scale):
+    # a document may carry any finite coordinates: squared lengths overflow
+    # to inf or underflow to 0, outside the cull's proof; the checks still
+    # run and keep the all-pairs verdicts (and, at overflow, the details)
+    sticks = [replace(s, a=tuple(c * scale for c in s.a), b=tuple(c * scale for c in s.b))
+              for s in fan32.sticks]
+    emb = replace(fan32, sticks=sticks, M=fan32.M * scale)
+    segs = [(s.a, s.b) for s in sticks]
+    got = [_entry(check_equilateral(emb), "equilateral.clearance"),
+           _entry(check_simplicity(segs, scale=emb.M), "simplicity")]
+    want = [oracles.all_pairs_clearance(emb), oracles.all_pairs_float_simplicity(segs, scale=emb.M)]
+    assert [g[0] for g in got] == [w[0] for w in want]
+    if scale > 1:
+        assert got == want
