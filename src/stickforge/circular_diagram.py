@@ -51,21 +51,44 @@ def boundary_points(m: int) -> tuple[R2, ...]:
     half-angle parametrization pole kept inside the gap that closes the
     axis, one half-step beyond both extremes.  Only the cyclic order is
     load-bearing; it is asserted exactly on the rationalized parameters.
+    A parameter t = p/q in lowest terms gives the point
+    (q^2 - p^2, 2pq) / (q^2 + p^2).
     """
     if m < 1:
         raise ValueError("need at least one binding point")
-    ts: list[Fraction] = []
+    ts = []
     for i in range(m):
         theta = math.pi - math.pi / m - (2.0 * math.pi * i) / m
-        ts.append(Fraction(math.tan(theta / 2.0)).limit_denominator(1 << 24))
-    for i in range(m - 1):
-        if ts[i] <= ts[i + 1]:
+        ts.append(_nearest(*math.tan(theta / 2.0).as_integer_ratio(), 1 << 24))
+    for (p0, q0), (p1, q1) in zip(ts, ts[1:]):
+        if p0 * q1 <= p1 * q0:
             raise AssertionError("rationalized boundary parameters lost their order")
-    pts = []
-    for t in ts:
-        den = 1 + t * t
-        pts.append(((1 - t * t) / den, 2 * t / den))
-    return tuple(pts)
+    return tuple((Fraction(q * q - p * p, q * q + p * p), Fraction(2 * p * q, q * q + p * p))
+                 for p, q in ts)
+
+
+def _nearest(n: int, d: int, limit: int) -> tuple[int, int]:
+    """Fraction(n, d).limit_denominator(limit) as (p, q), for d > 0, in
+    integers: of the best lower and upper approximations with q <= limit,
+    the closer one, and the one with the smaller q on a tie."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if d <= limit:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    x, y = n, d
+    while True:
+        a, r = divmod(x, y)
+        if q0 + a * q1 > limit:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        x, y = y, r
+    k = (limit - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p2/q2 - n/d|, both sides times d q1 q2
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return p1, q1
+    return p2, q2
 
 
 def chords_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -108,11 +131,15 @@ def _classify(chords: tuple[Chord, ...], initiating: tuple[int, ...]):
 
 def to_circular(vp: ValidatedPresentation) -> CircularDiagram:
     chords = tuple(Chord(arc.page, arc.ends, arc.edge) for arc in vp.arcs)
+    # chords_cross on every pair, in order: p < q and r < s interleave
+    # exactly when p < r < q < s or r < p < s < q, and neither holds when
+    # two ends coincide
+    spans = [(min(c.ends), max(c.ends), c.page) for c in chords]
     crossings = tuple(
-        (ci.page, cj.page)
-        for a, ci in enumerate(chords)
-        for cj in chords[a + 1 :]
-        if chords_cross(ci.ends, cj.ends)
+        (k, page)
+        for a, (p, q, k) in enumerate(spans)
+        for r, s, page in spans[a + 1 :]
+        if (p < r < q < s) or (r < p < s < q)
     )
     initiating = _initiating(chords, vp.m)
     classes, n2, n1, n0 = _classify(chords, initiating)

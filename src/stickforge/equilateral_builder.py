@@ -15,7 +15,11 @@ stick at length M, giving 2n - 1 sticks per component.
 
 Rotations are certified by sampled sweeps (engineering surrogate for the
 continuous isotopy): the moving stick, and the stretching joiner with it,
-must clear every parked stick at each sampled angle.  Any certificate or
+must clear every parked stick at each sampled angle.  A pair's clearance
+there is trimmed: when an end of the mover pq lies within snap of an end
+of the parked stick rs (the first such pair of (p, r), (p, s), (q, r),
+(q, s)), TRIM_FRACTION of each stick is cut away at that end (_trimmed)
+before the segment distance is taken.  Any certificate or
 bracketing failure makes build_parts double M and retry, at most MAX_RETRIES
 times.  That cures a bracket M is too short for, but not a pinch: e_1's hug
 passes the next axis point about AXIS_HUG_FRACTION * sin(page gap) away at
@@ -28,7 +32,7 @@ samples a bound proves clear.  Each mover has a fixed end F: the pivot for
 the swinging stick, the hub for the stretching joiner.  For x on a ray from
 F and y at angle g from that ray, |x - y| >= max(|x - F|, |y - F|) sin g
 when g <= pi/2, and |x - y| >= max(|x - F|, |y - F|) beyond.  Take
-R = max(rho, r), where rho is where the mover starts after _clearance's
+R = max(rho, r), where rho is where the mover starts after the clearance's
 trim (TRIM_FRACTION of its least length when F is a junction the parked
 stick shares, else 0) and r is the distance from F to the parked stick,
 trimmed at F in the shared case (any other trim only shortens it).  Let G
@@ -100,7 +104,8 @@ move, and on theta-fan every move shares its pivot and every joiner its
 hub.  Fixed ends that compare equal give the same values up to the sign of
 a zero, which no comparison in the sweep sees.  Clearances go through
 _slot_clearance, which reads the slot's trimmed stick, trims the mover at
-F only when the slot shares F, and equals _clearance float for float.
+F only when the slot shares F, and equals the trimmed clearance float for
+float.
 
 tolerance_report measures only the stick pairs that could hold the least
 clearance (_near_pairs), and its minimum is that of every pair, float for
@@ -365,17 +370,6 @@ def _trimmed(a: V3, b: V3, cut: V3):
     if _dist(a, cut) <= _dist(b, cut):
         return ((a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]), a[2] + f * (b[2] - a[2])), b)
     return (a, (b[0] + f * (a[0] - b[0]), b[1] + f * (a[1] - b[1]), b[2] + f * (a[2] - b[2])))
-
-
-def _clearance(p: V3, q: V3, r: V3, s: V3, snap: float) -> float:
-    """Segment distance with shared endpoints trimmed away first."""
-    for x in (p, q):
-        for y in (r, s):
-            if _dist(x, y) <= snap:
-                (p2, q2) = _trimmed(p, q, x)
-                (r2, s2) = _trimmed(r, s, y)
-                return _seg_distance(p2, q2, r2, s2)
-    return _seg_distance(p, q, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -675,8 +669,8 @@ def _horizon(F: V3, pa: V3, pb: V3, snap: float):
     """(r, shared, arc, c, h, seg) for a mover with fixed end F against the
     parked stick pa pb; none of it depends on the mover.  shared says
     whether F is an end of the stick; seg is then the stick trimmed there as
-    _clearance trims it, else the stick itself (any trim _clearance makes
-    then only shortens it).  r is the distance from F to seg.  arc holds the
+    the trimmed clearance trims it, else the stick itself (any trim the
+    clearance makes then only shortens it).  r is the distance from F to seg.  arc holds the
     directions from F to seg: (a, b, unit normal of their plane or None when
     that plane is too thin to trust, angle from a to b), or None when seg
     reaches F.  Every direction from F to seg lies within h of the unit c;
@@ -721,8 +715,8 @@ def _least_angle(u: V3, arc) -> float:
 
 
 def _slot_clearance(F: V3, end: V3, slot, snap: float) -> float:
-    """_clearance(F, end, pa, pb, snap) float for float, for the parked stick
-    pa pb of slot: the slot holds the stick already trimmed when F is its
+    """The trimmed clearance of the mover F end against the parked stick
+    pa pb of slot, float for float (see the module docstring): the slot holds the stick already trimmed when F is its
     end, and the mover F end is then trimmed at F as _trimmed cuts it."""
     _, _, shared, _, _, _, (pa, pb) = slot
     if shared:
@@ -737,7 +731,7 @@ def _slot_clearance(F: V3, end: V3, slot, snap: float) -> float:
 
 def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                    snap: float, horizons: dict) -> float:
-    """Least _clearance between the moving sticks and the parked ones over
+    """Least trimmed clearance between the moving sticks and the parked ones over
     the sampled sweep.  A (mover, parked) pair is dropped for the whole
     sweep when its cone bound clears the running minimum plus snap after
     sample 0, evaluated at sample 0 only when its bound there could reach

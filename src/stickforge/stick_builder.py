@@ -18,7 +18,12 @@ cross chord k or share an end with it are obstacles: any other chord's
 closed segment misses chord k's (its ends do not interleave with chord k's
 on the circle), so its sticks pass the plane over chord k outside the
 chord, at relative position u outside (0, 1] of every anchor, and never
-bind.
+bind.  Of the obstacles, a stick whose ends both lie at or below the lowest
+anchor's level z_lo is dropped before it is projected.  Every point of it
+that the threshold test reads, its own ends, its punch-through point of the
+plane and its crossing of s = s_lo, lies on the stick, so at or below the
+level z_lo of every anchor: wn = (z_pt - z_lo) wp w <= 0, and the test
+passes over it before it could block a level or raise.
 
 All coordinates are rational, and every predicate runs on integers.  Each
 point becomes homogeneous integers (X, Y, Z, W) with W > 0 the lcm of its
@@ -186,9 +191,15 @@ def _min_clear_height(frame: _ChordFrame, lows, z_prev: int, earlier) -> int:
     over u in [0, 1] block: its own ends and its crossing of s = s_lo (a
     crossing of s = s_hi has threshold z_pt <= z_prev and never binds).
     Points are homogeneous, anchors (s_lo, s_hi, z_lo) over one w, and the
-    floors are taken in integers by cross-multiplication.
+    floors are taken in integers by cross-multiplication.  Sticks at or
+    below the lowest z_lo are dropped first (see the module docstring).
     """
-    segs, pts = _project_earlier(frame, earlier)
+    z_lo, w = lows[0][2:]
+    for _, _, z, v in lows[1:]:
+        if z * w < z_lo * v:
+            z_lo, w = z, v
+    segs, pts = _project_earlier(frame, [(a, b) for a, b in earlier
+                                         if a[2] * w > z_lo * a[3] or b[2] * w > z_lo * b[3]])
     z = z_prev + 1
     for s_lo, s_hi, z_lo, w in lows:
         span = s_hi - s_lo

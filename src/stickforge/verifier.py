@@ -7,14 +7,9 @@ with zero tolerance.  Floating-point embeddings are judged against the
 tolerances below, all relative to the stick length scale.  A simplicity
 check whose input mixes rational and float coordinates fails.
 
-Exact checks compute in integers.  Each rational point becomes homogeneous
-integers (X, Y, Z, W) with W > 0 the lcm of its denominators, once per
-point per check; for reduced Fractions that form is canonical, so point
-equality is tuple equality.  A difference b - a taken as b_i W_a - a_i W_b
-is the true vector times W_a W_b > 0, so every zero or sign test on cross
-and dot products is unchanged, and a parameter test such as 0 <= t <= 1
-becomes an integer comparison with the positive scales put back.  A
-Fraction is built only to print a witness.
+Exact checks compute in integers, on the homogeneous points of
+_verifier_exact, which also holds the exact simplicity check and proves
+its pruning.  A Fraction is built only to print a witness.
 
 A passing simplicity + projection + crossing-order report certifies that
 the embedded union of sticks projects to a diagram identical to the given
@@ -22,20 +17,25 @@ circular one (same crossings, same over/under, same incidences), which
 pins down the spatial graph type.  Projection fails any stick on a page
 the diagram lacks, so no stick escapes that comparison.
 
-The exact simplicity check tests only some pairs, and loses nothing by it.
-A common point of two segments lies in both closed bounding boxes, so a
-sweep over exact boxes that drops a stick only once the sweep is strictly
-past it, and compares y and z with <=, skips no pair that meets.  The boxes
-may be rounded to nearest floats: rounding is monotone, so x <= y gives
-fl(x) <= fl(y), and fl(x) < fl(y) gives x < y.  Two
-segments with a common endpoint p lie on lines through p; unless the lines
-are parallel they meet only at p, and when they are, the segments overlap
-exactly when their directions from p agree.  A zero-length stick fails
-wherever it lies: against every other stick, and alone as well.
+Crossing order computes a crossing's point only when the pages' heights
+could reach each other there.  Say the pieces of a page tile its chord:
+sorted, they start at parameter 0, end at 1 and leave no gap.  Then every
+parameter t lies in a piece, and the height there, the first such piece's
+z0 + (z1 - z0) u with u = (t - t0)/(t1 - t0) in [0, 1] (z0 when t0 = t1),
+lies between that piece's end heights, so within the least and greatest
+end heights of the page.  The chords of a diagram crossing have ends that
+interleave on the circle, so they meet inside both.  So when both pages
+tile their chords and the greatest end height of page i lies below the
+least of page j, page i passes under page j at the crossing, which
+passes as it would with its point computed.  Any other crossing is
+computed, so a page with a missing or gapped stick still reports the
+geometry missing where it is.  _chord_pieces divides a page's parameters
+by their gcd and keeps heights in lowest terms; both leave every
+comparison and every printed height as it was.
 
 The float checks fail any coordinate or scale that is not finite, and a
 length scale that is not positive, before they measure anything.  Then
-they cull their pairs (_near_pairs), and lose nothing by it either.  Let
+they cull their pairs (_near_pairs), and lose nothing by it.  Let
 m be the larger of the least distance measured so far and the check's
 floor clearance_min, C the largest coordinate magnitude, and
 pad = m + junction_rel (C + m).  Each stick is cut at fixed fractions into
@@ -147,6 +147,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._verifier_exact import _cross, _dot, _first_exact_failure, _hom
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -201,163 +203,6 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# exact kernel: homogeneous integer points
-
-
-def _hom(p):
-    """p as integers (X, ..., W): W > 0 is the lcm of the denominators and
-    p = (X, ...) / W.  Canonical, so equal points give equal tuples."""
-    ratios = [c.as_integer_ratio() for c in p]
-    w = math.lcm(*(d for _, d in ratios))
-    return tuple(n * (w // d) for n, d in ratios) + (w,)
-
-
-def _diff(a, b):
-    """(b - a) W_a W_b for homogeneous 3D points a, b."""
-    wa, wb = a[3], b[3]
-    return (b[0] * wa - a[0] * wb, b[1] * wa - a[1] * wb, b[2] * wa - a[2] * wb)
-
-
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _point_on(p, q, t):
-    """p + t (q - p) as Fractions, for homogeneous p, q and t = n/d, d > 0."""
-    n, d = t
-    wp, wq = p[3], q[3]
-    return tuple(Fraction(p[i] * wq * d + n * (q[i] * wp - p[i] * wq), wp * wq * d)
-                 for i in range(3))
-
-
-def _mixed_witness(rational) -> str:
-    """Name stick 0 and the first stick whose coordinates differ from its
-    first one in kind, given one rational flag per coordinate."""
-    k = rational.index(not rational[0]) // 6
-    if k == 0:
-        return "stick 0 mixes rational and float coordinates"
-    return f"sticks 0 and {k} mix rational and float coordinates"
-
-
-def _seg_meet_exact(p, q, r, s):
-    """('none', None) | ('point', pt) | ('overlap', None) for closed segments
-    of positive length with homogeneous ends; pt is in Fractions.
-
-    The differences carry positive scales: d1 = (q - p) Wp Wq,
-    d2 = (s - r) Wr Ws, w = (r - p) Wp Wr.  Zero tests are unchanged, and
-    the parameters t on pq and u on rs come out scaled by Wr/Wq and Wp/Ws.
-    """
-    d1, d2, w = _diff(p, q), _diff(r, s), _diff(p, r)
-    c = _cross(d1, d2)
-    if c != (0, 0, 0):
-        if _dot(w, c) != 0:
-            return ("none", None)
-        cc = _dot(c, c)
-        tn, td = _dot(_cross(w, d2), c) * q[3], cc * r[3]
-        un, ud = _dot(_cross(w, d1), c) * s[3], cc * p[3]
-        if 0 <= tn <= td and 0 <= un <= ud:
-            return ("point", _point_on(p, q, (tn, td)))
-        return ("none", None)
-    if _cross(w, d1) != (0, 0, 0):
-        return ("none", None)
-    length2 = _dot(d1, d1)
-    t0 = (_dot(w, d1) * q[3], length2 * r[3])
-    t1 = (_dot(_diff(p, s), d1) * q[3], length2 * s[3])
-    lo, hi = (t0, t1) if t0[0] * t1[1] <= t1[0] * t0[1] else (t1, t0)
-    if lo[0] < 0:
-        lo = (0, 1)
-    if hi[0] > hi[1]:
-        hi = (1, 1)
-    gap = lo[0] * hi[1] - hi[0] * lo[1]
-    if gap > 0:
-        return ("none", None)
-    if gap == 0:
-        return ("point", _point_on(p, q, lo))
-    return ("overlap", None)
-
-
-def _exact_pair_failure(segs, i: int, j: int) -> str:
-    """Witness that sticks i < j meet other than at one shared endpoint, or ''."""
-    (p, q), (r, s) = segs[i], segs[j]
-    if p == q or r == s:
-        return f"sticks {i} and {j} overlap along a segment"   # one has zero length
-    for x in (p, q):
-        if x == r or x == s:
-            # lines through x meet only at x unless they are parallel
-            u = _diff(x, q if x == p else p)
-            v = _diff(x, s if x == r else r)
-            if _cross(u, v) != (0, 0, 0) or _dot(u, v) <= 0:
-                return ""
-            kind, pt = "overlap", None
-            break
-    else:
-        kind, pt = _seg_meet_exact(p, q, r, s)
-    if kind == "none":
-        return ""
-    if kind == "overlap":
-        return f"sticks {i} and {j} overlap along a segment"
-    return (f"sticks {i} and {j} meet at {tuple(str(x) for x in pt)}"
-            " away from a shared endpoint")
-
-
-def _to_float(n: int, w: int) -> float:
-    """n / w rounded to nearest, or an infinity past the float range."""
-    try:
-        return n / w
-    except OverflowError:
-        return math.inf if n > 0 else -math.inf
-
-
-def _first_exact_failure(segs) -> str:
-    """Witness of the lexicographically first failing pair, or ''.
-
-    segs holds homogeneous ends.  Sweep and prune on closed bounding boxes
-    of the coordinates rounded to floats: sticks enter in order of their
-    least x and leave once the sweep has passed their greatest x; only
-    pairs whose boxes meet in y and z as well are tested, exactly.
-    """
-    lo, hi = [], []
-    for p, q in segs:
-        fp = [_to_float(p[i], p[3]) for i in range(3)]
-        fq = [_to_float(q[i], q[3]) for i in range(3)]
-        lo.append(tuple(map(min, fp, fq)))
-        hi.append(tuple(map(max, fp, fq)))
-    best, witness = None, ""
-    # a zero-length stick fails against every other one, so the least pair
-    # holding one is (0, k), or (0, 1) when k = 0
-    k = next((k for k, (p, q) in enumerate(segs) if p == q), None)
-    if k is not None:
-        if len(segs) == 1:
-            return "stick 0 has zero length"
-        best = (0, k or 1)
-        witness = _exact_pair_failure(segs, *best)
-    active: list[int] = []
-    for j in sorted(range(len(segs)), key=lambda n: lo[n][0]):
-        (lx, ly, lz), (_, hy, hz) = lo[j], hi[j]
-        kept = []
-        for i in active:
-            if hi[i][0] < lx:
-                continue
-            kept.append(i)
-            if lo[i][1] <= hy and ly <= hi[i][1] and lo[i][2] <= hz and lz <= hi[i][2]:
-                pair = (i, j) if i < j else (j, i)
-                if best is None or pair < best:
-                    found = _exact_pair_failure(segs, *pair)
-                    if found:
-                        best, witness = pair, found
-        kept.append(j)
-        active = kept
-    return witness
-
-
 # float distance between closed segments (for decimal embeddings)
 
 
@@ -585,6 +430,15 @@ def _fan_pairs(segs, ends, floor, visit, size):
     return min([least, *(visit(i, rest[x + 1:]) for x, i in enumerate(rest[:-1]))])
 
 
+def _mixed_witness(rational) -> str:
+    """Name stick 0 and the first stick whose coordinates differ from its
+    first one in kind, given one rational flag per coordinate."""
+    k = rational.index(not rational[0]) // 6
+    if k == 0:
+        return "stick 0 mixes rational and float coordinates"
+    return f"sticks 0 and {k} mix rational and float coordinates"
+
+
 def _non_finite(segs) -> str:
     """Witness naming the first coordinate that is not finite, or ''."""
     for k, (a, b) in enumerate(segs):
@@ -665,14 +519,15 @@ def check_simplicity(segments, scale: float | None = None) -> VerificationReport
 
 def _chord_pieces(cd, k: int, sticks):
     """The given sticks of page k as parameter intervals along the chord,
-    each with its ends in parameter order, and the parameter of the far
-    chord end; or a failure string.  Verifies on-line projection and
-    in-segment parameters.
+    each with its ends in parameter order as (t, point, height), and the
+    parameter of the far chord end; or a failure string.  Verifies on-line
+    projection and in-segment parameters.
 
-    Ends are homogeneous points, and parameters integers on one scale per
-    page: with d = (b - a) Wa Wb, a point's parameter along the chord is
-    dot((p - a) Wa W, d) Wb / (W |d|^2), and the page's scale multiplies
-    every parameter by the lcm of its ends' W times |d|^2.
+    Ends are homogeneous points, heights (n, d) in lowest terms, and
+    parameters integers on one scale per page: with d = (b - a) Wa Wb, a
+    point's parameter along the chord is dot((p - a) Wa W, d) Wb / (W |d|^2),
+    and the page's scale multiplies every parameter by the lcm of its ends'
+    W times |d|^2, then divides them all by their gcd.
     """
     chord = cd.chords[k - 1]
     a = _hom(cd.boundary[chord.ends[0]])
@@ -693,17 +548,19 @@ def _chord_pieces(cd, k: int, sticks):
             t = (w[0] * d[0] + w[1] * d[1]) * b[2] * (scale // pt[3])
             if not 0 <= t <= one:
                 return None, 0, f"page {k} stick endpoint projects outside the chord"
-            entry.append((t, pt))
-        (t0, p0), (t1, p1) = entry
-        if t0 > t1 or (t0 == t1 and p0[2] * p1[3] > p1[2] * p0[3]):
+            g = math.gcd(pt[2], pt[3])
+            entry.append((t, pt, (pt[2] // g, pt[3] // g)))
+        (t0, _, z0), (t1, _, z1) = entry
+        if t0 > t1 or (t0 == t1 and z0[0] * z1[1] > z1[0] * z0[1]):
             entry.reverse()
-        pieces.append(tuple(entry))
-    return pieces, one, ""
+        pieces.append(entry)
+    g = math.gcd(one, *(t for entry in pieces for t, _, _ in entry))
+    return [tuple((t // g, pt, z) for t, pt, z in entry) for entry in pieces], one // g, ""
 
 
 class _PageIndex:
     """The sticks of each page, grouped in one pass; a page's pieces along
-    its chord are computed on first use."""
+    its chord, and their height range, are computed on first use."""
 
     def __init__(self, se, cd):
         self.cd = cd
@@ -711,11 +568,24 @@ class _PageIndex:
         for s in se.sticks:
             self.sticks.setdefault(s.page, []).append(s)
         self._pieces: dict = {}
+        self._spans: dict = {}
 
     def pieces(self, k: int):
         if k not in self._pieces:
             self._pieces[k] = _chord_pieces(self.cd, k, self.sticks.get(k, ()))
         return self._pieces[k]
+
+    def span(self, k: int):
+        """The least and greatest end heights of page k as (n, d), when its
+        pieces tile the chord, else None."""
+        if k not in self._spans:
+            pieces, one, _ = self.pieces(k)
+            cuts = sorted((e[0][0], e[1][0]) for e in pieces or ())
+            zs = sorted((z for e in pieces or () for _, _, z in e),
+                        key=lambda z: z[0] if z[1] == 1 else Fraction(*z))
+            self._spans[k] = cuts and cuts[0][0] == 0 and cuts[-1][1] == one and all(
+                x[1] == y[0] for x, y in zip(cuts, cuts[1:])) and (zs[0], zs[-1])
+        return self._spans[k]
 
 
 def check_projection(se, cd) -> VerificationReport:
@@ -797,12 +667,11 @@ def _height_on_chord(found, t):
         return None
     n, d = t
     nt = n * one
-    for (t0, p0), (t1, p1) in pieces:
+    for (t0, _, (z0, w0)), (t1, _, (z1, w1)) in pieces:
         if t0 * d <= nt <= t1 * d:
             if t0 == t1:
-                return p0[2], p0[3]
+                return z0, w0
             ln, ld = nt - t0 * d, (t1 - t0) * d
-            z0, w0, z1, w1 = p0[2], p0[3], p1[2], p1[3]
             return z0 * w1 * ld + ln * (z1 * w0 - z0 * w1), w0 * w1 * ld
     return None
 
@@ -813,22 +682,27 @@ def check_crossing_order(se, cd) -> VerificationReport:
     With homogeneous boundary points, the chords' directions and offset
     carry the positive scales Wa Wb, Wc Wd and Wa Wc, so the crossing's
     parameters come out as ti = cross(w, dj) Wb / (den Wc) and
-    tj = cross(w, di) Wd / (den Wa).
+    tj = cross(w, di) Wd / (den Wa).  A crossing whose page i lies wholly
+    below page j passes without them (see the module docstring).
     """
     report = VerificationReport()
     problems: list[str] = []
     index = _PageIndex(se, cd)
-    boundary = [_hom(p) for p in cd.boundary] if cd.crossings else []
+    chords = []
+    if cd.crossings:
+        boundary = [_hom(p) for p in cd.boundary]
+        for chord in cd.chords:
+            a, b = boundary[chord.ends[0]], boundary[chord.ends[1]]
+            chords.append((a, b, (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2])))
     for (i, j) in cd.crossings:
-        ci, cj = cd.chords[i - 1], cd.chords[j - 1]
-        a, b = boundary[ci.ends[0]], boundary[ci.ends[1]]
-        c, d = boundary[cj.ends[0]], boundary[cj.ends[1]]
-        di = (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2])
-        dj = (d[0] * c[2] - c[0] * d[2], d[1] * c[2] - c[1] * d[2])
+        (a, b, di), (c, d, dj) = chords[i - 1], chords[j - 1]
         den = di[0] * dj[1] - di[1] * dj[0]
         if den == 0:
             problems.append(f"crossing ({i},{j}): chords parallel")
             continue
+        top, low = index.span(i), index.span(j)
+        if top and low and top[1][0] * low[0][1] < low[0][0] * top[1][1]:
+            continue   # page i lies wholly below page j (module docstring)
         w = (c[0] * a[2] - a[0] * c[2], c[1] * a[2] - a[1] * c[2])
         sign = 1 if den > 0 else -1
         ti = (sign * (w[0] * dj[1] - w[1] * dj[0]) * b[2], sign * den * c[2])

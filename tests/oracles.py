@@ -49,6 +49,19 @@ def circle_walk_crossing(m: int, ends_a, ends_b) -> bool:
     return labels in (["a", "b", "a", "b"], ["b", "a", "b", "a"])
 
 
+def boundary_points(m: int):
+    """circular_diagram.boundary_points by Fraction arithmetic: each
+    half-angle tangent rationalized by Fraction.limit_denominator(2^24),
+    then ((1 - t^2), 2t) / (1 + t^2)."""
+    pts = []
+    for i in range(m):
+        theta = math.pi - math.pi / m - (2.0 * math.pi * i) / m
+        t = Fraction(math.tan(theta / 2.0)).limit_denominator(1 << 24)
+        tt = t * t
+        pts.append(((1 - tt) / (1 + tt), 2 * t / (1 + tt)))
+    return tuple(pts)
+
+
 # ---------------------------------------------------------------------------
 # exact 3D segment meeting
 
@@ -567,8 +580,19 @@ def crossing_order_witness(se, cd) -> tuple[bool, str]:
 # the equal-length motion certificate, every pair at every sample
 
 
+def clearance(p, q, r, s, snap: float) -> float:
+    """The certificate's trimmed clearance, by its definition: the segment
+    distance after both sticks are trimmed at the first pair of ends
+    within snap of each other."""
+    for x in (p, q):
+        for y in (r, s):
+            if eb._dist(x, y) <= snap:
+                return eb._seg_distance(*eb._trimmed(p, q, x), *eb._trimmed(r, s, y))
+    return eb._seg_distance(p, q, r, s)
+
+
 def sampled_certificate(before, after):
-    """isotopy_certificate's verdict with _clearance evaluated for every
+    """isotopy_certificate's verdict with clearance evaluated for every
     (mover, parked) pair at every SWEEP_STEP_RAD sample."""
     M = after.M
     snap = eb.SNAP_REL * M
@@ -607,7 +631,7 @@ def sampled_certificate(before, after):
                 if tag == move.tag:
                     continue
                 for (qa, qb) in movers:
-                    min_seen = min(min_seen, eb._clearance(qa, qb, pa, pb, snap))
+                    min_seen = min(min_seen, clearance(qa, qb, pa, pb, snap))
         report.moves.append((move.tag, min_seen))
         if min_seen <= floor:
             report.passed = False

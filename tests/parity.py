@@ -25,6 +25,12 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   build(cd))) concatenated, for the catalog, theta_trivial(2..64),
   random_presentation(s, p, 30) for p in PROFILES and s < 40, and
   random_presentation(s, p, 150) for p in knot, bouquet, theta and s < 3.
+- exact-checks: for each of those 240 builds, repr((cd.crossings,
+  cd.boundary)), then repr of (check, passed, witness) of every entry of
+  verify_stick_embedding for the build and for its three mutants
+  (exact_mutants): two that swap the levels of two pages drawn by
+  random.Random(idx) in the sticks and the junctions, and one that drops
+  stick (7 idx) mod N, idx counting builds from 0.
 - presentations: dumps_document(presentation_to_doc(random_presentation(
   s, p, n))) for p in PROFILES, n in GRID_SIZES and s < 60, in that order;
   a draw that raises contributes the exception's class name instead.
@@ -62,7 +68,7 @@ from stickforge.equilateral_builder import build_equilateral, tolerance_report
 from stickforge.graph_core import GraphError
 from stickforge.randgen import PROFILES, random_presentation
 from stickforge.stick_builder import build
-from stickforge.verifier import check_equilateral, check_simplicity
+from stickforge.verifier import check_equilateral, check_simplicity, verify_stick_embedding
 
 GRID_SIZES = (2, 3, 4, 6, 8, 12, 20, 40, 80, 150)
 VALIDATOR_DRAWS = 8   # mutants per base presentation and mutation depth
@@ -117,15 +123,52 @@ def fan_checks() -> str:
     return digest.hexdigest()
 
 
-def exact_docs() -> str:
+@cache
+def _exact_builds():
     aps = [catalog(name) for name in catalog_names()]
     aps += [catalog(f"theta_trivial({n})") for n in range(2, 65)]
     aps += [random_presentation(s, p, 30) for p in PROFILES for s in range(40)]
     aps += [random_presentation(s, p, 150) for p in ("knot", "bouquet", "theta") for s in range(3)]
+    return [(build(cd), cd) for cd in (to_circular(validate_presentation(ap)) for ap in aps)]
+
+
+def exact_docs() -> str:
     digest = hashlib.sha256()
-    for ap in aps:
-        se = build(to_circular(validate_presentation(ap)))
+    for se, _ in _exact_builds():
         digest.update(dumps_document(embedding_to_doc(se)).encode())
+    return digest.hexdigest()
+
+
+def _level_swap(se, i: int, j: int):
+    """se with the levels of pages i and j swapped, in the sticks and the
+    junctions alike (the heights table is left as it was)."""
+    swap = {se.heights[i]: se.heights[j], se.heights[j]: se.heights[i]}
+
+    def lift(pt):
+        return (pt[0], pt[1], swap.get(pt[2], pt[2]))
+
+    return replace(se, sticks=tuple(replace(s, a=lift(s.a), b=lift(s.b)) for s in se.sticks),
+                   junctions={b: lift(pt) for b, pt in se.junctions.items()})
+
+
+def exact_mutants(idx: int, se):
+    """Two level-swap mutants of exact build idx, for pages drawn by
+    random.Random(idx), then the build less stick (7 idx) mod N."""
+    rng = random.Random(idx)
+    pages = sorted(se.heights)
+    for _ in range(2):
+        yield _level_swap(se, *(rng.sample(pages, 2) if len(pages) > 1 else pages * 2))
+    k = 7 * idx % len(se.sticks)
+    yield replace(se, sticks=se.sticks[:k] + se.sticks[k + 1:])
+
+
+def exact_checks() -> str:
+    digest = hashlib.sha256()
+    for idx, (se, cd) in enumerate(_exact_builds()):
+        digest.update(repr((cd.crossings, cd.boundary)).encode())
+        for e in (se, *exact_mutants(idx, se)):
+            entries = verify_stick_embedding(e, cd).entries
+            digest.update(repr([(x.check, x.passed, x.witness) for x in entries]).encode())
     return digest.hexdigest()
 
 
@@ -245,7 +288,7 @@ def validator() -> str:
 
 
 SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "fan-checks": fan_checks,
-        "exact-docs": exact_docs, "presentations": presentations, "workloads": workloads,
+        "exact-docs": exact_docs, "exact-checks": exact_checks, "presentations": presentations, "workloads": workloads,
         "certificates": certificates, "validator": validator}
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ from stickforge.circular_diagram import (
     chords_cross,
     to_circular,
 )
-from stickforge.randgen import random_presentation
+from stickforge.circular_diagram import _nearest
+from stickforge.randgen import PROFILES, random_presentation
 
 
 def diagram(name):
@@ -25,6 +28,26 @@ def test_boundary_points_exact_on_unit_circle():
         for (x, y) in pts:
             assert isinstance(x, Fraction)
             assert x * x + y * y == 1
+
+
+def test_boundary_points_equal_the_fraction_reference():
+    for m in range(1, 513):
+        assert boundary_points(m) == oracles.boundary_points(m)
+
+
+def test_nearest_equals_limit_denominator():
+    # the integer rounding against Fraction.limit_denominator: random floats
+    # at every scale, and small fractions, ties between the two bounds
+    # included (3/2 at limit 1 is midway between 1 and 2)
+    rng = random.Random(17)
+    cases = [(n, d, limit) for n in range(-12, 13) for d in range(1, 9) for limit in range(1, 9)]
+    for _ in range(20000):
+        x = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-9, 9)
+        cases.append((*x.as_integer_ratio(), rng.choice((1, 2, 3, 10, 1000, 1 << 24))))
+    cases.append((*math.tan(math.pi / 7).as_integer_ratio(), 1 << 24))
+    for n, d, limit in cases:
+        want = Fraction(n, d).limit_denominator(limit)
+        assert _nearest(n, d, limit) == (want.numerator, want.denominator), (n, d, limit)
 
 
 def test_boundary_points_clockwise_distinct():
@@ -124,6 +147,21 @@ def test_crossing_oracle_agreement_random(profile):
                  if oracles.circle_walk_crossing(cd.m, cd.chords[i].ends, cd.chords[j].ends)}
         got = {(pi - 1, pj - 1) for (pi, pj) in cd.crossings}
         assert got == pairs
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_crossings_equal_all_pairs_chords_cross(profile):
+    # the tuple to_circular builds, against chords_cross on every pair in
+    # page order, chords that share an end included
+    shared = 0
+    for seed in range(25):
+        cd = to_circular(validate_presentation(random_presentation(seed, profile, 40)))
+        want = tuple((a.page, b.page) for x, a in enumerate(cd.chords) for b in cd.chords[x + 1:]
+                     if chords_cross(a.ends, b.ends))
+        assert cd.crossings == want
+        shared += sum(bool(set(a.ends) & set(b.ends))
+                      for x, a in enumerate(cd.chords) for b in cd.chords[x + 1:])
+    assert shared > 100
 
 
 def test_every_binding_point_has_one_initiating_end():

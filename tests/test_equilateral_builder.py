@@ -454,7 +454,7 @@ def test_certificate_catches_mid_sweep_pinch(hub_side):
     offset = 0.5 * CERT_CLEARANCE_REL * M
     a, b = (tuple(F[i] + t * v[i] + offset * normal[i] for i in range(3)) for t in (0.4, 0.6))
     start = _sweep_end(move, M, move.phi_start)
-    assert equilateral_builder._clearance(F, start, a, b, SNAP_REL * M) > 0.01 * M
+    assert oracles.clearance(F, start, a, b, SNAP_REL * M) > 0.01 * M
     before = _with_parked(tents, a, b)
     cert = isotopy_certificate(before, red)
     assert not cert.passed and cert.detail.startswith(f"sweep of {move.tag} pinched")
@@ -495,7 +495,7 @@ def _radial_first_seen(monkeypatch, due):
                    (1.5 * r * math.cos(psi), 0.0, 1.5 * r * math.sin(psi))),
     }
     ends = [(M * math.cos(phi), 0.0, M * math.sin(phi)) for phi in phis]
-    every = min(equilateral_builder._clearance(move.pivot, q, a, b, snap)
+    every = min(oracles.clearance(move.pivot, q, a, b, snap)
                 for q in ends for a, b in state.values())
     seen = _evaluated(monkeypatch, move, state, M, every)["radial"]
     return ends.index(seen[0])
@@ -533,7 +533,7 @@ def test_certificate_culls_sample_0_within_margin(monkeypatch):
 
 def test_certificate_culls_the_first_sample(monkeypatch):
     calls, keys = [0], []
-    kernel, clearance = equilateral_builder._slot_clearance, equilateral_builder._clearance
+    kernel, clearance = equilateral_builder._slot_clearance, oracles.clearance
     horizon = equilateral_builder._horizon
 
     def counted_kernel(*args):
@@ -548,9 +548,9 @@ def test_certificate_culls_the_first_sample(monkeypatch):
         keys.append((F, pa, pb))
         return horizon(F, pa, pb, snap)
 
-    # the certificate evaluates through the kernel, the reference through _clearance
+    # the certificate evaluates through the kernel, the reference through clearance
     monkeypatch.setattr(equilateral_builder, "_slot_clearance", counted_kernel)
-    monkeypatch.setattr(equilateral_builder, "_clearance", counted)
+    monkeypatch.setattr(oracles, "clearance", counted)
     monkeypatch.setattr(equilateral_builder, "_horizon", keyed)
     tents = build_tents(vp_of("theta_trivial(32)"), 8.0)
     red = reduce_top(tents)
@@ -580,7 +580,7 @@ def test_certificate_horizons_keep_no_movers_trim():
         steps = max(2, math.ceil(0.3 / SWEEP_STEP_RAD) + 1)
         ends = [(M * math.cos(0.3 * s / steps), 0.0, z + M * math.sin(0.3 * s / steps))
                 for s in range(steps + 1)]
-        every = min(equilateral_builder._clearance(F, q, a, b, snap)
+        every = min(oracles.clearance(F, q, a, b, snap)
                     for q in ends for F in (move.pivot, hub) for a, b in state.values())
         assert equilateral_builder._sweep_minimum(move, state, M, snap, horizons) == every
     assert every < 0.02 * (1 - 1e-6)   # the shared stick, not the holder
@@ -604,7 +604,7 @@ def test_certificate_culls_the_sweep_within_margin(monkeypatch, over, evaluated)
         "radial": ((r * math.cos(psi), 0.0, r * math.sin(psi)),
                    (1.5 * r * math.cos(psi), 0.0, 1.5 * r * math.sin(psi))),
     }
-    every = min(equilateral_builder._clearance(move.pivot, q, a, b, snap)
+    every = min(oracles.clearance(move.pivot, q, a, b, snap)
                 for q in ends for a, b in state.values())
     seen = _evaluated(monkeypatch, move, state, M, every)
     assert seen["holder"][0] == ends[0]
@@ -613,7 +613,7 @@ def test_certificate_culls_the_sweep_within_margin(monkeypatch, over, evaluated)
 
 @pytest.mark.parametrize("case", ["shared-a", "shared-b", "apart", "ends-meet"])
 def test_slot_clearance_equals_clearance(case):
-    # the sweep's kernel, reading the slot's trim, against _clearance on
+    # the sweep's kernel, reading the slot's trim, against oracles.clearance on
     # the same mover F end and parked stick, bit for bit
     rng = random.Random(case)
     M = 8.0
@@ -629,7 +629,7 @@ def test_slot_clearance_equals_clearance(case):
         slot = ((p, q), *equilateral_builder._horizon(F, p, q, snap))
         assert slot[2] == case.startswith("shared")
         got = equilateral_builder._slot_clearance(F, end, slot, snap)
-        assert got.hex() == equilateral_builder._clearance(F, end, p, q, snap).hex()
+        assert got.hex() == oracles.clearance(F, end, p, q, snap).hex()
 
 
 def test_certificate_culls_the_whole_sweep(monkeypatch):

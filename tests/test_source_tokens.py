@@ -1,0 +1,30 @@
+"""Every module of the package stays below the parser's token step.
+
+CPython's parser preallocates its token array by doubling, so a module that
+passes 8,192 tokens parses into about 0.45 MB more.  When the interpreter
+writes no bytecode, that parse sets the peak memory of a short run (the
+benchmark imports the package several times).  Tokens are counted as
+tokenize gives them, less comments and non-logical newlines.
+"""
+
+from __future__ import annotations
+
+import tokenize
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "stickforge"
+STEP = 8192
+
+
+def significant_tokens(path: Path) -> int:
+    with path.open("rb") as fh:
+        return sum(1 for tok in tokenize.tokenize(fh.readline)
+                   if tok.type not in (tokenize.COMMENT, tokenize.NL))
+
+
+def test_every_module_stays_under_the_token_step():
+    counts = {path.name: significant_tokens(path) for path in sorted(SRC.glob("*.py"))}
+    assert "verifier.py" in counts and "_verifier_exact.py" in counts
+    over = {name: n for name, n in counts.items() if n >= STEP}
+    assert not over, "significant tokens per module: " + ", ".join(
+        f"{name} {n}" for name, n in counts.items())

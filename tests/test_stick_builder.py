@@ -233,13 +233,57 @@ def test_min_clear_height_in_plane_stick(a, b, z_prev, z):
     assert not oracles.lift_clear(segs, pts, lows, z - 1)
 
 
+@pytest.mark.parametrize("a, b, z_prev, z", [
+    # one end below z_lo = 1, the other above: it punches the plane at
+    # (1/4, 2), u = 1/4, and blocks up to 1 + (2 - 1) / (1/4) = 5
+    ((Fraction(1, 4), -1, 0), (Fraction(1, 4), 1, 4), 4, 6),
+    # in the plane, from below z_lo to above: its end at u = 1/2, z = 3
+    # blocks up to 1 + (3 - 1) / (1/2) = 5
+    ((Fraction(1, 4), 0, 0), (Fraction(1, 2), 0, 3), 3, 6),
+    # wholly at or below z_lo, ends on the anchor's level: dropped, binds nothing
+    ((Fraction(1, 4), -1, 0), (Fraction(1, 4), 1, 1), 1, 2),
+    ((0, 0, 1), (Fraction(1, 2), 0, 1), 1, 2),
+], ids=["poke-through", "poke-in-plane", "below-through", "on-level-in-plane"])
+def test_min_clear_height_stick_poking_above_anchor(a, b, z_prev, z):
+    frame, lows = _frame_and_lows(1)
+    earlier = (_ends(a, b),)
+    assert stick_builder._min_clear_height(frame, lows, z_prev, earlier) == z
+    segs, pts, lows = _as_fractions(*stick_builder._project_earlier(frame, earlier), lows)
+    assert oracles.lift_clear(segs, pts, lows, z)
+    assert (z - 1 == z_prev) or not oracles.lift_clear(segs, pts, lows, z - 1)
+
+
+def test_lift_culls_sticks_below_the_anchors(monkeypatch):
+    # on a large bouquet, many near earlier sticks lie at or below every
+    # anchor and are dropped before they are projected
+    near, projected = [0], [0]
+    real_min, real_project = stick_builder._min_clear_height, stick_builder._project_earlier
+
+    def min_spy(frame, lows, z_prev, earlier):
+        near[0] += len(earlier)
+        return real_min(frame, lows, z_prev, earlier)
+
+    def project_spy(frame, earlier):
+        projected[0] += len(earlier)
+        return real_project(frame, earlier)
+
+    monkeypatch.setattr(stick_builder, "_min_clear_height", min_spy)
+    monkeypatch.setattr(stick_builder, "_project_earlier", project_spy)
+    cd = to_circular(validate_presentation(random_presentation(0, "bouquet", 150)))
+    assert verify_stick_embedding(build(cd), cd).ok
+    assert 0 < projected[0] < 0.7 * near[0]
+
+
 @pytest.mark.parametrize("a, b, s_hi, match", [
     # punch-through at z = 2 straight over the anchor: no height clears it
     ((0, -1, 2), (0, 1, 2), 1, "blocks every height"),
+    # the same point, from a stick with one end below z_lo = 1
+    ((0, -1, 0), (0, 1, 4), 1, "blocks every height"),
     # an in-plane stick crossing the anchor's vertical side above z_lo
     ((-1, 0, 2), (1, 0, 2), 1, "blocks every height"),
     ((0, -1, 2), (0, 1, 2), 0, "degenerate"),
-], ids=["point-over-anchor", "segment-across-anchor-side", "degenerate-triangle"])
+], ids=["point-over-anchor", "poke-over-anchor", "segment-across-anchor-side",
+        "degenerate-triangle"])
 def test_min_clear_height_rejects_unclearable(a, b, s_hi, match):
     frame, lows = _frame_and_lows(s_hi)
     with pytest.raises(BuildError, match=match):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import math
 import random
 import re
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from stickforge import stick_builder, verifier
+import parity
+from stickforge import _verifier_exact, stick_builder, verifier
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.circular_diagram import to_circular
 from stickforge.equilateral_builder import EStick, build_equilateral, build_tents
@@ -121,10 +123,23 @@ def test_height_table_mutation_caught():
     assert not check_projection(se, cd).ok
 
 
+def _package_imports(name):
+    """The stickforge modules that src/stickforge/<name>.py imports."""
+    tree = ast.parse(Path(f"src/stickforge/{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("stickforge")):
+            found.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.startswith("stickforge"))
+    return found
+
+
 def test_verifier_module_is_self_contained():
-    src = Path("src/stickforge/verifier.py").read_text()
-    assert "from ." not in src
-    assert "import stickforge" not in src
+    # the verifier's only package import is its own exact kernel, which
+    # imports nothing of the package: no builder code on either side
+    assert _package_imports("verifier") == {"_verifier_exact"}
+    assert _package_imports("_verifier_exact") == set()
 
 
 def test_exact_fault_injection_sweep():
@@ -319,6 +334,91 @@ def test_crossing_order_matches_fraction_reference():
     assert documents >= 300 and failed >= 100
 
 
+def _page_range(se, k):
+    zs = [pt[2] for s in se.sticks if s.page == k for pt in (s.a, s.b)]
+    return min(zs), max(zs)
+
+
+def _lowered(se, k, by):
+    """se with every stick of page k moved down by `by`."""
+    def down(pt):
+        return (pt[0], pt[1], pt[2] - by)
+
+    return replace(se, sticks=tuple(replace(s, a=down(s.a), b=down(s.b)) if s.page == k else s
+                                    for s in se.sticks))
+
+
+def _small_builds():
+    for p in PROFILES:
+        for s in range(8):
+            cd = to_circular(validate_presentation(random_presentation(s, p, 20)))
+            yield build(cd), cd
+
+
+def test_crossing_order_lowered_pages_match_the_reference():
+    # for crossings (i, j) whose pages' height ranges are apart, page j is
+    # lowered in steps from a quarter short of touching page i's range to a
+    # quarter past lying wholly under it: the ranges meet, overlap and part
+    # again, and the order flips on the way; every verdict and witness is
+    # the reference's
+    flipped = overlapping = 0
+    for se, cd in _small_builds():
+        for i, j in cd.crossings[:6]:
+            (lo_i, hi_i), (lo_j, hi_j) = _page_range(se, i), _page_range(se, j)
+            if not hi_i < lo_j:
+                continue
+            meet, under = lo_j - hi_i, hi_j - lo_i
+            for f in range(-1, 6):
+                moved = _lowered(se, j, meet + (under - meet) * Fraction(f, 4))
+                entry = check_crossing_order(moved, cd).entries[0]
+                assert (entry.passed, entry.witness) == oracles.crossing_order_witness(moved, cd)
+                if 0 <= f <= 4:
+                    flipped += f"crossing ({i},{j})" in entry.witness
+                    overlapping += 1
+    assert overlapping >= 200 and flipped >= 100
+
+
+def test_crossing_order_gapped_page_reports_geometry_missing():
+    # one stick dropped: its page has a gap, or no sticks at all, so it no
+    # longer tiles its chord and none of its crossings is passed by the
+    # height ranges, however far apart they lie; the reference agrees on
+    # every verdict and witness, and crossings over the gap whose pages'
+    # ranges were apart report the geometry missing
+    guarded = 0
+    for se, cd in _small_builds():
+        apart = [(i, j) for i, j in cd.crossings if _page_range(se, i)[1] < _page_range(se, j)[0]]
+        for x, stick in enumerate(se.sticks):
+            gapped = replace(se, sticks=se.sticks[:x] + se.sticks[x + 1:])
+            entry = check_crossing_order(gapped, cd).entries[0]
+            assert (entry.passed, entry.witness) == oracles.crossing_order_witness(gapped, cd)
+            guarded += any(f"crossing ({i},{j}): geometry missing" in entry.witness
+                           for i, j in apart if stick.page in (i, j))
+    assert guarded >= 50
+
+
+def test_crossing_order_culls_by_page_heights(monkeypatch):
+    # most crossings of a large bouquet pass on the pages' height ranges
+    # alone; the rest compute the heights over the crossing point
+    calls = []
+    real = verifier._height_on_chord
+
+    def spy(found, t):
+        calls.append(t)
+        return real(found, t)
+
+    monkeypatch.setattr(verifier, "_height_on_chord", spy)
+    se, cd = _large_bouquet()
+    assert check_crossing_order(se, cd).ok
+    assert len(calls) / 2 < 0.6 * len(cd.crossings)
+
+
+def test_exact_checks_pinned():
+    # the exact-checks set of tests/parity.py: every verify_stick_embedding
+    # entry, witnesses included, of the 240 exact builds and three mutants
+    # of each (two level swaps, one dropped stick), with their diagrams
+    assert parity.exact_checks() == "9d2897b1697033f6db68d9f0a3cf36c012976fa7134ef73322e951aef0d303d1"
+
+
 def _large_bouquet():
     cd = to_circular(validate_presentation(random_presentation(0, "bouquet", 150)))
     return build(cd), cd
@@ -327,13 +427,13 @@ def _large_bouquet():
 def test_exact_simplicity_prunes_pairs(monkeypatch):
     se, _ = _large_bouquet()
     calls = []
-    real = verifier._seg_meet_exact
+    real = _verifier_exact._seg_meet_exact
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(verifier, "_seg_meet_exact", spy)
+    monkeypatch.setattr(_verifier_exact, "_seg_meet_exact", spy)
     assert check_simplicity([(s.a, s.b) for s in se.sticks]).ok
     n = len(se.sticks)
     assert len(calls) < n * (n - 1) // 2 // 5
