@@ -194,12 +194,12 @@ def _min_clear_height(frame: _ChordFrame, lows, z_prev: int, earlier) -> int:
     floors are taken in integers by cross-multiplication.  Sticks at or
     below the lowest z_lo are dropped first (see the module docstring).
     """
-    z_lo, w = lows[0][2:]
-    for _, _, z, v in lows[1:]:
-        if z * w < z_lo * v:
-            z_lo, w = z, v
-    segs, pts = _project_earlier(frame, [(a, b) for a, b in earlier
-                                         if a[2] * w > z_lo * a[3] or b[2] * w > z_lo * b[3]])
+    z_min, w_min = lows[0][2:]
+    for _, _, z, w in lows[1:]:
+        if z * w_min < z_min * w:
+            z_min, w_min = z, w
+    segs, pts = _project_earlier(frame, [
+        (a, b) for a, b in earlier if a[2] * w_min > z_min * a[3] or b[2] * w_min > z_min * b[3]])
     z = z_prev + 1
     for s_lo, s_hi, z_lo, w in lows:
         span = s_hi - s_lo

@@ -581,10 +581,11 @@ class _PageIndex:
         if k not in self._spans:
             pieces, one, _ = self.pieces(k)
             cuts = sorted((e[0][0], e[1][0]) for e in pieces or ())
+            tiled = cuts and cuts[0][0] == 0 and cuts[-1][1] == one and all(
+                x[1] == y[0] for x, y in zip(cuts, cuts[1:]))
             zs = sorted((z for e in pieces or () for _, _, z in e),
                         key=lambda z: z[0] if z[1] == 1 else Fraction(*z))
-            self._spans[k] = cuts and cuts[0][0] == 0 and cuts[-1][1] == one and all(
-                x[1] == y[0] for x, y in zip(cuts, cuts[1:])) and (zs[0], zs[-1])
+            self._spans[k] = (zs[0], zs[-1]) if tiled else None
         return self._spans[k]
 
 
