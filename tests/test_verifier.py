@@ -319,14 +319,7 @@ def test_crossing_order_matches_fraction_reference():
             for _ in range(4):
                 i, j = rng.sample(pages, 2) if len(pages) > 1 else (pages[0], pages[0])
                 # two pages' levels swap, in the sticks and the junctions alike
-                swap = {se.heights[i]: se.heights[j], se.heights[j]: se.heights[i]}
-
-                def lift(pt):
-                    return (pt[0], pt[1], swap.get(pt[2], pt[2]))
-
-                moved = replace(se, sticks=tuple(replace(st, a=lift(st.a), b=lift(st.b))
-                                                 for st in se.sticks),
-                                junctions={b: lift(pt) for b, pt in se.junctions.items()})
+                moved = parity._level_swap(se, i, j)
                 entry = check_crossing_order(moved, cd).entries[0]
                 assert (entry.passed, entry.witness) == oracles.crossing_order_witness(moved, cd)
                 failed += not entry.passed
