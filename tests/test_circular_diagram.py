@@ -9,11 +9,11 @@ import pytest
 import oracles
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.circular_diagram import (
+    _nearest,
     boundary_points,
     chords_cross,
     to_circular,
 )
-from stickforge.circular_diagram import _nearest
 from stickforge.randgen import PROFILES, random_presentation
 
 
