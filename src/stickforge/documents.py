@@ -14,6 +14,15 @@ DocumentError, which names the field.  A presentation document is read
 the same way, with pages and arc ends integers; what the
 presentation's own types reject raises their PresentationError or
 GraphError unchanged.
+
+An exact document's coordinates repeat (a random-large one has about
+three strings for every distinct one), so reading one parses each distinct
+coordinate string once, in a dict local to the call that holds string keys
+only: true, 1.5 or a list never meets a parsed value and raises as any
+other bad value does.  That reader formats a field's name only when the
+field is malformed.  The index keys of junctions and heights must be
+canonical integers, with no leading zero, so that "1" and "01" cannot
+both name one entry and leave one of them unchecked.
 """
 
 from __future__ import annotations
@@ -49,39 +58,41 @@ def dumps_document(doc: dict) -> str:
 
 
 def _frac_str(x: Fraction | int) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
+    p, q = x.as_integer_ratio()
+    return f"{p}/{q}" if q != 1 else str(p)
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 
-def _rational(x, name: str) -> Fraction:
+def _rational(x) -> Fraction | None:
+    """x as a Fraction when it is a "p/q" string or an integer, else None."""
     if type(x) is int:
         return Fraction(x)
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
         p, _, q = x.partition("/")
         return Fraction(int(p), int(q or 1))
-    raise DocumentError(f'{name} must be a "p/q" string or an integer, found {x!r}')
+    return None
 
 
-def _typed(x, types: tuple, name: str, what: str):
-    """x, when its type is one of types (a boolean is not an int here)."""
+def _typed(x, types: tuple, name: str, what: str, at=None):
+    """x, when its type is one of types (a boolean is not an int here).
+    The field's name is name, or name.format(at) when at is given."""
     if type(x) in types:
         return x
-    raise DocumentError(f"{name} must be {what}, found {x!r}")
+    raise DocumentError(f"{name if at is None else name.format(at)} must be {what}, found {x!r}")
 
 
 def _number(x, name: str) -> float:
     return float(_typed(x, (int, float), name, "a JSON number"))
 
 
-def _integer(x, name: str) -> int:
-    return _typed(x, (int,), name, "an integer")
+def _integer(x, name: str, at=None) -> int:
+    return _typed(x, (int,), name, "an integer", at)
 
 
-def _text(x, name: str) -> str:
-    return _typed(x, (str,), name, "a string")
+def _text(x, name: str, at=None) -> str:
+    return _typed(x, (str,), name, "a string", at)
 
 
 def _texts(x, name: str) -> tuple[str, ...]:
@@ -96,10 +107,36 @@ def _point(p, parse, name: str) -> tuple:
     return tuple(parse(c, f"{name}[{i}]") for i, c in enumerate(p))
 
 
+def _exact_point(p, parsed: dict, name: str, at) -> tuple:
+    """p as three exact coordinates.  parsed maps each coordinate string
+    read so far in this document to its value, and gains the new ones.
+    The field's name is name.format(at)."""
+    if type(p) is list and len(p) == 3:
+        try:
+            return parsed[p[0]], parsed[p[1]], parsed[p[2]]
+        except (KeyError, TypeError):   # a string not read yet, or not a string
+            pass
+    if not isinstance(p, list) or len(p) != 3:
+        raise DocumentError(f"{name.format(at)} must be a list of three coordinates, found {p!r}")
+    point = []
+    for i, c in enumerate(p):
+        x = parsed.get(c) if type(c) is str else None
+        if x is None:
+            x = _rational(c)
+            if x is None:
+                raise DocumentError(f'{name.format(at)}[{i}] must be a "p/q" string or an '
+                                    f"integer, found {c!r}")
+            if type(c) is str:
+                parsed[c] = x
+        point.append(x)
+    return tuple(point)
+
+
 def _index(k: str, name: str) -> int:
-    if k.isascii() and k.isdigit():
+    if k.isascii() and k.isdigit() and (k[0] != "0" or k == "0"):
         return int(k)
-    raise DocumentError(f"{name} must be a non-negative integer key, found {k!r}")
+    raise DocumentError(f"{name} must be a non-negative integer key without leading zeros,"
+                        f" found {k!r}")
 
 
 def _reading(parse):
@@ -192,19 +229,20 @@ def embedding_to_doc(se: StickEmbedding) -> dict:
 @_reading
 def embedding_from_doc(doc: dict) -> StickEmbedding:
     _expect_embedding(doc, "exact")
+    parsed: dict[str, Fraction] = {}
     sticks = [
         Stick(
-            a=_point(s["a"], _rational, f"sticks[{i}].a"),
-            b=_point(s["b"], _rational, f"sticks[{i}].b"),
-            page=_integer(s["page"], f"sticks[{i}].page"),
-            edge=_text(s["edge"], f"sticks[{i}].edge"),
-            piece=_text(s["piece"], f"sticks[{i}].piece"),
+            a=_exact_point(s["a"], parsed, "sticks[{}].a", i),
+            b=_exact_point(s["b"], parsed, "sticks[{}].b", i),
+            page=_integer(s["page"], "sticks[{}].page", i),
+            edge=_text(s["edge"], "sticks[{}].edge", i),
+            piece=_text(s["piece"], "sticks[{}].piece", i),
         )
         for i, s in enumerate(doc["sticks"])
     ]
-    junctions = {_index(i, "junction"): _point(p, _rational, f"junctions[{i}]")
+    junctions = {_index(i, "junction"): _exact_point(p, parsed, "junctions[{}]", i)
                  for i, p in doc["junctions"].items()}
-    heights = {_index(page, "height page"): _integer(z, f"heights[{page}]")
+    heights = {_index(page, "height page"): _integer(z, "heights[{}]", page)
                for page, z in doc["heights"].items()}
     return StickEmbedding(sticks=sticks, junctions=junctions, heights=heights)
 

@@ -31,7 +31,10 @@ passes as it would with its point computed.  Any other crossing is
 computed, so a page with a missing or gapped stick still reports the
 geometry missing where it is.  _chord_pieces divides a page's parameters
 by their gcd and keeps heights in lowest terms; both leave every
-comparison and every printed height as it was.
+comparison and every printed height as it was.  verify_stick_embedding
+builds one page index (_PageIndex) for projection and crossing order, so
+each page's pieces are computed once per bundle; either check run alone
+builds its own and reports the same entries.
 
 The float checks fail any coordinate or scale that is not finite, and a
 length scale that is not positive, before they measure anything.  Then
@@ -560,7 +563,7 @@ def _chord_pieces(cd, k: int, sticks):
 
 class _PageIndex:
     """The sticks of each page, grouped in one pass; a page's pieces along
-    its chord, and their height range, are computed on first use."""
+    its chord are computed on first use, once per index."""
 
     def __init__(self, se, cd):
         self.cd = cd
@@ -568,33 +571,20 @@ class _PageIndex:
         for s in se.sticks:
             self.sticks.setdefault(s.page, []).append(s)
         self._pieces: dict = {}
-        self._spans: dict = {}
 
     def pieces(self, k: int):
         if k not in self._pieces:
             self._pieces[k] = _chord_pieces(self.cd, k, self.sticks.get(k, ()))
         return self._pieces[k]
 
-    def span(self, k: int):
-        """The least and greatest end heights of page k as (n, d), when its
-        pieces tile the chord, else None."""
-        if k not in self._spans:
-            pieces, one, _ = self.pieces(k)
-            cuts = sorted((e[0][0], e[1][0]) for e in pieces or ())
-            tiled = cuts and cuts[0][0] == 0 and cuts[-1][1] == one and all(
-                x[1] == y[0] for x, y in zip(cuts, cuts[1:]))
-            zs = sorted((z for e in pieces or () for _, _, z in e),
-                        key=lambda z: z[0] if z[1] == 1 else Fraction(*z))
-            self._spans[k] = (zs[0], zs[-1]) if tiled else None
-        return self._spans[k]
 
-
-def check_projection(se, cd) -> VerificationReport:
+def check_projection(se, cd, *, _index=None) -> VerificationReport:
     """Projection fidelity: every chord is tiled exactly by its sticks'
     shadows and every stick lies on a chord's page, chains are 3D-continuous
     between its junction endpoints, the junction table projects onto the
     boundary points, and the heights table matches the geometry (integral,
-    strictly increasing in page order)."""
+    strictly increasing in page order).  _index is verify_stick_embedding's
+    _PageIndex of se and cd, which changes no result."""
     report = VerificationReport()
     problems: list[str] = []
 
@@ -606,7 +596,7 @@ def check_projection(se, cd) -> VerificationReport:
             problems.append(f"no junction recorded over point {b}")
     report.add("projection.junctions", not problems, "; ".join(problems[:3]))
 
-    index = _PageIndex(se, cd)
+    index = _index or _PageIndex(se, cd)
     tile_problems: list[str] = []
     chain_problems: list[str] = []
     for chord in cd.chords:
@@ -660,6 +650,18 @@ def check_projection(se, cd) -> VerificationReport:
     return report
 
 
+def _span(found):
+    """The least and greatest end heights (n, d) of a page's pieces, when
+    they tile the chord, else None."""
+    pieces, one, _ = found
+    cuts = sorted((e[0][0], e[1][0]) for e in pieces or ())
+    tiled = cuts and cuts[0][0] == 0 and cuts[-1][1] == one and all(
+        x[1] == y[0] for x, y in zip(cuts, cuts[1:]))
+    zs = sorted((z for e in pieces or () for _, _, z in e),
+                key=lambda z: z[0] if z[1] == 1 else Fraction(*z))
+    return (zs[0], zs[-1]) if tiled else None
+
+
 def _height_on_chord(found, t):
     """The height (zn, zd), zd > 0, of a page's pieces over chord parameter
     t = n/d, d > 0, or None."""
@@ -677,39 +679,41 @@ def _height_on_chord(found, t):
     return None
 
 
-def check_crossing_order(se, cd) -> VerificationReport:
+def check_crossing_order(se, cd, *, _index=None) -> VerificationReport:
     """At every diagram crossing the earlier page passes strictly under.
 
     With homogeneous boundary points, the chords' directions and offset
     carry the positive scales Wa Wb, Wc Wd and Wa Wc, so the crossing's
     parameters come out as ti = cross(w, dj) Wb / (den Wc) and
     tj = cross(w, di) Wd / (den Wa).  A crossing whose page i lies wholly
-    below page j passes without them (see the module docstring).
+    below page j passes without them (see the module docstring).  _index
+    is as in check_projection.
     """
     report = VerificationReport()
     problems: list[str] = []
-    index = _PageIndex(se, cd)
-    chords = []
+    index = _index or _PageIndex(se, cd)
+    chords = []   # page k's chord ends and direction, pieces and span at k - 1
     if cd.crossings:
         boundary = [_hom(p) for p in cd.boundary]
-        for chord in cd.chords:
+        for k, chord in enumerate(cd.chords, 1):
             a, b = boundary[chord.ends[0]], boundary[chord.ends[1]]
-            chords.append((a, b, (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2])))
+            found = index.pieces(k)
+            chords.append((a, b, (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2]),
+                           found, _span(found)))
     for (i, j) in cd.crossings:
-        (a, b, di), (c, d, dj) = chords[i - 1], chords[j - 1]
+        (a, b, di, found_i, top), (c, d, dj, found_j, low) = chords[i - 1], chords[j - 1]
         den = di[0] * dj[1] - di[1] * dj[0]
         if den == 0:
             problems.append(f"crossing ({i},{j}): chords parallel")
             continue
-        top, low = index.span(i), index.span(j)
         if top and low and top[1][0] * low[0][1] < low[0][0] * top[1][1]:
             continue   # page i lies wholly below page j (module docstring)
         w = (c[0] * a[2] - a[0] * c[2], c[1] * a[2] - a[1] * c[2])
         sign = 1 if den > 0 else -1
         ti = (sign * (w[0] * dj[1] - w[1] * dj[0]) * b[2], sign * den * c[2])
         tj = (sign * (w[0] * di[1] - w[1] * di[0]) * d[2], sign * den * a[2])
-        zi = _height_on_chord(index.pieces(i), ti)
-        zj = _height_on_chord(index.pieces(j), tj)
+        zi = _height_on_chord(found_i, ti)
+        zj = _height_on_chord(found_j, tj)
         if zi is None or zj is None:
             problems.append(f"crossing ({i},{j}): geometry missing over the crossing")
         elif not zi[0] * zj[1] < zj[0] * zi[1]:
@@ -721,10 +725,12 @@ def check_crossing_order(se, cd) -> VerificationReport:
 
 
 def verify_stick_embedding(se, cd) -> VerificationReport:
-    """Full exact certification bundle."""
+    """Full exact certification bundle.  Projection and crossing order
+    share one _PageIndex, so each page's pieces are computed once."""
     report = check_simplicity([(s.a, s.b) for s in se.sticks])
-    report.merge(check_projection(se, cd))
-    report.merge(check_crossing_order(se, cd))
+    index = _PageIndex(se, cd)
+    report.merge(check_projection(se, cd, _index=index))
+    report.merge(check_crossing_order(se, cd, _index=index))
     return report
 
 

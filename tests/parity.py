@@ -31,6 +31,14 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   (exact_mutants): two that swap the levels of two pages drawn by
   random.Random(idx) in the sticks and the junctions, and one that drops
   stick (7 idx) mod N, idx counting builds from 0.
+- exact-reads: for each of those 240 builds, repr(embedding_from_doc(doc))
+  of doc = its exact document after a JSON round trip, then the outcome of
+  reading seeded mutants of doc, each the repr of what was read or
+  "DocumentError: <message>": "1/0", true, 1.5, [1] and null each placed
+  at a coordinate whose string occurs earlier in reading order (sticks a
+  then b, then the junctions), then at one whose string does not; "2/4"
+  and an integer in -3..3 at any coordinate; and a stick less one of its
+  fields.  Draws come from random.Random(idx), idx counting builds from 0.
 - presentations: dumps_document(presentation_to_doc(random_presentation(
   s, p, n))) for p in PROFILES, n in GRID_SIZES and s < 60, in that order;
   a draw that raises contributes the exception's class name instead.
@@ -53,6 +61,7 @@ Pytest does not collect this file (its name does not start with test_).
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import sys
 from dataclasses import replace
@@ -62,8 +71,8 @@ from pathlib import Path
 from stickforge.arc_presentation import (BindingPoint, PresentationError, catalog, catalog_names,
                                          validate_presentation)
 from stickforge.circular_diagram import to_circular
-from stickforge.documents import (dumps_document, embedding_to_doc, equilateral_to_doc,
-                                  presentation_to_doc)
+from stickforge.documents import (DocumentError, dumps_document, embedding_from_doc,
+                                  embedding_to_doc, equilateral_to_doc, presentation_to_doc)
 from stickforge.equilateral_builder import build_equilateral, tolerance_report
 from stickforge.graph_core import GraphError
 from stickforge.randgen import PROFILES, random_presentation
@@ -169,6 +178,60 @@ def exact_checks() -> str:
         for e in (se, *exact_mutants(idx, se)):
             entries = verify_stick_embedding(e, cd).entries
             digest.update(repr([(x.check, x.passed, x.witness) for x in entries]).encode())
+    return digest.hexdigest()
+
+
+BAD_COORDINATES = ("1/0", True, 1.5, [1], None)
+STICK_FIELDS = ("a", "b", "page", "edge", "piece")
+_MISSING = object()
+
+
+def _read(doc) -> str:
+    try:
+        return repr(embedding_from_doc(doc))
+    except DocumentError as err:
+        return f"DocumentError: {err}"
+
+
+def _read_with(doc, row, key, value=_MISSING) -> str:
+    """_read(doc) with row[key] set to value, or deleted when no value is
+    given; row is left as it was."""
+    old = row[key]
+    if value is _MISSING:
+        del row[key]
+    else:
+        row[key] = value
+    try:
+        return _read(doc)
+    finally:
+        row[key] = old
+
+
+def exact_read_outcomes():
+    """One line per read of the exact-reads set (see the module docstring)."""
+    for idx, (se, _) in enumerate(_exact_builds()):
+        doc = json.loads(dumps_document(embedding_to_doc(se)))
+        yield _read(doc)
+        rng = random.Random(idx)
+        rows = [s[end] for s in doc["sticks"] for end in ("a", "b")]
+        cells = [(row, c) for row in [*rows, *doc["junctions"].values()] for c in range(3)]
+        seen, repeats, firsts = set(), [], []
+        for row, c in cells:
+            (repeats if row[c] in seen else firsts).append((row, c))
+            seen.add(row[c])
+        for value in BAD_COORDINATES:
+            for pool in (repeats, firsts):
+                if pool:
+                    yield _read_with(doc, *rng.choice(pool), value)
+        yield _read_with(doc, *rng.choice(cells), "2/4")
+        yield _read_with(doc, *rng.choice(cells), rng.randrange(-3, 4))
+        yield _read_with(doc, rng.choice(doc["sticks"]), rng.choice(STICK_FIELDS))
+
+
+def exact_reads() -> str:
+    digest = hashlib.sha256()
+    for line in exact_read_outcomes():
+        digest.update(f"{line}\n".encode())
     return digest.hexdigest()
 
 
@@ -288,7 +351,8 @@ def validator() -> str:
 
 
 SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "fan-checks": fan_checks,
-        "exact-docs": exact_docs, "exact-checks": exact_checks, "presentations": presentations, "workloads": workloads,
+        "exact-docs": exact_docs, "exact-checks": exact_checks, "exact-reads": exact_reads,
+        "presentations": presentations, "workloads": workloads,
         "certificates": certificates, "validator": validator}
 
 

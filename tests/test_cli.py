@@ -239,6 +239,10 @@ def _set_deleted_tags(doc, value):
     doc["components"][0]["deleted_tags"] = value
 
 
+def _put_first(doc, table, key, value):
+    doc[table] = {key: value, **doc[table]}
+
+
 @pytest.mark.parametrize("build, edit, field", [
     ("build-eq", lambda doc: doc.__setitem__("M", "8"), "M"),
     ("build-eq", lambda doc: doc.__setitem__("M", None), "M"),
@@ -256,9 +260,16 @@ def _set_deleted_tags(doc, value):
     ("build-eq", lambda doc: _set_deleted_tags(doc, [1, 2]), "components[0].deleted_tags[0]"),
     ("build-eq", lambda doc: doc["components"][0]["deleted_tags"].append(None),
      "components[0].deleted_tags[2]"),
+    # a key with a leading zero would stand for the entry of its canonical
+    # key, and whichever came last would be kept unchecked
+    ("build-stick", lambda doc: _put_first(doc, "junctions", "01", ["5", "5", "5"]),
+     "junction must be a non-negative integer key without leading zeros, found '01'"),
+    ("build-stick", lambda doc: _put_first(doc, "heights", "01", 99), "height page"),
+    ("build-stick", lambda doc: _put_first(doc, "junctions", "00", ["1", "0", "0"]), "junction"),
 ], ids=["string-M", "null-M", "boolean-M", "decimal-abc", "decimal-string-number",
         "no-sticks", "string-count", "exact-abc", "exact-float", "string-height", "string-page",
-        "string-deleted-tags", "number-deleted-tags", "null-deleted-tag"])
+        "string-deleted-tags", "number-deleted-tags", "null-deleted-tag", "junction-01",
+        "height-01", "junction-00"])
 def test_verify_malformed_document_is_an_error_line(tmp_path, capsys, build, edit, field):
     path = tmp_path / "t.json"
     code, _, _ = run(capsys, build, "catalog:trefoil", "-o", str(path))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import parity
 from stickforge.arc_presentation import PresentationError, catalog, validate_presentation
 from stickforge.circular_diagram import to_circular
 from stickforge.documents import (
@@ -94,6 +95,34 @@ def test_exact_coordinates_survive_as_fractions():
     for s, t in zip(se.sticks, se2.sticks):
         assert s.a == t.a and s.b == t.b
         assert all(isinstance(c, Fraction) for c in t.a + t.b)
+
+
+def test_exact_reading_parses_each_distinct_coordinate_string_once(monkeypatch):
+    from stickforge import documents
+    from stickforge.randgen import random_presentation
+
+    se = build(to_circular(validate_presentation(random_presentation(0, "bouquet", 150))))
+    doc = roundtrip(embedding_to_doc(se))
+    strings = [c for s in doc["sticks"] for p in (s["a"], s["b"]) for c in p]
+    strings += [c for p in doc["junctions"].values() for c in p]
+    calls = []
+    real = documents._rational
+
+    def spy(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(documents, "_rational", spy)
+    se2 = embedding_from_doc(doc)
+    assert list(se2.sticks) == list(se.sticks) and se2.junctions == se.junctions
+    assert sorted(calls) == sorted(set(strings)) and len(calls) < len(strings) / 2
+
+
+def test_exact_reads_pinned():
+    # the exact-reads set of tests/parity.py: what the reader makes of the
+    # 240 exact documents and of seeded bad, unreduced, integer and missing
+    # fields in each, error messages included
+    assert parity.exact_reads() == "a0c7e1acf0cf58ca72a6da4db32e080ce547c17cf6303d1767e8cb946dc6f07c"
 
 
 def test_exact_mode_guard():

@@ -445,9 +445,23 @@ def test_crossing_order_computes_each_page_once(monkeypatch):
     assert check_crossing_order(se, cd).ok
     assert pages and max(Counter(pages).values()) == 1
     pages.clear()
+    # projection and crossing order share one page index in the bundle
+    assert verify_stick_embedding(se, cd).ok
+    assert sorted(pages) == sorted({chord.page for chord in cd.chords})
+    pages.clear()
     cd = to_circular(validate_presentation(catalog("theta_trivial(8)")))
     assert check_crossing_order(build(cd), cd).ok
     assert pages == []
+
+
+def test_each_exact_check_alone_reports_as_in_the_bundle():
+    builds = parity._exact_builds()
+    for idx in range(0, len(builds), len(builds) // 20):
+        se, cd = builds[idx]
+        for e in (se, *parity.exact_mutants(idx, se)):
+            alone = (check_simplicity([(s.a, s.b) for s in e.sticks]).entries
+                     + check_projection(e, cd).entries + check_crossing_order(e, cd).entries)
+            assert alone == verify_stick_embedding(e, cd).entries
 
 
 # ---------------------------------------------------------------------------
