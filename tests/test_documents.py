@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import parity
+from stickforge import documents
 from stickforge.arc_presentation import PresentationError, catalog, validate_presentation
 from stickforge.circular_diagram import to_circular
 from stickforge.documents import (
@@ -21,6 +22,7 @@ from stickforge.documents import (
 )
 from stickforge.equilateral_builder import build_equilateral
 from stickforge.graph_core import GraphError
+from stickforge.randgen import random_presentation
 from stickforge.stick_builder import build
 from stickforge.verifier import check_simplicity
 
@@ -98,9 +100,6 @@ def test_exact_coordinates_survive_as_fractions():
 
 
 def test_exact_reading_parses_each_distinct_coordinate_string_once(monkeypatch):
-    from stickforge import documents
-    from stickforge.randgen import random_presentation
-
     se = build(to_circular(validate_presentation(random_presentation(0, "bouquet", 150))))
     doc = roundtrip(embedding_to_doc(se))
     strings = [c for s in doc["sticks"] for p in (s["a"], s["b"]) for c in p]
