@@ -77,6 +77,21 @@ minimum, at every sample; they are never evaluated.  The drawn pairs are
 scheduled from sample 0 by the rule above, so the minimum is still that of
 every pair at every sample, and B is computed for few pairs.
 
+The last sample is probed first.  Each pair is evaluated at the last
+sample as soon as it is drawn, before its B waits, and the schedule then
+ends one sample early, since a pair due at the last sample has been
+evaluated there already.  Were the running minimum to fall only with the
+samples, a pair that closes in steadily would set a new minimum at each
+sample and be evaluated at every one; probed first, its end sets a low
+minimum at once, and the bounds cull the samples before it (a tight upper
+bound first, as in C2A).  The result does not change: the running minimum
+is still a clearance the kernel computed at a (pair, sample) point of the
+grid, so never below the least of them, and a sample is still skipped
+only when a bound puts it above the running minimum plus snap, which is
+at least the final minimum plus snap.  So the minimum is the least
+computed clearance of every pair at every sample, float for float, and
+the rounding argument below carries over unchanged.
+
 Rounding.  Write u = 2^-53.  Every point the certificate sees lies within
 5M of every other: the tents stand within M of the axis points 0 .. m - 1,
 m - 1 < 2M, every swept stick has its pivot on the axis and length M, and
@@ -734,10 +749,11 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
     """Least trimmed clearance between the moving sticks and the parked ones over
     the sampled sweep.  A (mover, parked) pair is dropped for the whole
     sweep when its cone bound clears the running minimum plus snap after
-    sample 0, evaluated at sample 0 only when its bound there could reach
-    it, and again only at the first sample where its horizon bound could
-    fall that far (see the module docstring); the minimum is the one every
-    pair at every sample gives.  horizons holds a slot list per fixed end,
+    sample 0; otherwise it is evaluated at the last sample at once, at
+    sample 0 only when its bound there could reach the running minimum
+    plus snap, and again before the last sample only at the first sample
+    where its horizon bound could fall that far (see the module
+    docstring); the minimum is the one every pair at every sample gives.  horizons holds a slot list per fixed end,
     (state entry, *_horizon) in state order, shared by the sweeps of one
     certificate."""
     diri = _page_dir(move.page_angle)
@@ -781,6 +797,7 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
             bound, i, k, slot, R = heappop(pool)
             if bound > min_seen + snap:
                 break    # this pair and every later one clear every sample
+            min_seen = min(min_seen, _slot_clearance(fixed[k], ends[-1], slot, snap))
             g0 = _least_angle(rays[k][0][0], slot[3])
             first.append((k, slot, R, g0))
             heappush(waiting, (R * math.sin(min(g0, half)), i, first[-1]))
@@ -789,7 +806,7 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
             if bound > min_seen + snap:
                 break    # this pair and every later one clear sample 0
             min_seen = min(min_seen, _slot_clearance(fixed[k], ends[0], slot, snap))
-    due = [first] + [[] for _ in range(steps)]
+    due = [first] + [[] for _ in range(steps - 1)]   # the last sample is probed
     for step, pairs in enumerate(due):
         if step:
             for k, slot, _, _ in pairs:
@@ -804,7 +821,7 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                 slack = g - math.asin(target / R)
                 if slack > 0.0:
                     nxt = bisect_left(turned, turned[step] + slack, step + 1)
-            if nxt <= steps:
+            if nxt < steps:
                 due[nxt].append(pair)
     return min_seen
 

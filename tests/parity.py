@@ -48,6 +48,12 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   build_equilateral(vp) for every job of the stickbench workloads
   theta-fan, random-large and random-small at seed 1 (124 builds), in
   that order; a build that raises contributes the exception's class name.
+- cert-failures: repr((passed, moves, detail)) of isotopy_certificate for
+  frames that fail, whose sweeps stop early and so never reach the
+  certificates set: random_presentation(1, "knot", 300) reduced at every M
+  build_parts tries (it pinches at arc83.lower each time), the trefoil's
+  tents at M = 20 against a tampered reduction (tampered), and the
+  mid-sweep pinch frames (pinch_frame), swing and joiner, in that order.
 - validator: the outcome of validate_presentation on 3,072 mutants, one
   line each: "ok n e v m", or the exception's "type: message".  The bases
   are the catalog and random_presentation(s, p, n) for p in PROFILES,
@@ -62,6 +68,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import sys
 from dataclasses import replace
@@ -69,11 +76,14 @@ from functools import cache
 from pathlib import Path
 
 from stickforge.arc_presentation import (BindingPoint, PresentationError, catalog, catalog_names,
-                                         validate_presentation)
+                                         equal_length_parts, validate_presentation)
 from stickforge.circular_diagram import to_circular
 from stickforge.documents import (DocumentError, dumps_document, embedding_from_doc,
                                   embedding_to_doc, equilateral_to_doc, presentation_to_doc)
-from stickforge.equilateral_builder import build_equilateral, tolerance_report
+from stickforge.equilateral_builder import (CERT_CLEARANCE_REL, DEFAULT_M_FACTOR, MAX_RETRIES,
+                                           SWEEP_STEP_RAD, EquilateralEmbedding, EStick,
+                                           _free_end, build_equilateral, build_tents,
+                                           isotopy_certificate, reduce_top, tolerance_report)
 from stickforge.graph_core import GraphError
 from stickforge.randgen import PROFILES, random_presentation
 from stickforge.stick_builder import build
@@ -274,6 +284,67 @@ def certificates() -> str:
     return digest.hexdigest()
 
 
+def tampered(emb):
+    """The reduced embedding with its first stick's end a lifted by 0.25."""
+    s = emb.sticks[0]
+    emb.sticks[0] = EStick((s.a[0], s.a[1], s.a[2] + 0.25), s.b, s.component, s.tag, s.ja, s.jb)
+    return emb
+
+
+def with_parked(tents, a, b):
+    """The tents plus one extra parked stick that no move touches."""
+    extra = EStick(a, b, 0, "probe", "probe.a", "probe.b")
+    return EquilateralEmbedding(sticks=[*tents.sticks, extra], M=tents.M,
+                                components=tents.components)
+
+
+def sweep_end(move, M, phi):
+    """Where the free end of move's stick lies at angle phi."""
+    page = (math.cos(move.page_angle), math.sin(move.page_angle))
+    return _free_end(move.pivot, page, M, phi)
+
+
+def pinch_frame(hub_side: bool):
+    """(before, reduced, move, F, (a, b)): theta_trivial(5) at M = 8, whose
+    second move's swinging stick (or its joiner, on the hub side) passes
+    half the certificate floor from an extra parked stick a b at the middle
+    sample.  a b is parallel to the mover there, out of the plane of the
+    mover and the axis, and far from it at the first sample; F is the
+    mover's fixed end."""
+    M = 8.0
+    tents = build_tents(validate_presentation(catalog("theta_trivial(5)")), M)
+    red = reduce_top(tents)
+    move = red.components[0].moves[1]
+    F = move.hub if hub_side else move.pivot
+    steps = max(2, math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD) + 1)
+    free = sweep_end(move, M, move.phi_start + (move.phi_end - move.phi_start) * (steps // 2) / steps)
+    v = [f - c for f, c in zip(free, F)]
+    normal = (v[1] / math.hypot(v[0], v[1]), -v[0] / math.hypot(v[0], v[1]), 0.0)
+    offset = 0.5 * CERT_CLEARANCE_REL * M
+    a, b = (tuple(F[i] + t * v[i] + offset * normal[i] for i in range(3)) for t in (0.4, 0.6))
+    return with_parked(tents, a, b), red, move, F, (a, b)
+
+
+def _failing_frames():
+    vp = validate_presentation(random_presentation(1, "knot", 300))
+    (part,) = equal_length_parts(vp)
+    for attempt in range(MAX_RETRIES + 1):
+        tents = build_tents(part, DEFAULT_M_FACTOR * part.m * 2.0 ** attempt)
+        yield tents, reduce_top(tents)
+    tents = build_tents(validate_presentation(catalog("trefoil")), 20.0)
+    yield tents, tampered(reduce_top(tents))
+    for hub_side in (False, True):
+        yield pinch_frame(hub_side)[:2]
+
+
+def cert_failures() -> str:
+    digest = hashlib.sha256()
+    for before, after in _failing_frames():
+        cert = isotopy_certificate(before, after)
+        digest.update(repr((cert.passed, cert.moves, cert.detail)).encode())
+    return digest.hexdigest()
+
+
 def _shifted(arcs, pos: int, by: int):
     """The arcs with every end at or above pos moved by `by`."""
     return [replace(a, ends=tuple(e + by if e >= pos else e for e in a.ends)) for a in arcs]
@@ -353,7 +424,7 @@ def validator() -> str:
 SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "fan-checks": fan_checks,
         "exact-docs": exact_docs, "exact-checks": exact_checks, "exact-reads": exact_reads,
         "presentations": presentations, "workloads": workloads,
-        "certificates": certificates, "validator": validator}
+        "certificates": certificates, "cert-failures": cert_failures, "validator": validator}
 
 
 def main(names) -> None:
