@@ -753,9 +753,9 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
     sample 0 only when its bound there could reach the running minimum
     plus snap, and again before the last sample only at the first sample
     where its horizon bound could fall that far (see the module
-    docstring); the minimum is the one every pair at every sample gives.  horizons holds a slot list per fixed end,
-    (state entry, *_horizon) in state order, shared by the sweeps of one
-    certificate."""
+    docstring); the minimum is the one every pair at every sample gives.
+    horizons holds a slot list per fixed end, (state entry, *_horizon) in
+    state order, shared by the sweeps of one certificate."""
     diri = _page_dir(move.page_angle)
     steps = max(2, int(math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD)) + 1)
     ends = [_free_end(move.pivot, diri, M, move.phi_start + (move.phi_end - move.phi_start) * step / steps)

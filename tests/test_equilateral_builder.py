@@ -668,8 +668,8 @@ def _counted_kernels(monkeypatch):
 
 def test_certificate_culls_the_whole_sweep(monkeypatch):
     # theta_trivial(64) at M = 8: the whole-sweep cull leaves few pairs to
-    # bound at sample 0 (15,157 _least_angle calls before it, 3,562 with
-    # it, 2,642 once the last sample is probed first)
+    # bound at sample 0.  2,642 _least_angle calls; 3,562 without the probe
+    # of the last sample, 15,157 without the cull as well
     tents = build_tents(vp_of("theta_trivial(64)"), 8.0)
     red = reduce_top(tents)
     calls = _counted_kernels(monkeypatch)
