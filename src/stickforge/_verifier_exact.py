@@ -2,8 +2,9 @@
 
 Exact checks compute in integers.  Each rational point becomes homogeneous
 integers (X, Y, Z, W) with W > 0 the lcm of its denominators, once per
-point per check; for reduced Fractions that form is canonical, so point
-equality is tuple equality.  A difference b - a taken as b_i W_a - a_i W_b
+point per verify bundle (verifier.verify_stick_embedding), or per check
+when a check runs alone; for reduced Fractions that form is canonical, so
+point equality is tuple equality.  A difference b - a taken as b_i W_a - a_i W_b
 is the true vector times W_a W_b > 0, so every zero or sign test on cross
 and dot products is unchanged, and a parameter test such as 0 <= t <= 1
 becomes an integer comparison with the positive scales put back.  A
@@ -33,6 +34,10 @@ def _hom(p):
     """p as integers (X, ..., W): W > 0 is the lcm of the denominators and
     p = (X, ...) / W.  Canonical, so equal points give equal tuples."""
     ratios = [c.as_integer_ratio() for c in p]
+    if len(ratios) == 3:   # a stick end or a junction, written out
+        (x, dx), (y, dy), (z, dz) = ratios
+        w = math.lcm(dx, dy, dz)
+        return (x * (w // dx), y * (w // dy), z * (w // dz), w)
     w = math.lcm(*(d for _, d in ratios))
     return tuple(n * (w // d) for n, d in ratios) + (w,)
 

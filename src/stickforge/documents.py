@@ -5,6 +5,13 @@ strings so round-trips are lossless; decimal coordinates rely on Python's
 shortest-repr floats, which preserve all 17 significant digits.  Output is
 freshly sorted and indented so identical inputs give byte-identical files.
 
+dumps_document writes a document with a recursive writer of its own, whose
+bytes are json.dumps(doc, sort_keys=True, indent=2) plus a newline: dicts
+with str keys, in sorted order, lists and tuples, strings escaped to ASCII
+by json's own escaper, ints, floats spelled as json spells them (NaN and
+Infinity included), booleans and None.  json.dumps takes its pure-Python
+path whenever it indents, and that path cost more than the writer.
+
 Reading checks the kind of every value an embedding's checks use: exact
 coordinates must be "p/q" strings or integers, heights, pages and counts
 integers, tags strings (deleted_tags a list of them), and decimal
@@ -27,10 +34,11 @@ both name one entry and leave one of them unchecked.
 
 from __future__ import annotations
 
-import json
+import math
 import re
 from fractions import Fraction
 from functools import wraps
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .arc_presentation import Arc, ArcPresentation, BindingPoint, PresentationError
@@ -54,7 +62,41 @@ class DocumentError(ValueError):
 
 
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json(doc, "\n") + "\n"
+
+
+def _json(x, nl: str) -> str:
+    """x as json.dumps(x, sort_keys=True, indent=2) writes it, with nl, a
+    newline and the indent of x's own line, before each item and after the
+    last one."""
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [f"{_quote(k)}: {_quote(v) if type(v) is str else _json(v, inner)}"
+             for k, v in sorted(x.items())]) + nl + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join(
+            [_quote(v) if type(v) is str else _json(v, inner) for v in x]) + nl + "]"
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _frac_str(x: Fraction | int) -> str:

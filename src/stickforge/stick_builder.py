@@ -27,7 +27,11 @@ passes over it before it could block a level or raise.
 
 All coordinates are rational, and every predicate runs on integers.  Each
 point becomes homogeneous integers (X, Y, Z, W) with W > 0 the lcm of its
-denominators, once per placed stick and chord end.  A difference b - a
+denominators.  Only the boundary points are converted, once per build; a
+placed end over boundary point (X, Y, W) at integer level z is
+(X, Y, z W, W), and an apex is the sum of its chord ends' forms divided by
+the gcd of its entries, which is again the canonical form (that form is
+the one primitive tuple with W > 0).  A difference b - a
 taken as b_i W_a - a_i W_b is the true vector times W_a W_b > 0, and every
 in-plane quantity below is the true one times a known positive factor, so
 each sign and zero test, each cross-multiplied comparison and each floor is
@@ -46,7 +50,6 @@ from .circular_diagram import CircularDiagram
 from .graph_core import equivalence_classes
 
 R3 = tuple[Fraction, Fraction, Fraction]
-P2 = tuple[Fraction, Fraction]
 
 
 class BuildError(ValueError):
@@ -77,19 +80,22 @@ class StickEmbedding:
 class _Lift:
     """build()'s partial embedding as it grows, read like a StickEmbedding;
     ends maps each placed page to its sticks' homogeneous ends (place keeps
-    it in step with sticks), and near is the diagram's near-page index
-    (_near_pages), built once."""
+    it in step with sticks), boundary holds the boundary points' homogeneous
+    forms (X, Y, W), and near is the diagram's near-page index
+    (_near_pages); both are built once."""
 
     def __init__(self, cd: CircularDiagram) -> None:
         self.sticks: list[Stick] = []
         self.junctions: dict[int, R3] = {}
         self.heights: dict[int, int] = {}
         self.ends: dict[int, list] = {}
+        self.boundary = [_hom(p) for p in cd.boundary]
         self.near = _near_pages(cd)
 
-    def place(self, stick: Stick) -> None:
+    def place(self, stick: Stick, a, b) -> None:
+        """Add stick, whose ends are a and b in homogeneous form."""
         self.sticks.append(stick)
-        self.ends.setdefault(stick.page, []).append((_hom(stick.a), _hom(stick.b)))
+        self.ends.setdefault(stick.page, []).append((a, b))
 
 
 def _near_pages(cd: CircularDiagram) -> list[set[int]]:
@@ -122,7 +128,8 @@ def _hom(p) -> tuple[int, ...]:
 class _ChordFrame:
     """Vertical plane over one chord, with in-plane integer coordinates.
 
-    With the chord ends over one denominator w, a = A / w and d = D / w.
+    The chord ends a, b are homogeneous 2D points (X, Y, W).  With them
+    over one denominator w, a = A / w and d = D / w.
     A homogeneous point (X, Y, Z, W) lies at side
     w cross(D, (X, Y)) - W cross(D, A) of the chord line, scaled by w^2 W,
     and maps to the homogeneous in-plane point (S, Z, W) with
@@ -131,8 +138,7 @@ class _ChordFrame:
     functionals are linear in (X, Y, Z, W).
     """
 
-    def __init__(self, a2: P2, b2: P2):
-        a, b = _hom(a2), _hom(b2)
+    def __init__(self, a, b):
         w = math.lcm(a[2], b[2])
         A = (a[0] * (w // a[2]), a[1] * (w // a[2]))
         D = (b[0] * (w // b[2]) - A[0], b[1] * (w // b[2]) - A[1])
@@ -241,14 +247,14 @@ def clearance_height(cd: CircularDiagram, k: int, partial: _Lift) -> int:
     earlier = [e for page in partial.near[k] if page < k for e in partial.ends.get(page, ())]
     if cls.kind == "uni":
         other = chord.ends[1] if chord.ends[0] == cls.initiating_end else chord.ends[0]
-        frame = _ChordFrame(cd.boundary[other], cd.boundary[cls.initiating_end])
+        frame = _ChordFrame(partial.boundary[other], partial.boundary[cls.initiating_end])
         base = partial.junctions.get(other)
         if base is None:
             raise MissingJunction(f"no junction over point {other} for page {k}")
         lows = (_anchor(0, frame.s_max, base[2]),)
         return _min_clear_height(frame, lows, z_prev, earlier)
     e0, e1 = chord.ends
-    frame = _ChordFrame(cd.boundary[e0], cd.boundary[e1])
+    frame = _ChordFrame(partial.boundary[e0], partial.boundary[e1])
     j0, j1 = partial.junctions.get(e0), partial.junctions.get(e1)
     if j0 is None or j1 is None:
         raise MissingJunction(f"missing junction for page {k}")
@@ -261,27 +267,37 @@ def build(cd: CircularDiagram) -> StickEmbedding:
     """Lift every chord in page order."""
     partial = _Lift(cd)
     place, junctions, heights = partial.place, partial.junctions, partial.heights
+    boundary = partial.boundary
+    hom = {}   # axis index -> its junction's homogeneous form
+
+    def rise(e: int, z: int, zf: Fraction) -> None:
+        """Set the junction over axis index e at level z."""
+        x, y, w = boundary[e]
+        junctions[e], hom[e] = (*cd.boundary[e], zf), (x, y, z * w, w)
+
     for chord, cls in zip(cd.chords, cd.classes):
         k = chord.page
         z = clearance_height(cd, k, partial)
         zf = Fraction(z)
+        e0, e1 = chord.ends
         if cls.kind == "bi":
-            pa = (*cd.boundary[chord.ends[0]], zf)
-            pb = (*cd.boundary[chord.ends[1]], zf)
-            place(Stick(pa, pb, k, chord.edge, "whole"))
-            junctions[chord.ends[0]] = pa
-            junctions[chord.ends[1]] = pb
+            rise(e0, z, zf)
+            rise(e1, z, zf)
+            place(Stick(junctions[e0], junctions[e1], k, chord.edge, "whole"), hom[e0], hom[e1])
         elif cls.kind == "uni":
-            other = chord.ends[1] if chord.ends[0] == cls.initiating_end else chord.ends[0]
-            top = (*cd.boundary[cls.initiating_end], zf)
-            place(Stick(junctions[other], top, k, chord.edge, "whole"))
-            junctions[cls.initiating_end] = top
+            top = cls.initiating_end
+            other = e1 if e0 == top else e0
+            rise(top, z, zf)
+            place(Stick(junctions[other], junctions[top], k, chord.edge, "whole"),
+                  hom[other], hom[top])
         else:
-            e0, e1 = chord.ends
-            p0, p1 = cd.boundary[e0], cd.boundary[e1]
-            apex = ((p0[0] + p1[0]) / 2, (p0[1] + p1[1]) / 2, zf)
-            place(Stick(junctions[e0], apex, k, chord.edge, "left"))
-            place(Stick(apex, junctions[e1], k, chord.edge, "right"))
+            (x0, y0, w0), (x1, y1, w1) = boundary[e0], boundary[e1]
+            apex = (x0 * w1 + x1 * w0, y0 * w1 + y1 * w0, 2 * z * w0 * w1, 2 * w0 * w1)
+            g = math.gcd(*apex)
+            apex = tuple(c // g for c in apex)
+            pt = (Fraction(apex[0], apex[3]), Fraction(apex[1], apex[3]), zf)
+            place(Stick(junctions[e0], pt, k, chord.edge, "left"), hom[e0], apex)
+            place(Stick(pt, junctions[e1], k, chord.edge, "right"), apex, hom[e1])
         heights[k] = z
     return StickEmbedding(tuple(partial.sticks), junctions, heights)
 

@@ -31,10 +31,15 @@ passes as it would with its point computed.  Any other crossing is
 computed, so a page with a missing or gapped stick still reports the
 geometry missing where it is.  _chord_pieces divides a page's parameters
 by their gcd and keeps heights in lowest terms; both leave every
-comparison and every printed height as it was.  verify_stick_embedding
-builds one page index (_PageIndex) for projection and crossing order, so
-each page's pieces are computed once per bundle; either check run alone
-builds its own and reports the same entries.
+comparison and every printed height as it was.
+
+verify_stick_embedding converts each stick end, boundary point and
+junction to homogeneous form once per bundle and hands the forms to the
+checks, with one page index (_PageIndex) for projection and crossing
+order, so each page's pieces are computed once as well.  A check run alone
+converts what it reads itself and reports the same entries; so does the
+bundle when some point does not convert (a coordinate that is not finite,
+or not a number), so that it reports or raises as the checks alone do.
 
 The float checks fail any coordinate or scale that is not finite, and a
 length scale that is not positive, before they measure anything.  Then
@@ -456,20 +461,22 @@ def _non_finite(segs) -> str:
 # checks
 
 
-def check_simplicity(segments, scale: float | None = None) -> VerificationReport:
+def check_simplicity(segments, scale: float | None = None, *, _ends=None) -> VerificationReport:
     """Pairwise disjointness, except single shared endpoints.
 
     segments: iterable of (a, b) point pairs.  Rational coordinates get the
     exact test; floats get clearance >= clearance_rel * scale for pairs not
     sharing an endpoint, and a non-overlap direction test for pairs that do.
     A list that mixes the two fails, and so does a float coordinate or scale
-    that is not finite, or a scale that is not positive.
+    that is not finite, or a scale that is not positive.  _ends is
+    verify_stick_embedding's homogeneous form of the segments' ends, which
+    changes no result.
     """
     segs = [(tuple(a), tuple(b)) for a, b in segments]
     report = VerificationReport()
     rational = [isinstance(c, (Fraction, int)) for a, b in segs for c in a + b]
     if all(rational):
-        witness = _first_exact_failure([(_hom(a), _hom(b)) for a, b in segs])
+        witness = _first_exact_failure(_ends or [(_hom(a), _hom(b)) for a, b in segs])
         report.add("simplicity", not witness,
                    witness or f"{len(segs)} sticks pairwise disjoint away from junctions")
         return report
@@ -520,23 +527,20 @@ def check_simplicity(segments, scale: float | None = None) -> VerificationReport
     return report
 
 
-def _chord_pieces(cd, k: int, sticks):
-    """The given sticks of page k as parameter intervals along the chord,
-    each with its ends in parameter order as (t, point, height), and the
-    parameter of the far chord end; or a failure string.  Verifies on-line
-    projection and in-segment parameters.
+def _chord_pieces(k: int, a, b, ends):
+    """The sticks of page k, given by their ends, as parameter intervals
+    along its chord from a to b, each with its ends in parameter order as
+    (t, point, height), and the parameter of the far chord end; or a
+    failure string.  Verifies on-line projection and in-segment parameters.
 
-    Ends are homogeneous points, heights (n, d) in lowest terms, and
-    parameters integers on one scale per page: with d = (b - a) Wa Wb, a
-    point's parameter along the chord is dot((p - a) Wa W, d) Wb / (W |d|^2),
-    and the page's scale multiplies every parameter by the lcm of its ends'
-    W times |d|^2, then divides them all by their gcd.
+    a and b are homogeneous 2D points, stick ends homogeneous 3D points,
+    heights (n, d) in lowest terms, and parameters integers on one scale per
+    page: with d = (b - a) Wa Wb, a point's parameter along the chord is
+    dot((p - a) Wa W, d) Wb / (W |d|^2), and the page's scale multiplies
+    every parameter by the lcm of its ends' W times |d|^2, then divides them
+    all by their gcd.
     """
-    chord = cd.chords[k - 1]
-    a = _hom(cd.boundary[chord.ends[0]])
-    b = _hom(cd.boundary[chord.ends[1]])
     d = (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2])
-    ends = [(_hom(s.a), _hom(s.b)) for s in sticks]
     if not ends:
         return None, 0, f"page {k} has no sticks"
     scale = math.lcm(*(pt[3] for pair in ends for pt in pair))
@@ -562,34 +566,49 @@ def _chord_pieces(cd, k: int, sticks):
 
 
 class _PageIndex:
-    """The sticks of each page, grouped in one pass; a page's pieces along
-    its chord are computed on first use, once per index."""
+    """The sticks of each page, grouped in one pass, and the boundary points
+    in homogeneous form; a page's pieces along its chord are computed on
+    first use, once per index.  ends, when given, holds the homogeneous
+    ends of se's sticks; without it, each page converts its own."""
 
-    def __init__(self, se, cd):
+    def __init__(self, se, cd, ends=None):
         self.cd = cd
+        self.boundary = [_hom(p) for p in cd.boundary]
         self.sticks: dict = {}
-        for s in se.sticks:
+        self._ends = None if ends is None else {}
+        for i, s in enumerate(se.sticks):
             self.sticks.setdefault(s.page, []).append(s)
+            if ends is not None:
+                self._ends.setdefault(s.page, []).append(ends[i])
         self._pieces: dict = {}
 
     def pieces(self, k: int):
         if k not in self._pieces:
-            self._pieces[k] = _chord_pieces(self.cd, k, self.sticks.get(k, ()))
+            if self._ends is None:
+                ends = [(_hom(s.a), _hom(s.b)) for s in self.sticks.get(k, ())]
+            else:
+                ends = self._ends.get(k, ())
+            a, b = (self.boundary[e] for e in self.cd.chords[k - 1].ends)
+            self._pieces[k] = _chord_pieces(k, a, b, ends)
         return self._pieces[k]
 
 
-def check_projection(se, cd, *, _index=None) -> VerificationReport:
+def check_projection(se, cd, *, _index=None, _junctions=None) -> VerificationReport:
     """Projection fidelity: every chord is tiled exactly by its sticks'
     shadows and every stick lies on a chord's page, chains are 3D-continuous
     between its junction endpoints, the junction table projects onto the
-    boundary points, and the heights table matches the geometry (integral,
-    strictly increasing in page order).  _index is verify_stick_embedding's
-    _PageIndex of se and cd, which changes no result."""
+    boundary points and names only them, and the heights table matches the
+    geometry (integral, strictly increasing in page order) and names only
+    the diagram's pages.  _index and _junctions are verify_stick_embedding's
+    _PageIndex of se and cd and homogeneous junction table, which change no
+    result."""
     report = VerificationReport()
     problems: list[str] = []
 
     for b, pt in se.junctions.items():
-        if (pt[0], pt[1]) != cd.boundary[b]:
+        if b not in range(cd.m):
+            problems.append(f"junction key {b} names no boundary point (the diagram has {cd.m})")
+        elif (pt[0], pt[1]) != cd.boundary[b]:
             problems.append(f"junction over point {b} projects off its boundary point")
     for b in range(cd.m):
         if b not in se.junctions:
@@ -597,6 +616,14 @@ def check_projection(se, cd, *, _index=None) -> VerificationReport:
     report.add("projection.junctions", not problems, "; ".join(problems[:3]))
 
     index = _index or _PageIndex(se, cd)
+
+    def junction(e):
+        """The homogeneous junction over axis index e, or None."""
+        if _junctions is not None:
+            return _junctions.get(e)
+        pt = se.junctions.get(e)
+        return None if pt is None else _hom(pt)
+
     tile_problems: list[str] = []
     chain_problems: list[str] = []
     for chord in cd.chords:
@@ -622,9 +649,7 @@ def check_projection(se, cd, *, _index=None) -> VerificationReport:
         if not ok:
             continue
         lo_pt, hi_pt = pieces[0][0][1], pieces[-1][1][1]
-        expect = {None if pt is None else _hom(pt)
-                  for pt in (se.junctions.get(e) for e in chord.ends)}
-        if {lo_pt, hi_pt} != expect:
+        if {lo_pt, hi_pt} != {junction(e) for e in chord.ends}:
             chain_problems.append(f"page {k} does not end at its junctions")
     pages = {chord.page for chord in cd.chords}
     tile_problems.extend(f"page {k} has sticks but no chord in the diagram"
@@ -646,6 +671,8 @@ def check_projection(se, cd, *, _index=None) -> VerificationReport:
         tops = [max(s.a[2], s.b[2]) for s in index.sticks.get(k, ())]
         if tops and max(tops) != z:
             height_problems.append(f"page {k} geometry tops out at {max(tops)}, table says {z}")
+    height_problems.extend(f"page {k} has a height but no chord in the diagram"
+                           for k in se.heights if k not in pages)
     report.add("projection.heights", not height_problems, "; ".join(height_problems[:3]))
     return report
 
@@ -687,16 +714,15 @@ def check_crossing_order(se, cd, *, _index=None) -> VerificationReport:
     parameters come out as ti = cross(w, dj) Wb / (den Wc) and
     tj = cross(w, di) Wd / (den Wa).  A crossing whose page i lies wholly
     below page j passes without them (see the module docstring).  _index
-    is as in check_projection.
+    is as in check_projection; the boundary points come from it.
     """
     report = VerificationReport()
     problems: list[str] = []
     index = _index or _PageIndex(se, cd)
     chords = []   # page k's chord ends and direction, pieces and span at k - 1
     if cd.crossings:
-        boundary = [_hom(p) for p in cd.boundary]
         for k, chord in enumerate(cd.chords, 1):
-            a, b = boundary[chord.ends[0]], boundary[chord.ends[1]]
+            a, b = index.boundary[chord.ends[0]], index.boundary[chord.ends[1]]
             found = index.pieces(k)
             chords.append((a, b, (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2]),
                            found, _span(found)))
@@ -725,13 +751,21 @@ def check_crossing_order(se, cd, *, _index=None) -> VerificationReport:
 
 
 def verify_stick_embedding(se, cd) -> VerificationReport:
-    """Full exact certification bundle.  Projection and crossing order
-    share one _PageIndex, so each page's pieces are computed once."""
-    report = check_simplicity([(s.a, s.b) for s in se.sticks])
-    index = _PageIndex(se, cd)
-    report.merge(check_projection(se, cd, _index=index))
-    report.merge(check_crossing_order(se, cd, _index=index))
-    return report
+    """Full exact certification bundle: the entries of check_simplicity,
+    check_projection and check_crossing_order, each as it reports alone.
+    Every stick end, boundary point and junction is converted once (see the
+    module docstring)."""
+    segs = [(s.a, s.b) for s in se.sticks]
+    try:
+        ends = [(_hom(a), _hom(b)) for a, b in segs]
+        junctions = {b: _hom(pt) for b, pt in se.junctions.items()}
+    except (ArithmeticError, AttributeError, TypeError, ValueError):
+        # a point that does not convert: each check converts its own, as alone
+        ends = junctions = None
+    index = _PageIndex(se, cd, ends)
+    report = check_simplicity(segs, _ends=ends)
+    report.merge(check_projection(se, cd, _index=index, _junctions=junctions))
+    return report.merge(check_crossing_order(se, cd, _index=index))
 
 
 def check_equilateral(emb) -> VerificationReport:

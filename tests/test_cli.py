@@ -170,6 +170,24 @@ def test_verify_rejects_stray_stick(tmp_path, capsys, command, stray, failing):
     assert [ln for ln in out.splitlines() if "FAIL" in ln] == [failing]
 
 
+@pytest.mark.parametrize("table, key, value, failing", [
+    ("junctions", "99", ["0", "0", "1"],
+     "projection.junctions: FAIL  [junction key 99 names no boundary point (the diagram has 5)]"),
+    ("heights", "99", 5,
+     "projection.heights: FAIL  [page 99 has a height but no chord in the diagram]"),
+], ids=["junction", "height"])
+def test_verify_rejects_stray_table_entry(tmp_path, capsys, table, key, value, failing):
+    # an entry for a point or page the diagram lacks fails with a report
+    path = tmp_path / "e.json"
+    run(capsys, "build-stick", "catalog:trefoil", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc[table][key] = value
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path), "catalog:trefoil")
+    assert code == 1 and "Traceback" not in out + err
+    assert [ln for ln in out.splitlines() if "FAIL" in ln] == [failing]
+
+
 def test_missing_file_is_a_clean_error(capsys):
     code, _, err = run(capsys, "validate", "no-such-file.json")
     assert code == 1

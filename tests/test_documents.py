@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,34 @@ from stickforge.verifier import check_simplicity
 
 def roundtrip(doc: dict) -> dict:
     return json.loads(dumps_document(doc))
+
+
+# ---------------------------------------------------------------------------
+# the writer
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    {"a": {}, "b": [], "c": [[], {}, [[]]], "d": {"e": {"f": [{}]}}},
+    {"edges": [["e\u00e9\u2603\U0001f600", "v\x00\x01\x1f\x7f", 'q"\\/\b\f\n\r\t']],
+     "\u00e9": 1, "Z": 2, "a": 3},
+    {"x": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 0.1, 1.0, -2.5e-7]},
+    {"n": [2 ** 64, -(2 ** 64) - 1, 3 ** 200, 0, -1]},
+    {"t": (1, (2, "three"), ()), "b": [True, False, None], "none": None, "yes": True},
+], ids=["empty", "nested-empty", "labels", "floats", "big-ints", "tuples-bools-none"])
+def test_writer_matches_json_dumps(doc):
+    assert dumps_document(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("exact-docs", "e3163fcf500abe838cc3700600cdb150eccd37caa5b77a631c40b55911c85e7c"),
+    ("presentations", "b8165ae19000d9b155bafefa2db2ee9211abefbeae556819f9a51ff774c50fee"),
+])
+def test_written_bytes_pinned(name, digest):
+    # sets of tests/parity.py that dumps_document writes, taken when
+    # json.dumps still wrote them; eq-docs is pinned by
+    # test_equal_length_documents_pinned
+    assert parity.SETS[name]() == digest
 
 
 # ---------------------------------------------------------------------------

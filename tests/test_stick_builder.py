@@ -156,7 +156,7 @@ def _shared_end_obstacle():
     partial = stick_builder._Lift(cd)
     for s in (se.sticks[0], Stick((Fraction(0), half, Fraction(2)), (Fraction(0), -half, Fraction(2)),
                                   2, "e2", "whole")):
-        partial.place(s)
+        partial.place(s, *_ends(s.a, s.b))
     partial.junctions.update(se.junctions)
     partial.heights.update({1: 1, 2: 2})
     return cd, 3, partial
@@ -210,7 +210,7 @@ def _as_fractions(segs, pts, lows):
 
 def _frame_and_lows(s_hi):
     # chord (0, 0) -> (1, 0), so s = x in units of s_max; one anchor at s = 0, z_lo = 1
-    frame = stick_builder._ChordFrame((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
+    frame = stick_builder._ChordFrame((0, 0, 1), (1, 0, 1))
     return frame, ((0, s_hi * frame.s_max, 1, 1),)
 
 

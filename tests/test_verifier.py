@@ -123,6 +123,23 @@ def test_height_table_mutation_caught():
     assert not check_projection(se, cd).ok
 
 
+@pytest.mark.parametrize("key", [99, -1])
+def test_junction_key_off_the_boundary_fails_projection(key):
+    se, cd = trefoil_build()
+    se.junctions[key] = (F(0), F(0), F(1))
+    for report in (verify_stick_embedding(se, cd), check_projection(se, cd)):
+        assert [(e.check, e.witness) for e in report.failures()] == [(
+            "projection.junctions", f"junction key {key} names no boundary point (the diagram has 5)")]
+
+
+def test_height_of_a_page_the_diagram_lacks_fails_projection():
+    se, cd = trefoil_build()
+    se.heights[99] = 5
+    for report in (verify_stick_embedding(se, cd), check_projection(se, cd)):
+        assert [(e.check, e.witness) for e in report.failures()] == [
+            ("projection.heights", "page 99 has a height but no chord in the diagram")]
+
+
 def _package_imports(name):
     """The stickforge modules that src/stickforge/<name>.py imports."""
     tree = ast.parse(Path(f"src/stickforge/{name}.py").read_text())
@@ -436,9 +453,9 @@ def test_crossing_order_computes_each_page_once(monkeypatch):
     pages = []
     real = verifier._chord_pieces
 
-    def spy(cd, k, sticks):
+    def spy(k, *args):
         pages.append(k)
-        return real(cd, k, sticks)
+        return real(k, *args)
 
     monkeypatch.setattr(verifier, "_chord_pieces", spy)
     se, cd = _large_bouquet()
@@ -454,14 +471,128 @@ def test_crossing_order_computes_each_page_once(monkeypatch):
     assert pages == []
 
 
+def _checks_alone(se, cd):
+    return (check_simplicity([(s.a, s.b) for s in se.sticks]).entries
+            + check_projection(se, cd).entries + check_crossing_order(se, cd).entries)
+
+
 def test_each_exact_check_alone_reports_as_in_the_bundle():
+    # every 12th exact build of tests/parity.py and the last, a 150-arc draw
     builds = parity._exact_builds()
-    for idx in range(0, len(builds), len(builds) // 20):
+    for idx in [*range(0, len(builds), len(builds) // 20), len(builds) - 1]:
         se, cd = builds[idx]
         for e in (se, *parity.exact_mutants(idx, se)):
-            alone = (check_simplicity([(s.a, s.b) for s in e.sticks]).entries
-                     + check_projection(e, cd).entries + check_crossing_order(e, cd).entries)
-            assert alone == verify_stick_embedding(e, cd).entries
+            assert _checks_alone(e, cd) == verify_stick_embedding(e, cd).entries
+
+
+def _hand_built():
+    """The trefoil's build with float, mixed and non-finite coordinates."""
+    cd = to_circular(validate_presentation(catalog("trefoil")))
+    se = build(cd)
+
+    def floats(p):
+        return tuple(float(c) for c in p)
+
+    def moved(i, end, c, value):
+        s = se.sticks[i]
+        pt = list(getattr(s, end))
+        pt[c] = value
+        return replace(se, sticks=se.sticks[:i] + (replace(s, **{end: tuple(pt)}),) + se.sticks[i + 1:])
+
+    j0 = se.junctions[0]
+    stray = stick_builder.Stick((F(10), F(0), math.nan), (F(11), F(0), F(0)), 99, "l", "whole")
+    return cd, {
+        "float": replace(se, sticks=tuple(replace(s, a=floats(s.a), b=floats(s.b)) for s in se.sticks),
+                         junctions={b: floats(p) for b, p in se.junctions.items()}),
+        "mixed": replace(se, sticks=(replace(se.sticks[0], a=floats(se.sticks[0].a)),) + se.sticks[1:]),
+        "dyadic-float": moved(0, "a", 2, float(se.sticks[0].a[2])),
+        "nan-stick": moved(0, "a", 2, math.nan),
+        "inf-stick": moved(1, "b", 0, math.inf),
+        "nan-junction": replace(se, junctions={**se.junctions, 0: (j0[0], j0[1], math.nan)}),
+        "nan-stray": replace(se, sticks=se.sticks + (stray,)),
+    }
+
+
+_PASS = [("projection.junctions", True, ""), ("projection.tiling", True, ""),
+         ("projection.chains", True, ""), ("projection.heights", True, ""),
+         ("crossing-order", True, "5 crossings ordered")]
+# what verify_stick_embedding gave for each _hand_built case when every
+# check still converted its own points: its entries, or the exception raised
+HAND_BUILT = {
+    "float": [
+        ("simplicity", True, "min non-adjacent clearance 7.534e-02"),
+        ("projection.junctions", False, "junction over point 1 projects off its boundary point; "
+         "junction over point 3 projects off its boundary point; "
+         "junction over point 4 projects off its boundary point"),
+        ("projection.tiling", False, "page 1 stick endpoint projects off the chord line; "
+         "page 2 stick endpoint projects off the chord line; "
+         "page 3 stick endpoint projects off the chord line"),
+        ("projection.chains", True, ""), ("projection.heights", True, ""),
+        ("crossing-order", False, "crossing (1,2): geometry missing over the crossing; "
+         "crossing (1,5): geometry missing over the crossing; "
+         "crossing (2,3): geometry missing over the crossing")],
+    "mixed": [
+        ("simplicity", False, "stick 0 mixes rational and float coordinates"),
+        ("projection.junctions", True, ""),
+        ("projection.tiling", False, "page 1 stick endpoint projects off the chord line"),
+        ("projection.chains", True, ""), ("projection.heights", True, ""),
+        ("crossing-order", False, "crossing (1,2): geometry missing over the crossing; "
+         "crossing (1,5): geometry missing over the crossing")],
+    "dyadic-float": [("simplicity", False, "stick 0 mixes rational and float coordinates"), *_PASS],
+    "nan-stick": ValueError,
+    "inf-stick": OverflowError,
+    "nan-junction": ValueError,
+    "nan-stray": [
+        ("simplicity", False, "sticks 0 and 7 mix rational and float coordinates"),
+        ("projection.junctions", True, ""),
+        ("projection.tiling", False, "page 99 has sticks but no chord in the diagram"),
+        *_PASS[2:]],
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_bundle_on_float_and_non_finite_coordinates(name):
+    # a point that does not convert sends the bundle through the checks
+    # alone, so it raises, or reports, as they do
+    cd, cases = _hand_built()
+    se, want = cases[name], HAND_BUILT[name]
+    if isinstance(want, type):
+        with pytest.raises(want):
+            _checks_alone(se, cd)
+        with pytest.raises(want):
+            verify_stick_embedding(se, cd)
+    else:
+        entries = verify_stick_embedding(se, cd).entries
+        assert [(e.check, e.passed, e.witness) for e in entries] == want
+        assert entries == _checks_alone(se, cd)
+
+
+def test_exact_conversion_work_guard(monkeypatch):
+    # homogeneous conversions (_hom) over random_presentation(s, p, 40),
+    # s < 10, p in PROFILES: the verify bundle made 7,453 when each check
+    # converted its own points, and now makes one per stick end, boundary
+    # point and junction, 3,316; the lift made 2,958 (two per placed stick
+    # and per chord frame) and now makes one per boundary point, 687
+    calls = Counter()
+
+    def spy(module, key):
+        real = module._hom
+
+        def counted(p):
+            calls[key] += 1
+            return real(p)
+        monkeypatch.setattr(module, "_hom", counted)
+
+    spy(verifier, "verify")
+    spy(stick_builder, "lift")
+    for p in PROFILES:
+        for s in range(10):
+            cd = to_circular(validate_presentation(random_presentation(s, p, 40)))
+            calls.clear()
+            se = build(cd)
+            assert calls["lift"] <= cd.m
+            assert verify_stick_embedding(se, cd).ok
+            assert calls["verify"] <= 2 * len(se.sticks) + cd.m + len(se.junctions)
 
 
 # ---------------------------------------------------------------------------
