@@ -14,16 +14,28 @@ the union embedded.  That height has a closed form: all earlier sticks lie
 at or below the level of the previous page, and whether an earlier point
 blocks a level is linear in the point, so each obstacle bounds the height
 from below by one exact threshold.  Only the sticks of earlier chords that
-cross chord k or share an end with it are obstacles: any other chord's
-closed segment misses chord k's (its ends do not interleave with chord k's
-on the circle), so its sticks pass the plane over chord k outside the
-chord, at relative position u outside (0, 1] of every anchor, and never
-bind.  Of the obstacles, a stick whose ends both lie at or below the lowest
-anchor's level z_lo is dropped before it is projected.  Every point of it
-that the threshold test reads, its own ends, its punch-through point of the
-plane and its crossing of s = s_lo, lies on the stick, so at or below the
-level z_lo of every anchor: wn = (z_pt - z_lo) wp w <= 0, and the test
-passes over it before it could block a level or raise.
+cross chord k are obstacles.  A chord i's sticks lie over chord i, and two
+chords with distinct pairs of ends meet in at most one point:
+
+- If chord i misses chord k, its sticks pass the plane over chord k
+  outside the chord, at relative position u outside (0, 1] of every anchor.
+- If it shares one end p, its sticks meet the plane only in the junction
+  over p: u = 0 at the anchor there (its exempt corner), u = 2 at a bent
+  chord's far anchor.  A uni chord's initiating end has no earlier chord:
+  the initiating page is the least page at its point.
+- If it has both ends of chord k (then bent), it lies in the plane at or
+  below z_prev < z.  Against each anchor, each of its sticks either runs
+  from the corner to a point below z at or past the top side's end, so
+  under the new hypotenuse, or lies at or past that end, where the
+  triangle is one point at level z.
+- If it crosses chord k, each of its sticks has an end over a boundary
+  point off chord k's line, so none lies in the plane.
+
+Of the obstacles, a stick whose ends both lie at or below the lowest
+anchor's level z_lo is dropped before it is projected: its punch-through
+point is at or below the level z_lo of every anchor, so
+wn = (z_pt - z_lo) wp w <= 0, and the test passes over it before it could
+block a level or raise.
 
 All coordinates are rational, and every predicate runs on integers.  Each
 point becomes homogeneous integers (X, Y, Z, W) with W > 0 the lcm of its
@@ -81,8 +93,8 @@ class _Lift:
     """build()'s partial embedding as it grows, read like a StickEmbedding;
     ends maps each placed page to its sticks' homogeneous ends (place keeps
     it in step with sticks), boundary holds the boundary points' homogeneous
-    forms (X, Y, W), and near is the diagram's near-page index
-    (_near_pages); both are built once."""
+    forms (X, Y, W), and near lists per page the earlier pages whose chords
+    cross it, the lift's only obstacles (_near_pages); both are built once."""
 
     def __init__(self, cd: CircularDiagram) -> None:
         self.sticks: list[Stick] = []
@@ -98,22 +110,12 @@ class _Lift:
         self.ends.setdefault(stick.page, []).append((a, b))
 
 
-def _near_pages(cd: CircularDiagram) -> list[set[int]]:
-    """Per page k (index 0 unused), the pages whose chords cross chord k,
-    read off cd.crossings, or share an end with it."""
-    near: list[set[int]] = [set() for _ in range(len(cd.chords) + 1)]
+def _near_pages(cd: CircularDiagram) -> list[list[int]]:
+    """Per page k (index 0 unused), the earlier pages whose chords cross
+    chord k, read off cd.crossings."""
+    near: list[list[int]] = [[] for _ in range(len(cd.chords) + 1)]
     for i, j in cd.crossings:
-        near[i].add(j)
-        near[j].add(i)
-    at_end: dict[int, list[int]] = {}
-    for chord in cd.chords:
-        for end in set(chord.ends):
-            at_end.setdefault(end, []).append(chord.page)
-    for pages in at_end.values():
-        for k in pages:
-            near[k].update(pages)
-    for k, pages in enumerate(near):
-        pages.discard(k)
+        near[j].append(i)
     return near
 
 
@@ -165,46 +167,43 @@ def _anchor(s_lo: int, s_hi: int, z) -> tuple[int, int, int, int]:
 
 
 def _project_earlier(frame: _ChordFrame, earlier):
-    """In-plane view of the placed sticks, given by homogeneous ends:
-    segments lying over the chord and punch-through points of transversal
-    ones.  Independent of the lift height, so computed once per chord.
+    """Punch-through points of the placed sticks, given by homogeneous ends,
+    in the plane over the chord, once per chord.  No obstacle lies in the
+    plane (see the module docstring), so one that does is an error.
 
     The side functional is linear, so fa b - fb a is a homogeneous point of
     the line ab at side zero; its W is positive when fa > fb.
     """
-    segs, pts = [], []
+    pts = []
     for a, b in earlier:
         fa, fb = frame.side(a), frame.side(b)
-        if fa == 0 and fb == 0:
-            segs.append((frame.point(a), frame.point(b)))
-        elif (fa > 0 and fb > 0) or (fa < 0 and fb < 0):
+        if (fa > 0 and fb > 0) or (fa < 0 and fb < 0):
             continue
-        else:
-            if fa < fb:
-                fa, fb, a, b = fb, fa, b, a
-            pts.append(frame.point(tuple(fa * y - fb * x for x, y in zip(a, b))))
-    return segs, pts
+        if fa == 0 and fb == 0:
+            raise BuildError("earlier stick lies in the chord's plane")
+        if fa < fb:
+            fa, fb, a, b = fb, fa, b, a
+        pts.append(frame.point(tuple(fa * y - fb * x for x, y in zip(a, b))))
+    return pts
 
 
 def _min_clear_height(frame: _ChordFrame, lows, z_prev: int, earlier) -> int:
     """Smallest integer z > z_prev whose lift triangles are clear.
 
-    Two facts give it in one pass.  Every earlier stick lies at or below
-    z_prev < z, so a point at relative position u = (s - s_lo)/(s_hi - s_lo)
-    in (0, 1] of an anchor's triangle blocks exactly the levels
-    z <= z_lo + (z_pt - z_lo)/u, and nothing when z_pt <= z_lo.  That test
-    is linear in the point, so a segment blocks what the ends of its part
-    over u in [0, 1] block: its own ends and its crossing of s = s_lo (a
-    crossing of s = s_hi has threshold z_pt <= z_prev and never binds).
-    Points are homogeneous, anchors (s_lo, s_hi, z_lo) over one w, and the
-    floors are taken in integers by cross-multiplication.  Sticks at or
-    below the lowest z_lo are dropped first (see the module docstring).
+    Every earlier stick lies at or below z_prev < z, so a point at relative
+    position u = (s - s_lo)/(s_hi - s_lo) in (0, 1] of an anchor's triangle
+    blocks exactly the levels z <= z_lo + (z_pt - z_lo)/u, and nothing when
+    z_pt <= z_lo.  An obstacle meets the plane in its punch-through point
+    only.  Points are homogeneous, anchors (s_lo, s_hi, z_lo) over one w,
+    and the floors are taken in integers by cross-multiplication.  Sticks
+    at or below the lowest z_lo are dropped first (see the module
+    docstring).
     """
     z_min, w_min = lows[0][2:]
     for _, _, z, w in lows[1:]:
         if z * w_min < z_min * w:
             z_min, w_min = z, w
-    segs, pts = _project_earlier(frame, [
+    pts = _project_earlier(frame, [
         (a, b) for a, b in earlier if a[2] * w_min > z_min * a[3] or b[2] * w_min > z_min * b[3]])
     z = z_prev + 1
     for s_lo, s_hi, z_lo, w in lows:
@@ -212,16 +211,7 @@ def _min_clear_height(frame: _ChordFrame, lows, z_prev: int, earlier) -> int:
         if span == 0:
             raise BuildError("degenerate clearance triangle")
         sgn = 1 if span > 0 else -1
-        cands = list(pts)
-        for p, q in segs:
-            cands += (p, q)
-            ap, aq = p[0] * w - s_lo * p[2], q[0] * w - s_lo * q[2]
-            if ap * aq < 0:
-                # the point of pq at s = s_lo
-                if ap < 0:
-                    ap, aq, p, q = aq, ap, q, p
-                cands.append(tuple(ap * y - aq * x for x, y in zip(p, q)))
-        for s, zp, wp in cands:
+        for s, zp, wp in pts:
             # (z_pt - z_lo) and sgn (s - s_lo), both times wp w
             wn = zp * w - z_lo * wp
             if wn <= 0:
@@ -238,13 +228,14 @@ def _min_clear_height(frame: _ChordFrame, lows, z_prev: int, earlier) -> int:
 
 def clearance_height(cd: CircularDiagram, k: int, partial: _Lift) -> int:
     """Minimal admissible top level for chord of page k given the sticks
-    already placed (pages below k)."""
+    already placed (pages below k).  Only the sticks of earlier chords that
+    cross chord k are obstacles (see the module docstring)."""
     chord = cd.chords[k - 1]
     cls = cd.classes[k - 1]
     z_prev = max(partial.heights.values(), default=0)
     if cls.kind == "bi":
         return z_prev + 1
-    earlier = [e for page in partial.near[k] if page < k for e in partial.ends.get(page, ())]
+    earlier = [e for page in partial.near[k] for e in partial.ends.get(page, ())]
     if cls.kind == "uni":
         other = chord.ends[1] if chord.ends[0] == cls.initiating_end else chord.ends[0]
         frame = _ChordFrame(partial.boundary[other], partial.boundary[cls.initiating_end])

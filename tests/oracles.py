@@ -5,7 +5,9 @@ with the package: interleaving by walking the circle once, segment
 intersection by solving the parametric equations with Cramer's rule, knot
 invariants (Fox 3-colorings, linking number) read off a generic exact shear
 projection of the finished 3D sticks, lift clearance by brute-force
-triangle tests at a given level.  Known invariant values (trefoil 9
+triangle tests at a given level, and the lift's least clear level in
+closed form over every earlier chord that crosses or shares an end with
+the lifted one (project_earlier reads the builder's chord frame).  Known invariant values (trefoil 9
 colorings, hopf |lk| = 1) then pin down the whole pipeline from outside.
 The exact verifier's witness strings are rebuilt here in Fraction
 arithmetic, every pair and every crossing, as the reference its integer
@@ -191,6 +193,65 @@ def lift_clear(segs, pts, lows, z) -> bool:
         if any(_point_in_triangle(q, tri, exempt) for q in pts):
             return False
     return True
+
+
+def all_near_pages(cd):
+    """Per page k (index 0 unused), the earlier pages whose chords cross
+    chord k or share an end with it: the lift's obstacles before they were
+    cut to the crossing chords, a superset of them."""
+    crossings = set(cd.crossings)
+    near = [[] for _ in range(len(cd.chords) + 1)]
+    for j, later in enumerate(cd.chords, 1):
+        for i, chord in enumerate(cd.chords[:j - 1], 1):
+            if (i, j) in crossings or set(chord.ends) & set(later.ends):
+                near[j].append(i)
+    return near
+
+
+def project_earlier(frame, earlier):
+    """In-plane view of sticks, given by homogeneous ends (X, Y, Z, W), in
+    the builder's chord frame: segments lying in the plane over the chord
+    and punch-through points of transversal ones, as homogeneous (S, Z, W).
+    The side functional is linear, so fa b - fb a is a homogeneous point of
+    the line ab at side zero; its W is positive when fa > fb."""
+    segs, pts = [], []
+    for a, b in earlier:
+        fa, fb = frame.side(a), frame.side(b)
+        if fa == 0 and fb == 0:
+            segs.append((frame.point(a), frame.point(b)))
+        elif (fa > 0 and fb > 0) or (fa < 0 and fb < 0):
+            continue
+        else:
+            if fa < fb:
+                fa, fb, a, b = fb, fa, b, a
+            pts.append(frame.point(tuple(fa * y - fb * x for x, y in zip(a, b))))
+    return segs, pts
+
+
+def lift_height(segs, pts, lows, z_prev) -> int:
+    """The least integer z > z_prev at which lift_clear holds, for earlier
+    segments and points all at or below z_prev.  A point at relative
+    position u = (s - s_lo)/(s_hi - s_lo) in (0, 1] of an anchor, above
+    z_lo, blocks the levels up to z_lo + (z_pt - z_lo)/u, and one straight
+    over the anchor (u = 0) blocks every level.  A segment blocks what the
+    ends of its part over u in [0, 1] block: its own ends and its crossing
+    of s = s_lo (its crossing of s = s_hi is at or below z_prev)."""
+    z = z_prev + 1
+    for (s_lo, z_lo), s_hi in lows:
+        cands = list(pts)
+        for p, q in segs:
+            cands += (p, q)
+            if (p[0] - s_lo) * (q[0] - s_lo) < 0:
+                t = (s_lo - p[0]) / (q[0] - p[0])
+                cands.append((s_lo, p[1] + t * (q[1] - p[1])))
+        for s, z_pt in cands:
+            u = (s - s_lo) / (s_hi - s_lo)
+            if z_pt <= z_lo or not 0 <= u <= 1:
+                continue
+            if u == 0:
+                raise ValueError("a point over the anchor blocks every level")
+            z = max(z, math.floor(z_lo + (z_pt - z_lo) / u) + 1)
+    return z
 
 
 # ---------------------------------------------------------------------------

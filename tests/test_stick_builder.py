@@ -21,6 +21,14 @@ def build_catalog(name):
     return build(cd), cd
 
 
+def _presentations():
+    # 63: the catalog, theta_trivial(2..16) and 40 random draws of 30 arcs
+    presentations = [catalog(name) for name in catalog_names()]
+    presentations += [catalog(f"theta_trivial({n})") for n in range(2, 17)]
+    presentations += [random_presentation(s, p, 30) for p in PROFILES for s in range(10)]
+    return presentations
+
+
 def test_unknot_triangle():
     se, cd = build_catalog("unknot")
     assert len(se.sticks) == 3
@@ -70,9 +78,7 @@ def test_theta_trivial_4_is_7_sticks():
 def test_exact_documents_pinned():
     # the bytes of 63 exact documents, concatenated: any change to the lift's
     # heights, junctions or coordinates shows here
-    presentations = [catalog(name) for name in catalog_names()]
-    presentations += [catalog(f"theta_trivial({n})") for n in range(2, 17)]
-    presentations += [random_presentation(s, p, 30) for p in PROFILES for s in range(10)]
+    presentations = _presentations()
     digest = hashlib.sha256()
     for ap in presentations:
         se = build(to_circular(validate_presentation(ap)))
@@ -149,7 +155,7 @@ def test_random_builds_verify(profile):
 def _shared_end_obstacle():
     # theta_trivial(3) up to page 2, whose bent lift is replaced by one stick
     # in the plane over the common chord, above page 3's anchors: no valid
-    # build has such a stick, but it is an obstacle the lift must clear
+    # build has such a stick
     cd = to_circular(validate_presentation(catalog("theta_trivial(3)")))
     se = build(cd)
     half = Fraction(1, 2)
@@ -162,9 +168,16 @@ def _shared_end_obstacle():
     return cd, 3, partial
 
 
+def test_shared_end_sticks_are_not_obstacles():
+    # no chord crosses chord 3, so its lift rises one level above z_prev = 2
+    # whatever the chords sharing its ends hold
+    assert clearance_height(*_shared_end_obstacle()) == 3
+
+
 def test_min_heights_against_brute_force(monkeypatch):
     # every non-bi lift is clear at its height and blocked one level lower,
-    # judged against every earlier stick, not only those the builder keeps
+    # judged against every earlier stick, not only those the builder keeps,
+    # each projected by the reference that keeps in-plane segments
     seen = []
     real_height, real_min = stick_builder.clearance_height, stick_builder._min_clear_height
     placed = []
@@ -176,18 +189,15 @@ def test_min_heights_against_brute_force(monkeypatch):
     def spy(frame, lows, z_prev, earlier):
         z = real_min(frame, lows, z_prev, earlier)
         ends = [_ends(s.a, s.b) for s in placed]
-        seen.append((_as_fractions(*stick_builder._project_earlier(frame, ends), lows), z_prev, z))
+        seen.append((_as_fractions(*oracles.project_earlier(frame, ends), lows), z_prev, z))
         return z
 
     monkeypatch.setattr(stick_builder, "clearance_height", height_spy)
     monkeypatch.setattr(stick_builder, "_min_clear_height", spy)
-    presentations = [catalog(name) for name in catalog_names()]
-    presentations += [catalog(f"theta_trivial({n})") for n in range(2, 17)]
-    presentations += [random_presentation(s, p, 30) for p in PROFILES for s in range(10)]
+    presentations = _presentations()
     presentations.append(random_presentation(0, "bouquet", 150))  # 118 arcs
     for ap in presentations:
         build(to_circular(validate_presentation(ap)))
-    stick_builder.clearance_height(*_shared_end_obstacle())
     binding = 0
     for (segs, pts, lows), z_prev, z in seen:
         assert oracles.lift_clear(segs, pts, lows, z)
@@ -195,6 +205,27 @@ def test_min_heights_against_brute_force(monkeypatch):
             binding += 1
             assert not oracles.lift_clear(segs, pts, lows, z - 1)
     assert binding > 100
+
+
+def _all_near_height(frame, lows, z_prev, earlier):
+    return oracles.lift_height(*_as_fractions(*oracles.project_earlier(frame, earlier), lows), z_prev)
+
+
+def test_crossing_obstacles_match_all_near_lift(monkeypatch):
+    # fed every earlier chord that crosses or shares an end with the lifted
+    # one, and projected with in-plane segments, the lift gives the same
+    # heights and documents
+    presentations = _presentations()
+    presentations += [catalog(f"theta_trivial({n})") for n in range(17, 33)]
+    presentations += [random_presentation(s, p, 80) for p in PROFILES for s in range(10, 13)]
+    cds = [to_circular(validate_presentation(ap)) for ap in presentations]
+    builds = [build(cd) for cd in cds]
+    monkeypatch.setattr(stick_builder, "_near_pages", oracles.all_near_pages)
+    monkeypatch.setattr(stick_builder, "_min_clear_height", _all_near_height)
+    for cd, se in zip(cds, builds):
+        ref = build(cd)
+        assert ref.heights == se.heights
+        assert dumps_document(embedding_to_doc(ref)) == dumps_document(embedding_to_doc(se))
 
 
 def _as_fractions(segs, pts, lows):
@@ -219,43 +250,43 @@ def _ends(a, b):
 
 
 @pytest.mark.parametrize("a, b, z_prev, z", [
-    # its end at u = 1/2 blocks up to 1 + (3 - 1) / (1/2) = 5
-    ((Fraction(1, 2), 0, 3), (2, 0, 3), 3, 6),
-    # passes through the exempt anchor corner, then its end blocks up to 3
-    ((Fraction(-1, 2), 0, 0), (Fraction(1, 2), 0, 2), 2, 4),
-], ids=["end-inside", "through-corner"])
-def test_min_clear_height_in_plane_stick(a, b, z_prev, z):
-    frame, lows = _frame_and_lows(1)
-    earlier = (_ends(a, b),)
-    assert stick_builder._min_clear_height(frame, lows, z_prev, earlier) == z
-    segs, pts, lows = _as_fractions(*stick_builder._project_earlier(frame, earlier), lows)
-    assert segs and oracles.lift_clear(segs, pts, lows, z)
-    assert not oracles.lift_clear(segs, pts, lows, z - 1)
-
-
-@pytest.mark.parametrize("a, b, z_prev, z", [
     # one end below z_lo = 1, the other above: it punches the plane at
     # (1/4, 2), u = 1/4, and blocks up to 1 + (2 - 1) / (1/4) = 5
     ((Fraction(1, 4), -1, 0), (Fraction(1, 4), 1, 4), 4, 6),
-    # in the plane, from below z_lo to above: its end at u = 1/2, z = 3
-    # blocks up to 1 + (3 - 1) / (1/2) = 5
-    ((Fraction(1, 4), 0, 0), (Fraction(1, 2), 0, 3), 3, 6),
     # wholly at or below z_lo, ends on the anchor's level: dropped, binds nothing
     ((Fraction(1, 4), -1, 0), (Fraction(1, 4), 1, 1), 1, 2),
     ((0, 0, 1), (Fraction(1, 2), 0, 1), 1, 2),
-], ids=["poke-through", "poke-in-plane", "below-through", "on-level-in-plane"])
+], ids=["poke-through", "below-through", "on-level-in-plane"])
 def test_min_clear_height_stick_poking_above_anchor(a, b, z_prev, z):
     frame, lows = _frame_and_lows(1)
     earlier = (_ends(a, b),)
     assert stick_builder._min_clear_height(frame, lows, z_prev, earlier) == z
-    segs, pts, lows = _as_fractions(*stick_builder._project_earlier(frame, earlier), lows)
+    segs, pts, lows = _as_fractions(*oracles.project_earlier(frame, earlier), lows)
     assert oracles.lift_clear(segs, pts, lows, z)
     assert (z - 1 == z_prev) or not oracles.lift_clear(segs, pts, lows, z - 1)
 
 
+@pytest.mark.parametrize("a, b, z_prev, z", [
+    # its end at u = 1/2 blocks up to 1 + (3 - 1) / (1/2) = 5
+    ((Fraction(1, 2), 0, 3), (2, 0, 3), 3, 6),
+    # passes through the exempt anchor corner, then its end blocks up to 3
+    ((Fraction(-1, 2), 0, 0), (Fraction(1, 2), 0, 2), 2, 4),
+    # from below z_lo to above: its end at u = 1/2, z = 3 blocks up to 5
+    ((Fraction(1, 4), 0, 0), (Fraction(1, 2), 0, 3), 3, 6),
+], ids=["end-inside", "through-corner", "poke-in-plane"])
+def test_all_near_reference_clears_in_plane_stick(a, b, z_prev, z):
+    # the reference lift, which the builder's is fuzzed against, still reads
+    # in-plane segments, as a chord with the same two ends would give it
+    frame, lows = _frame_and_lows(1)
+    segs, pts, lows = _as_fractions(*oracles.project_earlier(frame, (_ends(a, b),)), lows)
+    assert segs and oracles.lift_height(segs, pts, lows, z_prev) == z
+    assert oracles.lift_clear(segs, pts, lows, z)
+    assert not oracles.lift_clear(segs, pts, lows, z - 1)
+
+
 def test_lift_culls_sticks_below_the_anchors(monkeypatch):
-    # on a large bouquet, many near earlier sticks lie at or below every
-    # anchor and are dropped before they are projected
+    # on a large bouquet, 618 of the 2,090 obstacle sticks lie at or below
+    # every anchor and are dropped before they are projected
     near, projected = [0], [0]
     real_min, real_project = stick_builder._min_clear_height, stick_builder._project_earlier
 
@@ -271,7 +302,22 @@ def test_lift_culls_sticks_below_the_anchors(monkeypatch):
     monkeypatch.setattr(stick_builder, "_project_earlier", project_spy)
     cd = to_circular(validate_presentation(random_presentation(0, "bouquet", 150)))
     assert verify_stick_embedding(build(cd), cd).ok
-    assert 0 < projected[0] < 0.7 * near[0]
+    assert (near[0], projected[0]) == (2090, 1472)
+
+
+def test_theta_fan_lifts_meet_no_obstacle(monkeypatch):
+    # theta_trivial(n) has no crossings, so no lift reads an earlier stick
+    seen = []
+    real_min = stick_builder._min_clear_height
+
+    def spy(frame, lows, z_prev, earlier):
+        seen.append(len(earlier))
+        return real_min(frame, lows, z_prev, earlier)
+
+    monkeypatch.setattr(stick_builder, "_min_clear_height", spy)
+    for n in range(2, 65):
+        build(to_circular(validate_presentation(catalog(f"theta_trivial({n})"))))
+    assert seen and not any(seen)
 
 
 @pytest.mark.parametrize("a, b, s_hi, match", [
@@ -279,11 +325,14 @@ def test_lift_culls_sticks_below_the_anchors(monkeypatch):
     ((0, -1, 2), (0, 1, 2), 1, "blocks every height"),
     # the same point, from a stick with one end below z_lo = 1
     ((0, -1, 0), (0, 1, 4), 1, "blocks every height"),
-    # an in-plane stick crossing the anchor's vertical side above z_lo
-    ((-1, 0, 2), (1, 0, 2), 1, "blocks every height"),
+    # sticks in the plane above z_lo, which no obstacle can be
+    ((-1, 0, 2), (1, 0, 2), 1, "in the chord's plane"),
+    ((Fraction(1, 2), 0, 3), (2, 0, 3), 1, "in the chord's plane"),
+    ((Fraction(-1, 2), 0, 0), (Fraction(1, 2), 0, 2), 1, "in the chord's plane"),
+    ((Fraction(1, 4), 0, 0), (Fraction(1, 2), 0, 3), 1, "in the chord's plane"),
     ((0, -1, 2), (0, 1, 2), 0, "degenerate"),
-], ids=["point-over-anchor", "poke-over-anchor", "segment-across-anchor-side",
-        "degenerate-triangle"])
+], ids=["point-over-anchor", "poke-over-anchor", "segment-across-anchor-side", "end-inside",
+        "through-corner", "poke-in-plane", "degenerate-triangle"])
 def test_min_clear_height_rejects_unclearable(a, b, s_hi, match):
     frame, lows = _frame_and_lows(s_hi)
     with pytest.raises(BuildError, match=match):
