@@ -1,14 +1,14 @@
 """The verifier's exact kernel, and its simplicity check on it.
 
 Exact checks compute in integers.  Each rational point becomes homogeneous
-integers (X, Y, Z, W) with W > 0 the lcm of its denominators, once per
-point per verify bundle (verifier.verify_stick_embedding), or per check
-when a check runs alone; for reduced Fractions that form is canonical, so
-point equality is tuple equality.  A difference b - a taken as b_i W_a - a_i W_b
-is the true vector times W_a W_b > 0, so every zero or sign test on cross
-and dot products is unchanged, and a parameter test such as 0 <= t <= 1
-becomes an integer comparison with the positive scales put back.  A
-Fraction is built only to print a witness.
+integers (X, Y, Z, W) with W > 0 the lcm of its denominators, the first
+time a check reads it (a verify bundle's checks share one page index,
+verifier._PageIndex); for reduced Fractions that form is canonical, so
+point equality is tuple equality.  A difference b - a taken as
+b_i W_a - a_i W_b is the true vector times W_a W_b > 0, so every zero or
+sign test on cross and dot products is unchanged, and a parameter test
+such as 0 <= t <= 1 becomes an integer comparison with the positive
+scales put back.  A Fraction is built only to print a witness.
 
 The exact simplicity check tests only some pairs, and loses nothing by it.
 A common point of two segments lies in both closed bounding boxes, so a

@@ -241,8 +241,9 @@ def presentation_from_doc(doc: dict) -> ArcPresentation:
     params = None
     if doc.get("params") is not None:
         p = doc["params"]
-        params = SpatialParams(c=p["c"], b=p["b"], k=p["k"],
-                               heuristic=p.get("heuristic", False))
+        c, b, k = (_integer(p[f], f"params.{f}") for f in "cbk")
+        heuristic = _typed(p.get("heuristic", False), (bool,), "params.heuristic", "a boolean")
+        params = SpatialParams(c=c, b=b, k=k, heuristic=heuristic)
     return ArcPresentation(graph=graph, binding_points=points, arcs=arcs, params=params)
 
 

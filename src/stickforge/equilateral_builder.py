@@ -240,7 +240,8 @@ class MTooSmall(EquilateralError):
 
 
 class NoRotationSolution(EquilateralError):
-    """Bisection bracket failed; M is too small relative to the axis spread."""
+    """Bisection bracket failed (M is too small relative to the axis spread),
+    or a rotation gap overflowed floats."""
 
 
 class CertificateFailure(EquilateralError):
@@ -460,20 +461,22 @@ def reduce_top(emb: EquilateralEmbedding) -> EquilateralEmbedding:
         else:
             # the others rotate until their free end is at distance M from the hub
             def gap(phi: float) -> float:
-                return _dist(_free_end(pivot, diri, M, phi), hub) - M
+                g = _dist(_free_end(pivot, diri, M, phi), hub) - M
+                if not math.isfinite(g):
+                    raise NoRotationSolution(f"arc {page}: the rotation gap overflows floats at M={M}")
+                return g
 
             g_lo, g_hi = gap(phi_start), gap(math.pi / 2.0)
             if not (g_lo > 0.0 > g_hi):
                 raise NoRotationSolution(
                     f"arc {page}: no rotation bracket (gap {g_lo:.3e} .. {g_hi:.3e}); M too small")
             lo, hi = phi_start, math.pi / 2.0
-            while abs(g := gap(mid := (lo + hi) / 2.0)) > BISECT_REL_TOL * M:
+            # stop at the tolerance, or when no float lies between lo and hi
+            while abs(g := gap(mid := (lo + hi) / 2.0)) > BISECT_REL_TOL * M and lo < mid < hi:
                 if g > 0.0:
                     lo = mid
                 else:
                     hi = mid
-                if hi - lo < 1e-17:
-                    break
             phi_end = (lo + hi) / 2.0
         free = _free_end(pivot, diri, M, phi_end)
         moves.append(SweepMove(ei.tag, pivot, angle, phi_start, phi_end, hub))

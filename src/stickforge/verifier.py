@@ -33,13 +33,13 @@ geometry missing where it is.  _chord_pieces divides a page's parameters
 by their gcd and keeps heights in lowest terms; both leave every
 comparison and every printed height as it was.
 
-verify_stick_embedding converts each stick end, boundary point and
-junction to homogeneous form once per bundle and hands the forms to the
-checks, with one page index (_PageIndex) for projection and crossing
-order, so each page's pieces are computed once as well.  A check run alone
-converts what it reads itself and reports the same entries; so does the
-bundle when some point does not convert (a coordinate that is not finite,
-or not a number), so that it reports or raises as the checks alone do.
+verify_stick_embedding hands the three checks one _PageIndex of the
+embedding; alone, projection and crossing order build their own, and
+simplicity converts its segments itself.  The index converts a stick end
+or junction to homogeneous form the first time a check reads it, settles
+each page's pieces, and whether they tile its chord, on first use, and
+keeps both.  A point converts, or raises, the same wherever it is read, so
+the bundle reports or raises as the checks alone do, in any order.
 
 The float checks fail any coordinate or scale that is not finite, and a
 length scale that is not positive, before they measure anything.  Then
@@ -461,22 +461,23 @@ def _non_finite(segs) -> str:
 # checks
 
 
-def check_simplicity(segments, scale: float | None = None, *, _ends=None) -> VerificationReport:
+def check_simplicity(segments, scale: float | None = None, *, _index=None) -> VerificationReport:
     """Pairwise disjointness, except single shared endpoints.
 
     segments: iterable of (a, b) point pairs.  Rational coordinates get the
     exact test; floats get clearance >= clearance_rel * scale for pairs not
     sharing an endpoint, and a non-overlap direction test for pairs that do.
     A list that mixes the two fails, and so does a float coordinate or scale
-    that is not finite, or a scale that is not positive.  _ends is
-    verify_stick_embedding's homogeneous form of the segments' ends, which
-    changes no result.
+    that is not finite, or a scale that is not positive.  _index is
+    verify_stick_embedding's _PageIndex of the embedding whose sticks the
+    segments are, which changes no result.
     """
     segs = [(tuple(a), tuple(b)) for a, b in segments]
     report = VerificationReport()
     rational = [isinstance(c, (Fraction, int)) for a, b in segs for c in a + b]
     if all(rational):
-        witness = _first_exact_failure(_ends or [(_hom(a), _hom(b)) for a, b in segs])
+        ends = _index.ends() if _index else [(_hom(a), _hom(b)) for a, b in segs]
+        witness = _first_exact_failure(ends)
         report.add("simplicity", not witness,
                    witness or f"{len(segs)} sticks pairwise disjoint away from junctions")
         return report
@@ -566,42 +567,75 @@ def _chord_pieces(k: int, a, b, ends):
 
 
 class _PageIndex:
-    """The sticks of each page, grouped in one pass, and the boundary points
-    in homogeneous form; a page's pieces along its chord are computed on
-    first use, once per index.  ends, when given, holds the homogeneous
-    ends of se's sticks; without it, each page converts its own."""
+    """The one view of se over cd that the exact checks read: the sticks of
+    each page, grouped in one pass, and the boundary points in homogeneous
+    form.  A stick's ends and a junction are converted the first time a check
+    reads them, and a page is settled on first use; all of it is kept."""
 
-    def __init__(self, se, cd, ends=None):
-        self.cd = cd
+    def __init__(self, se, cd):
+        self.se, self.cd = se, cd
         self.boundary = [_hom(p) for p in cd.boundary]
-        self.sticks: dict = {}
-        self._ends = None if ends is None else {}
+        self.sticks: dict = {}   # page -> the indices of its sticks
         for i, s in enumerate(se.sticks):
-            self.sticks.setdefault(s.page, []).append(s)
-            if ends is not None:
-                self._ends.setdefault(s.page, []).append(ends[i])
-        self._pieces: dict = {}
+            self.sticks.setdefault(s.page, []).append(i)
+        self._ends = [None] * len(se.sticks)
+        self._junctions: dict = {}
+        self._pages: dict = {}
 
-    def pieces(self, k: int):
-        if k not in self._pieces:
-            if self._ends is None:
-                ends = [(_hom(s.a), _hom(s.b)) for s in self.sticks.get(k, ())]
-            else:
-                ends = self._ends.get(k, ())
-            a, b = (self.boundary[e] for e in self.cd.chords[k - 1].ends)
-            self._pieces[k] = _chord_pieces(k, a, b, ends)
-        return self._pieces[k]
+    def ends(self):
+        """Every stick's homogeneous ends (a, b), in stick order."""
+        self._ends = [e or (_hom(s.a), _hom(s.b)) for e, s in zip(self._ends, self.se.sticks)]
+        return self._ends
+
+    def _end(self, i):
+        """Stick i's homogeneous ends, converted on its first read."""
+        s = self.se.sticks[i]
+        self._ends[i] = e = (_hom(s.a), _hom(s.b))
+        return e
+
+    def junction(self, e):
+        """The homogeneous junction over axis index e, or None."""
+        if e not in self._junctions:
+            pt = self.se.junctions.get(e)
+            self._junctions[e] = None if pt is None else _hom(pt)
+        return self._junctions[e]
+
+    def page(self, k: int):
+        """Page k as (pieces, one, tiling, chains, ends, tiled): _chord_pieces'
+        pieces in stick order and far chord end; projection's problem with
+        the page's tiling or its chain, the first along the chord, or ''; the
+        chain's end points; and whether the pieces tile the chord."""
+        if k not in self._pages:
+            a, b = self.cd.chords[k - 1].ends
+            known = self._ends
+            pieces, one, tiling = _chord_pieces(k, self.boundary[a], self.boundary[b], [
+                known[i] or self._end(i) for i in self.sticks.get(k, ())])
+            chains, ends, tiled = "", None, False
+            if pieces is not None:
+                order = sorted(pieces, key=lambda e: (e[0][0], e[1][0]))
+                ends = order[0][0][1], order[-1][1][1]
+                # one flag per step to the next piece that changes the point:
+                # whether it keeps the parameter (the chain breaks) or not (a gap)
+                steps = [x[1][0] == y[0][0] for x, y in zip(order, order[1:]) if x[1] != y[0]]
+                if order[0][0][0] != 0 or order[-1][1][0] != one:
+                    tiling = f"page {k} shadow does not span its chord"
+                elif steps and not steps[0]:
+                    tiling = f"page {k} shadows leave a gap or overlap"
+                elif steps:
+                    chains = f"page {k} sticks break apart in space"
+                tiled = not tiling and all(steps)
+            self._pages[k] = pieces, one, tiling, chains, ends, tiled
+        return self._pages[k]
 
 
-def check_projection(se, cd, *, _index=None, _junctions=None) -> VerificationReport:
+def check_projection(se, cd, *, _index=None) -> VerificationReport:
     """Projection fidelity: every chord is tiled exactly by its sticks'
     shadows and every stick lies on a chord's page, chains are 3D-continuous
     between its junction endpoints, the junction table projects onto the
     boundary points and names only them, and the heights table matches the
     geometry (integral, strictly increasing in page order) and names only
-    the diagram's pages.  _index and _junctions are verify_stick_embedding's
-    _PageIndex of se and cd and homogeneous junction table, which change no
-    result."""
+    the diagram's pages.  _index is verify_stick_embedding's _PageIndex of
+    se and cd, which changes no result."""
     report = VerificationReport()
     problems: list[str] = []
 
@@ -616,41 +650,16 @@ def check_projection(se, cd, *, _index=None, _junctions=None) -> VerificationRep
     report.add("projection.junctions", not problems, "; ".join(problems[:3]))
 
     index = _index or _PageIndex(se, cd)
-
-    def junction(e):
-        """The homogeneous junction over axis index e, or None."""
-        if _junctions is not None:
-            return _junctions.get(e)
-        pt = se.junctions.get(e)
-        return None if pt is None else _hom(pt)
-
     tile_problems: list[str] = []
     chain_problems: list[str] = []
     for chord in cd.chords:
-        k = chord.page
-        pieces, one, err = index.pieces(k)
-        if pieces is None:
-            tile_problems.append(err)
-            continue
-        pieces = sorted(pieces, key=lambda e: (e[0][0], e[1][0]))
-        if pieces[0][0][0] != 0 or pieces[-1][1][0] != one:
-            tile_problems.append(f"page {k} shadow does not span its chord")
-            continue
-        ok = True
-        for prev, cur in zip(pieces, pieces[1:]):
-            if prev[1][0] != cur[0][0]:
-                tile_problems.append(f"page {k} shadows leave a gap or overlap")
-                ok = False
-                break
-            if prev[1][1] != cur[0][1]:
-                chain_problems.append(f"page {k} sticks break apart in space")
-                ok = False
-                break
-        if not ok:
-            continue
-        lo_pt, hi_pt = pieces[0][0][1], pieces[-1][1][1]
-        if {lo_pt, hi_pt} != {junction(e) for e in chord.ends}:
-            chain_problems.append(f"page {k} does not end at its junctions")
+        _, _, tiling, chains, ends, _ = index.page(chord.page)
+        if tiling:
+            tile_problems.append(tiling)
+        elif chains:
+            chain_problems.append(chains)
+        elif set(ends) != {index.junction(e) for e in chord.ends}:
+            chain_problems.append(f"page {chord.page} does not end at its junctions")
     pages = {chord.page for chord in cd.chords}
     tile_problems.extend(f"page {k} has sticks but no chord in the diagram"
                          for k in index.sticks if k not in pages)
@@ -658,7 +667,7 @@ def check_projection(se, cd, *, _index=None, _junctions=None) -> VerificationRep
     report.add("projection.chains", not chain_problems, "; ".join(chain_problems[:3]))
 
     height_problems: list[str] = []
-    prev = 0
+    prev, sticks = 0, se.sticks
     for chord in cd.chords:
         k = chord.page
         z = se.heights.get(k)
@@ -668,7 +677,7 @@ def check_projection(se, cd, *, _index=None, _junctions=None) -> VerificationRep
         if z <= prev:
             height_problems.append(f"page {k} height {z} not above page {k - 1}")
         prev = z
-        tops = [max(s.a[2], s.b[2]) for s in index.sticks.get(k, ())]
+        tops = [max(sticks[i].a[2], sticks[i].b[2]) for i in index.sticks.get(k, ())]
         if tops and max(tops) != z:
             height_problems.append(f"page {k} geometry tops out at {max(tops)}, table says {z}")
     height_problems.extend(f"page {k} has a height but no chord in the diagram"
@@ -677,22 +686,17 @@ def check_projection(se, cd, *, _index=None, _junctions=None) -> VerificationRep
     return report
 
 
-def _span(found):
-    """The least and greatest end heights (n, d) of a page's pieces, when
-    they tile the chord, else None."""
-    pieces, one, _ = found
-    cuts = sorted((e[0][0], e[1][0]) for e in pieces or ())
-    tiled = cuts and cuts[0][0] == 0 and cuts[-1][1] == one and all(
-        x[1] == y[0] for x, y in zip(cuts, cuts[1:]))
-    zs = sorted((z for e in pieces or () for _, _, z in e),
+def _span(pieces):
+    """The least and greatest end heights (n, d) of a page's pieces."""
+    zs = sorted([z for e in pieces for _, _, z in e],
                 key=lambda z: z[0] if z[1] == 1 else Fraction(*z))
-    return (zs[0], zs[-1]) if tiled else None
+    return zs[0], zs[-1]
 
 
-def _height_on_chord(found, t):
+def _height_on_chord(page, t):
     """The height (zn, zd), zd > 0, of a page's pieces over chord parameter
     t = n/d, d > 0, or None."""
-    pieces, one, _ = found
+    pieces, one = page[:2]
     if pieces is None:
         return None
     n, d = t
@@ -719,15 +723,15 @@ def check_crossing_order(se, cd, *, _index=None) -> VerificationReport:
     report = VerificationReport()
     problems: list[str] = []
     index = _index or _PageIndex(se, cd)
-    chords = []   # page k's chord ends and direction, pieces and span at k - 1
+    chords = []   # page k's chord ends and direction, the page and its span, at k - 1
     if cd.crossings:
         for k, chord in enumerate(cd.chords, 1):
             a, b = index.boundary[chord.ends[0]], index.boundary[chord.ends[1]]
-            found = index.pieces(k)
+            page = index.page(k)
             chords.append((a, b, (b[0] * a[2] - a[0] * b[2], b[1] * a[2] - a[1] * b[2]),
-                           found, _span(found)))
+                           page, _span(page[0]) if page[5] else None))
     for (i, j) in cd.crossings:
-        (a, b, di, found_i, top), (c, d, dj, found_j, low) = chords[i - 1], chords[j - 1]
+        (a, b, di, page_i, top), (c, d, dj, page_j, low) = chords[i - 1], chords[j - 1]
         den = di[0] * dj[1] - di[1] * dj[0]
         if den == 0:
             problems.append(f"crossing ({i},{j}): chords parallel")
@@ -738,8 +742,8 @@ def check_crossing_order(se, cd, *, _index=None) -> VerificationReport:
         sign = 1 if den > 0 else -1
         ti = (sign * (w[0] * dj[1] - w[1] * dj[0]) * b[2], sign * den * c[2])
         tj = (sign * (w[0] * di[1] - w[1] * di[0]) * d[2], sign * den * a[2])
-        zi = _height_on_chord(found_i, ti)
-        zj = _height_on_chord(found_j, tj)
+        zi = _height_on_chord(page_i, ti)
+        zj = _height_on_chord(page_j, tj)
         if zi is None or zj is None:
             problems.append(f"crossing ({i},{j}): geometry missing over the crossing")
         elif not zi[0] * zj[1] < zj[0] * zi[1]:
@@ -752,19 +756,11 @@ def check_crossing_order(se, cd, *, _index=None) -> VerificationReport:
 
 def verify_stick_embedding(se, cd) -> VerificationReport:
     """Full exact certification bundle: the entries of check_simplicity,
-    check_projection and check_crossing_order, each as it reports alone.
-    Every stick end, boundary point and junction is converted once (see the
-    module docstring)."""
-    segs = [(s.a, s.b) for s in se.sticks]
-    try:
-        ends = [(_hom(a), _hom(b)) for a, b in segs]
-        junctions = {b: _hom(pt) for b, pt in se.junctions.items()}
-    except (ArithmeticError, AttributeError, TypeError, ValueError):
-        # a point that does not convert: each check converts its own, as alone
-        ends = junctions = None
-    index = _PageIndex(se, cd, ends)
-    report = check_simplicity(segs, _ends=ends)
-    report.merge(check_projection(se, cd, _index=index, _junctions=junctions))
+    check_projection and check_crossing_order, each as it reports alone,
+    all reading one _PageIndex (see the module docstring)."""
+    index = _PageIndex(se, cd)
+    report = check_simplicity([(s.a, s.b) for s in se.sticks], _index=index)
+    report.merge(check_projection(se, cd, _index=index))
     return report.merge(check_crossing_order(se, cd, _index=index))
 
 
@@ -774,7 +770,7 @@ def check_equilateral(emb) -> VerificationReport:
     emb needs: sticks (each with a, b, component, ja, jb), M, components
     (each with index, n_arcs, reduced).  Counts accept 2n for embeddings
     flagged unreduced and 2n - 1 after reduction; a stick of a component
-    not listed fails them.  An M that is not finite and positive, or a
+    not listed, or a component index listed twice, fails them.  An M that is not finite and positive, or a
     coordinate that is not finite, fails equilateral.input and nothing
     else is checked.
     """
@@ -796,8 +792,10 @@ def check_equilateral(emb) -> VerificationReport:
     report.add("equilateral.lengths", worst <= tol.length_rel,
                f"max relative length deviation {worst:.3e} vs {tol.length_rel:.0e}")
 
-    count_problems = []
     per_component = Counter(s.component for s in sticks)
+    listed = Counter(c.index for c in emb.components)
+    count_problems = [f"component {index} is listed {times} times"
+                      for index, times in listed.items() if times > 1]
     for comp in emb.components:
         have = per_component[comp.index]
         want = 2 * comp.n_arcs - 1 if comp.reduced else 2 * comp.n_arcs
@@ -805,7 +803,6 @@ def check_equilateral(emb) -> VerificationReport:
         if have != want:
             count_problems.append(
                 f"component {comp.index}: {have} sticks, expected {want}{note}")
-    listed = {c.index for c in emb.components}
     for index, have in per_component.items():
         if index not in listed:
             count_problems.append(f"component {index}: {have} sticks, not a listed component")

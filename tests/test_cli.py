@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +173,20 @@ def test_verify_rejects_stray_stick(tmp_path, capsys, command, stray, failing):
     assert [ln for ln in out.splitlines() if "FAIL" in ln] == [failing]
 
 
+def test_verify_rejects_repeated_component_index(tmp_path, capsys):
+    # two records of one component would match two presentation parts
+    path = tmp_path / "u.json"
+    code, _, _ = run(capsys, "build-eq", "catalog:unknot", "-o", str(path))
+    assert code == 0
+    doc = json.loads(path.read_text())
+    doc["components"].append(doc["components"][0])
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(path), "catalog:unlink(2)")
+    assert code == 1
+    assert [ln for ln in out.splitlines() if "FAIL" in ln] == \
+        ["equilateral.counts: FAIL  [component 0 is listed 2 times]"]
+
+
 @pytest.mark.parametrize("table, key, value, failing", [
     ("junctions", "99", ["0", "0", "1"],
      "projection.junctions: FAIL  [junction key 99 names no boundary point (the diagram has 5)]"),
@@ -309,13 +326,27 @@ def _trefoil_arc0(key, value):
     return doc
 
 
+def _trefoil_params(**params):
+    doc = presentation_to_doc(catalog("trefoil"))
+    doc["params"] = {**doc["params"], **params}
+    return doc
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"format": "stickforge/presentation/1", "graph": {"vertices": ["v"]}}, "'edges'"),
     ([1, 2], "malformed document"),
     (_trefoil_arc0("ends", [0, 1.5]), "arcs[0].ends[1]"),
     (_trefoil_arc0("ends", [0, 1, 2]), "arcs[0].ends"),
     (_trefoil_arc0("page", True), "arcs[0].page"),
-], ids=["no-edges", "not-an-object", "float-end", "three-ends", "boolean-page"])
+    (_trefoil_params(c=1.5, b=True, k=2.0, heuristic="yes"), "params.c"),
+    (_trefoil_params(c=3.0), "params.c"),
+    (_trefoil_params(b=True), "params.b"),
+    (_trefoil_params(k=1.0), "params.k"),
+    (_trefoil_params(k="1"), "params.k"),
+    (_trefoil_params(heuristic="yes"), "params.heuristic"),
+    (_trefoil_params(heuristic=1), "params.heuristic"),
+], ids=["no-edges", "not-an-object", "float-end", "three-ends", "boolean-page", "params-all",
+        "float-c", "boolean-b", "float-k", "string-k", "string-heuristic", "number-heuristic"])
 def test_validate_malformed_presentation_is_an_error_line(tmp_path, capsys, doc, field):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(doc))
@@ -346,6 +377,19 @@ def test_outside_number_is_one_error_line(capsys, monkeypatch, argv, seed, code_
     assert code == code_want
     assert out == ""
     assert err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("M", ["1e152", "1e200"])
+def test_build_eq_at_a_huge_M_stops_and_names_the_overflow(M):
+    # once M squares past the float range every rotation gap is infinite;
+    # the build must stop with one error line, not loop in its bisection
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = [sys.executable, "-m", "stickforge.cli", "build-eq", "catalog:trefoil", "-M", M]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 1 and proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: arc ") and "overflows floats" in line
 
 
 @pytest.mark.parametrize("argv, line", [

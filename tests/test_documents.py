@@ -105,6 +105,30 @@ def test_presentation_reader_lets_the_types_own_errors_through():
         presentation_from_doc(doc)
 
 
+@pytest.mark.parametrize("params, field", [
+    ({"c": 1.5, "b": True, "k": 2.0, "heuristic": "yes"}, "params.c must be an integer, found 1.5"),
+    ({"c": 3.0}, "params.c must be an integer, found 3.0"),
+    ({"b": True}, "params.b must be an integer, found True"),
+    ({"k": 1.0}, "params.k must be an integer, found 1.0"),
+    ({"k": None}, "params.k must be an integer, found None"),
+    ({"heuristic": "yes"}, "params.heuristic must be a boolean, found 'yes'"),
+    ({"heuristic": 0}, "params.heuristic must be a boolean, found 0"),
+])
+def test_presentation_params_are_read_typed(params, field):
+    doc = roundtrip(presentation_to_doc(catalog("trefoil")))
+    doc["params"].update(params)
+    with pytest.raises(DocumentError) as err:
+        presentation_from_doc(doc)
+    assert str(err.value) == field
+    # heuristic may be left out; c, b and k may not
+    del doc["params"]["heuristic"]
+    doc["params"].update(c=3, b=1, k=1)
+    assert presentation_from_doc(doc).params.heuristic is False
+    del doc["params"]["k"]
+    with pytest.raises(DocumentError, match="missing field 'k'"):
+        presentation_from_doc(doc)
+
+
 # ---------------------------------------------------------------------------
 # exact embeddings
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import random
 import re
@@ -552,8 +553,8 @@ HAND_BUILT = {
 
 @pytest.mark.parametrize("name", HAND_BUILT)
 def test_bundle_on_float_and_non_finite_coordinates(name):
-    # a point that does not convert sends the bundle through the checks
-    # alone, so it raises, or reports, as they do
+    # a point that does not convert raises in the bundle's shared index
+    # where it raises in the checks alone; the other cases report as alone
     cd, cases = _hand_built()
     se, want = cases[name], HAND_BUILT[name]
     if isinstance(want, type):
@@ -565,6 +566,37 @@ def test_bundle_on_float_and_non_finite_coordinates(name):
         entries = verify_stick_embedding(se, cd).entries
         assert [(e.check, e.passed, e.witness) for e in entries] == want
         assert entries == _checks_alone(se, cd)
+
+
+def test_exact_checks_share_one_index_in_any_order():
+    # the three checks on one _PageIndex, in every order, report as alone:
+    # every 20th exact build of tests/parity.py with its mutants, and the
+    # hand-built cases below, raising as alone where a point does not convert
+    orders = list(itertools.permutations(range(3)))
+
+    def shared(se, cd, order):
+        index = verifier._PageIndex(se, cd)
+        checks = (lambda: check_simplicity([(s.a, s.b) for s in se.sticks], _index=index),
+                  lambda: check_projection(se, cd, _index=index),
+                  lambda: check_crossing_order(se, cd, _index=index))
+        found = {x: checks[x]().entries for x in order}
+        return found[0] + found[1] + found[2]
+
+    builds = parity._exact_builds()
+    for idx in range(0, len(builds), 20):
+        se, cd = builds[idx]
+        for e in (se, *parity.exact_mutants(idx, se)):
+            alone = _checks_alone(e, cd)
+            assert all(shared(e, cd, order) == alone for order in orders)
+    cd, cases = _hand_built()
+    for name, se in cases.items():
+        want = HAND_BUILT[name]
+        for order in orders:
+            if isinstance(want, type):
+                with pytest.raises(want):
+                    shared(se, cd, order)
+            else:
+                assert shared(se, cd, order) == _checks_alone(se, cd), (name, order)
 
 
 def test_exact_conversion_work_guard(monkeypatch):
@@ -683,6 +715,17 @@ def test_equilateral_fault_injection_sweep():
         report = check_equilateral(emb)
         assert not report.ok
         assert report.failures()[0].witness
+
+
+def test_repeated_component_index_fails_counts():
+    # two records of one index: every count matches, but the index is
+    # claimed twice (the presentation check compares their arc counts)
+    emb = build_equilateral(validate_presentation(catalog("unknot")))
+    emb.components = [*emb.components, emb.components[0]]
+    entries = {e.check: e for e in check_equilateral(emb).entries}
+    assert (entries["equilateral.counts"].passed, entries["equilateral.counts"].witness) == \
+        (False, "component 0 is listed 2 times")
+    assert all(e.passed for name, e in entries.items() if name != "equilateral.counts")
 
 
 def test_tolerances_frozen_defaults():
