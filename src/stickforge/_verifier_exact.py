@@ -21,6 +21,11 @@ are parallel they meet only at p, and when they are, the segments overlap
 exactly when their directions from p agree.  A zero-length stick fails
 wherever it lies: against every other stick, and alone as well.
 
+_profile, _along and _family_ordered read the pages of a family, chords
+with the same two ends, as height profiles over the chord, for the verify
+bundle to settle simplicity without a sweep; the proof is in the
+verifier's module docstring.
+
 Like the verifier, this module imports no builder code.
 """
 
@@ -177,3 +182,43 @@ def _first_exact_failure(segs) -> str:
         kept.append(j)
         active = kept
     return witness
+
+
+def _profile(pieces, one, flip: bool):
+    """A tiled page with no vertical piece as its height profile: the nodes
+    (t, z) of its sorted pieces from chord parameter 0 to one, read from the
+    other chord end (t -> one - t) when flip, and one."""
+    order = sorted(pieces, key=lambda e: e[0][0])
+    nodes = [(t, z) for t, _, z in (order[0][0], *(e[1] for e in order))]
+    return ([(one - t, z) for t, z in reversed(nodes)] if flip else nodes), one
+
+
+def _along(profile, params):
+    """A profile's heights (n, d), d > 0, at the sorted chord parameters
+    p/q, 0 <= p/q <= 1, given as (p, q) with q > 0: one merge walk."""
+    nodes, one = profile
+    heights, i = [], 1
+    for p, q in params:
+        while nodes[i][0] * q < p * one:
+            i += 1
+        (t0, (z0, w0)), (t1, (z1, w1)) = nodes[i - 1], nodes[i]
+        ln, ld = p * one - t0 * q, (t1 - t0) * q
+        heights.append((z0 * w1 * ld + ln * (z1 * w0 - z0 * w1), w0 * w1 * ld))
+    return heights
+
+
+def _family_ordered(profiles) -> bool:
+    """Whether the profiles of one family lie strictly one above another at
+    every interior node: sorted by height at parameter 1/2, each adjacent
+    pair strictly, at the interior nodes of both, and not both straight
+    (the proof is in the verifier's module docstring)."""
+    order = sorted(profiles, key=lambda f: Fraction(*_along(f, [(1, 2)])[0]))
+    for lo, hi in zip(order, order[1:]):
+        if len(lo[0]) == len(hi[0]) == 2:
+            return False   # one straight segment between the same junctions, twice
+        for f, g, sign in ((lo, hi, 1), (hi, lo, -1)):
+            inner = f[0][1:-1]
+            for (_, (n, d)), (m, e) in zip(inner, _along(g, [(t, f[1]) for t, _ in inner])):
+                if sign * (m * d - n * e) <= 0:
+                    return False
+    return True

@@ -240,8 +240,9 @@ class MTooSmall(EquilateralError):
 
 
 class NoRotationSolution(EquilateralError):
-    """Bisection bracket failed (M is too small relative to the axis spread),
-    or a rotation gap overflowed floats."""
+    """Bisection bracket failed (M is too small relative to the axis spread).
+    A rotation gap that overflows floats raises a plain EquilateralError,
+    which build_parts does not retry: a larger M only overflows sooner."""
 
 
 class CertificateFailure(EquilateralError):
@@ -463,7 +464,7 @@ def reduce_top(emb: EquilateralEmbedding) -> EquilateralEmbedding:
             def gap(phi: float) -> float:
                 g = _dist(_free_end(pivot, diri, M, phi), hub) - M
                 if not math.isfinite(g):
-                    raise NoRotationSolution(f"arc {page}: the rotation gap overflows floats at M={M}")
+                    raise EquilateralError(f"arc {page}: the rotation gap overflows floats at M={M}")
                 return g
 
             g_lo, g_hi = gap(phi_start), gap(math.pi / 2.0)

@@ -35,11 +35,53 @@ comparison and every printed height as it was.
 
 verify_stick_embedding hands the three checks one _PageIndex of the
 embedding; alone, projection and crossing order build their own, and
-simplicity converts its segments itself.  The index converts a stick end
-or junction to homogeneous form the first time a check reads it, settles
-each page's pieces, and whether they tile its chord, on first use, and
-keeps both.  A point converts, or raises, the same wherever it is read, so
-the bundle reports or raises as the checks alone do, in any order.
+simplicity sweeps its segments.  The index converts a stick end or
+junction to homogeneous form the first time a check reads it, settles each
+page's pieces, and whether they tile its chord, on first use, and keeps
+both.  A point converts, or raises, the same wherever it is read, so the
+bundle reports or raises as the checks alone do, in any order.
+
+The bundle runs simplicity last, and settles it from the diagram, with no
+pair sweep, when every coordinate is rational, projection and crossing
+order have passed on the index, no piece is vertical (t0 = t1, as for a
+zero-length stick) and every family is ordered as below.  Otherwise it
+sweeps as alone, so every failing entry and witness comes from the sweep.
+Under those conditions each stick lies over its page's chord on a
+parameter interval of positive length, one point over each parameter, and
+two sticks meet only where their shadows meet:
+- Same page: sorted, the pieces tile the chord, so two of them share at
+  most the parameter where one ends and the next starts, and the chain
+  makes that one 3D point, an end of both.
+- Chords that cross: they meet at one point, inside both, where each page
+  has one height, and crossing order has shown the lower page strictly
+  below the upper there.
+- Chords that share exactly one end: they meet only over that boundary
+  point (three points of a circle are never collinear), where both pages
+  end at its one junction, an end of the one stick of each page there.
+- A family, chords with the same two ends: each page's height is
+  piecewise linear in the chord parameter s, read from one boundary point
+  of the family (at 1 - s for a member whose chord lists its ends the
+  other way; parameters are integers on each page's own scale one), and
+  every member takes the two junctions' heights at s = 0 and 1.  If one
+  member lies strictly below another at every interior breakpoint of
+  either, it lies strictly below on the whole open chord: between
+  neighbouring breakpoints, or a breakpoint and an end, both are linear,
+  and the gap is positive at one end and at least 0 at the other.  So the
+  members are sorted by height at s = 1/2, and each adjacent pair is
+  tested at the interior breakpoints of both; strict order is transitive,
+  so that orders the whole family, in O(k log k + breakpoints) for k
+  members instead of C(k, 2) pair tests.  A tie at 1/2 fails at some
+  breakpoint by the same argument, and a pair with no interior breakpoint
+  is one straight segment twice; either falls back to the sweep.
+- Any other pair: the chords' four ends are distinct and do not
+  interleave on the circle, so the chords, and the shadows on them, are
+  disjoint.
+This trusts cd exactly as far as crossing order already does: its
+crossings are the pairs of chords whose ends interleave, and its boundary
+points are distinct and lie on the circle in cyclic order.  It is the
+open-book fact that arcs on distinct pages meet only in the binding
+(Cromwell, "Embedding knots and links in an open book I", 1995), read in
+projection.
 
 The float checks fail any coordinate or scale that is not finite, and a
 length scale that is not positive, before they measure anything.  Then
@@ -155,7 +197,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._verifier_exact import _cross, _dot, _first_exact_failure, _hom
+from ._verifier_exact import _cross, _dot, _family_ordered, _first_exact_failure, _hom, _profile
 
 
 @dataclass(frozen=True)
@@ -470,14 +512,16 @@ def check_simplicity(segments, scale: float | None = None, *, _index=None) -> Ve
     A list that mixes the two fails, and so does a float coordinate or scale
     that is not finite, or a scale that is not positive.  _index is
     verify_stick_embedding's _PageIndex of the embedding whose sticks the
-    segments are, which changes no result.
+    segments are, which changes no result: once projection and crossing
+    order have passed on it, a rational PASS may come from the diagram
+    without a sweep (see the module docstring).
     """
     segs = [(tuple(a), tuple(b)) for a, b in segments]
     report = VerificationReport()
     rational = [isinstance(c, (Fraction, int)) for a, b in segs for c in a + b]
     if all(rational):
-        ends = _index.ends() if _index else [(_hom(a), _hom(b)) for a, b in segs]
-        witness = _first_exact_failure(ends)
+        witness = "" if _index and _index.settles_simplicity() else _first_exact_failure(
+            _index.ends() if _index else [(_hom(a), _hom(b)) for a, b in segs])
         report.add("simplicity", not witness,
                    witness or f"{len(segs)} sticks pairwise disjoint away from junctions")
         return report
@@ -570,10 +614,12 @@ class _PageIndex:
     """The one view of se over cd that the exact checks read: the sticks of
     each page, grouped in one pass, and the boundary points in homogeneous
     form.  A stick's ends and a junction are converted the first time a check
-    reads them, and a page is settled on first use; all of it is kept."""
+    reads them, and a page is settled on first use; all of it is kept.
+    passed holds the names of the checks that passed on this index."""
 
     def __init__(self, se, cd):
         self.se, self.cd = se, cd
+        self.passed: set = set()
         self.boundary = [_hom(p) for p in cd.boundary]
         self.sticks: dict = {}   # page -> the indices of its sticks
         for i, s in enumerate(se.sticks):
@@ -626,6 +672,21 @@ class _PageIndex:
                 tiled = not tiling and all(steps)
             self._pages[k] = pieces, one, tiling, chains, ends, tiled
         return self._pages[k]
+
+    def settles_simplicity(self) -> bool:
+        """Whether the module docstring's proof gives simplicity: projection
+        and crossing order passed on this index, no piece is vertical, and
+        the pages of every family are strictly ordered."""
+        if self.passed != {"projection", "crossing-order"}:
+            return False
+        families: dict = {}
+        for chord in self.cd.chords:
+            pieces, one = self.page(chord.page)[:2]
+            if any(x[0] == y[0] for x, y in pieces):
+                return False   # a vertical piece, or a zero-length stick
+            families.setdefault(frozenset(chord.ends), []).append((pieces, one, chord.ends))
+        return all(_family_ordered([_profile(pieces, one, a > b) for pieces, one, (a, b) in f])
+                   for f in families.values() if len(f) > 1)
 
 
 def check_projection(se, cd, *, _index=None) -> VerificationReport:
@@ -683,6 +744,8 @@ def check_projection(se, cd, *, _index=None) -> VerificationReport:
     height_problems.extend(f"page {k} has a height but no chord in the diagram"
                            for k in se.heights if k not in pages)
     report.add("projection.heights", not height_problems, "; ".join(height_problems[:3]))
+    if report.ok:
+        index.passed.add("projection")
     return report
 
 
@@ -751,17 +814,21 @@ def check_crossing_order(se, cd, *, _index=None) -> VerificationReport:
                             f" not under page {j} at {Fraction(*zj)}")
     report.add("crossing-order", not problems,
                "; ".join(problems[:3]) if problems else f"{len(cd.crossings)} crossings ordered")
+    if not problems:
+        index.passed.add("crossing-order")
     return report
 
 
 def verify_stick_embedding(se, cd) -> VerificationReport:
     """Full exact certification bundle: the entries of check_simplicity,
     check_projection and check_crossing_order, each as it reports alone,
-    all reading one _PageIndex (see the module docstring)."""
+    all reading one _PageIndex.  Simplicity runs last, so that it can be
+    settled from the other two (see the module docstring)."""
     index = _PageIndex(se, cd)
+    projection = check_projection(se, cd, _index=index)
+    order = check_crossing_order(se, cd, _index=index)
     report = check_simplicity([(s.a, s.b) for s in se.sticks], _index=index)
-    report.merge(check_projection(se, cd, _index=index))
-    return report.merge(check_crossing_order(se, cd, _index=index))
+    return report.merge(projection).merge(order)
 
 
 def check_equilateral(emb) -> VerificationReport:

@@ -139,6 +139,21 @@ def test_component_exhausted_retries_reraise(monkeypatch):
         build_equilateral(vp_of("unknot"), M=0.51)
 
 
+def test_overflowing_rotation_gap_is_not_retried(monkeypatch):
+    # a larger M only overflows sooner, so the build stops at the M given
+    calls = []
+
+    def counted(vp, M, component=0):
+        calls.append(M)
+        return build_component(vp, M, component=component)
+
+    monkeypatch.setattr(equilateral_builder, "build_component", counted)
+    with pytest.raises(EquilateralError, match=r"overflows floats at M=1e\+200$") as err:
+        build_equilateral(vp_of("trefoil"), M=1e200)
+    assert type(err.value) is EquilateralError
+    assert calls == [1e200]
+
+
 # ---------------------------------------------------------------------------
 # full single-component builds
 

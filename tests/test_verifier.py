@@ -627,6 +627,119 @@ def test_exact_conversion_work_guard(monkeypatch):
             assert calls["verify"] <= 2 * len(se.sticks) + cd.m + len(se.junctions)
 
 
+def _count_sweeps(monkeypatch):
+    """Count the exact simplicity sweeps that check_simplicity runs."""
+    calls = []
+    real = verifier._first_exact_failure
+
+    def counted(segs):
+        calls.append(len(segs))
+        return real(segs)
+    monkeypatch.setattr(verifier, "_first_exact_failure", counted)
+    return calls
+
+
+def test_passing_builds_settle_simplicity_without_a_sweep(monkeypatch):
+    # the 240 exact builds of tests/parity.py, theta_trivial(2..64) among
+    # them, pass with no pair sweep; a mutant that fails projection or
+    # crossing order is swept as alone
+    calls = _count_sweeps(monkeypatch)
+    for idx, (se, cd) in enumerate(parity._exact_builds()):
+        calls.clear()
+        assert verify_stick_embedding(se, cd).ok
+        assert calls == [], idx
+        for e in parity.exact_mutants(idx, se):
+            calls.clear()
+            entries = verify_stick_embedding(e, cd).entries
+            if not all(x.passed for x in entries[1:]):
+                assert len(calls) == 1, idx
+    se, _ = parity._exact_builds()[0]
+    calls.clear()
+    assert check_simplicity([(s.a, s.b) for s in se.sticks]).ok
+    assert len(calls) == 1   # alone, simplicity sweeps
+
+
+def _theta_family(pages, flipped=()):
+    """theta_trivial(3) drawn by hand: page k runs from junction 0 through
+    the points (0, y, z) of pages[k - 1] to junction 1, and the chords of
+    the pages in flipped list their ends the other way round."""
+    cd = to_circular(validate_presentation(catalog("theta_trivial(3)")))
+    se = build(cd)
+    sticks = []
+    for k, inner in enumerate(pages, 1):
+        pts = [se.junctions[0], *((F(0), F(y), F(z)) for y, z in inner), se.junctions[1]]
+        sticks += [stick_builder.Stick(a, b, k, f"e{k}", "whole") for a, b in zip(pts, pts[1:])]
+    chords = tuple(replace(c, ends=c.ends[::-1]) if c.page in flipped else c for c in cd.chords)
+    return replace(se, sticks=tuple(sticks)), replace(cd, chords=chords)
+
+
+def _page_3_at_the_crossing(vertical: bool):
+    """The trefoil's build with page 3 bent over its crossing with page 2,
+    which lies flat at height 2.  Either page 3 comes down to height 2
+    there and touches page 2, so crossing order fails, or it comes down to
+    3/2 and a vertical stick takes it back up to the page; then the piece
+    above the crossing is listed first, so crossing order, which reads
+    pieces in stick order, passes."""
+    se, cd = trefoil_build()
+    (p, q), (r, s) = (cd.boundary[e] for e in cd.chords[1].ends), (cd.boundary[e] for e in cd.chords[2].ends)
+    u = ((r[0] - p[0]) * (s[1] - r[1]) - (r[1] - p[1]) * (s[0] - r[0])) / (
+        (q[0] - p[0]) * (s[1] - r[1]) - (q[1] - p[1]) * (s[0] - r[0]))
+    x, y = p[0] + u * (q[0] - p[0]), p[1] + u * (q[1] - p[1])
+    old = se.sticks[2]
+    assert old.page == 3 and old.a[:2] == r and old.b[:2] == s and se.sticks[1].a[2] == 2
+    if not vertical:
+        new = (replace(old, b=(x, y, F(2))), replace(old, a=(x, y, F(2))))
+    else:
+        v = (x - r[0]) / (s[0] - r[0])
+        top, low = (x, y, old.a[2] + v * (old.b[2] - old.a[2])), (x, y, F("3/2"))
+        assert top[2] > 2
+        new = (replace(old, a=top), replace(old, a=low, b=top), replace(old, b=low))
+    return replace(se, sticks=se.sticks[:2] + new + se.sticks[3:]), cd
+
+
+SETTLE_CASES = {
+    # a family member touching another at one of its breakpoints
+    "tied": lambda: _theta_family([[], [(0, 2)], [("3/4", "5/2"), ("1/2", "3/2"), (0, 3)]]),
+    # a member above the other at parameter 1/4 and below it at 3/4
+    "swapped": lambda: _theta_family([[], [(0, 2)], [("1/2", 3), ("-1/2", "5/4")]]),
+    # two whole sticks on one chord: equal tops, so projection.heights fails
+    "identical": lambda: _theta_family([[], [], [(0, 3)]]),
+    "vertical": lambda: _page_3_at_the_crossing(vertical=True),
+    "touching": lambda: _page_3_at_the_crossing(vertical=False),
+    "zero-length": lambda: _theta_family([[], [(0, 2), (0, 2)], [(0, 3)]]),
+    # page 3's chord runs from junction 1: its apex lies at parameter 1/4
+    # read from there, so it crosses page 2, whose apex lies at 1/4
+    "flipped-swapped": lambda: _theta_family([[], [("1/2", 2)], [("-1/2", 3)]], flipped={3}),
+    "flipped-ordered": lambda: _theta_family([[], [("1/2", 2)], [("1/2", 3)]], flipped={3}),
+}
+
+
+@pytest.mark.parametrize("name", SETTLE_CASES)
+def test_bundle_settles_simplicity_as_the_sweep_reports(monkeypatch, name):
+    # each case but "identical" and "touching" passes projection and
+    # crossing order, so the bundle reaches the settle path; there it must
+    # report what the checks alone report, witness included, and sweep
+    # unless it settles
+    se, cd = SETTLE_CASES[name]()
+    alone = _checks_alone(se, cd)
+    failed = {"identical": ["projection.heights"], "touching": ["crossing-order"]}.get(name, [])
+    assert [e.check for e in alone[1:] if not e.passed] == failed
+    assert alone[0].passed == (name == "flipped-ordered")
+    calls = _count_sweeps(monkeypatch)
+    assert verify_stick_embedding(se, cd).entries == alone
+    assert len(calls) == (0 if alone[0].passed else 1)
+
+
+def test_family_order_needs_a_breakpoint():
+    # two straight chords between the same junctions are one segment
+    # twice; a tie at parameter 1/2 fails at a breakpoint
+    straight = ([(0, (1, 1)), (1, (1, 1))], 1)
+    apex = [([(0, (1, 1)), (1, (z, 1)), (2, (1, 1))], 2) for z in (2, 3, 3)]
+    assert not _verifier_exact._family_ordered([straight, straight])
+    assert _verifier_exact._family_ordered([straight, *apex[:2]])
+    assert not _verifier_exact._family_ordered(apex)
+
+
 # ---------------------------------------------------------------------------
 # float-mode unit checks
 
