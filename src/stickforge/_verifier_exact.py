@@ -185,9 +185,9 @@ def _first_exact_failure(segs) -> str:
 
 
 def _profile(pieces, one, flip: bool):
-    """A tiled page with no vertical piece as its height profile: the nodes
-    (t, z) of its sorted pieces from chord parameter 0 to one, read from the
-    other chord end (t -> one - t) when flip, and one."""
+    """A tiled page with no vertical piece as its height profile (nodes,
+    one): the nodes (t, z) of its sorted pieces from chord parameter 0 to
+    one, read from the other chord end (t -> one - t) when flip."""
     order = sorted(pieces, key=lambda e: e[0][0])
     nodes = [(t, z) for t, _, z in (order[0][0], *(e[1] for e in order))]
     return ([(one - t, z) for t, z in reversed(nodes)] if flip else nodes), one
