@@ -1,0 +1,431 @@
+"""The float pair culls of equilateral_builder.tolerance_report, and the
+float vector helpers they share with its motion certificate.
+
+tolerance_report measures only the stick pairs that could hold the least
+clearance, and its minimum is that of every pair, float for float.  It
+splits the frame by what moved (_split_pairs, below), and falls back to
+_near_pairs over every pair when the split cannot settle the minimum.
+Each pair is measured once, lower index first, because
+equilateral_builder._seg_distance is not symmetric to the last bit.  Write
+u = 2^-53, let C be the largest coordinate magnitude, and assume no
+overflow or underflow.
+
+_near_pairs.  Let m be the least distance measured so far and
+pad = m + SNAP_REL (C + m).  Each stick is cut at fixed fractions into
+pieces, each piece gets the closed box of its computed ends, and a sweep
+in z measures a pair of sticks only when some box of one lies within pad
+of some box of the other in x, y and z.
+- A computed cut point a + t (b - a) lies within 6uC of the true point in
+  every coordinate, so every point of a stick lies within 6uC of one of
+  its boxes.
+- A box test fails only when a computed bound such as lo - pad lies past
+  the other box's bound, and the rounding of that sum is below
+  2u (C + pad).  So the two sticks lie more than pad - 2u (C + pad) - 12uC
+  apart, and pad itself is computed to within 3u (C + m).
+- _seg_distance returns the computed length of cp1 - cp2, where
+  cp1 = p + sc (q - p) and cp2 = r + tc (s - r) with sc, tc clamped to
+  [0, 1]: each lies within 6uC of a point of its stick in every
+  coordinate, and the length is off by under 5u of itself, so the result
+  is at least the true distance less 40uC.
+All of it is below 100u (C + m), and the margin SNAP_REL (C + m) is over
+10^4 times more, so a skipped pair measures more than m.  m only falls, so
+a piece the sweep drops once is past every later box as well, and the
+least distance is measured.
+
+Which pairs go through is chosen from the input.  Unless the boxes of the
+whole sticks all lie within _SHORTEST times the longest stick of each
+other (the length of its shortest piece), the sticks adjacent in z order
+whose boxes meet are measured first, for a first m, and the sweep takes
+the rest.  assemble_split places parts at least M apart in x, so that
+first bound takes no pair across parts, and once m is below M the sweep
+measures none either.
+
+When the sticks do crowd one spot, pieces cannot prune them (theta-fan,
+where every stick reaches the axis point bp0 or the hub), and the fan cull
+(_fan_pairs) takes over, with t = m + SNAP_REL (C + m) in place of pad.  A
+center is the point that the most ends of the sticks still left share
+exactly, and at least three must share it.  The sticks with an end at the
+center are its rays; the others stay for the next center, and the pairs
+that no center holds are all measured.  So each pair is decided once, at
+the first center that holds one of its sticks.
+- Two rays meet at the center.  When their ends there carry one key they
+  share a junction, visit would skip them, and they are skipped; the other
+  pairs of rays are measured.
+- A ray and a stick that stays: seen from the center F, the ray's
+  directions are the unit d to its far end (any direction when it has no
+  length: d = 0 then, at angle 0 to everything), and the stick's lie
+  within h of a unit c (_cone, as equilateral_builder._horizon gives them)
+  at distance r or more from F.  By the certificate's bound (for x on a
+  ray from F and y at angle g from it, |x - y| >= |y - F| sin g when
+  g <= pi/2, and |y - F| beyond; see equilateral_builder), the pair is at
+  least B = r sin(min(max(angle(d, c) - h, 0), pi/2)) apart (_ray_bound),
+  and it is measured when B <= t.
+- B is not computed for every such pair.  Let Z be the unit along the sum
+  of the rays' d, and X, Y complete an orthonormal frame.  A unit d has
+  height z = d . Z, distance s = |(d . X, d . Y)| from the axis and azimuth
+  psi.  The rays with s at least half the largest form the band, sorted by
+  psi; the others are bounded against every stick that stays.  For d in the
+  band and c at height zc, distance sc and azimuth gap g from d,
+  |d - c|^2 = (z - zc)^2 + (s - sc)^2 + 4 s sc sin^2(g/2).  With s in
+  [slo, shi] and z in [zlo, zhi] over the band, and ds, dz the distances
+  of sc and zc from those ranges, |d - c| >= chi(g) =
+  sqrt(dz^2 + ds^2 + 4 slo sc sin^2(g/2)), so angle(d, c) =
+  2 asin(|d - c|/2) >= 2 asin(chi(g)/2), and every ray of the band at gap
+  g or more from c, up to pi, has B >= L(g) = r sin(min(max(2 asin(chi(g)/2)
+  - h, 0), pi/2)), which grows with g.  Each stick that stays walks the band
+  from its own azimuth both ways, computing B ray by ray, and stops a way
+  at the first ray past gap pi, or with B > t and L > t there: every ray
+  further that way lies as far.  The two ways share one count of rays, so
+  no ray is taken twice, and a ray past pi one way lies within pi the
+  other.
+m only falls, so a pair dropped against an earlier t lies above the final
+m.  Rounding: every point lies within 2C of F in each coordinate, so
+r < 4C.  Each computed unit lies within 4u of the direction it stands for,
+c within 2e-12 (the cone is used only where _horizon trusts it), h and
+every atan2 angle within 10u, so B is off by under 4C (3e-12).  chi is
+built from dot products and hypot, each within a few u, and from the gap
+g, off by under 12u/s + 12u/sc, which moves 2 sqrt(slo sc) sin(g/2) by
+under q min(1, 8u/slo + 8u/sc), q = 2 sqrt(slo sc); the walk takes that
+allowance and 16u more off chi before asin, so the computed L lies below
+the true one, up to 4C (100u).  SNAP_REL (C + m) is far above both, so a
+dropped pair lies more than m apart.  On theta_trivial(32) the cull
+measures 242 of the 1,953 pairs.
+
+_split_pairs.  The reduction moves only the swept sticks: the sticks of
+each component's recorded moves, and its joiners.  Every other stick
+stands where build_tents put it, from an axis point out to an apex in its
+arc's page, so the pairs of two unmoved sticks are bounded all at once,
+from their coordinates; the tags choose the split and nothing else.
+- Shape.  An unmoved stick must have exactly one end p on the axis
+  (x = y = 0 exactly); its other end q then sets the half-plane it lies
+  in, at azimuth psi = atan2(qy, qx), and its angle theta from the
+  horizontal, cos theta = rho / |q - p| with rho = hypot(qx, qy) and
+  |q - p| = hypot(qx, qy, qz - pz).
+- For points x, y at distances rx, ry from the axis in half-planes an
+  angle g <= pi apart, |x - y|^2 = dz^2 + (rx - ry)^2 + 4 rx ry sin^2(g/2),
+  which is at least sin^2(g/2) (dz^2 + (rx + ry)^2): sin^2(g/2) times the
+  squared distance, in x's half-plane drawn as a plane, from x to y
+  mirrored across the axis.  The segment from x to mirrored y crosses the
+  axis at some w, and the distance from w to a stick with its axis end at
+  height z0 is at least that to the stick's line, |zw - z0| cos theta.  So
+  two sticks with axis ends at heights z0, z1 lie at least
+  sin(g/2) min(cos theta) |z0 - z1| apart.
+- Two unmoved sticks whose keys are disjoint have different keys at their
+  axis ends, and so lie at least B = sin(gmin/2) cos(theta_max) dzmin
+  apart (_unmoved_bound): gmin is the least gap on the circle between the
+  distinct azimuths, which is at most pi once there are two; theta_max is
+  the steepest unmoved stick; dzmin is the least gap between axis ends
+  with different keys, taken between neighbours in height order.  Sticks
+  at one azimuth must share a key, as the two sticks of a tent share
+  their apex.  With one azimuth, or one axis key, no such pair is left
+  and B is infinite.
+- _swept_pairs measures every pair that holds a swept stick, row by row,
+  in ascending order of the gap between the boxes of the whole sticks
+  (the largest of lo' - hi and lo - hi' over x, y and z), and stops at the
+  first gap above m + SNAP_REL (C + m), m the least distance measured so
+  far.  A stick lies in the box of its computed ends, so a pair is at
+  least its true gap apart, and the computed gap is within 2uC of it.
+The split stands when B > m + SNAP_REL (C + m), m the swept minimum.  It
+falls back when an unmoved stick fails the shape, two unmoved sticks at
+one azimuth share no key, B does not clear, or fewer than two sticks did
+not move, so that every pair holds a swept stick (theta-fan, where the
+fan cull is the faster).  Rounding: each atan2 is within 2 ulps of pi, so
+every gap, the wrap 2 pi - (last - first) included, is within 40u of the
+true one and sin(g/2) within 25u; cos theta is within 6u of itself and
+dzmin within u, so B is within 70uC of the true bound.  With the 40uC of
+_seg_distance, 2uC of a gap and 3u (C + m) of the margin, a skipped pair
+measures more than m, far inside SNAP_REL (C + m).  So the split's
+minimum is that of every pair, float for float.  Over the four
+random-large frames it measures 1,204 of the 2,688 pairs that hold a swept
+stick, and none of the 98,365 junction-disjoint pairs of two unmoved
+sticks.
+"""
+
+from __future__ import annotations
+
+import math
+from bisect import bisect_left
+from collections import Counter
+from itertools import combinations, groupby
+
+V3 = tuple[float, float, float]
+
+SNAP_REL = 1e-9
+# where _near_pairs cuts each stick into pieces (see the module docstring)
+_CUTS = (0.125, 0.25, 0.5, 0.75, 0.875)
+_SHORTEST = min(b - a for a, b in zip((0.0, *_CUTS), (*_CUTS, 1.0)))
+
+
+def _vsub(a: V3, b: V3) -> V3:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _norm(a: V3) -> float:
+    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+
+
+def _dist(a: V3, b: V3) -> float:
+    return _norm(_vsub(a, b))
+
+
+def _dot(a: V3, b: V3) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: V3, b: V3) -> V3:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _unit(a: V3) -> V3:
+    n = _norm(a)
+    return (a[0] / n, a[1] / n, a[2] / n)
+
+
+def _angle(u: V3, v: V3) -> float:
+    """Angle between unit vectors, accurate near 0 and pi."""
+    return math.atan2(_norm(_cross(u, v)), _dot(u, v))
+
+
+def _point_distance(F: V3, r: V3, s: V3) -> float:
+    """_seg_distance(F, F, r, s), float for float."""
+    d2, w = _vsub(s, r), _vsub(F, r)
+    c = d2[0] ** 2 + d2[1] ** 2 + d2[2] ** 2
+    tc = min(max(_dot(d2, w) / c, 0.0), 1.0) if c > 0 else 0.0
+    return _dist(F, (r[0] + tc * d2[0], r[1] + tc * d2[1], r[2] + tc * d2[2]))
+
+
+def _cone(F: V3, pa: V3, pb: V3):
+    """(r, arc, c, h) of the segment pa pb seen from F, as _horizon
+    describes them."""
+    r = _point_distance(F, pa, pb)
+    va, vb = _vsub(pa, F), _vsub(pb, F)
+    if _norm(va) == 0.0 or _norm(vb) == 0.0:
+        return r, None, (0.0, 0.0, 1.0), math.pi   # h = pi: any c will do
+    a, b = _unit(va), _unit(vb)
+    n = _cross(a, b)
+    thin = _norm(n) < 1e-3    # near a pole the normal carries rounding error
+    ab = _angle(a, b)
+    arc = (a, b, None if thin else _unit(n), ab)
+    if thin and _dot(a, b) < 0.0:
+        return r, arc, a, math.pi
+    return r, arc, _unit((a[0] + b[0], a[1] + b[1], a[2] + b[2])), ab / 2
+
+
+def _boxes(segs):
+    """The closed box (zlo, zhi, xlo, xhi, ylo, yhi, i) of every piece of
+    every stick i, cut at _CUTS, sorted by zlo."""
+    boxes = []
+    for i, (a, b) in enumerate(segs):
+        d = _vsub(b, a)
+        ends = [a, *((a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2]) for t in _CUTS), b]
+        for p, q in zip(ends, ends[1:]):
+            boxes.append((min(p[2], q[2]), max(p[2], q[2]), min(p[0], q[0]), max(p[0], q[0]),
+                          min(p[1], q[1]), max(p[1], q[1]), i))
+    boxes.sort()
+    return boxes
+
+
+def _near_pairs(segs, ends, visit) -> float:
+    """Call visit(i, ks) for rows of pairs (i, k), k in ks, each k > i, that
+    hold every pair of segs that could lie within m of each other, each
+    pair once, and return m: the least value visit returned, or inf.  visit
+    returns the least distance it measures over its row, or inf, and skips
+    every pair whose sticks share a key of ends, which holds the keys of
+    each stick's ends a and b.  The module docstring proves that no skipped
+    pair comes that close."""
+    n = len(segs)
+    least = math.inf
+    if n < 2:
+        return least
+    lo = [tuple(map(min, a, b)) for a, b in segs]
+    hi = [tuple(map(max, a, b)) for a, b in segs]
+    spread = max(max(p[c] for p in lo) - min(q[c] for q in hi) for c in range(3))
+    size = max(abs(c) for a, b in segs for c in a + b)
+    if spread <= _SHORTEST * max(_dist(a, b) for a, b in segs):
+        return _fan_pairs(segs, ends, visit, size)   # pieces cannot prune (theta-fan)
+    seen = set()
+    # a first bound: sticks adjacent in z order whose boxes meet
+    order = sorted(range(n), key=lambda i: lo[i][2])
+    for u, v in zip(order, order[1:]):
+        if all(lo[v][c] <= hi[u][c] and lo[u][c] <= hi[v][c] for c in range(3)):
+            i, k = (u, v) if u < v else (v, u)
+            seen.add(i * n + k)
+            d = visit(i, (k,))
+            if d < least:
+                least = d
+    m = least
+    pad = m + SNAP_REL * (size + m)
+    active: list[tuple] = []
+    for box in _boxes(segs):
+        zlo, _, xlo, xhi, ylo, yhi, j = box
+        cut = zlo - pad
+        active = [o for o in active if o[1] >= cut]
+        xl, xh, yl, yh = xlo - pad, xhi + pad, ylo - pad, yhi + pad
+        for o in [o for o in active if o[2] <= xh and xl <= o[3] and o[4] <= yh and yl <= o[5]]:
+            i, k = (o[6], j) if o[6] < j else (j, o[6])
+            if i != k and i * n + k not in seen:
+                seen.add(i * n + k)
+                d = visit(i, (k,))
+                if d < least:
+                    least = d
+        if least < m:
+            m = least
+            pad = m + SNAP_REL * (size + m)
+        active.append(box)
+    return least
+
+
+def _ray_bound(d, r, c, h):
+    """r sin(min(max(angle(d, c) - h, 0), pi/2)), the cone bound between a
+    stick whose directions from a center are the unit d (any direction when
+    d = 0) and a stick at distance r from it whose directions lie within h
+    of the unit c."""
+    g = _angle(d, c) - h
+    return r * math.sin(min(g, math.pi / 2)) if g > 0.0 else 0.0
+
+
+def _fan_pairs(segs, ends, visit, size):
+    """_near_pairs by the fan cull of the module docstring; size is the
+    largest coordinate magnitude."""
+    least = t = math.inf
+    u = 2.0 ** -53
+
+    def see(i, k):
+        nonlocal least, t
+        d = visit(min(i, k), (max(i, k),))
+        if d < least:
+            least, t = d, d + SNAP_REL * (size + d)
+
+    rest = list(range(len(segs)))
+    while True:
+        count = Counter(p for i in rest for p in {*segs[i]})
+        F, most = max(count.items(), key=lambda e: e[1], default=(None, 0))
+        if most < 3:
+            break
+        groups = {}   # the rays of F by their key at F: (index, unit or 0)
+        for i in rest:
+            a, b = segs[i]
+            if F in (a, b):
+                v = _vsub(b if a == F else a, F)
+                groups.setdefault(ends[i][a != F], []).append((i, _unit(v) if _norm(v) else (0.0, 0.0, 0.0)))
+        rest = [i for i in rest if F not in segs[i]]
+        keyed = list(groups.values())
+        for x, group in enumerate(keyed):   # rays with different keys at F; the others share a junction
+            for other in keyed[x + 1:]:
+                for i, _ in group:
+                    for k, _ in other:
+                        see(i, k)
+        if not rest:
+            continue
+        # the frame: Z along the rays' summed direction, X and Y across it
+        rays = [ray for group in keyed for ray in group]
+        Z = tuple(map(sum, zip(*(d for _, d in rays))))
+        Z = _unit(Z) if _norm(Z) else (0.0, 0.0, 1.0)
+        X = _unit(_cross(Z, (0.0, 0.0, 1.0) if abs(Z[2]) < 0.5 else (1.0, 0.0, 0.0)))
+        Y = _cross(Z, X)
+        ring = [(math.atan2(_dot(d, Y), _dot(d, X)), math.hypot(_dot(d, X), _dot(d, Y)),
+                 _dot(d, Z), i, d) for i, d in rays]
+        top = max(f[1] for f in ring)
+        polar = [f for f in ring if not f[1] >= top / 2 > 0.0]   # near the axis, or no length
+        ring = sorted(f for f in ring if f[1] >= top / 2 > 0.0)
+        if ring:
+            psi, s, z, _, _ = zip(*ring)
+            slo, shi, zlo, zhi = min(s), max(s), min(z), max(z)
+        for k in rest:
+            r, _, c, h = _cone(F, *segs[k])
+            for *_, i, d in polar:
+                if _ray_bound(d, r, c, h) <= t:
+                    see(i, k)
+            if not ring:
+                continue
+            x, y, z = _dot(c, X), _dot(c, Y), _dot(c, Z)
+            sv, pv = math.hypot(x, y), math.atan2(y, x)
+            near = math.hypot(max(zlo - z, z - zhi, 0.0), max(slo - sv, sv - shi, 0.0))
+            q = 2.0 * math.sqrt(slo * sv)
+            slack = q * min(1.0, 8 * u / slo + 8 * u / max(sv, u)) + 16 * u
+            start, taken, n = bisect_left(psi, pv), 0, len(ring)
+            for step in (1, -1):
+                j = start - (step < 0)
+                while taken < n:
+                    g, _, _, i, d = ring[j % n]
+                    gap = (g - pv) * step + (0.0 if 0 <= j < n else 2 * math.pi)
+                    if gap > math.pi:
+                        break
+                    if _ray_bound(d, r, c, h) <= t:
+                        see(i, k)
+                    elif r * math.sin(min(max(2 * math.asin(min(1.0, max(
+                            math.hypot(near, q * math.sin(gap / 2)) - slack, 0.0) / 2)) - h, 0.0),
+                            math.pi / 2)) > t:
+                        break    # every ray further this way lies as far
+                    taken += 1
+                    j += step
+    return min([least, *(visit(i, rest[x + 1:]) for x, i in enumerate(rest[:-1]))])
+
+
+def _unmoved_bound(segs, ends, swept) -> float:
+    """B of the module docstring: a lower bound on the distance between any
+    two sticks of segs outside swept whose keys of ends are disjoint; 0
+    when one fails the shape test or two such sticks share an azimuth."""
+    moved = set(swept)
+    azimuths, axis, cos = [], [], 1.0
+    for i, (a, b) in enumerate(segs):
+        if i in moved:
+            continue
+        at_a = a[0] == 0.0 and a[1] == 0.0
+        if at_a == (b[0] == 0.0 and b[1] == 0.0):
+            return 0.0   # no end on the axis, or both
+        p, q = (a, b) if at_a else (b, a)
+        cos = min(cos, math.hypot(q[0], q[1]) / math.hypot(q[0], q[1], q[2] - p[2]))
+        azimuths.append((math.atan2(q[1], q[0]), i))
+        axis.append((p[2], ends[i][not at_a]))
+    psi = []
+    for az, group in groupby(sorted(azimuths), key=lambda e: e[0]):
+        if any({*ends[i]}.isdisjoint(ends[k]) for (_, i), (_, k) in combinations(group, 2)):
+            return 0.0
+        psi.append(az)
+    if len(psi) < 2:
+        return math.inf
+    gap = min(2 * math.pi - (psi[-1] - psi[0]), *(b - a for a, b in zip(psi, psi[1:])))
+    axis.sort()
+    dz = min((z1 - z0 for (z0, k0), (z1, k1) in zip(axis, axis[1:]) if k0 != k1), default=math.inf)
+    return math.sin(gap / 2) * cos * dz
+
+
+def _swept_pairs(segs, swept, size, visit) -> float:
+    """Call visit(i, (k,)), i < k, for every pair of segs that holds a stick
+    of swept and could lie within m of each other, in ascending order of
+    their box gap, and return m: the least value visit returned, or inf.
+    size is the largest coordinate magnitude (see the module docstring)."""
+    lo = [tuple(map(min, a, b)) for a, b in segs]
+    hi = [tuple(map(max, a, b)) for a, b in segs]
+    moved = set(swept)
+    rows = []
+    for j in swept:
+        (xl, yl, zl), (xh, yh, zh) = lo[j], hi[j]
+        rows += [(max(l[0] - xh, l[1] - yh, l[2] - zh, xl - h[0], yl - h[1], zl - h[2]),
+                  k if k < j else j, j if k < j else k)
+                 for k, (l, h) in enumerate(zip(lo, hi)) if k > j or k not in moved]
+    rows.sort()
+    least = pad = math.inf
+    for gap, i, k in rows:
+        if gap > pad:
+            break
+        d = visit(i, (k,))
+        if d < least:
+            least, pad = d, d + SNAP_REL * (size + d)
+    return least
+
+
+def _split_pairs(segs, ends, swept, visit) -> float | None:
+    """_near_pairs' least value of visit, split by the swept sticks (see the
+    module docstring): the pairs that hold one measured, the others bounded
+    at once.  None when the split cannot settle it, and the caller falls
+    back to _near_pairs."""
+    if len(segs) - len(swept) < 2:
+        return None   # every pair holds a swept stick
+    bound = _unmoved_bound(segs, ends, swept)
+    if not bound > 0.0:
+        return None
+    size = max(max(map(abs, a + b)) for a, b in segs)
+    least = _swept_pairs(segs, swept, size, visit)
+    return least if bound > least + SNAP_REL * (size + least) else None

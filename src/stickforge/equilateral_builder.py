@@ -123,112 +123,29 @@ F only when the slot shares F, and equals the trimmed clearance float for
 float.
 
 tolerance_report measures only the stick pairs that could hold the least
-clearance (_near_pairs), and its minimum is that of every pair, float for
-float.  Let m be the least distance measured so far, C the largest
-coordinate magnitude, and pad = m + SNAP_REL (C + m).  Each stick is cut at
-fixed fractions into pieces, each piece gets the closed box of its computed
-ends, and a sweep in z measures a pair of sticks only when some box of one
-lies within pad of some box of the other in x, y and z.  Write u = 2^-53
-and assume no overflow or underflow.
-- A computed cut point a + t (b - a) lies within 6uC of the true point in
-  every coordinate, so every point of a stick lies within 6uC of one of
-  its boxes.
-- A box test fails only when a computed bound such as lo - pad lies past
-  the other box's bound, and the rounding of that sum is below
-  2u (C + pad).  So the two sticks lie more than pad - 2u (C + pad) - 12uC
-  apart, and pad itself is computed to within 3u (C + m).
-- _seg_distance returns the computed length of cp1 - cp2, where
-  cp1 = p + sc (q - p) and cp2 = r + tc (s - r) with sc, tc clamped to
-  [0, 1]: each lies within 6uC of a point of its stick in every
-  coordinate, and the length is off by under 5u of itself, so the result
-  is at least the true distance less 40uC.
-All of it is below 100u (C + m), and the margin SNAP_REL (C + m) is over
-10^4 times more, so a skipped pair measures more than m.  m only falls, so
-a piece the sweep drops once is past every later box as well, and the
-least distance is measured.  Each pair is measured once, lower index
-first, because _seg_distance is not symmetric to the last bit.
-
-Which pairs go through is chosen from the input.  Unless the boxes of the
-whole sticks all lie within _SHORTEST times the longest stick of each
-other (the length of its shortest piece), the sticks adjacent in z order
-whose boxes meet are measured first, for a first m, and the sweep takes
-the rest (random-large).  assemble_split places parts at least M apart in
-x, so that first bound takes no pair across parts, and once m is below M
-the sweep measures none either.
-
-When the sticks do crowd one spot, pieces cannot prune them (theta-fan,
-where every stick reaches the axis point bp0 or the hub), and the fan cull
-(_fan_pairs) takes over, with t = m + SNAP_REL (C + m) in place of pad.  A
-center is the point that the most ends of the sticks still left share
-exactly, and at least three must share it.  The sticks with an end at the
-center are its rays; the others stay for the next center, and the pairs
-that no center holds are all measured.  So each pair is decided once, at
-the first center that holds one of its sticks.
-- Two rays meet at the center.  When their ends there carry one key they
-  share a junction, visit would skip them, and they are skipped; the other
-  pairs of rays are measured.
-- A ray and a stick that stays: seen from the center F, the ray's
-  directions are the unit d to its far end (any direction when it has no
-  length: d = 0 then, at angle 0 to everything), and the stick's lie
-  within h of a unit c (_cone, as _horizon gives them) at distance r or
-  more from F.  By the bound above, the pair
-  is at least B = r sin(min(max(angle(d, c) - h, 0), pi/2)) apart
-  (_ray_bound), and it is measured when B <= t.
-- B is not computed for every such pair.  Let Z be the unit along the sum
-  of the rays' d, and X, Y complete an orthonormal frame.  A unit d has
-  height z = d . Z, distance s = |(d . X, d . Y)| from the axis and azimuth
-  psi.  The rays with s at least half the largest form the band, sorted by
-  psi; the others are bounded against every stick that stays.  For d in the
-  band and c at height zc, distance sc and azimuth gap g from d,
-  |d - c|^2 = (z - zc)^2 + (s - sc)^2 + 4 s sc sin^2(g/2).  With s in
-  [slo, shi] and z in [zlo, zhi] over the band, and ds, dz the distances
-  of sc and zc from those ranges, |d - c| >= chi(g) =
-  sqrt(dz^2 + ds^2 + 4 slo sc sin^2(g/2)), so angle(d, c) =
-  2 asin(|d - c|/2) >= 2 asin(chi(g)/2), and every ray of the band at gap
-  g or more from c, up to pi, has B >= L(g) = r sin(min(max(2 asin(chi(g)/2)
-  - h, 0), pi/2)), which grows with g.  Each stick that stays walks the band
-  from its own azimuth both ways, computing B ray by ray, and stops a way
-  at the first ray past gap pi, or with B > t and L > t there: every ray
-  further that way lies as far.  The two ways share one count of rays, so
-  no ray is taken twice, and a ray past pi one way lies within pi the
-  other.
-m only falls, so a pair dropped against an earlier t lies above the final
-m.  Rounding: every point lies within 2C of F in each coordinate, so
-r < 4C.  Each computed unit lies within 4u of the direction it stands for,
-c within 2e-12 (the cone is used only where _horizon trusts it), h and
-every atan2 angle within 10u, so B is off by under 4C (3e-12).  chi is
-built from dot products and hypot, each within a few u, and from the gap
-g, off by under 12u/s + 12u/sc, which moves 2 sqrt(slo sc) sin(g/2) by
-under q min(1, 8u/slo + 8u/sc), q = 2 sqrt(slo sc); the walk takes that
-allowance and 16u more off chi before asin, so the computed L lies below
-the true one, up to 4C (100u).  SNAP_REL (C + m) is far above both, so a
-dropped pair lies more than m apart.  On theta_trivial(32) the cull
-measures 242 of the 1,953 pairs.
+clearance, and its minimum is that of every pair, float for float.  The
+culls, and the proofs that they lose nothing, are in _builder_culls, with
+the float vector helpers the certificate shares with them.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
 
+from ._builder_culls import (SNAP_REL, V3, _angle, _cone, _cross, _dist, _dot, _near_pairs,
+                             _norm, _split_pairs, _vsub)
 from .arc_presentation import ValidatedPresentation, equal_length_parts
-
-V3 = tuple[float, float, float]
 
 DEFAULT_M_FACTOR = 4.0
 AXIS_HUG_FRACTION = 1e-2      # e_1 free end ends up this * M from the axis
 BISECT_REL_TOL = 1e-12
 SWEEP_STEP_RAD = 1e-2
 CERT_CLEARANCE_REL = 1e-6
-SNAP_REL = 1e-9
 TRIM_FRACTION = 0.01          # clearances ignore this much of a stick at a shared junction
 MAX_RETRIES = 8
-# where tolerance_report cuts each stick into pieces (see the module docstring)
-_CUTS = (0.125, 0.25, 0.5, 0.75, 0.875)
-_SHORTEST = min(b - a for a, b in zip((0.0, *_CUTS), (*_CUTS, 1.0)))
 
 
 class EquilateralError(ValueError):
@@ -310,36 +227,6 @@ class EquilateralEmbedding:
     certificate: CertificateReport | None = None
 
 
-def _vsub(a: V3, b: V3) -> V3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _norm(a: V3) -> float:
-    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def _dist(a: V3, b: V3) -> float:
-    return _norm(_vsub(a, b))
-
-
-def _dot(a: V3, b: V3) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a: V3, b: V3) -> V3:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def _unit(a: V3) -> V3:
-    n = _norm(a)
-    return (a[0] / n, a[1] / n, a[2] / n)
-
-
-def _angle(u: V3, v: V3) -> float:
-    """Angle between unit vectors, accurate near 0 and pi."""
-    return math.atan2(_norm(_cross(u, v)), _dot(u, v))
-
-
 def _seg_distance(p: V3, q: V3, r: V3, s: V3) -> float:
     d1, d2, w = _vsub(q, p), _vsub(s, r), _vsub(p, r)
     a = d1[0] ** 2 + d1[1] ** 2 + d1[2] ** 2
@@ -362,14 +249,6 @@ def _seg_distance(p: V3, q: V3, r: V3, s: V3) -> float:
     cp1 = (p[0] + sc * d1[0], p[1] + sc * d1[1], p[2] + sc * d1[2])
     cp2 = (r[0] + tc * d2[0], r[1] + tc * d2[1], r[2] + tc * d2[2])
     return _dist(cp1, cp2)
-
-
-def _point_distance(F: V3, r: V3, s: V3) -> float:
-    """_seg_distance(F, F, r, s), float for float."""
-    d2, w = _vsub(s, r), _vsub(F, r)
-    c = d2[0] ** 2 + d2[1] ** 2 + d2[2] ** 2
-    tc = min(max(_dot(d2, w) / c, 0.0), 1.0) if c > 0 else 0.0
-    return _dist(F, (r[0] + tc * d2[0], r[1] + tc * d2[1], r[2] + tc * d2[2]))
 
 
 def _page_angle(page: int, n_arcs: int) -> float:
@@ -501,157 +380,6 @@ def _axis_label(stick: EStick) -> str:
 # certification
 
 
-def _boxes(segs):
-    """The closed box (zlo, zhi, xlo, xhi, ylo, yhi, i) of every piece of
-    every stick i, cut at _CUTS, sorted by zlo."""
-    boxes = []
-    for i, (a, b) in enumerate(segs):
-        d = _vsub(b, a)
-        ends = [a, *((a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2]) for t in _CUTS), b]
-        for p, q in zip(ends, ends[1:]):
-            boxes.append((min(p[2], q[2]), max(p[2], q[2]), min(p[0], q[0]), max(p[0], q[0]),
-                          min(p[1], q[1]), max(p[1], q[1]), i))
-    boxes.sort()
-    return boxes
-
-
-def _near_pairs(segs, ends, visit) -> float:
-    """Call visit(i, ks) for rows of pairs (i, k), k in ks, each k > i, that
-    hold every pair of segs that could lie within m of each other, each
-    pair once, and return m: the least value visit returned, or inf.  visit
-    returns the least distance it measures over its row, or inf, and skips
-    every pair whose sticks share a key of ends, which holds the keys of
-    each stick's ends a and b.  The module docstring proves that no skipped
-    pair comes that close."""
-    n = len(segs)
-    least = math.inf
-    if n < 2:
-        return least
-    lo = [tuple(map(min, a, b)) for a, b in segs]
-    hi = [tuple(map(max, a, b)) for a, b in segs]
-    spread = max(max(p[c] for p in lo) - min(q[c] for q in hi) for c in range(3))
-    size = max(abs(c) for a, b in segs for c in a + b)
-    if spread <= _SHORTEST * max(_dist(a, b) for a, b in segs):
-        return _fan_pairs(segs, ends, visit, size)   # pieces cannot prune (theta-fan)
-    seen = set()
-    # a first bound: sticks adjacent in z order whose boxes meet
-    order = sorted(range(n), key=lambda i: lo[i][2])
-    for u, v in zip(order, order[1:]):
-        if all(lo[v][c] <= hi[u][c] and lo[u][c] <= hi[v][c] for c in range(3)):
-            i, k = (u, v) if u < v else (v, u)
-            seen.add(i * n + k)
-            d = visit(i, (k,))
-            if d < least:
-                least = d
-    m = least
-    pad = m + SNAP_REL * (size + m)
-    active: list[tuple] = []
-    for box in _boxes(segs):
-        zlo, _, xlo, xhi, ylo, yhi, j = box
-        cut = zlo - pad
-        active = [o for o in active if o[1] >= cut]
-        xl, xh, yl, yh = xlo - pad, xhi + pad, ylo - pad, yhi + pad
-        for o in [o for o in active if o[2] <= xh and xl <= o[3] and o[4] <= yh and yl <= o[5]]:
-            i, k = (o[6], j) if o[6] < j else (j, o[6])
-            if i != k and i * n + k not in seen:
-                seen.add(i * n + k)
-                d = visit(i, (k,))
-                if d < least:
-                    least = d
-        if least < m:
-            m = least
-            pad = m + SNAP_REL * (size + m)
-        active.append(box)
-    return least
-
-
-def _ray_bound(d, r, c, h):
-    """r sin(min(max(angle(d, c) - h, 0), pi/2)), the cone bound between a
-    stick whose directions from a center are the unit d (any direction when
-    d = 0) and a stick at distance r from it whose directions lie within h
-    of the unit c."""
-    g = _angle(d, c) - h
-    return r * math.sin(min(g, math.pi / 2)) if g > 0.0 else 0.0
-
-
-def _fan_pairs(segs, ends, visit, size):
-    """_near_pairs by the fan cull of the module docstring; size is the
-    largest coordinate magnitude."""
-    least = t = math.inf
-    u = 2.0 ** -53
-
-    def see(i, k):
-        nonlocal least, t
-        d = visit(min(i, k), (max(i, k),))
-        if d < least:
-            least, t = d, d + SNAP_REL * (size + d)
-
-    rest = list(range(len(segs)))
-    while True:
-        count = Counter(p for i in rest for p in {*segs[i]})
-        F, most = max(count.items(), key=lambda e: e[1], default=(None, 0))
-        if most < 3:
-            break
-        groups = {}   # the rays of F by their key at F: (index, unit or 0)
-        for i in rest:
-            a, b = segs[i]
-            if F in (a, b):
-                v = _vsub(b if a == F else a, F)
-                groups.setdefault(ends[i][a != F], []).append((i, _unit(v) if _norm(v) else (0.0, 0.0, 0.0)))
-        rest = [i for i in rest if F not in segs[i]]
-        keyed = list(groups.values())
-        for x, group in enumerate(keyed):   # rays with different keys at F; the others share a junction
-            for other in keyed[x + 1:]:
-                for i, _ in group:
-                    for k, _ in other:
-                        see(i, k)
-        if not rest:
-            continue
-        # the frame: Z along the rays' summed direction, X and Y across it
-        rays = [ray for group in keyed for ray in group]
-        Z = tuple(map(sum, zip(*(d for _, d in rays))))
-        Z = _unit(Z) if _norm(Z) else (0.0, 0.0, 1.0)
-        X = _unit(_cross(Z, (0.0, 0.0, 1.0) if abs(Z[2]) < 0.5 else (1.0, 0.0, 0.0)))
-        Y = _cross(Z, X)
-        ring = [(math.atan2(_dot(d, Y), _dot(d, X)), math.hypot(_dot(d, X), _dot(d, Y)),
-                 _dot(d, Z), i, d) for i, d in rays]
-        top = max(f[1] for f in ring)
-        polar = [f for f in ring if not f[1] >= top / 2 > 0.0]   # near the axis, or no length
-        ring = sorted(f for f in ring if f[1] >= top / 2 > 0.0)
-        if ring:
-            psi, s, z, _, _ = zip(*ring)
-            slo, shi, zlo, zhi = min(s), max(s), min(z), max(z)
-        for k in rest:
-            r, _, c, h = _cone(F, *segs[k])
-            for *_, i, d in polar:
-                if _ray_bound(d, r, c, h) <= t:
-                    see(i, k)
-            if not ring:
-                continue
-            x, y, z = _dot(c, X), _dot(c, Y), _dot(c, Z)
-            sv, pv = math.hypot(x, y), math.atan2(y, x)
-            near = math.hypot(max(zlo - z, z - zhi, 0.0), max(slo - sv, sv - shi, 0.0))
-            q = 2.0 * math.sqrt(slo * sv)
-            slack = q * min(1.0, 8 * u / slo + 8 * u / max(sv, u)) + 16 * u
-            start, taken, n = bisect_left(psi, pv), 0, len(ring)
-            for step in (1, -1):
-                j = start - (step < 0)
-                while taken < n:
-                    g, _, _, i, d = ring[j % n]
-                    gap = (g - pv) * step + (0.0 if 0 <= j < n else 2 * math.pi)
-                    if gap > math.pi:
-                        break
-                    if _ray_bound(d, r, c, h) <= t:
-                        see(i, k)
-                    elif r * math.sin(min(max(2 * math.asin(min(1.0, max(
-                            math.hypot(near, q * math.sin(gap / 2)) - slack, 0.0) / 2)) - h, 0.0),
-                            math.pi / 2)) > t:
-                        break    # every ray further this way lies as far
-                    taken += 1
-                    j += step
-    return min([least, *(visit(i, rest[x + 1:]) for x, i in enumerate(rest[:-1]))])
-
-
 def tolerance_report(emb: EquilateralEmbedding) -> ToleranceReport:
     M = emb.M
     max_dev = 0.0
@@ -672,7 +400,12 @@ def tolerance_report(emb: EquilateralEmbedding) -> ToleranceReport:
                     least = d
         return least
 
-    min_clear = _near_pairs(segs, ends, visit)
+    moved = {(c.index, mv.tag) for c in emb.components for mv in c.moves}
+    swept = [i for i, s in enumerate(emb.sticks)
+             if (s.component, s.tag) in moved or s.tag.startswith("join")]
+    min_clear = _split_pairs(segs, ends, swept, visit)
+    if min_clear is None:
+        min_clear = _near_pairs(segs, ends, visit)
     if min_clear is math.inf:
         min_clear = M
     return ToleranceReport(max_dev, min_clear, min_clear / M)
@@ -700,23 +433,6 @@ def _horizon(F: V3, pa: V3, pb: V3, snap: float):
     seg = _trimmed(pa, pb, y) if shared else (pa, pb)   # _trimmed's cut at F
     r, arc, c, h = _cone(F, *seg)
     return r, shared, arc, c, h, seg
-
-
-def _cone(F: V3, pa: V3, pb: V3):
-    """(r, arc, c, h) of the segment pa pb seen from F, as _horizon
-    describes them."""
-    r = _point_distance(F, pa, pb)
-    va, vb = _vsub(pa, F), _vsub(pb, F)
-    if _norm(va) == 0.0 or _norm(vb) == 0.0:
-        return r, None, (0.0, 0.0, 1.0), math.pi   # h = pi: any c will do
-    a, b = _unit(va), _unit(vb)
-    n = _cross(a, b)
-    thin = _norm(n) < 1e-3    # near a pole the normal carries rounding error
-    ab = _angle(a, b)
-    arc = (a, b, None if thin else _unit(n), ab)
-    if thin and _dot(a, b) < 0.0:
-        return r, arc, a, math.pi
-    return r, arc, _unit((a[0] + b[0], a[1] + b[1], a[2] + b[2])), ab / 2
 
 
 def _least_angle(u: V3, arc) -> float:

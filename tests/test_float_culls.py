@@ -2,9 +2,11 @@
 
 tolerance_report (builder) and check_equilateral's clearance and float
 check_simplicity (verifier) measure only the pairs a box sweep, or on a
-fan a cone bound about its shared junctions, cannot rule out.  Their
-minima, verdicts and details must equal those of the loops in oracles.py
-that measure every pair, float for float.
+fan a cone bound about its shared junctions, cannot rule out;
+tolerance_report first tries the split by what moved, which bounds the
+pairs of unmoved tent sticks all at once.  Their minima, verdicts and
+details must equal those of the loops in oracles.py that measure every
+pair, float for float.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from stickforge import equilateral_builder, verifier
+import parity
+from stickforge import _builder_culls, equilateral_builder, verifier
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
-from stickforge.equilateral_builder import EquilateralEmbedding, EStick, build_equilateral, tolerance_report
+from stickforge.equilateral_builder import (EquilateralEmbedding, EStick, build_equilateral, build_tents,
+                                           reduce_top, tolerance_report)
 from stickforge.randgen import PROFILES, random_presentation
 from stickforge.verifier import TOLERANCES, check_equilateral, check_simplicity
 
@@ -89,7 +93,7 @@ def _assert_matches_reference(emb):
 
 def test_culled_passes_match_all_pairs(builds, monkeypatch):
     swept = []
-    for module in (equilateral_builder, verifier):
+    for module in (_builder_culls, verifier):
         monkeypatch.setattr(module, "_boxes", lambda segs, real=module._boxes: (
             swept.append(len(segs)), real(segs))[1])
     rng = random.Random(11)
@@ -102,7 +106,9 @@ def test_culled_passes_match_all_pairs(builds, monkeypatch):
             segs = [(s.a, s.b) for s in case.sticks]
             verdicts.add(check_simplicity(segs, scale=case.M).ok)
     assert verdicts == {True, False}
-    assert paths == {0, 3}    # both the fan cull and the sweep ran
+    # the fan cull (no sweep), the split (tolerance_report sweeps none) and
+    # the sweep in all three passes all ran
+    assert paths == {0, 2, 3}
 
 
 def test_culled_passes_match_all_pairs_on_fold_back():
@@ -138,15 +144,15 @@ def test_culled_passes_find_every_failing_pair():
 
 
 def _visits(monkeypatch, *modules):
-    """Record, per call of each module's _near_pairs, its segments and the
-    (i, k) pairs it visits."""
+    """Record, per call of each module's _near_pairs, and of the builder's
+    _split_pairs, its name, its segments and the (i, k) pairs it visits."""
     calls = []
 
     def spy(real):
         def near_pairs(segs, *args):
             *rest, visit = args
             pairs = []
-            calls.append((segs, pairs))
+            calls.append((real.__name__, segs, pairs))
 
             def counted(i, ks):
                 ks = list(ks)
@@ -156,7 +162,9 @@ def _visits(monkeypatch, *modules):
         return near_pairs
 
     for module in modules:
-        monkeypatch.setattr(module, "_near_pairs", spy(module._near_pairs))
+        for name in ("_near_pairs", "_split_pairs"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(getattr(module, name)))
     return calls
 
 
@@ -165,11 +173,14 @@ def test_culled_passes_skip_most_pairs(monkeypatch):
     n = len(emb.sticks)
     segs = [(s.a, s.b) for s in emb.sticks]
     calls = _visits(monkeypatch, equilateral_builder, verifier)
-    for run in (lambda: tolerance_report(emb), lambda: check_equilateral(emb),
-                lambda: check_simplicity(segs, scale=emb.M)):
+    # tolerance_report settles the one frame by the split, with no fallback
+    for run, name in ((lambda: tolerance_report(emb), "_split_pairs"),
+                      (lambda: check_equilateral(emb), "_near_pairs"),
+                      (lambda: check_simplicity(segs, scale=emb.M), "_near_pairs")):
         calls.clear()
         run()
-        ((_, pairs),) = calls
+        ((called, _, pairs),) = calls
+        assert called == name
         assert len(pairs) == len(set(pairs))
         assert all(i < k for i, k in pairs)
         assert len(pairs) < n * (n - 1) // 2 / 10
@@ -211,7 +222,9 @@ def test_assembled_tolerance_measures_no_cross_part_pair(monkeypatch, ap):
     calls = _visits(monkeypatch, equilateral_builder)
     out = _build(ap)
     assert len(out.components) > 1
-    segs, pairs = calls[-1]
+    # the assembled frame's unmoved sticks stand off the axis: no split
+    assert [c[0] for c in calls[-2:]] == ["_split_pairs", "_near_pairs"] and calls[-2][2] == []
+    _, segs, pairs = calls[-1]
     assert len(segs) == len(out.sticks)
     part = [s.component for s in out.sticks]
     assert out.tolerance == oracles.all_pairs_tolerance(out)
@@ -228,6 +241,127 @@ def test_assembled_tolerance_measures_no_cross_part_pair(monkeypatch, ap):
         # every in-part pair shares a junction, so the least clearance lies
         # between parts and cross-part pairs must be measured
         assert crossing and out.tolerance.min_clearance > out.M
+
+
+def _split(emb):
+    """The indices of the swept sticks, as tolerance_report picks them."""
+    moved = {(c.index, mv.tag) for c in emb.components for mv in c.moves}
+    return [i for i, s in enumerate(emb.sticks)
+            if (s.component, s.tag) in moved or s.tag.startswith("join")]
+
+
+@pytest.fixture(scope="module")
+def workload_frames():
+    """Every frame that build_component reduces over the random-large and
+    random-small workloads at seed 1, by workload."""
+    bw = parity._bench_workloads()
+    frames = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for w in ("random-large", "random-small"):
+            got = frames[w] = []
+            mp.setattr(equilateral_builder, "reduce_top", lambda emb, real=reduce_top, got=got: (
+                got.append(real(emb)), got[-1])[1])
+            for job in bw.make(w, 1):
+                try:
+                    build_equilateral(validate_presentation(job.presentation))
+                except equilateral_builder.EquilateralError:
+                    pass
+    return frames
+
+
+def _least_unmoved_first(emb):
+    """Whether no pair that holds a swept stick lies closer than the least
+    pair of two unmoved sticks (pairs sharing a junction left out)."""
+    swept = set(_split(emb))
+    keys = [{(s.component, s.ja), (s.component, s.jb)} for s in emb.sticks]
+    least = [math.inf, math.inf]
+    for i, si in enumerate(emb.sticks):
+        for k in range(i + 1, len(emb.sticks)):
+            if keys[i].isdisjoint(keys[k]):
+                d = equilateral_builder._seg_distance(si.a, si.b, emb.sticks[k].a, emb.sticks[k].b)
+                held = i in swept or k in swept
+                least[held] = min(least[held], d)
+    return least[0] <= least[1]
+
+
+def test_split_tolerance_matches_all_pairs_on_workload_frames(workload_frames, monkeypatch):
+    falls, calls = [], []
+    monkeypatch.setattr(equilateral_builder, "_near_pairs", lambda *args, real=equilateral_builder._near_pairs: (
+        falls.append(1), real(*args))[1])
+    monkeypatch.setattr(_builder_culls, "_boxes", lambda segs, real=_builder_culls._boxes: (
+        calls.append(len(segs)), real(segs))[1])
+    for w, frames in workload_frames.items():
+        falls.clear()
+        calls.clear()
+        for red in frames:
+            assert tolerance_report(red) == oracles.all_pairs_tolerance(red)
+        # the split settles every large frame, so no box is swept; 14 small
+        # frames fall back, 10 of them to the box sweep
+        assert (len(frames), len(falls), len(calls)) == \
+            ((4, 0, 0) if w == "random-large" else (149, 14, 10))
+    # five small frames hold their least clearance on a pair of unmoved sticks
+    assert sum(map(_least_unmoved_first, workload_frames["random-small"])) == 5
+
+
+def _reduced(name):
+    return reduce_top(build_tents(validate_presentation(catalog(name)), 24.0))
+
+
+def _free_end(emb, i):
+    """Which end of stick i lies off the axis."""
+    return "b" if emb.sticks[i].a[:2] == (0.0, 0.0) else "a"
+
+
+def _tilted(emb):
+    """The first unmoved stick with its axis end moved off the axis by 1e-7."""
+    i = min(set(range(len(emb.sticks))) - set(_split(emb)))
+    end = "a" if _free_end(emb, i) == "b" else "b"
+    p = getattr(emb.sticks[i], end)
+    return _moved(emb, i, end, (p[0] + 1e-7, p[1], p[2]))
+
+
+def _shared_azimuth(emb):
+    """The first unmoved stick with its free end moved to half the free end
+    of an unmoved stick of another tent, at the same azimuth to the last
+    bit: two unmoved sticks that share no junction in one half-plane."""
+    unmoved = sorted(set(range(len(emb.sticks))) - set(_split(emb)))
+    keys = [{s.ja, s.jb} for s in emb.sticks]
+    i, j = next((i, j) for i in unmoved for j in unmoved if keys[i].isdisjoint(keys[j]))
+    end = _free_end(emb, i)
+    q, z = getattr(emb.sticks[j], _free_end(emb, j)), getattr(emb.sticks[i], end)[2]
+    return _moved(emb, i, end, (q[0] / 2, q[1] / 2, z))
+
+
+@pytest.mark.parametrize("mutate", [_tilted, _shared_azimuth], ids=["off-axis", "one-azimuth"])
+def test_split_falls_back_on_frames_off_its_shape(monkeypatch, mutate):
+    red = _reduced("trefoil")
+    calls = _visits(monkeypatch, equilateral_builder)
+    assert tolerance_report(red) == oracles.all_pairs_tolerance(red)
+    assert [name for name, _, _ in calls] == ["_split_pairs"]   # as built, the split settles it
+    emb = mutate(red)
+    segs, ends = _segs_ends(emb)
+    assert _builder_culls._unmoved_bound(segs, ends, _split(emb)) == 0.0
+    calls.clear()
+    assert tolerance_report(emb) == oracles.all_pairs_tolerance(emb)
+    assert [(name, pairs) for name, _, pairs in calls[:1]] == [("_split_pairs", [])]
+    assert [name for name, _, _ in calls[1:]] == ["_near_pairs"]
+
+
+def _segs_ends(emb):
+    return ([(s.a, s.b) for s in emb.sticks],
+            [((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks])
+
+
+def test_split_falls_back_when_the_bound_does_not_clear(monkeypatch):
+    # the same frame, with visit claiming every swept pair lies far apart:
+    # the unmoved pairs could then hold the least clearance
+    red = _reduced("trefoil")
+    segs, ends = _segs_ends(red)
+    bound = _builder_culls._unmoved_bound(segs, ends, _split(red))
+    assert 0.0 < bound < math.inf
+    assert _builder_culls._split_pairs(segs, ends, _split(red), lambda i, ks: bound / 2) == bound / 2
+    assert _builder_culls._split_pairs(segs, ends, _split(red), lambda i, ks: bound) is None
+    assert _builder_culls._split_pairs(segs, ends, _split(red), lambda i, ks: math.inf) is None
 
 
 def _kernel_cases():
@@ -326,7 +460,7 @@ def test_fan_cull_visits_few_pairs(monkeypatch, n, part):
     segs = [(s.a, s.b) for s in emb.sticks]
     calls = _visits(monkeypatch, equilateral_builder, verifier)
     bounds = []
-    for module in (equilateral_builder, verifier):
+    for module in (_builder_culls, verifier):
         monkeypatch.setattr(module, "_ray_bound", lambda *args, real=module._ray_bound: (
             bounds.append(args), real(*args))[1])
     for run in (lambda: tolerance_report(emb), lambda: check_equilateral(emb),
@@ -334,7 +468,10 @@ def test_fan_cull_visits_few_pairs(monkeypatch, n, part):
         calls.clear()
         bounds.clear()
         run()
-        ((_, pairs),) = calls
+        if calls[0][0] == "_split_pairs":
+            # every stick of a fan moved, so the split hands it on unvisited
+            assert calls.pop(0)[2] == []
+        ((_, _, pairs),) = calls
         assert len(pairs) == len(set(pairs))
         assert all(i < k for i, k in pairs)
         assert len(pairs) < N * (N - 1) // 2 / part
@@ -372,7 +509,7 @@ def _random_fan(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_fan_cull_matches_all_pairs_on_random_fans(monkeypatch, seed):
     swept = []
-    for module in (equilateral_builder, verifier):
+    for module in (_builder_culls, verifier):
         monkeypatch.setattr(module, "_boxes", lambda segs, real=module._boxes: (
             swept.append(len(segs)), real(segs))[1])
     _assert_matches_reference(_random_fan(seed))
@@ -417,3 +554,11 @@ def test_verifier_fan_cull_survives_extreme_scales(fan32, scale):
     assert [g[0] for g in got] == [w[0] for w in want]
     if scale > 1:
         assert got == want
+
+
+def test_fan_checks_pinned():
+    # the fan-checks set of tests/parity.py: repr(tolerance_report(emb)) and
+    # every check_equilateral and float check_simplicity entry, witnesses
+    # included, of theta_trivial(8), (16), ..., (128) and three shifted-end
+    # mutants of each
+    assert parity.fan_checks() == "a96338192dc85607383c3d745e10c597b518744fe72ac5c6e2377bbefda6afb1"
