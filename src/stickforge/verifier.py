@@ -20,10 +20,10 @@ the diagram lacks, so no stick escapes that comparison.
 Crossing order computes a crossing's point only when the pages' heights
 could reach each other there.  Say the pieces of a page tile its chord:
 sorted, they start at parameter 0, end at 1 and leave no gap.  Then every
-parameter t lies in a piece, and the height there, the first such piece's
-z0 + (z1 - z0) u with u = (t - t0)/(t1 - t0) in [0, 1] (z0 when t0 = t1),
-lies between that piece's end heights, so within the least and greatest
-end heights of the page.  The chords of a diagram crossing have ends that
+parameter t lies in a piece, and every height there, read from each piece
+that covers t as z0 + (z1 - z0) u with u = (t - t0)/(t1 - t0) in [0, 1]
+(both z0 and z1 when t0 = t1), lies between that piece's end heights, so
+within the least and greatest end heights of the page.  The chords of a diagram crossing have ends that
 interleave on the circle, so they meet inside both.  So when both pages
 tile their chords and the greatest end height of page i lies below the
 least of page j, page i passes under page j at the crossing, which
@@ -756,25 +756,33 @@ def _span(pieces):
     return zs[0], zs[-1]
 
 
-def _height_on_chord(page, t):
-    """The height (zn, zd), zd > 0, of a page's pieces over chord parameter
-    t = n/d, d > 0, or None."""
+def _heights_on_chord(page, t):
+    """The least and greatest heights (zn, zd), zd > 0, of a page's pieces
+    over chord parameter t = n/d, d > 0, or None.  Every piece that covers t
+    is read, a vertical one at both ends, so the stick order does not
+    matter."""
     pieces, one = page[:2]
     if pieces is None:
         return None
     n, d = t
     nt = n * one
-    for (t0, _, (z0, w0)), (t1, _, (z1, w1)) in pieces:
+    zs = []
+    for (t0, _, z0), (t1, _, z1) in pieces:
         if t0 * d <= nt <= t1 * d:
             if t0 == t1:
-                return z0, w0
-            ln, ld = nt - t0 * d, (t1 - t0) * d
-            return z0 * w1 * ld + ln * (z1 * w0 - z0 * w1), w0 * w1 * ld
-    return None
+                zs += z0, z1
+            else:
+                (z0, w0), (z1, w1) = z0, z1
+                ln, ld = nt - t0 * d, (t1 - t0) * d
+                zs.append((z0 * w1 * ld + ln * (z1 * w0 - z0 * w1), w0 * w1 * ld))
+    if len(zs) > 1:
+        zs.sort(key=lambda z: Fraction(*z))
+    return (zs[0], zs[-1]) if zs else None
 
 
 def check_crossing_order(se, cd, *, _index=None) -> VerificationReport:
-    """At every diagram crossing the earlier page passes strictly under.
+    """At every diagram crossing the earlier page passes strictly under:
+    its greatest height over the crossing lies below the later page's least.
 
     With homogeneous boundary points, the chords' directions and offset
     carry the positive scales Wa Wb, Wc Wd and Wa Wc, so the crossing's
@@ -805,11 +813,13 @@ def check_crossing_order(se, cd, *, _index=None) -> VerificationReport:
         sign = 1 if den > 0 else -1
         ti = (sign * (w[0] * dj[1] - w[1] * dj[0]) * b[2], sign * den * c[2])
         tj = (sign * (w[0] * di[1] - w[1] * di[0]) * d[2], sign * den * a[2])
-        zi = _height_on_chord(page_i, ti)
-        zj = _height_on_chord(page_j, tj)
+        zi = _heights_on_chord(page_i, ti)
+        zj = _heights_on_chord(page_j, tj)
         if zi is None or zj is None:
             problems.append(f"crossing ({i},{j}): geometry missing over the crossing")
-        elif not zi[0] * zj[1] < zj[0] * zi[1]:
+            continue
+        zi, zj = zi[1], zj[0]   # page i's top there, page j's bottom
+        if not zi[0] * zj[1] < zj[0] * zi[1]:
             problems.append(f"crossing ({i},{j}): page {i} at height {Fraction(*zi)}"
                             f" not under page {j} at {Fraction(*zj)}")
     report.add("crossing-order", not problems,

@@ -597,19 +597,24 @@ def _page_pieces(boundary, ends, sticks):
     return pieces or None
 
 
-def _height_at(pieces, t):
+def _heights_at(pieces, t):
+    """The least and greatest height over t of every piece that covers it,
+    both ends of a vertical one, or None."""
+    zs = []
     for (t0, p0), (t1, p1) in pieces or ():
         if t0 <= t <= t1:
             if t0 == t1:
-                return p0[2]
-            return p0[2] + (p1[2] - p0[2]) * (t - t0) / (t1 - t0)
-    return None
+                zs += [p0[2], p1[2]]
+            else:
+                zs.append(p0[2] + (p1[2] - p0[2]) * (t - t0) / (t1 - t0))
+    return (min(zs), max(zs)) if zs else None
 
 
 def crossing_order_witness(se, cd) -> tuple[bool, str]:
     """check_crossing_order's verdict and detail, straight from the
     definition: the chords' meeting parameters by a 2x2 solve, and the
-    heights over them by interpolation along each page's sticks."""
+    heights over them by interpolation along every stick of each page
+    there; page i's highest must lie below page j's lowest."""
     problems = []
     by_page: dict = {}
     for s in se.sticks:
@@ -628,10 +633,11 @@ def crossing_order_witness(se, cd) -> tuple[bool, str]:
         w = (c[0] - a[0], c[1] - a[1])
         ti = Fraction(w[0] * dj[1] - w[1] * dj[0]) / den
         tj = Fraction(w[0] * di[1] - w[1] * di[0]) / den
-        zi, zj = _height_at(pieces[i], ti), _height_at(pieces[j], tj)
+        zi, zj = _heights_at(pieces[i], ti), _heights_at(pieces[j], tj)
         if zi is None or zj is None:
             problems.append(f"crossing ({i},{j}): geometry missing over the crossing")
-        elif not zi < zj:
+        elif not zi[1] < zj[0]:
+            zi, zj = zi[1], zj[0]
             problems.append(f"crossing ({i},{j}): page {i} at height {zi} not under page {j} at {zj}")
     return (not problems,
             "; ".join(problems[:3]) if problems else f"{len(cd.crossings)} crossings ordered")

@@ -411,13 +411,13 @@ def test_crossing_order_culls_by_page_heights(monkeypatch):
     # most crossings of a large bouquet pass on the pages' height ranges
     # alone; the rest compute the heights over the crossing point
     calls = []
-    real = verifier._height_on_chord
+    real = verifier._heights_on_chord
 
     def spy(found, t):
         calls.append(t)
         return real(found, t)
 
-    monkeypatch.setattr(verifier, "_height_on_chord", spy)
+    monkeypatch.setattr(verifier, "_heights_on_chord", spy)
     se, cd = _large_bouquet()
     assert check_crossing_order(se, cd).ok
     assert len(calls) / 2 < 0.6 * len(cd.crossings)
@@ -673,13 +673,15 @@ def _theta_family(pages, flipped=()):
     return replace(se, sticks=tuple(sticks)), replace(cd, chords=chords)
 
 
-def _page_3_at_the_crossing(vertical: bool):
+def _page_3_at_the_crossing(vertical: bool, at: str = "1"):
     """The trefoil's build with page 3 bent over its crossing with page 2,
     which lies flat at height 2.  Either page 3 comes down to height 2
     there and touches page 2, so crossing order fails, or it comes down to
-    3/2 and a vertical stick takes it back up to the page; then the piece
-    above the crossing is listed first, so crossing order, which reads
-    pieces in stick order, passes."""
+    3/2 and a vertical stick takes it back up to the page.  The vertical
+    stick stands at the fraction at of the way from page 3's start to the
+    crossing: over the crossing (at = 1), where page 3 reaches down to 3/2
+    under page 2 and crossing order fails, or short of it, where it
+    passes."""
     se, cd = trefoil_build()
     (p, q), (r, s) = (cd.boundary[e] for e in cd.chords[1].ends), (cd.boundary[e] for e in cd.chords[2].ends)
     u = ((r[0] - p[0]) * (s[1] - r[1]) - (r[1] - p[1]) * (s[0] - r[0])) / (
@@ -690,9 +692,10 @@ def _page_3_at_the_crossing(vertical: bool):
     if not vertical:
         new = (replace(old, b=(x, y, F(2))), replace(old, a=(x, y, F(2))))
     else:
+        x, y = r[0] + F(at) * (x - r[0]), r[1] + F(at) * (y - r[1])
         v = (x - r[0]) / (s[0] - r[0])
         top, low = (x, y, old.a[2] + v * (old.b[2] - old.a[2])), (x, y, F("3/2"))
-        assert top[2] > 2
+        assert low[2] < top[2] and (top[2] > 2 or at != "1")
         new = (replace(old, a=top), replace(old, a=low, b=top), replace(old, b=low))
     return replace(se, sticks=se.sticks[:2] + new + se.sticks[3:]), cd
 
@@ -705,6 +708,9 @@ SETTLE_CASES = {
     # two whole sticks on one chord: equal tops, so projection.heights fails
     "identical": lambda: _theta_family([[], [], [(0, 3)]]),
     "vertical": lambda: _page_3_at_the_crossing(vertical=True),
+    # the same bend halfway to the crossing: a vertical piece that crossing
+    # order passes, so the bundle reaches the settle path and must sweep
+    "vertical-aside": lambda: _page_3_at_the_crossing(vertical=True, at="1/2"),
     "touching": lambda: _page_3_at_the_crossing(vertical=False),
     "zero-length": lambda: _theta_family([[], [(0, 2), (0, 2)], [(0, 3)]]),
     # page 3's chord runs from junction 1: its apex lies at parameter 1/4
@@ -716,18 +722,35 @@ SETTLE_CASES = {
 
 @pytest.mark.parametrize("name", SETTLE_CASES)
 def test_bundle_settles_simplicity_as_the_sweep_reports(monkeypatch, name):
-    # each case but "identical" and "touching" passes projection and
-    # crossing order, so the bundle reaches the settle path; there it must
-    # report what the checks alone report, witness included, and sweep
-    # unless it settles
+    # each case but "identical", "touching" and "vertical" passes
+    # projection and crossing order, so the bundle reaches the settle path;
+    # there it must report what the checks alone report, witness included,
+    # and sweep unless it settles
     se, cd = SETTLE_CASES[name]()
     alone = _checks_alone(se, cd)
-    failed = {"identical": ["projection.heights"], "touching": ["crossing-order"]}.get(name, [])
+    failed = {"identical": ["projection.heights"], "touching": ["crossing-order"],
+              "vertical": ["crossing-order"]}.get(name, [])
     assert [e.check for e in alone[1:] if not e.passed] == failed
-    assert alone[0].passed == (name == "flipped-ordered")
+    assert alone[0].passed == (name in ("flipped-ordered", "vertical-aside"))
     calls = _count_sweeps(monkeypatch)
     assert verify_stick_embedding(se, cd).entries == alone
-    assert len(calls) == (0 if alone[0].passed else 1)
+    assert len(calls) == (0 if name == "flipped-ordered" else 1)
+
+
+@pytest.mark.parametrize("at", ["1", "1/2"], ids=["over", "aside"])
+def test_crossing_order_reads_every_piece_whatever_the_stick_order(at):
+    # page 3 dips to 3/2 and a vertical stick takes it back up, over its
+    # crossing with page 2 (at height 2) or halfway to it: the verdict and
+    # witness do not depend on the order the sticks are listed in
+    se, cd = _page_3_at_the_crossing(vertical=True, at=at)
+    entries = [check_crossing_order(e, cd).entries for e in (se, replace(se, sticks=se.sticks[::-1]))]
+    assert entries[0] == entries[1]
+    ((entry,),) = entries[:1]
+    assert (entry.passed, entry.witness) == oracles.crossing_order_witness(se, cd)
+    if at == "1":
+        assert entry.witness == "crossing (2,3): page 2 at height 2 not under page 3 at 3/2"
+    else:
+        assert entry.passed
 
 
 def test_family_order_needs_a_breakpoint():
