@@ -23,15 +23,15 @@ sorted, they start at parameter 0, end at 1 and leave no gap.  Then every
 parameter t lies in a piece, and every height there, read from each piece
 that covers t as z0 + (z1 - z0) u with u = (t - t0)/(t1 - t0) in [0, 1]
 (both z0 and z1 when t0 = t1), lies between that piece's end heights, so
-within the least and greatest end heights of the page.  The chords of a diagram crossing have ends that
-interleave on the circle, so they meet inside both.  So when both pages
-tile their chords and the greatest end height of page i lies below the
-least of page j, page i passes under page j at the crossing, which
-passes as it would with its point computed.  Any other crossing is
-computed, so a page with a missing or gapped stick still reports the
-geometry missing where it is.  _chord_pieces divides a page's parameters
-by their gcd and keeps heights in lowest terms; both leave every
-comparison and every printed height as it was.
+within the least and greatest end heights of the page.  The chords of a
+diagram crossing have ends that interleave on the circle, so they meet
+inside both.  So when both pages tile their chords and the greatest end
+height of page i lies below the least of page j, page i passes under page
+j at the crossing, which passes as it would with its point computed.  Any
+other crossing is computed, so a page with a missing or gapped stick still
+reports the geometry missing where it is.  _chord_pieces divides a page's
+parameters by their gcd and keeps heights in lowest terms; both leave
+every comparison and every printed height as it was.
 
 verify_stick_embedding hands the three checks one _PageIndex of the
 embedding; alone, projection and crossing order build their own, and
@@ -760,21 +760,24 @@ def _heights_on_chord(page, t):
     """The least and greatest heights (zn, zd), zd > 0, of a page's pieces
     over chord parameter t = n/d, d > 0, or None.  Every piece that covers t
     is read, a vertical one at both ends, so the stick order does not
-    matter."""
+    matter; on a page whose pieces tile the chord, a parameter inside a
+    piece lies in no other, and that piece alone is read."""
     pieces, one = page[:2]
     if pieces is None:
         return None
     n, d = t
     nt = n * one
     zs = []
-    for (t0, _, z0), (t1, _, z1) in pieces:
+    for (t0, _, (z0, w0)), (t1, _, (z1, w1)) in pieces:
         if t0 * d <= nt <= t1 * d:
             if t0 == t1:
-                zs += z0, z1
-            else:
-                (z0, w0), (z1, w1) = z0, z1
-                ln, ld = nt - t0 * d, (t1 - t0) * d
-                zs.append((z0 * w1 * ld + ln * (z1 * w0 - z0 * w1), w0 * w1 * ld))
+                zs += (z0, w0), (z1, w1)
+                continue
+            ln, ld = nt - t0 * d, (t1 - t0) * d
+            z = z0 * w1 * ld + ln * (z1 * w0 - z0 * w1), w0 * w1 * ld
+            if 0 < ln < ld and page[5]:
+                return z, z
+            zs.append(z)
     if len(zs) > 1:
         zs.sort(key=lambda z: Fraction(*z))
     return (zs[0], zs[-1]) if zs else None
@@ -818,10 +821,10 @@ def check_crossing_order(se, cd, *, _index=None) -> VerificationReport:
         if zi is None or zj is None:
             problems.append(f"crossing ({i},{j}): geometry missing over the crossing")
             continue
-        zi, zj = zi[1], zj[0]   # page i's top there, page j's bottom
-        if not zi[0] * zj[1] < zj[0] * zi[1]:
-            problems.append(f"crossing ({i},{j}): page {i} at height {Fraction(*zi)}"
-                            f" not under page {j} at {Fraction(*zj)}")
+        (top, w), (low, v) = zi[1], zj[0]   # page i's greatest height there, page j's least
+        if not top * v < low * w:
+            problems.append(f"crossing ({i},{j}): page {i} at height {Fraction(top, w)}"
+                            f" not under page {j} at {Fraction(low, v)}")
     report.add("crossing-order", not problems,
                "; ".join(problems[:3]) if problems else f"{len(cd.crossings)} crossings ordered")
     if not problems:

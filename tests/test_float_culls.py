@@ -364,6 +364,23 @@ def test_split_falls_back_when_the_bound_does_not_clear(monkeypatch):
     assert _builder_culls._split_pairs(segs, ends, _split(red), lambda i, ks: math.inf) is None
 
 
+def test_split_bound_counts_the_slope(monkeypatch):
+    # two unmoved sticks on opposite pages with axis ends 1 apart, one
+    # nearly vertical, pass within cos(theta) 1, about 0.0995, of each
+    # other, far below the swept stick's least distance of about 0.6: the
+    # bound is as small, does not clear, and the split falls back
+    sticks = [EStick((0.0, 0.0, 0.0), (0.1, 0.0, 0.995), 0, "arc1.lower", "bp0", "apex1"),
+              EStick((0.0, 0.0, 1.0), (-1.0, 0.0, 1.0), 0, "arc2.upper", "bp1", "apex2"),
+              EStick((0.05, 0.6, 0.5), (0.05, 0.6, 0.9), 0, "join3", "hub", "end3")]
+    emb = EquilateralEmbedding(sticks=sticks, M=1.0, components=[])
+    segs, ends = _segs_ends(emb)
+    assert 0.099 < _builder_culls._unmoved_bound(segs, ends, [2]) < 0.1
+    calls = _visits(monkeypatch, equilateral_builder)
+    report = tolerance_report(emb)
+    assert report == oracles.all_pairs_tolerance(emb) and report.min_clearance < 0.1
+    assert [name for name, _, _ in calls] == ["_split_pairs", "_near_pairs"]
+
+
 def _kernel_cases():
     rng = random.Random(16)
     cases = [tuple(tuple(rng.uniform(-8.0, 8.0) for _ in range(3)) for _ in range(4))

@@ -737,20 +737,41 @@ def test_bundle_settles_simplicity_as_the_sweep_reports(monkeypatch, name):
     assert len(calls) == (0 if name == "flipped-ordered" else 1)
 
 
-@pytest.mark.parametrize("at", ["1", "1/2"], ids=["over", "aside"])
-def test_crossing_order_reads_every_piece_whatever_the_stick_order(at):
+def _page_3_doubled():
+    """The trefoil's build with a second stick on page 3, flat at height 1
+    from halfway to its crossing with page 2 (at height 2) to halfway past
+    it: two pieces over the crossing, one above page 2 and one below."""
+    se, cd = _page_3_at_the_crossing(vertical=True)
+    old = se.sticks[2]
+    x, y = old.a[:2]   # the crossing, where the vertical stick stands
+    r, s = se.sticks[4].a[:2], old.b[:2]
+    a = ((r[0] + x) / 2, (r[1] + y) / 2, F(1))
+    b = ((x + s[0]) / 2, (y + s[1]) / 2, F(1))
+    se, _ = trefoil_build()
+    return replace(se, sticks=se.sticks + (replace(se.sticks[2], a=a, b=b),)), cd
+
+
+ORDER_CASES = {
     # page 3 dips to 3/2 and a vertical stick takes it back up, over its
-    # crossing with page 2 (at height 2) or halfway to it: the verdict and
-    # witness do not depend on the order the sticks are listed in
-    se, cd = _page_3_at_the_crossing(vertical=True, at=at)
+    # crossing with page 2 or halfway to it
+    "over": (lambda: _page_3_at_the_crossing(vertical=True),
+             "crossing (2,3): page 2 at height 2 not under page 3 at 3/2"),
+    "aside": (lambda: _page_3_at_the_crossing(vertical=True, at="1/2"), "5 crossings ordered"),
+    "doubled": (_page_3_doubled, "crossing (2,3): page 2 at height 2 not under page 3 at 1"),
+}
+
+
+@pytest.mark.parametrize("name", ORDER_CASES)
+def test_crossing_order_reads_every_piece_whatever_the_stick_order(name):
+    # the verdict and witness do not depend on the order the sticks are
+    # listed in, and agree with the oracle
+    make, witness = ORDER_CASES[name]
+    se, cd = make()
     entries = [check_crossing_order(e, cd).entries for e in (se, replace(se, sticks=se.sticks[::-1]))]
     assert entries[0] == entries[1]
     ((entry,),) = entries[:1]
     assert (entry.passed, entry.witness) == oracles.crossing_order_witness(se, cd)
-    if at == "1":
-        assert entry.witness == "crossing (2,3): page 2 at height 2 not under page 3 at 3/2"
-    else:
-        assert entry.passed
+    assert entry.witness == witness
 
 
 def test_family_order_needs_a_breakpoint():
