@@ -307,6 +307,12 @@ def _reduced(name):
     return reduce_top(build_tents(validate_presentation(catalog(name)), 24.0))
 
 
+def _segs_ends(emb):
+    """tolerance_report's segments and junction keys of emb."""
+    return ([(s.a, s.b) for s in emb.sticks],
+            [((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks])
+
+
 def _free_end(emb, i):
     """Which end of stick i lies off the axis."""
     return "b" if emb.sticks[i].a[:2] == (0.0, 0.0) else "a"
@@ -347,12 +353,7 @@ def test_split_falls_back_on_frames_off_its_shape(monkeypatch, mutate):
     assert [name for name, _, _ in calls[1:]] == ["_near_pairs"]
 
 
-def _segs_ends(emb):
-    return ([(s.a, s.b) for s in emb.sticks],
-            [((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks])
-
-
-def test_split_falls_back_when_the_bound_does_not_clear(monkeypatch):
+def test_split_falls_back_when_the_bound_does_not_clear():
     # the same frame, with visit claiming every swept pair lies far apart:
     # the unmoved pairs could then hold the least clearance
     red = _reduced("trefoil")
@@ -480,14 +481,15 @@ def test_fan_cull_visits_few_pairs(monkeypatch, n, part):
     for module in (_builder_culls, verifier):
         monkeypatch.setattr(module, "_ray_bound", lambda *args, real=module._ray_bound: (
             bounds.append(args), real(*args))[1])
-    for run in (lambda: tolerance_report(emb), lambda: check_equilateral(emb),
-                lambda: check_simplicity(segs, scale=emb.M)):
+    for run, split in ((lambda: tolerance_report(emb), True), (lambda: check_equilateral(emb), False),
+                       (lambda: check_simplicity(segs, scale=emb.M), False)):
         calls.clear()
         bounds.clear()
         run()
-        if calls[0][0] == "_split_pairs":
+        if split:
             # every stick of a fan moved, so the split hands it on unvisited
-            assert calls.pop(0)[2] == []
+            name, _, pairs = calls.pop(0)
+            assert (name, pairs) == ("_split_pairs", [])
         ((_, _, pairs),) = calls
         assert len(pairs) == len(set(pairs))
         assert all(i < k for i, k in pairs)
