@@ -1,48 +1,44 @@
-"""The float pair culls of equilateral_builder.tolerance_report, and the
-float vector helpers they share with its motion certificate.
+"""The float pair cull of equilateral_builder.tolerance_report, and the
+float vector helpers it shares with its motion certificate.
 
 tolerance_report measures only the stick pairs that could hold the least
-clearance, and its minimum is that of every pair, float for float.  It
-splits the frame by what moved (_split_pairs, below), and falls back to
-_near_pairs over every pair when the split cannot settle the minimum.
-Each pair is measured once, lower index first, because
-equilateral_builder._seg_distance is not symmetric to the last bit.  Write
-u = 2^-53, let C be the largest coordinate magnitude, and assume no
-overflow or underflow.
+clearance, in one call of _near_pairs, and its minimum is that of every
+pair, float for float.  Each pair is measured at most once, lower index
+first, because equilateral_builder._seg_distance is not symmetric to the
+last bit.  Write u = 2^-53, let C be the largest coordinate magnitude, and
+assume no overflow or underflow.
 
-_near_pairs.  Let m be the least distance measured so far and
-pad = m + SNAP_REL (C + m).  Each stick is cut at fixed fractions into
-pieces, each piece gets the closed box of its computed ends, and a sweep
-in z measures a pair of sticks only when some box of one lies within pad
-of some box of the other in x, y and z.
-- A computed cut point a + t (b - a) lies within 6uC of the true point in
-  every coordinate, so every point of a stick lies within 6uC of one of
-  its boxes.
-- A box test fails only when a computed bound such as lo - pad lies past
-  the other box's bound, and the rounding of that sum is below
-  2u (C + pad).  So the two sticks lie more than pad - 2u (C + pad) - 12uC
-  apart, and pad itself is computed to within 3u (C + m).
+Box gaps.  The gap of two sticks is the largest of lo' - hi and lo - hi'
+over x, y and z, for the boxes [lo, hi] and [lo', hi'] of their computed
+ends.  _near_pairs walks pairs in ascending gap and stops at the first gap
+above pad = m + SNAP_REL (C + m), m the least distance measured so far.
+- A stick lies in the box of its computed ends, so a pair lies at least
+  its true gap apart, and the computed gap is within 2uC of that.
 - _seg_distance returns the computed length of cp1 - cp2, where
   cp1 = p + sc (q - p) and cp2 = r + tc (s - r) with sc, tc clamped to
   [0, 1]: each lies within 6uC of a point of its stick in every
   coordinate, and the length is off by under 5u of itself, so the result
   is at least the true distance less 40uC.
+- pad itself is computed to within 3u (C + m).
 All of it is below 100u (C + m), and the margin SNAP_REL (C + m) is over
 10^4 times more, so a skipped pair measures more than m.  m only falls, so
-a piece the sweep drops once is past every later box as well, and the
-least distance is measured.
+a pair past pad once stays past it, and the least distance is measured.
 
-Which pairs go through is chosen from the input.  Unless the boxes of the
-whole sticks all lie within _SHORTEST times the longest stick of each
-other (the length of its shortest piece), the sticks adjacent in z order
-whose boxes meet are measured first, for a first m, and the sweep takes
-the rest.  assemble_split places parts at least M apart in x, so that
-first bound takes no pair across parts, and once m is below M the sweep
-measures none either.
+The passes.  The reduction moves only the swept sticks: the sticks of each
+component's recorded moves, and its joiners.  tolerance_report picks them
+by tag, and the tags choose the passes and nothing else.
+1. When the boxes of the whole sticks all lie within _SHORTEST times the
+   longest stick of each other, the sticks crowd one spot and box gaps
+   cannot prune them (theta-fan, where every stick reaches the axis point
+   bp0 or the hub): the fan cull (_fan_pairs) takes every pair.
+2. Otherwise every pair that holds a swept stick is walked by box gap.
+3. The pairs of two unmoved sticks are walked the same way, continuing
+   from the m of the second pass, unless the unmoved bound B (below)
+   exceeds m + SNAP_REL (C + m).
+assemble_split places parts at least M apart in x, so a pair across parts
+has a box gap of M, and once m is below M no such pair is measured.
 
-When the sticks do crowd one spot, pieces cannot prune them (theta-fan,
-where every stick reaches the axis point bp0 or the hub), and the fan cull
-(_fan_pairs) takes over, with t = m + SNAP_REL (C + m) in place of pad.  A
+The fan cull works with t = m + SNAP_REL (C + m) in place of pad.  A
 center is the point that the most ends of the sticks still left share
 exactly, and at least three must share it.  The sticks with an end at the
 center are its rays; the others stay for the next center, and the pairs
@@ -91,11 +87,9 @@ the true one, up to 4C (100u).  SNAP_REL (C + m) is far above both, so a
 dropped pair lies more than m apart.  On theta_trivial(32) the cull
 measures 242 of the 1,953 pairs.
 
-_split_pairs.  The reduction moves only the swept sticks: the sticks of
-each component's recorded moves, and its joiners.  Every other stick
-stands where build_tents put it, from an axis point out to an apex in its
-arc's page, so the pairs of two unmoved sticks are bounded all at once,
-from their coordinates; the tags choose the split and nothing else.
+The unmoved bound.  Every stick that did not move stands where build_tents
+put it, from an axis point out to an apex in its arc's page, so the pairs
+of two unmoved sticks are bounded all at once, from their coordinates.
 - Shape.  An unmoved stick must have exactly one end p on the axis
   (x = y = 0 exactly); its other end q then sets the half-plane it lies
   in, at azimuth psi = atan2(qy, qx), and its angle theta from the
@@ -119,26 +113,18 @@ from their coordinates; the tags choose the split and nothing else.
   at one azimuth must share a key, as the two sticks of a tent share
   their apex.  With one azimuth, or one axis key, no such pair is left
   and B is infinite.
-- _swept_pairs measures every pair that holds a swept stick, row by row,
-  in ascending order of the gap between the boxes of the whole sticks
-  (the largest of lo' - hi and lo - hi' over x, y and z), and stops at the
-  first gap above m + SNAP_REL (C + m), m the least distance measured so
-  far.  A stick lies in the box of its computed ends, so a pair is at
-  least its true gap apart, and the computed gap is within 2uC of it.
-The split stands when B > m + SNAP_REL (C + m), m the swept minimum.  It
-falls back when an unmoved stick fails the shape, two unmoved sticks at
-one azimuth share no key, B does not clear, or fewer than two sticks did
-not move, so that every pair holds a swept stick (theta-fan, where the
-fan cull is the faster).  Rounding: each atan2 is within 2 ulps of pi, so
-every gap, the wrap 2 pi - (last - first) included, is within 40u of the
-true one and sin(g/2) within 25u; cos theta is within 6u of itself and
-dzmin within u, so B is within 70uC of the true bound.  With the 40uC of
-_seg_distance, 2uC of a gap and 3u (C + m) of the margin, a skipped pair
-measures more than m, far inside SNAP_REL (C + m).  So the split's
-minimum is that of every pair, float for float.  Over the four
-random-large frames it measures 1,204 of the 2,688 pairs that hold a swept
-stick, and none of the 98,365 junction-disjoint pairs of two unmoved
-sticks.
+B is 0 when an unmoved stick fails the shape, as on every frame that
+assemble_split shifts off the axis, or when two unmoved sticks at one
+azimuth share no key; such a frame always takes the third pass.
+Rounding: each atan2 is within 2 ulps of pi, so every gap, the wrap
+2 pi - (last - first) included, is within 40u of the true one and sin(g/2)
+within 25u; cos theta is within 6u of itself and dzmin within u, so B is
+within 70uC of the true bound.  With the 40uC of _seg_distance and the
+3u (C + m) of the margin, a pair the third pass skips measures more than m,
+far inside SNAP_REL (C + m).  Over the four random-large frames the second
+pass measures 1,204 of the 2,688 pairs that hold a swept stick, and the
+third is never taken, so none of the 98,365 junction-disjoint pairs of two
+unmoved sticks is measured.
 """
 
 from __future__ import annotations
@@ -151,9 +137,9 @@ from itertools import combinations, groupby
 V3 = tuple[float, float, float]
 
 SNAP_REL = 1e-9
-# where _near_pairs cuts each stick into pieces (see the module docstring)
-_CUTS = (0.125, 0.25, 0.5, 0.75, 0.875)
-_SHORTEST = min(b - a for a, b in zip((0.0, *_CUTS), (*_CUTS, 1.0)))
+# a frame whose stick boxes all lie within this share of its longest stick
+# of each other crowds one spot (see the module docstring)
+_SHORTEST = 0.125
 
 
 def _vsub(a: V3, b: V3) -> V3:
@@ -211,67 +197,50 @@ def _cone(F: V3, pa: V3, pb: V3):
     return r, arc, _unit((a[0] + b[0], a[1] + b[1], a[2] + b[2])), ab / 2
 
 
-def _boxes(segs):
-    """The closed box (zlo, zhi, xlo, xhi, ylo, yhi, i) of every piece of
-    every stick i, cut at _CUTS, sorted by zlo."""
-    boxes = []
-    for i, (a, b) in enumerate(segs):
-        d = _vsub(b, a)
-        ends = [a, *((a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2]) for t in _CUTS), b]
-        for p, q in zip(ends, ends[1:]):
-            boxes.append((min(p[2], q[2]), max(p[2], q[2]), min(p[0], q[0]), max(p[0], q[0]),
-                          min(p[1], q[1]), max(p[1], q[1]), i))
-    boxes.sort()
-    return boxes
-
-
-def _near_pairs(segs, ends, visit) -> float:
+def _near_pairs(segs, ends, swept, visit) -> float:
     """Call visit(i, ks) for rows of pairs (i, k), k in ks, each k > i, that
     hold every pair of segs that could lie within m of each other, each
     pair once, and return m: the least value visit returned, or inf.  visit
     returns the least distance it measures over its row, or inf, and skips
     every pair whose sticks share a key of ends, which holds the keys of
-    each stick's ends a and b.  The module docstring proves that no skipped
-    pair comes that close."""
+    each stick's ends a and b.  swept lists the sticks that moved.  The
+    module docstring proves that no skipped pair comes that close."""
     n = len(segs)
-    least = math.inf
     if n < 2:
-        return least
+        return math.inf
     lo = [tuple(map(min, a, b)) for a, b in segs]
     hi = [tuple(map(max, a, b)) for a, b in segs]
     spread = max(max(p[c] for p in lo) - min(q[c] for q in hi) for c in range(3))
     size = max(abs(c) for a, b in segs for c in a + b)
     if spread <= _SHORTEST * max(_dist(a, b) for a, b in segs):
-        return _fan_pairs(segs, ends, visit, size)   # pieces cannot prune (theta-fan)
-    seen = set()
-    # a first bound: sticks adjacent in z order whose boxes meet
-    order = sorted(range(n), key=lambda i: lo[i][2])
-    for u, v in zip(order, order[1:]):
-        if all(lo[v][c] <= hi[u][c] and lo[u][c] <= hi[v][c] for c in range(3)):
-            i, k = (u, v) if u < v else (v, u)
-            seen.add(i * n + k)
-            d = visit(i, (k,))
-            if d < least:
-                least = d
-    m = least
-    pad = m + SNAP_REL * (size + m)
-    active: list[tuple] = []
-    for box in _boxes(segs):
-        zlo, _, xlo, xhi, ylo, yhi, j = box
-        cut = zlo - pad
-        active = [o for o in active if o[1] >= cut]
-        xl, xh, yl, yh = xlo - pad, xhi + pad, ylo - pad, yhi + pad
-        for o in [o for o in active if o[2] <= xh and xl <= o[3] and o[4] <= yh and yl <= o[5]]:
-            i, k = (o[6], j) if o[6] < j else (j, o[6])
-            if i != k and i * n + k not in seen:
-                seen.add(i * n + k)
-                d = visit(i, (k,))
-                if d < least:
-                    least = d
-        if least < m:
-            m = least
-            pad = m + SNAP_REL * (size + m)
-        active.append(box)
+        return _fan_pairs(segs, ends, visit, size)   # box gaps cannot prune (theta-fan)
+
+    def rows(j, ks):
+        """(gap, i, k), i < k, for the pair of stick j and each stick k of ks."""
+        (xl, yl, zl), (xh, yh, zh) = lo[j], hi[j]
+        return [(max(l[0] - xh, l[1] - yh, l[2] - zh, xl - h[0], yl - h[1], zl - h[2]),
+                 k if k < j else j, j if k < j else k) for k in ks for l, h in [(lo[k], hi[k])]]
+
+    moved = set(swept)
+    least = _walk([r for j in swept for r in rows(j, [k for k in range(n) if k > j or k not in moved])],
+                  math.inf, size, visit)
+    if _unmoved_bound(segs, ends, swept) > least + SNAP_REL * (size + least):
+        return least
+    unmoved = [k for k in range(n) if k not in moved]
+    return _walk([r for x, j in enumerate(unmoved) for r in rows(j, unmoved[x + 1:])], least, size, visit)
+
+
+def _walk(rows, least, size, visit) -> float:
+    """Call visit(i, (k,)) for the rows (gap, i, k) in ascending gap, up to
+    the first gap above m + SNAP_REL (size + m), and return m: the least
+    value visit returned, or least if none is below it."""
+    pad = least + SNAP_REL * (size + least)
+    for gap, i, k in sorted(rows):
+        if gap > pad:
+            break
+        d = visit(i, (k,))
+        if d < least:
+            least, pad = d, d + SNAP_REL * (size + d)
     return least
 
 
@@ -389,43 +358,3 @@ def _unmoved_bound(segs, ends, swept) -> float:
     axis.sort()
     dz = min((z1 - z0 for (z0, k0), (z1, k1) in zip(axis, axis[1:]) if k0 != k1), default=math.inf)
     return math.sin(gap / 2) * cos * dz
-
-
-def _swept_pairs(segs, swept, size, visit) -> float:
-    """Call visit(i, (k,)), i < k, for every pair of segs that holds a stick
-    of swept and could lie within m of each other, in ascending order of
-    their box gap, and return m: the least value visit returned, or inf.
-    size is the largest coordinate magnitude (see the module docstring)."""
-    lo = [tuple(map(min, a, b)) for a, b in segs]
-    hi = [tuple(map(max, a, b)) for a, b in segs]
-    moved = set(swept)
-    rows = []
-    for j in swept:
-        (xl, yl, zl), (xh, yh, zh) = lo[j], hi[j]
-        rows += [(max(l[0] - xh, l[1] - yh, l[2] - zh, xl - h[0], yl - h[1], zl - h[2]),
-                  k if k < j else j, j if k < j else k)
-                 for k, (l, h) in enumerate(zip(lo, hi)) if k > j or k not in moved]
-    rows.sort()
-    least = pad = math.inf
-    for gap, i, k in rows:
-        if gap > pad:
-            break
-        d = visit(i, (k,))
-        if d < least:
-            least, pad = d, d + SNAP_REL * (size + d)
-    return least
-
-
-def _split_pairs(segs, ends, swept, visit) -> float | None:
-    """_near_pairs' least value of visit, split by the swept sticks (see the
-    module docstring): the pairs that hold one measured, the others bounded
-    at once.  None when the split cannot settle it, and the caller falls
-    back to _near_pairs."""
-    if len(segs) - len(swept) < 2:
-        return None   # every pair holds a swept stick
-    bound = _unmoved_bound(segs, ends, swept)
-    if not bound > 0.0:
-        return None
-    size = max(max(map(abs, a + b)) for a, b in segs)
-    least = _swept_pairs(segs, swept, size, visit)
-    return least if bound > least + SNAP_REL * (size + least) else None

@@ -123,9 +123,11 @@ F only when the slot shares F, and equals the trimmed clearance float for
 float.
 
 tolerance_report measures only the stick pairs that could hold the least
-clearance, and its minimum is that of every pair, float for float.  The
-culls, and the proofs that they lose nothing, are in _builder_culls, with
-the float vector helpers the certificate shares with them.
+clearance, in one ordered pass over the pairs that hold a swept stick and
+then, unless a bound from the tents clears them, the pairs of two unmoved
+sticks; its minimum is that of every pair, float for float.  The pass,
+and the proof that it loses nothing, are in _builder_culls, with the float
+vector helpers the certificate shares with it.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
 
 from ._builder_culls import (SNAP_REL, V3, _angle, _cone, _cross, _dist, _dot, _near_pairs,
-                             _norm, _split_pairs, _vsub)
+                             _norm, _vsub)
 from .arc_presentation import ValidatedPresentation, equal_length_parts
 
 DEFAULT_M_FACTOR = 4.0
@@ -403,9 +405,7 @@ def tolerance_report(emb: EquilateralEmbedding) -> ToleranceReport:
     moved = {(c.index, mv.tag) for c in emb.components for mv in c.moves}
     swept = [i for i, s in enumerate(emb.sticks)
              if (s.component, s.tag) in moved or s.tag.startswith("join")]
-    min_clear = _split_pairs(segs, ends, swept, visit)
-    if min_clear is None:
-        min_clear = _near_pairs(segs, ends, visit)
+    min_clear = _near_pairs(segs, ends, swept, visit)
     if min_clear is math.inf:
         min_clear = M
     return ToleranceReport(max_dev, min_clear, min_clear / M)

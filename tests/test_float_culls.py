@@ -3,10 +3,10 @@
 tolerance_report (builder) and check_equilateral's clearance and float
 check_simplicity (verifier) measure only the pairs a box sweep, or on a
 fan a cone bound about its shared junctions, cannot rule out;
-tolerance_report first tries the split by what moved, which bounds the
-pairs of unmoved tent sticks all at once.  Their minima, verdicts and
-details must equal those of the loops in oracles.py that measure every
-pair, float for float.
+tolerance_report walks the pairs that hold a moved stick by box gap, and
+those of two unmoved tent sticks only when a bound from their half-planes
+does not clear them.  Their minima, verdicts and details must equal those
+of the loops in oracles.py that measure every pair, float for float.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 import oracles
 import parity
 from stickforge import _builder_culls, equilateral_builder, verifier
-from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
+from stickforge.arc_presentation import catalog, catalog_names, equal_length_parts, validate_presentation
 from stickforge.equilateral_builder import (EquilateralEmbedding, EStick, build_equilateral, build_tents,
                                            reduce_top, tolerance_report)
 from stickforge.randgen import PROFILES, random_presentation
@@ -91,24 +91,37 @@ def _assert_matches_reference(emb):
         oracles.all_pairs_float_simplicity(segs, scale=emb.M)
 
 
+def _walks(monkeypatch):
+    """Record the rows of every box-gap walk of the builder's cull: none on
+    the fan cull, one over the pairs that hold a swept stick, and a second
+    over the pairs of two unmoved sticks when the unmoved bound does not
+    clear the first walk's minimum."""
+    walks = []
+    monkeypatch.setattr(_builder_culls, "_walk", lambda rows, *args, real=_builder_culls._walk: (
+        walks.append(rows), real(rows, *args))[1])
+    return walks
+
+
 def test_culled_passes_match_all_pairs(builds, monkeypatch):
-    swept = []
-    for module in (_builder_culls, verifier):
-        monkeypatch.setattr(module, "_boxes", lambda segs, real=module._boxes: (
-            swept.append(len(segs)), real(segs))[1])
+    sweeps = []
+    monkeypatch.setattr(verifier, "_boxes", lambda segs, real=verifier._boxes: (
+        sweeps.append(len(segs)), real(segs))[1])
+    walks = _walks(monkeypatch)
     rng = random.Random(11)
     verdicts, paths = set(), set()
     for emb in builds:
         for case in [emb, *_mutants(emb, rng)]:
-            swept.clear()
+            sweeps.clear()
+            walks.clear()
             _assert_matches_reference(case)
-            paths.add(len(swept))
+            paths.add((len(walks), len(sweeps)))
             segs = [(s.a, s.b) for s in case.sticks]
             verdicts.add(check_simplicity(segs, scale=case.M).ok)
     assert verdicts == {True, False}
-    # the fan cull (no sweep), the split (tolerance_report sweeps none) and
-    # the sweep in all three passes all ran
-    assert paths == {0, 2, 3}
+    # the fan cull in all three passes (no walk, no sweep), and the
+    # builder's walk over the swept pairs, alone and followed by the
+    # unmoved pairs, each beside the verifier's two sweeps, all ran
+    assert paths == {(0, 0), (1, 2), (2, 2)}
 
 
 def test_culled_passes_match_all_pairs_on_fold_back():
@@ -144,15 +157,15 @@ def test_culled_passes_find_every_failing_pair():
 
 
 def _visits(monkeypatch, *modules):
-    """Record, per call of each module's _near_pairs, and of the builder's
-    _split_pairs, its name, its segments and the (i, k) pairs it visits."""
+    """Record, per call of each module's _near_pairs, its segments and the
+    (i, k) pairs it visits."""
     calls = []
 
     def spy(real):
         def near_pairs(segs, *args):
             *rest, visit = args
             pairs = []
-            calls.append((real.__name__, segs, pairs))
+            calls.append((segs, pairs))
 
             def counted(i, ks):
                 ks = list(ks)
@@ -162,9 +175,7 @@ def _visits(monkeypatch, *modules):
         return near_pairs
 
     for module in modules:
-        for name in ("_near_pairs", "_split_pairs"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, spy(getattr(module, name)))
+        monkeypatch.setattr(module, "_near_pairs", spy(module._near_pairs))
     return calls
 
 
@@ -173,17 +184,17 @@ def test_culled_passes_skip_most_pairs(monkeypatch):
     n = len(emb.sticks)
     segs = [(s.a, s.b) for s in emb.sticks]
     calls = _visits(monkeypatch, equilateral_builder, verifier)
-    # tolerance_report settles the one frame by the split, with no fallback
-    for run, name in ((lambda: tolerance_report(emb), "_split_pairs"),
-                      (lambda: check_equilateral(emb), "_near_pairs"),
-                      (lambda: check_simplicity(segs, scale=emb.M), "_near_pairs")):
+    walks = _walks(monkeypatch)
+    for run in (lambda: tolerance_report(emb), lambda: check_equilateral(emb),
+                lambda: check_simplicity(segs, scale=emb.M)):
         calls.clear()
         run()
-        ((called, _, pairs),) = calls
-        assert called == name
+        ((_, pairs),) = calls
         assert len(pairs) == len(set(pairs))
         assert all(i < k for i, k in pairs)
         assert len(pairs) < n * (n - 1) // 2 / 10
+    # tolerance_report settles the frame on its swept pairs alone
+    assert len(walks) == 1
 
 
 def test_seg_distance_is_not_symmetric_to_the_last_bit():
@@ -219,15 +230,17 @@ def test_culled_passes_measure_lower_index_first(monkeypatch, name):
 @pytest.mark.parametrize("ap", [catalog("unlink(3)"), random_presentation(3, "multi", 40)],
                          ids=["unlink3", "multi"])
 def test_assembled_tolerance_measures_no_cross_part_pair(monkeypatch, ap):
-    calls = _visits(monkeypatch, equilateral_builder)
     out = _build(ap)
     assert len(out.components) > 1
-    # the assembled frame's unmoved sticks stand off the axis: no split
-    assert [c[0] for c in calls[-2:]] == ["_split_pairs", "_near_pairs"] and calls[-2][2] == []
-    _, segs, pairs = calls[-1]
+    calls = _visits(monkeypatch, equilateral_builder)
+    walks = _walks(monkeypatch)
+    assert tolerance_report(out) == out.tolerance == oracles.all_pairs_tolerance(out)
+    # the assembled frame's unmoved sticks, if any, stand off the axis, so
+    # the unmoved bound is 0 and their pairs are walked too
+    assert len(walks) == (1 if len(_split(out)) == len(out.sticks) else 2)
+    ((segs, pairs),) = calls
     assert len(segs) == len(out.sticks)
     part = [s.component for s in out.sticks]
-    assert out.tolerance == oracles.all_pairs_tolerance(out)
     keys = [{s.ja, s.jb} for s in out.sticks]
     in_part = [equilateral_builder._seg_distance(*segs[i], *segs[j])
                for i in range(len(segs)) for j in range(i + 1, len(segs))
@@ -285,22 +298,44 @@ def _least_unmoved_first(emb):
 
 
 def test_split_tolerance_matches_all_pairs_on_workload_frames(workload_frames, monkeypatch):
-    falls, calls = [], []
-    monkeypatch.setattr(equilateral_builder, "_near_pairs", lambda *args, real=equilateral_builder._near_pairs: (
-        falls.append(1), real(*args))[1])
-    monkeypatch.setattr(_builder_culls, "_boxes", lambda segs, real=_builder_culls._boxes: (
-        calls.append(len(segs)), real(segs))[1])
+    fans, measured = [], []
+    monkeypatch.setattr(_builder_culls, "_fan_pairs", lambda *args, real=_builder_culls._fan_pairs: (
+        fans.append(1), real(*args))[1])
+    monkeypatch.setattr(equilateral_builder, "_seg_distance", lambda *args, real=equilateral_builder._seg_distance: (
+        measured.append(args), real(*args))[1])
+    walks = _walks(monkeypatch)
     for w, frames in workload_frames.items():
-        falls.clear()
-        calls.clear()
+        fans.clear()
+        unmoved = repeats = 0
         for red in frames:
-            assert tolerance_report(red) == oracles.all_pairs_tolerance(red)
-        # the split settles every large frame, so no box is swept; 14 small
-        # frames fall back, 10 of them to the box sweep
-        assert (len(frames), len(falls), len(calls)) == \
-            ((4, 0, 0) if w == "random-large" else (149, 14, 10))
+            measured.clear()
+            walks.clear()
+            report = tolerance_report(red)
+            repeats += len(measured) - len(set(measured))
+            unmoved += len(walks) == 2
+            assert report == oracles.all_pairs_tolerance(red)
+        # no pair is measured twice; the swept pairs settle every large
+        # frame, and of the small ones 4 crowd one spot and go to the fan
+        # cull and 10 walk their unmoved pairs too
+        assert (len(frames), repeats, len(fans), unmoved) == \
+            ((4, 0, 0, 0) if w == "random-large" else (149, 0, 4, 10))
     # five small frames hold their least clearance on a pair of unmoved sticks
     assert sum(map(_least_unmoved_first, workload_frames["random-small"])) == 5
+
+
+def test_tolerance_matches_all_pairs_on_tents(monkeypatch):
+    # build_tents frames: nothing has moved, so the swept walk is empty and
+    # every frame that does not crowd one spot walks its unmoved pairs
+    walks, paths = _walks(monkeypatch), set()
+    aps = [catalog(name) for name in catalog_names()]
+    aps += [random_presentation(s, p, 30) for p in PROFILES for s in range(10)]
+    for ap in aps:
+        for vp in equal_length_parts(validate_presentation(ap)):
+            tents = build_tents(vp, 4.0 * vp.m)
+            walks.clear()
+            assert tolerance_report(tents) == oracles.all_pairs_tolerance(tents)
+            paths.add(tuple(map(bool, walks)))
+    assert paths == {(), (False, True)}
 
 
 def _reduced(name):
@@ -341,45 +376,53 @@ def _shared_azimuth(emb):
 @pytest.mark.parametrize("mutate", [_tilted, _shared_azimuth], ids=["off-axis", "one-azimuth"])
 def test_split_falls_back_on_frames_off_its_shape(monkeypatch, mutate):
     red = _reduced("trefoil")
-    calls = _visits(monkeypatch, equilateral_builder)
+    walks = _walks(monkeypatch)
     assert tolerance_report(red) == oracles.all_pairs_tolerance(red)
-    assert [name for name, _, _ in calls] == ["_split_pairs"]   # as built, the split settles it
+    assert len(walks) == 1   # as built, the unmoved bound clears the swept pairs
     emb = mutate(red)
     segs, ends = _segs_ends(emb)
     assert _builder_culls._unmoved_bound(segs, ends, _split(emb)) == 0.0
-    calls.clear()
+    walks.clear()
     assert tolerance_report(emb) == oracles.all_pairs_tolerance(emb)
-    assert [(name, pairs) for name, _, pairs in calls[:1]] == [("_split_pairs", [])]
-    assert [name for name, _, _ in calls[1:]] == ["_near_pairs"]
+    assert len(walks) == 2
 
 
-def test_split_falls_back_when_the_bound_does_not_clear():
+def test_split_falls_back_when_the_bound_does_not_clear(monkeypatch):
     # the same frame, with visit claiming every swept pair lies far apart:
     # the unmoved pairs could then hold the least clearance
     red = _reduced("trefoil")
     segs, ends = _segs_ends(red)
-    bound = _builder_culls._unmoved_bound(segs, ends, _split(red))
+    swept, n = _split(red), len(segs)
+    bound = _builder_culls._unmoved_bound(segs, ends, swept)
     assert 0.0 < bound < math.inf
-    assert _builder_culls._split_pairs(segs, ends, _split(red), lambda i, ks: bound / 2) == bound / 2
-    assert _builder_culls._split_pairs(segs, ends, _split(red), lambda i, ks: bound) is None
-    assert _builder_culls._split_pairs(segs, ends, _split(red), lambda i, ks: math.inf) is None
+    walks = _walks(monkeypatch)
+    for claim, passes in ((bound / 2, 1), (bound, 2), (math.inf, 2)):
+        walks.clear()
+        assert _builder_culls._near_pairs(segs, ends, swept, lambda i, ks: claim) == claim
+        assert len(walks) == passes
+    # claiming inf, every pair is walked once: those that hold a swept
+    # stick first, then those of two unmoved sticks
+    first, second = ([(i, k) for _, i, k in rows] for rows in walks)
+    assert sorted(first + second) == [(i, k) for i in range(n) for k in range(i + 1, n)]
+    assert all(i in swept or k in swept for i, k in first)
+    assert not any(i in swept or k in swept for i, k in second)
 
 
 def test_split_bound_counts_the_slope(monkeypatch):
     # two unmoved sticks on opposite pages with axis ends 1 apart, one
     # nearly vertical, pass within cos(theta) 1, about 0.0995, of each
     # other, far below the swept stick's least distance of about 0.6: the
-    # bound is as small, does not clear, and the split falls back
+    # bound is as small, does not clear, and the unmoved pair is walked
     sticks = [EStick((0.0, 0.0, 0.0), (0.1, 0.0, 0.995), 0, "arc1.lower", "bp0", "apex1"),
               EStick((0.0, 0.0, 1.0), (-1.0, 0.0, 1.0), 0, "arc2.upper", "bp1", "apex2"),
               EStick((0.05, 0.6, 0.5), (0.05, 0.6, 0.9), 0, "join3", "hub", "end3")]
     emb = EquilateralEmbedding(sticks=sticks, M=1.0, components=[])
     segs, ends = _segs_ends(emb)
     assert 0.099 < _builder_culls._unmoved_bound(segs, ends, [2]) < 0.1
-    calls = _visits(monkeypatch, equilateral_builder)
+    walks = _walks(monkeypatch)
     report = tolerance_report(emb)
     assert report == oracles.all_pairs_tolerance(emb) and report.min_clearance < 0.1
-    assert [name for name, _, _ in calls] == ["_split_pairs", "_near_pairs"]
+    assert len(walks) == 2
 
 
 def _kernel_cases():
@@ -477,24 +520,22 @@ def test_fan_cull_visits_few_pairs(monkeypatch, n, part):
     N = len(emb.sticks)
     segs = [(s.a, s.b) for s in emb.sticks]
     calls = _visits(monkeypatch, equilateral_builder, verifier)
+    walks = _walks(monkeypatch)
     bounds = []
     for module in (_builder_culls, verifier):
         monkeypatch.setattr(module, "_ray_bound", lambda *args, real=module._ray_bound: (
             bounds.append(args), real(*args))[1])
-    for run, split in ((lambda: tolerance_report(emb), True), (lambda: check_equilateral(emb), False),
-                       (lambda: check_simplicity(segs, scale=emb.M), False)):
+    for run in (lambda: tolerance_report(emb), lambda: check_equilateral(emb),
+                lambda: check_simplicity(segs, scale=emb.M)):
         calls.clear()
         bounds.clear()
         run()
-        if split:
-            # every stick of a fan moved, so the split hands it on unvisited
-            name, _, pairs = calls.pop(0)
-            assert (name, pairs) == ("_split_pairs", [])
-        ((_, _, pairs),) = calls
+        ((_, pairs),) = calls
         assert len(pairs) == len(set(pairs))
         assert all(i < k for i, k in pairs)
         assert len(pairs) < N * (N - 1) // 2 / part
         assert len(bounds) < N * (N - 1) // 2 / part
+    assert walks == []   # the fan goes to the fan cull, not a box-gap walk
 
 
 def _random_fan(seed):
@@ -527,12 +568,12 @@ def _random_fan(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_fan_cull_matches_all_pairs_on_random_fans(monkeypatch, seed):
-    swept = []
-    for module in (_builder_culls, verifier):
-        monkeypatch.setattr(module, "_boxes", lambda segs, real=module._boxes: (
-            swept.append(len(segs)), real(segs))[1])
+    sweeps = []
+    monkeypatch.setattr(verifier, "_boxes", lambda segs, real=verifier._boxes: (
+        sweeps.append(len(segs)), real(segs))[1])
+    walks = _walks(monkeypatch)
     _assert_matches_reference(_random_fan(seed))
-    assert swept == []    # the fan cull ran in all three passes
+    assert sweeps == walks == []    # the fan cull ran in all three passes
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -547,7 +588,7 @@ def test_fan_cull_visits_every_pair_within_its_minimum(seed, least):
     want = {(i, k) for i in range(n) for k in range(i + 1, n)
             if {*ends[i]}.isdisjoint(ends[k])
             and equilateral_builder._seg_distance(*segs[i], *segs[k]) <= least}
-    for near_pairs in (lambda visit: equilateral_builder._near_pairs(segs, ends, visit),
+    for near_pairs in (lambda visit: equilateral_builder._near_pairs(segs, ends, [], visit),
                        lambda visit: verifier._near_pairs(segs, ends, 1e-6, visit)):
         seen = []
 
