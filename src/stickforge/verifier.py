@@ -3,9 +3,10 @@
 Every check here recomputes its facts from the embedding coordinates and
 the circular diagram alone; nothing is trusted from the builders, and this
 module imports none of their code.  Exact checks run on rational inputs
-with zero tolerance.  Floating-point embeddings are judged against the
-tolerances below, all relative to the stick length scale.  A simplicity
-check whose input mixes rational and float coordinates fails.
+with zero tolerance.  Floating-point embeddings are judged against
+TOLERANCES (kept in _verifier_float), all relative to the stick length
+scale.  A simplicity check whose input mixes rational and float
+coordinates fails.
 
 Exact checks compute in integers, on the homogeneous points of
 _verifier_exact, which also holds the exact simplicity check and proves
@@ -83,139 +84,26 @@ open-book fact that arcs on distinct pages meet only in the binding
 (Cromwell, "Embedding knots and links in an open book I", 1995), read in
 projection.
 
-The float checks fail any coordinate or scale that is not finite, and a
+The float checks, check_equilateral's clearance and the float branch of
+check_simplicity, fail any coordinate or scale that is not finite, and a
 length scale that is not positive, before they measure anything.  Then
-they cull their pairs (_near_pairs), and lose nothing by it.  Let
-m be the larger of the least distance measured so far and the check's
-floor clearance_min, C the largest coordinate magnitude, and
-pad = m + junction_rel (C + m).  Each stick is cut at fixed fractions into
-pieces, each piece gets the closed box of its computed ends, and a sweep
-in z measures a pair of sticks only when some box of one lies within pad
-of some box of the other in x, y and z.  Write u = 2^-53 and assume no
-overflow or underflow.
-- A computed cut point a + t (b - a) lies within 6uC of the true point in
-  every coordinate, so every point of a stick lies within 6uC of one of
-  its boxes.
-- A box test fails only when a computed bound such as lo - pad lies past
-  the other box's bound, and the rounding of that sum is below
-  2u (C + pad).  So the two sticks lie more than pad - 2u (C + pad) - 12uC
-  apart, and pad itself is computed to within 3u (C + m).
-- seg_distance returns the computed length of cp1 - cp2, where
-  cp1 = p + sc (q - p) and cp2 = r + tc (s - r) with sc, tc clamped to
-  [0, 1]: each lies within 6uC of a point of its stick in every
-  coordinate, and the length is off by under 5u of itself, so the result
-  is at least the true distance less 40uC.
-All of it is below 100u (C + m), and the margin junction_rel (C + m) is
-over 10^4 times more, so a skipped pair measures more than m.  m only
-falls, so a piece the sweep drops once is past every later box as well.
-Hence every pair at the least distance is measured, and so is every pair
-below clearance_min.  Since clearance_rel exceeds junction_rel, so is
-every pair with ends within the snap, which gets the fold-back test
-instead.  A minimum does not depend on the order it is taken in, and
-failing pairs are sorted back into lexicographic order, so minima,
-verdicts and witnesses are those of testing every pair.  Each pair is
-measured once, lower index first, as the all-pairs loop measured it.
-
-Which pairs go through is chosen from the input.  Unless the boxes of the
-whole sticks all lie within _SHORTEST times the longest stick of each
-other (the length of its shortest piece), the sticks adjacent in z order
-whose boxes meet are measured first, for a first m, and the sweep takes
-the rest (random-large).
-
-When the sticks do crowd one spot, pieces cannot prune them (theta-fan,
-where every stick reaches the axis point or the hub), and the fan cull
-(_fan_pairs) takes over, with t = m + junction_rel (C + m) in place of
-pad.  Each check keys the ends of its sticks: check_equilateral by
-component and junction label, check_simplicity by the coordinates
-themselves, and neither measures a pair that shares a key.  A center is
-the point that the most ends of the sticks still left share exactly, and
-at least three must share it.  The sticks with an end at the center are
-its rays; the others stay for the next center, and the pairs that no
-center holds are all measured.  So each pair is decided once, at the first
-center that holds one of its sticks.
-- Two rays with different keys at the center are measured.  Two with one
-  key there share it and are not measured, but check_simplicity gives
-  them its fold-back test, which fails them only when their directions u,
-  v from the center have cosine above 1 - _FOLD, so |u - v| is under
-  sqrt(2 _FOLD) up to rounding, or when one ray's far end lies within the
-  snap of the other's, so |u - v| <= 2 snap / its length (for vectors a,
-  b, |a/|a| - b/|b|| <= 2 |a - b| / |a|), or of the center itself.  So each
-  ray gets the width w = sqrt(_FOLD) + 2 floor / length (infinite when it
-  has no length), and a sweep over the first coordinate of the units hands
-  over every pair of rays with one key whose units lie within the sum of
-  their widths: floor = clearance_rel scale exceeds the snap
-  junction_rel scale, and 2 sqrt(_FOLD) exceeds sqrt(2 _FOLD).
-- A ray and a stick that stays: seen from the center F, the ray's
-  directions are the unit d to its far end (any direction when it has no
-  length: d = 0 then, at angle 0 to everything), and the stick's lie
-  within h of a unit c (_cone) at distance r or more from F.  For x on a
-  ray from F and y at angle g from that ray, |x - y| >= |y - F| sin g
-  when g <= pi/2, and |x - y| >= |y - F| beyond, so the pair is at least
-  B = r sin(min(max(angle(d, c) - h, 0), pi/2)) apart (_ray_bound), and it
-  is measured when B <= t.  The directions from F to a segment that misses
-  F fill the shorter great-circle arc between those of its ends a and b,
-  within h = ab/2 of c = (a + b)/|a + b|; c is trusted only when a x b is
-  not too short or a . b >= 0, else h = pi, as when the segment reaches F.
-- B is not computed for every such pair.  Let Z be the unit along the sum
-  of the rays' d, and X, Y complete an orthonormal frame.  A unit d has
-  height z = d . Z, distance s = |(d . X, d . Y)| from the axis and azimuth
-  psi.  The rays with s at least half the largest form the band, sorted by
-  psi; the others are bounded against every stick that stays.  For d in the
-  band and c at height zc, distance sc and azimuth gap g from d,
-  |d - c|^2 = (z - zc)^2 + (s - sc)^2 + 4 s sc sin^2(g/2).  With s in
-  [slo, shi] and z in [zlo, zhi] over the band, and ds, dz the distances
-  of sc and zc from those ranges, |d - c| >= chi(g) =
-  sqrt(dz^2 + ds^2 + 4 slo sc sin^2(g/2)), so angle(d, c) =
-  2 asin(|d - c|/2) >= 2 asin(chi(g)/2), and every ray of the band at gap
-  g or more from c, up to pi, has B >= L(g) = r sin(min(max(2 asin(chi(g)/2)
-  - h, 0), pi/2)), which grows with g.  Each stick that stays walks the band
-  from its own azimuth both ways, computing B ray by ray, and stops a way
-  at the first ray past gap pi, or with B > t and L > t there: every ray
-  further that way lies as far.  The two ways share one count of rays, so
-  no ray is taken twice, and a ray past pi one way lies within pi the
-  other.
-m only falls, so a pair dropped against an earlier t lies above the final
-m.  Rounding: every point lies within 2C of F in each coordinate, so
-r < 4C.  Each computed unit lies within 4u of the direction it stands for,
-c within 2e-12 (|a + b| is about 1e-3 or more where c is trusted), h and
-every atan2 angle within 10u, so B is off by under 4C (3e-12).  chi is
-built from dot products and hypot, each within a few u, and from the gap
-g, off by under 12u/s + 12u/sc, which moves 2 sqrt(slo sc) sin(g/2) by
-under q min(1, 8u/slo + 8u/sc), q = 2 sqrt(slo sc); the walk takes that
-allowance and 16u more off chi before asin, so the computed L lies below
-the true one, up to 4C (100u).  A width of the fold sweep is over 10^5
-times the rounding of the units it compares.  junction_rel (C + m) is
-far above all of it, so a dropped pair lies more than m apart or cannot
-fold back.
+they measure only the pairs that _verifier_float._near_pairs hands them:
+every pair that could come within the least distance or the floor, or
+fold back, and no pair twice.  That module holds the culls, the distance
+kernel and the float tolerances, and its docstring proves that minima,
+verdicts and witnesses are those of testing every pair.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._verifier_exact import _cross, _dot, _family_ordered, _first_exact_failure, _hom, _profile
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Relative to the length scale (exact checks ignore these)."""
-
-    length_rel: float = 1e-9
-    clearance_rel: float = 1e-6
-    junction_rel: float = 1e-9
-
-
-TOLERANCES = Tolerances()
-
-# sticks that share an end fold back when the cosine between them exceeds 1 - _FOLD
-_FOLD = 1e-12
-# where the float checks cut each stick into pieces (see the module docstring)
-_CUTS = (0.125, 0.25, 0.5, 0.75, 0.875)
-_SHORTEST = min(b - a for a, b in zip((0.0, *_CUTS), (*_CUTS, 1.0)))
+from ._verifier_exact import _family_ordered, _first_exact_failure, _hom, _profile
+from ._verifier_float import (_FOLD, TOLERANCES, Tolerances, _dot, _near_pairs, _norm, _vsub,
+                              seg_distance)
 
 
 @dataclass
@@ -253,231 +141,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# float distance between closed segments (for decimal embeddings)
-
-
-def _vsub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _norm(a):
-    return math.sqrt(_dot(a, a))
-
-
-def seg_distance(p, q, r, s) -> float:
-    """Closest-point distance between segments pq and rs.  The vector
-    arithmetic is written out, in the order of the vector helpers."""
-    (px, py, pz), (rx, ry, rz) = p, r
-    ux, uy, uz = q[0] - px, q[1] - py, q[2] - pz
-    vx, vy, vz = s[0] - rx, s[1] - ry, s[2] - rz
-    wx, wy, wz = px - rx, py - ry, pz - rz
-    a, b, c = ux * ux + uy * uy + uz * uz, ux * vx + uy * vy + uz * vz, vx * vx + vy * vy + vz * vz
-    d, e = ux * wx + uy * wy + uz * wz, vx * wx + vy * wy + vz * wz
-    den = a * c - b * b
-    sn, sd = (0.0, 1.0) if den <= 1e-14 * a * c else ((b * e - c * d), den)
-    if sn < 0.0:
-        sn, sd = 0.0, 1.0
-    elif sn > sd:
-        sn, sd = sd, sd
-    sc = 0.0 if sd == 0.0 else sn / sd
-    tn = e + sc * b
-    if tn < 0.0:
-        tc = 0.0
-        sc = min(max(-d / a if a > 0 else 0.0, 0.0), 1.0)
-    elif tn > c:
-        tc = 1.0
-        sc = min(max((b - d) / a if a > 0 else 0.0, 0.0), 1.0)
-    else:
-        tc = tn / c if c > 0 else 0.0
-    x, y = (px + sc * ux) - (rx + tc * vx), (py + sc * uy) - (ry + tc * vy)
-    z = (pz + sc * uz) - (rz + tc * vz)
-    return math.sqrt(x * x + y * y + z * z)
-
-
-def _boxes(segs):
-    """The closed box (zlo, zhi, xlo, xhi, ylo, yhi, i) of every piece of
-    every stick i, cut at _CUTS, sorted by zlo."""
-    boxes = []
-    for i, (a, b) in enumerate(segs):
-        d = _vsub(b, a)
-        ends = [a, *((a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2]) for t in _CUTS), b]
-        for p, q in zip(ends, ends[1:]):
-            boxes.append((min(p[2], q[2]), max(p[2], q[2]), min(p[0], q[0]), max(p[0], q[0]),
-                          min(p[1], q[1]), max(p[1], q[1]), i))
-    boxes.sort()
-    return boxes
-
-
-def _near_pairs(segs, ends, floor: float, visit) -> float:
-    """Call visit(i, ks) for rows of pairs (i, k), k in ks, each k > i, that
-    hold every pair of segs that could lie within max(m, floor) of each
-    other, and every pair of sticks with one end at one point and the same
-    key of ends there whose directions from that point could fold back,
-    each pair once, and return m: the least value visit returned, or inf.
-    ends holds the keys of each stick's ends a and b; visit measures no
-    pair that shares a key, and returns the least distance it measures
-    over its row, or inf.  The module docstring proves that no skipped
-    pair comes that close or folds back."""
-    n = len(segs)
-    least = math.inf
-    if n < 2:
-        return least
-    lo = [tuple(map(min, a, b)) for a, b in segs]
-    hi = [tuple(map(max, a, b)) for a, b in segs]
-    spread = max(max(p[c] for p in lo) - min(q[c] for q in hi) for c in range(3))
-    size = max(abs(c) for a, b in segs for c in a + b)
-    if spread <= _SHORTEST * max(_norm(_vsub(b, a)) for a, b in segs):
-        return _fan_pairs(segs, ends, floor, visit, size)   # pieces cannot prune (theta-fan)
-    seen = set()
-    # a first bound: sticks adjacent in z order whose boxes meet
-    order = sorted(range(n), key=lambda i: lo[i][2])
-    for u, v in zip(order, order[1:]):
-        if all(lo[v][c] <= hi[u][c] and lo[u][c] <= hi[v][c] for c in range(3)):
-            i, k = (u, v) if u < v else (v, u)
-            seen.add(i * n + k)
-            d = visit(i, (k,))
-            if d < least:
-                least = d
-    m = max(least, floor)
-    pad = m + TOLERANCES.junction_rel * (size + m)
-    active: list[tuple] = []
-    for box in _boxes(segs):
-        zlo, _, xlo, xhi, ylo, yhi, j = box
-        cut = zlo - pad
-        active = [o for o in active if o[1] >= cut]
-        xl, xh, yl, yh = xlo - pad, xhi + pad, ylo - pad, yhi + pad
-        for o in [o for o in active if o[2] <= xh and xl <= o[3] and o[4] <= yh and yl <= o[5]]:
-            i, k = (o[6], j) if o[6] < j else (j, o[6])
-            if i != k and i * n + k not in seen:
-                seen.add(i * n + k)
-                d = visit(i, (k,))
-                if d < least:
-                    least = d
-        if max(least, floor) < m:
-            m = max(least, floor)
-            pad = m + TOLERANCES.junction_rel * (size + m)
-        active.append(box)
-    return least
-
-
-def _unit(v):
-    """v / |v|, or 0.0 when |v| is zero or overflows."""
-    n = _norm(v)
-    return (v[0] / n, v[1] / n, v[2] / n) if 0.0 < n < math.inf else 0.0
-
-
-def _cone(F, pa, pb):
-    """(r, c, h) of the segment pa pb seen from F: r is its distance from
-    F, and every direction from F to it lies within h of the unit c; h = pi,
-    the whole sphere, when it reaches F or a + b is too short to trust (see
-    the module docstring)."""
-    va, vb = _vsub(pa, F), _vsub(pb, F)
-    d = _vsub(vb, va)
-    dd = _dot(d, d)
-    t = min(max(-_dot(d, va) / dd, 0.0), 1.0) if dd > 0.0 else 0.0
-    r = _norm((va[0] + t * d[0], va[1] + t * d[1], va[2] + t * d[2]))
-    a, b = _unit(va), _unit(vb)
-    if not (a and b) or _norm(_cross(a, b)) < 1e-3 and _dot(a, b) < 0.0:
-        return r, (1.0, 0.0, 0.0), math.pi    # reaches F, or an untrusted plane near a pole
-    c = _unit((a[0] + b[0], a[1] + b[1], a[2] + b[2]))
-    return r, c, math.atan2(_norm(_cross(a, b)), _dot(a, b)) / 2
-
-
-def _ray_bound(d, r, c, h):
-    """r sin(min(max(angle(d, c) - h, 0), pi/2)), the cone bound between a
-    stick whose directions from a center are the unit d (any direction when
-    d = 0) and a stick at distance r from it whose directions lie within h
-    of the unit c."""
-    g = math.atan2(_norm(_cross(d, c)), _dot(d, c)) - h
-    return r * math.sin(min(g, math.pi / 2)) if g > 0.0 else 0.0
-
-
-def _fan_pairs(segs, ends, floor, visit, size):
-    """_near_pairs by the fan cull of the module docstring; size is the
-    largest coordinate magnitude."""
-    least = t = math.inf
-    u = 2.0 ** -53
-
-    def see(i, k):
-        nonlocal least, t
-        d = visit(min(i, k), (max(i, k),))
-        if d < least:
-            least, m = d, max(d, floor)
-            t = m + TOLERANCES.junction_rel * (size + m)
-
-    rest = list(range(len(segs)))
-    while True:
-        count = Counter(p for i in rest for p in {*segs[i]})
-        F, most = max(count.items(), key=lambda e: e[1], default=(None, 0))
-        if most < 3:
-            break
-        groups = {}   # the rays of F by their key at F: (fold box's low end, index, half-width, unit)
-        for i in rest:
-            a, b = segs[i]
-            if F in (a, b):
-                v = _vsub(b if a == F else a, F)
-                w = math.sqrt(_FOLD) + 2 * floor / _norm(v) if _norm(v) else math.inf
-                d = _unit(v) or (0.0, 0.0, 0.0)
-                groups.setdefault(ends[i][a != F], []).append((d[0] - w, i, w, d))
-        rest = [i for i in rest if F not in segs[i]]
-        keyed = list(groups.values())
-        for x, group in enumerate(keyed):
-            for other in keyed[x + 1:]:   # rays with different keys at F
-                for _, i, _, _ in group:
-                    for _, k, _, _ in other:
-                        see(i, k)
-            active = []   # rays with one key whose units lie close could fold back
-            for box in sorted(group):
-                lo, i, w, d = box
-                active = [o for o in active if o[3][0] + o[2] >= lo]
-                for _, k, ow, od in active:
-                    if _norm(_vsub(od, d)) <= ow + w:
-                        see(i, k)
-                active.append(box)
-        if not rest:
-            continue
-        # the frame: Z along the rays' summed direction, X and Y across it
-        rays = [box[1:] for group in keyed for box in group]
-        Z = _unit(tuple(map(sum, zip(*(d for *_, d in rays))))) or (0.0, 0.0, 1.0)
-        X = _unit(_cross(Z, (0.0, 0.0, 1.0) if abs(Z[2]) < 0.5 else (1.0, 0.0, 0.0)))
-        Y = _cross(Z, X)
-        ring = [(math.atan2(_dot(d, Y), _dot(d, X)), math.hypot(_dot(d, X), _dot(d, Y)),
-                 _dot(d, Z), i, d) for i, _, d in rays]
-        top = max(f[1] for f in ring)
-        polar = [f for f in ring if not f[1] >= top / 2 > 0.0]   # near the axis, or no length
-        ring = sorted(f for f in ring if f[1] >= top / 2 > 0.0)
-        if ring:
-            psi, s, z, _, _ = zip(*ring)
-            slo, shi, zlo, zhi = min(s), max(s), min(z), max(z)
-        for k in rest:
-            r, c, h = _cone(F, *segs[k])
-            for *_, i, d in polar:
-                if _ray_bound(d, r, c, h) <= t:
-                    see(i, k)
-            if not ring:
-                continue
-            x, y, z = _dot(c, X), _dot(c, Y), _dot(c, Z)
-            sv, pv = math.hypot(x, y), math.atan2(y, x)
-            near = math.hypot(max(zlo - z, z - zhi, 0.0), max(slo - sv, sv - shi, 0.0))
-            q = 2.0 * math.sqrt(slo * sv)
-            slack = q * min(1.0, 8 * u / slo + 8 * u / max(sv, u)) + 16 * u
-            start, taken, n = bisect_left(psi, pv), 0, len(ring)
-            for step in (1, -1):
-                j = start - (step < 0)
-                while taken < n:
-                    g, _, _, i, d = ring[j % n]
-                    gap = (g - pv) * step + (0.0 if 0 <= j < n else 2 * math.pi)
-                    if gap > math.pi:
-                        break
-                    if _ray_bound(d, r, c, h) <= t:
-                        see(i, k)
-                    elif r * math.sin(min(max(2 * math.asin(min(1.0, max(
-                            math.hypot(near, q * math.sin(gap / 2)) - slack, 0.0) / 2)) - h, 0.0),
-                            math.pi / 2)) > t:
-                        break    # every ray further this way lies as far
-                    taken += 1
-                    j += step
-    return min([least, *(visit(i, rest[x + 1:]) for x, i in enumerate(rest[:-1]))])
+# float input checks
 
 
 def _mixed_witness(rational) -> str:
@@ -850,9 +514,9 @@ def check_equilateral(emb) -> VerificationReport:
     emb needs: sticks (each with a, b, component, ja, jb), M, components
     (each with index, n_arcs, reduced).  Counts accept 2n for embeddings
     flagged unreduced and 2n - 1 after reduction; a stick of a component
-    not listed, or a component index listed twice, fails them.  An M that is not finite and positive, or a
-    coordinate that is not finite, fails equilateral.input and nothing
-    else is checked.
+    not listed, or a component index listed twice, fails them.  An M that
+    is not finite and positive, or a coordinate that is not finite, fails
+    equilateral.input and nothing else is checked.
     """
     report = VerificationReport()
     tol = TOLERANCES

@@ -19,7 +19,7 @@ import pytest
 
 import oracles
 import parity
-from stickforge import _builder_culls, equilateral_builder, verifier
+from stickforge import _builder_culls, _verifier_float, equilateral_builder, verifier
 from stickforge.arc_presentation import catalog, catalog_names, equal_length_parts, validate_presentation
 from stickforge.equilateral_builder import (EquilateralEmbedding, EStick, build_equilateral, build_tents,
                                            reduce_top, tolerance_report)
@@ -102,26 +102,44 @@ def _walks(monkeypatch):
     return walks
 
 
+def _verifier_paths(monkeypatch):
+    """Record the cull that each float check of the verifier takes, one
+    entry per check: "fan", "bound" (the axis walk settles every pair) or
+    "sweep" (the piece sweep, at once or after part of the walk)."""
+    paths = []
+
+    def spy(name, mark):
+        def wrapped(*args, real=getattr(_verifier_float, name)):
+            mark()
+            return real(*args)
+        monkeypatch.setattr(_verifier_float, name, wrapped)
+
+    spy("_fan_pairs", lambda: paths.append("fan"))
+    spy("_axis_pairs", lambda: paths.append("bound"))
+    spy("_boxes", lambda: paths.__setitem__(-1, "sweep"))
+    return paths
+
+
 def test_culled_passes_match_all_pairs(builds, monkeypatch):
-    sweeps = []
-    monkeypatch.setattr(verifier, "_boxes", lambda segs, real=verifier._boxes: (
-        sweeps.append(len(segs)), real(segs))[1])
+    checks = _verifier_paths(monkeypatch)
     walks = _walks(monkeypatch)
     rng = random.Random(11)
     verdicts, paths = set(), set()
     for emb in builds:
         for case in [emb, *_mutants(emb, rng)]:
-            sweeps.clear()
+            checks.clear()
             walks.clear()
             _assert_matches_reference(case)
-            paths.add((len(walks), len(sweeps)))
+            paths.add((len(walks), *checks))
             segs = [(s.a, s.b) for s in case.sticks]
             verdicts.add(check_simplicity(segs, scale=case.M).ok)
     assert verdicts == {True, False}
-    # the fan cull in all three passes (no walk, no sweep), and the
-    # builder's walk over the swept pairs, alone and followed by the
-    # unmoved pairs, each beside the verifier's two sweeps, all ran
-    assert paths == {(0, 0), (1, 2), (2, 2)}
+    # the fan cull in all three passes (no walk); the builder's walk over
+    # the swept pairs, alone and followed by the unmoved pairs; and beside
+    # them the verifier's axis walk and its piece sweep, which the two
+    # checks can take apart on one mutant (their keys and minima differ)
+    assert paths == {(0, "fan", "fan"), (1, "bound", "bound"), (1, "bound", "sweep"),
+                     (2, "bound", "bound"), (2, "sweep", "bound"), (2, "sweep", "sweep")}
 
 
 def test_culled_passes_match_all_pairs_on_fold_back():
@@ -522,7 +540,7 @@ def test_fan_cull_visits_few_pairs(monkeypatch, n, part):
     calls = _visits(monkeypatch, equilateral_builder, verifier)
     walks = _walks(monkeypatch)
     bounds = []
-    for module in (_builder_culls, verifier):
+    for module in (_builder_culls, _verifier_float):
         monkeypatch.setattr(module, "_ray_bound", lambda *args, real=module._ray_bound: (
             bounds.append(args), real(*args))[1])
     for run in (lambda: tolerance_report(emb), lambda: check_equilateral(emb),
@@ -569,7 +587,7 @@ def _random_fan(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_fan_cull_matches_all_pairs_on_random_fans(monkeypatch, seed):
     sweeps = []
-    monkeypatch.setattr(verifier, "_boxes", lambda segs, real=verifier._boxes: (
+    monkeypatch.setattr(_verifier_float, "_boxes", lambda segs, real=_verifier_float._boxes: (
         sweeps.append(len(segs)), real(segs))[1])
     walks = _walks(monkeypatch)
     _assert_matches_reference(_random_fan(seed))

@@ -29,7 +29,7 @@ def module_counts() -> dict[str, int]:
 
 def test_every_module_stays_under_the_token_step():
     counts = module_counts()
-    assert "verifier.py" in counts and "_verifier_exact.py" in counts
+    assert {"verifier.py", "_verifier_exact.py", "_verifier_float.py"} <= set(counts)
     over = {name: n for name, n in counts.items() if n >= STEP}
     assert not over, "significant tokens per module: " + ", ".join(
         f"{name} {n}" for name, n in counts.items())

@@ -154,10 +154,12 @@ def _package_imports(name):
 
 
 def test_verifier_module_is_self_contained():
-    # the verifier's only package import is its own exact kernel, which
-    # imports nothing of the package: no builder code on either side
-    assert _package_imports("verifier") == {"_verifier_exact"}
+    # the verifier's only package imports are its own exact kernel and its
+    # own float culls, and neither imports anything of the package: no
+    # builder code on any side
+    assert _package_imports("verifier") == {"_verifier_exact", "_verifier_float"}
     assert _package_imports("_verifier_exact") == set()
+    assert _package_imports("_verifier_float") == set()
 
 
 def test_exact_fault_injection_sweep():
