@@ -118,39 +118,44 @@ def _moved(emb, i, end, point):
     return replace(emb, sticks=sticks)
 
 
+def _labels(emb, i):
+    return {emb.sticks[i].ja, emb.sticks[i].jb}
+
+
 def _slid(emb, rank):
     """The axis end of the rank-th steepest axis stick slid along the axis
     to half the floor above the axis end of another tent's stick."""
     axis = _axis_sticks(emb)
     i, end = axis[rank]
-    keys = {(s.ja, s.jb) for s in emb.sticks[i:i + 1]}.pop()
-    j, other = next((j, e) for j, e in axis if j != i
-                    and {emb.sticks[j].ja, emb.sticks[j].jb}.isdisjoint(keys))
+    j, other = next((j, e) for j, e in axis if _labels(emb, j).isdisjoint(_labels(emb, i)))
     z = getattr(emb.sticks[j], other)[2] + 0.5 * TOLERANCES.clearance_rel * emb.M
     return _moved(emb, i, end, (0.0, 0.0, z))
 
 
+def _free(end):
+    return "b" if end == "a" else "a"
+
+
 def _one_azimuth(emb):
-    """A flat axis stick's free end moved to half the free end of a flat
-    axis stick of another tent, at the same azimuth to the last bit."""
+    """The flattest axis stick's free end moved to half the free end of the
+    flattest axis stick of another tent, at the same azimuth to the last
+    bit."""
     axis = _axis_sticks(emb)
-    (i, ei), (j, ej) = axis[-1], next(
-        (j, e) for j, e in reversed(axis) if {emb.sticks[j].ja, emb.sticks[j].jb}.isdisjoint(
-            {emb.sticks[axis[-1][0]].ja, emb.sticks[axis[-1][0]].jb}))
-    free = "b" if ei == "a" else "a"
-    q = getattr(emb.sticks[j], "b" if ej == "a" else "a")
-    return _moved(emb, i, free, (q[0] / 2, q[1] / 2, getattr(emb.sticks[i], free)[2]))
+    i, ei = axis[-1]
+    j, ej = next((j, e) for j, e in reversed(axis) if _labels(emb, j).isdisjoint(_labels(emb, i)))
+    q = getattr(emb.sticks[j], _free(ej))
+    return _moved(emb, i, _free(ei), (q[0] / 2, q[1] / 2, getattr(emb.sticks[i], _free(ei))[2]))
 
 
 def _steep(emb):
     """The free end of the axis stick that rises most, and of its tent
-    partner, drawn in towards the axis in their half-plane until the stick
-    is five times as steep as e1."""
+    partner, drawn in towards the axis in their half-plane until the
+    stick's cos theta is about 0.002, a fifth of e1's."""
     def rise(i, end):
         s = emb.sticks[i]
-        return abs(s.a[2] - s.b[2]), i, "b" if end == "a" else "a"
-    _, i, free = max(rise(i, end) for i, end in _axis_sticks(emb)[1:])
-    q, p = getattr(emb.sticks[i], free), getattr(emb.sticks[i], "a" if free == "b" else "b")
+        return abs(s.a[2] - s.b[2]), i, end
+    _, i, end = max(rise(i, end) for i, end in _axis_sticks(emb)[1:])
+    q, p = getattr(emb.sticks[i], _free(end)), getattr(emb.sticks[i], end)
     f = 0.002 * abs(q[2] - p[2]) / math.hypot(q[0], q[1])
     for j, s in enumerate(emb.sticks):
         for e in "ab":
