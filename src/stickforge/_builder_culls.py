@@ -8,19 +8,44 @@ first, because equilateral_builder._seg_distance is not symmetric to the
 last bit.  Write u = 2^-53, let C be the largest coordinate magnitude, and
 assume no overflow or underflow.
 
+Half-planes.  Every stick that build_tents puts down, and every swinging
+stick of the reduction, runs from an axis point out into its arc's page.
+- Shape (_half_plane).  A half-plane stick has exactly one end p on the
+  axis (x = y = 0 exactly); its other end q then sets the half-plane it
+  lies in, at azimuth psi = atan2(qy, qx), and its angle theta from the
+  horizontal, cos theta = rho / |q - p| with rho = hypot(qx, qy) and
+  |q - p| = hypot(qx, qy, qz - pz).
+- For points x, y at distances rx, ry from the axis in half-planes an
+  angle g <= pi apart, |x - y|^2 = dz^2 + (rx - ry)^2 + 4 rx ry sin^2(g/2),
+  which is at least sin^2(g/2) (dz^2 + (rx + ry)^2): sin^2(g/2) times the
+  squared distance, in x's half-plane drawn as a plane, from x to y
+  mirrored across the axis.  The segment from x to mirrored y crosses the
+  axis at some w, and the distance from w to a stick with its axis end at
+  height z0 is at least that to the stick's line, |zw - z0| cos theta.  So
+  two half-plane sticks with axis ends at heights z0, z1 lie at least
+  sin(g/2) min(cos theta) |z0 - z1| apart (_plane_gap, the pairwise
+  half-plane bound).  For azimuths in [-pi, pi], sin(|psi - psi'|/2) is
+  sin(g/2) for the gap g = min(|psi - psi'|, 2 pi - |psi - psi'|).
+- Rounding: each atan2 is within 2 ulps of pi, so |psi - psi'|/2 is within
+  20u of g/2 and sin(g/2) within 20u; cos theta is within 6u of itself and
+  |z0 - z1| within u of itself, so the computed bound is within 30u |z0 -
+  z1| <= 60uC of the true one.
+
 Box gaps.  The gap of two sticks is the largest of lo' - hi and lo - hi'
 over x, y and z, for the boxes [lo, hi] and [lo', hi'] of their computed
-ends.  _near_pairs walks pairs in ascending gap and stops at the first gap
-above pad = m + SNAP_REL (C + m), m the least distance measured so far.
+ends, raised to the pairwise half-plane bound when both are half-plane
+sticks.  _near_pairs walks pairs in ascending gap and stops at the first
+gap above pad = m + SNAP_REL (C + m), m the least distance measured so far.
 - A stick lies in the box of its computed ends, so a pair lies at least
-  its true gap apart, and the computed gap is within 2uC of that.
+  its true box gap apart, and the computed box gap is within 2uC of that;
+  the computed half-plane bound is within 60uC of a true lower bound.
 - _seg_distance returns the computed length of cp1 - cp2, where
   cp1 = p + sc (q - p) and cp2 = r + tc (s - r) with sc, tc clamped to
   [0, 1]: each lies within 6uC of a point of its stick in every
   coordinate, and the length is off by under 5u of itself, so the result
   is at least the true distance less 40uC.
 - pad itself is computed to within 3u (C + m).
-All of it is below 100u (C + m), and the margin SNAP_REL (C + m) is over
+All of it is below 110u (C + m), and the margin SNAP_REL (C + m) is over
 10^4 times more, so a skipped pair measures more than m.  m only falls, so
 a pair past pad once stays past it, and the least distance is measured.
 
@@ -31,7 +56,9 @@ by tag, and the tags choose the passes and nothing else.
    longest stick of each other, the sticks crowd one spot and box gaps
    cannot prune them (theta-fan, where every stick reaches the axis point
    bp0 or the hub): the fan cull (_fan_pairs) takes every pair.
-2. Otherwise every pair that holds a swept stick is walked by box gap.
+2. Otherwise every pair that holds a swept stick is walked by gap.  The
+   swinging sticks are half-plane sticks, and so are the tent sticks they
+   pass, so most of their pairs are keyed by the half-plane bound.
 3. The pairs of two unmoved sticks are walked the same way, continuing
    from the m of the second pass, unless the unmoved bound B (below)
    exceeds m + SNAP_REL (C + m).
@@ -90,23 +117,10 @@ measures 242 of the 1,953 pairs.
 The unmoved bound.  Every stick that did not move stands where build_tents
 put it, from an axis point out to an apex in its arc's page, so the pairs
 of two unmoved sticks are bounded all at once, from their coordinates.
-- Shape.  An unmoved stick must have exactly one end p on the axis
-  (x = y = 0 exactly); its other end q then sets the half-plane it lies
-  in, at azimuth psi = atan2(qy, qx), and its angle theta from the
-  horizontal, cos theta = rho / |q - p| with rho = hypot(qx, qy) and
-  |q - p| = hypot(qx, qy, qz - pz).
-- For points x, y at distances rx, ry from the axis in half-planes an
-  angle g <= pi apart, |x - y|^2 = dz^2 + (rx - ry)^2 + 4 rx ry sin^2(g/2),
-  which is at least sin^2(g/2) (dz^2 + (rx + ry)^2): sin^2(g/2) times the
-  squared distance, in x's half-plane drawn as a plane, from x to y
-  mirrored across the axis.  The segment from x to mirrored y crosses the
-  axis at some w, and the distance from w to a stick with its axis end at
-  height z0 is at least that to the stick's line, |zw - z0| cos theta.  So
-  two sticks with axis ends at heights z0, z1 lie at least
-  sin(g/2) min(cos theta) |z0 - z1| apart.
+- Shape.  Every unmoved stick must be a half-plane stick (above).
 - Two unmoved sticks whose keys are disjoint have different keys at their
-  axis ends, and so lie at least B = sin(gmin/2) cos(theta_max) dzmin
-  apart (_unmoved_bound): gmin is the least gap on the circle between the
+  axis ends, and so, by the pairwise half-plane bound, lie at least
+  B = sin(gmin/2) cos(theta_max) dzmin apart (_unmoved_bound): gmin is the least gap on the circle between the
   distinct azimuths, which is at most pi once there are two; theta_max is
   the steepest unmoved stick; dzmin is the least gap between axis ends
   with different keys, taken between neighbours in height order.  Sticks
@@ -121,10 +135,10 @@ Rounding: each atan2 is within 2 ulps of pi, so every gap, the wrap
 within 25u; cos theta is within 6u of itself and dzmin within u, so B is
 within 70uC of the true bound.  With the 40uC of _seg_distance and the
 3u (C + m) of the margin, a pair the third pass skips measures more than m,
-far inside SNAP_REL (C + m).  Over the four random-large frames the second
-pass measures 1,204 of the 2,688 pairs that hold a swept stick, and the
-third is never taken, so none of the 98,365 junction-disjoint pairs of two
-unmoved sticks is measured.
+far inside SNAP_REL (C + m).  Over the four random-large frames at seed 1
+the second pass visits 37 of the 2,688 pairs that hold a swept stick
+(1,204 when keyed by box gap alone), and the third is never taken, so none
+of the 98,365 junction-disjoint pairs of two unmoved sticks is measured.
 """
 
 from __future__ import annotations
@@ -215,11 +229,18 @@ def _near_pairs(segs, ends, swept, visit) -> float:
     if spread <= _SHORTEST * max(_dist(a, b) for a, b in segs):
         return _fan_pairs(segs, ends, visit, size)   # box gaps cannot prune (theta-fan)
 
+    planes = [_half_plane(a, b) for a, b in segs]
+
     def rows(j, ks):
-        """(gap, i, k), i < k, for the pair of stick j and each stick k of ks."""
+        """(gap, i, k), i < k, for the pair of stick j and each stick k of ks:
+        the box gap, raised to the half-plane bound when both hang from the
+        axis."""
         (xl, yl, zl), (xh, yh, zh) = lo[j], hi[j]
-        return [(max(l[0] - xh, l[1] - yh, l[2] - zh, xl - h[0], yl - h[1], zl - h[2]),
-                 k if k < j else j, j if k < j else k) for k in ks for l, h in [(lo[k], hi[k])]]
+        s = planes[j]
+        return [(max(l[0] - xh, l[1] - yh, l[2] - zh, xl - h[0], yl - h[1], zl - h[2],
+                     _plane_gap(s, t) if s and t else -math.inf),
+                 k if k < j else j, j if k < j else k)
+                for k in ks for l, h, t in [(lo[k], hi[k], planes[k])]]
 
     moved = set(swept)
     least = _walk([r for j in swept for r in rows(j, [k for k in range(n) if k > j or k not in moved])],
@@ -331,6 +352,27 @@ def _fan_pairs(segs, ends, visit, size):
     return min([least, *(visit(i, rest[x + 1:]) for x, i in enumerate(rest[:-1]))])
 
 
+def _half_plane(a: V3, b: V3):
+    """(z, psi, cos theta) of the stick ab when exactly one end p lies on
+    the axis (x = y = 0 exactly): the height of p, the azimuth of the
+    half-plane the stick lies in and the cosine of its angle from the
+    horizontal, as the unmoved bound of the module docstring takes them;
+    None for any other stick."""
+    at_a = a[0] == 0.0 and a[1] == 0.0
+    if at_a == (b[0] == 0.0 and b[1] == 0.0):
+        return None
+    p, q = (a, b) if at_a else (b, a)
+    return p[2], math.atan2(q[1], q[0]), math.hypot(q[0], q[1]) / math.hypot(q[0], q[1], q[2] - p[2])
+
+
+def _plane_gap(s, t) -> float:
+    """sin(g/2) min(cos theta) |dz|, the pairwise half-plane bound between
+    two sticks whose _half_plane data are s and t (see the module
+    docstring); sin(|psi - psi'|/2) is sin(g/2) for the gap g <= pi on the
+    circle."""
+    return math.sin(abs(s[1] - t[1]) / 2) * min(s[2], t[2]) * abs(s[0] - t[0])
+
+
 def _unmoved_bound(segs, ends, swept) -> float:
     """B of the module docstring: a lower bound on the distance between any
     two sticks of segs outside swept whose keys of ends are disjoint; 0
@@ -340,13 +382,13 @@ def _unmoved_bound(segs, ends, swept) -> float:
     for i, (a, b) in enumerate(segs):
         if i in moved:
             continue
-        at_a = a[0] == 0.0 and a[1] == 0.0
-        if at_a == (b[0] == 0.0 and b[1] == 0.0):
+        plane = _half_plane(a, b)
+        if plane is None:
             return 0.0   # no end on the axis, or both
-        p, q = (a, b) if at_a else (b, a)
-        cos = min(cos, math.hypot(q[0], q[1]) / math.hypot(q[0], q[1], q[2] - p[2]))
-        azimuths.append((math.atan2(q[1], q[0]), i))
-        axis.append((p[2], ends[i][not at_a]))
+        z, psi, c = plane
+        cos = min(cos, c)
+        azimuths.append((psi, i))
+        axis.append((z, ends[i][b[0] == 0.0 == b[1]]))
     psi = []
     for az, group in groupby(sorted(azimuths), key=lambda e: e[0]):
         if any({*ends[i]}.isdisjoint(ends[k]) for (_, i), (_, k) in combinations(group, 2)):

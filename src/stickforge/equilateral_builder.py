@@ -109,11 +109,46 @@ sweep has a few hundred samples and turns under pi), G is off by under
 1.4e-10 and W by under 7e-10 M, which snap = 1e-9 M absorbs, as it absorbs
 the rounding of the per-sample bound.
 
+Pre-bounds.  W needs the parked stick's horizon (_horizon: a segment
+distance, its arc and its cone), which is most of a pair's cost.  So a pair
+whose slot must be computed first gets a pre-bound P from coordinates
+alone, a lower bound on its trimmed clearance at every sample.  When P > 0
+the pair enters the pool at P; only when it is drawn does it get its
+horizon, slot and W, and it then re-enters at max(P, W).  Both are bounds
+over the whole sweep, so the draw rule above holds as stated, and a pair
+never drawn never calls _horizon.  A pair whose slot is kept from an
+earlier move enters at W as before.  P is the larger of two bounds.
+- Heights.  At every sample the mover with fixed end F is the segment from
+  F to the sampled free end, so it lies within the heights from the least
+  to the largest of F and every sampled end; the parked stick lies within
+  those of its ends.  Two sets lie at least the gap between their height
+  ranges apart.
+- Half-planes, for the swinging stick when its pivot lies exactly on the
+  axis and |phi_start|, |phi_end| <= pi/2.  At every sample the stick then
+  runs from the pivot into its page's half-plane, at azimuth psi =
+  atan2 of the page direction, at an angle theta from the horizontal with
+  cos theta = cos phi.  cos rises and then falls on [-pi/2, pi/2], so
+  cos phi >= c = min(cos phi_start, cos phi_end) over the sweep.  Against a
+  parked stick with exactly one end on the axis (_half_plane), the
+  pairwise half-plane bound of _builder_culls gives
+  sin(g/2) min(c, cos theta') |z - z'| for the axis-end heights z, z'.
+Trimming only shortens a stick, so both bound the trimmed clearance.
+Rounding: the height gap is off by under 5uM, and the trimmed clearance is
+at least the true distance of the sticks less 40uC (C < 5M) as
+_builder_culls shows for _seg_distance, the trim adding under 4uC.  Every
+sample's phi lies within a few ulps of [phi_start, phi_end], and its
+computed end within a few u of the page's half-plane, at cos theta >=
+c - 2e-15; where cos theta is that close to 0, an end may stray an ulp
+across the axis, but then c < 2e-15 and the bound is under 1e-14 M.  So
+P is off by under 1e-13 M, which snap absorbs, and a pair that is never
+drawn lies above the final minimum at every sample.
+
 Of R and the cone, only rho depends on the mover.  r, the arc of
 directions, the cone and the parked stick trimmed at F depend on F and the
 stick alone, so one certificate keeps them in one slot list per fixed end
 F, in state order; a slot is refreshed only when its state entry is a
-different object.  A stick that moves enters the state as a new entry, so
+different object, and then only once its pair has no positive pre-bound
+or is drawn.  A stick that moves enters the state as a new entry, so
 no slot outlives its stick; a parked stick keeps its slot from move to
 move, and on theta-fan every move shares its pivot and every joiner its
 hub.  Fixed ends that compare equal give the same values up to the sign of
@@ -123,8 +158,9 @@ F only when the slot shares F, and equals the trimmed clearance float for
 float.
 
 tolerance_report measures only the stick pairs that could hold the least
-clearance, in one ordered pass over the pairs that hold a swept stick and
-then, unless a bound from the tents clears them, the pairs of two unmoved
+clearance, in one ordered pass over the pairs that hold a swept stick,
+each led by its box gap or by the pairwise half-plane bound, and then,
+unless a bound from the tents clears them, the pairs of two unmoved
 sticks; its minimum is that of every pair, float for float.  The pass,
 and the proof that it loses nothing, are in _builder_culls, with the float
 vector helpers the certificate shares with it.
@@ -137,8 +173,8 @@ from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
 
-from ._builder_culls import (SNAP_REL, V3, _angle, _cone, _cross, _dist, _dot, _near_pairs,
-                             _norm, _vsub)
+from ._builder_culls import (SNAP_REL, V3, _angle, _cone, _cross, _dist, _dot, _half_plane, _near_pairs,
+                             _norm, _plane_gap, _vsub)
 from .arc_presentation import ValidatedPresentation, equal_length_parts
 
 DEFAULT_M_FACTOR = 4.0
@@ -473,7 +509,9 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
     sample 0 only when its bound there could reach the running minimum
     plus snap, and again before the last sample only at the first sample
     where its horizon bound could fall that far (see the module
-    docstring); the minimum is the one every pair at every sample gives.
+    docstring); a pair that needs a new slot is first led by its
+    pre-bound, and gets its horizon only when drawn.  The minimum is the
+    one every pair at every sample gives.
     horizons holds a slot list per fixed end, (state entry, *_horizon) in
     state order, shared by the sweeps of one certificate."""
     diri = _page_dir(move.page_angle)
@@ -482,7 +520,13 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
             for step in range(steps + 1)]
     fixed = [move.pivot] if move.hub is None else [move.pivot, move.hub]
     f, half = TRIM_FRACTION, math.pi / 2
+    heights = [e[2] for e in ends]
+    low, high = min(heights), max(heights)
+    plane = None   # the swinging stick as a half-plane stick, at every sample
+    if move.pivot[0] == 0.0 == move.pivot[1] and max(abs(move.phi_start), abs(move.phi_end)) <= half:
+        plane = (move.pivot[2], math.atan2(diri[1], diri[0]), min(math.cos(move.phi_start), math.cos(move.phi_end)))
     rays = []    # per mover: unit directions and their summed turning
+    cones = []   # per mover: c_m, h_m and rho
     pool = []    # every pair, led by its bound over the whole sweep
     for k, F in enumerate(fixed):
         outs = [_vsub(e, F) for e in ends]
@@ -493,14 +537,22 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
             turned.append(turned[-1] + _angle(u, v))
         rays.append((units, turned))
         mid = bisect_left(turned, turned[-1] / 2)   # the mover's cone: c_m, h_m
-        (mx, my, mz), hm = units[mid], max(turned[mid], turned[-1] - turned[mid])
-        rho = f * min(lengths)   # where the trimmed mover starts
+        cones.append((units[mid], max(turned[mid], turned[-1] - turned[mid]), f * min(lengths)))
+        (mx, my, mz), hm, rho = cones[-1]   # rho: where the trimmed mover starts
+        lo, hi = min(low, F[2]), max(high, F[2])
         slots = horizons.setdefault(F, [])
         slots += [(None,)] * (len(state) - len(slots))
         for i, (tag, entry) in enumerate(state.items()):
             if tag != move.tag:
                 slot = slots[i]
                 if slot[0] is not entry:
+                    (_, _, za), (_, _, zb) = entry
+                    pre = max(min(za, zb) - hi, lo - max(za, zb))
+                    if k == 0 and plane and (other := _half_plane(*entry)):
+                        pre = max(pre, _plane_gap(plane, other))
+                    if pre > 0.0:   # the horizon waits until the pair is drawn
+                        pool.append((pre, len(pool), k, (slots, i, entry), None))
+                        continue
                     slot = slots[i] = (entry, *_horizon(F, *entry, snap))
                 _, r, shared, _, (cx, cy, cz), h, _ = slot
                 R = max(rho, r) if shared else r
@@ -517,6 +569,15 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
             bound, i, k, slot, R = heappop(pool)
             if bound > min_seen + snap:
                 break    # this pair and every later one clear every sample
+            if R is None:   # a pre-bound: the horizon, then back at max(pre-bound, W)
+                slots, x, entry = slot
+                slot = slots[x] = (entry, *_horizon(fixed[k], *entry, snap))
+                c_m, hm, rho = cones[k]
+                _, r, shared, _, c, h, _ = slot
+                R = max(rho, r) if shared else r
+                W = R * math.sin(min(max(_angle(c_m, c) - hm - h, 0.0), half))
+                heappush(pool, (max(bound, W), i, k, slot, R))
+                continue
             min_seen = min(min_seen, _slot_clearance(fixed[k], ends[-1], slot, snap))
             g0 = _least_angle(rays[k][0][0], slot[3])
             first.append((k, slot, R, g0))

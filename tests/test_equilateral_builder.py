@@ -8,15 +8,19 @@ import pytest
 
 import oracles
 import parity
-from stickforge import equilateral_builder
+from stickforge import _builder_culls, equilateral_builder
 from stickforge.arc_presentation import catalog, catalog_names, equal_length_parts, validate_presentation
 from stickforge.documents import dumps_document, equilateral_from_doc, equilateral_to_doc
 from stickforge.equilateral_builder import (
+    AXIS_HUG_FRACTION,
     CERT_CLEARANCE_REL,
     DEFAULT_M_FACTOR,
     SNAP_REL,
     SWEEP_STEP_RAD,
+    ComponentInfo,
+    EquilateralEmbedding,
     EquilateralError,
+    EStick,
     MTooSmall,
     NoRotationSolution,
     SweepMove,
@@ -460,7 +464,9 @@ def _radial_first_seen(monkeypatch, due):
     while a holder stick keeps the running minimum at m from sample 0.  The
     radial stick starts at r = 1.5 M, beyond the mover's reach, so it lies
     more than m from the mover everywhere, and the probe of the last sample,
-    which comes first, cannot undercut m."""
+    which comes first, cannot undercut m.  due must leave the radial stick's
+    heights within the sweep's (due <= 26), so that no pre-bound clears it
+    and the per-sample schedule alone decides where it is evaluated."""
     M, m = 1.0, 0.1
     snap = SNAP_REL * M
     move = SweepMove("arc0.lower", (0.0, 0.0, 0.0), 0.0, 0.0, 0.5, None)
@@ -478,6 +484,7 @@ def _radial_first_seen(monkeypatch, due):
     every = min(oracles.clearance(move.pivot, q, a, b, snap)
                 for q in ends for a, b in state.values())
     assert min(oracles.clearance(move.pivot, q, *state["radial"], snap) for q in ends) > m
+    assert min(state["radial"][0][2], state["radial"][1][2]) < max(q[2] for q in ends)
     seen = _evaluated(monkeypatch, move, state, M, every)
     assert seen["holder"][:2] == [ends[-1], ends[0]] and seen["radial"][0] == ends[-1]
     return ends.index(seen["radial"][1])
@@ -505,7 +512,7 @@ def test_certificate_evaluates_within_margin(monkeypatch):
     # sample is culled; after the probe of the last sample it is due at
     # the first sample where the bound reaches m + snap, not where it
     # reaches m
-    assert _radial_first_seen(monkeypatch, 40) == 40
+    assert _radial_first_seen(monkeypatch, 20) == 20
 
 
 def test_certificate_culls_sample_0_within_margin(monkeypatch):
@@ -598,6 +605,90 @@ def test_certificate_culls_the_sweep_within_margin(monkeypatch, over, evaluated)
     assert bool(seen["radial"]) == evaluated
 
 
+def _one_swing(move, M, parked):
+    """(before, after): the stick tagged move.tag swinging as move records,
+    at its start and at its end, among the parked sticks (tag: (a, b)),
+    which no move touches and which share no junction."""
+    comp = ComponentInfo(index=0, n_arcs=1, n_points=1, reduced=True, moves=(move,))
+
+    def frame(phi):
+        sticks = [EStick(move.pivot, parity.sweep_end(move, M, phi), 0, move.tag, "bp0", "hub")]
+        sticks += [EStick(a, b, 0, tag, f"{tag}.a", f"{tag}.b") for tag, (a, b) in parked.items()]
+        return EquilateralEmbedding(sticks=sticks, M=M, components=[comp])
+    return frame(move.phi_start), frame(move.phi_end)
+
+
+# a parked probe stick beside one swing about the axis point 0 in page 0,
+# as (phi_start, phi_end, probe); the probe sticks out to azimuth 0.1
+_OUT = (2.0 * math.cos(0.1), 2.0 * math.sin(0.1))
+_DOWN = (0.015 * math.cos(0.1), 0.015 * math.sin(0.1), 1.0 - 1.5 * math.sqrt(1.0 - AXIS_HUG_FRACTION ** 2))
+PROBE_CASES = {
+    # a half-plane stick hanging from one axis step above a swing up to the
+    # axis hug, as steep as the hug: the two pass sin(0.05) AXIS_HUG_FRACTION
+    # apart, just above the pairwise half-plane bound
+    "above": (0.2, math.acos(AXIS_HUG_FRACTION), ((0.0, 0.0, 1.0), _DOWN)),
+    # both ends on the axis, beside the hug
+    "on-axis": (0.2, math.acos(AXIS_HUG_FRACTION), ((0.0, 0.0, 1.5), (0.0, 0.0, 2.5))),
+    # neither end on the axis
+    "off-axis": (0.2, math.acos(AXIS_HUG_FRACTION), ((-0.02, -0.002, 1.0), (*_OUT, 1.0))),
+    # a swing up from below the horizontal, past a half-plane stick one
+    # axis step below the pivot: cos(phi_start) is the least cos(theta)
+    "from-below": (-1.2, 0.3, ((0.0, 0.0, -1.0), (*_OUT, -1.0))),
+    # a swing on past the vertical and round to cos(phi_end) > 0, past a
+    # half-plane stick on the far side of the axis: the swing leaves its
+    # page's half-plane, so no half-plane pre-bound applies
+    "full-turn": (0.2, 6.0, ((0.0, 0.0, 1.0), (-_OUT[0], -_OUT[1], 1.0))),
+}
+
+
+@pytest.mark.parametrize("case", list(PROBE_CASES))
+def test_pre_bound_matches_all_pairs(monkeypatch, case):
+    # the probe holds the sweep's least clearance m, and a holder stick
+    # parallel to the swing's last sample lies m (1 + 1e-3) from it, so a
+    # pre-bound above m would drop the probe; where the half-plane
+    # pre-bound applies it lies between m/3 and m, and the certificate, its
+    # final clearance included, equals the all-pairs references bit for bit
+    phi_start, phi_end, probe = PROBE_CASES[case]
+    M = 4.0
+    snap = SNAP_REL * M
+    move = SweepMove("arc0.lower", (0.0, 0.0, 0.0), 0.0, phi_start, phi_end, None)
+    steps = max(2, math.ceil(abs(phi_end - phi_start) / SWEEP_STEP_RAD) + 1)
+    ends = [parity.sweep_end(move, M, phi_start + (phi_end - phi_start) * s / steps)
+            for s in range(steps + 1)]
+    least = min(oracles.clearance(move.pivot, q, *probe, snap) for q in ends)
+    q = ends[-1]
+    holder = tuple((t * q[0], -least * (1 + 1e-3), t * q[2]) for t in (0.4, 0.6))
+    before, after = _one_swing(move, M, {"probe": probe, "holder": holder})
+    plane = _builder_culls._half_plane(*probe)
+    assert (plane is None) == case.endswith("axis")
+    if case in ("above", "from-below"):
+        pre = _builder_culls._plane_gap((0.0, 0.0, min(math.cos(phi_start), math.cos(phi_end))), plane)
+        assert least / 3 < pre < least
+    horizons = []
+    monkeypatch.setattr(equilateral_builder, "_horizon", lambda F, pa, pb, snap, real=equilateral_builder._horizon: (
+        horizons.append((pa, pb)), real(F, pa, pb, snap))[1])
+    cert = isotopy_certificate(before, after)
+    assert horizons.count(probe) == 1   # drawn, so its horizon is computed once
+    ref = oracles.sampled_certificate(before, after)
+    assert _verdict(cert) == _verdict(ref) and cert.tolerance == ref.tolerance
+    assert cert.passed and cert.moves[0][1].hex() == least.hex()
+
+
+def test_pre_bounds_match_all_pairs_on_a_large_frame(monkeypatch):
+    # random_presentation(0, 'bouquet', 150): pre-bounds clear most of the
+    # 699 (mover, parked) pairs of its two sweeps, which then never get a
+    # horizon (29 do); the certificate and its final clearance equal the
+    # all-pairs references
+    (part,) = equal_length_parts(validate_presentation(random_presentation(0, "bouquet", 150)))
+    tents = build_tents(part, DEFAULT_M_FACTOR * part.m)
+    red = reduce_top(tents)
+    calls = _counted_kernels(monkeypatch)
+    cert = isotopy_certificate(tents, red)
+    assert cert.passed and calls["_horizon"] <= 60
+    ref = oracles.sampled_certificate(tents, red)
+    assert _verdict(cert) == _verdict(ref) and cert.tolerance == ref.tolerance
+
+
 # where the least clearance lies, as (sample, offset in snaps) per parked
 # stick; None stands for the last sample
 WHERE_CASES = {
@@ -660,9 +751,10 @@ def test_slot_clearance_equals_clearance(case):
 
 
 def _counted_kernels(monkeypatch):
-    """Calls of _slot_clearance and _least_angle, by name, from now on."""
+    """Calls of _slot_clearance, _least_angle and _horizon, by name, from
+    now on."""
     calls = {}
-    for name in ("_slot_clearance", "_least_angle"):
+    for name in ("_slot_clearance", "_least_angle", "_horizon"):
         calls[name] = 0
 
         def counted(*args, _kernel=getattr(equilateral_builder, name), _name=name):
@@ -688,13 +780,16 @@ def test_certificate_work_guard(monkeypatch):
     # every sweep of random_presentation(s, p, 40), s < 10, p in PROFILES:
     # 20,421 _slot_clearance and 14,294 _least_angle calls when the running
     # minimum fell only with the samples, 9,469 and 4,618 with the last
-    # sample probed first; the certificates set pins the moves
+    # sample probed first, and 7,670 and 2,820 with pre-bounds, which also
+    # cut _horizon from 4,053 calls to 854; the certificates set pins the
+    # moves
     calls = _counted_kernels(monkeypatch)
     for p in PROFILES:
         for s in range(10):
             assert build_equilateral(validate_presentation(random_presentation(s, p, 40))).certificate.passed
-    assert calls["_slot_clearance"] <= 12000
-    assert calls["_least_angle"] <= 7000
+    assert calls["_horizon"] <= 1000
+    assert calls["_slot_clearance"] <= 8800
+    assert calls["_least_angle"] <= 3300
 
 
 def test_benchmark_certificates_pinned():

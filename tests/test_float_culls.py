@@ -3,7 +3,8 @@
 tolerance_report (builder) and check_equilateral's clearance and float
 check_simplicity (verifier) measure only the pairs a box sweep, or on a
 fan a cone bound about its shared junctions, cannot rule out;
-tolerance_report walks the pairs that hold a moved stick by box gap, and
+tolerance_report walks the pairs that hold a moved stick by box gap, or by
+the pairwise half-plane bound where two sticks hang from the axis, and
 those of two unmoved tent sticks only when a bound from their half-planes
 does not clear them.  Their minima, verdicts and details must equal those
 of the loops in oracles.py that measure every pair, float for float.
@@ -213,6 +214,18 @@ def test_culled_passes_skip_most_pairs(monkeypatch):
         assert len(pairs) < n * (n - 1) // 2 / 10
     # tolerance_report settles the frame on its swept pairs alone
     assert len(walks) == 1
+
+
+def test_swept_walk_work_guard(monkeypatch):
+    # random_presentation(0, 'bouquet', 150): keyed by the pairwise
+    # half-plane bound, the swept walk measures 3 pairs (126 by box gap
+    # alone), and the minimum is the all-pairs one
+    emb = _build(random_presentation(0, "bouquet", 150))
+    ref, measured = oracles.all_pairs_tolerance(emb), []
+    monkeypatch.setattr(equilateral_builder, "_seg_distance", lambda *args, real=equilateral_builder._seg_distance: (
+        measured.append(args), real(*args))[1])
+    assert tolerance_report(emb) == ref
+    assert 0 < len(measured) <= 10
 
 
 def test_seg_distance_is_not_symmetric_to_the_last_bit():
