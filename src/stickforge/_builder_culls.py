@@ -356,8 +356,8 @@ def _half_plane(a: V3, b: V3):
     """(z, psi, cos theta) of the stick ab when exactly one end p lies on
     the axis (x = y = 0 exactly): the height of p, the azimuth of the
     half-plane the stick lies in and the cosine of its angle from the
-    horizontal, as the unmoved bound of the module docstring takes them;
-    None for any other stick."""
+    horizontal (Half-planes, in the module docstring); None for any other
+    stick."""
     at_a = a[0] == 0.0 and a[1] == 0.0
     if at_a == (b[0] == 0.0 and b[1] == 0.0):
         return None
@@ -367,9 +367,8 @@ def _half_plane(a: V3, b: V3):
 
 def _plane_gap(s, t) -> float:
     """sin(g/2) min(cos theta) |dz|, the pairwise half-plane bound between
-    two sticks whose _half_plane data are s and t (see the module
-    docstring); sin(|psi - psi'|/2) is sin(g/2) for the gap g <= pi on the
-    circle."""
+    two sticks whose _half_plane data are s and t; sin(|psi - psi'|/2) is
+    sin(g/2) for the gap g <= pi on the circle."""
     return math.sin(abs(s[1] - t[1]) / 2) * min(s[2], t[2]) * abs(s[0] - t[0])
 
 
