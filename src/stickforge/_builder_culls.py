@@ -245,9 +245,9 @@ def _near_pairs(segs, ends, swept, visit) -> float:
     moved = set(swept)
     least = _walk([r for j in swept for r in rows(j, [k for k in range(n) if k > j or k not in moved])],
                   math.inf, size, visit)
-    if _unmoved_bound(segs, ends, swept) > least + SNAP_REL * (size + least):
-        return least
     unmoved = [k for k in range(n) if k not in moved]
+    if _unmoved_bound(segs, planes, ends, unmoved) > least + SNAP_REL * (size + least):
+        return least
     return _walk([r for x, j in enumerate(unmoved) for r in rows(j, unmoved[x + 1:])], least, size, visit)
 
 
@@ -372,19 +372,17 @@ def _plane_gap(s, t) -> float:
     return math.sin(abs(s[1] - t[1]) / 2) * min(s[2], t[2]) * abs(s[0] - t[0])
 
 
-def _unmoved_bound(segs, ends, swept) -> float:
+def _unmoved_bound(segs, planes, ends, unmoved) -> float:
     """B of the module docstring: a lower bound on the distance between any
-    two sticks of segs outside swept whose keys of ends are disjoint; 0
-    when one fails the shape test or two such sticks share an azimuth."""
-    moved = set(swept)
+    two sticks of segs listed in unmoved whose keys of ends are disjoint;
+    planes holds the _half_plane data of every stick.  0 when one fails
+    the shape test or two such sticks share an azimuth."""
     azimuths, axis, cos = [], [], 1.0
-    for i, (a, b) in enumerate(segs):
-        if i in moved:
-            continue
-        plane = _half_plane(a, b)
-        if plane is None:
+    for i in unmoved:
+        if planes[i] is None:
             return 0.0   # no end on the axis, or both
-        z, psi, c = plane
+        z, psi, c = planes[i]
+        b = segs[i][1]
         cos = min(cos, c)
         azimuths.append((psi, i))
         axis.append((z, ends[i][b[0] == 0.0 == b[1]]))

@@ -22,34 +22,29 @@ is measured once, lower index first, as the all-pairs loop measured it.
 
 Which cull runs is chosen from the input.
 1. When the boxes of the whole sticks all lie within _SHORTEST times the
-   longest stick of each other (the length of its shortest piece), the
-   sticks crowd one spot, boxes cannot prune them (theta-fan, where every
-   stick reaches the axis point or the hub), and the fan cull (_fan_pairs)
-   takes every pair.
+   longest stick of each other, the sticks crowd one spot, boxes cannot
+   prune them (theta-fan, where every stick reaches the axis point or the
+   hub), and the fan cull (_fan_pairs) takes every pair.
 2. Otherwise the axis walk (_axis_pairs) takes them, unless its rows would
-   outnumber the piece boxes of the sweep.
-3. Then the piece sweep (_sweep) takes the pairs not yet walked.
+   outnumber _WALK_ROWS per stick.
+3. Then the sweep (_sweep) takes the pairs not yet walked.
 
-The piece sweep.  Each stick is cut at fixed fractions into pieces, each
-piece gets the closed box of its computed ends, and a sweep in z measures a
-pair of sticks only when some box of one lies within pad of some box of the
-other in x, y and z.  The sticks adjacent in z order whose whole boxes meet
-are measured first, for a first m.
-- A computed cut point a + t (b - a) lies within 6uC of the true point in
-  every coordinate, so every point of a stick lies within 6uC of one of
-  its boxes.
+The sweep.  Each stick gets the closed box of its ends, and a sweep in z
+measures a pair of sticks only when the box of one lies within pad of the
+box of the other in x, y and z.
+- A stick lies in the box of its ends, which are the input coordinates.
 - A box test fails only when a computed bound such as lo - pad lies past
   the other box's bound, and the rounding of that sum is below
-  2u (C + pad).  So the two sticks lie more than pad - 2u (C + pad) - 12uC
-  apart, and pad itself is computed to within 3u (C + m).
+  2u (C + pad).  So the two sticks lie more than pad - 2u (C + pad) apart,
+  and pad itself is computed to within 3u (C + m).
 - seg_distance returns the computed length of cp1 - cp2, where
   cp1 = p + sc (q - p) and cp2 = r + tc (s - r) with sc, tc clamped to
   [0, 1]: each lies within 6uC of a point of its stick in every
   coordinate, and the length is off by under 5u of itself, so the result
   is at least the true distance less 40uC.
-All of it is below 100u (C + m), and the margin junction_rel (C + m) is
-over 10^4 times more, so a skipped pair measures more than m.  m only
-falls, so a piece the sweep drops once is past every later box as well.
+All of it is below 50u (C + m), and the margin junction_rel (C + m) is
+over 10^5 times more, so a skipped pair measures more than m.  m only
+falls, so a stick the sweep drops once is past every later box as well.
 
 The axis walk.  An equal-length frame stands in an open book: the sticks
 of its tents run from an axis point out into their arc's page (Cromwell,
@@ -84,19 +79,20 @@ bounded at once, from their coordinates.
   the computed gap is within 2uC of that.  The walk visits rows of pairs
   in ascending gap and stops at the first gap above pad; m only falls, so
   a pair past pad once stays past it.
-- First every pair that holds a stick of S is walked.  Then, while B of
-  the axis sticks left does not exceed pad, the steepest of them moves to
-  S (the stick e1, which hugs the axis at cos theta about 0.01, on every
-  built frame), and the pairs that hold a moved stick are walked.  m only
-  falls, so B exceeds every later pad as well.  Of the pairs of two axis
-  sticks left, those that share a key go to visit, for check_simplicity's
-  fold-back test, and the others lie more than B apart.
+- First every pair that holds a stick of S is walked.  Then, while axis
+  sticks are left and B of them does not exceed pad, the steepest of them
+  moves to S (the stick e1, which hugs the axis at cos theta about 0.01,
+  on every built frame), and the pairs that hold a moved stick are walked.
+  m only falls, so B exceeds every later pad as well.  Of the pairs of two
+  axis sticks left, those that share a key go to visit, for
+  check_simplicity's fold-back test, and the others lie more than B apart.
+  (pad is infinite while visit has returned only inf, as when every pair
+  shares a key, and then every axis stick may move.)
 - The walk sorts its rows, the pairs that hold a stick of S, so it runs
-  only while they number at most the sweep's (len(_CUTS) + 1) n piece
-  boxes: on a frame with few axis sticks (every frame assemble_split
-  shifts off the axis), or one whose B does not clear pad before the moves
-  reach that count, the piece sweep takes over and skips the pairs already
-  walked.
+  only while they number at most _WALK_ROWS per stick: on a frame with
+  few axis sticks (every frame assemble_split shifts off the axis), or one
+  whose B does not clear pad before the moves reach that count, the sweep
+  takes over and skips the pairs already walked.
 Rounding: each atan2 is within 2 ulps of pi, so every azimuth gap, the
 wrap 2 pi - (last - first) included, is within 40u of the true one and
 sin(g/2) within 25u; cos theta is within 6u of itself and dzmin within u,
@@ -192,9 +188,11 @@ TOLERANCES = Tolerances()
 
 # sticks that share an end fold back when the cosine between them exceeds 1 - _FOLD
 _FOLD = 1e-12
-# where the piece sweep cuts each stick into pieces (see the module docstring)
-_CUTS = (0.125, 0.25, 0.5, 0.75, 0.875)
-_SHORTEST = min(b - a for a, b in zip((0.0, *_CUTS), (*_CUTS, 1.0)))
+# a frame whose stick boxes all lie within this share of its longest stick
+# of each other crowds one spot (see the module docstring)
+_SHORTEST = 0.125
+# the axis walk sorts at most this many rows per stick before the sweep takes over
+_WALK_ROWS = 6
 
 
 def _vsub(a, b):
@@ -249,20 +247,6 @@ def _pad(least, floor, size):
     return m + TOLERANCES.junction_rel * (size + m)
 
 
-def _boxes(segs):
-    """The closed box (zlo, zhi, xlo, xhi, ylo, yhi, i) of every piece of
-    every stick i, cut at _CUTS, sorted by zlo."""
-    boxes = []
-    for i, (a, b) in enumerate(segs):
-        d = _vsub(b, a)
-        ends = [a, *((a[0] + t * d[0], a[1] + t * d[1], a[2] + t * d[2]) for t in _CUTS), b]
-        for p, q in zip(ends, ends[1:]):
-            boxes.append((min(p[2], q[2]), max(p[2], q[2]), min(p[0], q[0]), max(p[0], q[0]),
-                          min(p[1], q[1]), max(p[1], q[1]), i))
-    boxes.sort()
-    return boxes
-
-
 def _near_pairs(segs, ends, floor: float, visit) -> float:
     """Call visit(i, ks) for rows of pairs (i, k), k in ks, each k > i, that
     hold every pair of segs that could lie within max(m, floor) of each
@@ -281,14 +265,14 @@ def _near_pairs(segs, ends, floor: float, visit) -> float:
     spread = max(max(p[c] for p in lo) - min(q[c] for q in hi) for c in range(3))
     size = max(abs(c) for a, b in segs for c in a + b)
     if spread <= _SHORTEST * max(_norm(_vsub(b, a)) for a, b in segs):
-        return _fan_pairs(segs, ends, floor, visit, size)   # pieces cannot prune (theta-fan)
+        return _fan_pairs(segs, ends, floor, visit, size)   # boxes cannot prune (theta-fan)
     return _axis_pairs(segs, ends, floor, visit, lo, hi, size)
 
 
 def _axis_pairs(segs, ends, floor, visit, lo, hi, size) -> float:
-    """_near_pairs by the axis walk of the module docstring, or by the piece
-    sweep once the walk's rows would outnumber its boxes; lo and hi are the
-    corners of each stick's box, size the largest coordinate magnitude."""
+    """_near_pairs by the axis walk of the module docstring, or by the sweep
+    once the walk's rows would outnumber _WALK_ROWS per stick; lo and hi are
+    the corners of each stick's box, size the largest coordinate magnitude."""
     n = len(segs)
     axis = []   # (cos theta, azimuth, axis end height, key there, index) of each axis stick
     for i, (a, b) in enumerate(segs):
@@ -302,8 +286,8 @@ def _axis_pairs(segs, ends, floor, visit, lo, hi, size) -> float:
 
     def walked(left):
         """Whether the pairs that hold a stick of S, with left axis sticks
-        left, number at most the sweep's piece boxes."""
-        return n * (n - 1) // 2 - left * (left - 1) // 2 <= (len(_CUTS) + 1) * n
+        left, number at most _WALK_ROWS per stick."""
+        return n * (n - 1) // 2 - left * (left - 1) // 2 <= _WALK_ROWS * n
 
     def rows(j, ks):
         """(gap, i, k), i < k, for the pair of stick j and each stick k of ks."""
@@ -329,7 +313,7 @@ def _axis_pairs(segs, ends, floor, visit, lo, hi, size) -> float:
     least = walk([r for j in range(n) if j not in on_axis
                   for r in rows(j, [k for k in range(n) if k > j or k in on_axis])], least)
     moved = 0
-    while not _axis_bound(axis[moved:], ends) > _pad(least, floor, size):
+    while moved < len(axis) and not _axis_bound(axis[moved:], ends) > _pad(least, floor, size):
         if not walked(len(axis) - moved - 1):
             return _sweep(segs, floor, visit, lo, hi, size, least, seen)
         least = walk(rows(axis[moved][-1], [f[-1] for f in axis[moved + 1:]]), least)
@@ -365,39 +349,23 @@ def _axis_bound(axis, ends) -> float:
 
 
 def _sweep(segs, floor, visit, lo, hi, size, least, seen) -> float:
-    """_near_pairs by the piece sweep of the module docstring, over the pairs
-    not in seen (i n + k for the pair (i, k)), from the least distance least
+    """_near_pairs by the sweep of the module docstring, over the pairs not
+    in seen (i n + k for the pair (i, k)), from the least distance least
     that visit returned on them."""
     n = len(segs)
-    # a first bound: sticks adjacent in z order whose boxes meet
-    order = sorted(range(n), key=lambda i: lo[i][2])
-    for u, v in zip(order, order[1:]):
-        if all(lo[v][c] <= hi[u][c] and lo[u][c] <= hi[v][c] for c in range(3)):
-            i, k = (u, v) if u < v else (v, u)
-            if i * n + k not in seen:
-                seen.add(i * n + k)
-                d = visit(i, (k,))
-                if d < least:
-                    least = d
-    m = max(least, floor)
     pad = _pad(least, floor, size)
-    active: list[tuple] = []
-    for box in _boxes(segs):
-        zlo, _, xlo, xhi, ylo, yhi, j = box
-        cut = zlo - pad
-        active = [o for o in active if o[1] >= cut]
-        xl, xh, yl, yh = xlo - pad, xhi + pad, ylo - pad, yhi + pad
-        for o in [o for o in active if o[2] <= xh and xl <= o[3] and o[4] <= yh and yl <= o[5]]:
-            i, k = (o[6], j) if o[6] < j else (j, o[6])
-            if i != k and i * n + k not in seen:
-                seen.add(i * n + k)
+    active: list[int] = []
+    for j in sorted(range(n), key=lambda i: lo[i][2]):
+        (xl, yl, zl), (xh, yh, _) = lo[j], hi[j]
+        active = [o for o in active if hi[o][2] >= zl - pad]
+        xl, xh, yl, yh = xl - pad, xh + pad, yl - pad, yh + pad
+        for o in [o for o in active if lo[o][0] <= xh and xl <= hi[o][0] and lo[o][1] <= yh and yl <= hi[o][1]]:
+            i, k = (o, j) if o < j else (j, o)
+            if i * n + k not in seen:
                 d = visit(i, (k,))
                 if d < least:
-                    least = d
-        if max(least, floor) < m:
-            m = max(least, floor)
-            pad = _pad(least, floor, size)
-        active.append(box)
+                    least, pad = d, _pad(d, floor, size)
+        active.append(j)
     return least
 
 

@@ -1,13 +1,15 @@
 """The culled float pair passes against their all-pairs references.
 
 tolerance_report (builder) and check_equilateral's clearance and float
-check_simplicity (verifier) measure only the pairs a box sweep, or on a
-fan a cone bound about its shared junctions, cannot rule out;
-tolerance_report walks the pairs that hold a moved stick by box gap, or by
-the pairwise half-plane bound where two sticks hang from the axis, and
-those of two unmoved tent sticks only when a bound from their half-planes
-does not clear them.  Their minima, verdicts and details must equal those
-of the loops in oracles.py that measure every pair, float for float.
+check_simplicity (verifier) measure only the pairs their culls cannot rule
+out.  On a fan, all three bound pairs by cones about its shared junctions.
+Elsewhere tolerance_report walks the pairs that hold a moved stick by box
+gap, or by the pairwise half-plane bound where two sticks hang from the
+axis, and those of two unmoved tent sticks only when a bound from their
+half-planes does not clear them; the verifier walks the pairs of its axis
+sticks, or sweeps one box per stick in z.  Their minima, verdicts and
+details must equal those of the loops in oracles.py that measure every
+pair, float for float.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _walks(monkeypatch):
 def _verifier_paths(monkeypatch):
     """Record the cull that each float check of the verifier takes, one
     entry per check: "fan", "bound" (the axis walk settles every pair) or
-    "sweep" (the piece sweep, at once or after part of the walk)."""
+    "sweep" (the sweep, at once or after part of the walk)."""
     paths = []
 
     def spy(name, mark):
@@ -117,7 +119,7 @@ def _verifier_paths(monkeypatch):
 
     spy("_fan_pairs", lambda: paths.append("fan"))
     spy("_axis_pairs", lambda: paths.append("bound"))
-    spy("_boxes", lambda: paths.__setitem__(-1, "sweep"))
+    spy("_sweep", lambda: paths.__setitem__(-1, "sweep"))
     return paths
 
 
@@ -137,7 +139,7 @@ def test_culled_passes_match_all_pairs(builds, monkeypatch):
     assert verdicts == {True, False}
     # the fan cull in all three passes (no walk); the builder's walk over
     # the swept pairs, alone and followed by the unmoved pairs; and beside
-    # them the verifier's axis walk and its piece sweep, which the two
+    # them the verifier's axis walk and its sweep, which the two
     # checks can take apart on one mutant (their keys and minima differ)
     assert paths == {(0, "fan", "fan"), (1, "bound", "bound"), (1, "bound", "sweep"),
                      (2, "bound", "bound"), (2, "sweep", "bound"), (2, "sweep", "sweep")}
@@ -158,7 +160,7 @@ def test_culled_passes_match_all_pairs_on_fold_back():
 
 def test_culled_passes_find_every_failing_pair():
     # a ladder of unit sticks 2 apart in z, stick k at height 18 - 2k, so
-    # the sweep meets the pair (8, 10) at 1e-7 long before the
+    # a cull may meet the pair (8, 10) at 1e-7 before the
     # lexicographically first failing pair (0, 11) at 5e-7, whose z gap
     # exceeds the least distance but not the floor 1e-6; stick 12 crosses
     # near stick 0 and gives the first bound
@@ -379,6 +381,12 @@ def _segs_ends(emb):
             [((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks])
 
 
+def _unmoved_bound(segs, ends, swept):
+    """The builder's unmoved bound of the sticks of segs outside swept."""
+    planes = [_builder_culls._half_plane(a, b) for a, b in segs]
+    return _builder_culls._unmoved_bound(segs, planes, ends, [i for i in range(len(segs)) if i not in swept])
+
+
 def _free_end(emb, i):
     """Which end of stick i lies off the axis."""
     return "b" if emb.sticks[i].a[:2] == (0.0, 0.0) else "a"
@@ -412,7 +420,7 @@ def test_split_falls_back_on_frames_off_its_shape(monkeypatch, mutate):
     assert len(walks) == 1   # as built, the unmoved bound clears the swept pairs
     emb = mutate(red)
     segs, ends = _segs_ends(emb)
-    assert _builder_culls._unmoved_bound(segs, ends, _split(emb)) == 0.0
+    assert _unmoved_bound(segs, ends, _split(emb)) == 0.0
     walks.clear()
     assert tolerance_report(emb) == oracles.all_pairs_tolerance(emb)
     assert len(walks) == 2
@@ -424,7 +432,7 @@ def test_split_falls_back_when_the_bound_does_not_clear(monkeypatch):
     red = _reduced("trefoil")
     segs, ends = _segs_ends(red)
     swept, n = _split(red), len(segs)
-    bound = _builder_culls._unmoved_bound(segs, ends, swept)
+    bound = _unmoved_bound(segs, ends, swept)
     assert 0.0 < bound < math.inf
     walks = _walks(monkeypatch)
     for claim, passes in ((bound / 2, 1), (bound, 2), (math.inf, 2)):
@@ -449,7 +457,7 @@ def test_split_bound_counts_the_slope(monkeypatch):
               EStick((0.05, 0.6, 0.5), (0.05, 0.6, 0.9), 0, "join3", "hub", "end3")]
     emb = EquilateralEmbedding(sticks=sticks, M=1.0, components=[])
     segs, ends = _segs_ends(emb)
-    assert 0.099 < _builder_culls._unmoved_bound(segs, ends, [2]) < 0.1
+    assert 0.099 < _unmoved_bound(segs, ends, [2]) < 0.1
     walks = _walks(monkeypatch)
     report = tolerance_report(emb)
     assert report == oracles.all_pairs_tolerance(emb) and report.min_clearance < 0.1
@@ -600,8 +608,8 @@ def _random_fan(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_fan_cull_matches_all_pairs_on_random_fans(monkeypatch, seed):
     sweeps = []
-    monkeypatch.setattr(_verifier_float, "_boxes", lambda segs, real=_verifier_float._boxes: (
-        sweeps.append(len(segs)), real(segs))[1])
+    monkeypatch.setattr(_verifier_float, "_sweep", lambda segs, *args, real=_verifier_float._sweep: (
+        sweeps.append(len(segs)), real(segs, *args))[1])
     walks = _walks(monkeypatch)
     _assert_matches_reference(_random_fan(seed))
     assert sweeps == walks == []    # the fan cull ran in all three passes
@@ -630,14 +638,12 @@ def test_fan_cull_visits_every_pair_within_its_minimum(seed, least):
         assert len(seen) == len(set(seen)) and want <= set(seen)
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
-def test_verifier_fan_cull_survives_extreme_scales(fan32, scale):
-    # a document may carry any finite coordinates: squared lengths overflow
-    # to inf or underflow to 0, outside the cull's proof; the checks still
-    # run and keep the all-pairs verdicts (and, at overflow, the details)
+def _assert_survives_scale(emb, scale):
+    """emb scaled by scale keeps the all-pairs verdicts of the verifier's
+    float checks, and at overflow their details."""
     sticks = [replace(s, a=tuple(c * scale for c in s.a), b=tuple(c * scale for c in s.b))
-              for s in fan32.sticks]
-    emb = replace(fan32, sticks=sticks, M=fan32.M * scale)
+              for s in emb.sticks]
+    emb = replace(emb, sticks=sticks, M=emb.M * scale)
     segs = [(s.a, s.b) for s in sticks]
     got = [_entry(check_equilateral(emb), "equilateral.clearance"),
            _entry(check_simplicity(segs, scale=emb.M), "simplicity")]
@@ -645,6 +651,29 @@ def test_verifier_fan_cull_survives_extreme_scales(fan32, scale):
     assert [g[0] for g in got] == [w[0] for w in want]
     if scale > 1:
         assert got == want
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
+def test_verifier_fan_cull_survives_extreme_scales(fan32, scale):
+    # a document may carry any finite coordinates: squared lengths overflow
+    # to inf or underflow to 0, outside the cull's proof; the checks still
+    # run and keep the all-pairs verdicts (and, at overflow, the details)
+    _assert_survives_scale(fan32, scale)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
+@pytest.mark.parametrize("ap, path", [(catalog("trefoil"), "bound"), (random_presentation(3, "multi", 40), "sweep")],
+                         ids=["trefoil", "multi"])
+def test_verifier_walk_and_sweep_survive_extreme_scales(monkeypatch, ap, path, scale):
+    # the same off the fan.  At underflow every end gap squares to 0, so
+    # every pair of float simplicity shares its ends, visit returns only
+    # inf and pad stays inf: the trefoil's axis walk moves every axis stick
+    # and stops once none is left, and the assembled frame takes the sweep.
+    # At overflow the stick lengths overflow, and the spread rule hands
+    # both frames to the fan cull
+    paths = _verifier_paths(monkeypatch)
+    _assert_survives_scale(_build(ap), scale)
+    assert paths == ([path] * 2 if scale < 1 else ["fan"] * 2)
 
 
 def test_fan_checks_pinned():

@@ -3,14 +3,15 @@
 check_equilateral's clearance and float check_simplicity bound the pairs
 of two axis sticks (one end on the z axis) at once, from their
 half-planes, walk the pairs that hold any other stick by box gap, and fall
-back to the piece sweep on frames off that shape.  Their verdicts and
-details must equal those of the loops in oracles.py that measure every
-pair, float for float, whichever cull runs.
+back to a sweep in z over one box per stick on frames off that shape.
+Their verdicts and details must equal those of the loops in oracles.py
+that measure every pair, float for float, whichever cull runs.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ import oracles
 import parity
 from stickforge import _verifier_float, verifier
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
-from stickforge.equilateral_builder import build_equilateral
+from stickforge.equilateral_builder import EquilateralEmbedding, EStick, build_equilateral
 from stickforge.randgen import PROFILES, random_presentation
 from stickforge.verifier import TOLERANCES, check_equilateral, check_simplicity
 
@@ -44,7 +45,7 @@ def _references(emb):
 @pytest.fixture
 def paths(monkeypatch):
     """The cull each float check takes, one entry per check: "fan", "bound"
-    (the axis walk settles every pair) or "sweep" (the piece sweep, at once
+    (the axis walk settles every pair) or "sweep" (the sweep, at once
     or after part of the walk); and the bounds B each check computed."""
     taken, bounds = [], []
 
@@ -59,7 +60,7 @@ def paths(monkeypatch):
 
     spy("_fan_pairs", lambda: taken.append("fan"))
     spy("_axis_pairs", lambda: (taken.append("bound"), bounds.append([])))
-    spy("_boxes", lambda: taken.__setitem__(-1, "sweep"))
+    spy("_sweep", lambda: taken.__setitem__(-1, "sweep"))
     spy("_axis_bound", lambda: None)
     return taken, bounds
 
@@ -183,13 +184,8 @@ def test_axis_walk_matches_all_pairs_on_mutants(bouquet, paths, mutate, want, mo
         assert [len(b) - 1 for b in bounds] == [moves, moves]
 
 
-def test_axis_walk_visits_few_pairs(bouquet, monkeypatch):
-    # the axis walk measures the pairs of the one stick off the axis and of
-    # e1, and hands over the pairs that share a key; the piece sweep this
-    # replaces visited 1,740 pairs in each check
-    sweeps = []
-    monkeypatch.setattr(_verifier_float, "_boxes", lambda segs, real=_verifier_float._boxes: (
-        sweeps.append(1), real(segs))[1])
+def _visits(monkeypatch):
+    """The pairs that each call of verifier._near_pairs hands to visit."""
     calls = []
     real = verifier._near_pairs
 
@@ -204,8 +200,53 @@ def test_axis_walk_visits_few_pairs(bouquet, monkeypatch):
         return real(segs, ends, floor, counted)
 
     monkeypatch.setattr(verifier, "_near_pairs", near_pairs)
+    return calls
+
+
+def test_axis_walk_visits_few_pairs(bouquet, monkeypatch):
+    # the axis walk measures the pairs of the one stick off the axis and of
+    # e1, and hands over the pairs that share a key; the piece sweep it
+    # replaced visited 1,740 pairs in each check
+    sweeps = []
+    monkeypatch.setattr(_verifier_float, "_sweep", lambda *args, real=_verifier_float._sweep: (
+        sweeps.append(1), real(*args))[1])
+    calls = _visits(monkeypatch)
     assert _checks(bouquet) == _references(bouquet)
     assert sweeps == [] and len(calls) == 2
     for pairs in calls:
         assert len(pairs) == len(set(pairs)) and all(i < k for i, k in pairs)
         assert len(pairs) < 1740 // 3
+
+
+def _unit_sticks(seed, n):
+    """Two frames: n unit sticks with random directions and midpoints spread
+    over a cube of side 20, none with an end on the axis; and the same
+    sticks with the second slid to within half the floor of the first."""
+    rng = random.Random(seed)
+    sticks = []
+    for k in range(n):
+        mid = [rng.uniform(0.0, 20.0) for _ in range(3)]
+        z, a = rng.uniform(-1.0, 1.0), rng.uniform(-math.pi, math.pi)
+        d = (math.sqrt(1 - z * z) * math.cos(a) / 2, math.sqrt(1 - z * z) * math.sin(a) / 2, z / 2)
+        sticks.append(EStick(tuple(m - e for m, e in zip(mid, d)), tuple(m + e for m, e in zip(mid, d)),
+                             0, f"s{k}", f"s{k}.a", f"s{k}.b"))
+    emb = EquilateralEmbedding(sticks=sticks, M=1.0, components=[])
+    shift = 0.5 * TOLERANCES.clearance_rel
+    slid = replace(sticks[1], a=(sticks[0].a[0] + shift, *sticks[0].a[1:]),
+                   b=(sticks[0].b[0] + shift, *sticks[0].b[1:]))
+    return emb, replace(emb, sticks=[sticks[0], slid, *sticks[2:]])
+
+
+def test_sweep_matches_all_pairs_on_unit_sticks(paths, monkeypatch):
+    # a frame off the open book: no stick has an end on the axis, so the
+    # sweep takes every pair, and it meets few of them
+    taken, _ = paths
+    calls = _visits(monkeypatch)
+    for emb, passes in zip(_unit_sticks(3, 300), (True, False)):
+        taken.clear()
+        calls.clear()
+        got = _checks(emb)
+        assert got == _references(emb)
+        assert [passed for passed, _ in got] == [passes, passes]
+        assert taken == ["sweep", "sweep"]
+        assert all(len(pairs) == len(set(pairs)) < len(emb.sticks) for pairs in calls)
