@@ -1,12 +1,13 @@
 """The float pair cull of equilateral_builder.tolerance_report, and the
-float vector helpers it shares with its motion certificate.
+float distance kernel and vector helpers it shares with its motion
+certificate.
 
 tolerance_report measures only the stick pairs that could hold the least
 clearance, in one call of _near_pairs, and its minimum is that of every
 pair, float for float.  Each pair is measured at most once, lower index
-first, because equilateral_builder._seg_distance is not symmetric to the
-last bit.  Write u = 2^-53, let C be the largest coordinate magnitude, and
-assume no overflow or underflow.
+first, because _seg_distance is not symmetric to the last bit.  Write
+u = 2^-53, let C be the largest coordinate magnitude, and assume no
+overflow or underflow.
 
 Half-planes.  Every stick that build_tents puts down, and every swinging
 stick of the reduction, runs from an axis point out into its arc's page.
@@ -186,18 +187,36 @@ def _angle(u: V3, v: V3) -> float:
     return math.atan2(_norm(_cross(u, v)), _dot(u, v))
 
 
-def _point_distance(F: V3, r: V3, s: V3) -> float:
-    """_seg_distance(F, F, r, s), float for float."""
-    d2, w = _vsub(s, r), _vsub(F, r)
+def _seg_distance(p: V3, q: V3, r: V3, s: V3) -> float:
+    """Closest-point distance between segments pq and rs; the module
+    docstring bounds its rounding."""
+    d1, d2, w = _vsub(q, p), _vsub(s, r), _vsub(p, r)
+    a = d1[0] ** 2 + d1[1] ** 2 + d1[2] ** 2
+    b = d1[0] * d2[0] + d1[1] * d2[1] + d1[2] * d2[2]
     c = d2[0] ** 2 + d2[1] ** 2 + d2[2] ** 2
-    tc = min(max(_dot(d2, w) / c, 0.0), 1.0) if c > 0 else 0.0
-    return _dist(F, (r[0] + tc * d2[0], r[1] + tc * d2[1], r[2] + tc * d2[2]))
+    d = d1[0] * w[0] + d1[1] * w[1] + d1[2] * w[2]
+    e = d2[0] * w[0] + d2[1] * w[1] + d2[2] * w[2]
+    den = a * c - b * b
+    if den > 1e-14 * a * c:
+        sc = min(max((b * e - c * d) / den, 0.0), 1.0)
+    else:
+        sc = 0.0
+    tn = e + sc * b
+    if c > 0:
+        tc = min(max(tn / c, 0.0), 1.0)
+    else:
+        tc = 0.0
+    if a > 0:
+        sc = min(max((b * tc - d) / a, 0.0), 1.0)
+    cp1 = (p[0] + sc * d1[0], p[1] + sc * d1[1], p[2] + sc * d1[2])
+    cp2 = (r[0] + tc * d2[0], r[1] + tc * d2[1], r[2] + tc * d2[2])
+    return _dist(cp1, cp2)
 
 
 def _cone(F: V3, pa: V3, pb: V3):
     """(r, arc, c, h) of the segment pa pb seen from F, as _horizon
     describes them."""
-    r = _point_distance(F, pa, pb)
+    r = _seg_distance(F, F, pa, pb)
     va, vb = _vsub(pa, F), _vsub(pb, F)
     if _norm(va) == 0.0 or _norm(vb) == 0.0:
         return r, None, (0.0, 0.0, 1.0), math.pi   # h = pi: any c will do

@@ -1,4 +1,5 @@
-"""The verifier's float pair culls, and the distance kernel they share.
+"""The verifier's float pair culls, the fold pass, and the distance kernel
+they share.
 
 check_equilateral's clearance and the float branch of check_simplicity
 measure only the stick pairs that _near_pairs hands them, and lose nothing
@@ -6,19 +7,45 @@ by it: this docstring proves it.  Like _verifier_exact, this module imports
 nothing of the package, no builder code and not the verifier, so its vector
 helpers are its own.
 
-The float checks fail any coordinate or scale that is not finite, and a
-length scale that is not positive, before they measure anything.  Then
-they cull their pairs.  Let m be the larger of the least distance measured
-so far and the check's floor clearance_min, C the largest coordinate
-magnitude, and pad = m + junction_rel (C + m).  Write u = 2^-53 and assume
-no overflow or underflow.  Each cull below hands over every pair that
-could lie within pad, so every pair at the least distance is measured, and
-so is every pair below clearance_min.  Since clearance_rel exceeds
-junction_rel, so is every pair with ends within the snap, which gets the
-fold-back test instead.  A minimum does not depend on the order it is
-taken in, and failing pairs are sorted back into lexicographic order, so
-minima, verdicts and witnesses are those of testing every pair.  Each pair
-is measured once, lower index first, as the all-pairs loop measured it.
+The float checks fail any coordinate or scale that is not finite, a length
+scale that is not positive, and any input outside the range below, before
+they measure anything.  Then they cull their pairs.  Each check keys the
+ends of its sticks: check_equilateral by component and junction label,
+check_simplicity by the coordinates themselves, and neither measures a
+pair that shares a key.  Let m be the larger of the least distance
+measured so far and the check's floor clearance_min, C the largest
+coordinate magnitude, pad = m + junction_rel (C + m), and u = 2^-53.  Each
+cull below hands over every pair with disjoint keys that could lie within
+pad, so every pair at the least distance is measured, and so is every
+pair below clearance_min.  Since clearance_rel exceeds junction_rel, so is
+every pair with disjoint keys and ends within the snap, which
+check_simplicity gives the fold-back test instead.  A minimum does not
+depend on the order it is taken in, and failing pairs are sorted back into
+lexicographic order, so minima, verdicts and witnesses are those of
+testing every pair.  Each pair is measured once, lower index first, as the
+all-pairs loop measured it.  So the culls are about distance alone; the
+pairs that share a key and could fold back come from the fold pass.
+
+Range.  The float checks fail a coordinate of magnitude above 2^200, and
+a scale (M, or the scale given to check_simplicity or derived there)
+outside [2^-200, 2^200].  So no distance, bound or unit here overflows: a
+coordinate difference is below 2^201, a squared length below 2^404, and
+the largest products, the a c, b e and c d of seg_distance, lie below
+2^812 (only a width of the fold pass may reach inf, as it does for a
+stick with no length).  Ends may still lie closer than 2^-480; then a
+product, quotient or square root may underflow and be off by up to
+2^-1074 rather than by u of itself, while a sum or difference stays
+exact.  So each bound below moves by under 2^-470: seg_distance's result,
+the root of a sum of squares, by under 2^-535; a box gap, B or pad by
+under 2^-1070; and a unit of a vector longer than 2^-480 stays within 4u
+of its direction.  Shorter vectors do no harm: against a ray that short,
+every bound of the fan cull is at most r, and the pair lies at least
+r - 2^-480 apart; a stick that stays within 2^-480 of a center has r
+below clearance_min and is measured against every ray; and a stick that
+short gets a fold width above 2, so the fold pass pairs it with every
+other.  The margin junction_rel (C + m) is at least junction_rel
+clearance_rel 2^-200 > 2^-250, so every argument below holds as it would
+without underflow.
 
 Which cull runs is chosen from the input.
 1. When the boxes of the whole sticks all lie within _SHORTEST times the
@@ -84,10 +111,9 @@ bounded at once, from their coordinates.
   moves to S (the stick e1, which hugs the axis at cos theta about 0.01,
   on every built frame), and the pairs that hold a moved stick are walked.
   m only falls, so B exceeds every later pad as well.  Of the pairs of two
-  axis sticks left, those that share a key go to visit, for
-  check_simplicity's fold-back test, and the others lie more than B apart.
-  (pad is infinite while visit has returned only inf, as when every pair
-  shares a key, and then every axis stick may move.)
+  axis sticks left, those with disjoint keys lie more than B apart, and
+  the others share a key.  (pad is infinite while visit has returned only
+  inf, and then every axis stick may move.)
 - The walk sorts its rows, the pairs that hold a stick of S, so it runs
   only while they number at most _WALK_ROWS per stick: on a frame with
   few axis sticks (every frame assemble_split shifts off the axis), or one
@@ -101,27 +127,14 @@ azimuths agree).  With the 40uC of seg_distance and the 3u (C + m) of pad,
 a pair that the walk leaves out measures more than m, far inside
 junction_rel (C + m).
 
-The fan cull works with t = m + junction_rel (C + m) in place of pad.  Each
-check keys the ends of its sticks: check_equilateral by component and
-junction label, check_simplicity by the coordinates themselves, and
-neither measures a pair that shares a key.  A center is the point that the
-most ends of the sticks still left share exactly, and at least three must
+The fan cull works with t = pad.  A center is the point that the most
+ends of the sticks still left share exactly, and at least three must
 share it.  The sticks with an end at the center are its rays; the others
 stay for the next center, and the pairs that no center holds are all
 measured.  So each pair is decided once, at the first center that holds
 one of its sticks.
-- Two rays with different keys at the center are measured.  Two with one
-  key there share it and are not measured, but check_simplicity gives
-  them its fold-back test, which fails them only when their directions u,
-  v from the center have cosine above 1 - _FOLD, so |u - v| is under
-  sqrt(2 _FOLD) up to rounding, or when one ray's far end lies within the
-  snap of the other's, so |u - v| <= 2 snap / its length (for vectors a,
-  b, |a/|a| - b/|b|| <= 2 |a - b| / |a|), or of the center itself.  So each
-  ray gets the width w = sqrt(_FOLD) + 2 floor / length (infinite when it
-  has no length), and a sweep over the first coordinate of the units hands
-  over every pair of rays with one key whose units lie within the sum of
-  their widths: floor = clearance_rel scale exceeds the snap
-  junction_rel scale, and 2 sqrt(_FOLD) exceeds sqrt(2 _FOLD).
+- Two rays with different keys at the center are measured; two with one
+  key there share it and are not.
 - A ray and a stick that stays: seen from the center F, the ray's
   directions are the unit d to its far end (any direction when it has no
   length: d = 0 then, at angle 0 to everything), and the stick's lie
@@ -160,10 +173,32 @@ built from dot products and hypot, each within a few u, and from the gap
 g, off by under 12u/s + 12u/sc, which moves 2 sqrt(slo sc) sin(g/2) by
 under q min(1, 8u/slo + 8u/sc), q = 2 sqrt(slo sc); the walk takes that
 allowance and 16u more off chi before asin, so the computed L lies below
-the true one, up to 4C (100u).  A width of the fold sweep is over 10^5
-times the rounding of the units it compares.  junction_rel (C + m) is
-far above all of it, so a dropped pair lies more than m apart or cannot
-fold back.
+the true one, up to 4C (100u).  junction_rel (C + m) is far above both,
+so a dropped pair lies more than m apart.
+
+The fold pass (_fold_pairs), which check_simplicity runs after
+_near_pairs.  There a key is a point, so a pair that shares a key shares
+an end F exactly; its ends lie within the snap, so visit gives it the
+fold-back test and measures nothing, and the culls need not hand it over.
+Let d, e be the units from F towards the two sticks' far ends.  The test
+takes as shared the last end of the lower stick that lies within the snap
+of an end of the other.  When that is F, it fails the pair only when the
+directions have cosine above 1 - _FOLD, so |d - e| is under
+sqrt(2 _FOLD) up to rounding.  Otherwise the lower stick's far end lies
+within the snap of the other's far end, so |d - e| <= 2 snap / its length
+(for vectors a, b, |a/|a| - b/|b|| <= 2 |a - b| / |a|), or within the
+snap of F, so the stick is no longer than the snap.  So each stick with an
+end at F gets the width w = sqrt(_FOLD) + 2 floor / length (infinite when
+it has no length, and above 2 >= |d - e| when it is no longer than the
+snap), and at every point that two or more ends share exactly, a sweep
+over the first coordinate of the units (two units within the sum of their
+widths have first coordinates within it) hands over every pair whose
+units lie within the sum of their widths: floor = clearance_rel scale
+exceeds the snap junction_rel scale, 2 sqrt(_FOLD) exceeds sqrt(2 _FOLD),
+and a width is over 10^5 times the rounding of the units it compares.  A
+pair that shares both ends, or that a cull handed over as well, is tested
+twice, which adds a failing entry that sorts beside its twin and changes
+no verdict or witness.
 """
 
 from __future__ import annotations
@@ -193,6 +228,9 @@ _FOLD = 1e-12
 _SHORTEST = 0.125
 # the axis walk sorts at most this many rows per stick before the sweep takes over
 _WALK_ROWS = 6
+# the float checks take coordinates up to 2^200 in magnitude and scales in
+# [2^-200, 2^200], where the module docstring's bounds hold
+_RANGE = 2.0 ** 200
 
 
 def _vsub(a, b):
@@ -249,14 +287,12 @@ def _pad(least, floor, size):
 
 def _near_pairs(segs, ends, floor: float, visit) -> float:
     """Call visit(i, ks) for rows of pairs (i, k), k in ks, each k > i, that
-    hold every pair of segs that could lie within max(m, floor) of each
-    other, and every pair of sticks with one end at one point and the same
-    key of ends there whose directions from that point could fold back,
-    each pair once, and return m: the least value visit returned, or inf.
-    ends holds the keys of each stick's ends a and b; visit measures no
-    pair that shares a key, and returns the least distance it measures
-    over its row, or inf.  The module docstring proves that no skipped
-    pair comes that close or folds back."""
+    hold every pair of segs with disjoint keys of ends that could lie
+    within max(m, floor) of each other, each pair once, and return m: the
+    least value visit returned, or inf.  ends holds the keys of each
+    stick's ends a and b; visit measures no pair that shares a key, and
+    returns the least distance it measures over its row, or inf.  The
+    module docstring proves that no skipped pair comes that close."""
     n = len(segs)
     if n < 2:
         return math.inf
@@ -318,15 +354,6 @@ def _axis_pairs(segs, ends, floor, visit, lo, hi, size) -> float:
             return _sweep(segs, floor, visit, lo, hi, size, least, seen)
         least = walk(rows(axis[moved][-1], [f[-1] for f in axis[moved + 1:]]), least)
         moved += 1
-    shared = {}   # the axis sticks left by each key of their ends
-    for *_, i in axis[moved:]:
-        for key in {*ends[i]}:
-            shared.setdefault(key, []).append(i)
-    pairs = sorted({(i, k) for group in shared.values() for i, k in combinations(sorted(group), 2)})
-    for i, row in groupby(pairs, key=lambda e: e[0]):
-        d = visit(i, [k for _, k in row])
-        if d < least:
-            least = d
     return least
 
 
@@ -419,38 +446,28 @@ def _fan_pairs(segs, ends, floor, visit, size):
         F, most = max(count.items(), key=lambda e: e[1], default=(None, 0))
         if most < 3:
             break
-        groups = {}   # the rays of F by their key at F: (fold box's low end, index, half-width, unit)
+        groups = {}   # the rays of F by their key at F: (index, unit)
         for i in rest:
             a, b = segs[i]
             if F in (a, b):
-                v = _vsub(b if a == F else a, F)
-                w = math.sqrt(_FOLD) + 2 * floor / _norm(v) if _norm(v) else math.inf
-                d = _unit(v) or (0.0, 0.0, 0.0)
-                groups.setdefault(ends[i][a != F], []).append((d[0] - w, i, w, d))
+                d = _unit(_vsub(b if a == F else a, F)) or (0.0, 0.0, 0.0)
+                groups.setdefault(ends[i][a != F], []).append((i, d))
         rest = [i for i in rest if F not in segs[i]]
         keyed = list(groups.values())
         for x, group in enumerate(keyed):
             for other in keyed[x + 1:]:   # rays with different keys at F
-                for _, i, _, _ in group:
-                    for _, k, _, _ in other:
+                for i, _ in group:
+                    for k, _ in other:
                         see(i, k)
-            active = []   # rays with one key whose units lie close could fold back
-            for box in sorted(group):
-                lo, i, w, d = box
-                active = [o for o in active if o[3][0] + o[2] >= lo]
-                for _, k, ow, od in active:
-                    if _norm(_vsub(od, d)) <= ow + w:
-                        see(i, k)
-                active.append(box)
         if not rest:
             continue
         # the frame: Z along the rays' summed direction, X and Y across it
-        rays = [box[1:] for group in keyed for box in group]
-        Z = _unit(tuple(map(sum, zip(*(d for *_, d in rays))))) or (0.0, 0.0, 1.0)
+        rays = [ray for group in keyed for ray in group]
+        Z = _unit(tuple(map(sum, zip(*(d for _, d in rays))))) or (0.0, 0.0, 1.0)
         X = _unit(_cross(Z, (0.0, 0.0, 1.0) if abs(Z[2]) < 0.5 else (1.0, 0.0, 0.0)))
         Y = _cross(Z, X)
         ring = [(math.atan2(_dot(d, Y), _dot(d, X)), math.hypot(_dot(d, X), _dot(d, Y)),
-                 _dot(d, Z), i, d) for i, _, d in rays]
+                 _dot(d, Z), i, d) for i, d in rays]
         top = max(f[1] for f in ring)
         polar = [f for f in ring if not f[1] >= top / 2 > 0.0]   # near the axis, or no length
         ring = sorted(f for f in ring if f[1] >= top / 2 > 0.0)
@@ -486,3 +503,26 @@ def _fan_pairs(segs, ends, floor, visit, size):
                     taken += 1
                     j += step
     return min([least, *(visit(i, rest[x + 1:]) for x, i in enumerate(rest[:-1]))])
+
+
+def _fold_pairs(segs, floor, visit) -> None:
+    """Call visit(i, (k,)), i < k, for every pair of segs with an end at
+    one point whose directions from it could fold back (the fold pass of
+    the module docstring); floor is clearance_min."""
+    rays = {}   # each end point: (fold box's low end, index, half-width, unit) of its sticks
+    for i, (a, b) in enumerate(segs):
+        for F, far in {a: b, b: a}.items():
+            v = _vsub(far, F)
+            n = _norm(v)
+            w = math.sqrt(_FOLD) + 2 * floor / n if n else math.inf
+            d = (v[0] / n, v[1] / n, v[2] / n) if n else v   # no length: any d, as w is infinite
+            rays.setdefault(F, []).append((d[0] - w, i, w, d))
+    for group in rays.values():
+        active = []   # the boxes whose units could still lie within reach
+        for box in sorted(group):
+            lo, i, w, d = box
+            active = [o for o in active if o[3][0] + o[2] >= lo]
+            for _, k, ow, od in active:
+                if _norm(_vsub(od, d)) <= ow + w:
+                    visit(min(i, k), (max(i, k),))
+            active.append(box)

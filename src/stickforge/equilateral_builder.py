@@ -174,7 +174,7 @@ from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
 
 from ._builder_culls import (SNAP_REL, V3, _angle, _cone, _cross, _dist, _dot, _half_plane, _near_pairs,
-                             _norm, _plane_gap, _vsub)
+                             _norm, _plane_gap, _seg_distance, _vsub)
 from .arc_presentation import ValidatedPresentation, equal_length_parts
 
 DEFAULT_M_FACTOR = 4.0
@@ -263,30 +263,6 @@ class EquilateralEmbedding:
     components: list[ComponentInfo]
     tolerance: ToleranceReport | None = None
     certificate: CertificateReport | None = None
-
-
-def _seg_distance(p: V3, q: V3, r: V3, s: V3) -> float:
-    d1, d2, w = _vsub(q, p), _vsub(s, r), _vsub(p, r)
-    a = d1[0] ** 2 + d1[1] ** 2 + d1[2] ** 2
-    b = d1[0] * d2[0] + d1[1] * d2[1] + d1[2] * d2[2]
-    c = d2[0] ** 2 + d2[1] ** 2 + d2[2] ** 2
-    d = d1[0] * w[0] + d1[1] * w[1] + d1[2] * w[2]
-    e = d2[0] * w[0] + d2[1] * w[1] + d2[2] * w[2]
-    den = a * c - b * b
-    if den > 1e-14 * a * c:
-        sc = min(max((b * e - c * d) / den, 0.0), 1.0)
-    else:
-        sc = 0.0
-    tn = e + sc * b
-    if c > 0:
-        tc = min(max(tn / c, 0.0), 1.0)
-    else:
-        tc = 0.0
-    if a > 0:
-        sc = min(max((b * tc - d) / a, 0.0), 1.0)
-    cp1 = (p[0] + sc * d1[0], p[1] + sc * d1[1], p[2] + sc * d1[2])
-    cp2 = (r[0] + tc * d2[0], r[1] + tc * d2[1], r[2] + tc * d2[2])
-    return _dist(cp1, cp2)
 
 
 def _page_angle(page: int, n_arcs: int) -> float:

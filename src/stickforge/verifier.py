@@ -85,13 +85,18 @@ open-book fact that arcs on distinct pages meet only in the binding
 projection.
 
 The float checks, check_equilateral's clearance and the float branch of
-check_simplicity, fail any coordinate or scale that is not finite, and a
-length scale that is not positive, before they measure anything.  Then
-they measure only the pairs that _verifier_float._near_pairs hands them:
-every pair that could come within the least distance or the floor, or
-fold back, and no pair twice.  That module holds the culls, the distance
-kernel and the float tolerances, and its docstring proves that minima,
-verdicts and witnesses are those of testing every pair.
+check_simplicity, fail any coordinate or scale that is not finite, a
+length scale that is not positive, and a coordinate beyond 2^200 in
+magnitude or a scale outside [2^-200, 2^200], before they measure
+anything.  Then they measure only the pairs that
+_verifier_float._near_pairs hands them: every pair with no key of ends in
+common that could come within the least distance or the floor, and no
+pair twice.  check_simplicity also fold-tests the pairs that its fold
+pass, _verifier_float._fold_pairs, hands it: every pair with an end in
+common whose directions from there could fold back.  That module holds
+the culls, the fold pass, the distance kernel and the float tolerances,
+and its docstring proves, over that range, that minima, verdicts and
+witnesses are those of testing every pair.
 """
 
 from __future__ import annotations
@@ -102,8 +107,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._verifier_exact import _family_ordered, _first_exact_failure, _hom, _profile
-from ._verifier_float import (_FOLD, TOLERANCES, Tolerances, _dot, _near_pairs, _norm, _vsub,
-                              seg_distance)
+from ._verifier_float import (_FOLD, _RANGE, TOLERANCES, Tolerances, _dot, _fold_pairs, _near_pairs,
+                              _norm, _vsub, seg_distance)
 
 
 @dataclass
@@ -153,14 +158,24 @@ def _mixed_witness(rational) -> str:
     return f"sticks 0 and {k} mix rational and float coordinates"
 
 
-def _non_finite(segs) -> str:
-    """Witness naming the first coordinate that is not finite, or ''."""
+def _bad_coordinate(segs) -> str:
+    """Witness naming the first coordinate that is not finite or lies beyond
+    2^200 in magnitude, or ''."""
     for k, (a, b) in enumerate(segs):
         for end, pt in (("a", a), ("b", b)):
             for c in pt:
-                if not math.isfinite(c):
-                    return f"stick {k} end {end} has coordinate {c}"
+                if not abs(c) <= _RANGE:
+                    beyond = " beyond 2^200" if math.isfinite(c) else ""
+                    return f"stick {k} end {end} has coordinate {c}{beyond}"
     return ""
+
+
+def _bad_length(label: str, value) -> str:
+    """Witness for a length scale, named by label, that is not finite and
+    positive or lies outside [2^-200, 2^200], or ''."""
+    if not (math.isfinite(value) and value > 0):
+        return f"{label} is not a finite positive length"
+    return "" if 1 / _RANGE <= value <= _RANGE else f"{label} lies outside [2^-200, 2^200]"
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +189,13 @@ def check_simplicity(segments, scale: float | None = None, *, _index=None) -> Ve
     exact test; floats get clearance >= clearance_rel * scale for pairs not
     sharing an endpoint, and a non-overlap direction test for pairs that do.
     A list that mixes the two fails, and so does a float coordinate or scale
-    that is not finite, or a scale that is not positive.  _index is
-    verify_stick_embedding's _PageIndex of the embedding whose sticks the
-    segments are, which changes no result: once projection and crossing
-    order have passed on it, a rational PASS may come from the diagram
-    without a sweep (see the module docstring).
+    that is not finite, a scale that is not positive, a coordinate beyond
+    2^200 in magnitude, or a scale, given or derived (the largest
+    coordinate magnitude, or 1 when all are 0), outside [2^-200, 2^200].
+    _index is verify_stick_embedding's _PageIndex of the embedding whose
+    sticks the segments are, which changes no result: once projection and
+    crossing order have passed on it, a rational PASS may come from the
+    diagram without a sweep (see the module docstring).
     """
     segs = [(tuple(a), tuple(b)) for a, b in segments]
     report = VerificationReport()
@@ -193,14 +210,14 @@ def check_simplicity(segments, scale: float | None = None, *, _index=None) -> Ve
         report.add("simplicity", False, _mixed_witness(rational))
         return report
 
-    witness = _non_finite(segs)
-    if not witness and scale is not None and not (math.isfinite(scale) and scale > 0):
-        witness = f"scale {scale} is not a finite positive length"
+    witness = _bad_coordinate(segs)
+    if not witness:
+        if scale is None:
+            scale = max(max(abs(c) for c in a + b) for a, b in segs) or 1.0
+        witness = _bad_length(f"scale {scale}", scale)
     if witness:
         report.add("simplicity", False, witness)
         return report
-    if scale is None:
-        scale = max(max(abs(c) for c in a + b) for a, b in segs) or 1.0
     snap = TOLERANCES.junction_rel * scale
     clearance_min = TOLERANCES.clearance_rel * scale
     failing = []
@@ -231,6 +248,7 @@ def check_simplicity(segments, scale: float | None = None, *, _index=None) -> Ve
         return least
 
     min_clear = _near_pairs(segs, segs, clearance_min, visit)
+    _fold_pairs(segs, clearance_min, visit)
     detail = min(failing)[2] if failing else f"min non-adjacent clearance {min_clear:.3e}"
     report.add("simplicity", not failing, detail)
     return report
@@ -515,7 +533,8 @@ def check_equilateral(emb) -> VerificationReport:
     (each with index, n_arcs, reduced).  Counts accept 2n for embeddings
     flagged unreduced and 2n - 1 after reduction; a stick of a component
     not listed, or a component index listed twice, fails them.  An M that
-    is not finite and positive, or a coordinate that is not finite, fails
+    is not finite and positive or lies outside [2^-200, 2^200], or a
+    coordinate that is not finite or lies beyond 2^200 in magnitude, fails
     equilateral.input and nothing else is checked.
     """
     report = VerificationReport()
@@ -523,9 +542,7 @@ def check_equilateral(emb) -> VerificationReport:
     M = float(emb.M)
     sticks = list(emb.sticks)
     segs = [(s.a, s.b) for s in sticks]
-    witness = _non_finite(segs)
-    if not (math.isfinite(M) and M > 0):
-        witness = f"M = {M} is not a finite positive length"
+    witness = _bad_length(f"M = {M}", M) or _bad_coordinate(segs)
     if witness:
         report.add("equilateral.input", False, witness)
         return report

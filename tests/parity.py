@@ -21,6 +21,11 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   shifted-end mutants (mutant j of build idx as in eq-checks, idx counting
   from 0 at n = 8).  The witnesses carry the least clearances, which
   summary() leaves out of passing entries.
+- fold-checks: the float check_simplicity(segments, scale=M).summary()
+  of fold_mutant(emb, kind) for kind in FOLD_KINDS (an axis point, a tent
+  apex, a joiner's end and a hub), each kind that the build has, for emb
+  = build_equilateral of the catalog and of random_presentation(s, p, 30)
+  for p in PROFILES and s < 10, in that order.
 - exact-docs: the 240 exact documents, dumps_document(embedding_to_doc(
   build(cd))) concatenated, for the catalog, theta_trivial(2..64),
   random_presentation(s, p, 30) for p in PROFILES and s < 40, and
@@ -139,6 +144,45 @@ def fan_checks() -> str:
             entries = check_equilateral(e).entries + check_simplicity(segs, scale=e.M).entries
             text = repr((tolerance_report(e), [(x.check, x.passed, x.witness) for x in entries]))
             digest.update(text.encode())
+    return digest.hexdigest()
+
+
+FOLD_KINDS = ("bp", "apex", "end", "hub")   # the junction labels of the fold mutants' points
+
+
+def fold_mutant(emb, kind: str):
+    """emb with one stick folded back along another, or None: at the first
+    point, in stick order, that the ends of two sticks of one component
+    share exactly under one junction label starting with kind, the later
+    stick's far end moves to half way along the earlier stick, then 1e-15
+    off it in y."""
+    first = {}   # (component, label, point): the first stick with such an end
+    for j, s in enumerate(emb.sticks):
+        for near, far in (("a", "b"), ("b", "a")):
+            label, F = getattr(s, "j" + near), getattr(s, near)
+            if not label.startswith(kind):
+                continue
+            key = (s.component, label, F)
+            if key not in first:
+                first[key] = j
+                continue
+            e = emb.sticks[first[key]]
+            tip = [f + 0.5 * (o - f) for f, o in zip(F, e.b if e.a == F else e.a)]
+            sticks = list(emb.sticks)
+            sticks[j] = replace(s, **{far: (tip[0], tip[1] + 1e-15, tip[2])})
+            return replace(emb, sticks=sticks)
+    return None
+
+
+def fold_checks() -> str:
+    digest = hashlib.sha256()
+    aps = [catalog(name) for name in catalog_names()]
+    aps += [random_presentation(s, p, 30) for p in PROFILES for s in range(10)]
+    for ap in aps:
+        emb = build_equilateral(validate_presentation(ap))
+        for mutant in filter(None, (fold_mutant(emb, kind) for kind in FOLD_KINDS)):
+            segs = [(s.a, s.b) for s in mutant.sticks]
+            digest.update(check_simplicity(segs, scale=mutant.M).summary().encode())
     return digest.hexdigest()
 
 
@@ -421,7 +465,7 @@ def validator() -> str:
     return digest.hexdigest()
 
 
-SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "fan-checks": fan_checks,
+SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "fan-checks": fan_checks, "fold-checks": fold_checks,
         "exact-docs": exact_docs, "exact-checks": exact_checks, "exact-reads": exact_reads,
         "presentations": presentations, "workloads": workloads,
         "certificates": certificates, "cert-failures": cert_failures, "validator": validator}

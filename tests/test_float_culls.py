@@ -638,42 +638,45 @@ def test_fan_cull_visits_every_pair_within_its_minimum(seed, least):
         assert len(seen) == len(set(seen)) and want <= set(seen)
 
 
-def _assert_survives_scale(emb, scale):
-    """emb scaled by scale keeps the all-pairs verdicts of the verifier's
-    float checks, and at overflow their details."""
+def _assert_rejects_scale(emb, scale):
+    """emb scaled by scale lies outside the range where the verifier's float
+    culls are proved, so both float checks fail their input check: M or the
+    scale lies outside [2^-200, 2^200], or a coordinate beyond 2^200."""
     sticks = [replace(s, a=tuple(c * scale for c in s.a), b=tuple(c * scale for c in s.b))
               for s in emb.sticks]
     emb = replace(emb, sticks=sticks, M=emb.M * scale)
     segs = [(s.a, s.b) for s in sticks]
-    got = [_entry(check_equilateral(emb), "equilateral.clearance"),
-           _entry(check_simplicity(segs, scale=emb.M), "simplicity")]
-    want = [oracles.all_pairs_clearance(emb), oracles.all_pairs_float_simplicity(segs, scale=emb.M)]
-    assert [g[0] for g in got] == [w[0] for w in want]
+    assert [(e.check, e.passed, e.witness) for e in check_equilateral(emb).entries] == \
+        [("equilateral.input", False, f"M = {emb.M} lies outside [2^-200, 2^200]")]
     if scale > 1:
-        assert got == want
+        k, end, c = next((k, end, c) for k, pair in enumerate(segs) for end, pt in zip("ab", pair)
+                         for c in pt if abs(c) > 2.0 ** 200)
+        want = f"stick {k} end {end} has coordinate {c} beyond 2^200"
+    else:
+        want = f"scale {emb.M} lies outside [2^-200, 2^200]"
+    assert _entry(check_simplicity(segs, scale=emb.M), "simplicity") == (False, want)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
 def test_verifier_fan_cull_survives_extreme_scales(fan32, scale):
     # a document may carry any finite coordinates: squared lengths overflow
-    # to inf or underflow to 0, outside the cull's proof; the checks still
-    # run and keep the all-pairs verdicts (and, at overflow, the details)
-    _assert_survives_scale(fan32, scale)
+    # to inf or underflow to 0, outside the cull's proof, so the checks
+    # refuse the input before any cull runs
+    _assert_rejects_scale(fan32, scale)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
 @pytest.mark.parametrize("ap, path", [(catalog("trefoil"), "bound"), (random_presentation(3, "multi", 40), "sweep")],
                          ids=["trefoil", "multi"])
 def test_verifier_walk_and_sweep_survive_extreme_scales(monkeypatch, ap, path, scale):
-    # the same off the fan.  At underflow every end gap squares to 0, so
-    # every pair of float simplicity shares its ends, visit returns only
-    # inf and pad stays inf: the trefoil's axis walk moves every axis stick
-    # and stops once none is left, and the assembled frame takes the sweep.
-    # At overflow the stick lengths overflow, and the spread rule hands
-    # both frames to the fan cull
+    # the same off the fan, on frames that the axis walk and the sweep
+    # take in range: no cull runs
     paths = _verifier_paths(monkeypatch)
-    _assert_survives_scale(_build(ap), scale)
-    assert paths == ([path] * 2 if scale < 1 else ["fan"] * 2)
+    emb = _build(ap)
+    _assert_rejects_scale(emb, scale)
+    assert paths == []
+    _assert_matches_reference(emb)
+    assert paths == [path] * 2
 
 
 def test_fan_checks_pinned():

@@ -17,7 +17,8 @@ import parity
 from stickforge import _verifier_exact, stick_builder, verifier
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.circular_diagram import to_circular
-from stickforge.equilateral_builder import EStick, build_equilateral, build_tents
+from stickforge.equilateral_builder import (ComponentInfo, EquilateralEmbedding, EStick, build_equilateral,
+                                           build_tents)
 from stickforge.randgen import PROFILES, random_presentation
 from stickforge.stick_builder import build
 from stickforge.verifier import (
@@ -931,3 +932,27 @@ def test_non_finite_or_non_positive_scale_fails(scale):
     assert not report.ok
     assert report.failures()[0].witness == f"scale {scale} is not a finite positive length"
     assert not check_simplicity(crossing, scale=1.0).ok
+
+
+@pytest.mark.parametrize("s, simple, equal", [
+    (1.0, "sticks 0 and 1 at distance 0.000e+00 < 2.000e-06", None),
+    (1e55, "sticks 0 and 1 at distance 0.000e+00 < 2.000e+49", None),
+    (1e-55, "sticks 0 and 1 at distance 0.000e+00 < 2.000e-61", None),
+    (1e78, "stick 0 end a has coordinate -1e+78 beyond 2^200", "M = 2e+78 lies outside [2^-200, 2^200]"),
+    (1e-90, "scale 2e-90 lies outside [2^-200, 2^200]", "M = 2e-90 lies outside [2^-200, 2^200]"),
+], ids=["1", "1e55", "1e-55", "1e78", "1e-90"])
+def test_crossing_sticks_fail_both_float_checks_at_any_scale(s, simple, equal):
+    # two sticks of length 2 s that cross at the origin.  seg_distance's
+    # den = a c - b^2 grows as the fourth power of s: past about 1e77 it
+    # overflows to nan, and below about 1e-77 it underflows into the
+    # parallel branch, which measures s, so out of range the checks refuse
+    # the input instead of passing the pair
+    segs = [((-s, 0.0, 0.0), (s, 0.0, 0.0)), ((0.0, -s, 0.0), (0.0, s, 0.0))]
+    assert [(e.passed, e.witness) for e in check_simplicity(segs, scale=2 * s).entries] == [(False, simple)]
+    sticks = [EStick(a, b, 0, f"s{k}", ja, jb) for k, ((a, b), (ja, jb)) in enumerate(zip(segs, ["pq", "rt"]))]
+    emb = EquilateralEmbedding(sticks=sticks, M=2 * s, components=[ComponentInfo(0, 1, 2, reduced=False)])
+    failures = [(e.check, e.witness) for e in check_equilateral(emb).failures()]
+    if equal:
+        assert failures == [("equilateral.input", equal)]
+    else:
+        assert [check for check, _ in failures] == ["equilateral.clearance"]

@@ -1,11 +1,13 @@
-"""The verifier's axis walk against the all-pairs references.
+"""The verifier's axis walk and fold pass against the all-pairs references.
 
 check_equilateral's clearance and float check_simplicity bound the pairs
 of two axis sticks (one end on the z axis) at once, from their
 half-planes, walk the pairs that hold any other stick by box gap, and fall
 back to a sweep in z over one box per stick on frames off that shape.
-Their verdicts and details must equal those of the loops in oracles.py
-that measure every pair, float for float, whichever cull runs.
+Float check_simplicity then fold-tests the pairs that its fold pass hands
+over at the points that stick ends share.  Their verdicts and details must
+equal those of the loops in oracles.py that measure every pair, float for
+float, whichever cull runs.
 """
 
 from __future__ import annotations
@@ -205,8 +207,8 @@ def _visits(monkeypatch):
 
 def test_axis_walk_visits_few_pairs(bouquet, monkeypatch):
     # the axis walk measures the pairs of the one stick off the axis and of
-    # e1, and hands over the pairs that share a key; the piece sweep it
-    # replaced visited 1,740 pairs in each check
+    # e1 (159 in each check), and leaves the pairs that share a key to the
+    # fold pass; the piece sweep it replaced visited 1,740
     sweeps = []
     monkeypatch.setattr(_verifier_float, "_sweep", lambda *args, real=_verifier_float._sweep: (
         sweeps.append(1), real(*args))[1])
@@ -215,7 +217,7 @@ def test_axis_walk_visits_few_pairs(bouquet, monkeypatch):
     assert sweeps == [] and len(calls) == 2
     for pairs in calls:
         assert len(pairs) == len(set(pairs)) and all(i < k for i, k in pairs)
-        assert len(pairs) < 1740 // 3
+        assert len(pairs) <= 200
 
 
 def _unit_sticks(seed, n):
@@ -250,3 +252,29 @@ def test_sweep_matches_all_pairs_on_unit_sticks(paths, monkeypatch):
         assert [passed for passed, _ in got] == [passes, passes]
         assert taken == ["sweep", "sweep"]
         assert all(len(pairs) == len(set(pairs)) < len(emb.sticks) for pairs in calls)
+
+
+@pytest.mark.parametrize("ap, kind, want", [
+    (catalog("trefoil"), "bp", "bound"),       # two axis sticks left by the walk
+    (catalog("trefoil"), "apex", "bound"),
+    (catalog("trefoil"), "end", "bound"),      # a joiner's end<p>
+    (random_presentation(3, "multi", 40), "bp", "sweep"),
+    (catalog("theta_trivial(16)"), "hub", "fan"),
+], ids=["axis-point", "apex", "joiner-end", "assembled", "hub"])
+def test_fold_pass_matches_all_pairs_on_fold_mutants(paths, ap, kind, want):
+    # a stick folded back along its neighbour at the point they share; the
+    # culls need not hand that pair over, and the fold pass finds it
+    taken, _ = paths
+    emb = parity.fold_mutant(_build(ap), kind)
+    segs = [(s.a, s.b) for s in emb.sticks]
+    (entry,) = check_simplicity(segs, scale=emb.M).entries
+    assert (entry.passed, entry.witness) == oracles.all_pairs_float_simplicity(segs, scale=emb.M)
+    assert not entry.passed and entry.witness.endswith("fold back along each other")
+    assert taken == [want]
+
+
+def test_fold_checks_pinned():
+    # the fold-checks set of tests/parity.py: the float check_simplicity
+    # summary of every fold mutant of the catalog and of
+    # random_presentation(s, p, 30), s < 10
+    assert parity.fold_checks() == "a77a7e359f0f50d8481cf2d867e34ed5256daf4ce104d6f73e2b01ab280b5ca6"
