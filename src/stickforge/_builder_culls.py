@@ -52,7 +52,12 @@ a pair past pad once stays past it, and the least distance is measured.
 
 The passes.  The reduction moves only the swept sticks: the sticks of each
 component's recorded moves, and its joiners.  tolerance_report picks them
-by tag, and the tags choose the passes and nothing else.
+by tag, and the tags choose the passes and nothing else.  _near_pairs
+first reads the frame once: the corners of every stick's box, and from
+per-axis columns of those the spread of the boxes and C (min, max and
+negation do not round, so both are exact).  The longest stick comes from
+math.dist, which may differ from _dist in the last bit, as it only picks
+which of two exact culls runs.
 1. When the boxes of the whole sticks all lie within _SHORTEST times the
    longest stick of each other, the sticks crowd one spot and box gaps
    cannot prune them (theta-fan, where every stick reaches the axis point
@@ -127,7 +132,11 @@ of two unmoved sticks are bounded all at once, from their coordinates.
   with different keys, taken between neighbours in height order.  Sticks
   at one azimuth must share a key, as the two sticks of a tent share
   their apex.  With one azimuth, or one axis key, no such pair is left
-  and B is infinite.
+  and B is infinite.  The sticks are sorted once by azimuth and once by
+  height alone: any height order gives the same dzmin, float for float,
+  since between two ends with different keys lie two neighbours with
+  different keys, and a rounded difference of two heights within theirs
+  is no larger.
 B is 0 when an unmoved stick fails the shape, as on every frame that
 assemble_split shifts off the axis, or when two unmoved sticks at one
 azimuth share no key; such a frame always takes the third pass.
@@ -241,25 +250,29 @@ def _near_pairs(segs, ends, swept, visit) -> float:
     n = len(segs)
     if n < 2:
         return math.inf
-    lo = [tuple(map(min, a, b)) for a, b in segs]
-    hi = [tuple(map(max, a, b)) for a, b in segs]
-    spread = max(max(p[c] for p in lo) - min(q[c] for q in hi) for c in range(3))
-    size = max(abs(c) for a, b in segs for c in a + b)
-    if spread <= _SHORTEST * max(_dist(a, b) for a, b in segs):
+    # min and max of each coordinate, as min(a, b) and max(a, b) pick them
+    lo = [(bx if bx < ax else ax, by if by < ay else ay, bz if bz < az else az)
+          for (ax, ay, az), (bx, by, bz) in segs]
+    hi = [(bx if bx > ax else ax, by if by > ay else ay, bz if bz > az else az)
+          for (ax, ay, az), (bx, by, bz) in segs]
+    los, his = [*zip(*lo)], [*zip(*hi)]   # one column per axis
+    spread = max(max(l) - min(h) for l, h in zip(los, his))
+    size = max(max(map(max, his)), -min(map(min, los)))
+    if spread <= _SHORTEST * max(map(math.dist, *zip(*segs))):
         return _fan_pairs(segs, ends, visit, size)   # box gaps cannot prune (theta-fan)
 
     planes = [_half_plane(a, b) for a, b in segs]
+    boxes = [*zip(lo, hi, planes)]
 
     def rows(j, ks):
         """(gap, i, k), i < k, for the pair of stick j and each stick k of ks:
         the box gap, raised to the half-plane bound when both hang from the
         axis."""
-        (xl, yl, zl), (xh, yh, zh) = lo[j], hi[j]
-        s = planes[j]
+        (xl, yl, zl), (xh, yh, zh), s = boxes[j]
         return [(max(l[0] - xh, l[1] - yh, l[2] - zh, xl - h[0], yl - h[1], zl - h[2],
                      _plane_gap(s, t) if s and t else -math.inf),
                  k if k < j else j, j if k < j else k)
-                for k in ks for l, h, t in [(lo[k], hi[k], planes[k])]]
+                for k, (l, h, t) in zip(ks, map(boxes.__getitem__, ks))]
 
     moved = set(swept)
     least = _walk([r for j in swept for r in rows(j, [k for k in range(n) if k > j or k not in moved])],
@@ -395,24 +408,23 @@ def _unmoved_bound(segs, planes, ends, unmoved) -> float:
     """B of the module docstring: a lower bound on the distance between any
     two sticks of segs listed in unmoved whose keys of ends are disjoint;
     planes holds the _half_plane data of every stick.  0 when one fails
-    the shape test or two such sticks share an azimuth."""
-    azimuths, axis, cos = [], [], 1.0
-    for i in unmoved:
-        if planes[i] is None:
-            return 0.0   # no end on the axis, or both
-        z, psi, c = planes[i]
-        b = segs[i][1]
-        cos = min(cos, c)
-        azimuths.append((psi, i))
-        axis.append((z, ends[i][b[0] == 0.0 == b[1]]))
-    psi = []
-    for az, group in groupby(sorted(azimuths), key=lambda e: e[0]):
-        if any({*ends[i]}.isdisjoint(ends[k]) for (_, i), (_, k) in combinations(group, 2)):
-            return 0.0
-        psi.append(az)
-    if len(psi) < 2:
+    the shape test or two such sticks share an azimuth.  The sticks are
+    sorted by azimuth and by height once."""
+    rows = [planes[i] for i in unmoved]
+    if None in rows:
+        return 0.0   # no end on the axis, or both
+    if not rows:
         return math.inf
-    gap = min(2 * math.pi - (psi[-1] - psi[0]), *(b - a for a, b in zip(psi, psi[1:])))
-    axis.sort()
+    zs, psis, coss = zip(*rows)
+    by_psi = sorted(range(len(rows)), key=psis.__getitem__)
+    for _, group in groupby(by_psi, key=psis.__getitem__):
+        if any({*ends[unmoved[x]]}.isdisjoint(ends[unmoved[y]]) for x, y in combinations(group, 2)):
+            return 0.0
+    psi = [psis[x] for x in by_psi]
+    gaps = [b - a for a, b in zip(psi, psi[1:]) if b != a]
+    if not gaps:
+        return math.inf
+    axis = [(zs[x], ends[i][b[0] == 0.0 == b[1]])   # the height and key of each axis end
+            for x in sorted(range(len(rows)), key=zs.__getitem__) for i in [unmoved[x]] for b in [segs[i][1]]]
     dz = min((z1 - z0 for (z0, k0), (z1, k1) in zip(axis, axis[1:]) if k0 != k1), default=math.inf)
-    return math.sin(gap / 2) * cos * dz
+    return math.sin(min(2 * math.pi - (psi[-1] - psi[0]), *gaps) / 2) * min(1.0, *coss) * dz

@@ -32,7 +32,17 @@ outside [2^-200, 2^200].  So no distance, bound or unit here overflows: a
 coordinate difference is below 2^201, a squared length below 2^404, and
 the largest products, the a c, b e and c d of seg_distance, lie below
 2^812 (only a width of the fold pass may reach inf, as it does for a
-stick with no length).  Ends may still lie closer than 2^-480; then a
+stick with no length).  Two sticks may still be so short that a c
+underflows, and den = a c - b^2 with it, which would send two crossing
+sticks into the near-parallel branch and measure them apart.  So
+seg_distance measures a pair whose a c lies below 2^-900 scaled by 2^k,
+when k > 0: k brings the largest coordinate difference of its sticks and
+of p - r into [1/2, 1), or is less, so that every coordinate stays below
+2^1022.  Then it scales the result back.  Scaling by a power of two is exact
+and commutes with every rounded operation that neither overflows nor
+underflows, so a pair whose computation underflows nowhere measures the
+same, bit for bit, either way; one with a c in the normal range is not
+scaled at all.  Ends may still lie closer than 2^-480; then a
 product, quotient or square root may underflow and be off by up to
 2^-1074 rather than by u of itself, while a sum or difference stays
 exact.  So each bound below moves by under 2^-470: seg_distance's result,
@@ -47,7 +57,11 @@ other.  The margin junction_rel (C + m) is at least junction_rel
 clearance_rel 2^-200 > 2^-250, so every argument below holds as it would
 without underflow.
 
-Which cull runs is chosen from the input.
+Which cull runs is chosen from the input, in one scan of the stick boxes:
+their corners, and from per-axis columns of those, the spread and C (min,
+max and negation do not round, so both are exact).  The longest stick is
+taken with math.dist, whose last bit may differ from seg_distance's, as
+it only picks which of two culls runs, and each cull is exact.
 1. When the boxes of the whole sticks all lie within _SHORTEST times the
    longest stick of each other, the sticks crowd one spot, boxes cannot
    prune them (theta-fan, where every stick reaches the axis point or the
@@ -94,12 +108,15 @@ bounded at once, from their coordinates.
 - Two axis sticks whose keys are disjoint have different keys at their
   axis ends.  When every two axis sticks at one azimuth share a key, two
   with disjoint keys lie at least B = sin(gmin/2) cos(theta_max) dzmin
-  apart (_axis_bound): gmin is the least gap on the circle between the
+  apart (_axis_bounds): gmin is the least gap on the circle between the
   distinct azimuths, which is at most pi once there are two; theta_max is
   the steepest axis stick; dzmin is the least gap between axis ends with
-  different keys, taken between neighbours in height order.  With one
-  azimuth, or one axis key, no such pair is left and B is infinite.  B is
-  0 when two axis sticks at one azimuth share no key.
+  different keys, taken between neighbours in height order.  Any height
+  order gives the same float: between two ends with different keys lie
+  two neighbours with different keys, and a rounded difference of two
+  heights within theirs is no larger.  With one azimuth, or one axis key,
+  no such pair is left and B is infinite.  B is 0 when two axis sticks at
+  one azimuth share no key.
 - The box gap of two sticks is the largest of lo' - hi and lo - hi' over
   x, y and z, for the boxes [lo, hi] and [lo', hi'] of their computed ends.
   A stick lies in its box, so a pair lies at least its true gap apart, and
@@ -113,7 +130,10 @@ bounded at once, from their coordinates.
   m only falls, so B exceeds every later pad as well.  Of the pairs of two
   axis sticks left, those with disjoint keys lie more than B apart, and
   the others share a key.  (pad is infinite while visit has returned only
-  inf, and then every axis stick may move.)
+  inf, and then every axis stick may move.)  The walk sorts the axis
+  sticks by azimuth and by height once, and B of the sticks left is read
+  from those two orders; every B is a function of the set of sticks, so
+  it equals B computed afresh for that set, float for float.
 - The walk sorts its rows, the pairs that hold a stick of S, so it runs
   only while they number at most _WALK_ROWS per stick: on a frame with
   few axis sticks (every frame assemble_split shifts off the axis), or one
@@ -195,8 +215,12 @@ over the first coordinate of the units (two units within the sum of their
 widths have first coordinates within it) hands over every pair whose
 units lie within the sum of their widths: floor = clearance_rel scale
 exceeds the snap junction_rel scale, 2 sqrt(_FOLD) exceeds sqrt(2 _FOLD),
-and a width is over 10^5 times the rounding of the units it compares.  A
-pair that shares both ends, or that a cull handed over as well, is tested
+and a width is over 10^5 times the rounding of the units it compares.
+Each stick's unit and width are computed once, from end a: from end b the
+difference, and so the unit, is the exact negation.  A point that exactly
+two ends share needs no sweep: the pair is handed over when its units lie
+within the sum of their widths, which is the sweep's own test.  A pair
+that shares both ends, or that a cull handed over as well, is tested
 twice, which adds a failing entry that sorts beside its twin and changes
 no verdict or witness.
 """
@@ -258,6 +282,11 @@ def seg_distance(p, q, r, s) -> float:
     wx, wy, wz = px - rx, py - ry, pz - rz
     a, b, c = ux * ux + uy * uy + uz * uz, ux * vx + uy * vy + uz * vz, vx * vx + vy * vy + vz * vz
     d, e = ux * wx + uy * wy + uz * wz, vx * wx + vy * wy + vz * wz
+    if a * c < 2.0 ** -900:   # a c may underflow: measure the pair scaled up by 2^k (Range)
+        k = min(-math.frexp(max(map(abs, (ux, uy, uz, vx, vy, vz, wx, wy, wz))))[1],
+                1022 - math.frexp(max(map(abs, (*p, *q, *r, *s))))[1])
+        if k > 0:
+            return math.ldexp(seg_distance(*([math.ldexp(x, k) for x in pt] for pt in (p, q, r, s))), -k)
     den = a * c - b * b
     sn, sd = (0.0, 1.0) if den <= 1e-14 * a * c else ((b * e - c * d), den)
     if sn < 0.0:
@@ -296,11 +325,15 @@ def _near_pairs(segs, ends, floor: float, visit) -> float:
     n = len(segs)
     if n < 2:
         return math.inf
-    lo = [tuple(map(min, a, b)) for a, b in segs]
-    hi = [tuple(map(max, a, b)) for a, b in segs]
-    spread = max(max(p[c] for p in lo) - min(q[c] for q in hi) for c in range(3))
-    size = max(abs(c) for a, b in segs for c in a + b)
-    if spread <= _SHORTEST * max(_norm(_vsub(b, a)) for a, b in segs):
+    # min and max of each coordinate, as min(a, b) and max(a, b) pick them
+    lo = [(bx if bx < ax else ax, by if by < ay else ay, bz if bz < az else az)
+          for (ax, ay, az), (bx, by, bz) in segs]
+    hi = [(bx if bx > ax else ax, by if by > ay else ay, bz if bz > az else az)
+          for (ax, ay, az), (bx, by, bz) in segs]
+    los, his = [*zip(*lo)], [*zip(*hi)]   # one column per axis
+    spread = max(max(l) - min(h) for l, h in zip(los, his))
+    size = max(max(map(max, his)), -min(map(min, los)))
+    if spread <= _SHORTEST * max(map(math.dist, *zip(*segs))):
         return _fan_pairs(segs, ends, floor, visit, size)   # boxes cannot prune (theta-fan)
     return _axis_pairs(segs, ends, floor, visit, lo, hi, size)
 
@@ -310,15 +343,8 @@ def _axis_pairs(segs, ends, floor, visit, lo, hi, size) -> float:
     once the walk's rows would outnumber _WALK_ROWS per stick; lo and hi are
     the corners of each stick's box, size the largest coordinate magnitude."""
     n = len(segs)
-    axis = []   # (cos theta, azimuth, axis end height, key there, index) of each axis stick
-    for i, (a, b) in enumerate(segs):
-        at_a = a[0] == 0.0 and a[1] == 0.0
-        if at_a != (b[0] == 0.0 and b[1] == 0.0):
-            p, q = (a, b) if at_a else (b, a)
-            axis.append((math.hypot(q[0], q[1]) / math.hypot(q[0], q[1], q[2] - p[2]),
-                         math.atan2(q[1], q[0]), p[2], ends[i][not at_a], i))
-    axis.sort(key=lambda f: (f[0], f[-1]))   # steepest first
-    least, seen = math.inf, set()   # seen: i n + k for each pair (i, k) walked
+    axis = _axis_sticks(segs, ends)
+    seen = set()   # (i, k) for each pair walked
 
     def walked(left):
         """Whether the pairs that hold a stick of S, with left axis sticks
@@ -329,56 +355,86 @@ def _axis_pairs(segs, ends, floor, visit, lo, hi, size) -> float:
         """(gap, i, k), i < k, for the pair of stick j and each stick k of ks."""
         (xl, yl, zl), (xh, yh, zh) = lo[j], hi[j]
         return [(max(l[0] - xh, l[1] - yh, l[2] - zh, xl - h[0], yl - h[1], zl - h[2]),
-                 k if k < j else j, j if k < j else k) for k in ks for l, h in [(lo[k], hi[k])]]
-
-    def walk(rows, least):
-        """Visit rows (gap, i, k) in ascending gap up to the first above pad."""
-        pad = _pad(least, floor, size)
-        for gap, i, k in sorted(rows):
-            if gap > pad:
-                break
-            seen.add(i * n + k)
-            d = visit(i, (k,))
-            if d < least:
-                least, pad = d, _pad(d, floor, size)
-        return least
+                 k if k < j else j, j if k < j else k)
+                for k, l, h in zip(ks, map(lo.__getitem__, ks), map(hi.__getitem__, ks))]
 
     if not walked(len(axis)):
-        return _sweep(segs, floor, visit, lo, hi, size, least, seen)
+        return _sweep(segs, floor, visit, lo, hi, size, math.inf, seen)
     on_axis = {f[-1] for f in axis}
-    least = walk([r for j in range(n) if j not in on_axis
-                  for r in rows(j, [k for k in range(n) if k > j or k in on_axis])], least)
-    moved = 0
-    while moved < len(axis) and not _axis_bound(axis[moved:], ends) > _pad(least, floor, size):
+    least = _walk([r for j in range(n) if j not in on_axis
+                   for r in rows(j, [k for k in range(n) if k > j or k in on_axis])],
+                  math.inf, floor, size, visit, seen)
+    bounds = _axis_bounds(axis, ends)
+    for moved, f in enumerate(axis):
+        if next(bounds) > _pad(least, floor, size):
+            break
         if not walked(len(axis) - moved - 1):
             return _sweep(segs, floor, visit, lo, hi, size, least, seen)
-        least = walk(rows(axis[moved][-1], [f[-1] for f in axis[moved + 1:]]), least)
-        moved += 1
+        least = _walk(rows(f[-1], [g[-1] for g in axis[moved + 1:]]), least, floor, size, visit, seen)
     return least
 
 
-def _axis_bound(axis, ends) -> float:
-    """B of the module docstring for the axis sticks axis, each as
-    (cos theta, azimuth, axis end height, key there, index), steepest
-    first; ends holds the keys of every stick's ends.  0 when two at one
-    azimuth share no key, inf when there is one azimuth or one axis key."""
-    psi = []
-    for az, group in groupby(sorted(axis, key=lambda f: f[1]), key=lambda f: f[1]):
-        if any({*ends[i]}.isdisjoint(ends[k]) for (*_, i), (*_, k) in combinations(group, 2)):
-            return 0.0
-        psi.append(az)
-    if len(psi) < 2:
-        return math.inf
-    gap = min(2 * math.pi - (psi[-1] - psi[0]), *(b - a for a, b in zip(psi, psi[1:])))
-    heights = sorted((f[2], f[3]) for f in axis)
-    dz = min((z1 - z0 for (z0, k0), (z1, k1) in zip(heights, heights[1:]) if k0 != k1), default=math.inf)
-    return math.sin(gap / 2) * axis[0][0] * dz
+def _axis_sticks(segs, ends):
+    """(cos theta, azimuth, axis end height, key there, index) of each axis
+    stick of segs, steepest first; ends holds the keys of each stick's ends."""
+    axis = []
+    for i, (a, b) in enumerate(segs):
+        at_a = a[0] == 0.0 and a[1] == 0.0
+        if at_a != (b[0] == 0.0 and b[1] == 0.0):
+            p, q = (a, b) if at_a else (b, a)
+            axis.append((math.hypot(q[0], q[1]) / math.hypot(q[0], q[1], q[2] - p[2]),
+                         math.atan2(q[1], q[0]), p[2], ends[i][not at_a], i))
+    axis.sort(key=lambda f: (f[0], f[-1]))
+    return axis
+
+
+def _walk(rows, least, floor, size, visit, seen) -> float:
+    """Visit rows (gap, i, k) in ascending gap up to the first above pad,
+    adding (i, k) to seen for each, and return the least distance that
+    visit returned, or least if none is below it."""
+    pad = _pad(least, floor, size)
+    for gap, i, k in sorted(rows):
+        if gap > pad:
+            break
+        seen.add((i, k))
+        d = visit(i, (k,))
+        if d < least:
+            least, pad = d, _pad(d, floor, size)
+    return least
+
+
+def _axis_bounds(axis, ends):
+    """Yield B of the module docstring for axis[m:], m = 0, 1, ..., for the
+    axis sticks axis, each as (cos theta, azimuth, axis end height, key
+    there, index), steepest first; ends holds the keys of every stick's
+    ends.  B is 0 when two at one azimuth share no key, inf when there is
+    one azimuth or one axis key.  The sticks are sorted by azimuth and by
+    height once, and each B reads its suffix from those orders."""
+    psis, zs = [f[1] for f in axis], [f[2] for f in axis]
+    by_psi = sorted(range(len(axis)), key=psis.__getitem__)
+    by_z = sorted(range(len(axis)), key=zs.__getitem__)
+    # B is 0 for every suffix that holds two sticks at one azimuth with no key in common
+    zero = max((min(x, y) for _, group in groupby(by_psi, key=psis.__getitem__)
+                for x, y in combinations(group, 2) if {*ends[axis[x][-1]]}.isdisjoint(ends[axis[y][-1]])),
+               default=-1)
+    for m, f in enumerate(axis):
+        if m <= zero:
+            yield 0.0
+            continue
+        psi = [psis[x] for x in by_psi if x >= m]
+        gaps = [b - a for a, b in zip(psi, psi[1:]) if b != a]
+        if not gaps:
+            yield math.inf
+            continue
+        z = [(zs[x], axis[x][3]) for x in by_z if x >= m]
+        dz = min((z1 - z0 for (z0, k0), (z1, k1) in zip(z, z[1:]) if k0 != k1), default=math.inf)
+        yield math.sin(min(2 * math.pi - (psi[-1] - psi[0]), *gaps) / 2) * f[0] * dz
 
 
 def _sweep(segs, floor, visit, lo, hi, size, least, seen) -> float:
-    """_near_pairs by the sweep of the module docstring, over the pairs not
-    in seen (i n + k for the pair (i, k)), from the least distance least
-    that visit returned on them."""
+    """_near_pairs by the sweep of the module docstring, over the pairs
+    (i, k) not in seen, from the least distance least that visit returned
+    on them."""
     n = len(segs)
     pad = _pad(least, floor, size)
     active: list[int] = []
@@ -388,7 +444,7 @@ def _sweep(segs, floor, visit, lo, hi, size, least, seen) -> float:
         xl, xh, yl, yh = xl - pad, xh + pad, yl - pad, yh + pad
         for o in [o for o in active if lo[o][0] <= xh and xl <= hi[o][0] and lo[o][1] <= yh and yl <= hi[o][1]]:
             i, k = (o, j) if o < j else (j, o)
-            if i * n + k not in seen:
+            if (i, k) not in seen:
                 d = visit(i, (k,))
                 if d < least:
                     least, pad = d, _pad(d, floor, size)
@@ -509,20 +565,25 @@ def _fold_pairs(segs, floor, visit) -> None:
     """Call visit(i, (k,)), i < k, for every pair of segs with an end at
     one point whose directions from it could fold back (the fold pass of
     the module docstring); floor is clearance_min."""
-    rays = {}   # each end point: (fold box's low end, index, half-width, unit) of its sticks
+    rays = {}   # each end point: (unit from it, half-width, index) of its sticks
     for i, (a, b) in enumerate(segs):
-        for F, far in {a: b, b: a}.items():
-            v = _vsub(far, F)
-            n = _norm(v)
-            w = math.sqrt(_FOLD) + 2 * floor / n if n else math.inf
-            d = (v[0] / n, v[1] / n, v[2] / n) if n else v   # no length: any d, as w is infinite
-            rays.setdefault(F, []).append((d[0] - w, i, w, d))
+        v = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+        n = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+        d, w = ((v[0] / n, v[1] / n, v[2] / n), math.sqrt(_FOLD) + 2 * floor / n) if n else (v, math.inf)
+        rays.setdefault(a, []).append((d, w, i))
+        if b != a:   # the unit from b is the exact negation of the unit from a
+            rays.setdefault(b, []).append(((-d[0], -d[1], -d[2]), w, i))
     for group in rays.values():
-        active = []   # the boxes whose units could still lie within reach
-        for box in sorted(group):
-            lo, i, w, d = box
-            active = [o for o in active if o[3][0] + o[2] >= lo]
-            for _, k, ow, od in active:
-                if _norm(_vsub(od, d)) <= ow + w:
-                    visit(min(i, k), (max(i, k),))
-            active.append(box)
+        if len(group) == 2:   # two ends: test them directly
+            (d, w, i), (e, x, k) = group
+            if _norm(_vsub(d, e)) <= w + x:
+                visit(min(i, k), (max(i, k),))
+        elif len(group) > 2:
+            active = []   # the boxes whose units could still lie within reach
+            for box in sorted((d[0] - w, i, w, d) for d, w, i in group):
+                lo, i, w, d = box
+                active = [o for o in active if o[3][0] + o[2] >= lo]
+                for _, k, ow, od in active:
+                    if _norm(_vsub(od, d)) <= ow + w:
+                        visit(min(i, k), (max(i, k),))
+                active.append(box)

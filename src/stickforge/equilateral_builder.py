@@ -172,6 +172,7 @@ import math
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
+from operator import sub
 
 from ._builder_culls import (SNAP_REL, V3, _angle, _cone, _cross, _dist, _dot, _half_plane, _near_pairs,
                              _norm, _plane_gap, _seg_distance, _vsub)
@@ -396,10 +397,9 @@ def _axis_label(stick: EStick) -> str:
 
 def tolerance_report(emb: EquilateralEmbedding) -> ToleranceReport:
     M = emb.M
-    max_dev = 0.0
-    for s in emb.sticks:
-        max_dev = max(max_dev, abs(_dist(s.a, s.b) - M) / M)
     segs = [(s.a, s.b) for s in emb.sticks]
+    max_dev = max([0.0, *(abs(math.sqrt(x * x + y * y + z * z) - M) / M   # _dist(a, b)
+                          for x, y, z in (map(sub, a, b) for a, b in segs))])
     ends = [((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks]
     keys = [set(e) for e in ends]
 

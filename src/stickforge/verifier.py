@@ -105,6 +105,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import le, sub
 
 from ._verifier_exact import _family_ordered, _first_exact_failure, _hom, _profile
 from ._verifier_float import (_FOLD, _RANGE, TOLERANCES, Tolerances, _dot, _fold_pairs, _near_pairs,
@@ -149,9 +151,15 @@ class VerificationReport:
 # float input checks
 
 
-def _mixed_witness(rational) -> str:
+def _coordinates(segs):
+    """Every coordinate of segs, stick by stick, end a before end b."""
+    return chain.from_iterable(chain.from_iterable(segs))
+
+
+def _mixed_witness(segs) -> str:
     """Name stick 0 and the first stick whose coordinates differ from its
-    first one in kind, given one rational flag per coordinate."""
+    first one in kind."""
+    rational = [isinstance(c, (Fraction, int)) for c in _coordinates(segs)]
     k = rational.index(not rational[0]) // 6
     if k == 0:
         return "stick 0 mixes rational and float coordinates"
@@ -161,6 +169,8 @@ def _mixed_witness(rational) -> str:
 def _bad_coordinate(segs) -> str:
     """Witness naming the first coordinate that is not finite or lies beyond
     2^200 in magnitude, or ''."""
+    if all(map(le, map(abs, _coordinates(segs)), repeat(_RANGE))):
+        return ""
     for k, (a, b) in enumerate(segs):
         for end, pt in (("a", a), ("b", b)):
             for c in pt:
@@ -199,21 +209,22 @@ def check_simplicity(segments, scale: float | None = None, *, _index=None) -> Ve
     """
     segs = [(tuple(a), tuple(b)) for a, b in segments]
     report = VerificationReport()
-    rational = [isinstance(c, (Fraction, int)) for a, b in segs for c in a + b]
-    if all(rational):
+    kinds = set(map(type, _coordinates(segs)))
+    rational = {False} if kinds == {float} else {issubclass(t, (Fraction, int)) for t in kinds}
+    if False not in rational:   # every coordinate rational, or none at all
         witness = "" if _index and _index.settles_simplicity() else _first_exact_failure(
             _index.ends() if _index else [(_hom(a), _hom(b)) for a, b in segs])
         report.add("simplicity", not witness,
                    witness or f"{len(segs)} sticks pairwise disjoint away from junctions")
         return report
-    if any(rational):
-        report.add("simplicity", False, _mixed_witness(rational))
+    if True in rational:
+        report.add("simplicity", False, _mixed_witness(segs))
         return report
 
     witness = _bad_coordinate(segs)
     if not witness:
         if scale is None:
-            scale = max(max(abs(c) for c in a + b) for a, b in segs) or 1.0
+            scale = max(map(abs, _coordinates(segs))) or 1.0
         witness = _bad_length(f"scale {scale}", scale)
     if witness:
         report.add("simplicity", False, witness)
@@ -547,9 +558,8 @@ def check_equilateral(emb) -> VerificationReport:
         report.add("equilateral.input", False, witness)
         return report
 
-    worst = 0.0
-    for s in sticks:
-        worst = max(worst, abs(_norm(_vsub(s.b, s.a)) - M) / M)
+    worst = max([0.0, *(abs(math.sqrt(x * x + y * y + z * z) - M) / M   # _norm(_vsub(b, a))
+                        for x, y, z in (map(sub, b, a) for a, b in segs))])
     report.add("equilateral.lengths", worst <= tol.length_rel,
                f"max relative length deviation {worst:.3e} vs {tol.length_rel:.0e}")
 

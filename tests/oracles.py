@@ -21,13 +21,17 @@ builder's motion certificate with every parked stick tested at every
 sample, and the all-pairs loops of tolerance_report, check_equilateral's
 clearance and float check_simplicity.  They call the package's own float
 distance kernels, so that the culled passes must match their minima,
-verdicts and details float for float.
+verdicts and details float for float.  The last section keeps cull steps
+as they were first written, before they sorted once or tested two ends
+directly, so that their rewrites can be held to the same floats and the
+same pairs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations, groupby
 
 from stickforge import equilateral_builder as eb
 from stickforge import verifier as vf
@@ -858,3 +862,74 @@ def all_pairs_float_simplicity(segments, scale=None) -> tuple[bool, str]:
                 bad += 1
                 witness = witness or f"sticks {i} and {j} at distance {dist:.3e} < {clearance_min:.3e}"
     return bad == 0, witness if bad else f"min non-adjacent clearance {min_clear:.3e}"
+
+
+# ---------------------------------------------------------------------------
+# cull steps as first written: the references of their rewrites
+
+
+def axis_bound(axis, ends) -> float:
+    """B of the verifier's axis walk for the axis sticks axis, each as
+    (cos theta, azimuth, axis end height, key there, index), steepest
+    first: sorted, grouped and re-tested for this one suffix, as the walk
+    computed it for each moved stick before it sorted once per walk."""
+    psi = []
+    for az, group in groupby(sorted(axis, key=lambda f: f[1]), key=lambda f: f[1]):
+        if any({*ends[i]}.isdisjoint(ends[k]) for (*_, i), (*_, k) in combinations(group, 2)):
+            return 0.0
+        psi.append(az)
+    if len(psi) < 2:
+        return math.inf
+    gap = min(2 * math.pi - (psi[-1] - psi[0]), *(b - a for a, b in zip(psi, psi[1:])))
+    heights = sorted((f[2], f[3]) for f in axis)
+    dz = min((z1 - z0 for (z0, k0), (z1, k1) in zip(heights, heights[1:]) if k0 != k1), default=math.inf)
+    return math.sin(gap / 2) * axis[0][0] * dz
+
+
+def unmoved_bound(segs, planes, ends, unmoved) -> float:
+    """The builder's unmoved bound B, recomputed as first written: one
+    azimuth and one height list built stick by stick, then sorted with
+    their keys."""
+    azimuths, axis, cos = [], [], 1.0
+    for i in unmoved:
+        if planes[i] is None:
+            return 0.0
+        z, psi, c = planes[i]
+        b = segs[i][1]
+        cos = min(cos, c)
+        azimuths.append((psi, i))
+        axis.append((z, ends[i][b[0] == 0.0 == b[1]]))
+    psi = []
+    for az, group in groupby(sorted(azimuths), key=lambda e: e[0]):
+        if any({*ends[i]}.isdisjoint(ends[k]) for (_, i), (_, k) in combinations(group, 2)):
+            return 0.0
+        psi.append(az)
+    if len(psi) < 2:
+        return math.inf
+    gap = min(2 * math.pi - (psi[-1] - psi[0]), *(b - a for a, b in zip(psi, psi[1:])))
+    axis.sort()
+    dz = min((z1 - z0 for (z0, k0), (z1, k1) in zip(axis, axis[1:]) if k0 != k1), default=math.inf)
+    return math.sin(gap / 2) * cos * dz
+
+
+def box_sweep_fold_pairs(segs, floor, visit) -> None:
+    """The verifier's fold pass as first written: a unit and a width for
+    every stick end, and at every point that ends share, a sweep of their
+    boxes over the units' first coordinate, two ends included."""
+    rays = {}
+    for i, (a, b) in enumerate(segs):
+        for F, far in {a: b, b: a}.items():
+            v = vf._vsub(far, F)
+            n = vf._norm(v)
+            w = math.sqrt(vf._FOLD) + 2 * floor / n if n else math.inf
+            d = (v[0] / n, v[1] / n, v[2] / n) if n else v
+            rays.setdefault(F, []).append((d[0] - w, i, w, d))
+    for group in rays.values():
+        active = []
+        for box in sorted(group):
+            lo, i, w, d = box
+            active = [o for o in active if o[3][0] + o[2] >= lo]
+            for _, k, ow, od in active:
+                if vf._norm(vf._vsub(od, d)) <= ow + w:
+                    visit(min(i, k), (max(i, k),))
+            active.append(box)

@@ -59,6 +59,13 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   build_parts tries (it pinches at arc83.lower each time), the trefoil's
   tents at M = 20 against a tampered reduction (tampered), and the
   mid-sweep pinch frames (pinch_frame), swing and joiner, in that order.
+- cull-work: not a hash but a report, one line per stickbench workload
+  at seed 1 and float pass: the sticks of the frames the pass checks, the
+  rows that its box-gap walks sort, and the pairs it measures with its
+  distance kernel.  tolerance_report runs on every frame that
+  build_equilateral hands it, check_equilateral and the float
+  check_simplicity(segments, scale=M) on every build, as the benchmark's
+  eq job runs them.  A change in what the culls prune shows here first.
 - validator: the outcome of validate_presentation on 3,072 mutants, one
   line each: "ok n e v m", or the exception's "type: message".  The bases
   are the catalog and random_presentation(s, p, n) for p in PROFILES,
@@ -76,10 +83,12 @@ import json
 import math
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
+from stickforge import _builder_culls, _verifier_float, equilateral_builder, verifier
 from stickforge.arc_presentation import (BindingPoint, PresentationError, catalog, catalog_names,
                                          equal_length_parts, validate_presentation)
 from stickforge.circular_diagram import to_circular
@@ -328,6 +337,52 @@ def certificates() -> str:
     return digest.hexdigest()
 
 
+@contextmanager
+def _spied(module, name, seen):
+    """module.name replaced, until the block ends, by a wrapper that calls
+    seen(args) before each call."""
+    real = getattr(module, name)
+
+    def spy(*args):
+        seen(args)
+        return real(*args)
+    setattr(module, name, spy)
+    try:
+        yield
+    finally:
+        setattr(module, name, real)
+
+
+def cull_work_lines():
+    """One line per workload and float pass of the cull-work report (see
+    the module docstring)."""
+    bw = _bench_workloads()
+    for w in bw.WORKLOADS:
+        frames, builds = [], []
+        with _spied(equilateral_builder, "tolerance_report", lambda args: frames.append(args[0])):
+            for job in bw.make(w, 1):
+                try:
+                    builds.append(build_equilateral(validate_presentation(job.presentation)))
+                except equilateral_builder.EquilateralError:
+                    pass   # a refused build is no frame of the eq checks
+        passes = (("tolerance_report", frames, tolerance_report, _builder_culls, equilateral_builder, "_seg_distance"),
+                  ("check_equilateral", builds, check_equilateral, _verifier_float, verifier, "seg_distance"),
+                  ("check_simplicity", builds, lambda e: check_simplicity([(s.a, s.b) for s in e.sticks], scale=e.M),
+                   _verifier_float, verifier, "seg_distance"))
+        for name, embs, run, culls, kernel_module, kernel in passes:
+            rows, pairs = [], []
+            with _spied(culls, "_walk", lambda args: rows.append(len(args[0]))), \
+                    _spied(kernel_module, kernel, lambda args: pairs.append(1)):
+                for emb in embs:
+                    run(emb)
+            yield (f"{w} {name}: {len(embs)} frames, {sum(len(e.sticks) for e in embs)} sticks, "
+                   f"{sum(rows)} rows, {len(pairs)} pairs")
+
+
+def cull_work() -> str:
+    return "".join(f"\n  {line}" for line in cull_work_lines())
+
+
 def tampered(emb):
     """The reduced embedding with its first stick's end a lifted by 0.25."""
     s = emb.sticks[0]
@@ -468,7 +523,8 @@ def validator() -> str:
 SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "fan-checks": fan_checks, "fold-checks": fold_checks,
         "exact-docs": exact_docs, "exact-checks": exact_checks, "exact-reads": exact_reads,
         "presentations": presentations, "workloads": workloads,
-        "certificates": certificates, "cert-failures": cert_failures, "validator": validator}
+        "certificates": certificates, "cert-failures": cert_failures, "validator": validator,
+        "cull-work": cull_work}
 
 
 def main(names) -> None:

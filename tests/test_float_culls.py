@@ -464,6 +464,28 @@ def test_split_bound_counts_the_slope(monkeypatch):
     assert len(walks) == 2
 
 
+def test_unmoved_bound_equals_the_reference(workload_frames):
+    # _unmoved_bound sorts its sticks by azimuth and by height once, and
+    # its heights without their keys; B must equal the bound as first
+    # written, float for float: on every reduced frame of the workloads,
+    # on tents where nothing moved, and on frames off its shape
+    red = _reduced("trefoil")
+    frames = [*workload_frames["random-large"], *workload_frames["random-small"], _tilted(red),
+              _shared_azimuth(red)]
+    frames += [build_tents(vp, 4.0 * vp.m) for name in catalog_names()
+               for vp in equal_length_parts(validate_presentation(catalog(name)))]
+    kinds = set()
+    for emb in frames:
+        segs, ends = _segs_ends(emb)
+        planes = [_builder_culls._half_plane(a, b) for a, b in segs]
+        swept = set(_split(emb))
+        unmoved = [i for i in range(len(segs)) if i not in swept]
+        got = _builder_culls._unmoved_bound(segs, planes, ends, unmoved)
+        assert got.hex() == oracles.unmoved_bound(segs, planes, ends, unmoved).hex()
+        kinds.add("0" if got == 0 else "inf" if got == math.inf else "finite")
+    assert kinds == {"0", "finite", "inf"}
+
+
 def _kernel_cases():
     rng = random.Random(16)
     cases = [tuple(tuple(rng.uniform(-8.0, 8.0) for _ in range(3)) for _ in range(4))

@@ -284,6 +284,76 @@ def test_mixed_rational_and_float_sticks_fail_simplicity():
     assert report.failures()[0].witness == "sticks 0 and 1 mix rational and float coordinates"
 
 
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+def _kind_dispatch(segs):
+    """What check_simplicity did with segs when it tested every coordinate
+    with isinstance: "exact", "float", or the witness for mixed input."""
+    rational = [isinstance(c, (Fraction, int)) for a, b in segs for c in a + b]
+    if all(rational):
+        return "exact"
+    if not any(rational):
+        return "float"
+    k = rational.index(not rational[0]) // 6
+    return ("stick 0 mixes rational and float coordinates" if k == 0
+            else f"sticks 0 and {k} mix rational and float coordinates")
+
+
+_APART = [((0, 0, 0), (1, 0, 0)), ((0, 1, 1), (1, 1, 1)), ((0, 2, 0), (1, 2, 0))]
+_KINDS = {
+    "float": [tuple(tuple(float(c) for c in pt) for pt in s) for s in _APART],
+    "int": _APART,
+    "bool": [((False, False, False), (True, False, False)), ((False, True, True), (True, True, True))],
+    "fraction": [tuple(tuple(F(c) / 3 for c in pt) for pt in s) for s in _APART],
+    "int-fraction-bool": [((0, F(0), False), (1, 0, 0)), *_APART[1:]],
+    "subclasses": [tuple(tuple(_Int(c) if c else _Fraction(c, 2) for c in pt) for pt in s) for s in _APART],
+    "float-subclass": [tuple(tuple(_Float(c) for c in pt) for pt in s) for s in _APART],
+    "float-and-subclass": [((0.0, _Float(0), 0.0), (1.0, 0.0, 0.0)), ((0.0, 1.0, 1.0), (1.0, 1.0, 1.0))],
+    "mixed-in-stick-0": [((0, 0.0, 0), (1, 0, 0)), *_APART[1:]],
+    "mixed-late": [*_APART[:2], ((0, 2, 0), (1, 2, 0.0))],
+    "float-then-int": [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)), ((0.0, 1.0, 1.0), (1.0, 1.0, True))],
+    "int-subclass-and-float-subclass": [((_Int(0), 0, 0), (1, 0, 0)), ((0, 1, 1), (1, 1, _Float(1)))],
+    "empty": [],
+}
+
+
+def _only_entry(report):
+    (entry,) = report.entries
+    return entry.passed, entry.witness
+
+
+@pytest.mark.parametrize("name", _KINDS)
+def test_coordinate_kinds_keep_their_verdicts(name):
+    # check_simplicity reads one set of coordinate types: bool, int,
+    # Fraction and their subclasses are rational, float and its subclasses
+    # are not, and input with both fails with the witness it had when every
+    # coordinate was tested alone
+    segs = _KINDS[name]
+    kind = _kind_dispatch(segs)
+    (entry,) = check_simplicity(segs).entries
+    if kind == "exact":
+        plain = [tuple(tuple(F(c) for c in pt) for pt in s) for s in segs]
+        assert (entry.passed, entry.witness) == \
+            (True, f"{len(segs)} sticks pairwise disjoint away from junctions")
+        assert (entry.passed, entry.witness) == _only_entry(check_simplicity(plain))
+    elif kind == "float":
+        plain = [tuple(tuple(float(c) for c in pt) for pt in s) for s in segs]
+        assert entry.passed and entry.witness.startswith("min non-adjacent clearance")
+        assert (entry.passed, entry.witness) == _only_entry(check_simplicity(plain))
+    else:
+        assert (entry.passed, entry.witness) == (False, kind)
+
+
 def _faulted(segs, fault, rng):
     """One fault of the given kind injected into a copy of segs."""
     segs = list(segs)
@@ -956,3 +1026,18 @@ def test_crossing_sticks_fail_both_float_checks_at_any_scale(s, simple, equal):
         assert failures == [("equilateral.input", equal)]
     else:
         assert [check for check, _ in failures] == ["equilateral.clearance"]
+
+
+@pytest.mark.parametrize("h", [0.0, 2.0 ** -300, 2.0 ** -400, 3 * 2.0 ** -420])
+def test_sticks_whose_product_underflows_measure_their_distance(h):
+    # sticks of lengths 2L and 2e, L = 2^-200 and e = 2^-340, across each
+    # other at height h: a c = (2L)^2 (2e)^2 = 2^-1076 underflows to 0, which
+    # sent the pair into the near-parallel branch, and that measured L from
+    # the end p, so two crossing sticks passed; measured scaled up by 2^k
+    # and back, the pair lies h apart, to the last bit
+    L, e = 2.0 ** -200, 2.0 ** -340
+    segs = [((-L, 0.0, 0.0), (L, 0.0, 0.0)), ((0.0, -e, h), (0.0, e, h))]
+    assert seg_distance(*segs[0], *segs[1]) == oracles.verifier_seg_distance(*(
+        [math.ldexp(c, 200) for c in pt] for pt in (*segs[0], *segs[1]))) * 2.0 ** -200 == h
+    assert [(x.passed, x.witness) for x in check_simplicity(segs, scale=L).entries] == \
+        [(False, f"sticks 0 and 1 at distance {h:.3e} < {1e-6 * L:.3e}")]

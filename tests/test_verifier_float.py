@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -22,7 +23,7 @@ import oracles
 import parity
 from stickforge import _verifier_float, verifier
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
-from stickforge.equilateral_builder import EquilateralEmbedding, EStick, build_equilateral
+from stickforge.equilateral_builder import EquilateralEmbedding, EquilateralError, EStick, build_equilateral
 from stickforge.randgen import PROFILES, random_presentation
 from stickforge.verifier import TOLERANCES, check_equilateral, check_simplicity
 
@@ -48,22 +49,25 @@ def _references(emb):
 def paths(monkeypatch):
     """The cull each float check takes, one entry per check: "fan", "bound"
     (the axis walk settles every pair) or "sweep" (the sweep, at once
-    or after part of the walk); and the bounds B each check computed."""
+    or after part of the walk); and the bounds B each check computed, one
+    per suffix of its axis sticks that the walk asked for."""
     taken, bounds = [], []
 
     def spy(name, mark):
         def wrapped(*args, real=getattr(_verifier_float, name)):
             mark()
-            out = real(*args)
-            if name == "_axis_bound":
-                bounds[-1].append(out)
-            return out
+            return real(*args)
         monkeypatch.setattr(_verifier_float, name, wrapped)
+
+    def axis_bounds(*args, real=_verifier_float._axis_bounds):
+        for bound in real(*args):
+            bounds[-1].append(bound)
+            yield bound
 
     spy("_fan_pairs", lambda: taken.append("fan"))
     spy("_axis_pairs", lambda: (taken.append("bound"), bounds.append([])))
     spy("_sweep", lambda: taken.__setitem__(-1, "sweep"))
-    spy("_axis_bound", lambda: None)
+    monkeypatch.setattr(_verifier_float, "_axis_bounds", axis_bounds)
     return taken, bounds
 
 
@@ -184,6 +188,75 @@ def test_axis_walk_matches_all_pairs_on_mutants(bouquet, paths, mutate, want, mo
     assert taken == [want, want]
     if moves is not None:
         assert [len(b) - 1 for b in bounds] == [moves, moves]
+
+
+@pytest.fixture(scope="module")
+def bench_frames():
+    """The equal-length builds of every stickbench workload at seed 1."""
+    bw = parity._bench_workloads()
+    frames = []
+    for w in bw.WORKLOADS:
+        for job in bw.make(w, 1):
+            try:
+                frames.append(_build(job.presentation))
+            except EquilateralError:
+                pass
+    return frames
+
+
+def test_axis_bounds_equal_the_per_suffix_reference(bench_frames, bouquet):
+    # the walk sorts its axis sticks by azimuth and by height once; B of
+    # every suffix must equal the bound sorted, grouped and tested afresh
+    # for that suffix, float for float, under the keys of both checks
+    mutants = [_slid(bouquet, 0), _slid(bouquet, 5), _one_azimuth(bouquet), _steep(bouquet)]
+    kinds, suffixes = set(), 0
+    for emb in [*bench_frames, bouquet, *mutants]:
+        segs = [(s.a, s.b) for s in emb.sticks]
+        for ends in ([((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks], segs):
+            axis = _verifier_float._axis_sticks(segs, ends)
+            got = list(_verifier_float._axis_bounds(axis, ends))
+            want = [oracles.axis_bound(axis[m:], ends) for m in range(len(axis))]
+            assert [b.hex() for b in got] == [b.hex() for b in want]
+            suffixes += len(got)
+            kinds.update("0" if b == 0 else "inf" if b == math.inf else "finite" for b in got)
+    assert kinds == {"0", "finite", "inf"} and suffixes > 10_000
+
+
+def _fold_frames():
+    """(segments, M) of the frames that the fold pass is held to: every
+    build of the catalog, of random_presentation(s, p, 30) for s < 10 and of
+    theta_trivial(8), (16), (32), each followed by its fold mutants; then
+    unit sticks at the origin, two at an angle that lies within the sum of
+    their fold widths (3e-6 each) but not within one, or past the sum, alone
+    or with a third stick there."""
+    aps = [catalog(name) for name in catalog_names()]
+    aps += [random_presentation(s, p, 30) for p in PROFILES for s in range(10)]
+    aps += [catalog(f"theta_trivial({n})") for n in (8, 16, 32)]
+    for ap in aps:
+        emb = _build(ap)
+        for frame in [emb, *filter(None, (parity.fold_mutant(emb, kind) for kind in parity.FOLD_KINDS))]:
+            yield [(s.a, s.b) for s in frame.sticks], frame.M
+    origin = (0.0, 0.0, 0.0)
+    for t in (4.5e-6, 7e-6):
+        pair = [(origin, (1.0, 0.0, 0.0)), (origin, (math.cos(t), math.sin(t), 0.0))]
+        yield pair, 1.0
+        yield [*pair, (origin, (0.0, 0.0, 1.0))], 1.0
+
+
+def test_fold_pass_hands_over_the_box_sweep_pairs():
+    # the fold pass tests a point with two ends directly; it must hand over
+    # the pairs of the box sweep that it replaced there, and keep the sweep
+    # where three or more ends meet (every hub of a theta fan)
+    crowded = handed = 0
+    for segs, M in _fold_frames():
+        floor = TOLERANCES.clearance_rel * M
+        got, want = [], []
+        _verifier_float._fold_pairs(segs, floor, lambda i, ks: got.extend((i, k) for k in ks))
+        oracles.box_sweep_fold_pairs(segs, floor, lambda i, ks: want.extend((i, k) for k in ks))
+        assert sorted(got) == sorted(want)
+        crowded += max(Counter(p for a, b in segs for p in {a, b}).values()) >= 3
+        handed += len(got)
+    assert crowded > 100 and handed > 0
 
 
 def _visits(monkeypatch):
