@@ -46,14 +46,14 @@ scaled at all.  Ends may still lie closer than 2^-480; then a
 product, quotient or square root may underflow and be off by up to
 2^-1074 rather than by u of itself, while a sum or difference stays
 exact.  So each bound below moves by under 2^-470: seg_distance's result,
-the root of a sum of squares, by under 2^-535; a box gap, B or pad by
-under 2^-1070; and a unit of a vector longer than 2^-480 stays within 4u
-of its direction.  Shorter vectors do no harm: against a ray that short,
-every bound of the fan cull is at most r, and the pair lies at least
-r - 2^-480 apart; a stick that stays within 2^-480 of a center has r
-below clearance_min and is measured against every ray; and a stick that
-short gets a fold width above 2, so the fold pass pairs it with every
-other.  The margin junction_rel (C + m) is at least junction_rel
+the root of a sum of squares, by under 2^-535; a box gap or pad by under
+2^-1070, and a half-plane bound or K cos theta by under 2^-870; and a unit
+of a vector longer than 2^-480 stays within 4u of its direction.  Shorter
+vectors do no harm: against a ray that short, every bound of the fan cull
+is at most r, and the pair lies at least r - 2^-480 apart; a stick that
+stays within 2^-480 of a center has r below clearance_min and is measured
+against every ray; and a stick that short gets a fold width above 2, so
+the fold pass pairs it with every other.  The margin junction_rel (C + m) is at least junction_rel
 clearance_rel 2^-200 > 2^-250, so every argument below holds as it would
 without underflow.
 
@@ -104,48 +104,59 @@ bounded at once, from their coordinates.
   axis at some w, and the distance from w to a stick with its axis end at
   height z0 is at least that to the stick's line, |zw - z0| cos theta.  So
   two axis sticks with axis ends at heights z0, z1 lie at least
-  sin(g/2) min(cos theta) |z0 - z1| apart.
+  sin(g/2) min(cos theta) |z0 - z1| apart, the pairwise half-plane bound.
+  For azimuths in [-pi, pi], sin(|psi - psi'|/2) is sin(g/2) for the gap
+  g = min(|psi - psi'|, 2 pi - |psi - psi'|) on the circle.
 - Two axis sticks whose keys are disjoint have different keys at their
-  axis ends.  When every two axis sticks at one azimuth share a key, two
-  with disjoint keys lie at least B = sin(gmin/2) cos(theta_max) dzmin
-  apart (_axis_bounds): gmin is the least gap on the circle between the
-  distinct azimuths, which is at most pi once there are two; theta_max is
-  the steepest axis stick; dzmin is the least gap between axis ends with
-  different keys, taken between neighbours in height order.  Any height
-  order gives the same float: between two ends with different keys lie
-  two neighbours with different keys, and a rounded difference of two
-  heights within theirs is no larger.  With one azimuth, or one axis key,
-  no such pair is left and B is infinite.  B is 0 when two axis sticks at
-  one azimuth share no key.
+  axis ends.  Let K = sin(gmin/2) dzmin over all the axis sticks
+  (_axis_bound): gmin is the least gap on the circle between the distinct
+  azimuths, which is at most pi once there are two; dzmin is the least gap
+  between axis ends with different keys, taken between neighbours in
+  height order.  Any height order gives the same float: between two ends
+  with different keys lie two neighbours with different keys, and a
+  rounded difference of two heights within theirs is no larger.  When
+  every two axis sticks at one azimuth share a key, two with disjoint keys
+  lie an azimuth gap of gmin or more and a height gap of dzmin or more
+  apart, so two of a set R of axis sticks lie at least K cos theta_R
+  apart, theta_R the steepest of R.  With one azimuth, or one axis key, no
+  such pair is left and K is infinite.  K is 0 when two axis sticks at one
+  azimuth share no key.
 - The box gap of two sticks is the largest of lo' - hi and lo - hi' over
   x, y and z, for the boxes [lo, hi] and [lo', hi'] of their computed ends.
   A stick lies in its box, so a pair lies at least its true gap apart, and
-  the computed gap is within 2uC of that.  The walk visits rows of pairs
-  in ascending gap and stops at the first gap above pad; m only falls, so
-  a pair past pad once stays past it.
-- First every pair that holds a stick of S is walked.  Then, while axis
-  sticks are left and B of them does not exceed pad, the steepest of them
-  moves to S (the stick e1, which hugs the axis at cos theta about 0.01,
-  on every built frame), and the pairs that hold a moved stick are walked.
-  m only falls, so B exceeds every later pad as well.  Of the pairs of two
-  axis sticks left, those with disjoint keys lie more than B apart, and
-  the others share a key.  (pad is infinite while visit has returned only
-  inf, and then every axis stick may move.)  The walk sorts the axis
-  sticks by azimuth and by height once, and B of the sticks left is read
-  from those two orders; every B is a function of the set of sticks, so
-  it equals B computed afresh for that set, float for float.
-- The walk sorts its rows, the pairs that hold a stick of S, so it runs
-  only while they number at most _WALK_ROWS per stick: on a frame with
-  few axis sticks (every frame assemble_split shifts off the axis), or one
-  whose B does not clear pad before the moves reach that count, the sweep
-  takes over and skips the pairs already walked.
-Rounding: each atan2 is within 2 ulps of pi, so every azimuth gap, the
-wrap 2 pi - (last - first) included, is within 40u of the true one and
-sin(g/2) within 25u; cos theta is within 6u of itself and dzmin within u,
-so B is within 70uC of the true bound (0 for two sticks whose true
-azimuths agree).  With the 40uC of seg_distance and the 3u (C + m) of pad,
-a pair that the walk leaves out measures more than m, far inside
-junction_rel (C + m).
+  the computed gap is within 2uC of that.  A row is a pair, keyed by its
+  box gap raised to the pairwise half-plane bound when it holds two axis
+  sticks (_rows).
+- The walk is one best-first loop over a heap (Hjaltason and Samet,
+  "Distance browsing in spatial databases", 1999).  The heap starts with
+  the rows that hold a stick of S and, when K is finite, one entry for the
+  axis sticks not yet moved, keyed K cos theta of the steepest of them.
+  The loop pops the least key until it exceeds pad.  A popped row is
+  measured.  The popped entry moves the steepest axis stick left to S: it
+  pushes the rows of that stick with the axis sticks still left, and the
+  entry for those, keyed by the next steepest.  So each pair is pushed
+  once, and when the loop stops every key left exceeds pad: the rows left
+  lie more than pad apart, and of the pairs of two axis sticks left, those
+  with disjoint keys lie at least the entry's key apart and the others
+  share a key.  (pad is infinite while visit has returned only inf, and
+  then every axis stick moves while K is finite; with K infinite none
+  needs to.)  On a built frame the steepest axis stick, e1, hugs the axis
+  at cos theta about 0.01, so it moves first; on every random-large frame
+  the entry's key then clears pad, and each check measures 1 to 7 pairs.
+- The walk's rows, the pairs that hold a stick of S or a moved one, are
+  kept only while they number at most _WALK_ROWS per stick: on a frame
+  with few axis sticks (every frame assemble_split shifts off the axis),
+  or one whose K cos theta does not clear pad before the moves reach that
+  count, the sweep takes over from the least distance so far and skips the
+  pairs already walked.
+Rounding: each atan2 is within 2 ulps of pi, so |psi - psi'|/2 is within
+20u of g/2 and every azimuth gap, the wrap 2 pi - (last - first)
+included, within 40u of the true one; sin(g/2) is within 25u, cos theta
+within 6u of itself and a height gap within u, so the pairwise half-plane
+bound is within 60uC of the true one, and K cos theta within 70uC (0 for
+two sticks whose true azimuths agree).  With the 40uC of seg_distance and
+the 3u (C + m) of pad, a pair that the walk leaves out measures more than
+m, far inside junction_rel (C + m).
 
 The fan cull works with t = pad.  A center is the point that the most
 ends of the sticks still left share exactly, and at least three must
@@ -217,10 +228,8 @@ units lie within the sum of their widths: floor = clearance_rel scale
 exceeds the snap junction_rel scale, 2 sqrt(_FOLD) exceeds sqrt(2 _FOLD),
 and a width is over 10^5 times the rounding of the units it compares.
 Each stick's unit and width are computed once, from end a: from end b the
-difference, and so the unit, is the exact negation.  A point that exactly
-two ends share needs no sweep: the pair is handed over when its units lie
-within the sum of their widths, which is the sweep's own test.  A pair
-that shares both ends, or that a cull handed over as well, is tested
+difference, and so the unit, is the exact negation.  A pair that shares
+both ends, or that a cull handed over as well, is tested
 twice, which adds a failing entry that sorts beside its twin and changes
 no verdict or witness.
 """
@@ -231,6 +240,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations, groupby
 
 
@@ -295,7 +305,7 @@ def seg_distance(p, q, r, s) -> float:
         sn, sd = sd, sd
     sc = 0.0 if sd == 0.0 else sn / sd
     tn = e + sc * b
-    if tn < 0.0:
+    if tn < 0.0 or c == 0.0:   # r, where rs has no length, projects onto pq
         tc = 0.0
         sc = min(max(-d / a if a > 0 else 0.0, 0.0), 1.0)
     elif tn > c:
@@ -344,6 +354,10 @@ def _axis_pairs(segs, ends, floor, visit, lo, hi, size) -> float:
     the corners of each stick's box, size the largest coordinate magnitude."""
     n = len(segs)
     axis = _axis_sticks(segs, ends)
+    planes = [None] * n   # the _axis_sticks data of each axis stick
+    for f in axis:
+        planes[f[-1]] = f
+    boxes = [*zip(lo, hi, planes)]
     seen = set()   # (i, k) for each pair walked
 
     def walked(left):
@@ -351,27 +365,42 @@ def _axis_pairs(segs, ends, floor, visit, lo, hi, size) -> float:
         left, number at most _WALK_ROWS per stick."""
         return n * (n - 1) // 2 - left * (left - 1) // 2 <= _WALK_ROWS * n
 
-    def rows(j, ks):
-        """(gap, i, k), i < k, for the pair of stick j and each stick k of ks."""
-        (xl, yl, zl), (xh, yh, zh) = lo[j], hi[j]
-        return [(max(l[0] - xh, l[1] - yh, l[2] - zh, xl - h[0], yl - h[1], zl - h[2]),
-                 k if k < j else j, j if k < j else k)
-                for k, l, h in zip(ks, map(lo.__getitem__, ks), map(hi.__getitem__, ks))]
-
     if not walked(len(axis)):
         return _sweep(segs, floor, visit, lo, hi, size, math.inf, seen)
-    on_axis = {f[-1] for f in axis}
-    least = _walk([r for j in range(n) if j not in on_axis
-                   for r in rows(j, [k for k in range(n) if k > j or k in on_axis])],
-                  math.inf, floor, size, visit, seen)
-    bounds = _axis_bounds(axis, ends)
-    for moved, f in enumerate(axis):
-        if next(bounds) > _pad(least, floor, size):
-            break
-        if not walked(len(axis) - moved - 1):
+    heap = [r for j in range(n) if planes[j] is None
+            for r in _rows(boxes, j, [k for k in range(n) if k > j or planes[k]])]
+    K = _axis_bound(axis, ends)
+    if K < math.inf:   # (key, -1, m): the entry of the axis sticks axis[m:] not yet moved
+        heap.append((K * axis[0][0], -1, 0))
+    heapify(heap)
+    least = pad = math.inf   # pad stays infinite until visit returns a distance
+    while heap and heap[0][0] <= pad:
+        _, i, k = heappop(heap)
+        if i >= 0:
+            seen.add((i, k))
+            d = visit(i, (k,))
+            if d < least:
+                least, pad = d, _pad(d, floor, size)
+        elif not walked(len(axis) - k - 1):
             return _sweep(segs, floor, visit, lo, hi, size, least, seen)
-        least = _walk(rows(f[-1], [g[-1] for g in axis[moved + 1:]]), least, floor, size, visit, seen)
+        else:   # move axis[k] to S
+            for r in _rows(boxes, axis[k][-1], [f[-1] for f in axis[k + 1:]]):
+                heappush(heap, r)
+            if k + 1 < len(axis):
+                heappush(heap, (K * axis[k + 1][0], -1, k + 1))
     return least
+
+
+def _rows(boxes, j, ks):
+    """(key, i, k), i < k, for the pair of stick j and each stick k of ks:
+    the box gap, raised to the pairwise half-plane bound when both are axis
+    sticks; boxes holds each stick's box corners and _axis_sticks data, or
+    None."""
+    (xl, yl, zl), (xh, yh, zh), s = boxes[j]
+    return [(max(l[0] - xh, l[1] - yh, l[2] - zh, xl - h[0], yl - h[1], zl - h[2],
+                 math.sin(abs(s[1] - t[1]) / 2) * min(s[0], t[0]) * abs(s[2] - t[2]) if s and t else -math.inf),
+             k if k < j else j, j if k < j else k)
+            for k, (l, h, t) in zip(ks, map(boxes.__getitem__, ks))]
 
 
 def _axis_sticks(segs, ends):
@@ -388,47 +417,23 @@ def _axis_sticks(segs, ends):
     return axis
 
 
-def _walk(rows, least, floor, size, visit, seen) -> float:
-    """Visit rows (gap, i, k) in ascending gap up to the first above pad,
-    adding (i, k) to seen for each, and return the least distance that
-    visit returned, or least if none is below it."""
-    pad = _pad(least, floor, size)
-    for gap, i, k in sorted(rows):
-        if gap > pad:
-            break
-        seen.add((i, k))
-        d = visit(i, (k,))
-        if d < least:
-            least, pad = d, _pad(d, floor, size)
-    return least
-
-
-def _axis_bounds(axis, ends):
-    """Yield B of the module docstring for axis[m:], m = 0, 1, ..., for the
-    axis sticks axis, each as (cos theta, azimuth, axis end height, key
-    there, index), steepest first; ends holds the keys of every stick's
-    ends.  B is 0 when two at one azimuth share no key, inf when there is
-    one azimuth or one axis key.  The sticks are sorted by azimuth and by
-    height once, and each B reads its suffix from those orders."""
-    psis, zs = [f[1] for f in axis], [f[2] for f in axis]
-    by_psi = sorted(range(len(axis)), key=psis.__getitem__)
-    by_z = sorted(range(len(axis)), key=zs.__getitem__)
-    # B is 0 for every suffix that holds two sticks at one azimuth with no key in common
-    zero = max((min(x, y) for _, group in groupby(by_psi, key=psis.__getitem__)
-                for x, y in combinations(group, 2) if {*ends[axis[x][-1]]}.isdisjoint(ends[axis[y][-1]])),
-               default=-1)
-    for m, f in enumerate(axis):
-        if m <= zero:
-            yield 0.0
-            continue
-        psi = [psis[x] for x in by_psi if x >= m]
-        gaps = [b - a for a, b in zip(psi, psi[1:]) if b != a]
-        if not gaps:
-            yield math.inf
-            continue
-        z = [(zs[x], axis[x][3]) for x in by_z if x >= m]
-        dz = min((z1 - z0 for (z0, k0), (z1, k1) in zip(z, z[1:]) if k0 != k1), default=math.inf)
-        yield math.sin(min(2 * math.pi - (psi[-1] - psi[0]), *gaps) / 2) * f[0] * dz
+def _axis_bound(axis, ends) -> float:
+    """K of the module docstring for the axis sticks axis, each as (cos
+    theta, azimuth, axis end height, key there, index); ends holds the keys
+    of every stick's ends.  0 when two at one azimuth share no key, inf when
+    there is one azimuth or one axis key.  The sticks are sorted once by
+    azimuth and once by height."""
+    by_psi = sorted(axis, key=lambda f: f[1])
+    for _, group in groupby(by_psi, key=lambda f: f[1]):
+        if any({*ends[f[-1]]}.isdisjoint(ends[g[-1]]) for f, g in combinations(group, 2)):
+            return 0.0
+    psi = [f[1] for f in by_psi]
+    gaps = [b - a for a, b in zip(psi, psi[1:]) if b != a]
+    by_z = sorted(axis, key=lambda f: f[2])
+    dz = min((g[2] - f[2] for f, g in zip(by_z, by_z[1:]) if f[3] != g[3]), default=math.inf)
+    if not gaps or dz == math.inf:
+        return math.inf
+    return math.sin(min(2 * math.pi - (psi[-1] - psi[0]), *gaps) / 2) * dz
 
 
 def _sweep(segs, floor, visit, lo, hi, size, least, seen) -> float:
@@ -574,16 +579,11 @@ def _fold_pairs(segs, floor, visit) -> None:
         if b != a:   # the unit from b is the exact negation of the unit from a
             rays.setdefault(b, []).append(((-d[0], -d[1], -d[2]), w, i))
     for group in rays.values():
-        if len(group) == 2:   # two ends: test them directly
-            (d, w, i), (e, x, k) = group
-            if _norm(_vsub(d, e)) <= w + x:
-                visit(min(i, k), (max(i, k),))
-        elif len(group) > 2:
-            active = []   # the boxes whose units could still lie within reach
-            for box in sorted((d[0] - w, i, w, d) for d, w, i in group):
-                lo, i, w, d = box
-                active = [o for o in active if o[3][0] + o[2] >= lo]
-                for _, k, ow, od in active:
-                    if _norm(_vsub(od, d)) <= ow + w:
-                        visit(min(i, k), (max(i, k),))
-                active.append(box)
+        active = []   # the boxes whose units could still lie within reach
+        for box in sorted((d[0] - w, i, w, d) for d, w, i in group):
+            lo, i, w, d = box
+            active = [o for o in active if o[3][0] + o[2] >= lo]
+            for _, k, ow, od in active:
+                if _norm(_vsub(od, d)) <= ow + w:
+                    visit(min(i, k), (max(i, k),))
+            active.append(box)

@@ -772,7 +772,7 @@ def verifier_seg_distance(p, q, r, s) -> float:
         sn, sd = sd, sd
     sc = 0.0 if sd == 0.0 else sn / sd
     tn = e + sc * b
-    if tn < 0.0:
+    if tn < 0.0 or c == 0.0:
         tc = 0.0
         sc = min(max(-d / a if a > 0 else 0.0, 0.0), 1.0)
     elif tn > c:
@@ -869,21 +869,22 @@ def all_pairs_float_simplicity(segments, scale=None) -> tuple[bool, str]:
 
 
 def axis_bound(axis, ends) -> float:
-    """B of the verifier's axis walk for the axis sticks axis, each as
-    (cos theta, azimuth, axis end height, key there, index), steepest
-    first: sorted, grouped and re-tested for this one suffix, as the walk
-    computed it for each moved stick before it sorted once per walk."""
-    psi = []
-    for az, group in groupby(sorted(axis, key=lambda f: f[1]), key=lambda f: f[1]):
-        if any({*ends[i]}.isdisjoint(ends[k]) for (*_, i), (*_, k) in combinations(group, 2)):
-            return 0.0
-        psi.append(az)
-    if len(psi) < 2:
-        return math.inf
-    gap = min(2 * math.pi - (psi[-1] - psi[0]), *(b - a for a, b in zip(psi, psi[1:])))
-    heights = sorted((f[2], f[3]) for f in axis)
-    dz = min((z1 - z0 for (z0, k0), (z1, k1) in zip(heights, heights[1:]) if k0 != k1), default=math.inf)
-    return math.sin(gap / 2) * axis[0][0] * dz
+    """K of the verifier's axis walk for the axis sticks axis, each as
+    (cos theta, azimuth, axis end height, key there, index), taken over
+    every pair of them rather than over neighbours in sorted order: the
+    least gap on the circle between two distinct azimuths, and the least
+    height gap between two axis ends with different keys."""
+    gap = dz = math.inf
+    for f, g in combinations(axis, 2):
+        if f[1] == g[1]:
+            if {*ends[f[-1]]}.isdisjoint(ends[g[-1]]):
+                return 0.0
+        else:
+            d = abs(f[1] - g[1])
+            gap = min(gap, d, 2 * math.pi - d)
+        if f[3] != g[3]:
+            dz = min(dz, abs(f[2] - g[2]))
+    return math.inf if math.inf in (gap, dz) else math.sin(gap / 2) * dz
 
 
 def unmoved_bound(segs, planes, ends, unmoved) -> float:

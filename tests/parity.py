@@ -61,9 +61,10 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   mid-sweep pinch frames (pinch_frame), swing and joiner, in that order.
 - cull-work: not a hash but a report, one line per stickbench workload
   at seed 1 and float pass: the sticks of the frames the pass checks, the
-  rows that its box-gap walks sort, and the pairs it measures with its
-  distance kernel.  tolerance_report runs on every frame that
-  build_equilateral hands it, check_equilateral and the float
+  rows of its walks (those that the builder's box-gap walks sort, those
+  that the verifier's axis walk builds for its heap), and the pairs it
+  measures with its distance kernel.  tolerance_report runs on every frame
+  that build_equilateral hands it, check_equilateral and the float
   check_simplicity(segments, scale=M) on every build, as the benchmark's
   eq job runs them.  A change in what the culls prune shows here first.
 - validator: the outcome of validate_presentation on 3,072 mutants, one
@@ -365,13 +366,16 @@ def cull_work_lines():
                     builds.append(build_equilateral(validate_presentation(job.presentation)))
                 except equilateral_builder.EquilateralError:
                     pass   # a refused build is no frame of the eq checks
-        passes = (("tolerance_report", frames, tolerance_report, _builder_culls, equilateral_builder, "_seg_distance"),
-                  ("check_equilateral", builds, check_equilateral, _verifier_float, verifier, "seg_distance"),
+        # each pass's row source, and where its arguments hold the rows it sorts or builds
+        builder_rows = (_builder_culls, "_walk", 0, equilateral_builder, "_seg_distance")
+        verifier_rows = (_verifier_float, "_rows", 2, verifier, "seg_distance")
+        passes = (("tolerance_report", frames, tolerance_report, *builder_rows),
+                  ("check_equilateral", builds, check_equilateral, *verifier_rows),
                   ("check_simplicity", builds, lambda e: check_simplicity([(s.a, s.b) for s in e.sticks], scale=e.M),
-                   _verifier_float, verifier, "seg_distance"))
-        for name, embs, run, culls, kernel_module, kernel in passes:
+                   *verifier_rows))
+        for name, embs, run, culls, source, at, kernel_module, kernel in passes:
             rows, pairs = [], []
-            with _spied(culls, "_walk", lambda args: rows.append(len(args[0]))), \
+            with _spied(culls, source, lambda args: rows.append(len(args[at]))), \
                     _spied(kernel_module, kernel, lambda args: pairs.append(1)):
                 for emb in embs:
                     run(emb)

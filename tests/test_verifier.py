@@ -142,6 +142,33 @@ def test_height_of_a_page_the_diagram_lacks_fails_projection():
             ("projection.heights", "page 99 has a height but no chord in the diagram")]
 
 
+def test_dropped_junction_fails_projection():
+    se, cd = trefoil_build()
+    del se.junctions[0]
+    (entry,) = [e for e in check_projection(se, cd).failures() if e.check == "projection.junctions"]
+    assert entry.witness == "no junction recorded over point 0"
+
+
+def test_fractional_height_fails_projection():
+    se, cd = trefoil_build()
+    se.heights[2] = Fraction(5, 2)
+    assert [(e.check, e.witness) for e in check_projection(se, cd).failures()] == [
+        ("projection.heights", "page 2 height missing or non-integer")]
+
+
+def test_bent_chord_left_stick_ending_mid_chord_fails_tiling():
+    # the left stick of page 4's bent chord ends over a quarter of the chord,
+    # its right stick starts over the half: their shadows leave a gap
+    se, cd = trefoil_build()
+    i = next(i for i, s in enumerate(se.sticks) if s.page == 4 and s.piece == "left")
+    (x0, y0, _), (x1, y1, _) = se.junctions[4], se.junctions[1]
+    sticks = list(se.sticks)
+    sticks[i] = replace(sticks[i], b=(x0 + (x1 - x0) / 4, y0 + (y1 - y0) / 4, sticks[i].b[2]))
+    se = replace(se, sticks=tuple(sticks))
+    assert [(e.check, e.witness) for e in check_projection(se, cd).failures()] == [
+        ("projection.tiling", "page 4 shadows leave a gap or overlap")]
+
+
 def _package_imports(name):
     """The stickforge modules that src/stickforge/<name>.py imports."""
     tree = ast.parse(Path(f"src/stickforge/{name}.py").read_text())
@@ -258,6 +285,16 @@ def _segs(*pairs):
         "first-pair", "beyond-float-range-cross", "beyond-float-range-apart"])
 def test_exact_simplicity_degenerate_cases(segs, ok):
     assert _oracle_agrees(segs) == ok
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["near-first", "far-first"])
+def test_collinear_disjoint_sticks_pass_exact_simplicity(order):
+    # the float boxes of the two sticks touch, so the pair is tested
+    # exactly: collinear, with a gap of 10^-30 between them
+    segs = _segs(((0, 0, 0), (1, 0, 0)), ((1 + Fraction(1, 10 ** 30), 0, 0), (2, 0, 0)))[::order]
+    assert [(e.passed, e.witness) for e in check_simplicity(segs).entries] == [
+        (True, "2 sticks pairwise disjoint away from junctions")]
+    assert _oracle_agrees(segs)
 
 
 def test_zero_length_stick_fails_against_the_next():
@@ -887,6 +924,18 @@ def test_float_fold_back_detected():
     assert "fold back" in report.failures()[0].witness
 
 
+@pytest.mark.parametrize("order", [1, -1], ids=["point-second", "point-first"])
+def test_float_point_on_a_stick_fails_in_either_order(order):
+    # a stick of no length inside another lies at distance 0 from it,
+    # whichever of the two comes first
+    segs = [((0.0, 0.0, 0.0), (2.0, 0.0, 0.0)), ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))][::order]
+    assert [(e.passed, e.witness) for e in check_simplicity(segs, scale=1.0).entries] == [
+        (False, "sticks 0 and 1 at distance 0.000e+00 < 1.000e-06")]
+    assert oracles.all_pairs_float_simplicity(segs, scale=1.0) == (
+        False, "sticks 0 and 1 at distance 0.000e+00 < 1.000e-06")
+    assert seg_distance(*segs[0], *segs[1]) == 0.0
+
+
 def test_seg_distance_basic():
     d = seg_distance((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0))
     assert abs(d - 1.0) < 1e-12
@@ -945,6 +994,13 @@ def test_equilateral_fault_injection_sweep():
         report = check_equilateral(emb)
         assert not report.ok
         assert report.failures()[0].witness
+
+
+def test_dropped_stick_fails_counts():
+    emb = build_equilateral(validate_presentation(catalog("trefoil")))
+    del emb.sticks[0]
+    assert [(e.check, e.witness) for e in check_equilateral(emb).failures()] == [
+        ("equilateral.counts", "component 0: 8 sticks, expected 9")]
 
 
 def test_repeated_component_index_fails_counts():

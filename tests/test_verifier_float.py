@@ -1,9 +1,10 @@
 """The verifier's axis walk and fold pass against the all-pairs references.
 
-check_equilateral's clearance and float check_simplicity bound the pairs
-of two axis sticks (one end on the z axis) at once, from their
-half-planes, walk the pairs that hold any other stick by box gap, and fall
-back to a sweep in z over one box per stick on frames off that shape.
+check_equilateral's clearance and float check_simplicity walk their pairs
+best first, keyed by box gap or by the pairwise half-plane bound of two
+axis sticks (one end on the z axis), bound the pairs of the axis sticks
+not yet moved into the walk at once, from their half-planes, and fall back
+to a sweep in z over one box per stick on frames off that shape.
 Float check_simplicity then fold-tests the pairs that its fold pass hands
 over at the points that stick ends share.  Their verdicts and details must
 equal those of the loops in oracles.py that measure every pair, float for
@@ -49,26 +50,25 @@ def _references(emb):
 def paths(monkeypatch):
     """The cull each float check takes, one entry per check: "fan", "bound"
     (the axis walk settles every pair) or "sweep" (the sweep, at once
-    or after part of the walk); and the bounds B each check computed, one
-    per suffix of its axis sticks that the walk asked for."""
-    taken, bounds = [], []
+    or after part of the walk); and the axis sticks that each check's walk
+    moved, one entry per check that took the walk."""
+    taken, moves = [], []
 
     def spy(name, mark):
         def wrapped(*args, real=getattr(_verifier_float, name)):
-            mark()
+            mark(*args)
             return real(*args)
         monkeypatch.setattr(_verifier_float, name, wrapped)
 
-    def axis_bounds(*args, real=_verifier_float._axis_bounds):
-        for bound in real(*args):
-            bounds[-1].append(bound)
-            yield bound
+    def rows(boxes, j, ks):
+        if boxes[j][2] is not None:   # the rows of a moved axis stick
+            moves[-1] += 1
 
-    spy("_fan_pairs", lambda: taken.append("fan"))
-    spy("_axis_pairs", lambda: (taken.append("bound"), bounds.append([])))
-    spy("_sweep", lambda: taken.__setitem__(-1, "sweep"))
-    monkeypatch.setattr(_verifier_float, "_axis_bounds", axis_bounds)
-    return taken, bounds
+    spy("_fan_pairs", lambda *args: taken.append("fan"))
+    spy("_axis_pairs", lambda *args: (taken.append("bound"), moves.append(0)))
+    spy("_sweep", lambda *args: taken.__setitem__(-1, "sweep"))
+    spy("_rows", rows)
+    return taken, moves
 
 
 @pytest.fixture(scope="module")
@@ -90,15 +90,20 @@ def test_axis_walk_matches_all_pairs_on_builds(large, paths):
     assert seen == {"fan", "bound", "sweep"}
 
 
-def test_axis_walk_settles_the_large_frames(large, paths):
-    taken, bounds = paths
+def test_axis_walk_settles_the_large_frames(large, paths, monkeypatch):
+    taken, moves = paths
+    measured = Counter()   # the pairs seg_distance measures, per check over the frames
+    monkeypatch.setattr(verifier, "seg_distance", lambda *args, real=verifier.seg_distance: (
+        measured.update([len(taken)]), real(*args))[1])
     for emb in large:
         taken.clear()
-        bounds.clear()
+        moves.clear()
         _checks(emb)
         assert taken == ["bound", "bound"]
-        # e1, which hugs the axis, moves out of the bound, and then it clears
-        assert [len(b) for b in bounds] == [2, 2]
+        # e1, which hugs the axis, moves into the walk, and then the entry clears
+        assert moves == [1, 1]
+    # a walk that measured all of e1's rows took 877 pairs in each check
+    assert sorted(measured) == [1, 2] and max(measured.values()) <= 40, measured
 
 
 @pytest.fixture(scope="module")
@@ -172,22 +177,22 @@ def _steep(emb):
 
 
 @pytest.mark.parametrize("mutate, want, moves, passes", [
-    # e1's axis end: e1 moves out first, and its walk finds the pair
-    (lambda emb: _slid(emb, 0), "bound", 1, False),
-    # another axis end: dzmin falls below the floor and B never clears
+    # an axis end slid, e1's or another's: dzmin, and K with it, falls
+    # below the floor, the entry never clears, and the sweep takes over
+    (lambda emb: _slid(emb, 0), "sweep", None, False),
     (lambda emb: _slid(emb, 5), "sweep", None, False),
-    (_one_azimuth, "sweep", None, True),   # B = 0
-    (_steep, "bound", 2, False),           # the steep stick moves out, then e1
+    (_one_azimuth, "sweep", None, True),   # K = 0
+    (_steep, "bound", 2, False),           # the steep stick moves in, then e1
 ], ids=["slid-e1", "slid", "one-azimuth", "steep"])
 def test_axis_walk_matches_all_pairs_on_mutants(bouquet, paths, mutate, want, moves, passes):
-    taken, bounds = paths
+    taken, moved = paths
     emb = mutate(bouquet)
     got = _checks(emb)
     assert got == _references(emb)
     assert [passed for passed, _ in got] == [passes, passes]
     assert taken == [want, want]
     if moves is not None:
-        assert [len(b) - 1 for b in bounds] == [moves, moves]
+        assert moved == [moves, moves]
 
 
 @pytest.fixture(scope="module")
@@ -204,22 +209,20 @@ def bench_frames():
     return frames
 
 
-def test_axis_bounds_equal_the_per_suffix_reference(bench_frames, bouquet):
-    # the walk sorts its axis sticks by azimuth and by height once; B of
-    # every suffix must equal the bound sorted, grouped and tested afresh
-    # for that suffix, float for float, under the keys of both checks
+def test_axis_bound_equals_the_pairwise_reference(bench_frames, bouquet):
+    # the walk takes K from neighbours in azimuth and in height order; it
+    # must equal K taken over every pair of axis sticks, float for float,
+    # under the keys of both checks
     mutants = [_slid(bouquet, 0), _slid(bouquet, 5), _one_azimuth(bouquet), _steep(bouquet)]
-    kinds, suffixes = set(), 0
+    kinds = Counter()
     for emb in [*bench_frames, bouquet, *mutants]:
         segs = [(s.a, s.b) for s in emb.sticks]
         for ends in ([((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks], segs):
             axis = _verifier_float._axis_sticks(segs, ends)
-            got = list(_verifier_float._axis_bounds(axis, ends))
-            want = [oracles.axis_bound(axis[m:], ends) for m in range(len(axis))]
-            assert [b.hex() for b in got] == [b.hex() for b in want]
-            suffixes += len(got)
-            kinds.update("0" if b == 0 else "inf" if b == math.inf else "finite" for b in got)
-    assert kinds == {"0", "finite", "inf"} and suffixes > 10_000
+            got, want = _verifier_float._axis_bound(axis, ends), oracles.axis_bound(axis, ends)
+            assert got.hex() == want.hex()
+            kinds["0" if got == 0 else "inf" if got == math.inf else "finite"] += 1
+    assert set(kinds) == {"0", "finite", "inf"} and kinds["finite"] > 100, kinds
 
 
 def _fold_frames():
@@ -244,9 +247,10 @@ def _fold_frames():
 
 
 def test_fold_pass_hands_over_the_box_sweep_pairs():
-    # the fold pass tests a point with two ends directly; it must hand over
-    # the pairs of the box sweep that it replaced there, and keep the sweep
-    # where three or more ends meet (every hub of a theta fan)
+    # the fold pass computes one unit and width per stick and negates it at
+    # end b; it must hand over the pairs of the box sweep as first written,
+    # at points of two ends and at points of three or more (every hub of a
+    # theta fan)
     crowded = handed = 0
     for segs, M in _fold_frames():
         floor = TOLERANCES.clearance_rel * M
@@ -279,9 +283,10 @@ def _visits(monkeypatch):
 
 
 def test_axis_walk_visits_few_pairs(bouquet, monkeypatch):
-    # the axis walk measures the pairs of the one stick off the axis and of
-    # e1 (159 in each check), and leaves the pairs that share a key to the
-    # fold pass; the piece sweep it replaced visited 1,740
+    # the axis walk hands over 12 pairs in each check, the nearest rows of
+    # the one stick off the axis and of e1, and leaves the pairs that share
+    # a key to the fold pass; a walk of all the rows of those two sticks
+    # handed over 159, and the piece sweep before it 1,740
     sweeps = []
     monkeypatch.setattr(_verifier_float, "_sweep", lambda *args, real=_verifier_float._sweep: (
         sweeps.append(1), real(*args))[1])
@@ -290,7 +295,7 @@ def test_axis_walk_visits_few_pairs(bouquet, monkeypatch):
     assert sweeps == [] and len(calls) == 2
     for pairs in calls:
         assert len(pairs) == len(set(pairs)) and all(i < k for i, k in pairs)
-        assert len(pairs) <= 200
+        assert len(pairs) <= 40
 
 
 def _unit_sticks(seed, n):
