@@ -50,16 +50,37 @@ def boundary_points(m: int) -> tuple[R2, ...]:
     Axis order maps to strictly decreasing angles (clockwise), with the
     half-angle parametrization pole kept inside the gap that closes the
     axis, one half-step beyond both extremes.  Only the cyclic order is
-    load-bearing; it is asserted exactly on the rationalized parameters.
-    A parameter t = p/q in lowest terms gives the point
+    load-bearing, so each point takes the fewest bits that keep it.  Its
+    parameter is the rational of least denominator (and least numerator)
+    in an open window around its ideal tangent tan(theta / 2), read exactly
+    off the float: the window reaches a quarter of the way to each
+    neighbour's ideal tangent, and an end point, with one neighbour, takes
+    that gap on both sides (a lone point's window is (-1/4, 1/4)).  A
+    window that holds 0 gives 0, and a negative one is mirrored.  The ideal
+    tangents decrease strictly, so half of each gap lies between the two
+    windows on its sides: the windows are disjoint, in axis order, and so
+    are the parameters.  The order is asserted exactly all the same.  A
+    parameter t = p/q in lowest terms gives the point
     (q^2 - p^2, 2pq) / (q^2 + p^2).
     """
     if m < 1:
         raise ValueError("need at least one binding point")
+    ratios = [math.tan((math.pi - math.pi / m - (2.0 * math.pi * i) / m) / 2.0).as_integer_ratio()
+              for i in range(m)]
+    D = max(d for _, d in ratios)   # float denominators are powers of two, so each divides D
+    T = [n * (D // d) for n, d in ratios]   # the ideal tangents over D
+    # with a mirrored neighbour past each end: window i is (3 T_i + T_i+1, 3 T_i + T_i-1) / 4D
+    T = [2 * T[0] - T[1], *T, 2 * T[-1] - T[-2]] if m > 1 else [1, 0, -1]
     ts = []
-    for i in range(m):
-        theta = math.pi - math.pi / m - (2.0 * math.pi * i) / m
-        ts.append(_nearest(*math.tan(theta / 2.0).as_integer_ratio(), 1 << 24))
+    for up, t, down in zip(T, T[1:], T[2:]):
+        lo, hi = 3 * t + down, 3 * t + up
+        if lo >= 0:
+            ts.append(_simplest(lo, hi, 4 * D))
+        elif hi <= 0:
+            p, q = _simplest(-hi, -lo, 4 * D)
+            ts.append((-p, q))
+        else:
+            ts.append((0, 1))
     for (p0, q0), (p1, q1) in zip(ts, ts[1:]):
         if p0 * q1 <= p1 * q0:
             raise AssertionError("rationalized boundary parameters lost their order")
@@ -67,28 +88,22 @@ def boundary_points(m: int) -> tuple[R2, ...]:
                  for p, q in ts)
 
 
-def _nearest(n: int, d: int, limit: int) -> tuple[int, int]:
-    """Fraction(n, d).limit_denominator(limit) as (p, q), for d > 0, in
-    integers: of the best lower and upper approximations with q <= limit,
-    the closer one, and the one with the smaller q on a tie."""
-    g = math.gcd(n, d)
-    n, d = n // g, d // g
-    if d <= limit:
-        return n, d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    x, y = n, d
+def _simplest(a: int, b: int, d: int) -> tuple[int, int]:
+    """(p, q) in lowest terms, of least q and then least p, with
+    a/d < p/q < b/d, for 0 <= a < b and d > 0: the Stern-Brocot descent,
+    one continued-fraction term per step (Graham, Knuth and Patashnik,
+    Concrete Mathematics, section 4.5).  The open window is (a/c, b/d); at
+    each step the result is (h1 x + h0) / (k1 x + k0) for the simplest x
+    in it, and d = 0 stands for a window with no upper end."""
+    c = d
+    h0, k0, h1, k1 = 0, 1, 1, 0
     while True:
-        a, r = divmod(x, y)
-        if q0 + a * q1 > limit:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
-        x, y = y, r
-    k = (limit - q0) // q1
-    p2, q2 = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - n/d| <= |p2/q2 - n/d|, both sides times d q1 q2
-    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
-        return p1, q1
-    return p2, q2
+        f = a // c
+        if (f + 1) * d < b:   # the least integer above a/c lies below b/d
+            return h1 * (f + 1) + h0, k1 * (f + 1) + k0
+        # x = f + 1/x', with x' in (d / (b - f d), c / (a - f c))
+        h0, h1, k0, k1 = h1, f * h1 + h0, k1, f * k1 + k0
+        a, c, b, d = d, b - f * d, c, a - f * c
 
 
 def chords_cross(a: tuple[int, int], b: tuple[int, int]) -> bool:

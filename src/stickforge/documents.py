@@ -24,9 +24,11 @@ GraphError unchanged.
 
 An exact document's coordinates repeat (a random-large one has about
 three strings for every distinct one), so reading one parses each distinct
-coordinate string once, in a dict local to the call that holds string keys
-only: true, 1.5 or a list never meets a parsed value and raises as any
-other bad value does.  That reader formats a field's name only when the
+coordinate string once, in a dict local to the call whose keys are strings
+and points of three strings only: true, 1.5 or a list never meets a parsed
+value and raises as any other bad value does.  Each distinct point of
+strings comes back as one tuple, however often it is listed, so that the
+verifier converts it once.  That reader formats a field's name only when the
 field is malformed.  The index keys of junctions and heights must be
 canonical integers, with no leading zero, so that "1" and "01" cannot
 both name one entry and leave one of them unchecked.
@@ -151,12 +153,14 @@ def _point(p, parse, name: str) -> tuple:
 
 def _exact_point(p, parsed: dict, name: str, at) -> tuple:
     """p as three exact coordinates.  parsed maps each coordinate string
-    read so far in this document to its value, and gains the new ones.
-    The field's name is name.format(at)."""
+    read so far in this document to its value, and each point of three such
+    strings to its one tuple, and gains the new ones.  The field's name is
+    name.format(at)."""
     if type(p) is list and len(p) == 3:
+        key = p[0], p[1], p[2]
         try:
-            return parsed[p[0]], parsed[p[1]], parsed[p[2]]
-        except (KeyError, TypeError):   # a string not read yet, or not a string
+            return parsed[key]
+        except (KeyError, TypeError):   # a point not read yet, or an unhashable value
             pass
     if not isinstance(p, list) or len(p) != 3:
         raise DocumentError(f"{name.format(at)} must be a list of three coordinates, found {p!r}")
@@ -171,7 +175,10 @@ def _exact_point(p, parsed: dict, name: str, at) -> tuple:
             if type(c) is str:
                 parsed[c] = x
         point.append(x)
-    return tuple(point)
+    point = tuple(point)
+    if all(type(c) is str for c in p):
+        parsed[key] = point   # only strings: true, 1.5 or 1 never meets a key
+    return point
 
 
 def _index(k: str, name: str) -> int:

@@ -306,38 +306,37 @@ def _chord_pieces(k: int, a, b, ends):
 class _PageIndex:
     """The one view of se over cd that the exact checks read: the sticks of
     each page, grouped in one pass, and the boundary points in homogeneous
-    form.  A stick's ends and a junction are converted the first time a check
-    reads them, and a page is settled on first use; all of it is kept.
-    passed holds the names of the checks that passed on this index."""
+    form.  A point object (a stick end or a junction) is converted the first
+    time a check reads it, and a page is settled on first use; all of it is
+    kept.  The document reader hands back one tuple per distinct point, so
+    a read embedding converts each distinct point once.  passed holds the
+    names of the checks that passed on this index."""
 
     def __init__(self, se, cd):
         self.se, self.cd = se, cd
         self.passed: set = set()
         self.boundary = [_hom(p) for p in cd.boundary]
-        self.sticks: dict = {}   # page -> the indices of its sticks
-        for i, s in enumerate(se.sticks):
-            self.sticks.setdefault(s.page, []).append(i)
-        self._ends = [None] * len(se.sticks)
-        self._junctions: dict = {}
+        self.sticks: dict = {}   # page -> its sticks
+        for s in se.sticks:
+            self.sticks.setdefault(s.page, []).append(s)
+        self._points: dict = {}   # id of a point that se holds -> its homogeneous form
         self._pages: dict = {}
+
+    def _point(self, p):
+        """p in homogeneous form, converted on the first read of the object."""
+        h = self._points.get(id(p))
+        if h is None:
+            h = self._points[id(p)] = _hom(p)
+        return h
 
     def ends(self):
         """Every stick's homogeneous ends (a, b), in stick order."""
-        self._ends = [e or (_hom(s.a), _hom(s.b)) for e, s in zip(self._ends, self.se.sticks)]
-        return self._ends
-
-    def _end(self, i):
-        """Stick i's homogeneous ends, converted on its first read."""
-        s = self.se.sticks[i]
-        self._ends[i] = e = (_hom(s.a), _hom(s.b))
-        return e
+        return [(self._point(s.a), self._point(s.b)) for s in self.se.sticks]
 
     def junction(self, e):
         """The homogeneous junction over axis index e, or None."""
-        if e not in self._junctions:
-            pt = self.se.junctions.get(e)
-            self._junctions[e] = None if pt is None else _hom(pt)
-        return self._junctions[e]
+        pt = self.se.junctions.get(e)
+        return None if pt is None else self._point(pt)
 
     def page(self, k: int):
         """Page k as (pieces, one, tiling, chains, ends, tiled): _chord_pieces'
@@ -346,9 +345,8 @@ class _PageIndex:
         chain's end points; and whether the pieces tile the chord."""
         if k not in self._pages:
             a, b = self.cd.chords[k - 1].ends
-            known = self._ends
             pieces, one, tiling = _chord_pieces(k, self.boundary[a], self.boundary[b], [
-                known[i] or self._end(i) for i in self.sticks.get(k, ())])
+                (self._point(s.a), self._point(s.b)) for s in self.sticks.get(k, ())])
             chains, ends, tiled = "", None, False
             if pieces is not None:
                 order = sorted(pieces, key=lambda e: (e[0][0], e[1][0]))
@@ -421,7 +419,7 @@ def check_projection(se, cd, *, _index=None) -> VerificationReport:
     report.add("projection.chains", not chain_problems, "; ".join(chain_problems[:3]))
 
     height_problems: list[str] = []
-    prev, sticks = 0, se.sticks
+    prev = 0
     for chord in cd.chords:
         k = chord.page
         z = se.heights.get(k)
@@ -431,7 +429,7 @@ def check_projection(se, cd, *, _index=None) -> VerificationReport:
         if z <= prev:
             height_problems.append(f"page {k} height {z} not above page {k - 1}")
         prev = z
-        tops = [max(sticks[i].a[2], sticks[i].b[2]) for i in index.sticks.get(k, ())]
+        tops = [max(s.a[2], s.b[2]) for s in index.sticks.get(k, ())]
         if tops and max(tops) != z:
             height_problems.append(f"page {k} geometry tops out at {max(tops)}, table says {z}")
     height_problems.extend(f"page {k} has a height but no chord in the diagram"

@@ -13,8 +13,10 @@ The exact verifier's witness strings are rebuilt here in Fraction
 arithmetic, every pair and every crossing, as the reference its integer
 kernel must match word for word.
 
-All arithmetic is over Fraction; float inputs are dyadic rationals and
-convert exactly, so the same predicates certify both builders.  The
+All arithmetic is over Fraction, or over the integer numerators and
+denominators of rationals (the boundary windows and their least
+denominator search); float inputs are dyadic rationals and convert
+exactly, so the same predicates certify both builders.  The
 exceptions are the float references, each of which tests everything its
 culled counterpart may skip: sampled_certificate, the equal-length
 builder's motion certificate with every parked stick tested at every
@@ -55,16 +57,55 @@ def circle_walk_crossing(m: int, ends_a, ends_b) -> bool:
     return labels in (["a", "b", "a", "b"], ["b", "a", "b", "a"])
 
 
+def boundary_windows(m: int):
+    """The open window of each boundary parameter, in axis order, as the
+    integers (lo_n, lo_d, hi_n, hi_d) of lo_n/lo_d < t < hi_n/hi_d: a
+    quarter of the way from the ideal tangent tan(theta / 2), read exactly
+    off the float, to each neighbour's, an end point's one gap taken on both
+    sides, and (-1/4, 1/4) for a lone point."""
+    ideal = [math.tan((math.pi - math.pi / m - (2.0 * math.pi * i) / m) / 2.0).as_integer_ratio()
+             for i in range(m)]
+    if m == 1:
+        return [(-1, 4, 1, 4)]
+    windows = []
+    for i, (n, d) in enumerate(ideal):
+        # t -/+ (t - t') / 4 for a neighbour t' = n'/d', over 4 d d'
+        (bn, bd) = ideal[i + 1] if i < m - 1 else ideal[i - 1]
+        (an, ad) = ideal[i - 1] if i > 0 else ideal[i + 1]
+        lo = 4 * n * bd - abs(n * bd - bn * d), 4 * d * bd
+        hi = 4 * n * ad + abs(an * d - n * ad), 4 * d * ad
+        windows.append((*lo, *hi))
+    return windows
+
+
+def least_denominator(ln, ld, hn, hd) -> tuple[int, int]:
+    """(p, q): (0, 1) if ln/ld < 0 < hn/hd, else the p/q with
+    ln/ld < p/q < hn/hd of least q, and of least |p| for it, found by
+    trying q = 1, 2, ... in integers (ld, hd > 0)."""
+    if ln < 0 < hn:
+        return 0, 1
+    q = 0
+    while True:
+        q += 1
+        if ln >= 0:
+            p = ln * q // ld + 1          # the least p with p/q > lo
+            if p * hd < hn * q:
+                return p, q
+        else:
+            p = -(-hn * q // hd) - 1      # the greatest p with p/q < hi
+            if p * ld > ln * q:
+                return p, q
+
+
 def boundary_points(m: int):
-    """circular_diagram.boundary_points by Fraction arithmetic: each
-    half-angle tangent rationalized by Fraction.limit_denominator(2^24),
-    then ((1 - t^2), 2t) / (1 + t^2)."""
+    """circular_diagram.boundary_points by a plain search: the least
+    denominator parameter t = p/q of each window, then
+    ((1 - t^2), 2t) / (1 + t^2), as (q^2 - p^2, 2pq) / (q^2 + p^2)."""
     pts = []
-    for i in range(m):
-        theta = math.pi - math.pi / m - (2.0 * math.pi * i) / m
-        t = Fraction(math.tan(theta / 2.0)).limit_denominator(1 << 24)
-        tt = t * t
-        pts.append(((1 - tt) / (1 + tt), 2 * t / (1 + tt)))
+    for window in boundary_windows(m):
+        p, q = least_denominator(*window)
+        r = q * q + p * p
+        pts.append((Fraction(q * q - p * p, r), Fraction(2 * p * q, r)))
     return tuple(pts)
 
 

@@ -36,6 +36,11 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   (exact_mutants): two that swap the levels of two pages drawn by
   random.Random(idx) in the sticks and the junctions, and one that drops
   stick (7 idx) mod N, idx counting builds from 0.
+- exact-size: not a hash but a report of those 240 exact builds: the
+  bytes of their documents, the largest bit-length of a numerator or
+  denominator among their stick coordinates, and the sum over the builds
+  of the bit-length of the top height.  Document size and height growth
+  show here.
 - exact-reads: for each of those 240 builds, repr(embedding_from_doc(doc))
   of doc = its exact document after a JSON round trip, then the outcome of
   reading seeded mutants of doc, each the repr of what was read or
@@ -210,6 +215,17 @@ def exact_docs() -> str:
     for se, _ in _exact_builds():
         digest.update(dumps_document(embedding_to_doc(se)).encode())
     return digest.hexdigest()
+
+
+def exact_size() -> str:
+    size = coord_bits = height_bits = 0
+    for se, _ in _exact_builds():
+        size += len(dumps_document(embedding_to_doc(se)).encode())
+        coord_bits = max(coord_bits, *(max(c.numerator.bit_length(), c.denominator.bit_length())
+                                        for s in se.sticks for p in (s.a, s.b) for c in p))
+        height_bits += max(se.heights.values()).bit_length()
+    return (f"\n  {len(_exact_builds())} builds: {size} document bytes, {coord_bits} coordinate bits at most,"
+            f" {height_bits} top height bits summed")
 
 
 def _level_swap(se, i: int, j: int):
@@ -526,6 +542,7 @@ def validator() -> str:
 
 SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "fan-checks": fan_checks, "fold-checks": fold_checks,
         "exact-docs": exact_docs, "exact-checks": exact_checks, "exact-reads": exact_reads,
+        "exact-size": exact_size,
         "presentations": presentations, "workloads": workloads,
         "certificates": certificates, "cert-failures": cert_failures, "validator": validator,
         "cull-work": cull_work}

@@ -1,19 +1,12 @@
 from __future__ import annotations
 
-import math
-import random
 from fractions import Fraction
 
 import pytest
 
 import oracles
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
-from stickforge.circular_diagram import (
-    _nearest,
-    boundary_points,
-    chords_cross,
-    to_circular,
-)
+from stickforge.circular_diagram import boundary_points, chords_cross, to_circular
 from stickforge.randgen import PROFILES, random_presentation
 
 
@@ -35,19 +28,22 @@ def test_boundary_points_equal_the_fraction_reference():
         assert boundary_points(m) == oracles.boundary_points(m)
 
 
-def test_nearest_equals_limit_denominator():
-    # the integer rounding against Fraction.limit_denominator: random floats
-    # at every scale, and small fractions, ties between the two bounds
-    # included (3/2 at limit 1 is midway between 1 and 2)
-    rng = random.Random(17)
-    cases = [(n, d, limit) for n in range(-12, 13) for d in range(1, 9) for limit in range(1, 9)]
-    for _ in range(20000):
-        x = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-9, 9)
-        cases.append((*x.as_integer_ratio(), rng.choice((1, 2, 3, 10, 1000, 1 << 24))))
-    cases.append((*math.tan(math.pi / 7).as_integer_ratio(), 1 << 24))
-    for n, d, limit in cases:
-        want = Fraction(n, d).limit_denominator(limit)
-        assert _nearest(n, d, limit) == (want.numerator, want.denominator), (n, d, limit)
+def test_boundary_parameters_lie_in_disjoint_windows():
+    # each parameter t = y / (1 + x) inside its own open window, and each
+    # window strictly above the next one's, so the order needs no rounding luck
+    for m in [*range(1, 129), 200, 255, 256, 257, 511, 512, 513, 1000, 1023, 1024]:
+        windows = [(Fraction(ln, ld), Fraction(hn, hd)) for ln, ld, hn, hd in oracles.boundary_windows(m)]
+        for (x, y), (lo, hi) in zip(boundary_points(m), windows):
+            assert lo < y / (1 + x) < hi, m
+        for (lo, _), (_, hi) in zip(windows, windows[1:]):
+            assert hi < lo, m
+
+
+def test_boundary_denominators_stay_small():
+    # the least-denominator parameters keep every exact product small
+    # (13 bits at m = 200)
+    bits = max(c.denominator.bit_length() for pt in boundary_points(200) for c in pt)
+    assert bits <= 16
 
 
 def test_boundary_points_clockwise_distinct():

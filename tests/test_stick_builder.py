@@ -84,7 +84,7 @@ def test_exact_documents_pinned():
         se = build(to_circular(validate_presentation(ap)))
         digest.update(dumps_document(embedding_to_doc(se)).encode())
     assert len(presentations) == 63
-    assert digest.hexdigest() == "0950516132638c2a0b608f95f4ec9fbda9cee83bab7c7e97489f8f4bd3deba83"
+    assert digest.hexdigest() == "5ecd2e570cf649347131153e984f256c2d2e7de02fc3e67cebafac2e55aae870"
 
 
 def test_bi_chords_rise_one_level():

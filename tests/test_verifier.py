@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import json
 import math
 import random
 import re
@@ -17,6 +18,7 @@ import parity
 from stickforge import _verifier_exact, stick_builder, verifier
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.circular_diagram import to_circular
+from stickforge.documents import dumps_document, embedding_from_doc, embedding_to_doc
 from stickforge.equilateral_builder import (ComponentInfo, EquilateralEmbedding, EStick, build_equilateral,
                                            build_tents)
 from stickforge.randgen import PROFILES, random_presentation
@@ -533,11 +535,28 @@ def test_crossing_order_culls_by_page_heights(monkeypatch):
     assert len(calls) / 2 < 0.6 * len(cd.crossings)
 
 
+def test_bundle_converts_each_distinct_point_once(monkeypatch):
+    # the 150-arc build of tests/parity.py with the most binding points, read
+    # back from its document: the reader hands back one tuple per distinct
+    # point and the bundle converts by identity, so it converts each once,
+    # plus the m boundary points
+    se, cd = max(parity._exact_builds()[-9:], key=lambda build: build[1].m)
+    se = embedding_from_doc(json.loads(dumps_document(embedding_to_doc(se))))
+    points = [p for s in se.sticks for p in (s.a, s.b)] + list(se.junctions.values())
+    distinct = set(points)
+    assert len({id(p) for p in points}) == len(distinct)
+    calls = []
+    real = verifier._hom
+    monkeypatch.setattr(verifier, "_hom", lambda p: calls.append(p) or real(p))
+    assert verify_stick_embedding(se, cd).ok
+    assert cd.m >= 100 and len(calls) <= len(distinct) + cd.m
+
+
 def test_exact_checks_pinned():
     # the exact-checks set of tests/parity.py: every verify_stick_embedding
     # entry, witnesses included, of the 240 exact builds and three mutants
     # of each (two level swaps, one dropped stick), with their diagrams
-    assert parity.exact_checks() == "9d2897b1697033f6db68d9f0a3cf36c012976fa7134ef73322e951aef0d303d1"
+    assert parity.exact_checks() == "33bb7a885d745f9a40ae9c5202ae6c69045a1af7643b3397ba9a5357b8c25d8e"
 
 
 def _large_bouquet():
@@ -611,11 +630,14 @@ def _hand_built():
         return replace(se, sticks=se.sticks[:i] + (replace(s, **{end: tuple(pt)}),) + se.sticks[i + 1:])
 
     j0 = se.junctions[0]
+    # the first stick whose end a a float cast moves: a dyadic end would still project onto its chord
+    k = next(i for i, s in enumerate(se.sticks) if floats(s.a) != s.a)
     stray = stick_builder.Stick((F(10), F(0), math.nan), (F(11), F(0), F(0)), 99, "l", "whole")
     return cd, {
         "float": replace(se, sticks=tuple(replace(s, a=floats(s.a), b=floats(s.b)) for s in se.sticks),
                          junctions={b: floats(p) for b, p in se.junctions.items()}),
-        "mixed": replace(se, sticks=(replace(se.sticks[0], a=floats(se.sticks[0].a)),) + se.sticks[1:]),
+        "mixed": replace(se, sticks=se.sticks[:k] + (replace(se.sticks[k], a=floats(se.sticks[k].a)),)
+                         + se.sticks[k + 1:]),
         "dyadic-float": moved(0, "a", 2, float(se.sticks[0].a[2])),
         "nan-stick": moved(0, "a", 2, math.nan),
         "inf-stick": moved(1, "b", 0, math.inf),
@@ -629,26 +651,27 @@ _PASS = [("projection.junctions", True, ""), ("projection.tiling", True, ""),
          ("crossing-order", True, "5 crossings ordered")]
 # what verify_stick_embedding gave for each _hand_built case when every
 # check still converted its own points: its entries, or the exception raised
+# (float and mixed taken again on the least-denominator boundary points,
+# where the checks alone report the same)
 HAND_BUILT = {
     "float": [
-        ("simplicity", True, "min non-adjacent clearance 7.534e-02"),
-        ("projection.junctions", False, "junction over point 1 projects off its boundary point; "
-         "junction over point 3 projects off its boundary point; "
-         "junction over point 4 projects off its boundary point"),
-        ("projection.tiling", False, "page 1 stick endpoint projects off the chord line; "
-         "page 2 stick endpoint projects off the chord line; "
-         "page 3 stick endpoint projects off the chord line"),
+        ("simplicity", True, "min non-adjacent clearance 3.631e-02"),
+        ("projection.junctions", False, "junction over point 4 projects off its boundary point; "
+         "junction over point 0 projects off its boundary point"),
+        ("projection.tiling", False, "page 2 stick endpoint projects off the chord line; "
+         "page 3 stick endpoint projects off the chord line; "
+         "page 4 stick endpoint projects off the chord line"),
         ("projection.chains", True, ""), ("projection.heights", True, ""),
         ("crossing-order", False, "crossing (1,2): geometry missing over the crossing; "
          "crossing (1,5): geometry missing over the crossing; "
          "crossing (2,3): geometry missing over the crossing")],
     "mixed": [
-        ("simplicity", False, "stick 0 mixes rational and float coordinates"),
+        ("simplicity", False, "sticks 0 and 3 mix rational and float coordinates"),
         ("projection.junctions", True, ""),
-        ("projection.tiling", False, "page 1 stick endpoint projects off the chord line"),
+        ("projection.tiling", False, "page 4 stick endpoint projects off the chord line"),
         ("projection.chains", True, ""), ("projection.heights", True, ""),
-        ("crossing-order", False, "crossing (1,2): geometry missing over the crossing; "
-         "crossing (1,5): geometry missing over the crossing")],
+        ("crossing-order", False, "crossing (3,4): geometry missing over the crossing; "
+         "crossing (4,5): geometry missing over the crossing")],
     "dyadic-float": [("simplicity", False, "stick 0 mixes rational and float coordinates"), *_PASS],
     "nan-stick": ValueError,
     "inf-stick": OverflowError,
