@@ -10,12 +10,15 @@ u = 2^-53, let C be the largest coordinate magnitude, and assume no
 overflow or underflow.
 
 Half-planes.  Every stick that build_tents puts down, and every swinging
-stick of the reduction, runs from an axis point out into its arc's page.
-- Shape (_half_plane).  A half-plane stick has exactly one end p on the
-  axis (x = y = 0 exactly); its other end q then sets the half-plane it
-  lies in, at azimuth psi = atan2(qy, qx), and its angle theta from the
-  horizontal, cos theta = rho / |q - p| with rho = hypot(qx, qy) and
-  |q - p| = hypot(qx, qy, qz - pz).
+stick of the reduction, runs from an axis point out into its arc's page
+(Cromwell, "Embedding knots and links in an open book I", 1995).
+- Shape (_half_plane).  The axis is a vertical line x = x0, y = y0 (The
+  passes say which).  A half-plane stick has exactly one end p on it
+  (px = x0 and py = y0 exactly); its other end q then sets the half-plane
+  it lies in, at azimuth psi = atan2(dy, dx) for dx = qx - x0 and
+  dy = qy - y0, and its angle theta from the horizontal,
+  cos theta = rho / |q - p| with rho = hypot(dx, dy) and
+  |q - p| = hypot(dx, dy, qz - pz).
 - For points x, y at distances rx, ry from the axis in half-planes an
   angle g <= pi apart, |x - y|^2 = dz^2 + (rx - ry)^2 + 4 rx ry sin^2(g/2),
   which is at least sin^2(g/2) (dz^2 + (rx + ry)^2): sin^2(g/2) times the
@@ -27,26 +30,29 @@ stick of the reduction, runs from an axis point out into its arc's page.
   sin(g/2) min(cos theta) |z0 - z1| apart (_plane_gap, the pairwise
   half-plane bound).  For azimuths in [-pi, pi], sin(|psi - psi'|/2) is
   sin(g/2) for the gap g = min(|psi - psi'|, 2 pi - |psi - psi'|).
-- Rounding: each atan2 is within 2 ulps of pi, so |psi - psi'|/2 is within
-  20u of g/2 and sin(g/2) within 20u; cos theta is within 6u of itself and
-  |z0 - z1| within u of itself, so the computed bound is within 30u |z0 -
-  z1| <= 60uC of the true one.
+- Rounding: dx and dy are within u of themselves (exact when
+  x0 = y0 = 0), which moves psi by under 3u and cos theta by under 3u of
+  itself; each atan2 is within 2 ulps of pi, so |psi - psi'|/2 is within
+  25u of g/2 and sin(g/2) within 25u; cos theta is within 9u of itself and
+  |z0 - z1| within u of itself, so the computed bound is within 40u |z0 -
+  z1| <= 80uC of the true one.
 
 Box gaps.  The gap of two sticks is the largest of lo' - hi and lo - hi'
 over x, y and z, for the boxes [lo, hi] and [lo', hi'] of their computed
 ends, raised to the pairwise half-plane bound when both are half-plane
-sticks.  _near_pairs walks pairs in ascending gap and stops at the first
-gap above pad = m + SNAP_REL (C + m), m the least distance measured so far.
+sticks.  _near_pairs walks pairs in ascending gap, popping them from a
+heap (_walk), and stops at the first gap above pad = m + SNAP_REL (C + m),
+m the least distance measured so far.
 - A stick lies in the box of its computed ends, so a pair lies at least
   its true box gap apart, and the computed box gap is within 2uC of that;
-  the computed half-plane bound is within 60uC of a true lower bound.
+  the computed half-plane bound is within 80uC of a true lower bound.
 - _seg_distance returns the computed length of cp1 - cp2, where
   cp1 = p + sc (q - p) and cp2 = r + tc (s - r) with sc, tc clamped to
   [0, 1]: each lies within 6uC of a point of its stick in every
   coordinate, and the length is off by under 5u of itself, so the result
   is at least the true distance less 40uC.
 - pad itself is computed to within 3u (C + m).
-All of it is below 110u (C + m), and the margin SNAP_REL (C + m) is over
+All of it is below 130u (C + m), and the margin SNAP_REL (C + m) is over
 10^4 times more, so a skipped pair measures more than m.  m only falls, so
 a pair past pad once stays past it, and the least distance is measured.
 
@@ -54,10 +60,18 @@ The passes.  The reduction moves only the swept sticks: the sticks of each
 component's recorded moves, and its joiners.  tolerance_report picks them
 by tag, and the tags choose the passes and nothing else.  _near_pairs
 first reads the frame once: the corners of every stick's box, and from
-per-axis columns of those the spread of the boxes and C (min, max and
-negation do not round, so both are exact).  The longest stick comes from
-math.dist, which may differ from _dist in the last bit, as it only picks
-which of two exact culls runs.
+per-axis columns of those C (min, max and negation do not round, so it is
+exact).  Then it cuts the frame into slabs wherever no box spans an x-gap
+(_slabs): with the lower and the upper x bounds of the boxes each sorted,
+the first k boxes by lower bound lie apart from the rest exactly when the
+k-th upper bound lies below the (k + 1)-th lower bound, by the gap between
+the two.  A frame with no such cut is one slab.  Each slab takes its
+pairs in the passes below, from the m of the slabs before it, with its own
+spread of the boxes and longest stick, and with its own axis: the vertical
+line through its lowest end (that of the first stick, by index, whose box
+reaches the slab's least height).  The longest stick comes from math.dist,
+which may differ from _dist in the last bit, as it only picks which of two
+exact culls runs.
 1. When the boxes of the whole sticks all lie within _SHORTEST times the
    longest stick of each other, the sticks crowd one spot and box gaps
    cannot prune them (theta-fan, where every stick reaches the axis point
@@ -68,8 +82,25 @@ which of two exact culls runs.
 3. The pairs of two unmoved sticks are walked the same way, continuing
    from the m of the second pass, unless the unmoved bound B (below)
    exceeds m + SNAP_REL (C + m).
-assemble_split places parts at least M apart in x, so a pair across parts
-has a box gap of M, and once m is below M no such pair is measured.
+Every vertical line gives true bounds, so the choice of axis only sets how
+much is pruned.  build_tents stands each part on x = y = 0 with bp0 at
+height 0, its lowest end, and assemble_split moves the part along x by a
+shift, which puts bp0 at x = 0 + shift = shift exactly and every other
+axis point on the same line; so each part is walked about its own axis,
+read from coordinates alone, never from ComponentInfo.offset.  A frame of
+one part is one slab about x = y = 0.
+4. Across slabs.  Two sticks of different slabs lie on either side of a
+   cut, so at least its gap apart in x, and the least cut gap G bounds
+   every such pair; the computed gaps are within 2uC of the true ones.
+   When G exceeds the final m + SNAP_REL (C + m), no pair across slabs is
+   measured, by the margin above.  Otherwise their pairs are walked by box
+   gap, from that m (assemble_split puts parts about M apart, so this
+   happens only when no part holds a pair below about M, as in unlink(n)).
+Each pair lies in one slab or across two, so it is walked once, and the
+minimum is that of every pair, float for float.  At seed 1 the 28
+assembled random-small frames measure 255 pairs from 4,375 rows per pass
+(5,692 from 30,953 as one slab about x = y = 0); their parts, walked in
+build_component, 619 from 16,293.
 
 The fan cull works with t = m + SNAP_REL (C + m) in place of pad.  A
 center is the point that the most ends of the sticks still left share
@@ -137,13 +168,13 @@ of two unmoved sticks are bounded all at once, from their coordinates.
   since between two ends with different keys lie two neighbours with
   different keys, and a rounded difference of two heights within theirs
   is no larger.
-B is 0 when an unmoved stick fails the shape, as on every frame that
-assemble_split shifts off the axis, or when two unmoved sticks at one
-azimuth share no key; such a frame always takes the third pass.
-Rounding: each atan2 is within 2 ulps of pi, so every gap, the wrap
-2 pi - (last - first) included, is within 40u of the true one and sin(g/2)
-within 25u; cos theta is within 6u of itself and dzmin within u, so B is
-within 70uC of the true bound.  With the 40uC of _seg_distance and the
+B is 0 when an unmoved stick of the slab fails the shape about the slab's
+axis (as when two parts touch in x and one slab holds both), or when two
+unmoved sticks at one azimuth share no key; such a slab always takes the
+third pass.  Rounding: each azimuth is within 5u of its true value (dx and
+dy included), so every gap, the wrap 2 pi - (last - first) included, is
+within 50u of the true one and sin(g/2) within 30u; cos theta is within 9u
+of itself and dzmin within u, so B is within 80uC of the true bound.  With the 40uC of _seg_distance and the
 3u (C + m) of the margin, a pair the third pass skips measures more than m,
 far inside SNAP_REL (C + m).  Over the four random-large frames at seed 1
 the second pass visits 37 of the 2,688 pairs that hold a swept stick
@@ -154,9 +185,11 @@ of the 98,365 junction-disjoint pairs of two unmoved sticks is measured.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import combinations, groupby
+from heapq import heapify, heappop
+from itertools import combinations, compress, groupby
+from operator import lt
 
 V3 = tuple[float, float, float]
 
@@ -256,41 +289,82 @@ def _near_pairs(segs, ends, swept, visit) -> float:
     hi = [(bx if bx > ax else ax, by if by > ay else ay, bz if bz > az else az)
           for (ax, ay, az), (bx, by, bz) in segs]
     los, his = [*zip(*lo)], [*zip(*hi)]   # one column per axis
-    spread = max(max(l) - min(h) for l, h in zip(los, his))
     size = max(max(map(max, his)), -min(map(min, los)))
-    if spread <= _SHORTEST * max(map(math.dist, *zip(*segs))):
-        return _fan_pairs(segs, ends, visit, size)   # box gaps cannot prune (theta-fan)
-
-    planes = [_half_plane(a, b) for a, b in segs]
+    slabs, cut = _slabs(segs, lo, hi, los, his)
+    planes = [None] * n   # the _half_plane data of each stick, about its slab's axis line
+    lines = []   # the axis line of each slab, or None for the fan cull
+    for idx, part, sl, sh in slabs:
+        if max(max(l) - min(h) for l, h in zip(sl, sh)) <= _SHORTEST * max(map(math.dist, *zip(*part))):
+            lines.append(None)   # box gaps cannot prune (theta-fan)
+            continue
+        a, b = part[sl[2].index(min(sl[2]))]
+        line = (b if b[2] < a[2] else a)[:2]   # the vertical line through the slab's lowest end
+        for i, (a, b) in zip(idx, part):
+            planes[i] = _half_plane(a, b, line)
+        lines.append(line)
     boxes = [*zip(lo, hi, planes)]
+    moved, least = set(swept), math.inf
+    for (idx, *_), line in zip(slabs, lines):
+        if line is None:
+            least = _fan_pairs(segs, ends, visit, size, idx, least)
+            continue
+        least = _walk([r for j in idx if j in moved for r in _rows(boxes, j, [k for k in idx if k > j or k not in moved])],
+                      least, size, visit)
+        unmoved = [k for k in idx if k not in moved]
+        if _unmoved_bound(segs, planes, ends, unmoved, line) <= least + SNAP_REL * (size + least):
+            least = _walk([r for x, j in enumerate(unmoved) for r in _rows(boxes, j, unmoved[x + 1:])], least, size, visit)
+    if cut == math.inf or cut > least + SNAP_REL * (size + least):
+        return least   # one slab, or no pair across slabs lies within pad
+    home = [0] * n   # the slab of each stick
+    for x, (idx, *_) in enumerate(slabs):
+        for i in idx:
+            home[i] = x
+    boxes = [(l, h, None) for l, h in zip(lo, hi)]   # keyed by box gap alone
+    return _walk([r for j in range(n) for r in _rows(boxes, j, [k for k in range(j + 1, n) if home[k] != home[j]])],
+                 least, size, visit)
 
-    def rows(j, ks):
-        """(gap, i, k), i < k, for the pair of stick j and each stick k of ks:
-        the box gap, raised to the half-plane bound when both hang from the
-        axis."""
-        (xl, yl, zl), (xh, yh, zh), s = boxes[j]
-        return [(max(l[0] - xh, l[1] - yh, l[2] - zh, xl - h[0], yl - h[1], zl - h[2],
-                     _plane_gap(s, t) if s and t else -math.inf),
-                 k if k < j else j, j if k < j else k)
-                for k, (l, h, t) in zip(ks, map(boxes.__getitem__, ks))]
 
-    moved = set(swept)
-    least = _walk([r for j in swept for r in rows(j, [k for k in range(n) if k > j or k not in moved])],
-                  math.inf, size, visit)
-    unmoved = [k for k in range(n) if k not in moved]
-    if _unmoved_bound(segs, planes, ends, unmoved) > least + SNAP_REL * (size + least):
-        return least
-    return _walk([r for x, j in enumerate(unmoved) for r in rows(j, unmoved[x + 1:])], least, size, visit)
+def _slabs(segs, lo, hi, los, his):
+    """The frame cut wherever no stick box spans an x-gap: (indices, sticks,
+    box corner columns) of each slab, and the least cut gap, inf when the
+    frame is one slab; los and his are the columns of the box corners lo
+    and hi.  With the lower and the upper x bounds of the boxes each
+    sorted, the first k boxes by lower bound lie apart from the rest
+    exactly when the k-th upper bound lies below the (k + 1)-th lower
+    bound."""
+    L, H = sorted(los[0]), sorted(his[0])
+    cuts = [*compress(range(1, len(L)), map(lt, H, L[1:]))]
+    if not cuts:
+        return [(range(len(segs)), segs, los, his)], math.inf
+    slabs = [[] for _ in range(len(cuts) + 1)]
+    bounds = [L[k] for k in cuts]
+    for i, x in enumerate(los[0]):
+        slabs[bisect_right(bounds, x)].append(i)
+    return ([(idx, [segs[i] for i in idx], [*zip(*map(lo.__getitem__, idx))], [*zip(*map(hi.__getitem__, idx))])
+             for idx in slabs], min(L[k] - H[k - 1] for k in cuts))
+
+
+def _rows(boxes, j, ks):
+    """(gap, i, k), i < k, for the pair of stick j and each stick k of ks:
+    the box gap, raised to the half-plane bound when both hang from the
+    axis line; boxes holds each stick's box corners and _half_plane data,
+    or None."""
+    (xl, yl, zl), (xh, yh, zh), s = boxes[j]
+    return [(max(l[0] - xh, l[1] - yh, l[2] - zh, xl - h[0], yl - h[1], zl - h[2],
+                 _plane_gap(s, t) if s and t else -math.inf),
+             k if k < j else j, j if k < j else k)
+            for k, (l, h, t) in zip(ks, map(boxes.__getitem__, ks))]
 
 
 def _walk(rows, least, size, visit) -> float:
     """Call visit(i, (k,)) for the rows (gap, i, k) in ascending gap, up to
     the first gap above m + SNAP_REL (size + m), and return m: the least
-    value visit returned, or least if none is below it."""
+    value visit returned, or least if none is below it.  The rows are
+    popped from a heap, so those past that gap are never ordered."""
     pad = least + SNAP_REL * (size + least)
-    for gap, i, k in sorted(rows):
-        if gap > pad:
-            break
+    heapify(rows)
+    while rows and rows[0][0] <= pad:
+        _, i, k = heappop(rows)
         d = visit(i, (k,))
         if d < least:
             least, pad = d, d + SNAP_REL * (size + d)
@@ -306,10 +380,11 @@ def _ray_bound(d, r, c, h):
     return r * math.sin(min(g, math.pi / 2)) if g > 0.0 else 0.0
 
 
-def _fan_pairs(segs, ends, visit, size):
-    """_near_pairs by the fan cull of the module docstring; size is the
-    largest coordinate magnitude."""
-    least = t = math.inf
+def _fan_pairs(segs, ends, visit, size, idx, least):
+    """_near_pairs by the fan cull of the module docstring over the sticks
+    idx, from the least distance least found so far; size is the largest
+    coordinate magnitude."""
+    t = least + SNAP_REL * (size + least)
     u = 2.0 ** -53
 
     def see(i, k):
@@ -318,7 +393,7 @@ def _fan_pairs(segs, ends, visit, size):
         if d < least:
             least, t = d, d + SNAP_REL * (size + d)
 
-    rest = list(range(len(segs)))
+    rest = list(idx)
     while True:
         count = Counter(p for i in rest for p in {*segs[i]})
         F, most = max(count.items(), key=lambda e: e[1], default=(None, 0))
@@ -384,17 +459,19 @@ def _fan_pairs(segs, ends, visit, size):
     return min([least, *(visit(i, rest[x + 1:]) for x, i in enumerate(rest[:-1]))])
 
 
-def _half_plane(a: V3, b: V3):
+def _half_plane(a: V3, b: V3, line):
     """(z, psi, cos theta) of the stick ab when exactly one end p lies on
-    the axis (x = y = 0 exactly): the height of p, the azimuth of the
-    half-plane the stick lies in and the cosine of its angle from the
-    horizontal (Half-planes, in the module docstring); None for any other
-    stick."""
-    at_a = a[0] == 0.0 and a[1] == 0.0
-    if at_a == (b[0] == 0.0 and b[1] == 0.0):
+    the vertical line through line = (x, y), exactly: the height of p, the
+    azimuth about the line of the half-plane the stick lies in and the
+    cosine of its angle from the horizontal (Half-planes, in the module
+    docstring); None for any other stick."""
+    x, y = line
+    at_a = a[0] == x and a[1] == y
+    if at_a == (b[0] == x and b[1] == y):
         return None
     p, q = (a, b) if at_a else (b, a)
-    return p[2], math.atan2(q[1], q[0]), math.hypot(q[0], q[1]) / math.hypot(q[0], q[1], q[2] - p[2])
+    dx, dy = q[0] - x, q[1] - y
+    return p[2], math.atan2(dy, dx), math.hypot(dx, dy) / math.hypot(dx, dy, q[2] - p[2])
 
 
 def _plane_gap(s, t) -> float:
@@ -404,10 +481,11 @@ def _plane_gap(s, t) -> float:
     return math.sin(abs(s[1] - t[1]) / 2) * min(s[2], t[2]) * abs(s[0] - t[0])
 
 
-def _unmoved_bound(segs, planes, ends, unmoved) -> float:
+def _unmoved_bound(segs, planes, ends, unmoved, line) -> float:
     """B of the module docstring: a lower bound on the distance between any
     two sticks of segs listed in unmoved whose keys of ends are disjoint;
-    planes holds the _half_plane data of every stick.  0 when one fails
+    planes holds the _half_plane data of every stick about the axis line
+    line = (x, y).  0 when one fails
     the shape test or two such sticks share an azimuth.  The sticks are
     sorted by azimuth and by height once."""
     rows = [planes[i] for i in unmoved]
@@ -424,7 +502,7 @@ def _unmoved_bound(segs, planes, ends, unmoved) -> float:
     gaps = [b - a for a, b in zip(psi, psi[1:]) if b != a]
     if not gaps:
         return math.inf
-    axis = [(zs[x], ends[i][b[0] == 0.0 == b[1]])   # the height and key of each axis end
+    axis = [(zs[x], ends[i][b[0] == line[0] and b[1] == line[1]])   # the height and key of each axis end
             for x in sorted(range(len(rows)), key=zs.__getitem__) for i in [unmoved[x]] for b in [segs[i][1]]]
     dz = min((z1 - z0 for (z0, k0), (z1, k1) in zip(axis, axis[1:]) if k0 != k1), default=math.inf)
     return math.sin(min(2 * math.pi - (psi[-1] - psi[0]), *gaps) / 2) * min(1.0, *coss) * dz

@@ -46,8 +46,8 @@ scaled at all.  Ends may still lie closer than 2^-480; then a
 product, quotient or square root may underflow and be off by up to
 2^-1074 rather than by u of itself, while a sum or difference stays
 exact.  So each bound below moves by under 2^-470: seg_distance's result,
-the root of a sum of squares, by under 2^-535; a box gap or pad by under
-2^-1070, and a half-plane bound or K cos theta by under 2^-870; and a unit
+the root of a sum of squares, by under 2^-535; a box gap, cut gap or pad by
+under 2^-1070, and a half-plane bound or K cos theta by under 2^-870; and a unit
 of a vector longer than 2^-480 stays within 4u of its direction.  Shorter
 vectors do no harm: against a ray that short, every bound of the fan cull
 is at most r, and the pair lies at least r - 2^-480 apart; a stick that
@@ -57,18 +57,39 @@ the fold pass pairs it with every other.  The margin junction_rel (C + m) is at 
 clearance_rel 2^-200 > 2^-250, so every argument below holds as it would
 without underflow.
 
-Which cull runs is chosen from the input, in one scan of the stick boxes:
-their corners, and from per-axis columns of those, the spread and C (min,
-max and negation do not round, so both are exact).  The longest stick is
-taken with math.dist, whose last bit may differ from seg_distance's, as
-it only picks which of two culls runs, and each cull is exact.
+The culls read the input in one scan of the stick boxes: their corners,
+and from per-axis columns of those C (min, max and negation do not round,
+so it is exact).  Then they cut the frame into slabs wherever no box spans
+an x-gap (_slabs): with the lower and the upper x bounds of the boxes each
+sorted, the first k boxes by lower bound lie apart from the rest exactly
+when the k-th upper bound lies below the (k + 1)-th lower bound, by the
+gap between the two.  A frame with no such cut is one slab.  Each slab
+takes its pairs by one of the culls below, from the m of the slabs before
+it, chosen from its own spread of the boxes and longest stick.  The
+longest stick is taken with math.dist, whose last bit may differ from
+seg_distance's, as it only picks which of two culls runs, and each cull
+is exact.
 1. When the boxes of the whole sticks all lie within _SHORTEST times the
    longest stick of each other, the sticks crowd one spot, boxes cannot
    prune them (theta-fan, where every stick reaches the axis point or the
    hub), and the fan cull (_fan_pairs) takes every pair.
-2. Otherwise the axis walk (_axis_pairs) takes them, unless its rows would
+2. Otherwise the axis walk (_axis_pairs) takes them, about the vertical
+   line through the slab's lowest end (that of the first stick, by index,
+   whose box reaches the slab's least height), unless its rows would
    outnumber _WALK_ROWS per stick.
 3. Then the sweep (_sweep) takes the pairs not yet walked.
+Two sticks of different slabs lie on either side of a cut, so at least its
+gap apart in x, and the least cut gap G bounds every such pair; the
+computed gaps are within 2uC of the true ones.  When G exceeds the final
+pad, no pair across slabs is handed over, by the margins below.  Otherwise
+the sweep takes the pairs across slabs, from the least distance so far.
+Each pair lies in one slab or across two, so it is handed over once.
+The slabs and axes come from coordinates alone.  An assembled frame has
+its parts about M apart in x, each about the vertical line through its
+bp0, and each is its own slab walked about that line: over the 28
+assembled random-small frames at seed 1, each check measures 658 pairs
+(5,970 as one slab, which takes the sweep).  A frame of one part is one
+slab about x = y = 0.
 
 The sweep.  Each stick gets the closed box of its ends, and a sweep in z
 measures a pair of sticks only when the box of one lies within pad of the
@@ -91,11 +112,14 @@ The axis walk.  An equal-length frame stands in an open book: the sticks
 of its tents run from an axis point out into their arc's page (Cromwell,
 "Embedding knots and links in an open book I", 1995), so most pairs are
 bounded at once, from their coordinates.
-- Shape.  A stick with exactly one end p on the axis (x = y = 0 exactly)
+- Shape.  The axis is the slab's vertical line x = x0, y = y0.  A stick
+  of the slab with exactly one end p on it (px = x0 and py = y0 exactly)
   is an axis stick; the others form S.  The other end q of an axis stick
-  sets the half-plane it lies in, at azimuth psi = atan2(qy, qx), and its
-  angle theta from the horizontal, cos theta = rho / |q - p| with
-  rho = hypot(qx, qy) and |q - p| = hypot(qx, qy, qz - pz).
+  sets the half-plane it lies in, at azimuth psi = atan2(dy, dx) for
+  dx = qx - x0 and dy = qy - y0, and its angle theta from the horizontal,
+  cos theta = rho / |q - p| with rho = hypot(dx, dy) and
+  |q - p| = hypot(dx, dy, qz - pz).  Any vertical line gives true bounds;
+  the one through the lowest end holds the axis points of a built part.
 - For points x, y at distances rx, ry from the axis in half-planes an
   angle g <= pi apart, |x - y|^2 = dz^2 + (rx - ry)^2 + 4 rx ry sin^2(g/2),
   which is at least sin^2(g/2) (dz^2 + (rx + ry)^2): sin^2(g/2) times the
@@ -144,17 +168,18 @@ bounded at once, from their coordinates.
   at cos theta about 0.01, so it moves first; on every random-large frame
   the entry's key then clears pad, and each check measures 1 to 7 pairs.
 - The walk's rows, the pairs that hold a stick of S or a moved one, are
-  kept only while they number at most _WALK_ROWS per stick: on a frame
-  with few axis sticks (every frame assemble_split shifts off the axis),
-  or one whose K cos theta does not clear pad before the moves reach that
-  count, the sweep takes over from the least distance so far and skips the
-  pairs already walked.
-Rounding: each atan2 is within 2 ulps of pi, so |psi - psi'|/2 is within
-20u of g/2 and every azimuth gap, the wrap 2 pi - (last - first)
-included, within 40u of the true one; sin(g/2) is within 25u, cos theta
-within 6u of itself and a height gap within u, so the pairwise half-plane
-bound is within 60uC of the true one, and K cos theta within 70uC (0 for
-two sticks whose true azimuths agree).  With the 40uC of seg_distance and
+  kept only while they number at most _WALK_ROWS per stick: on a slab
+  with few axis sticks, or one whose K cos theta does not clear pad
+  before the moves reach that count, the sweep takes over from the least
+  distance so far and skips the pairs already walked.
+Rounding: dx and dy are within u of themselves (exact when x0 = y0 = 0),
+which moves psi by under 3u and cos theta by under 3u of itself; each
+atan2 is within 2 ulps of pi, so |psi - psi'|/2 is within 25u of g/2 and
+every azimuth gap, the wrap 2 pi - (last - first) included, within 50u of
+the true one; sin(g/2) is within 30u, cos theta within 9u of itself and a
+height gap within u, so the pairwise half-plane bound is within 80uC of
+the true one, and K cos theta within 90uC (a few uC for two sticks whose
+true azimuths agree).  With the 40uC of seg_distance and
 the 3u (C + m) of pad, a pair that the walk leaves out measures more than
 m, far inside junction_rel (C + m).
 
@@ -224,7 +249,8 @@ it has no length, and above 2 >= |d - e| when it is no longer than the
 snap), and at every point that two or more ends share exactly, a sweep
 over the first coordinate of the units (two units within the sum of their
 widths have first coordinates within it) hands over every pair whose
-units lie within the sum of their widths: floor = clearance_rel scale
+units lie within the sum of their widths (at a point of two ends, the
+sweep's one comparison is made directly): floor = clearance_rel scale
 exceeds the snap junction_rel scale, 2 sqrt(_FOLD) exceeds sqrt(2 _FOLD),
 and a width is over 10^5 times the rounding of the units it compares.
 Each stick's unit and width are computed once, from end a: from end b the
@@ -237,11 +263,12 @@ no verdict or witness.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations, groupby
+from itertools import combinations, compress, groupby
+from operator import itemgetter, lt
 
 
 @dataclass(frozen=True)
@@ -341,23 +368,60 @@ def _near_pairs(segs, ends, floor: float, visit) -> float:
     hi = [(bx if bx > ax else ax, by if by > ay else ay, bz if bz > az else az)
           for (ax, ay, az), (bx, by, bz) in segs]
     los, his = [*zip(*lo)], [*zip(*hi)]   # one column per axis
-    spread = max(max(l) - min(h) for l, h in zip(los, his))
     size = max(max(map(max, his)), -min(map(min, los)))
-    if spread <= _SHORTEST * max(map(math.dist, *zip(*segs))):
-        return _fan_pairs(segs, ends, floor, visit, size)   # boxes cannot prune (theta-fan)
-    return _axis_pairs(segs, ends, floor, visit, lo, hi, size)
-
-
-def _axis_pairs(segs, ends, floor, visit, lo, hi, size) -> float:
-    """_near_pairs by the axis walk of the module docstring, or by the sweep
-    once the walk's rows would outnumber _WALK_ROWS per stick; lo and hi are
-    the corners of each stick's box, size the largest coordinate magnitude."""
-    n = len(segs)
-    axis = _axis_sticks(segs, ends)
-    planes = [None] * n   # the _axis_sticks data of each axis stick
-    for f in axis:
-        planes[f[-1]] = f
+    slabs, cut = _slabs(segs, lo, hi, los, his)
+    planes = [None] * n   # the _axis_sticks data of each axis stick, about its slab's axis line
+    axes = []   # the axis sticks of each slab, or None for the fan cull
+    for idx, part, sl, sh in slabs:
+        if max(max(l) - min(h) for l, h in zip(sl, sh)) <= _SHORTEST * max(map(math.dist, *zip(*part))):
+            axes.append(None)   # boxes cannot prune (theta-fan)
+            continue
+        a, b = part[sl[2].index(min(sl[2]))]
+        axes.append(_axis_sticks(segs, ends, idx, (b if b[2] < a[2] else a)[:2]))   # about the line through its lowest end
+        for f in axes[-1]:
+            planes[f[-1]] = f
     boxes = [*zip(lo, hi, planes)]
+    least = math.inf
+    for (idx, *_), axis in zip(slabs, axes):
+        least = (_fan_pairs(segs, ends, floor, visit, size, idx, least) if axis is None else
+                 _axis_pairs(segs, ends, floor, visit, lo, hi, planes, boxes, size, idx, axis, least))
+    if cut == math.inf or cut > _pad(least, floor, size):
+        return least   # one slab, or no pair across slabs lies within pad
+    home = [0] * n   # the slab of each stick
+    for x, (idx, *_) in enumerate(slabs):
+        for i in idx:
+            home[i] = x
+    return _sweep(segs, floor, visit, lo, hi, size, least, range(n), lambda ik: home[ik[0]] == home[ik[1]])
+
+
+def _slabs(segs, lo, hi, los, his):
+    """The frame cut wherever no stick box spans an x-gap: (indices, sticks,
+    box corner columns) of each slab, and the least cut gap, inf when the
+    frame is one slab; los and his are the columns of the box corners lo
+    and hi.  With the lower and the upper x bounds of the boxes each
+    sorted, the first k boxes by lower bound lie apart from the rest
+    exactly when the k-th upper bound lies below the (k + 1)-th lower
+    bound."""
+    L, H = sorted(los[0]), sorted(his[0])
+    cuts = [*compress(range(1, len(L)), map(lt, H, L[1:]))]
+    if not cuts:
+        return [(range(len(segs)), segs, los, his)], math.inf
+    slabs = [[] for _ in range(len(cuts) + 1)]
+    bounds = [L[k] for k in cuts]
+    for i, x in enumerate(los[0]):
+        slabs[bisect_right(bounds, x)].append(i)
+    return ([(idx, [segs[i] for i in idx], [*zip(*map(lo.__getitem__, idx))], [*zip(*map(hi.__getitem__, idx))])
+             for idx in slabs], min(L[k] - H[k - 1] for k in cuts))
+
+
+def _axis_pairs(segs, ends, floor, visit, lo, hi, planes, boxes, size, idx, axis, least) -> float:
+    """_near_pairs over the pairs of the sticks idx by the axis walk of the
+    module docstring about their axis sticks axis, or by the sweep once the
+    walk's rows would outnumber _WALK_ROWS per stick, from the least
+    distance least found so far; lo and hi are the corners of each stick's
+    box, planes its _axis_sticks data or None and boxes the three together,
+    size the largest coordinate magnitude."""
+    n = len(idx)
     seen = set()   # (i, k) for each pair walked
 
     def walked(left):
@@ -366,14 +430,14 @@ def _axis_pairs(segs, ends, floor, visit, lo, hi, size) -> float:
         return n * (n - 1) // 2 - left * (left - 1) // 2 <= _WALK_ROWS * n
 
     if not walked(len(axis)):
-        return _sweep(segs, floor, visit, lo, hi, size, math.inf, seen)
-    heap = [r for j in range(n) if planes[j] is None
-            for r in _rows(boxes, j, [k for k in range(n) if k > j or planes[k]])]
+        return _sweep(segs, floor, visit, lo, hi, size, least, idx, seen.__contains__)
+    heap = [r for j in idx if planes[j] is None
+            for r in _rows(boxes, j, [k for k in idx if k > j or planes[k]])]
     K = _axis_bound(axis, ends)
     if K < math.inf:   # (key, -1, m): the entry of the axis sticks axis[m:] not yet moved
         heap.append((K * axis[0][0], -1, 0))
     heapify(heap)
-    least = pad = math.inf   # pad stays infinite until visit returns a distance
+    pad = _pad(least, floor, size)   # infinite until visit returns a distance
     while heap and heap[0][0] <= pad:
         _, i, k = heappop(heap)
         if i >= 0:
@@ -382,7 +446,7 @@ def _axis_pairs(segs, ends, floor, visit, lo, hi, size) -> float:
             if d < least:
                 least, pad = d, _pad(d, floor, size)
         elif not walked(len(axis) - k - 1):
-            return _sweep(segs, floor, visit, lo, hi, size, least, seen)
+            return _sweep(segs, floor, visit, lo, hi, size, least, idx, seen.__contains__)
         else:   # move axis[k] to S
             for r in _rows(boxes, axis[k][-1], [f[-1] for f in axis[k + 1:]]):
                 heappush(heap, r)
@@ -403,17 +467,22 @@ def _rows(boxes, j, ks):
             for k, (l, h, t) in zip(ks, map(boxes.__getitem__, ks))]
 
 
-def _axis_sticks(segs, ends):
+def _axis_sticks(segs, ends, idx, line):
     """(cos theta, azimuth, axis end height, key there, index) of each axis
-    stick of segs, steepest first; ends holds the keys of each stick's ends."""
+    stick among the sticks idx of segs, about the vertical line through
+    line = (x, y), steepest first; ends holds the keys of each stick's
+    ends."""
+    x, y = line
     axis = []
-    for i, (a, b) in enumerate(segs):
-        at_a = a[0] == 0.0 and a[1] == 0.0
-        if at_a != (b[0] == 0.0 and b[1] == 0.0):
+    for i in idx:
+        a, b = segs[i]
+        at_a = a[0] == x and a[1] == y
+        if at_a != (b[0] == x and b[1] == y):
             p, q = (a, b) if at_a else (b, a)
-            axis.append((math.hypot(q[0], q[1]) / math.hypot(q[0], q[1], q[2] - p[2]),
-                         math.atan2(q[1], q[0]), p[2], ends[i][not at_a], i))
-    axis.sort(key=lambda f: (f[0], f[-1]))
+            dx, dy = q[0] - x, q[1] - y
+            axis.append((math.hypot(dx, dy) / math.hypot(dx, dy, q[2] - p[2]),
+                         math.atan2(dy, dx), p[2], ends[i][not at_a], i))
+    axis.sort(key=itemgetter(0, 4))
     return axis
 
 
@@ -423,33 +492,32 @@ def _axis_bound(axis, ends) -> float:
     of every stick's ends.  0 when two at one azimuth share no key, inf when
     there is one azimuth or one axis key.  The sticks are sorted once by
     azimuth and once by height."""
-    by_psi = sorted(axis, key=lambda f: f[1])
-    for _, group in groupby(by_psi, key=lambda f: f[1]):
+    by_psi = sorted(axis, key=itemgetter(1))
+    for _, group in groupby(by_psi, key=itemgetter(1)):
         if any({*ends[f[-1]]}.isdisjoint(ends[g[-1]]) for f, g in combinations(group, 2)):
             return 0.0
     psi = [f[1] for f in by_psi]
     gaps = [b - a for a, b in zip(psi, psi[1:]) if b != a]
-    by_z = sorted(axis, key=lambda f: f[2])
+    by_z = sorted(axis, key=itemgetter(2))
     dz = min((g[2] - f[2] for f, g in zip(by_z, by_z[1:]) if f[3] != g[3]), default=math.inf)
     if not gaps or dz == math.inf:
         return math.inf
     return math.sin(min(2 * math.pi - (psi[-1] - psi[0]), *gaps) / 2) * dz
 
 
-def _sweep(segs, floor, visit, lo, hi, size, least, seen) -> float:
+def _sweep(segs, floor, visit, lo, hi, size, least, idx, skip) -> float:
     """_near_pairs by the sweep of the module docstring, over the pairs
-    (i, k) not in seen, from the least distance least that visit returned
-    on them."""
-    n = len(segs)
+    (i, k) of the sticks idx for which skip((i, k)) is false, from the
+    least distance least that visit returned."""
     pad = _pad(least, floor, size)
     active: list[int] = []
-    for j in sorted(range(n), key=lambda i: lo[i][2]):
+    for j in sorted(idx, key=lambda i: lo[i][2]):
         (xl, yl, zl), (xh, yh, _) = lo[j], hi[j]
         active = [o for o in active if hi[o][2] >= zl - pad]
         xl, xh, yl, yh = xl - pad, xh + pad, yl - pad, yh + pad
         for o in [o for o in active if lo[o][0] <= xh and xl <= hi[o][0] and lo[o][1] <= yh and yl <= hi[o][1]]:
             i, k = (o, j) if o < j else (j, o)
-            if (i, k) not in seen:
+            if not skip((i, k)):
                 d = visit(i, (k,))
                 if d < least:
                     least, pad = d, _pad(d, floor, size)
@@ -489,10 +557,11 @@ def _ray_bound(d, r, c, h):
     return r * math.sin(min(g, math.pi / 2)) if g > 0.0 else 0.0
 
 
-def _fan_pairs(segs, ends, floor, visit, size):
-    """_near_pairs by the fan cull of the module docstring; size is the
-    largest coordinate magnitude."""
-    least = t = math.inf
+def _fan_pairs(segs, ends, floor, visit, size, idx, least):
+    """_near_pairs by the fan cull of the module docstring over the sticks
+    idx, from the least distance least found so far; size is the largest
+    coordinate magnitude."""
+    t = _pad(least, floor, size)
     u = 2.0 ** -53
 
     def see(i, k):
@@ -501,7 +570,7 @@ def _fan_pairs(segs, ends, floor, visit, size):
         if d < least:
             least, t = d, _pad(d, floor, size)
 
-    rest = list(range(len(segs)))
+    rest = list(idx)
     while True:
         count = Counter(p for i in rest for p in {*segs[i]})
         F, most = max(count.items(), key=lambda e: e[1], default=(None, 0))
@@ -579,6 +648,11 @@ def _fold_pairs(segs, floor, visit) -> None:
         if b != a:   # the unit from b is the exact negation of the unit from a
             rays.setdefault(b, []).append(((-d[0], -d[1], -d[2]), w, i))
     for group in rays.values():
+        if len(group) == 2:   # the sweep's one comparison, made directly
+            (d, w, i), (e, v, k) = group
+            if _norm(_vsub(d, e)) <= w + v:
+                visit(min(i, k), (max(i, k),))
+            continue
         active = []   # the boxes whose units could still lie within reach
         for box in sorted((d[0] - w, i, w, d) for d, w, i in group):
             lo, i, w, d = box

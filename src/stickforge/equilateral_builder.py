@@ -101,6 +101,17 @@ off by d moves a bound by under 5Md.  Each computed unit vector lies within
 from atan2 (_angle), which is within 10u of the angle between its computed
 arguments even near 0 and pi.  So h is off by under 10u, c = unit(a + b)
 by under 16u/|a + b|, and Theta by under (18 + Theta_end)u per sample.
+The swinging stick's rays come in closed form when its pivot lies exactly
+on the axis: at sample s the unit is (cos phi_s d, sin phi_s), d the page
+direction, its summed turning is |phi_s - phi_start| and rho is
+TRIM_FRACTION M.  The computed free end then lies within 6uM of pivot +
+M (cos phi_s d, sin phi_s) in each coordinate (x and y subtract an exact
+0, z a height below 2M), so the closed-form unit lies within 16u of the
+direction of the computed points; the stick turns in one plane with phi
+monotone, so |phi_s - phi_start| lies within 40u of the turning between
+the directions it stands for, with no error summed over samples; and
+f M lies within 8u f M of f times the least computed length.  Each
+stays inside the allowances above.
 The cone is used only when _horizon trusts the arc's plane (|a x b| >=
 1e-3, so ab <= pi - 1e-3) or a . b >= 0 (ab <= pi/2); either way
 |a + b| = 2 cos(ab/2) is about 1e-3 or more, and c is off by under 2e-12.
@@ -492,8 +503,8 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
     state order, shared by the sweeps of one certificate."""
     diri = _page_dir(move.page_angle)
     steps = max(2, int(math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD)) + 1)
-    ends = [_free_end(move.pivot, diri, M, move.phi_start + (move.phi_end - move.phi_start) * step / steps)
-            for step in range(steps + 1)]
+    phis = [move.phi_start + (move.phi_end - move.phi_start) * step / steps for step in range(steps + 1)]
+    ends = [_free_end(move.pivot, diri, M, phi) for phi in phis]
     fixed = [move.pivot] if move.hub is None else [move.pivot, move.hub]
     f, half = TRIM_FRACTION, math.pi / 2
     heights = [e[2] for e in ends]
@@ -505,15 +516,21 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
     cones = []   # per mover: c_m, h_m and rho
     pool = []    # every pair, led by its bound over the whole sweep
     for k, F in enumerate(fixed):
-        outs = [_vsub(e, F) for e in ends]
-        lengths = [_norm(v) for v in outs]
-        units = [(v[0] / n, v[1] / n, v[2] / n) for v, n in zip(outs, lengths)]   # as _unit
-        turned = [0.0]
-        for u, v in zip(units, units[1:]):
-            turned.append(turned[-1] + _angle(u, v))
+        if k == 0 and move.pivot[0] == 0.0 == move.pivot[1]:   # the swing from the axis, in closed form
+            units = [(math.cos(phi) * diri[0], math.cos(phi) * diri[1], math.sin(phi)) for phi in phis]
+            turned = [abs(phi - move.phi_start) for phi in phis]
+            rho = f * M
+        else:
+            outs = [_vsub(e, F) for e in ends]
+            lengths = [_norm(v) for v in outs]
+            units = [(v[0] / n, v[1] / n, v[2] / n) for v, n in zip(outs, lengths)]   # as _unit
+            turned = [0.0]
+            for u, v in zip(units, units[1:]):
+                turned.append(turned[-1] + _angle(u, v))
+            rho = f * min(lengths)
         rays.append((units, turned))
         mid = bisect_left(turned, turned[-1] / 2)   # the mover's cone: c_m, h_m
-        cones.append((units[mid], max(turned[mid], turned[-1] - turned[mid]), f * min(lengths)))
+        cones.append((units[mid], max(turned[mid], turned[-1] - turned[mid]), rho))
         (mx, my, mz), hm, rho = cones[-1]   # rho: where the trimmed mover starts
         lo, hi = min(low, F[2]), max(high, F[2])
         slots = horizons.setdefault(F, [])
@@ -524,7 +541,7 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                 if slot[0] is not entry:
                     (_, _, za), (_, _, zb) = entry
                     pre = max(min(za, zb) - hi, lo - max(za, zb))
-                    if k == 0 and plane and (other := _half_plane(*entry)):
+                    if k == 0 and plane and (other := _half_plane(*entry, (0.0, 0.0))):
                         pre = max(pre, _plane_gap(plane, other))
                     if pre > 0.0:   # the horizon waits until the pair is drawn
                         pool.append((pre, len(pool), k, (slots, i, entry), None))

@@ -928,10 +928,10 @@ def axis_bound(axis, ends) -> float:
     return math.inf if math.inf in (gap, dz) else math.sin(gap / 2) * dz
 
 
-def unmoved_bound(segs, planes, ends, unmoved) -> float:
-    """The builder's unmoved bound B, recomputed as first written: one
-    azimuth and one height list built stick by stick, then sorted with
-    their keys."""
+def unmoved_bound(segs, planes, ends, unmoved, line) -> float:
+    """The builder's unmoved bound B about the vertical line through line,
+    recomputed as first written: one azimuth and one height list built
+    stick by stick, then sorted with their keys."""
     azimuths, axis, cos = [], [], 1.0
     for i in unmoved:
         if planes[i] is None:
@@ -940,7 +940,7 @@ def unmoved_bound(segs, planes, ends, unmoved) -> float:
         b = segs[i][1]
         cos = min(cos, c)
         azimuths.append((psi, i))
-        axis.append((z, ends[i][b[0] == 0.0 == b[1]]))
+        axis.append((z, ends[i][b[:2] == line]))
     psi = []
     for az, group in groupby(sorted(azimuths), key=lambda e: e[0]):
         if any({*ends[i]}.isdisjoint(ends[k]) for (_, i), (_, k) in combinations(group, 2)):

@@ -64,14 +64,18 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   build_parts tries (it pinches at arc83.lower each time), the trefoil's
   tents at M = 20 against a tampered reduction (tampered), and the
   mid-sweep pinch frames (pinch_frame), swing and joiner, in that order.
-- cull-work: not a hash but a report, one line per stickbench workload
-  at seed 1 and float pass: the sticks of the frames the pass checks, the
-  rows of its walks (those that the builder's box-gap walks sort, those
-  that the verifier's axis walk builds for its heap), and the pairs it
-  measures with its distance kernel.  tolerance_report runs on every frame
-  that build_equilateral hands it, check_equilateral and the float
-  check_simplicity(segments, scale=M) on every build, as the benchmark's
-  eq job runs them.  A change in what the culls prune shows here first.
+- cull-work: not a hash but a report, per stickbench workload at seed 1.
+  First one certificate line: the calls of the motion certificate's pair
+  kernels (CERTIFICATE_KERNELS) over the workload's builds.  Then, for
+  each float pass, one line for the single frames (one component) and one
+  for the assembled frames (several parts): the sticks of the frames the
+  pass checks, the rows of its walks (those that the builder's box-gap
+  walks heap, those that the verifier's axis walk builds for its heap),
+  and the pairs it measures with its distance kernel.  tolerance_report
+  runs on every frame that build_equilateral hands it, check_equilateral
+  and the float check_simplicity(segments, scale=M) on every build, as the
+  benchmark's eq job runs them.  A change in what the culls prune shows
+  here first.
 - validator: the outcome of validate_presentation on 3,072 mutants, one
   line each: "ok n e v m", or the exception's "type: message".  The bases
   are the catalog and random_presentation(s, p, n) for p in PROFILES,
@@ -89,7 +93,8 @@ import json
 import math
 import random
 import sys
-from contextlib import contextmanager
+from collections import Counter
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -110,6 +115,8 @@ from stickforge.stick_builder import build
 from stickforge.verifier import check_equilateral, check_simplicity, verify_stick_embedding
 
 GRID_SIZES = (2, 3, 4, 6, 8, 12, 20, 40, 80, 150)
+# the motion certificate's pair kernels, whose calls the cull-work report counts
+CERTIFICATE_KERNELS = ("_slot_clearance", "_least_angle", "_horizon")
 VALIDATOR_DRAWS = 8   # mutants per base presentation and mutation depth
 
 
@@ -371,17 +378,21 @@ def _spied(module, name, seen):
 
 
 def cull_work_lines():
-    """One line per workload and float pass of the cull-work report (see
-    the module docstring)."""
+    """The lines of the cull-work report, per workload (see the module
+    docstring)."""
     bw = _bench_workloads()
     for w in bw.WORKLOADS:
-        frames, builds = [], []
-        with _spied(equilateral_builder, "tolerance_report", lambda args: frames.append(args[0])):
+        frames, builds, calls = [], [], Counter({name: 0 for name in CERTIFICATE_KERNELS})
+        with ExitStack() as spies:
+            spies.enter_context(_spied(equilateral_builder, "tolerance_report", lambda args: frames.append(args[0])))
+            for name in CERTIFICATE_KERNELS:
+                spies.enter_context(_spied(equilateral_builder, name, lambda args, name=name: calls.update([name])))
             for job in bw.make(w, 1):
                 try:
                     builds.append(build_equilateral(validate_presentation(job.presentation)))
                 except equilateral_builder.EquilateralError:
                     pass   # a refused build is no frame of the eq checks
+        yield f"{w} certificate: " + ", ".join(f"{n} {name}" for name, n in calls.items())
         # each pass's row source, and where its arguments hold the rows it sorts or builds
         builder_rows = (_builder_culls, "_walk", 0, equilateral_builder, "_seg_distance")
         verifier_rows = (_verifier_float, "_rows", 2, verifier, "seg_distance")
@@ -390,13 +401,15 @@ def cull_work_lines():
                   ("check_simplicity", builds, lambda e: check_simplicity([(s.a, s.b) for s in e.sticks], scale=e.M),
                    *verifier_rows))
         for name, embs, run, culls, source, at, kernel_module, kernel in passes:
-            rows, pairs = [], []
-            with _spied(culls, source, lambda args: rows.append(len(args[at]))), \
-                    _spied(kernel_module, kernel, lambda args: pairs.append(1)):
-                for emb in embs:
-                    run(emb)
-            yield (f"{w} {name}: {len(embs)} frames, {sum(len(e.sticks) for e in embs)} sticks, "
-                   f"{sum(rows)} rows, {len(pairs)} pairs")
+            for kind in ("single", "assembled"):
+                part = [e for e in embs if (len(e.components) > 1) == (kind == "assembled")]
+                rows, pairs = [], []
+                with _spied(culls, source, lambda args: rows.append(len(args[at]))), \
+                        _spied(kernel_module, kernel, lambda args: pairs.append(1)):
+                    for emb in part:
+                        run(emb)
+                yield (f"{w} {name}, {kind}: {len(part)} frames, {sum(len(e.sticks) for e in part)} sticks, "
+                       f"{sum(rows)} rows, {len(pairs)} pairs")
 
 
 def cull_work() -> str:

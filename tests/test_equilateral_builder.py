@@ -659,7 +659,7 @@ def test_pre_bound_matches_all_pairs(monkeypatch, case):
     q = ends[-1]
     holder = tuple((t * q[0], -least * (1 + 1e-3), t * q[2]) for t in (0.4, 0.6))
     before, after = _one_swing(move, M, {"probe": probe, "holder": holder})
-    plane = _builder_culls._half_plane(*probe)
+    plane = _builder_culls._half_plane(*probe, (0.0, 0.0))
     assert (plane is None) == case.endswith("axis")
     if case in ("above", "from-below"):
         pre = _builder_culls._plane_gap((0.0, 0.0, min(math.cos(phi_start), math.cos(phi_end))), plane)

@@ -29,6 +29,8 @@ from stickforge.equilateral_builder import (EquilateralEmbedding, EStick, build_
 from stickforge.randgen import PROFILES, random_presentation
 from stickforge.verifier import TOLERANCES, check_equilateral, check_simplicity
 
+AXIS = (0.0, 0.0)   # the axis line of a frame that build_component puts down
+
 
 def _build(ap):
     return build_equilateral(validate_presentation(ap))
@@ -95,31 +97,42 @@ def _assert_matches_reference(emb):
 
 
 def _walks(monkeypatch):
-    """Record the rows of every box-gap walk of the builder's cull: none on
-    the fan cull, one over the pairs that hold a swept stick, and a second
-    over the pairs of two unmoved sticks when the unmoved bound does not
-    clear the first walk's minimum."""
+    """Record the rows of every box-gap walk of the builder's cull, copied
+    before the walk pops them: on each slab, none on the fan cull, one over
+    the pairs that hold a swept stick, and a second over the pairs of two
+    unmoved sticks when the unmoved bound does not clear the first walk's
+    minimum; then one over the pairs across slabs when a cut gap does not
+    clear it."""
     walks = []
     monkeypatch.setattr(_builder_culls, "_walk", lambda rows, *args, real=_builder_culls._walk: (
-        walks.append(rows), real(rows, *args))[1])
+        walks.append([*rows]), real(rows, *args))[1])
     return walks
 
 
 def _verifier_paths(monkeypatch):
-    """Record the cull that each float check of the verifier takes, one
-    entry per check: "fan", "bound" (the axis walk settles every pair) or
-    "sweep" (the sweep, at once or after part of the walk)."""
+    """Record the culls that each float check of the verifier takes, one
+    list per check with one entry per slab of its frame: "fan", "bound"
+    (the axis walk settles every pair of the slab) or "sweep" (the sweep,
+    at once or after part of the walk); then "across" when the pairs
+    across slabs are swept too."""
     paths = []
 
     def spy(name, mark):
         def wrapped(*args, real=getattr(_verifier_float, name)):
-            mark()
+            mark(*args)
             return real(*args)
         monkeypatch.setattr(_verifier_float, name, wrapped)
 
-    spy("_fan_pairs", lambda: paths.append("fan"))
-    spy("_axis_pairs", lambda: paths.append("bound"))
-    spy("_sweep", lambda: paths.__setitem__(-1, "sweep"))
+    def swept(*args):
+        if isinstance(getattr(args[-1], "__self__", None), set):   # a slab's walk hands over
+            paths[-1][-1] = "sweep"
+        else:
+            paths[-1].append("across")
+
+    spy("_slabs", lambda *args: paths.append([]))
+    spy("_fan_pairs", lambda *args: paths[-1].append("fan"))
+    spy("_axis_pairs", lambda *args: paths[-1].append("bound"))
+    spy("_sweep", swept)
     return paths
 
 
@@ -133,16 +146,22 @@ def test_culled_passes_match_all_pairs(builds, monkeypatch):
             checks.clear()
             walks.clear()
             _assert_matches_reference(case)
-            paths.add((len(walks), *checks))
+            paths.add((len(walks), *map(tuple, checks)))
             segs = [(s.a, s.b) for s in case.sticks]
             verdicts.add(check_simplicity(segs, scale=case.M).ok)
     assert verdicts == {True, False}
-    # the fan cull in all three passes (no walk); the builder's walk over
-    # the swept pairs, alone and followed by the unmoved pairs; and beside
-    # them the verifier's axis walk and its sweep, which the two
-    # checks can take apart on one mutant (their keys and minima differ)
-    assert paths == {(0, "fan", "fan"), (1, "bound", "bound"), (1, "bound", "sweep"),
-                     (2, "bound", "bound"), (2, "sweep", "bound"), (2, "sweep", "sweep")}
+    # on frames of one slab: the fan cull in all three passes (no walk);
+    # the builder's walk over the swept pairs, alone and followed by the
+    # unmoved pairs; and beside them the verifier's axis walk and its
+    # sweep, which the two checks can take apart on one mutant (their keys
+    # and minima differ)
+    assert {(w, *a, *b) for w, a, b in paths if len(a) == len(b) == 1} == \
+        {(0, "fan", "fan"), (1, "bound", "bound"), (1, "bound", "sweep"),
+         (2, "bound", "bound"), (2, "sweep", "bound"), (2, "sweep", "sweep")}
+    # frames cut at x-gaps (assembled parts, or a stick a mutant slid off
+    # its neighbours) take every cull slab by slab, and the sweep across
+    # slabs where a cut gap does not clear the least distance
+    assert {x for _, a, b in paths if len(a) > 1 for x in a + b} == {"fan", "bound", "sweep", "across"}
 
 
 def test_culled_passes_match_all_pairs_on_fold_back():
@@ -268,9 +287,6 @@ def test_assembled_tolerance_measures_no_cross_part_pair(monkeypatch, ap):
     calls = _visits(monkeypatch, equilateral_builder)
     walks = _walks(monkeypatch)
     assert tolerance_report(out) == out.tolerance == oracles.all_pairs_tolerance(out)
-    # the assembled frame's unmoved sticks, if any, stand off the axis, so
-    # the unmoved bound is 0 and their pairs are walked too
-    assert len(walks) == (1 if len(_split(out)) == len(out.sticks) else 2)
     ((segs, pairs),) = calls
     assert len(segs) == len(out.sticks)
     part = [s.component for s in out.sticks]
@@ -283,10 +299,15 @@ def test_assembled_tolerance_measures_no_cross_part_pair(monkeypatch, ap):
         # some in-part pair lies below M, so the parts' gap of M rules out the rest
         assert min(in_part) < out.M
         assert crossing == []
+        # each part walks its swept pairs about its own axis, and its
+        # unmoved bound clears the rest
+        assert len(walks) == len(out.components)
     else:
         # every in-part pair shares a junction, so the least clearance lies
-        # between parts and cross-part pairs must be measured
+        # between parts and cross-part pairs must be measured: the parts
+        # crowd one spot each, and one walk takes the pairs across them
         assert crossing and out.tolerance.min_clearance > out.M
+        assert len(walks) == 1
 
 
 def _split(emb):
@@ -382,9 +403,10 @@ def _segs_ends(emb):
 
 
 def _unmoved_bound(segs, ends, swept):
-    """The builder's unmoved bound of the sticks of segs outside swept."""
-    planes = [_builder_culls._half_plane(a, b) for a, b in segs]
-    return _builder_culls._unmoved_bound(segs, planes, ends, [i for i in range(len(segs)) if i not in swept])
+    """The builder's unmoved bound, about the z axis, of the sticks of segs
+    outside swept."""
+    planes = [_builder_culls._half_plane(a, b, AXIS) for a, b in segs]
+    return _builder_culls._unmoved_bound(segs, planes, ends, [i for i in range(len(segs)) if i not in swept], AXIS)
 
 
 def _free_end(emb, i):
@@ -477,11 +499,11 @@ def test_unmoved_bound_equals_the_reference(workload_frames):
     kinds = set()
     for emb in frames:
         segs, ends = _segs_ends(emb)
-        planes = [_builder_culls._half_plane(a, b) for a, b in segs]
+        planes = [_builder_culls._half_plane(a, b, AXIS) for a, b in segs]
         swept = set(_split(emb))
         unmoved = [i for i in range(len(segs)) if i not in swept]
-        got = _builder_culls._unmoved_bound(segs, planes, ends, unmoved)
-        assert got.hex() == oracles.unmoved_bound(segs, planes, ends, unmoved).hex()
+        got = _builder_culls._unmoved_bound(segs, planes, ends, unmoved, AXIS)
+        assert got.hex() == oracles.unmoved_bound(segs, planes, ends, unmoved, AXIS).hex()
         kinds.add("0" if got == 0 else "inf" if got == math.inf else "finite")
     assert kinds == {"0", "finite", "inf"}
 
@@ -688,11 +710,12 @@ def test_verifier_fan_cull_survives_extreme_scales(fan32, scale):
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
-@pytest.mark.parametrize("ap, path", [(catalog("trefoil"), "bound"), (random_presentation(3, "multi", 40), "sweep")],
-                         ids=["trefoil", "multi"])
+@pytest.mark.parametrize("ap, path", [(catalog("trefoil"), ["bound"]), (random_presentation(0, "theta", 30), ["sweep"]),
+                                      (random_presentation(3, "multi", 40), ["bound", "bound"])],
+                         ids=["trefoil", "theta", "multi"])
 def test_verifier_walk_and_sweep_survive_extreme_scales(monkeypatch, ap, path, scale):
-    # the same off the fan, on frames that the axis walk and the sweep
-    # take in range: no cull runs
+    # the same off the fan, on frames that the axis walk, the sweep and
+    # the walk of each slab take in range: no cull runs
     paths = _verifier_paths(monkeypatch)
     emb = _build(ap)
     _assert_rejects_scale(emb, scale)

@@ -218,7 +218,7 @@ def test_axis_bound_equals_the_pairwise_reference(bench_frames, bouquet):
     for emb in [*bench_frames, bouquet, *mutants]:
         segs = [(s.a, s.b) for s in emb.sticks]
         for ends in ([((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks], segs):
-            axis = _verifier_float._axis_sticks(segs, ends)
+            axis = _verifier_float._axis_sticks(segs, ends, range(len(segs)), (0.0, 0.0))
             got, want = _verifier_float._axis_bound(axis, ends), oracles.axis_bound(axis, ends)
             assert got.hex() == want.hex()
             kinds["0" if got == 0 else "inf" if got == math.inf else "finite"] += 1
@@ -333,11 +333,11 @@ def test_sweep_matches_all_pairs_on_unit_sticks(paths, monkeypatch):
 
 
 @pytest.mark.parametrize("ap, kind, want", [
-    (catalog("trefoil"), "bp", "bound"),       # two axis sticks left by the walk
-    (catalog("trefoil"), "apex", "bound"),
-    (catalog("trefoil"), "end", "bound"),      # a joiner's end<p>
-    (random_presentation(3, "multi", 40), "bp", "sweep"),
-    (catalog("theta_trivial(16)"), "hub", "fan"),
+    (catalog("trefoil"), "bp", ["bound"]),       # two axis sticks left by the walk
+    (catalog("trefoil"), "apex", ["bound"]),
+    (catalog("trefoil"), "end", ["bound"]),      # a joiner's end<p>
+    (random_presentation(3, "multi", 40), "bp", ["bound", "bound"]),   # each part about its own axis
+    (catalog("theta_trivial(16)"), "hub", ["fan"]),
 ], ids=["axis-point", "apex", "joiner-end", "assembled", "hub"])
 def test_fold_pass_matches_all_pairs_on_fold_mutants(paths, ap, kind, want):
     # a stick folded back along its neighbour at the point they share; the
@@ -348,7 +348,7 @@ def test_fold_pass_matches_all_pairs_on_fold_mutants(paths, ap, kind, want):
     (entry,) = check_simplicity(segs, scale=emb.M).entries
     assert (entry.passed, entry.witness) == oracles.all_pairs_float_simplicity(segs, scale=emb.M)
     assert not entry.passed and entry.witness.endswith("fold back along each other")
-    assert taken == [want]
+    assert taken == want
 
 
 def test_fold_checks_pinned():
