@@ -1,30 +1,36 @@
-"""The verifier's float pair culls, the fold pass, and the distance kernel
-they share.
+"""The float pair culls, the verifier's fold pass, and the verifier's
+distance kernel.
 
-check_equilateral's clearance and the float branch of check_simplicity
-measure only the stick pairs that _near_pairs hands them, and lose nothing
-by it: this docstring proves it.  Like _verifier_exact, this module imports
-nothing of the package, no builder code and not the verifier, so its vector
-helpers are its own.
+Three callers measure only the stick pairs that _near_pairs hands them,
+and lose nothing by it: this docstring proves it.  They are
+check_equilateral's clearance and the float branch of check_simplicity,
+both measuring with seg_distance, and equilateral_builder.tolerance_report,
+measuring with its own kernel _builder_culls._seg_distance.  The proof asks
+one thing of a kernel: that a measured value is at least the true distance
+less 40uC (see the sweep below); both kernels meet it.  Like
+_verifier_exact, this module imports nothing of the package, no builder
+code and not the verifier, so its vector helpers are its own.  The
+boundary runs one way: the builder may import this module.
 
 The float checks fail any coordinate or scale that is not finite, a length
 scale that is not positive, and any input outside the range below, before
-they measure anything.  Then they cull their pairs.  Each check keys the
-ends of its sticks: check_equilateral by component and junction label,
-check_simplicity by the coordinates themselves, and neither measures a
-pair that shares a key.  Let m be the larger of the least distance
-measured so far and the check's floor clearance_min, C the largest
-coordinate magnitude, pad = m + junction_rel (C + m), and u = 2^-53.  Each
-cull below hands over every pair with disjoint keys that could lie within
-pad, so every pair at the least distance is measured, and so is every
-pair below clearance_min.  Since clearance_rel exceeds junction_rel, so is
-every pair with disjoint keys and ends within the snap, which
-check_simplicity gives the fold-back test instead.  A minimum does not
-depend on the order it is taken in, and failing pairs are sorted back into
-lexicographic order, so minima, verdicts and witnesses are those of
-testing every pair.  Each pair is measured once, lower index first, as the
-all-pairs loop measured it.  So the culls are about distance alone; the
-pairs that share a key and could fold back come from the fold pass.
+they measure anything.  Then they cull their pairs.  Each caller keys the
+ends of its sticks: check_equilateral and tolerance_report by component
+and junction label, check_simplicity by the coordinates themselves, and
+none measures a pair that shares a key.  Let m be the larger of the least
+distance measured so far and the check's floor clearance_min, C the
+largest coordinate magnitude, pad = m + junction_rel (C + m), and
+u = 2^-53.  Each cull below hands over every pair with disjoint keys that
+could lie within pad, so every pair at the least distance is measured,
+and so is every pair below clearance_min.  Since clearance_rel exceeds
+junction_rel, so is every pair with disjoint keys and ends within the
+snap, which check_simplicity gives the fold-back test instead.  A minimum
+does not depend on the order it is taken in, and failing pairs are sorted
+back into lexicographic order, so minima, verdicts and witnesses are
+those of testing every pair.  Each pair is measured once, lower index
+first, as the all-pairs loop measured it.  So the culls are about
+distance alone; the pairs that share a key and could fold back come from
+the fold pass.
 
 Range.  The float checks fail a coordinate of magnitude above 2^200, and
 a scale (M, or the scale given to check_simplicity or derived there)
@@ -56,6 +62,19 @@ against every ray; and a stick that short gets a fold width above 2, so
 the fold pass pairs it with every other.  The margin junction_rel (C + m) is at least junction_rel
 clearance_rel 2^-200 > 2^-250, so every argument below holds as it would
 without underflow.
+
+Builder frames.  tolerance_report runs no input check and culls with
+floor 0, so m is the least distance measured so far, pad is infinite until
+visit returns a distance, and no pair lies below the floor; the rest holds
+as written.  A frame gets the proof while its coordinates stay within
+2^200: a built part's points lie within 5M of its axis point at the
+origin (equilateral_builder, Rounding), so a frame of one part does for
+M <= 2^197.  The builder's own cull before this one likewise assumed no
+overflow, and none is checked.
+Its axis points stand 1 apart, so C >= 1 and the margin junction_rel
+(C + m) exceeds 2^-250 without the floor; a stick within 2^-480 of a
+center then has every fan bound below t and is measured against every
+ray.
 
 The culls read the input in one scan of the stick boxes: their corners,
 and from per-axis columns of those C (min, max and negation do not round,
@@ -103,7 +122,9 @@ box of the other in x, y and z.
   cp1 = p + sc (q - p) and cp2 = r + tc (s - r) with sc, tc clamped to
   [0, 1]: each lies within 6uC of a point of its stick in every
   coordinate, and the length is off by under 5u of itself, so the result
-  is at least the true distance less 40uC.
+  is at least the true distance less 40uC.  This is the kernel condition:
+  _builder_culls._seg_distance meets it by the same argument, and every
+  cull below uses no more of a kernel.
 All of it is below 50u (C + m), and the margin junction_rel (C + m) is
 over 10^5 times more, so a skipped pair measures more than m.  m only
 falls, so a stick the sweep drops once is past every later box as well.
@@ -188,7 +209,8 @@ ends of the sticks still left share exactly, and at least three must
 share it.  The sticks with an end at the center are its rays; the others
 stay for the next center, and the pairs that no center holds are all
 measured.  So each pair is decided once, at the first center that holds
-one of its sticks.
+one of its sticks.  No pair whose sticks share a key is handed over:
+visit would measure nothing for it.
 - Two rays with different keys at the center are measured; two with one
   key there share it and are not.
 - A ray and a stick that stays: seen from the center F, the ray's
@@ -566,9 +588,11 @@ def _fan_pairs(segs, ends, floor, visit, size, idx, least):
 
     def see(i, k):
         nonlocal least, t
-        d = visit(min(i, k), (max(i, k),))
-        if d < least:
-            least, t = d, _pad(d, floor, size)
+        a, b = ends[i]
+        if a not in ends[k] and b not in ends[k]:   # visit measures no pair that shares a key
+            d = visit(min(i, k), (max(i, k),))
+            if d < least:
+                least, t = d, _pad(d, floor, size)
 
     rest = list(idx)
     while True:

@@ -168,13 +168,12 @@ _slot_clearance, which reads the slot's trimmed stick, trims the mover at
 F only when the slot shares F, and equals the trimmed clearance float for
 float.
 
-tolerance_report measures only the stick pairs that could hold the least
-clearance, in one ordered pass over the pairs that hold a swept stick,
-each led by its box gap or by the pairwise half-plane bound, and then,
-unless a bound from the tents clears them, the pairs of two unmoved
-sticks; its minimum is that of every pair, float for float.  The pass,
-and the proof that it loses nothing, are in _builder_culls, with the float
-vector helpers the certificate shares with it.
+tolerance_report measures only the stick pairs that the verifier's cull,
+_verifier_float._near_pairs, hands it with floor 0, by its own kernel
+_seg_distance; its minimum is that of every pair, float for float.  That
+module proves the cull loses nothing; _builder_culls shows that the
+kernel meets the cull's condition and holds the float vector helpers of
+the certificate.
 """
 
 from __future__ import annotations
@@ -185,8 +184,9 @@ from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
 from operator import sub
 
-from ._builder_culls import (SNAP_REL, V3, _angle, _cone, _cross, _dist, _dot, _half_plane, _near_pairs,
-                             _norm, _plane_gap, _seg_distance, _vsub)
+from . import _verifier_float
+from ._builder_culls import (SNAP_REL, V3, _angle, _cone, _cross, _dist, _dot, _half_plane, _norm, _plane_gap,
+                             _seg_distance, _vsub)
 from .arc_presentation import ValidatedPresentation, equal_length_parts
 
 DEFAULT_M_FACTOR = 4.0
@@ -425,10 +425,7 @@ def tolerance_report(emb: EquilateralEmbedding) -> ToleranceReport:
                     least = d
         return least
 
-    moved = {(c.index, mv.tag) for c in emb.components for mv in c.moves}
-    swept = [i for i, s in enumerate(emb.sticks)
-             if (s.component, s.tag) in moved or s.tag.startswith("join")]
-    min_clear = _near_pairs(segs, ends, swept, visit)
+    min_clear = _verifier_float._near_pairs(segs, ends, 0.0, visit)
     if min_clear is math.inf:
         min_clear = M
     return ToleranceReport(max_dev, min_clear, min_clear / M)

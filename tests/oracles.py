@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations
 
 from stickforge import equilateral_builder as eb
 from stickforge import verifier as vf
@@ -926,32 +926,6 @@ def axis_bound(axis, ends) -> float:
         if f[3] != g[3]:
             dz = min(dz, abs(f[2] - g[2]))
     return math.inf if math.inf in (gap, dz) else math.sin(gap / 2) * dz
-
-
-def unmoved_bound(segs, planes, ends, unmoved, line) -> float:
-    """The builder's unmoved bound B about the vertical line through line,
-    recomputed as first written: one azimuth and one height list built
-    stick by stick, then sorted with their keys."""
-    azimuths, axis, cos = [], [], 1.0
-    for i in unmoved:
-        if planes[i] is None:
-            return 0.0
-        z, psi, c = planes[i]
-        b = segs[i][1]
-        cos = min(cos, c)
-        azimuths.append((psi, i))
-        axis.append((z, ends[i][b[:2] == line]))
-    psi = []
-    for az, group in groupby(sorted(azimuths), key=lambda e: e[0]):
-        if any({*ends[i]}.isdisjoint(ends[k]) for (_, i), (_, k) in combinations(group, 2)):
-            return 0.0
-        psi.append(az)
-    if len(psi) < 2:
-        return math.inf
-    gap = min(2 * math.pi - (psi[-1] - psi[0]), *(b - a for a, b in zip(psi, psi[1:])))
-    axis.sort()
-    dz = min((z1 - z0 for (z0, k0), (z1, k1) in zip(axis, axis[1:]) if k0 != k1), default=math.inf)
-    return math.sin(gap / 2) * cos * dz
 
 
 def box_sweep_fold_pairs(segs, floor, visit) -> None:

@@ -69,12 +69,12 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   kernels (CERTIFICATE_KERNELS) over the workload's builds.  Then, for
   each float pass, one line for the single frames (one component) and one
   for the assembled frames (several parts): the sticks of the frames the
-  pass checks, the rows of its walks (those that the builder's box-gap
-  walks heap, those that the verifier's axis walk builds for its heap),
-  and the pairs it measures with its distance kernel.  tolerance_report
-  runs on every frame that build_equilateral hands it, check_equilateral
-  and the float check_simplicity(segments, scale=M) on every build, as the
-  benchmark's eq job runs them.  A change in what the culls prune shows
+  pass checks, the rows that the axis walk of their shared cull
+  (_verifier_float._rows) builds for its heap, and the pairs it measures
+  with its distance kernel.  tolerance_report runs on every frame that
+  build_equilateral hands it, check_equilateral and the float
+  check_simplicity(segments, scale=M) on every build, as the benchmark's
+  eq job runs them.  A change in what the culls prune shows
   here first.
 - validator: the outcome of validate_presentation on 3,072 mutants, one
   line each: "ok n e v m", or the exception's "type: message".  The bases
@@ -99,7 +99,7 @@ from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
-from stickforge import _builder_culls, _verifier_float, equilateral_builder, verifier
+from stickforge import _verifier_float, equilateral_builder, verifier
 from stickforge.arc_presentation import (BindingPoint, PresentationError, catalog, catalog_names,
                                          equal_length_parts, validate_presentation)
 from stickforge.circular_diagram import to_circular
@@ -393,18 +393,16 @@ def cull_work_lines():
                 except equilateral_builder.EquilateralError:
                     pass   # a refused build is no frame of the eq checks
         yield f"{w} certificate: " + ", ".join(f"{n} {name}" for name, n in calls.items())
-        # each pass's row source, and where its arguments hold the rows it sorts or builds
-        builder_rows = (_builder_culls, "_walk", 0, equilateral_builder, "_seg_distance")
-        verifier_rows = (_verifier_float, "_rows", 2, verifier, "seg_distance")
-        passes = (("tolerance_report", frames, tolerance_report, *builder_rows),
-                  ("check_equilateral", builds, check_equilateral, *verifier_rows),
+        # each pass's distance kernel; all three build their rows in _verifier_float._rows
+        passes = (("tolerance_report", frames, tolerance_report, equilateral_builder, "_seg_distance"),
+                  ("check_equilateral", builds, check_equilateral, verifier, "seg_distance"),
                   ("check_simplicity", builds, lambda e: check_simplicity([(s.a, s.b) for s in e.sticks], scale=e.M),
-                   *verifier_rows))
-        for name, embs, run, culls, source, at, kernel_module, kernel in passes:
+                   verifier, "seg_distance"))
+        for name, embs, run, kernel_module, kernel in passes:
             for kind in ("single", "assembled"):
                 part = [e for e in embs if (len(e.components) > 1) == (kind == "assembled")]
                 rows, pairs = [], []
-                with _spied(culls, source, lambda args: rows.append(len(args[at]))), \
+                with _spied(_verifier_float, "_rows", lambda args: rows.append(len(args[2]))), \
                         _spied(kernel_module, kernel, lambda args: pairs.append(1)):
                     for emb in part:
                         run(emb)

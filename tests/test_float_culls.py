@@ -1,28 +1,27 @@
 """The culled float pair passes against their all-pairs references.
 
 tolerance_report (builder) and check_equilateral's clearance and float
-check_simplicity (verifier) measure only the pairs their culls cannot rule
-out.  On a fan, all three bound pairs by cones about its shared junctions.
-Elsewhere tolerance_report walks the pairs that hold a moved stick by box
-gap, or by the pairwise half-plane bound where two sticks hang from the
-axis, and those of two unmoved tent sticks only when a bound from their
-half-planes does not clear them; the verifier walks the pairs of its axis
-sticks, or sweeps one box per stick in z.  Their minima, verdicts and
-details must equal those of the loops in oracles.py that measure every
-pair, float for float.
+check_simplicity (verifier) measure only the pairs that one cull,
+_verifier_float._near_pairs, cannot rule out: tolerance_report with floor
+0 and its own kernel, the checks with their floor clearance_min.  On a
+fan the cull bounds pairs by cones about its shared junctions; elsewhere
+it walks the pairs of its axis sticks, or sweeps one box per stick in z.
+The minima, verdicts and details must equal those of the loops in
+oracles.py that measure every pair, float for float.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 import oracles
 import parity
-from stickforge import _builder_culls, _verifier_float, equilateral_builder, verifier
+from stickforge import _verifier_float, equilateral_builder, verifier
 from stickforge.arc_presentation import catalog, catalog_names, equal_length_parts, validate_presentation
 from stickforge.equilateral_builder import (EquilateralEmbedding, EStick, build_equilateral, build_tents,
                                            reduce_top, tolerance_report)
@@ -96,25 +95,13 @@ def _assert_matches_reference(emb):
         oracles.all_pairs_float_simplicity(segs, scale=emb.M)
 
 
-def _walks(monkeypatch):
-    """Record the rows of every box-gap walk of the builder's cull, copied
-    before the walk pops them: on each slab, none on the fan cull, one over
-    the pairs that hold a swept stick, and a second over the pairs of two
-    unmoved sticks when the unmoved bound does not clear the first walk's
-    minimum; then one over the pairs across slabs when a cut gap does not
-    clear it."""
-    walks = []
-    monkeypatch.setattr(_builder_culls, "_walk", lambda rows, *args, real=_builder_culls._walk: (
-        walks.append([*rows]), real(rows, *args))[1])
-    return walks
-
-
 def _verifier_paths(monkeypatch):
-    """Record the culls that each float check of the verifier takes, one
-    list per check with one entry per slab of its frame: "fan", "bound"
-    (the axis walk settles every pair of the slab) or "sweep" (the sweep,
-    at once or after part of the walk); then "across" when the pairs
-    across slabs are swept too."""
+    """Record the culls that each float pass takes, one list per pass with
+    one entry per slab of its frame: "fan", "bound" (the axis walk settles
+    every pair of the slab) or "sweep" (the sweep, at once or after part of
+    the walk); then "across" when the pairs across slabs are swept too.
+    build_equilateral runs tolerance_report, so install this after the
+    build to count only the passes a test runs itself."""
     paths = []
 
     def spy(name, mark):
@@ -138,30 +125,26 @@ def _verifier_paths(monkeypatch):
 
 def test_culled_passes_match_all_pairs(builds, monkeypatch):
     checks = _verifier_paths(monkeypatch)
-    walks = _walks(monkeypatch)
     rng = random.Random(11)
     verdicts, paths = set(), set()
     for emb in builds:
         for case in [emb, *_mutants(emb, rng)]:
             checks.clear()
-            walks.clear()
             _assert_matches_reference(case)
-            paths.add((len(walks), *map(tuple, checks)))
+            paths.add(tuple(map(tuple, checks)))
             segs = [(s.a, s.b) for s in case.sticks]
             verdicts.add(check_simplicity(segs, scale=case.M).ok)
     assert verdicts == {True, False}
-    # on frames of one slab: the fan cull in all three passes (no walk);
-    # the builder's walk over the swept pairs, alone and followed by the
-    # unmoved pairs; and beside them the verifier's axis walk and its
-    # sweep, which the two checks can take apart on one mutant (their keys
-    # and minima differ)
-    assert {(w, *a, *b) for w, a, b in paths if len(a) == len(b) == 1} == \
-        {(0, "fan", "fan"), (1, "bound", "bound"), (1, "bound", "sweep"),
-         (2, "bound", "bound"), (2, "sweep", "bound"), (2, "sweep", "sweep")}
+    # on frames of one slab, the culls of tolerance_report,
+    # check_equilateral and check_simplicity: the fan cull in all three;
+    # the axis walk and the sweep, which the simplicity check can take
+    # apart from the other two on one frame (its keys and minimum differ)
+    assert {sum(p, ()) for p in paths if all(len(a) == 1 for a in p)} == \
+        {("fan",) * 3, ("bound",) * 3, ("bound", "bound", "sweep"), ("sweep", "sweep", "bound"), ("sweep",) * 3}
     # frames cut at x-gaps (assembled parts, or a stick a mutant slid off
     # its neighbours) take every cull slab by slab, and the sweep across
     # slabs where a cut gap does not clear the least distance
-    assert {x for _, a, b in paths if len(a) > 1 for x in a + b} == {"fan", "bound", "sweep", "across"}
+    assert {x for p in paths if len(p[0]) > 1 for x in sum(p, ())} == {"fan", "bound", "sweep", "across"}
 
 
 def test_culled_passes_match_all_pairs_on_fold_back():
@@ -223,8 +206,8 @@ def test_culled_passes_skip_most_pairs(monkeypatch):
     emb = _build(random_presentation(0, "bouquet", 150))
     n = len(emb.sticks)
     segs = [(s.a, s.b) for s in emb.sticks]
-    calls = _visits(monkeypatch, equilateral_builder, verifier)
-    walks = _walks(monkeypatch)
+    calls = _visits(monkeypatch, _verifier_float, verifier)
+    paths = _verifier_paths(monkeypatch)
     for run in (lambda: tolerance_report(emb), lambda: check_equilateral(emb),
                 lambda: check_simplicity(segs, scale=emb.M)):
         calls.clear()
@@ -233,14 +216,14 @@ def test_culled_passes_skip_most_pairs(monkeypatch):
         assert len(pairs) == len(set(pairs))
         assert all(i < k for i, k in pairs)
         assert len(pairs) < n * (n - 1) // 2 / 10
-    # tolerance_report settles the frame on its swept pairs alone
-    assert len(walks) == 1
+    # every pass settles the frame in the axis walk
+    assert paths == [["bound"]] * 3
 
 
 def test_swept_walk_work_guard(monkeypatch):
-    # random_presentation(0, 'bouquet', 150): keyed by the pairwise
-    # half-plane bound, the swept walk measures 3 pairs (126 by box gap
-    # alone), and the minimum is the all-pairs one
+    # random_presentation(0, 'bouquet', 150): the axis walk of
+    # tolerance_report measures few pairs, and the minimum is the all-pairs
+    # one
     emb = _build(random_presentation(0, "bouquet", 150))
     ref, measured = oracles.all_pairs_tolerance(emb), []
     monkeypatch.setattr(equilateral_builder, "_seg_distance", lambda *args, real=equilateral_builder._seg_distance: (
@@ -284,8 +267,8 @@ def test_culled_passes_measure_lower_index_first(monkeypatch, name):
 def test_assembled_tolerance_measures_no_cross_part_pair(monkeypatch, ap):
     out = _build(ap)
     assert len(out.components) > 1
-    calls = _visits(monkeypatch, equilateral_builder)
-    walks = _walks(monkeypatch)
+    calls = _visits(monkeypatch, _verifier_float)
+    paths = _verifier_paths(monkeypatch)
     assert tolerance_report(out) == out.tolerance == oracles.all_pairs_tolerance(out)
     ((segs, pairs),) = calls
     assert len(segs) == len(out.sticks)
@@ -299,19 +282,19 @@ def test_assembled_tolerance_measures_no_cross_part_pair(monkeypatch, ap):
         # some in-part pair lies below M, so the parts' gap of M rules out the rest
         assert min(in_part) < out.M
         assert crossing == []
-        # each part walks its swept pairs about its own axis, and its
-        # unmoved bound clears the rest
-        assert len(walks) == len(out.components)
+        # each part is a slab that the axis walk settles about its own axis
+        assert paths == [["bound"] * len(out.components)]
     else:
         # every in-part pair shares a junction, so the least clearance lies
         # between parts and cross-part pairs must be measured: the parts
-        # crowd one spot each, and one walk takes the pairs across them
+        # crowd one spot each, and the sweep takes the pairs across them
         assert crossing and out.tolerance.min_clearance > out.M
-        assert len(walks) == 1
+        assert paths == [["fan"] * len(out.components) + ["across"]]
 
 
 def _split(emb):
-    """The indices of the swept sticks, as tolerance_report picks them."""
+    """The indices of the swept sticks: those of each component's recorded
+    moves, and its joiners."""
     moved = {(c.index, mv.tag) for c in emb.components for mv in c.moves}
     return [i for i, s in enumerate(emb.sticks)
             if (s.component, s.tag) in moved or s.tag.startswith("join")]
@@ -352,44 +335,40 @@ def _least_unmoved_first(emb):
 
 
 def test_split_tolerance_matches_all_pairs_on_workload_frames(workload_frames, monkeypatch):
-    fans, measured = [], []
-    monkeypatch.setattr(_builder_culls, "_fan_pairs", lambda *args, real=_builder_culls._fan_pairs: (
-        fans.append(1), real(*args))[1])
+    measured = []
     monkeypatch.setattr(equilateral_builder, "_seg_distance", lambda *args, real=equilateral_builder._seg_distance: (
         measured.append(args), real(*args))[1])
-    walks = _walks(monkeypatch)
+    paths = _verifier_paths(monkeypatch)
     for w, frames in workload_frames.items():
-        fans.clear()
-        unmoved = repeats = 0
+        paths.clear()
+        repeats = 0
         for red in frames:
             measured.clear()
-            walks.clear()
             report = tolerance_report(red)
             repeats += len(measured) - len(set(measured))
-            unmoved += len(walks) == 2
             assert report == oracles.all_pairs_tolerance(red)
-        # no pair is measured twice; the swept pairs settle every large
+        # no pair is measured twice; the axis walk settles every large
         # frame, and of the small ones 4 crowd one spot and go to the fan
-        # cull and 10 walk their unmoved pairs too
-        assert (len(frames), repeats, len(fans), unmoved) == \
-            ((4, 0, 0, 0) if w == "random-large" else (149, 0, 4, 10))
+        # cull and 8 leave pairs to the sweep
+        assert (len(frames), repeats, Counter(map(tuple, paths))) == \
+            ((4, 0, {("bound",): 4}) if w == "random-large" else
+             (149, 0, {("bound",): 137, ("sweep",): 8, ("fan",): 4}))
     # five small frames hold their least clearance on a pair of unmoved sticks
     assert sum(map(_least_unmoved_first, workload_frames["random-small"])) == 5
 
 
 def test_tolerance_matches_all_pairs_on_tents(monkeypatch):
-    # build_tents frames: nothing has moved, so the swept walk is empty and
-    # every frame that does not crowd one spot walks its unmoved pairs
-    walks, paths = _walks(monkeypatch), set()
+    # build_tents frames, where nothing has moved: every cull takes some
+    paths, seen = _verifier_paths(monkeypatch), set()
     aps = [catalog(name) for name in catalog_names()]
     aps += [random_presentation(s, p, 30) for p in PROFILES for s in range(10)]
     for ap in aps:
         for vp in equal_length_parts(validate_presentation(ap)):
             tents = build_tents(vp, 4.0 * vp.m)
-            walks.clear()
+            paths.clear()
             assert tolerance_report(tents) == oracles.all_pairs_tolerance(tents)
-            paths.add(tuple(map(bool, walks)))
-    assert paths == {(), (False, True)}
+            seen.add(tuple(paths[0]))
+    assert seen == {("fan",), ("bound",), ("sweep",)}
 
 
 def _reduced(name):
@@ -402,11 +381,12 @@ def _segs_ends(emb):
             [((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks])
 
 
-def _unmoved_bound(segs, ends, swept):
-    """The builder's unmoved bound, about the z axis, of the sticks of segs
-    outside swept."""
-    planes = [_builder_culls._half_plane(a, b, AXIS) for a, b in segs]
-    return _builder_culls._unmoved_bound(segs, planes, ends, [i for i in range(len(segs)) if i not in swept], AXIS)
+def _axis(emb):
+    """The verifier's axis sticks of emb about the z axis, steepest first,
+    and their bound K."""
+    segs, ends = _segs_ends(emb)
+    axis = _verifier_float._axis_sticks(segs, ends, range(len(segs)), AXIS)
+    return axis, _verifier_float._axis_bound(axis, ends)
 
 
 def _free_end(emb, i):
@@ -436,76 +416,60 @@ def _shared_azimuth(emb):
 
 @pytest.mark.parametrize("mutate", [_tilted, _shared_azimuth], ids=["off-axis", "one-azimuth"])
 def test_split_falls_back_on_frames_off_its_shape(monkeypatch, mutate):
+    # off the axis, a tent stick leaves the axis sticks; two at one azimuth
+    # that share no key make K 0, so every axis stick moves
     red = _reduced("trefoil")
-    walks = _walks(monkeypatch)
+    paths = _verifier_paths(monkeypatch)
     assert tolerance_report(red) == oracles.all_pairs_tolerance(red)
-    assert len(walks) == 1   # as built, the unmoved bound clears the swept pairs
-    emb = mutate(red)
-    segs, ends = _segs_ends(emb)
-    assert _unmoved_bound(segs, ends, _split(emb)) == 0.0
-    walks.clear()
+    (axis, K), emb = _axis(red), mutate(red)
+    got, bound = _axis(emb)
+    assert 0.0 < K < math.inf
+    assert (len(got), bound) == ((len(axis) - 1, K) if mutate is _tilted else (len(axis), 0.0))
     assert tolerance_report(emb) == oracles.all_pairs_tolerance(emb)
-    assert len(walks) == 2
+    assert paths == [["bound"]] * 2   # the axis walk settles both frames
 
 
-def test_split_falls_back_when_the_bound_does_not_clear(monkeypatch):
-    # the same frame, with visit claiming every swept pair lies far apart:
-    # the unmoved pairs could then hold the least clearance
+def test_split_falls_back_when_the_bound_does_not_clear():
+    # the same frame, with visit claiming every pair lies as far apart:
+    # below K cos theta of the steepest axis stick no pair of two axis
+    # sticks is handed over, and from that bound on the walk moves them
     red = _reduced("trefoil")
     segs, ends = _segs_ends(red)
-    swept, n = _split(red), len(segs)
-    bound = _unmoved_bound(segs, ends, swept)
+    n = len(segs)
+    axis, K = _axis(red)
+    on_axis = {f[-1] for f in axis}
+    bound = K * axis[0][0]
     assert 0.0 < bound < math.inf
-    walks = _walks(monkeypatch)
-    for claim, passes in ((bound / 2, 1), (bound, 2), (math.inf, 2)):
-        walks.clear()
-        assert _builder_culls._near_pairs(segs, ends, swept, lambda i, ks: claim) == claim
-        assert len(walks) == passes
-    # claiming inf, every pair is walked once: those that hold a swept
-    # stick first, then those of two unmoved sticks
-    first, second = ([(i, k) for _, i, k in rows] for rows in walks)
-    assert sorted(first + second) == [(i, k) for i in range(n) for k in range(i + 1, n)]
-    assert all(i in swept or k in swept for i, k in first)
-    assert not any(i in swept or k in swept for i, k in second)
+    for claim in (bound / 2, bound, math.inf):
+        seen = []
+
+        def visit(i, ks):
+            seen.extend((i, k) for k in ks)
+            return claim
+        assert _verifier_float._near_pairs(segs, ends, 0.0, visit) == claim
+        assert len(seen) == len(set(seen))
+        assert any(i in on_axis and k in on_axis for i, k in seen) == (claim >= bound)
+    # claiming inf, every pair is handed over once
+    assert sorted(seen) == [(i, k) for i in range(n) for k in range(i + 1, n)]
 
 
 def test_split_bound_counts_the_slope(monkeypatch):
-    # two unmoved sticks on opposite pages with axis ends 1 apart, one
-    # nearly vertical, pass within cos(theta) 1, about 0.0995, of each
-    # other, far below the swept stick's least distance of about 0.6: the
-    # bound is as small, does not clear, and the unmoved pair is walked
+    # two axis sticks on opposite pages with axis ends 1 apart, one nearly
+    # vertical, pass within cos(theta) 1, about 0.0995, of each other, far
+    # below the third stick's least distance of about 0.6: K cos theta is
+    # as small, does not clear, and the axis pair is walked, alone
     sticks = [EStick((0.0, 0.0, 0.0), (0.1, 0.0, 0.995), 0, "arc1.lower", "bp0", "apex1"),
               EStick((0.0, 0.0, 1.0), (-1.0, 0.0, 1.0), 0, "arc2.upper", "bp1", "apex2"),
               EStick((0.05, 0.6, 0.5), (0.05, 0.6, 0.9), 0, "join3", "hub", "end3")]
     emb = EquilateralEmbedding(sticks=sticks, M=1.0, components=[])
-    segs, ends = _segs_ends(emb)
-    assert 0.099 < _unmoved_bound(segs, ends, [2]) < 0.1
-    walks = _walks(monkeypatch)
+    axis, K = _axis(emb)
+    assert 0.099 < K * axis[0][0] < 0.1
+    measured = []
+    monkeypatch.setattr(equilateral_builder, "_seg_distance", lambda *args, real=equilateral_builder._seg_distance: (
+        measured.append(args), real(*args))[1])
     report = tolerance_report(emb)
+    assert measured == [(sticks[0].a, sticks[0].b, sticks[1].a, sticks[1].b)]
     assert report == oracles.all_pairs_tolerance(emb) and report.min_clearance < 0.1
-    assert len(walks) == 2
-
-
-def test_unmoved_bound_equals_the_reference(workload_frames):
-    # _unmoved_bound sorts its sticks by azimuth and by height once, and
-    # its heights without their keys; B must equal the bound as first
-    # written, float for float: on every reduced frame of the workloads,
-    # on tents where nothing moved, and on frames off its shape
-    red = _reduced("trefoil")
-    frames = [*workload_frames["random-large"], *workload_frames["random-small"], _tilted(red),
-              _shared_azimuth(red)]
-    frames += [build_tents(vp, 4.0 * vp.m) for name in catalog_names()
-               for vp in equal_length_parts(validate_presentation(catalog(name)))]
-    kinds = set()
-    for emb in frames:
-        segs, ends = _segs_ends(emb)
-        planes = [_builder_culls._half_plane(a, b, AXIS) for a, b in segs]
-        swept = set(_split(emb))
-        unmoved = [i for i in range(len(segs)) if i not in swept]
-        got = _builder_culls._unmoved_bound(segs, planes, ends, unmoved, AXIS)
-        assert got.hex() == oracles.unmoved_bound(segs, planes, ends, unmoved, AXIS).hex()
-        kinds.add("0" if got == 0 else "inf" if got == math.inf else "finite")
-    assert kinds == {"0", "finite", "inf"}
 
 
 def _kernel_cases():
@@ -602,12 +566,11 @@ def test_fan_cull_visits_few_pairs(monkeypatch, n, part):
     emb = _build(catalog(f"theta_trivial({n})"))
     N = len(emb.sticks)
     segs = [(s.a, s.b) for s in emb.sticks]
-    calls = _visits(monkeypatch, equilateral_builder, verifier)
-    walks = _walks(monkeypatch)
+    calls = _visits(monkeypatch, _verifier_float, verifier)
+    paths = _verifier_paths(monkeypatch)
     bounds = []
-    for module in (_builder_culls, _verifier_float):
-        monkeypatch.setattr(module, "_ray_bound", lambda *args, real=module._ray_bound: (
-            bounds.append(args), real(*args))[1])
+    monkeypatch.setattr(_verifier_float, "_ray_bound", lambda *args, real=_verifier_float._ray_bound: (
+        bounds.append(args), real(*args))[1])
     for run in (lambda: tolerance_report(emb), lambda: check_equilateral(emb),
                 lambda: check_simplicity(segs, scale=emb.M)):
         calls.clear()
@@ -618,7 +581,23 @@ def test_fan_cull_visits_few_pairs(monkeypatch, n, part):
         assert all(i < k for i, k in pairs)
         assert len(pairs) < N * (N - 1) // 2 / part
         assert len(bounds) < N * (N - 1) // 2 / part
-    assert walks == []   # the fan goes to the fan cull, not a box-gap walk
+    assert paths == [["fan"]] * 3
+
+
+@pytest.mark.parametrize("n, handed", [(32, 180), (64, 622)])
+def test_fan_cull_hands_over_no_pair_that_shares_a_key(monkeypatch, n, handed):
+    # visit measures nothing for a pair whose sticks share a key, so the
+    # fan cull hands none over, in any of the three passes
+    emb = _build(catalog(f"theta_trivial({n})"))
+    segs, ends = _segs_ends(emb)
+    calls = _visits(monkeypatch, _verifier_float, verifier)
+    for run, keys in ((lambda: tolerance_report(emb), ends), (lambda: check_equilateral(emb), ends),
+                      (lambda: check_simplicity(segs, scale=emb.M), segs)):
+        calls.clear()
+        run()
+        ((_, pairs),) = calls
+        assert len(pairs) == handed
+        assert all({*keys[i]}.isdisjoint(keys[k]) for i, k in pairs)
 
 
 def _random_fan(seed):
@@ -654,9 +633,8 @@ def test_fan_cull_matches_all_pairs_on_random_fans(monkeypatch, seed):
     sweeps = []
     monkeypatch.setattr(_verifier_float, "_sweep", lambda segs, *args, real=_verifier_float._sweep: (
         sweeps.append(len(segs)), real(segs, *args))[1])
-    walks = _walks(monkeypatch)
     _assert_matches_reference(_random_fan(seed))
-    assert sweeps == walks == []    # the fan cull ran in all three passes
+    assert sweeps == []    # the fan cull ran in all three passes
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -671,14 +649,13 @@ def test_fan_cull_visits_every_pair_within_its_minimum(seed, least):
     want = {(i, k) for i in range(n) for k in range(i + 1, n)
             if {*ends[i]}.isdisjoint(ends[k])
             and equilateral_builder._seg_distance(*segs[i], *segs[k]) <= least}
-    for near_pairs in (lambda visit: equilateral_builder._near_pairs(segs, ends, [], visit),
-                       lambda visit: verifier._near_pairs(segs, ends, 1e-6, visit)):
+    for floor in (0.0, 1e-6):   # tolerance_report's floor, and a check's
         seen = []
 
         def visit(i, ks):
             seen.extend((i, k) for k in ks)
             return least
-        assert near_pairs(visit) == least
+        assert _verifier_float._near_pairs(segs, ends, floor, visit) == least
         assert len(seen) == len(set(seen)) and want <= set(seen)
 
 
@@ -716,12 +693,12 @@ def test_verifier_fan_cull_survives_extreme_scales(fan32, scale):
 def test_verifier_walk_and_sweep_survive_extreme_scales(monkeypatch, ap, path, scale):
     # the same off the fan, on frames that the axis walk, the sweep and
     # the walk of each slab take in range: no cull runs
-    paths = _verifier_paths(monkeypatch)
     emb = _build(ap)
+    paths = _verifier_paths(monkeypatch)
     _assert_rejects_scale(emb, scale)
     assert paths == []
     _assert_matches_reference(emb)
-    assert paths == [path] * 2
+    assert paths == [path] * 3
 
 
 def test_fan_checks_pinned():

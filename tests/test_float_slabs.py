@@ -3,10 +3,10 @@ its own axis line.
 
 assemble_split places the parts of a split presentation at least M apart
 in x.  tolerance_report (builder) and check_equilateral's clearance and
-float check_simplicity (verifier) cut the frame into slabs wherever no
-stick box spans an x-gap, run their cull on each slab about the vertical
-line through the slab's lowest end, and measure the pairs across slabs
-only when the least cut gap does not clear the least distance.  Their
+float check_simplicity (verifier) share one cull, which cuts the frame
+into slabs wherever no stick box spans an x-gap, culls each slab about the
+vertical line through the slab's lowest end, and sweeps the pairs across
+slabs only when the least cut gap does not clear the least distance.  Their
 minima, verdicts and witnesses must equal those of the loops in oracles.py
 that measure every pair, float for float, on assembled frames as built
 and on frames that break the assembly's shape.
@@ -21,7 +21,7 @@ import pytest
 
 import oracles
 import parity
-from stickforge import _builder_culls, _verifier_float, equilateral_builder, verifier
+from stickforge import _verifier_float, equilateral_builder, verifier
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.equilateral_builder import EquilateralError, build_equilateral, tolerance_report
 from stickforge.randgen import PROFILES, random_presentation
@@ -50,34 +50,26 @@ def _references(emb):
 @pytest.fixture
 def slabs(monkeypatch):
     """One entry per float pass run after the fixture is cleared: the
-    number of slabs it cuts its frame into, and whether it measured pairs
-    across slabs (the builder walks them, the verifier sweeps them)."""
+    number of slabs it cuts its frame into, and whether it swept pairs
+    across slabs."""
     passes = []
 
-    def cut(*args, real):
+    def cut(*args, real=_verifier_float._slabs):
         got = real(*args)
-        part = {i: x for x, (idx, *_) in enumerate(got[0]) for i in idx}
-        passes.append([len(got[0]), False, part])
+        passes.append([len(got[0]), False])
         return got
-
-    def walk(rows, *args, real=_builder_culls._walk):
-        part = passes[-1][2]
-        passes[-1][1] |= any(part[i] != part[k] for _, i, k in rows)
-        return real(rows, *args)
 
     def sweep(*args, real=_verifier_float._sweep):
         passes[-1][1] |= not isinstance(getattr(args[-1], "__self__", None), set)   # not a slab's own
         return real(*args)
 
-    for module in (_builder_culls, _verifier_float):
-        monkeypatch.setattr(module, "_slabs", lambda *args, real=module._slabs: cut(*args, real=real))
-    monkeypatch.setattr(_builder_culls, "_walk", walk)
+    monkeypatch.setattr(_verifier_float, "_slabs", cut)
     monkeypatch.setattr(_verifier_float, "_sweep", sweep)
     return passes
 
 
 def _counts(passes):
-    return [n for n, _, _ in passes], [across for _, across, _ in passes]
+    return [n for n, _ in passes], [across for _, across in passes]
 
 
 def _assembled():
@@ -209,8 +201,9 @@ def test_three_part_frame_matches_all_pairs(slabs, gap):
     assert _counts(slabs) == ([2 if gap == 0.0 else 3] * 3, [gap == 0.25] * 3)
 
 
-def _work(embs, run, module, kernel, rows_module, rows_name, at):
-    """(pairs measured by the kernel, rows built or walked) of run over embs."""
+def _work(embs, run, module, kernel):
+    """(pairs measured by the kernel, rows the axis walk built) of run over
+    embs."""
     pairs = rows = 0
 
     def count_pair(*args, real=getattr(module, kernel)):
@@ -218,14 +211,14 @@ def _work(embs, run, module, kernel, rows_module, rows_name, at):
         pairs += 1
         return real(*args)
 
-    def count_rows(*args, real=getattr(rows_module, rows_name)):
+    def count_rows(*args, real=_verifier_float._rows):
         nonlocal rows
-        rows += len(args[at])
+        rows += len(args[2])
         return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, kernel, count_pair)
-        mp.setattr(rows_module, rows_name, count_rows)
+        mp.setattr(_verifier_float, "_rows", count_rows)
         for emb in embs:
             run(emb)
     return pairs, rows
@@ -233,10 +226,9 @@ def _work(embs, run, module, kernel, rows_module, rows_name, at):
 
 def test_assembled_frames_cost_their_parts():
     # random-small at seed 1: 28 assembled frames and 84 single ones.  On
-    # the assembled frames tolerance_report measured 5,692 pairs and each
-    # float check 5,970 when the culls saw one frame; walked part by part
-    # they measure 255 and 658.  Single frames are one slab about x = y = 0
-    # and keep their work exactly.
+    # the assembled frames each float pass measured 5,970 pairs when the
+    # cull saw one frame; walked part by part it measures 658.  Single
+    # frames are one slab about x = y = 0 and keep their work exactly.
     bw = parity._bench_workloads()
     builds = []
     for job in bw.make("random-small", 1):
@@ -247,15 +239,11 @@ def test_assembled_frames_cost_their_parts():
     single = [e for e in builds if len(e.components) == 1]
     assembled = [e for e in builds if len(e.components) > 1]
     assert (len(single), len(assembled)) == (84, 28)
-    builder = (equilateral_builder, "_seg_distance", _builder_culls, "_walk", 0)
-    checker = (verifier, "seg_distance", _verifier_float, "_rows", 2)
 
     def simplicity(emb):
         return check_simplicity([(s.a, s.b) for s in emb.sticks], scale=emb.M)
 
-    assert _work(single, tolerance_report, *builder) == (323, 11_903)
-    assert _work(single, check_equilateral, *checker) == (515, 7_919)
-    assert _work(single, simplicity, *checker) == (515, 7_919)
-    assert _work(assembled, tolerance_report, *builder)[0] <= 300
-    assert _work(assembled, check_equilateral, *checker)[0] <= 700
-    assert _work(assembled, simplicity, *checker)[0] <= 700
+    for run, kernel in ((tolerance_report, (equilateral_builder, "_seg_distance")),
+                        (check_equilateral, (verifier, "seg_distance")), (simplicity, (verifier, "seg_distance"))):
+        assert _work(single, run, *kernel) == (515, 7_919)
+        assert _work(assembled, run, *kernel)[0] <= 700

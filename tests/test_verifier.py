@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 import parity
-from stickforge import _verifier_exact, stick_builder, verifier
+from stickforge import _verifier_exact, _verifier_float, equilateral_builder, stick_builder, verifier
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.circular_diagram import to_circular
 from stickforge.documents import dumps_document, embedding_from_doc, embedding_to_doc
@@ -177,7 +177,7 @@ def _package_imports(name):
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("stickforge")):
-            found.add(node.module or "")
+            found.update([node.module] if node.module else (a.name for a in node.names))   # from . import x
         elif isinstance(node, ast.Import):
             found.update(a.name for a in node.names if a.name.startswith("stickforge"))
     return found
@@ -190,6 +190,21 @@ def test_verifier_module_is_self_contained():
     assert _package_imports("verifier") == {"_verifier_exact", "_verifier_float"}
     assert _package_imports("_verifier_exact") == set()
     assert _package_imports("_verifier_float") == set()
+
+
+def test_the_cull_boundary_runs_one_way(monkeypatch):
+    # the builder measures its clearance through the verifier's cull, and
+    # its own float helpers import nothing of the package
+    assert _package_imports("_builder_culls") == set()
+    assert _package_imports("equilateral_builder") == {"_builder_culls", "_verifier_float", "arc_presentation"}
+    reports, culls = [], []
+    monkeypatch.setattr(equilateral_builder, "tolerance_report", lambda emb, real=equilateral_builder.tolerance_report: (
+        reports.append([(s.a, s.b) for s in emb.sticks]), real(emb))[1])
+    monkeypatch.setattr(_verifier_float, "_near_pairs", lambda segs, ends, floor, visit, real=_verifier_float._near_pairs: (
+        culls.append((segs, floor)), real(segs, ends, floor, visit))[1])
+    for name in ("trefoil", "unlink(3)", "theta_trivial(8)"):
+        build_equilateral(validate_presentation(catalog(name)))
+    assert reports and culls == [(segs, 0.0) for segs in reports]
 
 
 def test_exact_fault_injection_sweep():
