@@ -1,16 +1,17 @@
-"""The float pair culls, the verifier's fold pass, and the verifier's
-distance kernel.
+"""The float pair culls, the verifier's fold pass, and the one float
+distance kernel, seg_distance.
 
 Three callers measure only the stick pairs that _near_pairs hands them,
 and lose nothing by it: this docstring proves it.  They are
-check_equilateral's clearance and the float branch of check_simplicity,
-both measuring with seg_distance, and equilateral_builder.tolerance_report,
-measuring with its own kernel _builder_culls._seg_distance.  The proof asks
-one thing of a kernel: that a measured value is at least the true distance
-less 40uC (see the sweep below); both kernels meet it.  Like
-_verifier_exact, this module imports nothing of the package, no builder
-code and not the verifier, so its vector helpers are its own.  The
-boundary runs one way: the builder may import this module.
+check_equilateral's clearance and equilateral_builder.tolerance_report,
+which both measure through _clearance, and the float branch of
+check_simplicity.  All three measure with seg_distance, and the proof asks
+one thing of it: that a measured value is at least the true distance less
+40uC (see the sweep below).  Like _verifier_exact, this module imports
+nothing of the package, no builder code and not the verifier, so its
+vector helpers are its own.  The boundary runs one way: the builder
+imports this module's kernel, vector helpers and half-plane bound
+(_half_plane, _plane_gap) for its motion certificate, and keeps no copy.
 
 The float checks fail any coordinate or scale that is not finite, a length
 scale that is not positive, and any input outside the range below, before
@@ -69,12 +70,10 @@ visit returns a distance, and no pair lies below the floor; the rest holds
 as written.  A frame gets the proof while its coordinates stay within
 2^200: a built part's points lie within 5M of its axis point at the
 origin (equilateral_builder, Rounding), so a frame of one part does for
-M <= 2^197.  The builder's own cull before this one likewise assumed no
-overflow, and none is checked.
-Its axis points stand 1 apart, so C >= 1 and the margin junction_rel
-(C + m) exceeds 2^-250 without the floor; a stick within 2^-480 of a
-center then has every fan bound below t and is measured against every
-ray.
+M <= 2^197; none is checked.  Its axis points stand 1 apart, so C >= 1
+and the margin junction_rel (C + m) exceeds 2^-250 without the floor; a
+stick within 2^-480 of a center then has every fan bound below t and is
+measured against every ray.
 
 The culls read the input in one scan of the stick boxes: their corners,
 and from per-axis columns of those C (min, max and negation do not round,
@@ -122,9 +121,8 @@ box of the other in x, y and z.
   cp1 = p + sc (q - p) and cp2 = r + tc (s - r) with sc, tc clamped to
   [0, 1]: each lies within 6uC of a point of its stick in every
   coordinate, and the length is off by under 5u of itself, so the result
-  is at least the true distance less 40uC.  This is the kernel condition:
-  _builder_culls._seg_distance meets it by the same argument, and every
-  cull below uses no more of a kernel.
+  is at least the true distance less 40uC.  This is the kernel condition,
+  and every cull below uses no more of the kernel.
 All of it is below 50u (C + m), and the margin junction_rel (C + m) is
 over 10^5 times more, so a skipped pair measures more than m.  m only
 falls, so a stick the sweep drops once is past every later box as well.
@@ -139,8 +137,9 @@ bounded at once, from their coordinates.
   sets the half-plane it lies in, at azimuth psi = atan2(dy, dx) for
   dx = qx - x0 and dy = qy - y0, and its angle theta from the horizontal,
   cos theta = rho / |q - p| with rho = hypot(dx, dy) and
-  |q - p| = hypot(dx, dy, qz - pz).  Any vertical line gives true bounds;
-  the one through the lowest end holds the axis points of a built part.
+  |q - p| = hypot(dx, dy, qz - pz) (_half_plane).  Any vertical line
+  gives true bounds; the one through the lowest end holds the axis points
+  of a built part.
 - For points x, y at distances rx, ry from the axis in half-planes an
   angle g <= pi apart, |x - y|^2 = dz^2 + (rx - ry)^2 + 4 rx ry sin^2(g/2),
   which is at least sin^2(g/2) (dz^2 + (rx + ry)^2): sin^2(g/2) times the
@@ -149,9 +148,10 @@ bounded at once, from their coordinates.
   axis at some w, and the distance from w to a stick with its axis end at
   height z0 is at least that to the stick's line, |zw - z0| cos theta.  So
   two axis sticks with axis ends at heights z0, z1 lie at least
-  sin(g/2) min(cos theta) |z0 - z1| apart, the pairwise half-plane bound.
-  For azimuths in [-pi, pi], sin(|psi - psi'|/2) is sin(g/2) for the gap
-  g = min(|psi - psi'|, 2 pi - |psi - psi'|) on the circle.
+  sin(g/2) min(cos theta) |z0 - z1| apart, the pairwise half-plane bound
+  (_plane_gap).  For azimuths in [-pi, pi], sin(|psi - psi'|/2) is
+  sin(g/2) for the gap g = min(|psi - psi'|, 2 pi - |psi - psi'|) on the
+  circle.
 - Two axis sticks whose keys are disjoint have different keys at their
   axis ends.  Let K = sin(gmin/2) dzmin over all the axis sticks
   (_axis_bound): gmin is the least gap on the circle between the distinct
@@ -367,6 +367,31 @@ def seg_distance(p, q, r, s) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
+def _clearance(segs, ends, floor: float):
+    """(least, failing): the least distance between two sticks of segs
+    whose keys of ends are disjoint, or inf, and (i, k, distance) of each
+    such pair i < k below floor, all as measuring every pair would give
+    them (_near_pairs hands over the pairs); ends holds the keys of each
+    stick's ends a and b."""
+    keys = [{*e} for e in ends]
+    failing = []
+
+    def visit(i: int, ks) -> float:
+        (p, q), key = segs[i], keys[i]
+        least = math.inf
+        for k in ks:
+            if key.isdisjoint(keys[k]):
+                r, s = segs[k]
+                dist = seg_distance(p, q, r, s)
+                if dist < floor:
+                    failing.append((i, k, dist))
+                if dist < least:
+                    least = dist
+        return least
+
+    return _near_pairs(segs, ends, floor, visit), failing
+
+
 def _pad(least, floor, size):
     """pad = m + junction_rel (size + m), with m = max(least, floor)."""
     m = max(least, floor)
@@ -484,7 +509,7 @@ def _rows(boxes, j, ks):
     None."""
     (xl, yl, zl), (xh, yh, zh), s = boxes[j]
     return [(max(l[0] - xh, l[1] - yh, l[2] - zh, xl - h[0], yl - h[1], zl - h[2],
-                 math.sin(abs(s[1] - t[1]) / 2) * min(s[0], t[0]) * abs(s[2] - t[2]) if s and t else -math.inf),
+                 _plane_gap(s, t) if s and t else -math.inf),
              k if k < j else j, j if k < j else k)
             for k, (l, h, t) in zip(ks, map(boxes.__getitem__, ks))]
 
@@ -494,18 +519,35 @@ def _axis_sticks(segs, ends, idx, line):
     stick among the sticks idx of segs, about the vertical line through
     line = (x, y), steepest first; ends holds the keys of each stick's
     ends."""
-    x, y = line
     axis = []
     for i in idx:
-        a, b = segs[i]
-        at_a = a[0] == x and a[1] == y
-        if at_a != (b[0] == x and b[1] == y):
-            p, q = (a, b) if at_a else (b, a)
-            dx, dy = q[0] - x, q[1] - y
-            axis.append((math.hypot(dx, dy) / math.hypot(dx, dy, q[2] - p[2]),
-                         math.atan2(dy, dx), p[2], ends[i][not at_a], i))
+        plane = _half_plane(*segs[i], line)
+        if plane:
+            axis.append((*plane[:3], ends[i][plane[3]], i))
     axis.sort(key=itemgetter(0, 4))
     return axis
+
+
+def _half_plane(a, b, line):
+    """(cos theta, azimuth, axis end height, axis end) of the stick ab when
+    exactly one end lies on the vertical line through line = (x, y),
+    exactly: the Shape of the axis walk in the module docstring, the axis
+    end given as 0 for a and 1 for b; None for any other stick."""
+    x, y = line
+    at_a = a[0] == x and a[1] == y
+    if at_a == (b[0] == x and b[1] == y):
+        return None
+    p, q = (a, b) if at_a else (b, a)
+    dx, dy = q[0] - x, q[1] - y
+    return math.hypot(dx, dy) / math.hypot(dx, dy, q[2] - p[2]), math.atan2(dy, dx), p[2], int(not at_a)
+
+
+def _plane_gap(s, t) -> float:
+    """sin(g/2) min(cos theta) |dz|, the pairwise half-plane bound of the
+    module docstring between two sticks whose data s and t begin as
+    _half_plane's; sin(|psi - psi'|/2) is sin(g/2) for the gap g <= pi on
+    the circle."""
+    return math.sin(abs(s[1] - t[1]) / 2) * min(s[0], t[0]) * abs(s[2] - t[2])
 
 
 def _axis_bound(axis, ends) -> float:

@@ -141,13 +141,13 @@ earlier move enters at W as before.  P is the larger of two bounds.
   cos theta = cos phi.  cos rises and then falls on [-pi/2, pi/2], so
   cos phi >= c = min(cos phi_start, cos phi_end) over the sweep.  Against a
   parked stick with exactly one end on the axis (_half_plane), the
-  pairwise half-plane bound of _builder_culls gives
-  sin(g/2) min(c, cos theta') |z - z'| for the axis-end heights z, z'.
+  pairwise half-plane bound of _verifier_float's axis walk (_plane_gap)
+  gives sin(g/2) min(c, cos theta') |z - z'| for the axis-end heights z, z'.
 Trimming only shortens a stick, so both bound the trimmed clearance.
 Rounding: the height gap is off by under 5uM, and the trimmed clearance is
 at least the true distance of the sticks less 40uC (C < 5M) as
-_builder_culls shows for _seg_distance, the trim adding under 4uC.  Every
-sample's phi lies within a few ulps of [phi_start, phi_end], and its
+_verifier_float's sweep shows for seg_distance, the trim adding under 4uC.
+Every sample's phi lies within a few ulps of [phi_start, phi_end], and its
 computed end within a few u of the page's half-plane, at cos theta >=
 c - 2e-15; where cos theta is that close to 0, an end may stray an ulp
 across the axis, but then c < 2e-15 and the bound is under 1e-14 M.  So
@@ -168,12 +168,13 @@ _slot_clearance, which reads the slot's trimmed stick, trims the mover at
 F only when the slot shares F, and equals the trimmed clearance float for
 float.
 
-tolerance_report measures only the stick pairs that the verifier's cull,
-_verifier_float._near_pairs, hands it with floor 0, by its own kernel
-_seg_distance; its minimum is that of every pair, float for float.  That
-module proves the cull loses nothing; _builder_culls shows that the
-kernel meets the cull's condition and holds the float vector helpers of
-the certificate.
+tolerance_report measures its frame by the verifier's clearance pass,
+_verifier_float._clearance, with floor 0: the pairs that the verifier's
+cull hands over, each measured with seg_distance.  That module proves its
+minimum that of every pair, float for float.  The builder measures with
+the verifier's float code alone: the kernel seg_distance, the vector
+helpers and the half-plane bound come from _verifier_float, and _cone's
+point distance is the kernel's query with one end of no length.
 """
 
 from __future__ import annotations
@@ -184,10 +185,12 @@ from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
 from operator import sub
 
-from . import _verifier_float
-from ._builder_culls import (SNAP_REL, V3, _angle, _cone, _cross, _dist, _dot, _half_plane, _norm, _plane_gap,
-                             _seg_distance, _vsub)
+from ._verifier_float import _clearance, _cross, _dot, _half_plane, _norm, _plane_gap, _unit, _vsub, seg_distance
 from .arc_presentation import ValidatedPresentation, equal_length_parts
+
+V3 = tuple[float, float, float]
+
+SNAP_REL = 1e-9
 
 DEFAULT_M_FACTOR = 4.0
 AXIS_HUG_FRACTION = 1e-2      # e_1 free end ends up this * M from the axis
@@ -284,6 +287,15 @@ def _page_angle(page: int, n_arcs: int) -> float:
 def _page_dir(angle: float) -> tuple[float, float]:
     """Unit direction in the xy plane of the page at this angle."""
     return (math.cos(angle), math.sin(angle))
+
+
+def _dist(a: V3, b: V3) -> float:
+    return _norm(_vsub(a, b))
+
+
+def _angle(u: V3, v: V3) -> float:
+    """Angle between unit vectors, accurate near 0 and pi."""
+    return math.atan2(_norm(_cross(u, v)), _dot(u, v))
 
 
 def _trimmed(a: V3, b: V3, cut: V3):
@@ -411,21 +423,7 @@ def tolerance_report(emb: EquilateralEmbedding) -> ToleranceReport:
     segs = [(s.a, s.b) for s in emb.sticks]
     max_dev = max([0.0, *(abs(math.sqrt(x * x + y * y + z * z) - M) / M   # _dist(a, b)
                           for x, y, z in (map(sub, a, b) for a, b in segs))])
-    ends = [((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks]
-    keys = [set(e) for e in ends]
-
-    def visit(i: int, ks) -> float:
-        (p, q), key = segs[i], keys[i]
-        least = math.inf
-        for k in ks:
-            if key.isdisjoint(keys[k]):
-                r, s = segs[k]
-                d = _seg_distance(p, q, r, s)
-                if d < least:
-                    least = d
-        return least
-
-    min_clear = _verifier_float._near_pairs(segs, ends, 0.0, visit)
+    min_clear, _ = _clearance(segs, [((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks], 0.0)
     if min_clear is math.inf:
         min_clear = M
     return ToleranceReport(max_dev, min_clear, min_clear / M)
@@ -455,6 +453,23 @@ def _horizon(F: V3, pa: V3, pb: V3, snap: float):
     return r, shared, arc, c, h, seg
 
 
+def _cone(F: V3, pa: V3, pb: V3):
+    """(r, arc, c, h) of the segment pa pb seen from F, as _horizon
+    describes them; r comes from the segment distance kernel."""
+    r = seg_distance(F, F, pa, pb)
+    va, vb = _vsub(pa, F), _vsub(pb, F)
+    if _norm(va) == 0.0 or _norm(vb) == 0.0:
+        return r, None, (0.0, 0.0, 1.0), math.pi   # h = pi: any c will do
+    a, b = _unit(va), _unit(vb)
+    n = _cross(a, b)
+    thin = _norm(n) < 1e-3    # near a pole the normal carries rounding error
+    ab = _angle(a, b)
+    arc = (a, b, None if thin else _unit(n), ab)
+    if thin and _dot(a, b) < 0.0:
+        return r, arc, a, math.pi
+    return r, arc, _unit((a[0] + b[0], a[1] + b[1], a[2] + b[2])), ab / 2
+
+
 def _least_angle(u: V3, arc) -> float:
     """A lower bound on the angle between the unit direction u and the
     directions of the arc; exact when the arc's plane is trusted."""
@@ -477,11 +492,11 @@ def _slot_clearance(F: V3, end: V3, slot, snap: float) -> float:
     if shared:
         f = TRIM_FRACTION
         start = (F[0] + f * (end[0] - F[0]), F[1] + f * (end[1] - F[1]), F[2] + f * (end[2] - F[2]))
-        return _seg_distance(start, end, pa, pb)
+        return seg_distance(start, end, pa, pb)
     for y in (pa, pb):
         if _dist(end, y) <= snap:
-            return _seg_distance(*_trimmed(F, end, end), *_trimmed(pa, pb, y))
-    return _seg_distance(F, end, pa, pb)
+            return seg_distance(*_trimmed(F, end, end), *_trimmed(pa, pb, y))
+    return seg_distance(F, end, pa, pb)
 
 
 def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
@@ -508,7 +523,7 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
     low, high = min(heights), max(heights)
     plane = None   # the swinging stick as a half-plane stick, at every sample
     if move.pivot[0] == 0.0 == move.pivot[1] and max(abs(move.phi_start), abs(move.phi_end)) <= half:
-        plane = (move.pivot[2], math.atan2(diri[1], diri[0]), min(math.cos(move.phi_start), math.cos(move.phi_end)))
+        plane = (min(math.cos(move.phi_start), math.cos(move.phi_end)), math.atan2(diri[1], diri[0]), move.pivot[2])
     rays = []    # per mover: unit directions and their summed turning
     cones = []   # per mover: c_m, h_m and rho
     pool = []    # every pair, led by its bound over the whole sweep

@@ -94,9 +94,10 @@ common that could come within the least distance or the floor, and no
 pair twice.  check_simplicity also fold-tests the pairs that its fold
 pass, _verifier_float._fold_pairs, hands it: every pair with an end in
 common whose directions from there could fold back.  That module holds
-the culls, the fold pass, the distance kernel and the float tolerances,
-and its docstring proves, over that range, that minima, verdicts and
-witnesses are those of testing every pair.
+the culls, the fold pass, the clearance pass that check_equilateral
+measures with (_clearance), the distance kernel and the float
+tolerances, and its docstring proves, over that range, that minima,
+verdicts and witnesses are those of testing every pair.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ from itertools import chain, repeat
 from operator import le, sub
 
 from ._verifier_exact import _family_ordered, _first_exact_failure, _hom, _profile
-from ._verifier_float import (_FOLD, _RANGE, TOLERANCES, Tolerances, _dot, _fold_pairs, _near_pairs,
-                              _norm, _vsub, seg_distance)
+from ._verifier_float import (_FOLD, _RANGE, TOLERANCES, Tolerances, _clearance, _dot, _fold_pairs,
+                              _near_pairs, _norm, _vsub, seg_distance)
 
 
 @dataclass
@@ -595,24 +596,8 @@ def check_equilateral(emb) -> VerificationReport:
     report.add("equilateral.junctions", not junction_problems, "; ".join(junction_problems[:3]))
 
     floor = tol.clearance_rel * M
-    failing = []
     ends = [((s.component, s.ja), (s.component, s.jb)) for s in sticks]
-    keys = [set(e) for e in ends]
-
-    def visit(i: int, ks) -> float:
-        (p, q), key = segs[i], keys[i]
-        least = math.inf
-        for k in ks:
-            if key.isdisjoint(keys[k]):
-                r, s = segs[k]
-                dist = seg_distance(p, q, r, s)
-                if dist < floor:
-                    failing.append((i, k, dist))
-                if dist < least:
-                    least = dist
-        return least
-
-    clearance_min = _near_pairs(segs, ends, floor, visit)
+    clearance_min, failing = _clearance(segs, ends, floor)
     problems = [f"sticks {i}/{j} at {dist:.3e}" for i, j, dist in sorted(failing)[:3]]
     report.add("equilateral.clearance", not problems,
                "; ".join(problems) if problems

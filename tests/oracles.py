@@ -21,12 +21,12 @@ exceptions are the float references, each of which tests everything its
 culled counterpart may skip: sampled_certificate, the equal-length
 builder's motion certificate with every parked stick tested at every
 sample, and the all-pairs loops of tolerance_report, check_equilateral's
-clearance and float check_simplicity.  They call the package's own float
-distance kernels, so that the culled passes must match their minima,
-verdicts and details float for float.  The last section keeps cull steps
-as they were first written, before they sorted once or tested two ends
-directly, so that their rewrites can be held to the same floats and the
-same pairs.
+clearance and float check_simplicity.  They call the package's one float
+distance kernel, vf.seg_distance, so that the culled passes must match
+their minima, verdicts and details float for float.  The last section
+keeps cull steps as they were first written, before they sorted once or
+tested two ends directly, so that their rewrites can be held to the same
+floats and the same pairs.
 """
 
 from __future__ import annotations
@@ -699,8 +699,8 @@ def clearance(p, q, r, s, snap: float) -> float:
     for x in (p, q):
         for y in (r, s):
             if eb._dist(x, y) <= snap:
-                return eb._seg_distance(*eb._trimmed(p, q, x), *eb._trimmed(r, s, y))
-    return eb._seg_distance(p, q, r, s)
+                return vf.seg_distance(*eb._trimmed(p, q, x), *eb._trimmed(r, s, y))
+    return vf.seg_distance(p, q, r, s)
 
 
 def sampled_certificate(before, after):
@@ -826,33 +826,12 @@ def verifier_seg_distance(p, q, r, s) -> float:
     return math.sqrt(_fdot(_fsub(cp1, cp2), _fsub(cp1, cp2)))
 
 
-def all_pairs_tolerance(emb):
-    """tolerance_report with _seg_distance evaluated for every pair of
-    sticks that share no junction, lower index first."""
-    M = emb.M
-    max_dev = 0.0
-    for s in emb.sticks:
-        max_dev = max(max_dev, abs(eb._dist(s.a, s.b) - M) / M)
-    min_clear = math.inf
-    ss = emb.sticks
-    keys = [{(s.component, s.ja), (s.component, s.jb)} for s in ss]
-    for i in range(len(ss)):
-        for j in range(i + 1, len(ss)):
-            if not keys[i].isdisjoint(keys[j]):
-                continue
-            si, sj = ss[i], ss[j]
-            min_clear = min(min_clear, eb._seg_distance(si.a, si.b, sj.a, sj.b))
-    if min_clear is math.inf:
-        min_clear = M
-    return eb.ToleranceReport(max_dev, min_clear, min_clear / M)
-
-
-def all_pairs_clearance(emb) -> tuple[bool, str]:
-    """check_equilateral's equilateral.clearance verdict and detail, with
-    seg_distance evaluated for every pair sharing no junction."""
-    M = float(emb.M)
+def _all_pairs_minimum(emb, floor: float):
+    """The least vf.seg_distance over every pair of sticks that share no
+    junction, lower index first, or inf, and "sticks i/j at d" for each
+    such pair below floor."""
     sticks = list(emb.sticks)
-    clearance_min = math.inf
+    least = math.inf
     problems = []
     keys = [{(s.component, s.ja), (s.component, s.jb)} for s in sticks]
     for i in range(len(sticks)):
@@ -861,9 +840,30 @@ def all_pairs_clearance(emb) -> tuple[bool, str]:
                 continue
             si, sj = sticks[i], sticks[j]
             dist = vf.seg_distance(si.a, si.b, sj.a, sj.b)
-            clearance_min = min(clearance_min, dist)
-            if dist < vf.TOLERANCES.clearance_rel * M:
+            least = min(least, dist)
+            if dist < floor:
                 problems.append(f"sticks {i}/{j} at {dist:.3e}")
+    return least, problems
+
+
+def all_pairs_tolerance(emb):
+    """tolerance_report with vf.seg_distance evaluated for every pair of
+    sticks that share no junction, lower index first."""
+    M = emb.M
+    max_dev = 0.0
+    for s in emb.sticks:
+        max_dev = max(max_dev, abs(eb._dist(s.a, s.b) - M) / M)
+    min_clear, _ = _all_pairs_minimum(emb, 0.0)
+    if min_clear is math.inf:
+        min_clear = M
+    return eb.ToleranceReport(max_dev, min_clear, min_clear / M)
+
+
+def all_pairs_clearance(emb) -> tuple[bool, str]:
+    """check_equilateral's equilateral.clearance verdict and detail, with
+    vf.seg_distance evaluated for every pair sharing no junction."""
+    M = float(emb.M)
+    clearance_min, problems = _all_pairs_minimum(emb, vf.TOLERANCES.clearance_rel * M)
     return (not problems,
             "; ".join(problems[:3]) if problems
             else f"min non-adjacent clearance {clearance_min:.3e}"

@@ -71,7 +71,11 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   for the assembled frames (several parts): the sticks of the frames the
   pass checks, the rows that the axis walk of their shared cull
   (_verifier_float._rows) builds for its heap, and the pairs it measures
-  with its distance kernel.  tolerance_report runs on every frame that
+  with the distance kernel seg_distance, counted where the pass calls it:
+  in _verifier_float for tolerance_report and check_equilateral, which
+  measure through _clearance, and in verifier for check_simplicity.  The
+  certificate's kernels call seg_distance as well, from _slot_clearance
+  and from _horizon's cone.  tolerance_report runs on every frame that
   build_equilateral hands it, check_equilateral and the float
   check_simplicity(segments, scale=M) on every build, as the benchmark's
   eq job runs them.  A change in what the culls prune shows
@@ -393,9 +397,11 @@ def cull_work_lines():
                 except equilateral_builder.EquilateralError:
                     pass   # a refused build is no frame of the eq checks
         yield f"{w} certificate: " + ", ".join(f"{n} {name}" for name, n in calls.items())
-        # each pass's distance kernel; all three build their rows in _verifier_float._rows
-        passes = (("tolerance_report", frames, tolerance_report, equilateral_builder, "_seg_distance"),
-                  ("check_equilateral", builds, check_equilateral, verifier, "seg_distance"),
+        # the one distance kernel, where each pass calls it (tolerance_report and
+        # check_equilateral through _verifier_float._clearance); all three build
+        # their rows in _verifier_float._rows
+        passes = (("tolerance_report", frames, tolerance_report, _verifier_float, "seg_distance"),
+                  ("check_equilateral", builds, check_equilateral, _verifier_float, "seg_distance"),
                   ("check_simplicity", builds, lambda e: check_simplicity([(s.a, s.b) for s in e.sticks], scale=e.M),
                    verifier, "seg_distance"))
         for name, embs, run, kernel_module, kernel in passes:

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 import parity
-from stickforge import _builder_culls, equilateral_builder
+from stickforge import _verifier_float, equilateral_builder
 from stickforge.arc_presentation import catalog, catalog_names, equal_length_parts, validate_presentation
 from stickforge.documents import dumps_document, equilateral_from_doc, equilateral_to_doc
 from stickforge.equilateral_builder import (
@@ -275,7 +275,7 @@ def test_equal_length_documents_pinned():
     # move's certified minimum shows here.  The floats come from libm
     # (glibc on x86-64 when this hash was taken), so another libm may differ
     assert len(parity._eq_presentations()) == 171
-    assert parity.eq_docs() == "49a9857185bdf75262150f88f557a8b0a46ff436596811710bf5a4e78f37711d"
+    assert parity.eq_docs() == "c93c13007ac9d8404013453d4ff203fc3b5c4d0554294f7210adef4abc88e567"
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +659,10 @@ def test_pre_bound_matches_all_pairs(monkeypatch, case):
     q = ends[-1]
     holder = tuple((t * q[0], -least * (1 + 1e-3), t * q[2]) for t in (0.4, 0.6))
     before, after = _one_swing(move, M, {"probe": probe, "holder": holder})
-    plane = _builder_culls._half_plane(*probe, (0.0, 0.0))
+    plane = _verifier_float._half_plane(*probe, (0.0, 0.0))
     assert (plane is None) == case.endswith("axis")
     if case in ("above", "from-below"):
-        pre = _builder_culls._plane_gap((0.0, 0.0, min(math.cos(phi_start), math.cos(phi_end))), plane)
+        pre = _verifier_float._plane_gap((min(math.cos(phi_start), math.cos(phi_end)), 0.0, 0.0), plane)
         assert least / 3 < pre < least
     horizons = []
     monkeypatch.setattr(equilateral_builder, "_horizon", lambda F, pa, pb, snap, real=equilateral_builder._horizon: (
@@ -796,11 +796,11 @@ def test_benchmark_certificates_pinned():
     # the certificates set of tests/parity.py: (passed, moves, detail) of
     # the 124 benchmark builds at seed 1, theta-fan (theta_trivial up to 64)
     # and random-large included, which the document pin above lacks
-    assert parity.certificates() == "2cb9a4a62b8b30637966d720db2b0dd2f2c330457c167b1ee9bb726b4681fc93"
+    assert parity.certificates() == "f1d0b53b270409c89dfacc283c11b3608a52b09e0f958de9264308f6c0364e5a"
 
 
 def test_failing_certificates_pinned():
     # the cert-failures set of tests/parity.py: (passed, moves, detail) of
     # certificates that stop at a failing sweep, whose minimum the
     # certificates set never sees (its failing builds give only a class name)
-    assert parity.cert_failures() == "29d6975222de0b1449bb1566ce12d8018bf0c35788be4ad44c315167544d9f94"
+    assert parity.cert_failures() == "4262f494ff810eec6ac6faea652f5ebd08366a3893caefad6ea79690a778eb74"

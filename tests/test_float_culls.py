@@ -2,10 +2,11 @@
 
 tolerance_report (builder) and check_equilateral's clearance and float
 check_simplicity (verifier) measure only the pairs that one cull,
-_verifier_float._near_pairs, cannot rule out: tolerance_report with floor
-0 and its own kernel, the checks with their floor clearance_min.  On a
-fan the cull bounds pairs by cones about its shared junctions; elsewhere
-it walks the pairs of its axis sticks, or sweeps one box per stick in z.
+_verifier_float._near_pairs, cannot rule out, all with the one kernel
+seg_distance: tolerance_report with floor 0, the checks with their floor
+clearance_min.  On a fan the cull bounds pairs by cones about its shared
+junctions; elsewhere it walks the pairs of its axis sticks, or sweeps one
+box per stick in z.
 The minima, verdicts and details must equal those of the loops in
 oracles.py that measure every pair, float for float.
 """
@@ -226,7 +227,7 @@ def test_swept_walk_work_guard(monkeypatch):
     # one
     emb = _build(random_presentation(0, "bouquet", 150))
     ref, measured = oracles.all_pairs_tolerance(emb), []
-    monkeypatch.setattr(equilateral_builder, "_seg_distance", lambda *args, real=equilateral_builder._seg_distance: (
+    monkeypatch.setattr(_verifier_float, "seg_distance", lambda *args, real=_verifier_float.seg_distance: (
         measured.append(args), real(*args))[1])
     assert tolerance_report(emb) == ref
     assert 0 < len(measured) <= 10
@@ -235,11 +236,33 @@ def test_swept_walk_work_guard(monkeypatch):
 def test_seg_distance_is_not_symmetric_to_the_last_bit():
     emb = _build(catalog("trefoil"))
     s2, s4 = emb.sticks[2], emb.sticks[4]
-    least = equilateral_builder._seg_distance(s2.a, s2.b, s4.a, s4.b)
+    least = verifier.seg_distance(s2.a, s2.b, s4.a, s4.b)
     assert tolerance_report(emb).min_clearance == least
-    assert least != equilateral_builder._seg_distance(s4.a, s4.b, s2.a, s2.b)
-    assert verifier.seg_distance(s2.a, s2.b, s4.a, s4.b) != \
-        verifier.seg_distance(s4.a, s4.b, s2.a, s2.b)
+    assert least != verifier.seg_distance(s4.a, s4.b, s2.a, s2.b)
+
+
+def test_tolerance_is_the_verifiers_clearance():
+    # tolerance_report measures through the verifier's clearance pass with
+    # floor 0, and check_equilateral with floor clearance_rel M; the least
+    # distance is the same to the last bit on every eq-docs build and every
+    # seed-1 benchmark build with a pair that shares no junction
+    bw = parity._bench_workloads()
+    builds = list(parity._eq_builds())
+    for w in bw.WORKLOADS:
+        for job in bw.make(w, 1):
+            try:
+                builds.append(_build(job.presentation))
+            except equilateral_builder.EquilateralError:
+                pass
+    compared = 0
+    for emb in builds:
+        segs = [(s.a, s.b) for s in emb.sticks]
+        ends = [((s.component, s.ja), (s.component, s.jb)) for s in emb.sticks]
+        least, _ = _verifier_float._clearance(segs, ends, TOLERANCES.clearance_rel * emb.M)
+        if least < math.inf:
+            compared += 1
+            assert tolerance_report(emb).min_clearance.hex() == least.hex()
+    assert (len(builds), compared) == (295, 293)
 
 
 @pytest.mark.parametrize("name", ["trefoil", "theta_trivial(8)"], ids=["swept", "fan"])
@@ -254,7 +277,7 @@ def test_culled_passes_measure_lower_index_first(monkeypatch, name):
             return real(p, q, r, s)
         return kernel
 
-    monkeypatch.setattr(equilateral_builder, "_seg_distance", spy(equilateral_builder._seg_distance))
+    monkeypatch.setattr(_verifier_float, "seg_distance", spy(_verifier_float.seg_distance))
     monkeypatch.setattr(verifier, "seg_distance", spy(verifier.seg_distance))
     tolerance_report(emb)
     check_equilateral(emb)
@@ -274,7 +297,7 @@ def test_assembled_tolerance_measures_no_cross_part_pair(monkeypatch, ap):
     assert len(segs) == len(out.sticks)
     part = [s.component for s in out.sticks]
     keys = [{s.ja, s.jb} for s in out.sticks]
-    in_part = [equilateral_builder._seg_distance(*segs[i], *segs[j])
+    in_part = [_verifier_float.seg_distance(*segs[i], *segs[j])
                for i in range(len(segs)) for j in range(i + 1, len(segs))
                if part[i] == part[j] and keys[i].isdisjoint(keys[j])]
     crossing = [(i, j) for i, j in pairs if part[i] != part[j]]
@@ -328,7 +351,7 @@ def _least_unmoved_first(emb):
     for i, si in enumerate(emb.sticks):
         for k in range(i + 1, len(emb.sticks)):
             if keys[i].isdisjoint(keys[k]):
-                d = equilateral_builder._seg_distance(si.a, si.b, emb.sticks[k].a, emb.sticks[k].b)
+                d = _verifier_float.seg_distance(si.a, si.b, emb.sticks[k].a, emb.sticks[k].b)
                 held = i in swept or k in swept
                 least[held] = min(least[held], d)
     return least[0] <= least[1]
@@ -336,7 +359,7 @@ def _least_unmoved_first(emb):
 
 def test_split_tolerance_matches_all_pairs_on_workload_frames(workload_frames, monkeypatch):
     measured = []
-    monkeypatch.setattr(equilateral_builder, "_seg_distance", lambda *args, real=equilateral_builder._seg_distance: (
+    monkeypatch.setattr(_verifier_float, "seg_distance", lambda *args, real=_verifier_float.seg_distance: (
         measured.append(args), real(*args))[1])
     paths = _verifier_paths(monkeypatch)
     for w, frames in workload_frames.items():
@@ -465,7 +488,7 @@ def test_split_bound_counts_the_slope(monkeypatch):
     axis, K = _axis(emb)
     assert 0.099 < K * axis[0][0] < 0.1
     measured = []
-    monkeypatch.setattr(equilateral_builder, "_seg_distance", lambda *args, real=equilateral_builder._seg_distance: (
+    monkeypatch.setattr(_verifier_float, "seg_distance", lambda *args, real=_verifier_float.seg_distance: (
         measured.append(args), real(*args))[1])
     report = tolerance_report(emb)
     assert measured == [(sticks[0].a, sticks[0].b, sticks[1].a, sticks[1].b)]
@@ -648,7 +671,7 @@ def test_fan_cull_visits_every_pair_within_its_minimum(seed, least):
     n = len(segs)
     want = {(i, k) for i in range(n) for k in range(i + 1, n)
             if {*ends[i]}.isdisjoint(ends[k])
-            and equilateral_builder._seg_distance(*segs[i], *segs[k]) <= least}
+            and _verifier_float.seg_distance(*segs[i], *segs[k]) <= least}
     for floor in (0.0, 1e-6):   # tolerance_report's floor, and a check's
         seen = []
 
@@ -706,4 +729,4 @@ def test_fan_checks_pinned():
     # every check_equilateral and float check_simplicity entry, witnesses
     # included, of theta_trivial(8), (16), ..., (128) and three shifted-end
     # mutants of each
-    assert parity.fan_checks() == "a96338192dc85607383c3d745e10c597b518744fe72ac5c6e2377bbefda6afb1"
+    assert parity.fan_checks() == "e083934513017232b53111ccc9ba8d63997a31cc69973753bd05582ea34de5d6"

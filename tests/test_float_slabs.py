@@ -21,7 +21,7 @@ import pytest
 
 import oracles
 import parity
-from stickforge import _verifier_float, equilateral_builder, verifier
+from stickforge import _verifier_float, verifier
 from stickforge.arc_presentation import catalog, catalog_names, validate_presentation
 from stickforge.equilateral_builder import EquilateralError, build_equilateral, tolerance_report
 from stickforge.randgen import PROFILES, random_presentation
@@ -243,7 +243,7 @@ def test_assembled_frames_cost_their_parts():
     def simplicity(emb):
         return check_simplicity([(s.a, s.b) for s in emb.sticks], scale=emb.M)
 
-    for run, kernel in ((tolerance_report, (equilateral_builder, "_seg_distance")),
-                        (check_equilateral, (verifier, "seg_distance")), (simplicity, (verifier, "seg_distance"))):
+    for run, kernel in ((tolerance_report, (_verifier_float, "seg_distance")),
+                        (check_equilateral, (_verifier_float, "seg_distance")), (simplicity, (verifier, "seg_distance"))):
         assert _work(single, run, *kernel) == (515, 7_919)
         assert _work(assembled, run, *kernel)[0] <= 700

@@ -95,8 +95,9 @@ def test_axis_walk_matches_all_pairs_on_builds(large, paths):
 def test_axis_walk_settles_the_large_frames(large, paths, monkeypatch):
     taken, moves = paths
     measured = Counter()   # the pairs seg_distance measures, per check over the frames
-    monkeypatch.setattr(verifier, "seg_distance", lambda *args, real=verifier.seg_distance: (
-        measured.update([len(taken)]), real(*args))[1])
+    for module in (_verifier_float, verifier):   # check_equilateral calls it in the one, check_simplicity in the other
+        monkeypatch.setattr(module, "seg_distance", lambda *args, real=module.seg_distance: (
+            measured.update([len(taken)]), real(*args))[1])
     for emb in large:
         taken.clear()
         moves.clear()
@@ -266,21 +267,25 @@ def test_fold_pass_hands_over_the_box_sweep_pairs():
 
 
 def _visits(monkeypatch):
-    """The pairs that each call of verifier._near_pairs hands to visit."""
+    """The pairs that each call of _near_pairs hands to visit, from
+    check_equilateral through _verifier_float._clearance and from
+    check_simplicity in verifier."""
     calls = []
-    real = verifier._near_pairs
 
-    def near_pairs(segs, ends, floor, visit):
-        pairs = []
-        calls.append(pairs)
+    def spy(real):
+        def near_pairs(segs, ends, floor, visit):
+            pairs = []
+            calls.append(pairs)
 
-        def counted(i, ks):
-            ks = list(ks)
-            pairs.extend((i, k) for k in ks)
-            return visit(i, ks)
-        return real(segs, ends, floor, counted)
+            def counted(i, ks):
+                ks = list(ks)
+                pairs.extend((i, k) for k in ks)
+                return visit(i, ks)
+            return real(segs, ends, floor, counted)
+        return near_pairs
 
-    monkeypatch.setattr(verifier, "_near_pairs", near_pairs)
+    for module in (_verifier_float, verifier):
+        monkeypatch.setattr(module, "_near_pairs", spy(module._near_pairs))
     return calls
 
 
@@ -352,6 +357,13 @@ def test_fold_pass_matches_all_pairs_on_fold_mutants(paths, ap, kind, want):
     assert (entry.passed, entry.witness) == oracles.all_pairs_float_simplicity(segs, scale=emb.M)
     assert not entry.passed and entry.witness.endswith("fold back along each other")
     assert taken == want
+
+
+def test_eq_checks_pinned():
+    # the eq-checks set of tests/parity.py: the check_equilateral and float
+    # check_simplicity summaries of the 171 eq-docs builds, each followed
+    # by three shifted-end mutants
+    assert parity.eq_checks() == "99f513f0aa8191ecea182c9f31c079470371f923e7d2ad1fee087c8b776d05e8"
 
 
 def test_fold_checks_pinned():
