@@ -45,7 +45,10 @@ sticks into the near-parallel branch and measure them apart.  So
 seg_distance measures a pair whose a c lies below 2^-900 scaled by 2^k,
 when k > 0: k brings the largest coordinate difference of its sticks and
 of p - r into [1/2, 1), or is less, so that every coordinate stays below
-2^1022.  Then it scales the result back.  Scaling by a power of two is exact
+2^1022.  Then it scales the result back.  When a or c is at least 1,
+some coordinate difference is at least 1/2 and k is at most 0, so the
+guard tests a and c first and skips such pairs (the point queries of a
+stick of no length among them) unscaled.  Scaling by a power of two is exact
 and commutes with every rounded operation that neither overflows nor
 underflows, so a pair whose computation underflows nowhere measures the
 same, bit for bit, either way; one with a c in the normal range is not
@@ -341,7 +344,7 @@ def seg_distance(p, q, r, s) -> float:
     wx, wy, wz = px - rx, py - ry, pz - rz
     a, b, c = ux * ux + uy * uy + uz * uz, ux * vx + uy * vy + uz * vz, vx * vx + vy * vy + vz * vz
     d, e = ux * wx + uy * wy + uz * wz, vx * wx + vy * wy + vz * wz
-    if a * c < 2.0 ** -900:   # a c may underflow: measure the pair scaled up by 2^k (Range)
+    if a * c < 2.0 ** -900 and a < 1.0 and c < 1.0:   # a c may underflow: measure the pair scaled up by 2^k (Range)
         k = min(-math.frexp(max(map(abs, (ux, uy, uz, vx, vy, vz, wx, wy, wz))))[1],
                 1022 - math.frexp(max(map(abs, (*p, *q, *r, *s))))[1])
         if k > 0:

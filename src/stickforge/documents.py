@@ -344,7 +344,7 @@ def equilateral_to_doc(emb: EquilateralEmbedding) -> dict:
         c = emb.certificate
         doc["certificate"] = {
             "passed": c.passed,
-            "moves": [[tag, clearance] for tag, clearance in c.moves],
+            "moves": [[tag, bound] for tag, bound in c.moves],
             "detail": c.detail,
         }
     return doc
@@ -395,7 +395,7 @@ def equilateral_from_doc(doc: dict) -> EquilateralEmbedding:
         c = doc["certificate"]
         emb.certificate = CertificateReport(
             passed=c["passed"],
-            moves=[(tag, clearance) for tag, clearance in c["moves"]],
+            moves=[(tag, bound) for tag, bound in c["moves"]],
             detail=c["detail"],
         )
     return emb

@@ -39,20 +39,27 @@ trimmed at F in the shared case (any other trim only shortens it).  Let G
 be the least angle at F between the mover at sample s and the parked stick,
 and T the mover's turning summed over the samples from s to s'.  Then the
 pair is at least R sin(min(G - T, pi/2)) apart at every later sample s'.
-So a pair evaluated at s is due again only at the first sample where that
-bound could fall to the running minimum plus snap; the minimum only falls,
-so every skipped sample lies above the final minimum, and the sweep's
-minimum, verdict and detail are those of testing every pair at every
-sample, float for float (snap absorbs the rounding of the bound).  When
-the parked stick's line passes through F without sharing it, its
-directions from F collapse to one point, or to two opposite points when F
-lies on it; G is then bounded by the triangle inequality, which gives 0 in
-the second case, and the pair is evaluated at the next sample.
+The verdict needs only whether every clearance clears the floor,
+CERT_CLEARANCE_REL * M, so the bounds cull against the fixed target
+floor + snap (snap absorbs the rounding of the bound).  A pair bounded at
+s is due again only at the first sample where that bound could fall to
+the target, and at T = 0 the bound covers s itself: a pair due at a sample
+is evaluated there only when its bound there does not clear the target.
+Every (pair, sample) skipped lies above the target, so the least clearance
+evaluated, or the target when that is lower, is at most snap above the
+least clearance of every pair at every sample: a lower bound on it up to
+the rounding snap absorbs.  It lies at or below the floor exactly when
+that least clearance does, and is then that clearance, float for float,
+so the verdict and detail are those of testing every pair at every
+sample.  When the parked stick's line passes through F without sharing
+it, its directions from F collapse to one point, or to two opposite
+points when F lies on it; G is then bounded by the triangle inequality,
+which gives 0 in the second case, and the pair is evaluated at the next
+sample.
 
-At T = 0 the same bound covers sample 0 itself, and a cone bound covers
-the whole sweep at once, which conservative advancement (Mirtich 1996; Tang,
-Kim and Manocha, C2A, 2009) exploits.  Angles between unit vectors obey the
-triangle inequality.
+A cone bound covers the whole sweep at once, which conservative
+advancement (Mirtich 1996; Tang, Kim and Manocha, C2A, 2009) exploits.
+Angles between unit vectors obey the triangle inequality.
 - The directions from F to a segment that misses F fill the shorter
   great-circle arc from a to b, the directions of its ends, and every point
   of that arc lies within h = ab/2 of its midpoint c = (a + b)/|a + b|.
@@ -71,26 +78,10 @@ B = R sin(min(G0, pi/2)), G0 the least angle at sample 0.  It computes a
 pair's B only when it draws the pair, and draws the next pair whenever its
 W is no larger than the least B waiting, so every pair not drawn has W
 above the least B waiting.  Sample 0 stops at the first B, or the first W,
-above the running minimum plus snap: the pairs waiting then lie above that
-at sample 0, and the pairs not drawn lie above it, and so above the final
-minimum, at every sample; they are never evaluated.  The drawn pairs are
-scheduled from sample 0 by the rule above, so the minimum is still that of
-every pair at every sample, and B is computed for few pairs.
-
-The last sample is probed first.  Each pair is evaluated at the last
-sample as soon as it is drawn, before its B waits, and the schedule then
-ends one sample early, since a pair due at the last sample has been
-evaluated there already.  Were the running minimum to fall only with the
-samples, a pair that closes in steadily would set a new minimum at each
-sample and be evaluated at every one; probed first, its end sets a low
-minimum at once, and the bounds cull the samples before it (a tight upper
-bound first, as in C2A).  The result does not change: the running minimum
-is still a clearance the kernel computed at a (pair, sample) point of the
-grid, so never below the least of them, and a sample is still skipped
-only when a bound puts it above the running minimum plus snap, which is
-at least the final minimum plus snap.  So the minimum is the least
-computed clearance of every pair at every sample, float for float, and
-the rounding argument below carries over unchanged.
+above the target: the pairs waiting then lie above it at sample 0, and the
+pairs not drawn lie above it at every sample; they are never evaluated.
+The drawn pairs are scheduled from sample 0 by the rule above, and B is
+computed for few pairs.
 
 Rounding.  Write u = 2^-53.  Every point the certificate sees lies within
 5M of every other: the tents stand within M of the axis points 0 .. m - 1,
@@ -152,7 +143,7 @@ computed end within a few u of the page's half-plane, at cos theta >=
 c - 2e-15; where cos theta is that close to 0, an end may stray an ulp
 across the axis, but then c < 2e-15 and the bound is under 1e-14 M.  So
 P is off by under 1e-13 M, which snap absorbs, and a pair that is never
-drawn lies above the final minimum at every sample.
+drawn lies above the target at every sample.
 
 Of R and the cone, only rho depends on the mover.  r, the arc of
 directions, the cone and the parked stick trimmed at F depend on F and the
@@ -255,8 +246,13 @@ class ComponentInfo:
 
 @dataclass
 class CertificateReport:
-    """Sweep verdict; `tolerance` is the final-clearance pass the certificate
-    ran, handed on to the builder and not written into documents."""
+    """Sweep verdict.  `moves` holds (tag, bound) per sweep replayed: the
+    least clearance the sweep evaluated, or floor + snap when that is
+    lower, so floor + snap on a sweep every bound clears, and the sampled
+    minimum itself on a sweep that pinches (see the module docstring).
+    `tolerance` is the final-clearance pass the certificate ran, with the
+    exact least clearance, handed on to the builder and not written into
+    documents."""
 
     passed: bool
     moves: list[tuple[str, float]] = field(default_factory=list)
@@ -499,18 +495,19 @@ def _slot_clearance(F: V3, end: V3, slot, snap: float) -> float:
     return seg_distance(F, end, pa, pb)
 
 
-def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
-                   snap: float, horizons: dict) -> float:
-    """Least trimmed clearance between the moving sticks and the parked ones over
-    the sampled sweep.  A (mover, parked) pair is dropped for the whole
-    sweep when its cone bound clears the running minimum plus snap after
-    sample 0; otherwise it is evaluated at the last sample at once, at
-    sample 0 only when its bound there could reach the running minimum
-    plus snap, and again before the last sample only at the first sample
-    where its horizon bound could fall that far (see the module
+def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
+                 snap: float, floor: float, horizons: dict) -> float:
+    """A lower bound on the least trimmed clearance between the moving
+    sticks and the parked ones over the sampled sweep, up to snap: the
+    least clearance evaluated, or floor + snap when that is lower.  A
+    (mover, parked) pair is dropped for the whole sweep when its cone bound
+    clears floor + snap; otherwise it is evaluated at sample 0 only when
+    its bound there could reach floor + snap, and again only at the first
+    sample where its horizon bound could fall that far (see the module
     docstring); a pair that needs a new slot is first led by its
-    pre-bound, and gets its horizon only when drawn.  The minimum is the
-    one every pair at every sample gives.
+    pre-bound, and gets its horizon only when drawn.  So the bound lies at
+    or below the floor exactly when the least clearance of every pair at
+    every sample does, and is then that clearance.
     horizons holds a slot list per fixed end, (state entry, *_horizon) in
     state order, shared by the sweeps of one certificate."""
     diri = _page_dir(move.page_angle)
@@ -519,6 +516,7 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
     ends = [_free_end(move.pivot, diri, M, phi) for phi in phis]
     fixed = [move.pivot] if move.hub is None else [move.pivot, move.hub]
     f, half = TRIM_FRACTION, math.pi / 2
+    target = floor + snap
     heights = [e[2] for e in ends]
     low, high = min(heights), max(heights)
     plane = None   # the swinging stick as a half-plane stick, at every sample
@@ -568,11 +566,11 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
     heapify(pool)
     waiting = []     # pairs by their bound at sample 0
     first = []       # the pairs that got one
-    min_seen = math.inf
+    least = math.inf
     while pool or waiting:
         if pool and (not waiting or pool[0][0] <= waiting[0][0]):
             bound, i, k, slot, R = heappop(pool)
-            if bound > min_seen + snap:
+            if bound > target:
                 break    # this pair and every later one clear every sample
             if R is None:   # a pre-bound: the horizon, then back at max(pre-bound, W)
                 slots, x, entry = slot
@@ -583,33 +581,30 @@ def _sweep_minimum(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                 W = R * math.sin(min(max(_angle(c_m, c) - hm - h, 0.0), half))
                 heappush(pool, (max(bound, W), i, k, slot, R))
                 continue
-            min_seen = min(min_seen, _slot_clearance(fixed[k], ends[-1], slot, snap))
             g0 = _least_angle(rays[k][0][0], slot[3])
             first.append((k, slot, R, g0))
             heappush(waiting, (R * math.sin(min(g0, half)), i, first[-1]))
         else:
             bound, _, (k, slot, _, _) = heappop(waiting)
-            if bound > min_seen + snap:
+            if bound > target:
                 break    # this pair and every later one clear sample 0
-            min_seen = min(min_seen, _slot_clearance(fixed[k], ends[0], slot, snap))
-    due = [first] + [[] for _ in range(steps - 1)]   # the last sample is probed
+            least = min(least, _slot_clearance(fixed[k], ends[0], slot, snap))
+    due = [first] + [[] for _ in range(steps)]
     for step, pairs in enumerate(due):
-        if step:
-            for k, slot, _, _ in pairs:
-                min_seen = min(min_seen, _slot_clearance(fixed[k], ends[step], slot, snap))
-        target = min_seen + snap
         for pair in pairs:
             k, slot, R, g0 = pair
-            nxt = step + 1
+            nxt, slack = step + 1, 0.0
             if R > target:
                 units, turned = rays[k]
                 g = g0 if step == 0 else _least_angle(units[step], slot[3])
                 slack = g - math.asin(target / R)
                 if slack > 0.0:
                     nxt = bisect_left(turned, turned[step] + slack, step + 1)
-            if nxt < steps:
+            if step and slack <= 0.0:
+                least = min(least, _slot_clearance(fixed[k], ends[step], slot, snap))
+            if nxt <= steps:
                 due[nxt].append(pair)
-    return min_seen
+    return min(least, target)
 
 
 def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbedding,
@@ -622,7 +617,9 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
     stick is parked and end exactly where the claimed embedding puts it,
     every sweep but the first must stretch its joiner from the first
     sweep's end, and sticks without a recorded sweep must not have moved at
-    all.
+    all.  Each replayed sweep adds (tag, bound) to `moves`, bound from
+    _sweep_bound: floor + snap, or a lower clearance the sweep evaluated;
+    the sweep passes when bound is above the floor.
 
     `after` must hold exactly one component; it may be read back from a
     document.  `layout` is ignored: it is kept only so that callers that
@@ -659,11 +656,11 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
             report.passed = False
             report.detail = f"{move.tag} does not hang from the first sweep's end"
             return report
-        min_seen = _sweep_minimum(move, state, M, snap, horizons)
-        report.moves.append((move.tag, min_seen))
-        if min_seen <= floor:
+        bound = _sweep_bound(move, state, M, snap, floor, horizons)
+        report.moves.append((move.tag, bound))
+        if bound <= floor:
             report.passed = False
-            report.detail = f"sweep of {move.tag} pinched to {min_seen:.3e} (floor {floor:.3e})"
+            report.detail = f"sweep of {move.tag} pinched to {bound:.3e} (floor {floor:.3e})"
             return report
         end_free = _free_end(move.pivot, _page_dir(move.page_angle), M, move.phi_end)
         claimed = final.get(move.tag)

@@ -826,6 +826,20 @@ def verifier_seg_distance(p, q, r, s) -> float:
     return math.sqrt(_fdot(_fsub(cp1, cp2), _fsub(cp1, cp2)))
 
 
+def guarded_seg_distance(p, q, r, s) -> float:
+    """vf.seg_distance with its underflow guard as first written: entered
+    whenever a c < 2^-900, point queries included, it scales the pair by
+    2^k when k > 0 and measures it by verifier_seg_distance."""
+    u, v, w = _fsub(q, p), _fsub(s, r), _fsub(p, r)
+    if _fdot(u, u) * _fdot(v, v) < 2.0 ** -900:
+        k = min(-math.frexp(max(map(abs, (*u, *v, *w))))[1],
+                1022 - math.frexp(max(map(abs, (*p, *q, *r, *s))))[1])
+        if k > 0:
+            return math.ldexp(guarded_seg_distance(*(tuple(math.ldexp(x, k) for x in pt)
+                                                     for pt in (p, q, r, s))), -k)
+    return verifier_seg_distance(p, q, r, s)
+
+
 def _all_pairs_minimum(emb, floor: float):
     """The least vf.seg_distance over every pair of sticks that share no
     junction, lower index first, or inf, and "sticks i/j at d" for each

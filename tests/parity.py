@@ -58,12 +58,16 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   build_equilateral(vp) for every job of the stickbench workloads
   theta-fan, random-large and random-small at seed 1 (124 builds), in
   that order; a build that raises contributes the exception's class name.
+  moves holds each sweep's recorded bound (CertificateReport), not its
+  sampled minimum.
 - cert-failures: repr((passed, moves, detail)) of isotopy_certificate for
-  frames that fail, whose sweeps stop early and so never reach the
-  certificates set: random_presentation(1, "knot", 300) reduced at every M
-  build_parts tries (it pinches at arc83.lower each time), the trefoil's
-  tents at M = 20 against a tampered reduction (tampered), and the
-  mid-sweep pinch frames (pinch_frame), swing and joiner, in that order.
+  frames that fail, with each sweep's recorded bound as in certificates,
+  the pinching sweep's being its sampled minimum.  Their sweeps stop
+  early and so never reach the certificates set:
+  random_presentation(1, "knot", 300) reduced at every M build_parts
+  tries (it pinches at arc83.lower each time), the trefoil's tents at
+  M = 20 against a tampered reduction (tampered), and the mid-sweep pinch
+  frames (pinch_frame), swing and joiner, in that order.
 - cull-work: not a hash but a report, per stickbench workload at seed 1.
   First one certificate line: the calls of the motion certificate's pair
   kernels (CERTIFICATE_KERNELS) over the workload's builds.  Then, for

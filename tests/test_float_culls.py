@@ -522,6 +522,29 @@ def test_verifier_kernel_equals_the_helper_formula():
             oracles.verifier_seg_distance(p, q, r, s).hex()
 
 
+def test_kernel_guard_equals_the_guard_as_first_written():
+    # the underflow guard skips a pair with a or c at least 1 unscaled:
+    # sticks up to 1.1 long from a point or from a stick of no length,
+    # coordinate differences on both sides of 1/2, at scales 2^-1000 to
+    # 2^1000, against the guard that every pair with a c < 2^-900 entered
+    rng = random.Random(0)
+    base = []
+    for d in (0.25, 0.49, 0.5, 0.51, 0.577, 0.6, 0.99, 1.0, 1.1):
+        p, q = (0.125, -0.25, 0.375), (0.125 + d, -0.25, 0.375)
+        point = (0.3, d, -0.2)
+        base += [(p, p, point, point), (p, p, point, (0.3, d + d, -0.2)),
+                 (p, q, point, point), (point, point, p, q), (p, q, q, q)]
+        base += [tuple(tuple(rng.uniform(-d, d) for _ in range(3)) for _ in range(4)) for _ in range(8)]
+        base += [(p, p, *(tuple(rng.uniform(-d, d) for _ in range(3)) for _ in range(2))) for _ in range(4)]
+    checked = 0
+    for e in range(-1000, 1001, 25):
+        for pts in base:
+            p, q, r, s = (tuple(math.ldexp(x, e) for x in pt) for pt in pts)
+            assert verifier.seg_distance(p, q, r, s).hex() == oracles.guarded_seg_distance(p, q, r, s).hex()
+            checked += 1
+    assert checked == 81 * len(base)
+
+
 @pytest.fixture(scope="module")
 def fan32():
     return _build(catalog("theta_trivial(32)"))
