@@ -65,11 +65,31 @@ Angles between unit vectors obey the triangle inequality.
   of that arc lies within h = ab/2 of its midpoint c = (a + b)/|a + b|.
   When the segment reaches F, or |a + b| is too short to trust (below), the
   cone is the whole sphere, h = pi.
-- The mover's direction at sample s lies within |Theta_s - Theta_mid| of
-  its direction c_m at sample mid, where Theta is the summed turning.  mid
-  is the first sample whose turning reaches half the sweep's total
-  Theta_end, so h_m = max(Theta_mid, Theta_end - Theta_mid) covers every
-  sample.
+- The swing from an axis pivot: its direction at sample s lies within
+  |Theta_s - Theta_mid| of its direction c_m at sample mid, where Theta is
+  the summed turning, in closed form (see Rounding).  mid is the first
+  sample whose turning reaches half the sweep's total Theta_end, so
+  h_m = max(Theta_mid, Theta_end - Theta_mid) covers every sample.
+- Any other mover (the joiner, or a swing whose pivot is off the axis):
+  the free end runs along an arc of the circle of radius M about the axis
+  point at the pivot's height, in the page's vertical plane, at every
+  angle of the sweep.  Cut the arc at the nine samples 0, steps/8, ...,
+  steps (integer division), and let D be the largest angle a cut spans,
+  taken no larger than 2 pi.  Every point x of a cut arc lies within
+  2M sin^2(D/4) of the cut's chord: within that of the chord's line, with
+  its foot on the chord, or, past the chord's ends when D > pi, nearer an
+  end.  Let sigma be that plus snap, which covers the rounding of the
+  computed ends, and l the least distance from F to the chords, less sigma.
+  When l > sigma no chord reaches F: the directions from F to a chord fill
+  the shorter great-circle arc between the directions u_j, u_j+1 of its
+  ends, |x - F| >= l, and x's direction lies within asin(sigma / l) of
+  that of its nearest point y on a chord, since |y - F| > l.  Let c_m be
+  u_4, the middle cut, and H the largest angle from it to a u_j.  When
+  H < pi/2 the cap of radius H about c_m is convex, so it holds every
+  chord's arc, and h_m = H + asin(sigma / l) covers the mover at every
+  angle of the sweep; rho is TRIM_FRACTION l.  Otherwise the hull
+  degenerates: h_m = pi, the whole sphere, and rho = TRIM_FRACTION
+  max(l, 0).
 So at every sample the least angle at F between the pair is at least
 G = angle(c_m, c) - h_m - h, and the pair is at least
 W = R sin(min(max(G, 0), pi/2)) apart.  A sweep draws its pairs in
@@ -81,7 +101,12 @@ above the least B waiting.  Sample 0 stops at the first B, or the first W,
 above the target: the pairs waiting then lie above it at sample 0, and the
 pairs not drawn lie above it at every sample; they are never evaluated.
 The drawn pairs are scheduled from sample 0 by the rule above, and B is
-computed for few pairs.
+computed for few pairs.  Only G0 and that schedule read the per-sample
+rays, each mover's unit direction at every sample and its summed turning
+(in closed form for the swing from an axis pivot, else summed from the
+angles between the units of the sampled ends), so a mover's rays are
+built when its first pair is drawn, and a mover with no pair drawn builds
+none.  A sampled end is computed where a pair is evaluated there.
 
 Rounding.  Write u = 2^-53.  Every point the certificate sees lies within
 5M of every other: the tents stand within M of the axis points 0 .. m - 1,
@@ -109,7 +134,10 @@ The cone is used only when _horizon trusts the arc's plane (|a x b| >=
 For a sweep of under 10^4 samples turning under 100 rad (a builder's
 sweep has a few hundred samples and turns under pi), G is off by under
 1.4e-10 and W by under 7e-10 M, which snap = 1e-9 M absorbs, as it absorbs
-the rounding of the per-sample bound.
+the rounding of the per-sample bound.  In the nine-point hull, the snap in
+sigma exceeds the distance of a computed end from the arc (6uM) and the
+rounding of the chord distances (40uC), so the hull holds for the computed
+ends with l as computed, and H and asin(sigma / l) are off by under 20u.
 
 Pre-bounds.  W needs the parked stick's horizon (_horizon: a segment
 distance, its arc and its cone), which is most of a pair's cost.  So a pair
@@ -121,10 +149,12 @@ over the whole sweep, so the draw rule above holds as stated, and a pair
 never drawn never calls _horizon.  A pair whose slot is kept from an
 earlier move enters at W as before.  P is the larger of two bounds.
 - Heights.  At every sample the mover with fixed end F is the segment from
-  F to the sampled free end, so it lies within the heights from the least
-  to the largest of F and every sampled end; the parked stick lies within
-  those of its ends.  Two sets lie at least the gap between their height
-  ranges apart.
+  F to the sampled free end, at height z + M sin phi for the pivot height
+  z.  sin is monotone on [-pi/2, pi/2], so when |phi_start| and |phi_end|
+  are at most pi/2 every free end lies between the heights of the sweep's
+  two ends, and otherwise within z +- M; the mover lies within that range
+  widened to F's height, and the parked stick within the heights of its
+  ends.  Two sets lie at least the gap between their height ranges apart.
 - Half-planes, for the swinging stick when its pivot lies exactly on the
   axis and |phi_start|, |phi_end| <= pi/2.  At every sample the stick then
   runs from the pivot into its page's half-plane, at azimuth psi =
@@ -145,12 +175,51 @@ across the axis, but then c < 2e-15 and the bound is under 1e-14 M.  So
 P is off by under 1e-13 M, which snap absorbs, and a pair that is never
 drawn lies above the target at every sample.
 
+Fans.  Most parked sticks at a fixed end F hang from it into a vertical
+half-plane about F's vertical line, as in an open book (Cromwell,
+"Embedding knots and links in an open book I", 1995): the tent sticks at
+a binding point, and e_1 and the joiners at the hub.  So each fixed end
+keeps a fan (_fan): its members are the sticks with an end exactly at F
+that lie in such a half-plane (_half_plane about F's line), sorted by
+azimuth psi; every other stick is in the rest.  The fan lives as long as
+the slots below and is brought up to date by comparing state entries by
+identity, so only a moved or new stick is reclassified.  A member shares
+F, so the clearance trims the mover at F: its trimmed part runs from
+F + f (E - F) to the free end E, f = TRIM_FRACTION.  Two movers get a
+group bound (rho_h, I):
+- the swing from an axis pivot with |phi_start|, |phi_end| <= pi/2: its
+  trimmed part lies at horizontal distance t M cos phi, t in [f, 1], from
+  F's line, at least rho_h = f M min(cos phi_start, cos phi_end), at the
+  page's azimuth, the one point of I;
+- its joiner, from the hub F: E's xy runs along the segment S from
+  M c d to M c' d, d the page direction, c the least and c' the largest
+  cos phi of the sweep (1 when it passes phi = 0), so the trimmed joiner
+  lies at horizontal distance t |E_xy - F_xy| >= rho_h = f times the
+  distance in the plane from F's line to S, at azimuths in I, those of S
+  seen from F's line, written as centre +- w.
+A member lies in its half-plane, which meets the horizontal plane in a ray
+from F's line at azimuth psi, and a point at horizontal distance r from
+that line, at an azimuth g from psi, lies at least r sin(min(g, pi/2))
+from the ray.  So a member at a gap g on the circle from I lies at least
+rho_h sin(min(g, pi/2)) from the trimmed mover at every angle of the
+sweep, and the trim only shortens the member.  _walk goes outward from I
+both ways, each way up to the first member whose bound clears
+floor + snap.  The bound rises with g, and each member beyond lies past
+both stopping members, so its gap is at least the smaller of theirs
+measured on their own side: it clears too, and gets no slot, no horizon,
+no pre-bound and no pool entry.  The walked members and the rest take the
+per-pair path above; a mover without a group bound walks every member.
+Rounding: azimuths come from atan2 within 3u, centre, w and the gaps
+within a few u of 2 pi, rho_h within 10u of itself, and S within 6uM of
+the sampled free ends, so the group bound is off by under 1e-13 M, which
+snap absorbs.
+
 Of R and the cone, only rho depends on the mover.  r, the arc of
 directions, the cone and the parked stick trimmed at F depend on F and the
 stick alone, so one certificate keeps them in one slot list per fixed end
-F, in state order; a slot is refreshed only when its state entry is a
-different object, and then only once its pair has no positive pre-bound
-or is drawn.  A stick that moves enters the state as a new entry, so
+F, in state order, beside F's fan; a slot is refreshed only when its state
+entry is a different object, and then only once its pair has no positive
+pre-bound or is drawn.  A stick that moves enters the state as a new entry, so
 no slot outlives its stick; a parked stick keeps its slot from move to
 move, and on theta-fan every move shares its pivot and every joiner its
 hub.  Fixed ends that compare equal give the same values up to the sign of
@@ -171,7 +240,7 @@ point distance is the kernel's query with one end of no length.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
 from operator import sub
@@ -353,7 +422,7 @@ def reduce_top(emb: EquilateralEmbedding) -> EquilateralEmbedding:
     if len(doomed) < 2:
         raise EquilateralError("top binding point has fewer than 2 sticks; nothing to trade")
 
-    sticks = [replace(s) for s in emb.sticks if top_label not in (s.ja, s.jb)]
+    sticks = [s for s in emb.sticks if top_label not in (s.ja, s.jb)]   # no EStick is changed in place
     at = {s.tag: i for i, s in enumerate(sticks)}   # one component, so tags are unique
     moves: list[SweepMove] = []
 
@@ -495,58 +564,132 @@ def _slot_clearance(F: V3, end: V3, slot, snap: float) -> float:
     return seg_distance(F, end, pa, pb)
 
 
+def _fan(F: V3, entries: list, horizons: dict):
+    """(slots, members, rest) of the fixed end F, brought up to date with
+    the state entries in state order: slots as _sweep_bound keeps them, the
+    members (azimuth, position), sorted, of the sticks with an end at F
+    that lie in a vertical half-plane about F's vertical line, and the
+    positions of every other stick, as the keys of rest.  Only a position
+    whose entry is a different object from the last move is reclassified."""
+    slots, seen, psis, members, rest = horizons.setdefault(F, ([], [], {}, [], {}))
+    grow = len(entries) - len(slots)
+    slots += [(None,)] * grow
+    seen += [None] * grow
+    for i in [i for i, (e, s) in enumerate(zip(entries, seen)) if e is not s]:
+        entry = seen[i] = entries[i]
+        if i in psis:
+            del members[bisect_left(members, (psis.pop(i), i))]
+        rest.pop(i, None)
+        if F in entry and (plane := _half_plane(*entry, F[:2])):
+            insort(members, (plane[1], i))
+            psis[i] = plane[1]
+        else:
+            rest[i] = None
+    return slots, members, rest
+
+
+def _walk(members, group, target: float) -> list:
+    """The positions of the members, (azimuth, position) sorted, that the
+    group bound rho sin(min(g, pi/2)) does not clear target, g the gap on
+    the circle from the mover's azimuths, centre +- w, for group = (rho,
+    centre, w): walked outward from the centre both ways, each up to the
+    first member it clears (see the module docstring)."""
+    rho, centre, w = group
+    tau, n, walked = 2 * math.pi, len(members), []
+    j = bisect_left(members, (math.remainder(centre, tau),))
+    for step in (1, -1):
+        i = j if step > 0 else j - 1
+        while len(walked) < n:
+            psi, pos = members[i % n]
+            x = (psi - centre) % tau
+            if rho * math.sin(min(max(min(x, tau - x) - w, 0.0), math.pi / 2)) > target:
+                break
+            walked.append(pos)
+            i += step
+    return walked
+
+
 def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                  snap: float, floor: float, horizons: dict) -> float:
     """A lower bound on the least trimmed clearance between the moving
     sticks and the parked ones over the sampled sweep, up to snap: the
     least clearance evaluated, or floor + snap when that is lower.  A
-    (mover, parked) pair is dropped for the whole sweep when its cone bound
-    clears floor + snap; otherwise it is evaluated at sample 0 only when
-    its bound there could reach floor + snap, and again only at the first
-    sample where its horizon bound could fall that far (see the module
-    docstring); a pair that needs a new slot is first led by its
-    pre-bound, and gets its horizon only when drawn.  So the bound lies at
-    or below the floor exactly when the least clearance of every pair at
-    every sample does, and is then that clearance.
-    horizons holds a slot list per fixed end, (state entry, *_horizon) in
-    state order, shared by the sweeps of one certificate."""
+    parked stick at the mover's fixed end that the group bound clears is
+    never looked at; any other (mover, parked) pair is dropped for the whole
+    sweep when its cone bound clears floor + snap, else it is evaluated at
+    sample 0 only when its bound there could reach floor + snap, and again
+    only at the first sample where its horizon bound could fall that far
+    (see the module docstring); a pair that needs a new slot is first led
+    by its pre-bound, and gets its horizon only when drawn.  So the bound
+    lies at or below the floor exactly when the least clearance of every
+    pair at every sample does, and is then that clearance.
+    horizons holds per fixed end the slots, (state entry, *_horizon) in
+    state order, and its fan (_fan), shared by the sweeps of one
+    certificate."""
     diri = _page_dir(move.page_angle)
     steps = max(2, int(math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD)) + 1)
     phis = [move.phi_start + (move.phi_end - move.phi_start) * step / steps for step in range(steps + 1)]
-    ends = [_free_end(move.pivot, diri, M, phi) for phi in phis]
+    start = _free_end(move.pivot, diri, M, phis[0])
     fixed = [move.pivot] if move.hub is None else [move.pivot, move.hub]
     f, half = TRIM_FRACTION, math.pi / 2
     target = floor + snap
-    heights = [e[2] for e in ends]
-    low, high = min(heights), max(heights)
-    plane = None   # the swinging stick as a half-plane stick, at every sample
-    if move.pivot[0] == 0.0 == move.pivot[1] and max(abs(move.phi_start), abs(move.phi_end)) <= half:
-        plane = (min(math.cos(move.phi_start), math.cos(move.phi_end)), math.atan2(diri[1], diri[0]), move.pivot[2])
-    rays = []    # per mover: unit directions and their summed turning
+    on_axis = move.pivot[0] == 0.0 == move.pivot[1]
+    low, high = move.pivot[2] - M, move.pivot[2] + M
+    plane = None   # the swinging stick as a half-plane stick, at every angle
+    groups = [None, None]   # per mover: (rho_h, centre, w) of the group bound
+    if max(abs(move.phi_start), abs(move.phi_end)) <= half:
+        low, high = sorted(move.pivot[2] + M * math.sin(phi) for phi in (phis[0], phis[-1]))
+        if on_axis:
+            cos = [math.cos(move.phi_start), math.cos(move.phi_end)]
+            plane = (min(cos), math.atan2(diri[1], diri[0]), move.pivot[2])
+            groups[0] = (f * M * plane[0], plane[1], 0.0)
+            if move.hub:   # the free end's xy runs along S, seen from the hub's line
+                cos += [1.0] if move.phi_start * move.phi_end <= 0.0 else []
+                S = [(M * r * diri[0] - move.hub[0], M * r * diri[1] - move.hub[1], 0.0) for r in (plane[0], max(cos))]
+                a, b = (math.atan2(y, x) for x, y, _ in S)
+                d = math.remainder(b - a, 2 * math.pi)
+                groups[1] = (f * seg_distance(*[(0.0, 0.0, 0.0)] * 2, *S), a + d / 2, abs(d) / 2)
+
+    def swing(phi):   # the swing's unit direction from an axis pivot, in closed form
+        return (math.cos(phi) * diri[0], math.cos(phi) * diri[1], math.sin(phi))
+
+    def ray(k):   # the mover's unit directions and summed turning at every sample
+        if k == 0 and on_axis:
+            return [swing(phi) for phi in phis], swung
+        units = [_unit(_vsub(_free_end(move.pivot, diri, M, phi), fixed[k])) for phi in phis]
+        turned = [0.0]
+        for u, v in zip(units, units[1:]):
+            turned.append(turned[-1] + _angle(u, v))
+        return units, turned
+
+    rays = [None, None]    # per mover, built when its first pair is drawn
     cones = []   # per mover: c_m, h_m and rho
     pool = []    # every pair, led by its bound over the whole sweep
+    entries, mover = list(state.values()), state.get(move.tag)
     for k, F in enumerate(fixed):
-        if k == 0 and move.pivot[0] == 0.0 == move.pivot[1]:   # the swing from the axis, in closed form
-            units = [(math.cos(phi) * diri[0], math.cos(phi) * diri[1], math.sin(phi)) for phi in phis]
-            turned = [abs(phi - move.phi_start) for phi in phis]
-            rho = f * M
-        else:
-            outs = [_vsub(e, F) for e in ends]
-            lengths = [_norm(v) for v in outs]
-            units = [(v[0] / n, v[1] / n, v[2] / n) for v, n in zip(outs, lengths)]   # as _unit
-            turned = [0.0]
-            for u, v in zip(units, units[1:]):
-                turned.append(turned[-1] + _angle(u, v))
-            rho = f * min(lengths)
-        rays.append((units, turned))
-        mid = bisect_left(turned, turned[-1] / 2)   # the mover's cone: c_m, h_m
-        cones.append((units[mid], max(turned[mid], turned[-1] - turned[mid]), rho))
+        if k == 0 and on_axis:
+            swung = [abs(phi - move.phi_start) for phi in phis]
+            mid = bisect_left(swung, swung[-1] / 2)
+            cm, hm, rho = swing(phis[mid]), max(swung[mid], swung[-1] - swung[mid]), f * M
+        else:   # the hull of nine samples, widened by the cut arcs' sagitta and snap
+            cuts = [steps * j // 8 for j in range(9)]
+            ends = [_free_end(move.pivot, diri, M, phis[s]) for s in cuts]
+            span = max(abs(phis[t] - phis[s]) for s, t in zip(cuts, cuts[1:]))
+            sag = 2 * M * math.sin(min(span, 2 * math.pi) / 4) ** 2 + snap
+            ell = min(seg_distance(F, F, p, q) for p, q in zip(ends, ends[1:])) - sag
+            cm, hm, rho = (0.0, 0.0, 1.0), math.pi, f * max(ell, 0.0)
+            if ell > sag:
+                units = [_unit(_vsub(p, F)) for p in ends]
+                cm, hm = units[4], max(_angle(units[4], u) for u in units)
+                hm = hm + math.asin(sag / ell) if hm < half else math.pi
+        cones.append((cm, hm, rho))
         (mx, my, mz), hm, rho = cones[-1]   # rho: where the trimmed mover starts
         lo, hi = min(low, F[2]), max(high, F[2])
-        slots = horizons.setdefault(F, [])
-        slots += [(None,)] * (len(state) - len(slots))
-        for i, (tag, entry) in enumerate(state.items()):
-            if tag != move.tag:
+        slots, members, rest = _fan(F, entries, horizons)
+        walked = _walk(members, groups[k], target) if groups[k] else [i for _, i in members]
+        for i in (*rest, *walked):
+            entry = entries[i]
+            if entry is not mover:
                 slot = slots[i]
                 if slot[0] is not entry:
                     (_, _, za), (_, _, zb) = entry
@@ -559,7 +702,7 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                     slot = slots[i] = (entry, *_horizon(F, *entry, snap))
                 _, r, shared, _, (cx, cy, cz), h, _ = slot
                 R = max(rho, r) if shared else r
-                # G, with _angle(c_m, c) written out: this loop sees every pair
+                # G, with _angle(c_m, c) written out: this loop sees most pairs
                 ux, uy, uz = my * cz - mz * cy, mz * cx - mx * cz, mx * cy - my * cx
                 g = math.atan2(math.sqrt(ux * ux + uy * uy + uz * uz), mx * cx + my * cy + mz * cz) - hm - h
                 pool.append((R * math.sin(min(max(g, 0.0), half)), len(pool), k, slot, R))
@@ -581,6 +724,7 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                 W = R * math.sin(min(max(_angle(c_m, c) - hm - h, 0.0), half))
                 heappush(pool, (max(bound, W), i, k, slot, R))
                 continue
+            rays[k] = rays[k] or ray(k)
             g0 = _least_angle(rays[k][0][0], slot[3])
             first.append((k, slot, R, g0))
             heappush(waiting, (R * math.sin(min(g0, half)), i, first[-1]))
@@ -588,7 +732,7 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
             bound, _, (k, slot, _, _) = heappop(waiting)
             if bound > target:
                 break    # this pair and every later one clear sample 0
-            least = min(least, _slot_clearance(fixed[k], ends[0], slot, snap))
+            least = min(least, _slot_clearance(fixed[k], start, slot, snap))
     due = [first] + [[] for _ in range(steps)]
     for step, pairs in enumerate(due):
         for pair in pairs:
@@ -601,7 +745,7 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                 if slack > 0.0:
                     nxt = bisect_left(turned, turned[step] + slack, step + 1)
             if step and slack <= 0.0:
-                least = min(least, _slot_clearance(fixed[k], ends[step], slot, snap))
+                least = min(least, _slot_clearance(fixed[k], _free_end(move.pivot, diri, M, phis[step]), slot, snap))
             if nxt <= steps:
                 due[nxt].append(pair)
     return min(least, target)
@@ -639,7 +783,7 @@ def isotopy_certificate(before: EquilateralEmbedding, after: EquilateralEmbeddin
     final = {s.tag: (s.a, s.b) for s in after.sticks}
 
     report = CertificateReport(passed=True)
-    horizons: dict = {}    # slot lists by fixed end
+    horizons: dict = {}    # slots and fans by fixed end
     hub = None             # where the first sweep ends
     for move in comp.moves:
         parked = state.get(move.tag)

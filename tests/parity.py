@@ -84,6 +84,11 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   check_simplicity(segments, scale=M) on every build, as the benchmark's
   eq job runs them.  A change in what the culls prune shows
   here first.
+- cert-ladder: not a hash but a report, one line per theta_trivial(n), n
+  in CERT_LADDER (32, 64, 128, 256): the verdict of the motion certificate
+  replayed on the tents and reduction at the default M, and the calls of
+  its pair kernels (CERTIFICATE_KERNELS).  How those calls grow with the
+  hub's degree shows here.
 - validator: the outcome of validate_presentation on 3,072 mutants, one
   line each: "ok n e v m", or the exception's "type: message".  The bases
   are the catalog and random_presentation(s, p, n) for p in PROFILES,
@@ -125,6 +130,7 @@ from stickforge.verifier import check_equilateral, check_simplicity, verify_stic
 GRID_SIZES = (2, 3, 4, 6, 8, 12, 20, 40, 80, 150)
 # the motion certificate's pair kernels, whose calls the cull-work report counts
 CERTIFICATE_KERNELS = ("_slot_clearance", "_least_angle", "_horizon")
+CERT_LADDER = (32, 64, 128, 256)   # the theta_trivial sizes of the cert-ladder report
 VALIDATOR_DRAWS = 8   # mutants per base presentation and mutation depth
 
 
@@ -424,6 +430,30 @@ def cull_work() -> str:
     return "".join(f"\n  {line}" for line in cull_work_lines())
 
 
+def cert_ladder_calls(n: int):
+    """(passed, calls): the verdict of the certificate of theta_trivial(n)
+    at the default M, replayed on its tents and reduction, and the calls of
+    its pair kernels (CERTIFICATE_KERNELS) by name."""
+    vp = validate_presentation(catalog(f"theta_trivial({n})"))
+    tents = build_tents(vp, DEFAULT_M_FACTOR * vp.m)
+    red = reduce_top(tents)
+    calls = Counter({name: 0 for name in CERTIFICATE_KERNELS})
+    with ExitStack() as spies:
+        for name in CERTIFICATE_KERNELS:
+            spies.enter_context(_spied(equilateral_builder, name, lambda args, name=name: calls.update([name])))
+        passed = isotopy_certificate(tents, red).passed
+    return passed, calls
+
+
+def cert_ladder() -> str:
+    lines = []
+    for n in CERT_LADDER:
+        passed, calls = cert_ladder_calls(n)
+        lines.append(f"theta_trivial({n}) {'passed' if passed else 'failed'}: "
+                     + ", ".join(f"{k} {name}" for name, k in calls.items()))
+    return "".join(f"\n  {line}" for line in lines)
+
+
 def tampered(emb):
     """The reduced embedding with its first stick's end a lifted by 0.25."""
     s = emb.sticks[0]
@@ -566,7 +596,7 @@ SETS = {"eq-docs": eq_docs, "eq-checks": eq_checks, "fan-checks": fan_checks, "f
         "exact-size": exact_size,
         "presentations": presentations, "workloads": workloads,
         "certificates": certificates, "cert-failures": cert_failures, "validator": validator,
-        "cull-work": cull_work}
+        "cull-work": cull_work, "cert-ladder": cert_ladder}
 
 
 def main(names) -> None:

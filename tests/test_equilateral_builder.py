@@ -17,6 +17,7 @@ from stickforge.equilateral_builder import (
     DEFAULT_M_FACTOR,
     SNAP_REL,
     SWEEP_STEP_RAD,
+    TRIM_FRACTION,
     ComponentInfo,
     EquilateralEmbedding,
     EquilateralError,
@@ -787,6 +788,115 @@ def test_slot_clearance_equals_clearance(case):
         assert got.hex() == oracles.clearance(F, end, p, q, snap).hex()
 
 
+# ---------------------------------------------------------------------------
+# the group bound of a fan: parked sticks with an end at the fixed end
+
+
+def _sample_end(move, M, step):
+    """Where move's free end lies at sample step of its sweep."""
+    steps = max(2, math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD) + 1)
+    return parity.sweep_end(move, M, move.phi_start + (move.phi_end - move.phi_start) * step / steps)
+
+
+def _fan_member(F, X, turn, reach=0.8):
+    """A parked stick from F to reach of the way to X, turned by `turn`
+    about the vertical line through F: a member of F's fan."""
+    dx, dy, dz = (reach * (x - f) for x, f in zip(X, F))
+    c, s = math.cos(turn), math.sin(turn)
+    return F, (F[0] + c * dx - s * dy, F[1] + s * dx + c * dy, F[2] + dz)
+
+
+def _pinched_like_reference(before, after, tag):
+    """The certificate of after pinches at the sweep of tag, as the
+    all-pairs reference does, with the reference's sampled minimum as its
+    bound, bit for bit."""
+    cert = isotopy_certificate(before, after)
+    ref = oracles.sampled_certificate(before, after)
+    _check_reference(cert, ref, after.M)
+    assert cert.detail.startswith(f"sweep of {tag} pinched")
+    assert cert.moves[-1][1].hex() == ref.moves[-1][1].hex()
+
+
+# (page angle, turn of the member): pages 1e-7 rad apart, on either side,
+# and across atan2's cut at +-pi
+FAN_PAGES = {"above": (1.0, 1e-7), "below": (1.0, -1e-7),
+             "cut-up": (math.pi - 0.5e-7, 1e-7), "cut-down": (-math.pi + 0.5e-7, -1e-7)}
+
+
+@pytest.mark.parametrize("case", list(FAN_PAGES))
+def test_group_walk_reaches_a_page_1e_7_away(case):
+    # a swing from the axis and one parked stick at its pivot, along the
+    # swing at sample 40 turned 1e-7 rad about the axis: a member of the
+    # pivot's fan whose group bound is about 1e-9 M, so the walk must hand
+    # it on; the two pass about 7e-10 M apart, a pinch
+    angle, turn = FAN_PAGES[case]
+    M = 4.0
+    move = SweepMove("arc0.lower", (0.0, 0.0, 0.0), angle, 0.2, 1.2, None)
+    member = _fan_member(move.pivot, _sample_end(move, M, 40), turn)
+    assert (member[1][1] > 0) != (move.page_angle > 0) or not case.startswith("cut")
+    _pinched_like_reference(*_one_swing(move, M, {"member": member}), move.tag)
+
+
+def test_group_walk_passes_members_that_hold_no_pinch():
+    # members of the pivot's fan 1e-5 rad either side of the swing's page,
+    # but steeper than the swing ever gets, and the holder 5e-5 rad off it
+    # at sample 40, within M 1e-6 / 0.01 cos(phi_end) of it, where its group
+    # bound still does not clear: the walk must go on past the first
+    # members; two far members, a radian off, clear it
+    M = 4.0
+    move = SweepMove("arc0.lower", (0.0, 0.0, 0.0), 0.0, 0.2, 1.2, None)
+    steep = parity.sweep_end(move, M, 1.55)
+    parked = {f"steep{i}": _fan_member(move.pivot, steep, t) for i, t in enumerate((1e-5, -1e-5))}
+    parked |= {f"far{i}": _fan_member(move.pivot, steep, t) for i, t in enumerate((1.0, -1.0))}
+    parked["holder"] = _fan_member(move.pivot, _sample_end(move, M, 40), 5e-5)
+    before, after = _one_swing(move, M, parked)
+    _pinched_like_reference(before, after, move.tag)
+    assert TRIM_FRACTION * M * math.cos(1.2) * math.sin(5e-5) < CERT_CLEARANCE_REL * M
+
+
+def test_group_walk_reaches_a_joiner_inside_the_interval():
+    # theta_trivial(5) at M = 8 with one more stick hanging from the hub,
+    # along the second move's joiner at its middle sample, offset half the
+    # floor sideways at its far end: inside the azimuths the joiner's free
+    # end runs through as seen from the hub, so its group bound is 0 and
+    # the trimmed sticks pass under the floor apart
+    M = 8.0
+    tents = build_tents(vp_of("theta_trivial(5)"), M)
+    red = reduce_top(tents)
+    move = red.components[0].moves[1]
+    steps = max(2, math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD) + 1)
+    hub, free = move.hub, _sample_end(move, M, steps // 2)
+    a, b = _fan_member(hub, free, 0.0, reach=0.6)
+    v = (free[0] - hub[0], free[1] - hub[1])
+    side = 0.5 * CERT_CLEARANCE_REL * M / math.hypot(*v)
+    b = (b[0] + side * v[1], b[1] - side * v[0], b[2])
+    _pinched_like_reference(parity.with_parked(tents, a, b), red, move.tag)
+
+
+# moves that no group bound covers: (pivot, phi_start, phi_end, sample),
+# with a member of the pivot's fan 1e-7 rad off the swing at that sample,
+# far from the page's azimuth (off the axis) or in the opposite half-plane
+# (past the vertical, back to cos(phi_end) > 0)
+NO_GROUP = {"off-axis": ((0.0, 2.0, 0.0), 0.2, 1.2, 40),
+            "full-turn": ((0.0, 0.0, 0.0), 0.2, 6.0, 300)}
+
+
+@pytest.mark.parametrize("case", list(NO_GROUP))
+def test_no_group_bound_where_none_applies(case):
+    # a group bound about the page's azimuth would clear the member, which
+    # the swing passes about 1e-9 M away: the pinch must still be found, as
+    # the all-pairs reference finds it
+    pivot, phi_start, phi_end, step = NO_GROUP[case]
+    M = 4.0
+    move = SweepMove("arc0.lower", pivot, 0.0, phi_start, phi_end, None)
+    end = _sample_end(move, M, step)
+    member = _fan_member(pivot, end, 1e-7)
+    gap = abs(math.atan2(member[1][1] - pivot[1], member[1][0] - pivot[0]))
+    assert TRIM_FRACTION * M * min(math.cos(phi_start), math.cos(phi_end)) * math.sin(min(gap, math.pi / 2)) \
+        > 1e3 * CERT_CLEARANCE_REL * M
+    _pinched_like_reference(*_one_swing(move, M, {"member": member}), move.tag)
+
+
 def _counted_kernels(monkeypatch):
     """Calls of _slot_clearance, _least_angle and _horizon, by name, from
     now on."""
@@ -804,16 +914,29 @@ def _counted_kernels(monkeypatch):
 
 def test_certificate_culls_the_whole_sweep(monkeypatch):
     # theta_trivial(64) at M = 8: the whole-sweep cull leaves few pairs to
-    # bound at sample 0.  748 _least_angle calls and no _slot_clearance
-    # call with the floor as the target; 2,628 and 2,631 at the running
-    # minimum with the last sample probed first, 3,562 _least_angle calls
-    # without the probe, 15,157 without the cull as well
+    # bound at sample 0.  852 _least_angle calls, 156 _horizon calls and no
+    # _slot_clearance call with the group bound at each fixed end; 748 and
+    # 344 with one bound per (mover, parked) pair; 2,628 _slot_clearance
+    # and 2,631 _least_angle calls at the running minimum with the last
+    # sample probed first, 3,562 _least_angle calls without the probe,
+    # 15,157 without the cull as well
     tents = build_tents(vp_of("theta_trivial(64)"), 8.0)
     red = reduce_top(tents)
     calls = _counted_kernels(monkeypatch)
     assert isotopy_certificate(tents, red).passed
     assert calls["_least_angle"] <= 900
     assert calls["_slot_clearance"] <= 20
+    assert calls["_horizon"] <= 170
+
+
+def test_certificate_horizons_grow_linearly_on_the_fan_ladder():
+    # the cert-ladder set of tests/parity.py, theta_trivial(n) for n = 32,
+    # 64, 128, 256: 76 / 156 / 316 / 636 _horizon calls with the group
+    # bound at each fixed end, 168 / 344 / 696 / 1,400 with one bound per
+    # (mover, parked) pair
+    for n in parity.CERT_LADDER:
+        passed, calls = parity.cert_ladder_calls(n)
+        assert passed and calls["_horizon"] <= 2.5 * n
 
 
 def test_certificate_work_guard(monkeypatch):
@@ -822,12 +945,13 @@ def test_certificate_work_guard(monkeypatch):
     # minimum fell only with the samples, 9,469 and 4,618 with the last
     # sample probed first, and 7,670 and 2,820 with pre-bounds, which also
     # cut _horizon from 4,053 calls to 854.  With the floor as the target
-    # they are 0, 13 and 616; the certificates set pins the moves
+    # they are 0, 13 and 616, and 0, 15 and 411 with the group bound at
+    # each fixed end; the certificates set pins the moves
     calls = _counted_kernels(monkeypatch)
     for p in PROFILES:
         for s in range(10):
             assert build_equilateral(validate_presentation(random_presentation(s, p, 40))).certificate.passed
-    assert calls["_horizon"] <= 700
+    assert calls["_horizon"] <= 450
     assert calls["_slot_clearance"] <= 20
     assert calls["_least_angle"] <= 40
 
