@@ -106,7 +106,10 @@ rays, each mover's unit direction at every sample and its summed turning
 (in closed form for the swing from an axis pivot, else summed from the
 angles between the units of the sampled ends), so a mover's rays are
 built when its first pair is drawn, and a mover with no pair drawn builds
-none.  A sampled end is computed where a pair is evaluated there.
+none.  Likewise a mover's cone (c_m, h_m and rho) is built when the first
+of its pairs needs W, so a mover whose every pair is cleared by a group
+bound or waits on a pre-bound never samples its hull.  A sampled end is
+computed where a pair is evaluated there.
 
 Rounding.  Write u = 2^-53.  Every point the certificate sees lies within
 5M of every other: the tents stand within M of the axis points 0 .. m - 1,
@@ -181,22 +184,28 @@ half-plane about F's vertical line, as in an open book (Cromwell,
 a binding point, and e_1 and the joiners at the hub.  So each fixed end
 keeps a fan (_fan): its members are the sticks with an end exactly at F
 that lie in such a half-plane (_half_plane about F's line), sorted by
-azimuth psi; every other stick is in the rest.  The fan lives as long as
-the slots below and is brought up to date by comparing state entries by
-identity, so only a moved or new stick is reclassified.  A member shares
-F, so the clearance trims the mover at F: its trimmed part runs from
-F + f (E - F) to the free end E, f = TRIM_FRACTION.  Two movers get a
-group bound (rho_h, I):
+azimuth psi, and the heights of their other ends are kept sorted beside
+them for the cross bounds below; every other stick is in the rest.  The
+fan lives as long as the slots below and is brought up to date by
+comparing state entries by identity, so only a moved or new stick is
+reclassified.  A member shares F, so the clearance trims the mover at F:
+its trimmed part runs from F + f (E - F) to the free end E,
+f = TRIM_FRACTION.  Two movers get a group bound (rho_h, I):
 - the swing from an axis pivot with |phi_start|, |phi_end| <= pi/2: its
   trimmed part lies at horizontal distance t M cos phi, t in [f, 1], from
-  F's line, at least rho_h = f M min(cos phi_start, cos phi_end), at the
-  page's azimuth, the one point of I;
-- its joiner, from the hub F: E's xy runs along the segment S from
-  M c d to M c' d, d the page direction, c the least and c' the largest
-  cos phi of the sweep (1 when it passes phi = 0), so the trimmed joiner
-  lies at horizontal distance t |E_xy - F_xy| >= rho_h = f times the
-  distance in the plane from F's line to S, at azimuths in I, those of S
-  seen from F's line, written as centre +- w.
+  F's line, at least rho_h = f M c, c = min(cos phi_start, cos phi_end)
+  (cos rises and then falls on [-pi/2, pi/2]), at the page's azimuth psi,
+  the one point of I;
+- its joiner, from the hub F.  Let d be the page direction, at azimuth
+  psi, e the unit at psi + pi/2, and a d + b e the hub's xy (a along the
+  page, b across it).  E's xy is r d with r = M cos phi >= M c, so seen
+  from F's line the trimmed joiner's points lie at v ((r - a) d - b e),
+  v in [f, 1].  A wedge (_wedge) is a set of points p d + q e with
+  p >= x > 0 and q / p between 0 and y / x: they lie at least p >= x from
+  0, at azimuths between psi and psi + atan2(y, x), since atan2(q, p) is
+  monotone in q / p for p > 0.  When M c > a the trimmed joiner lies in
+  the wedge with x = f (M c - a) and y = -f b at every angle of the
+  sweep, which gives rho_h = x and I, written as centre +- w.
 A member lies in its half-plane, which meets the horizontal plane in a ray
 from F's line at azimuth psi, and a point at horizontal distance r from
 that line, at an azimuth g from psi, lies at least r sin(min(g, pi/2))
@@ -209,10 +218,53 @@ both stopping members, so its gap is at least the smaller of theirs
 measured on their own side: it clears too, and gets no slot, no horizon,
 no pre-bound and no pool entry.  The walked members and the rest take the
 per-pair path above; a mover without a group bound walks every member.
+
+Cross bounds.  The same two movers also get a group bound against the fan
+at the other fixed end: the hub's for the swing, the pivot's for the
+joiner.  Let P be the pivot, on the axis, H the hub, a and b as above,
+low and high the least and largest free-end heights (the heights of the
+sweep's two ends, as |phi| <= pi/2), and tau = 2 (floor + snap).
+- The joiner against C, the members of the pivot's fan that are not in
+  the hub's.  Every point of C lies at or below Z, the highest of their
+  ends and P, so a joiner point above Z + tau lies more than floor + snap
+  from C.  When min(low, H_z) >= Z + tau no joiner point lies lower, and
+  all of C clears.  Otherwise a joiner point X = (1 - u) H + u E at or
+  below Z + tau has u >= t = (H_z - Z - tau) / (H_z - low) when
+  H_z > Z + tau, as then u (H_z - E_z) >= H_z - Z - tau and
+  0 < H_z - E_z <= H_z - low; else take t = 0.  X's xy, seen from the
+  axis, is p d + q e with p = (1 - u) a + u r and q = (1 - u) b.  Over
+  u in [t, 1] and r >= M c, p >= min(t M c + (1 - t) a, M c) (p is linear
+  in u and rises with r) and |q| <= (1 - t) |b| with q of b's sign: so X
+  lies in the wedge with x that minimum and y = (1 - t) b, at every
+  angle of the sweep.  It holds the trapezoid conv((1 - t) H_xy + t S, S), S the
+  segment along which E's xy runs.
+- The swing against C', the members of the hub's fan that are not in the
+  pivot's.  Every point of C' lies at or above Z', the lowest of their
+  ends and H, so a swing point below Z' - tau lies more than
+  floor + snap from C', and
+  all of C' clears when max(high, P_z) <= Z' - tau.  Otherwise a swing
+  point P + u (E - P) at or above Z' - tau has u >= s =
+  (Z' - tau - P_z) / (high - P_z) when Z' - tau > P_z, else s = 0.  Its
+  xy is u r d, seen from H's line (u r - a) d - b e with u r >= s M c,
+  so it lies in the wedge with x = s M c - a and y = -b at every angle
+  of the sweep.
+Either way a member at a gap g from the wedge's azimuths lies at least
+min(tau, x sin(min(g, pi/2))) from the untrimmed mover at every angle of
+the sweep, which bounds the trimmed clearance, so _walk over the other end's fan with
+(x, I) clears members as above, and a cleared member of C or C' gets no
+slot, no horizon, no pre-bound and no pool entry for that mover.  A member
+of both fans, such as e_1 from P to H, is in neither C nor C' and keeps its
+own end's walk; every other stick keeps its path.  The wedge needs no test
+of which side of a line the trapezoid's corners lie: on the page opposite
+the hub (b about 0, theta_trivial(2k) at page k + 1) it spans under 1e-15
+rad on either side, where signs of cross products would mix.
 Rounding: azimuths come from atan2 within 3u, centre, w and the gaps
-within a few u of 2 pi, rho_h within 10u of itself, and S within 6uM of
-the sampled free ends, so the group bound is off by under 1e-13 M, which
-snap absorbs.
+within a few u of 2 pi, a and b within 4u |H| and x within 10u of itself,
+and the sampled free ends lie within 6uM of r d, so each group bound is off
+by under 1e-13 M, which snap absorbs.  t and s are off by a few u, and a
+mover point that rounding moves out of the wedge lies within 10uM of the
+cut height, so it lies more than tau - 10uM > floor + snap from the other
+fan by height.
 
 Of R and the cone, only rho depends on the mover.  r, the arc of
 directions, the cone and the parked stick trimmed at F depend on F and the
@@ -565,27 +617,42 @@ def _slot_clearance(F: V3, end: V3, slot, snap: float) -> float:
 
 
 def _fan(F: V3, entries: list, horizons: dict):
-    """(slots, members, rest) of the fixed end F, brought up to date with
-    the state entries in state order: slots as _sweep_bound keeps them, the
-    members (azimuth, position), sorted, of the sticks with an end at F
-    that lie in a vertical half-plane about F's vertical line, and the
-    positions of every other stick, as the keys of rest.  Only a position
-    whose entry is a different object from the last move is reclassified."""
-    slots, seen, psis, members, rest = horizons.setdefault(F, ([], [], {}, [], {}))
+    """(slots, at, members, ends, rest) of the fixed end F, brought up to
+    date with the state entries in state order: slots as _sweep_bound keeps
+    them; for the sticks with an end at F that lie in a vertical half-plane
+    about F's vertical line, the members, their (azimuth, position) sorted,
+    ends, the (height, position) of their other ends sorted, and at, their
+    (azimuth, height) by position; and the positions of every other stick,
+    as the keys of rest.  Only a position whose entry is a different object
+    from the last move is reclassified."""
+    slots, seen, at, members, ends, rest = horizons.setdefault(F, ([], [], {}, [], [], {}))
     grow = len(entries) - len(slots)
     slots += [(None,)] * grow
     seen += [None] * grow
     for i in [i for i, (e, s) in enumerate(zip(entries, seen)) if e is not s]:
         entry = seen[i] = entries[i]
-        if i in psis:
-            del members[bisect_left(members, (psis.pop(i), i))]
+        if i in at:
+            psi, z = at.pop(i)
+            del members[bisect_left(members, (psi, i))]
+            del ends[bisect_left(ends, (z, i))]
         rest.pop(i, None)
         if F in entry and (plane := _half_plane(*entry, F[:2])):
-            insort(members, (plane[1], i))
-            psis[i] = plane[1]
+            at[i] = psi, z = plane[1], entry[1 - plane[3]][2]
+            insort(members, (psi, i))
+            insort(ends, (z, i))
         else:
             rest[i] = None
-    return slots, members, rest
+    return slots, at, members, ends, rest
+
+
+def _wedge(x: float, y: float, psi: float):
+    """The group (rho, centre, w) of the points p d + q e with p >= x and
+    q / p between 0 and y / x, d the unit at azimuth psi and e the unit at
+    psi + pi/2: their azimuths lie between psi and psi + atan2(y, x), and
+    they lie at least x from 0 (see the module docstring); None unless
+    x > 0."""
+    w = math.atan2(abs(y), x) / 2
+    return (x, psi + math.copysign(w, y), w) if x > 0.0 else None
 
 
 def _walk(members, group, target: float) -> list:
@@ -614,8 +681,9 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
     """A lower bound on the least trimmed clearance between the moving
     sticks and the parked ones over the sampled sweep, up to snap: the
     least clearance evaluated, or floor + snap when that is lower.  A
-    parked stick at the mover's fixed end that the group bound clears is
-    never looked at; any other (mover, parked) pair is dropped for the whole
+    parked stick in the fan at either fixed end that the mover's group
+    bound for that fan clears is never looked at for that mover; any other
+    (mover, parked) pair is dropped for the whole
     sweep when its cone bound clears floor + snap, else it is evaluated at
     sample 0 only when its bound there could reach floor + snap, and again
     only at the first sample where its horizon bound could fall that far
@@ -635,38 +703,57 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
     target = floor + snap
     on_axis = move.pivot[0] == 0.0 == move.pivot[1]
     low, high = move.pivot[2] - M, move.pivot[2] + M
+    entries, mover = list(state.values()), state.get(move.tag)
+    fans = [_fan(F, entries, horizons) for F in fixed]
     plane = None   # the swinging stick as a half-plane stick, at every angle
-    groups = [None, None]   # per mover: (rho_h, centre, w) of the group bound
+    groups = [None, None]   # per mover: (rho_h, centre, w) of the group bound at its own end
+    kept = [None, None]     # per mover with a cross bound: the other end's members it leaves
     if max(abs(move.phi_start), abs(move.phi_end)) <= half:
         low, high = sorted(move.pivot[2] + M * math.sin(phi) for phi in (phis[0], phis[-1]))
         if on_axis:
-            cos = [math.cos(move.phi_start), math.cos(move.phi_end)]
-            plane = (min(cos), math.atan2(diri[1], diri[0]), move.pivot[2])
-            groups[0] = (f * M * plane[0], plane[1], 0.0)
-            if move.hub:   # the free end's xy runs along S, seen from the hub's line
-                cos += [1.0] if move.phi_start * move.phi_end <= 0.0 else []
-                S = [(M * r * diri[0] - move.hub[0], M * r * diri[1] - move.hub[1], 0.0) for r in (plane[0], max(cos))]
-                a, b = (math.atan2(y, x) for x, y, _ in S)
-                d = math.remainder(b - a, 2 * math.pi)
-                groups[1] = (f * seg_distance(*[(0.0, 0.0, 0.0)] * 2, *S), a + d / 2, abs(d) / 2)
+            c, psi, pz = min(math.cos(move.phi_start), math.cos(move.phi_end)), math.atan2(diri[1], diri[0]), move.pivot[2]
+            plane = (c, psi, pz)
+            groups[0] = (f * M * c, psi, 0.0)
+            if move.hub:   # the hub's xy along and across the page
+                (hx, hy, hz), tau = move.hub, 2 * target
+                along, across = hx * diri[0] + hy * diri[1], hy * diri[0] - hx * diri[1]
+                groups[1] = _wedge(f * (M * c - along), -f * across, psi)
+                (_, at0, fan0, tops, _), (_, at1, fan1, bottoms, _) = fans
+                # the joiner against the pivot's members off the hub, below their top Z + tau
+                if (Z := next((z for z, i in reversed(tops) if i not in at1), None)) is not None:
+                    Z = max(Z, pz) + tau
+                    if min(low, hz) >= Z:
+                        kept[1] = []
+                    else:
+                        t = (hz - Z) / (hz - low) if hz > Z else 0.0
+                        g = _wedge(min(t * M * c + (1 - t) * along, M * c), (1 - t) * across, psi)
+                        kept[1] = _walk(fan0, g, target) if g else None
+                # the swing against the hub's members off the pivot, above their bottom Z' - tau
+                if (Z := next((z for z, i in bottoms if i not in at0), None)) is not None:
+                    Z = min(Z, hz) - tau
+                    if max(high, pz) <= Z:
+                        kept[0] = []
+                    else:
+                        s = (Z - pz) / (high - pz) if Z > pz else 0.0
+                        g = _wedge(s * M * c - along, -across, psi)
+                        kept[0] = _walk(fan1, g, target) if g else None
 
     def swing(phi):   # the swing's unit direction from an axis pivot, in closed form
         return (math.cos(phi) * diri[0], math.cos(phi) * diri[1], math.sin(phi))
 
     def ray(k):   # the mover's unit directions and summed turning at every sample
         if k == 0 and on_axis:
-            return [swing(phi) for phi in phis], swung
+            return [swing(phi) for phi in phis], [abs(phi - move.phi_start) for phi in phis]
         units = [_unit(_vsub(_free_end(move.pivot, diri, M, phi), fixed[k])) for phi in phis]
         turned = [0.0]
         for u, v in zip(units, units[1:]):
             turned.append(turned[-1] + _angle(u, v))
         return units, turned
 
-    rays = [None, None]    # per mover, built when its first pair is drawn
-    cones = []   # per mover: c_m, h_m and rho
-    pool = []    # every pair, led by its bound over the whole sweep
-    entries, mover = list(state.values()), state.get(move.tag)
-    for k, F in enumerate(fixed):
+    def cone(k):   # c_m, h_m and rho of mover k, built when its first pair needs them
+        if cones[k]:
+            return cones[k]
+        F = fixed[k]
         if k == 0 and on_axis:
             swung = [abs(phi - move.phi_start) for phi in phis]
             mid = bisect_left(swung, swung[-1] / 2)
@@ -682,11 +769,19 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                 units = [_unit(_vsub(p, F)) for p in ends]
                 cm, hm = units[4], max(_angle(units[4], u) for u in units)
                 hm = hm + math.asin(sag / ell) if hm < half else math.pi
-        cones.append((cm, hm, rho))
-        (mx, my, mz), hm, rho = cones[-1]   # rho: where the trimmed mover starts
+        cones[k] = cm, hm, rho
+        return cones[k]
+
+    rays = [None, None]    # per mover, built when its first pair is drawn
+    cones = [None, None]
+    pool = []    # every pair, led by its bound over the whole sweep
+    for k, F in enumerate(fixed):
         lo, hi = min(low, F[2]), max(high, F[2])
-        slots, members, rest = _fan(F, entries, horizons)
+        slots, _, members, _, rest = fans[k]
+        mx = None   # mover k's cone, read when its first pair needs it
         walked = _walk(members, groups[k], target) if groups[k] else [i for _, i in members]
+        if kept[k] is not None and (cleared := fans[1 - k][1].keys() - kept[k]):
+            rest = rest.keys() - cleared   # the other end's members that the cross bound clears
         for i in (*rest, *walked):
             entry = entries[i]
             if entry is not mover:
@@ -701,6 +796,8 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                         continue
                     slot = slots[i] = (entry, *_horizon(F, *entry, snap))
                 _, r, shared, _, (cx, cy, cz), h, _ = slot
+                if mx is None:
+                    (mx, my, mz), hm, rho = cone(k)   # rho: where the trimmed mover starts
                 R = max(rho, r) if shared else r
                 # G, with _angle(c_m, c) written out: this loop sees most pairs
                 ux, uy, uz = my * cz - mz * cy, mz * cx - mx * cz, mx * cy - my * cx
@@ -718,7 +815,7 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
             if R is None:   # a pre-bound: the horizon, then back at max(pre-bound, W)
                 slots, x, entry = slot
                 slot = slots[x] = (entry, *_horizon(fixed[k], *entry, snap))
-                c_m, hm, rho = cones[k]
+                c_m, hm, rho = cone(k)
                 _, r, shared, _, c, h, _ = slot
                 R = max(rho, r) if shared else r
                 W = R * math.sin(min(max(_angle(c_m, c) - hm - h, 0.0), half))

@@ -69,8 +69,10 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   M = 20 against a tampered reduction (tampered), and the mid-sweep pinch
   frames (pinch_frame), swing and joiner, in that order.
 - cull-work: not a hash but a report, per stickbench workload at seed 1.
-  First one certificate line: the calls of the motion certificate's pair
-  kernels (CERTIFICATE_KERNELS) over the workload's builds.  Then, for
+  First one certificate line: the calls of the motion certificate's
+  kernels (CERTIFICATE_KERNELS: its pair kernels, and _free_end, the
+  sampled end that its rays and evaluations compute) made inside
+  isotopy_certificate over the workload's builds.  Then, for
   each float pass, one line for the single frames (one component) and one
   for the assembled frames (several parts): the sticks of the frames the
   pass checks, the rows that the axis walk of their shared cull
@@ -87,8 +89,8 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
 - cert-ladder: not a hash but a report, one line per theta_trivial(n), n
   in CERT_LADDER (32, 64, 128, 256): the verdict of the motion certificate
   replayed on the tents and reduction at the default M, and the calls of
-  its pair kernels (CERTIFICATE_KERNELS).  How those calls grow with the
-  hub's degree shows here.
+  its kernels (CERTIFICATE_KERNELS, _free_end included).  How those calls
+  grow with the hub's degree shows here.
 - validator: the outcome of validate_presentation on 3,072 mutants, one
   line each: "ok n e v m", or the exception's "type: message".  The bases
   are the catalog and random_presentation(s, p, n) for p in PROFILES,
@@ -128,8 +130,9 @@ from stickforge.stick_builder import build
 from stickforge.verifier import check_equilateral, check_simplicity, verify_stick_embedding
 
 GRID_SIZES = (2, 3, 4, 6, 8, 12, 20, 40, 80, 150)
-# the motion certificate's pair kernels, whose calls the cull-work report counts
-CERTIFICATE_KERNELS = ("_slot_clearance", "_least_angle", "_horizon")
+# the motion certificate's pair kernels and its sampled end, whose calls
+# inside the certificate the cull-work and cert-ladder reports count
+CERTIFICATE_KERNELS = ("_slot_clearance", "_least_angle", "_horizon", "_free_end")
 CERT_LADDER = (32, 64, 128, 256)   # the theta_trivial sizes of the cert-ladder report
 VALIDATOR_DRAWS = 8   # mutants per base presentation and mutation depth
 
@@ -397,15 +400,21 @@ def cull_work_lines():
     bw = _bench_workloads()
     for w in bw.WORKLOADS:
         frames, builds, calls = [], [], Counter({name: 0 for name in CERTIFICATE_KERNELS})
-        with ExitStack() as spies:
-            spies.enter_context(_spied(equilateral_builder, "tolerance_report", lambda args: frames.append(args[0])))
-            for name in CERTIFICATE_KERNELS:
-                spies.enter_context(_spied(equilateral_builder, name, lambda args, name=name: calls.update([name])))
-            for job in bw.make(w, 1):
-                try:
-                    builds.append(build_equilateral(validate_presentation(job.presentation)))
-                except equilateral_builder.EquilateralError:
-                    pass   # a refused build is no frame of the eq checks
+        real = equilateral_builder.isotopy_certificate
+
+        def counted(*args):
+            with _certificate_kernels(calls):
+                return real(*args)
+        with _spied(equilateral_builder, "tolerance_report", lambda args: frames.append(args[0])):
+            equilateral_builder.isotopy_certificate = counted
+            try:
+                for job in bw.make(w, 1):
+                    try:
+                        builds.append(build_equilateral(validate_presentation(job.presentation)))
+                    except equilateral_builder.EquilateralError:
+                        pass   # a refused build is no frame of the eq checks
+            finally:
+                equilateral_builder.isotopy_certificate = real
         yield f"{w} certificate: " + ", ".join(f"{n} {name}" for name, n in calls.items())
         # the one distance kernel, where each pass calls it (tolerance_report and
         # check_equilateral through _verifier_float._clearance); all three build
@@ -430,17 +439,25 @@ def cull_work() -> str:
     return "".join(f"\n  {line}" for line in cull_work_lines())
 
 
+@contextmanager
+def _certificate_kernels(calls):
+    """The calls of the certificate's kernels (CERTIFICATE_KERNELS) added
+    to the Counter calls by name until the block ends."""
+    with ExitStack() as spies:
+        for name in CERTIFICATE_KERNELS:
+            spies.enter_context(_spied(equilateral_builder, name, lambda args, name=name: calls.update([name])))
+        yield
+
+
 def cert_ladder_calls(n: int):
     """(passed, calls): the verdict of the certificate of theta_trivial(n)
     at the default M, replayed on its tents and reduction, and the calls of
-    its pair kernels (CERTIFICATE_KERNELS) by name."""
+    its kernels (CERTIFICATE_KERNELS) by name."""
     vp = validate_presentation(catalog(f"theta_trivial({n})"))
     tents = build_tents(vp, DEFAULT_M_FACTOR * vp.m)
     red = reduce_top(tents)
     calls = Counter({name: 0 for name in CERTIFICATE_KERNELS})
-    with ExitStack() as spies:
-        for name in CERTIFICATE_KERNELS:
-            spies.enter_context(_spied(equilateral_builder, name, lambda args, name=name: calls.update([name])))
+    with _certificate_kernels(calls):
         passed = isotopy_certificate(tents, red).passed
     return passed, calls
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -640,17 +641,25 @@ def test_certificate_never_evaluates_a_pair_that_clears_the_floor(monkeypatch):
     assert seen == {"radial": [], "holder": []}
 
 
-def _one_swing(move, M, parked):
-    """(before, after): the stick tagged move.tag swinging as move records,
-    at its start and at its end, among the parked sticks (tag: (a, b)),
-    which no move touches and which share no junction."""
-    comp = ComponentInfo(index=0, n_arcs=1, n_points=1, reduced=True, moves=(move,))
+def _swings(moves, M, parked):
+    """(before, after): the sticks tagged by the moves swinging as they
+    record, at their starts and at their ends, the first move without a hub
+    and each later one with its joiner from the first's end glued on at the
+    end, among the parked sticks (tag: (a, b)), which no move touches and
+    which share no junction."""
+    comp = ComponentInfo(index=0, n_arcs=1, n_points=1, reduced=True, moves=tuple(moves))
 
-    def frame(phi):
-        sticks = [EStick(move.pivot, parity.sweep_end(move, M, phi), 0, move.tag, "bp0", "hub")]
+    def frame(after):
+        sticks = []
+        for move in moves:
+            end = parity.sweep_end(move, M, move.phi_end if after else move.phi_start)
+            label = "hub" if move.hub is None else f"end.{move.tag}"
+            sticks.append(EStick(move.pivot, end, 0, move.tag, f"bp{move.pivot}", label))
+            if after and move.hub:
+                sticks.append(EStick(move.hub, end, 0, f"join{move.tag[3:].split('.')[0]}", "hub", label))
         sticks += [EStick(a, b, 0, tag, f"{tag}.a", f"{tag}.b") for tag, (a, b) in parked.items()]
         return EquilateralEmbedding(sticks=sticks, M=M, components=[comp])
-    return frame(move.phi_start), frame(move.phi_end)
+    return frame(False), frame(True)
 
 
 # a parked probe stick beside one swing about the axis point 0 in page 0,
@@ -703,7 +712,7 @@ def test_pre_bound_matches_all_pairs(monkeypatch, case):
     bound = equilateral_builder._sweep_bound(move, {"probe": probe}, M, snap, least, {})
     assert bound.hex() == least.hex()
     assert horizons.count(probe) == 1   # drawn, so its horizon is computed once
-    before, after = _one_swing(move, M, {"probe": probe})
+    before, after = _swings([move], M, {"probe": probe})
     cert = isotopy_certificate(before, after)
     ref = oracles.sampled_certificate(before, after)
     _check_reference(cert, ref, M)
@@ -834,7 +843,7 @@ def test_group_walk_reaches_a_page_1e_7_away(case):
     move = SweepMove("arc0.lower", (0.0, 0.0, 0.0), angle, 0.2, 1.2, None)
     member = _fan_member(move.pivot, _sample_end(move, M, 40), turn)
     assert (member[1][1] > 0) != (move.page_angle > 0) or not case.startswith("cut")
-    _pinched_like_reference(*_one_swing(move, M, {"member": member}), move.tag)
+    _pinched_like_reference(*_swings([move], M, {"member": member}), move.tag)
 
 
 def test_group_walk_passes_members_that_hold_no_pinch():
@@ -849,7 +858,7 @@ def test_group_walk_passes_members_that_hold_no_pinch():
     parked = {f"steep{i}": _fan_member(move.pivot, steep, t) for i, t in enumerate((1e-5, -1e-5))}
     parked |= {f"far{i}": _fan_member(move.pivot, steep, t) for i, t in enumerate((1.0, -1.0))}
     parked["holder"] = _fan_member(move.pivot, _sample_end(move, M, 40), 5e-5)
-    before, after = _one_swing(move, M, parked)
+    before, after = _swings([move], M, parked)
     _pinched_like_reference(before, after, move.tag)
     assert TRIM_FRACTION * M * math.cos(1.2) * math.sin(5e-5) < CERT_CLEARANCE_REL * M
 
@@ -894,7 +903,181 @@ def test_no_group_bound_where_none_applies(case):
     gap = abs(math.atan2(member[1][1] - pivot[1], member[1][0] - pivot[0]))
     assert TRIM_FRACTION * M * min(math.cos(phi_start), math.cos(phi_end)) * math.sin(min(gap, math.pi / 2)) \
         > 1e3 * CERT_CLEARANCE_REL * M
-    _pinched_like_reference(*_one_swing(move, M, {"member": member}), move.tag)
+    _pinched_like_reference(*_swings([move], M, {"member": member}), move.tag)
+
+
+# ---------------------------------------------------------------------------
+# the cross bounds: each mover of a hub move against the other fixed end's fan
+
+
+def _beside(F, X, z, side):
+    """A stick from F through X on to height z, its far end moved `side`
+    sideways, horizontally and square to X - F."""
+    d = [x - f for x, f in zip(X, F)]
+    t, r = (z - F[2]) / d[2], math.hypot(d[0], d[1])
+    return F, (F[0] + t * d[0] + side * d[1] / r, F[1] + t * d[1] - side * d[0] / r, z)
+
+
+def _along(F, E, u):
+    """The point u of the way from F to E."""
+    return tuple(f + u * (e - f) for f, e in zip(F, E))
+
+
+def _theta_cross(n, index, side):
+    """(before, after, tag): theta_trivial(n) at M = 8 with one more parked
+    stick half the floor beside a mover of its move `index`, a member of
+    the fan at that mover's other fixed end, which the mover meets only
+    through its cross walk.  On the joiner side it hangs from
+    the pivot through the point halfway from the hub to the free end at the
+    first sample, up to height 5: a member of the pivot's fan whose top is
+    Z, inside the trapezoid's azimuths.  On the swing side it hangs from the
+    hub through the point 3/4 of the way from the pivot to the free end at
+    the last sample, down to height 2: a member of the hub's fan whose
+    bottom is Z'.  A cut fraction taken from the wrong end of the sweep
+    (t from high, s from low) would move the trapezoid or the segment
+    off it."""
+    M = 8.0
+    tents = build_tents(vp_of(f"theta_trivial({n})"), M)
+    red = reduce_top(tents)
+    move = red.components[0].moves[index]
+    steps = max(2, math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD) + 1)
+    off = 0.5 * CERT_CLEARANCE_REL * M
+    if side == "joiner":
+        a, b = _beside(move.pivot, _along(move.hub, _sample_end(move, M, 0), 0.5), 5.0, off)
+    else:
+        a, b = _beside(move.hub, _along(move.pivot, _sample_end(move, M, steps), 0.75), 2.0, off)
+    return parity.with_parked(tents, a, b), red, move.tag
+
+
+def _hub_frame(first, move, member):
+    """(before, after, tag): the two moves at M = 4, move hanging from
+    where first ends, among one parked stick, member(hub, last free end of
+    move), which no move touches."""
+    M = 4.0
+    move = SweepMove(move.tag, move.pivot, move.page_angle, move.phi_start, move.phi_end,
+                     parity.sweep_end(first, M, first.phi_end))
+    end = parity.sweep_end(move, M, move.phi_end)
+    return *_swings([first, move], M, {"member": member(move.hub, end)}), move.tag
+
+
+_FLOOR4 = CERT_CLEARANCE_REL * 4.0
+
+
+def _joiner_top():
+    # the pivot, the hub 0.3 above it and the free end 0.3 below it at the
+    # last sample lie 4 cos(0.075) from the axis, a right angle apart, and
+    # the swing runs down through phi = 0, so that its lowest free end is
+    # also its nearest to the axis: a corner of the trapezoid.  The member
+    # runs level from the pivot under the joiner's point 0.6 floor above the
+    # pivot at the last sample: a point less than tau above the member's
+    # top Z, where the joiner pinches it.  The trapezoid of a height cut at
+    # Z alone (tau = 0) misses that point's azimuth by about 9 (0.6 floor) /
+    # rho, as the joiner falls 0.6 over 5.6 across
+    def member(hub, end):
+        x, y, _ = _along(hub, end, (hub[2] - 0.6 * _FLOOR4) / (hub[2] - end[2]))
+        return (0.0, 0.0, 0.0), (1.5 * x, 1.5 * y, 0.0)
+    return _hub_frame(SweepMove("arc1.lower", (0.0, 0.0, 0.0), math.pi / 2, 0.5, 0.075, None),
+                      SweepMove("arc2.lower", (0.0, 0.0, 0.0), 0.0, 0.0, -0.075, None), member)
+
+
+def _swing_bottom():
+    # the mirror: a swing from the horizontal up to 0.1 rad, so that its
+    # highest free end is also its nearest to the axis, and the hub 2
+    # across the page.  The member hangs from the hub down to 0.6 floor
+    # above the swing's point halfway out at the last sample: a point less
+    # than tau below the member's bottom Z', where the swing pinches it
+    return _hub_frame(SweepMove("arc1.lower", (0.0, 0.0, 0.0), math.pi / 2, 0.2, math.pi / 3, None),
+                      SweepMove("arc2.lower", (0.0, 0.0, 0.0), 0.0, 0.0, 0.1, None),
+                      lambda hub, end: (hub, _along((0.0, 0.0, 1.2 * _FLOOR4), end, 0.5)))
+
+
+CROSS_CASES = {
+    "joiner-top": _joiner_top,
+    "joiner-inside": lambda: _theta_cross(5, 1, "joiner"),
+    "swing-bottom": _swing_bottom,
+    "swing-inside": lambda: _theta_cross(5, 1, "swing"),
+    # theta_trivial(2k), page k + 1: the hub lies on the line through the
+    # axis along the page, so the trapezoid does too, and its azimuths about
+    # the axis span nothing
+    "opposite-page": lambda: _theta_cross(8, 4, "joiner"),
+}
+
+
+@pytest.mark.parametrize("case", list(CROSS_CASES))
+def test_cross_bound_finds_a_pinch_on_the_other_fan(case):
+    # a parked stick hanging from the other fixed end of a hub move, which
+    # that end's cross bound must hand on to the per-pair path: the pinch
+    # is found, as the all-pairs reference finds it, with its minimum as
+    # the sweep's bound, bit for bit
+    _pinched_like_reference(*CROSS_CASES[case]())
+
+
+# hub moves that no cross bound covers, each at M = 4 with a member of one
+# end's fan that a cross bound taken as if it applied would clear: a pivot
+# off the axis, whose member lies far from the page's azimuth about the
+# pivot's line; a swing past the vertical, whose highest point the two ends'
+# heights miss; and the first sweep, which has no hub, against a stick that
+# hangs from where it ends
+NO_CROSS = {
+    "off-axis": ((0.0, 0.0, 1.0), 0.2, 1.2, (0.5, 0.0, 0.0), 0.3, 0.9,
+                 lambda move, hub, end: _beside(move.pivot, _along(hub, end, 0.15), 4.6, 0.5 * _FLOOR4)),
+    "full-turn": ((0.0, 0.0, -1.0), 0.2, 1.2, (0.0, 0.0, 0.0), 0.2, 2.8,
+                  lambda move, hub, end: (hub, _along((0.0, 0.0, -0.5 * _FLOOR4), _sample_end(move, 4.0, 138), 0.6))),
+}
+
+
+@pytest.mark.parametrize("case", [*NO_CROSS, "first-sweep"])
+def test_no_cross_bound_where_none_applies(case):
+    # the pinch must still be found, as the all-pairs reference finds it
+    M = 4.0
+    if case == "first-sweep":
+        # a stick from the swing's last free end, 1e-5 rad off the swing
+        move = SweepMove("arc1.lower", (0.0, 0.0, 0.0), 0.0, 0.2, 1.2, None)
+        end = parity.sweep_end(move, M, move.phi_end)
+        member = _fan_member(end, move.pivot, 1e-5)
+        _pinched_like_reference(*_swings([move], M, {"member": member}), move.tag)
+        return
+    first_pivot, first_start, first_end, pivot, phi_start, phi_end, member = NO_CROSS[case]
+    first = SweepMove("arc1.lower", first_pivot, math.pi / 2, first_start, first_end, None)
+    move = SweepMove("arc2.lower", pivot, 0.0, phi_start, phi_end, None)
+    _pinched_like_reference(*_hub_frame(first, move, lambda hub, end: member(move, hub, end)))
+
+
+def test_cross_bounds_match_the_reference_near_pinches():
+    # 20 seeded theta_trivial(n) frames, n = 12 ... 24, at M = 8, each with
+    # two more parked fan members nudged toward the movers of its first or
+    # second hub move: one from the pivot through a point of the joiner and
+    # one from the hub through a point of the swing, each at a random
+    # sample and fraction of the way, turned about its fixed end's line and
+    # lifted by up to 3 floors either way, so that some pinch.  The record
+    # stops at that move, so that the reference replays few sweeps (both
+    # then report that the stick tags differ); verdicts, details and bounds
+    # match the all-pairs reference
+    M = 8.0
+    floor = CERT_CLEARANCE_REL * M
+    pinched = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        tents = build_tents(vp_of(f"theta_trivial({12 + seed % 13})"), M)
+        red = reduce_top(tents)
+        comp = red.components[0]
+        index = rng.choice((1, 2))
+        move = comp.moves[index]
+        steps = max(2, math.ceil(abs(move.phi_end - move.phi_start) / SWEEP_STEP_RAD) + 1)
+        extra = []
+        for F, G in ((move.pivot, move.hub), (move.hub, move.pivot)):
+            X = _along(G, _sample_end(move, M, rng.randint(0, steps)), rng.uniform(0.2, 0.9))
+            turn = rng.uniform(-3.0, 3.0) * floor / math.hypot(X[0] - F[0], X[1] - F[1])
+            a, (bx, by, bz) = _fan_member(F, X, turn, reach=rng.uniform(1.05, 1.5))
+            tag = f"probe{len(extra)}"
+            extra.append(EStick(a, (bx, by, bz + rng.uniform(-3.0, 3.0) * floor), 0, tag, f"{tag}.a", f"{tag}.b"))
+        before = EquilateralEmbedding(sticks=[*tents.sticks, *extra], M=M, components=tents.components)
+        after = EquilateralEmbedding(sticks=[*red.sticks, *extra], M=M,
+                                     components=[replace(comp, moves=comp.moves[:index + 1])])
+        cert = isotopy_certificate(before, after)
+        _check_reference(cert, oracles.sampled_certificate(before, after), M)
+        pinched += cert.detail.startswith("sweep of")
+    assert 3 <= pinched <= 17
 
 
 def _counted_kernels(monkeypatch):
@@ -914,8 +1097,10 @@ def _counted_kernels(monkeypatch):
 
 def test_certificate_culls_the_whole_sweep(monkeypatch):
     # theta_trivial(64) at M = 8: the whole-sweep cull leaves few pairs to
-    # bound at sample 0.  852 _least_angle calls, 156 _horizon calls and no
-    # _slot_clearance call with the group bound at each fixed end; 748 and
+    # bound at sample 0.  No _least_angle call, 1 _horizon call and no
+    # _slot_clearance call with the cross bounds, each mover of a hub move
+    # walking the other fixed end's fan; 852 _least_angle and 156 _horizon
+    # calls with the group bound at each mover's own end alone; 748 and
     # 344 with one bound per (mover, parked) pair; 2,628 _slot_clearance
     # and 2,631 _least_angle calls at the running minimum with the last
     # sample probed first, 3,562 _least_angle calls without the probe,
@@ -924,19 +1109,24 @@ def test_certificate_culls_the_whole_sweep(monkeypatch):
     red = reduce_top(tents)
     calls = _counted_kernels(monkeypatch)
     assert isotopy_certificate(tents, red).passed
-    assert calls["_least_angle"] <= 900
+    assert calls["_least_angle"] <= 20
     assert calls["_slot_clearance"] <= 20
-    assert calls["_horizon"] <= 170
+    assert calls["_horizon"] <= 20
 
 
 def test_certificate_horizons_grow_linearly_on_the_fan_ladder():
     # the cert-ladder set of tests/parity.py, theta_trivial(n) for n = 32,
-    # 64, 128, 256: 76 / 156 / 316 / 636 _horizon calls with the group
-    # bound at each fixed end, 168 / 344 / 696 / 1,400 with one bound per
-    # (mover, parked) pair
+    # 64, 128, 256, with the cross bounds: no _least_angle call, 1 _horizon
+    # call and 105 / 201 / 393 / 777 _free_end calls (3 n + 9).  With the
+    # group bound at each mover's own end alone they were 130 / 852 /
+    # 4,128 / 19,650 _least_angle, 76 / 156 / 316 / 636 _horizon and
+    # 1,837 / 3,827 / 7,711 / 15,477 _free_end calls; with one bound per
+    # (mover, parked) pair, 168 / 344 / 696 / 1,400 _horizon calls
     for n in parity.CERT_LADDER:
         passed, calls = parity.cert_ladder_calls(n)
-        assert passed and calls["_horizon"] <= 2.5 * n
+        assert passed
+        assert calls["_least_angle"] <= n / 4 and calls["_horizon"] <= n / 4
+        assert calls["_free_end"] <= 4 * n
 
 
 def test_certificate_work_guard(monkeypatch):
@@ -945,13 +1135,14 @@ def test_certificate_work_guard(monkeypatch):
     # minimum fell only with the samples, 9,469 and 4,618 with the last
     # sample probed first, and 7,670 and 2,820 with pre-bounds, which also
     # cut _horizon from 4,053 calls to 854.  With the floor as the target
-    # they are 0, 13 and 616, and 0, 15 and 411 with the group bound at
-    # each fixed end; the certificates set pins the moves
+    # they are 0, 13 and 616, 0, 15 and 411 with the group bound at each
+    # fixed end, and 0, 15 and 403 with the cross bounds as well; the
+    # certificates set pins the moves
     calls = _counted_kernels(monkeypatch)
     for p in PROFILES:
         for s in range(10):
             assert build_equilateral(validate_presentation(random_presentation(s, p, 40))).certificate.passed
-    assert calls["_horizon"] <= 450
+    assert calls["_horizon"] <= 420
     assert calls["_slot_clearance"] <= 20
     assert calls["_least_angle"] <= 40
 
