@@ -26,7 +26,9 @@ with the same two ends, as height profiles over the chord, for the verify
 bundle to settle simplicity without a sweep; the proof is in the
 verifier's module docstring.
 
-Like the verifier, this module imports no builder code.
+Like the verifier, this module imports no builder code.  The boundary runs
+one way: stick_builder imports _hom, _diff, _cross and _dot from here for
+its lift and count_sticks, and keeps no copy.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ one thing of it: that a measured value is at least the true distance less
 40uC (see the sweep below).  Like _verifier_exact, this module imports
 nothing of the package, no builder code and not the verifier, so its
 vector helpers are its own.  The boundary runs one way: the builder
-imports this module's kernel, vector helpers and half-plane bound
-(_half_plane, _plane_gap) for its motion certificate, and keeps no copy.
+imports this module's kernel, vector helpers, half-plane bound
+(_half_plane, _plane_gap) and cone bound (_cone, _ray_bound) for its
+motion certificate, and keeps no copy.
 
 The float checks fail any coordinate or scale that is not finite, a length
 scale that is not positive, and any input outside the range below, before
@@ -247,7 +248,10 @@ visit would measure nothing for it.
   other.
 m only falls, so a pair dropped against an earlier t lies above the final
 m.  Rounding: every point lies within 2C of F in each coordinate, so
-r < 4C.  Each computed unit lies within 4u of the direction it stands for,
+r < 4C, and r, the length of va + t d for the clamped projection t, lies
+within 100uC of the true distance: the computed point lies within 50uC
+of va + t d on the true segment, and t's rounding moves it by under 30uC
+along it.  Each computed unit lies within 4u of the direction it stands for,
 c within 2e-12 (|a + b| is about 1e-3 or more where c is trusted), h and
 every atan2 angle within 10u, so B is off by under 4C (3e-12).  chi is
 built from dot products and hypot, each within a few u, and from the gap

@@ -92,34 +92,33 @@ Angles between unit vectors obey the triangle inequality.
   max(l, 0).
 So at every sample the least angle at F between the pair is at least
 G = angle(c_m, c) - h_m - h, and the pair is at least
-W = R sin(min(max(G, 0), pi/2)) apart.  A sweep draws its pairs in
-ascending order of W, and evaluates sample 0 in ascending order of
-B = R sin(min(G0, pi/2)), G0 the least angle at sample 0.  It computes a
-pair's B only when it draws the pair, and draws the next pair whenever its
-W is no larger than the least B waiting, so every pair not drawn has W
-above the least B waiting.  Sample 0 stops at the first B, or the first W,
-above the target: the pairs waiting then lie above it at sample 0, and the
-pairs not drawn lie above it at every sample; they are never evaluated.
-The drawn pairs are scheduled from sample 0 by the rule above, and B is
-computed for few pairs.  Only G0 and that schedule read the per-sample
-rays, each mover's unit direction at every sample and its summed turning
-(in closed form for the swing from an axis pivot, else summed from the
-angles between the units of the sampled ends), so a mover's rays are
-built when its first pair is drawn, and a mover with no pair drawn builds
-none.  Likewise a mover's cone (c_m, h_m and rho) is built when the first
-of its pairs needs W, so a mover whose every pair is cleared by a group
-bound or waits on a pre-bound never samples its hull.  A sampled end is
+W = R sin(min(max(G, 0), pi/2)) apart (_verifier_float._ray_bound, with
+h_m + h as one cone).  A pair whose bound over the whole sweep, max(P, W)
+with P its pre-bound (below), clears the target lies above it at every
+sample and is never evaluated.  Every other pair goes onto the schedule
+from sample 0, where the rule above evaluates it when its bound there
+does not clear the target.  Only the schedule reads the per-sample rays,
+each mover's unit direction at every sample and its summed turning (in
+closed form for the swing from an axis pivot, else summed from the angles
+between the units of the sampled ends), so a mover's rays are built when
+its first pair goes onto the schedule, and a mover with no pair scheduled
+builds none.  Likewise a mover's cone (c_m, h_m and rho) is built when the
+first of its pairs needs W, so a mover whose every pair is cleared by a
+group bound or a pre-bound never samples its hull.  A sampled end is
 computed where a pair is evaluated there.
 
 Rounding.  Write u = 2^-53.  Every point the certificate sees lies within
 5M of every other: the tents stand within M of the axis points 0 .. m - 1,
 m - 1 < 2M, every swept stick has its pivot on the axis and length M, and
 every joiner hangs from the first sweep's end.  So R < 5M, and an angle
-off by d moves a bound by under 5Md.  Each computed unit vector lies within
-4u of the direction of the computed points it stands for, and angles come
-from atan2 (_angle), which is within 10u of the angle between its computed
-arguments even near 0 and pi.  So h is off by under 10u, c = unit(a + b)
-by under 16u/|a + b|, and Theta by under (18 + Theta_end)u per sample.
+off by d moves a bound by under 5Md.  r comes from _verifier_float's
+_cone, within 100uC of the true distance when every point lies within 2C
+of F in each coordinate (that module's cone proof); C = 5M will do here.
+Each computed unit vector lies within 4u of the direction of the computed
+points it stands for, and angles come from atan2 (_angle), which is within
+10u of the angle between its computed arguments even near 0 and pi.  So h
+is off by under 10u, c = unit(a + b) by under 16u/|a + b|, and Theta by
+under (18 + Theta_end)u per sample.
 The swinging stick's rays come in closed form when its pivot lies exactly
 on the axis: at sample s the unit is (cos phi_s d, sin phi_s), d the page
 direction, its summed turning is |phi_s - phi_start| and rho is
@@ -131,8 +130,8 @@ monotone, so |phi_s - phi_start| lies within 40u of the turning between
 the directions it stands for, with no error summed over samples; and
 f M lies within 8u f M of f times the least computed length.  Each
 stays inside the allowances above.
-The cone is used only when _horizon trusts the arc's plane (|a x b| >=
-1e-3, so ab <= pi - 1e-3) or a . b >= 0 (ab <= pi/2); either way
+_cone trusts c only when |a x b| >= 1e-3 (so ab <= pi - 1e-3) or
+a . b >= 0 (ab <= pi/2), and is the whole sphere otherwise; either way
 |a + b| = 2 cos(ab/2) is about 1e-3 or more, and c is off by under 2e-12.
 For a sweep of under 10^4 samples turning under 100 rad (a builder's
 sweep has a few hundred samples and turns under pi), G is off by under
@@ -142,15 +141,13 @@ sigma exceeds the distance of a computed end from the arc (6uM) and the
 rounding of the chord distances (40uC), so the hull holds for the computed
 ends with l as computed, and H and asin(sigma / l) are off by under 20u.
 
-Pre-bounds.  W needs the parked stick's horizon (_horizon: a segment
-distance, its arc and its cone), which is most of a pair's cost.  So a pair
-whose slot must be computed first gets a pre-bound P from coordinates
-alone, a lower bound on its trimmed clearance at every sample.  When P > 0
-the pair enters the pool at P; only when it is drawn does it get its
-horizon, slot and W, and it then re-enters at max(P, W).  Both are bounds
-over the whole sweep, so the draw rule above holds as stated, and a pair
-never drawn never calls _horizon.  A pair whose slot is kept from an
-earlier move enters at W as before.  P is the larger of two bounds.
+Pre-bounds.  W needs the parked stick's horizon (_horizon: its cone and
+its arc), which is most of a pair's cost.  So a pair whose slot must be
+computed first gets a pre-bound P from coordinates alone, a lower bound on
+its trimmed clearance at every sample.  A pair whose P clears the target
+is dropped there and never calls _horizon; any other gets its horizon,
+slot and W.  A pair whose slot is kept from an earlier move gets W alone.
+P is the larger of two bounds.
 - Heights.  At every sample the mover with fixed end F is the segment from
   F to the sampled free end, at height z + M sin phi for the pivot height
   z.  sin is monotone on [-pi/2, pi/2], so when |phi_start| and |phi_end|
@@ -175,8 +172,8 @@ Every sample's phi lies within a few ulps of [phi_start, phi_end], and its
 computed end within a few u of the page's half-plane, at cos theta >=
 c - 2e-15; where cos theta is that close to 0, an end may stray an ulp
 across the axis, but then c < 2e-15 and the bound is under 1e-14 M.  So
-P is off by under 1e-13 M, which snap absorbs, and a pair that is never
-drawn lies above the target at every sample.
+P is off by under 1e-13 M, which snap absorbs, and a pair that P drops
+lies above the target at every sample.
 
 Fans.  Most parked sticks at a fixed end F hang from it into a vertical
 half-plane about F's vertical line, as in an open book (Cromwell,
@@ -216,7 +213,7 @@ both ways, each way up to the first member whose bound clears
 floor + snap.  The bound rises with g, and each member beyond lies past
 both stopping members, so its gap is at least the smaller of theirs
 measured on their own side: it clears too, and gets no slot, no horizon,
-no pre-bound and no pool entry.  The walked members and the rest take the
+no pre-bound and no W.  The walked members and the rest take the
 per-pair path above; a mover without a group bound walks every member.
 
 Cross bounds.  The same two movers also get a group bound against the fan
@@ -252,7 +249,7 @@ Either way a member at a gap g from the wedge's azimuths lies at least
 min(tau, x sin(min(g, pi/2))) from the untrimmed mover at every angle of
 the sweep, which bounds the trimmed clearance, so _walk over the other end's fan with
 (x, I) clears members as above, and a cleared member of C or C' gets no
-slot, no horizon, no pre-bound and no pool entry for that mover.  A member
+slot, no horizon, no pre-bound and no W for that mover.  A member
 of both fans, such as e_1 from P to H, is in neither C nor C' and keeps its
 own end's walk; every other stick keeps its path.  The wedge needs no test
 of which side of a line the trapezoid's corners lie: on the page opposite
@@ -270,8 +267,8 @@ Of R and the cone, only rho depends on the mover.  r, the arc of
 directions, the cone and the parked stick trimmed at F depend on F and the
 stick alone, so one certificate keeps them in one slot list per fixed end
 F, in state order, beside F's fan; a slot is refreshed only when its state
-entry is a different object, and then only once its pair has no positive
-pre-bound or is drawn.  A stick that moves enters the state as a new entry, so
+entry is a different object, and then only when its pair's pre-bound does
+not clear the target.  A stick that moves enters the state as a new entry, so
 no slot outlives its stick; a parked stick keeps its slot from move to
 move, and on theta-fan every move shares its pivot and every joiner its
 hub.  Fixed ends that compare equal give the same values up to the sign of
@@ -285,19 +282,19 @@ _verifier_float._clearance, with floor 0: the pairs that the verifier's
 cull hands over, each measured with seg_distance.  That module proves its
 minimum that of every pair, float for float.  The builder measures with
 the verifier's float code alone: the kernel seg_distance, the vector
-helpers and the half-plane bound come from _verifier_float, and _cone's
-point distance is the kernel's query with one end of no length.
+helpers, the half-plane bound (_half_plane, _plane_gap) and the cone and
+its bound (_cone, _ray_bound) come from _verifier_float.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from heapq import heapify, heappop, heappush
 from dataclasses import dataclass, field, replace
 from operator import sub
 
-from ._verifier_float import _clearance, _cross, _dot, _half_plane, _norm, _plane_gap, _unit, _vsub, seg_distance
+from ._verifier_float import (_clearance, _cone, _cross, _dot, _half_plane, _norm, _plane_gap, _ray_bound,
+                              _unit, _vsub, seg_distance)
 from .arc_presentation import ValidatedPresentation, equal_length_parts
 
 V3 = tuple[float, float, float]
@@ -557,34 +554,20 @@ def _horizon(F: V3, pa: V3, pb: V3, snap: float):
     parked stick pa pb; none of it depends on the mover.  shared says
     whether F is an end of the stick; seg is then the stick trimmed there as
     the trimmed clearance trims it, else the stick itself (any trim the
-    clearance makes then only shortens it).  r is the distance from F to seg.  arc holds the
-    directions from F to seg: (a, b, unit normal of their plane or None when
-    that plane is too thin to trust, angle from a to b), or None when seg
-    reaches F.  Every direction from F to seg lies within h of the unit c;
-    h = pi, the whole sphere, when seg reaches F or a + b is too short to
-    trust (see the module docstring)."""
+    clearance makes then only shortens it).  r, c and h are seg's cone seen
+    from F (_verifier_float._cone): r its distance from F, and every
+    direction from F to it lies within h of the unit c.  arc holds those
+    directions: (a, b, unit normal of their plane or None when that plane is
+    too thin to trust, angle from a to b), or None when seg reaches F."""
     y = next((y for y in (pa, pb) if _dist(F, y) <= snap), None)
     shared = y is not None
     seg = _trimmed(pa, pb, y) if shared else (pa, pb)   # _trimmed's cut at F
-    r, arc, c, h = _cone(F, *seg)
-    return r, shared, arc, c, h, seg
-
-
-def _cone(F: V3, pa: V3, pb: V3):
-    """(r, arc, c, h) of the segment pa pb seen from F, as _horizon
-    describes them; r comes from the segment distance kernel."""
-    r = seg_distance(F, F, pa, pb)
-    va, vb = _vsub(pa, F), _vsub(pb, F)
-    if _norm(va) == 0.0 or _norm(vb) == 0.0:
-        return r, None, (0.0, 0.0, 1.0), math.pi   # h = pi: any c will do
-    a, b = _unit(va), _unit(vb)
+    r, c, h = _cone(F, *seg)
+    a, b = (_unit(_vsub(p, F)) for p in seg)
+    if not (a and b):
+        return r, shared, None, c, h, seg
     n = _cross(a, b)
-    thin = _norm(n) < 1e-3    # near a pole the normal carries rounding error
-    ab = _angle(a, b)
-    arc = (a, b, None if thin else _unit(n), ab)
-    if thin and _dot(a, b) < 0.0:
-        return r, arc, a, math.pi
-    return r, arc, _unit((a[0] + b[0], a[1] + b[1], a[2] + b[2])), ab / 2
+    return r, shared, (a, b, None if _norm(n) < 1e-3 else _unit(n), _angle(a, b)), c, h, seg
 
 
 def _least_angle(u: V3, arc) -> float:
@@ -683,12 +666,13 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
     least clearance evaluated, or floor + snap when that is lower.  A
     parked stick in the fan at either fixed end that the mover's group
     bound for that fan clears is never looked at for that mover; any other
-    (mover, parked) pair is dropped for the whole
-    sweep when its cone bound clears floor + snap, else it is evaluated at
-    sample 0 only when its bound there could reach floor + snap, and again
-    only at the first sample where its horizon bound could fall that far
-    (see the module docstring); a pair that needs a new slot is first led
-    by its pre-bound, and gets its horizon only when drawn.  So the bound
+    (mover, parked) pair is dropped for the whole sweep when its pre-bound
+    (asked first of a pair that needs a new slot, which then gets its
+    horizon only when the pre-bound does not clear floor + snap) or its
+    cone bound clears floor + snap, else it is evaluated at sample 0 only
+    when its bound there could reach floor + snap, and again only at the
+    first sample where its horizon bound could fall that far (see the
+    module docstring).  So the bound
     lies at or below the floor exactly when the least clearance of every
     pair at every sample does, and is then that clearance.
     horizons holds per fixed end the slots, (state entry, *_horizon) in
@@ -750,9 +734,7 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
             turned.append(turned[-1] + _angle(u, v))
         return units, turned
 
-    def cone(k):   # c_m, h_m and rho of mover k, built when its first pair needs them
-        if cones[k]:
-            return cones[k]
+    def cone(k):   # c_m, h_m and rho of mover k
         F = fixed[k]
         if k == 0 and on_axis:
             swung = [abs(phi - move.phi_start) for phi in phis]
@@ -769,16 +751,14 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                 units = [_unit(_vsub(p, F)) for p in ends]
                 cm, hm = units[4], max(_angle(units[4], u) for u in units)
                 hm = hm + math.asin(sag / ell) if hm < half else math.pi
-        cones[k] = cm, hm, rho
-        return cones[k]
+        return cm, hm, rho
 
-    rays = [None, None]    # per mover, built when its first pair is drawn
-    cones = [None, None]
-    pool = []    # every pair, led by its bound over the whole sweep
+    rays = [None, None]    # per mover, built when its first pair is due
+    cones = [None, None]   # per mover, built when its first pair needs W
+    due = [[] for _ in range(steps + 1)]   # per sample, the pairs to bound there
     for k, F in enumerate(fixed):
         lo, hi = min(low, F[2]), max(high, F[2])
         slots, _, members, _, rest = fans[k]
-        mx = None   # mover k's cone, read when its first pair needs it
         walked = _walk(members, groups[k], target) if groups[k] else [i for _, i in members]
         if kept[k] is not None and (cleared := fans[1 - k][1].keys() - kept[k]):
             rest = rest.keys() - cleared   # the other end's members that the cross bound clears
@@ -791,58 +771,29 @@ def _sweep_bound(move: SweepMove, state: dict[str, tuple[V3, V3]], M: float,
                     pre = max(min(za, zb) - hi, lo - max(za, zb))
                     if k == 0 and plane and (other := _half_plane(*entry, (0.0, 0.0))):
                         pre = max(pre, _plane_gap(plane, other))
-                    if pre > 0.0:   # the horizon waits until the pair is drawn
-                        pool.append((pre, len(pool), k, (slots, i, entry), None))
-                        continue
+                    if pre > target:
+                        continue    # clear at every sample, so no horizon
                     slot = slots[i] = (entry, *_horizon(F, *entry, snap))
-                _, r, shared, _, (cx, cy, cz), h, _ = slot
-                if mx is None:
-                    (mx, my, mz), hm, rho = cone(k)   # rho: where the trimmed mover starts
-                R = max(rho, r) if shared else r
-                # G, with _angle(c_m, c) written out: this loop sees most pairs
-                ux, uy, uz = my * cz - mz * cy, mz * cx - mx * cz, mx * cy - my * cx
-                g = math.atan2(math.sqrt(ux * ux + uy * uy + uz * uz), mx * cx + my * cy + mz * cz) - hm - h
-                pool.append((R * math.sin(min(max(g, 0.0), half)), len(pool), k, slot, R))
-    heapify(pool)
-    waiting = []     # pairs by their bound at sample 0
-    first = []       # the pairs that got one
-    least = math.inf
-    while pool or waiting:
-        if pool and (not waiting or pool[0][0] <= waiting[0][0]):
-            bound, i, k, slot, R = heappop(pool)
-            if bound > target:
-                break    # this pair and every later one clear every sample
-            if R is None:   # a pre-bound: the horizon, then back at max(pre-bound, W)
-                slots, x, entry = slot
-                slot = slots[x] = (entry, *_horizon(fixed[k], *entry, snap))
-                c_m, hm, rho = cone(k)
                 _, r, shared, _, c, h, _ = slot
+                cones[k] = cones[k] or cone(k)
+                c_m, hm, rho = cones[k]   # rho: where the trimmed mover starts
                 R = max(rho, r) if shared else r
-                W = R * math.sin(min(max(_angle(c_m, c) - hm - h, 0.0), half))
-                heappush(pool, (max(bound, W), i, k, slot, R))
-                continue
-            rays[k] = rays[k] or ray(k)
-            g0 = _least_angle(rays[k][0][0], slot[3])
-            first.append((k, slot, R, g0))
-            heappush(waiting, (R * math.sin(min(g0, half)), i, first[-1]))
-        else:
-            bound, _, (k, slot, _, _) = heappop(waiting)
-            if bound > target:
-                break    # this pair and every later one clear sample 0
-            least = min(least, _slot_clearance(fixed[k], start, slot, snap))
-    due = [first] + [[] for _ in range(steps)]
+                if _ray_bound(c_m, R, c, hm + h) <= target:
+                    rays[k] = rays[k] or ray(k)
+                    due[0].append((k, slot, R))
+    least = math.inf
     for step, pairs in enumerate(due):
         for pair in pairs:
-            k, slot, R, g0 = pair
+            k, slot, R = pair
             nxt, slack = step + 1, 0.0
             if R > target:
                 units, turned = rays[k]
-                g = g0 if step == 0 else _least_angle(units[step], slot[3])
-                slack = g - math.asin(target / R)
+                slack = _least_angle(units[step], slot[3]) - math.asin(target / R)
                 if slack > 0.0:
                     nxt = bisect_left(turned, turned[step] + slack, step + 1)
-            if step and slack <= 0.0:
-                least = min(least, _slot_clearance(fixed[k], _free_end(move.pivot, diri, M, phis[step]), slot, snap))
+            if slack <= 0.0:
+                end = _free_end(move.pivot, diri, M, phis[step]) if step else start
+                least = min(least, _slot_clearance(fixed[k], end, slot, snap))
             if nxt <= steps:
                 due[nxt].append(pair)
     return min(least, target)

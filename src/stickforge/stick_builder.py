@@ -48,7 +48,8 @@ taken as b_i W_a - a_i W_b is the true vector times W_a W_b > 0, and every
 in-plane quantity below is the true one times a known positive factor, so
 each sign and zero test, each cross-multiplied comparison and each floor is
 exactly the rational one.  Fractions are made only for the stored
-coordinates.
+coordinates.  The integer kernel (_hom, _diff, _cross, _dot) is the
+verifier's, imported from _verifier_exact.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from ._verifier_exact import _cross, _diff, _dot, _hom
 from .circular_diagram import CircularDiagram
 from .graph_core import equivalence_classes
 
@@ -117,14 +119,6 @@ def _near_pages(cd: CircularDiagram) -> list[list[int]]:
     for i, j in cd.crossings:
         near[j].append(i)
     return near
-
-
-def _hom(p) -> tuple[int, ...]:
-    """p as integers (X, ..., W): W > 0 is the lcm of the denominators and
-    p = (X, ...) / W.  Canonical, so equal points give equal tuples."""
-    ratios = [c.as_integer_ratio() for c in p]
-    w = math.lcm(*(d for _, d in ratios))
-    return tuple(n * (w // d) for n, d in ratios) + (w,)
 
 
 class _ChordFrame:
@@ -293,20 +287,6 @@ def build(cd: CircularDiagram) -> StickEmbedding:
     return StickEmbedding(tuple(partial.sticks), junctions, heights)
 
 
-def _diff(a, b) -> tuple[int, int, int]:
-    """(b - a) W_a W_b for homogeneous 3D points a, b."""
-    wa, wb = a[3], b[3]
-    return (b[0] * wa - a[0] * wb, b[1] * wa - a[1] * wb, b[2] * wa - a[2] * wb)
-
-
-def _cross3(a, b) -> tuple[int, int, int]:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 def count_sticks(se: StickEmbedding) -> int:
     """Number of maximal straight segments: collinear segments that continue
     through a shared endpoint merge into one stick.  Ends are compared as
@@ -322,7 +302,7 @@ def count_sticks(se: StickEmbedding) -> int:
         for point, members in ends.items():
             for (ia, far_a), (ib, far_b) in combinations(members, 2):
                 va, vb = _diff(point, far_a), _diff(point, far_b)
-                if _cross3(va, vb) == (0, 0, 0) and va[0] * vb[0] + va[1] * vb[1] + va[2] * vb[2] < 0:
+                if _cross(va, vb) == (0, 0, 0) and _dot(va, vb) < 0:
                     yield ia, ib
 
     return len(equivalence_classes(range(len(se.sticks)), straight_through()))

@@ -80,8 +80,10 @@ Run it at both commits; equal lines mean equal outputs.  The sets are:
   with the distance kernel seg_distance, counted where the pass calls it:
   in _verifier_float for tolerance_report and check_equilateral, which
   measure through _clearance, and in verifier for check_simplicity.  The
-  certificate's kernels call seg_distance as well, from _slot_clearance
-  and from _horizon's cone.  tolerance_report runs on every frame that
+  certificate calls seg_distance as well, from _slot_clearance and from
+  the nine-point hull of a mover's cone; _horizon takes its cone from
+  _verifier_float._cone, which measures its distance by projection, not
+  with seg_distance.  tolerance_report runs on every frame that
   build_equilateral hands it, check_equilateral and the float
   check_simplicity(segments, scale=M) on every build, as the benchmark's
   eq job runs them.  A change in what the culls prune shows

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from functools import cache
 
 import pytest
 
@@ -422,16 +423,26 @@ def _reduced_parts(ap):
             yield tents, reduce_top(tents)
 
 
+def _reference_presentations():
+    return ([catalog(name) for name in catalog_names()]
+            + [catalog(f"theta_trivial({n})") for n in range(2, 25)]
+            + [random_presentation(s, p, 30) for p in PROFILES for s in range(10)])
+
+
+@cache
+def _sampled_references():
+    """(tents, reduced, all-pairs sampled reference) for every part of the
+    reference presentations at the default M and 2M, computed once for the
+    tests that share them."""
+    return [(tents, red, oracles.sampled_certificate(tents, red))
+            for ap in _reference_presentations() for tents, red in _reduced_parts(ap)]
+
+
 def test_certificate_matches_sampled_reference():
-    presentations = [catalog(name) for name in catalog_names()]
-    presentations += [catalog(f"theta_trivial({n})") for n in range(2, 25)]
-    presentations += [random_presentation(s, p, 30) for p in PROFILES for s in range(10)]
-    checked = 0
-    for ap in presentations:
-        for tents, red in _reduced_parts(ap):
-            _check_reference(isotopy_certificate(tents, red), oracles.sampled_certificate(tents, red), red.M)
-            checked += 1
-    assert checked >= 2 * len(presentations)
+    references = _sampled_references()
+    for tents, red, ref in references:
+        _check_reference(isotopy_certificate(tents, red), ref, red.M)
+    assert len(references) >= 2 * len(_reference_presentations())
     # a failing certificate: the tampered replay above
     vp = vp_of("trefoil")
     tents = build_tents(vp, 20.0)
@@ -439,6 +450,28 @@ def test_certificate_matches_sampled_reference():
     cert = isotopy_certificate(tents, bad)
     assert not cert.passed
     _check_reference(cert, oracles.sampled_certificate(tents, bad), bad.M)
+
+
+def test_sweeps_at_their_least_clearance_evaluate_it():
+    # at the certificate's floor no sweep of a real build evaluates a pair.
+    # Replayed with its floor at its all-pairs sampled minimum, every sweep
+    # of the reference set must bound, schedule and evaluate the pair that
+    # holds that minimum, and return it bit for bit
+    replayed = 0
+    for tents, red, ref in _sampled_references():
+        comp, M = red.components[0], red.M
+        final = {s.tag: (s.a, s.b) for s in red.sticks}
+        state = {s.tag: (s.a, s.b) for s in tents.sticks if s.tag not in comp.deleted_tags}
+        horizons = {}
+        for move, (tag, least) in zip(comp.moves, ref.moves, strict=True):
+            bound = equilateral_builder._sweep_bound(move, state, M, SNAP_REL * M, least, horizons)
+            assert bound.hex() == least.hex(), tag
+            state[move.tag] = final[move.tag]
+            if move.hub:
+                joiner = f"join{move.tag[3:].split('.')[0]}"
+                state[joiner] = final[joiner]
+            replayed += 1
+    assert replayed == 888
 
 
 @pytest.mark.parametrize("hub_side", [False, True], ids=["swing", "joiner"])
@@ -530,8 +563,8 @@ def test_certificate_evaluates_within_margin(monkeypatch):
 
 def test_certificate_culls_sample_0_within_margin(monkeypatch):
     # a bound of floor + snap/2 at sample 0 lies within the margin, so the
-    # first-sample cull evaluates the pair there; one of floor + 2 snap
-    # does not, and neither does any later sample's bound
+    # schedule evaluates the pair at sample 0, as at any other sample; one
+    # of floor + 2 snap does not, and neither does any later sample's bound
     assert _radial_first_seen(monkeypatch, 0, 0.5) == 0
     assert _radial_first_seen(monkeypatch, 0, 2.0) is None
 
@@ -597,8 +630,8 @@ def test_certificate_horizons_keep_no_movers_trim():
 def test_certificate_culls_the_sweep_within_margin(monkeypatch, over, evaluated):
     # a radial parked stick just below the swing's start, whose bound over
     # the whole sweep is floor + snap/2 or floor + 2 snap: the first is
-    # within the margin, drawn and evaluated at sample 0, the second is
-    # never drawn, so no angle at any sample is taken for it
+    # within the margin, scheduled and evaluated at sample 0, the second is
+    # dropped before the schedule, so no angle at any sample is taken for it
     M, r = 1.0, 0.5
     floor, snap = CERT_CLEARANCE_REL * M, SNAP_REL * M
     move = SweepMove("arc0.lower", (0.0, 0.0, 0.0), 0.0, 0.0, 0.5, None)
@@ -622,8 +655,8 @@ def test_certificate_never_evaluates_a_pair_that_clears_the_floor(monkeypatch):
     # page at the start's height, and a holder beside the start that lies
     # closer to the swing: 0.01 M against 0.5 M.  The radial stick's bound
     # over the whole sweep, about 2.6e-5 M, lies below the holder's
-    # clearance, so a target at the least clearance evaluated would draw
-    # and evaluate it; it clears the floor, so neither stick is ever
+    # clearance, so a target at the least clearance evaluated would
+    # schedule and evaluate it; it clears the floor, so neither stick is ever
     # evaluated, and the sweep records floor + snap
     M = 1.0
     move = SweepMove("arc0.lower", (0.0, 0.0, 0.0), 0.0, 0.0, 0.5, None)
@@ -711,7 +744,7 @@ def test_pre_bound_matches_all_pairs(monkeypatch, case):
         horizons.append((pa, pb)), real(F, pa, pb, snap))[1])
     bound = equilateral_builder._sweep_bound(move, {"probe": probe}, M, snap, least, {})
     assert bound.hex() == least.hex()
-    assert horizons.count(probe) == 1   # drawn, so its horizon is computed once
+    assert horizons.count(probe) == 1   # not cleared by its pre-bound, so its horizon is computed once
     before, after = _swings([move], M, {"probe": probe})
     cert = isotopy_certificate(before, after)
     ref = oracles.sampled_certificate(before, after)

@@ -206,6 +206,30 @@ def test_the_cull_boundary_runs_one_way(monkeypatch):
     assert reports and culls == [(segs, 0.0) for segs in reports]
 
 
+def _functions(name):
+    """{function name: ast dump of its body, docstring left out} of the
+    module-level functions of src/stickforge/<name>.py."""
+    tree = ast.parse(Path(f"src/stickforge/{name}.py").read_text())
+    return {node.name: ast.dump(ast.Module(node.body[ast.get_docstring(node) is not None:], []))
+            for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_no_module_keeps_a_twin_of_a_verifier_function():
+    # the builders import the verifier's kernels and keep no copy: no
+    # function outside the verifier's three modules shares a name or a
+    # body with one of theirs.  The exact builder takes its homogeneous
+    # integer kernel from _verifier_exact
+    assert _package_imports("stick_builder") == {"_verifier_exact", "circular_diagram", "graph_core"}
+    names, bodies = set(), set()
+    for name in ("verifier", "_verifier_exact", "_verifier_float"):
+        names.update(_functions(name))
+        bodies.update(_functions(name).values())
+    twins = [f"{path.stem}.{fn}" for path in sorted(Path("src/stickforge").glob("*.py"))
+             if path.stem not in ("verifier", "_verifier_exact", "_verifier_float", "__init__")
+             for fn, body in _functions(path.stem).items() if fn in names or body in bodies]
+    assert twins == []
+
+
 def test_exact_fault_injection_sweep():
     se0, cd = trefoil_build()
     rng = random.Random(20260814)
